@@ -1,18 +1,20 @@
 """Micro-benchmark: backend walls and chunk balance.
 
-Times JP-ADG on each execution backend (serial, threaded, process) and
-records the traced chunk-imbalance digest with uniform vs weighted
-chunking, on two deliberately different inputs: a skewed Kronecker
-graph (heavy-tailed degrees, where uniform chunks go lopsided) and a
-uniform G(n, m) graph (where weighting is a no-op).  Results go to
-``BENCH_backends.json`` so CI can track the backend tax over time.
+Times JP-ADG on serial and on the threaded backend with every worker
+count from 1 to the CPU count, and records the traced chunk-imbalance
+digest with uniform vs weighted chunking, on deliberately different
+inputs: skewed Kronecker graphs (heavy-tailed degrees, where uniform
+chunks go lopsided; Kronecker(16,24) is big enough that early JP
+waves carry real work) and a uniform G(n, m) graph (where weighting is
+a no-op).  Results go to ``BENCH_backends.json`` so CI can track the
+backend tax over time.
 
 The walls are steady-state: each backend row reuses one
-:class:`ExecutionContext` across repeats, so the process pool and the
-shared-memory arena are paid for once (by a warm-up run) and the
-recorded number is the per-run marginal cost.  ``cpu_count`` rides
-along in the report — on a single-core box the process backend cannot
-beat serial and the numbers say so honestly.
+:class:`ExecutionContext` across repeats, so the thread pool is paid
+for once (by a warm-up run) and the recorded number is the per-run
+marginal cost.  ``cpu_count`` rides along in the report — on a
+single-core box the threaded backend cannot beat serial and the
+numbers say so honestly.
 
 Backend rows run with ``adaptive='off'``: this file measures the *raw*
 backend tax (the thing adaptive dispatch is built to avoid — see
@@ -39,8 +41,10 @@ from repro.obs import Tracer
 from repro.runtime import ExecutionContext
 
 REPEATS = 3
-#: (backend, workers) rows measured for every graph.
-ROWS = [("serial", 1), ("threaded", 4), ("process", 4)]
+#: (backend, workers) rows measured for every graph: serial, then the
+#: threaded backend at every worker count up to the CPU count.
+ROWS = [("serial", 1)] + [("threaded", w)
+                          for w in range(1, (os.cpu_count() or 1) + 1)]
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..",
                            "BENCH_backends.json")
 DEFAULT_LEDGER = os.path.join(os.path.dirname(__file__), "..",
@@ -63,6 +67,8 @@ def _graphs() -> list:
         kronecker(scale=11, edge_factor=8, seed=0),
         # Near-constant degrees: weighting moves (almost) nothing.
         gnm_random(n=2048, m=16384, seed=0),
+        # m = 1.3M: the benchmark's color-mem graph.
+        kronecker(scale=16, edge_factor=24, seed=0),
     ]
 
 
@@ -106,7 +112,7 @@ def measure_wall(g, backend: str, workers: int) -> dict:
         def run():
             return jp_by_name(g, "ADG", seed=0, ctx=ctx)
 
-        run()  # warm-up: spins up the pool / arena before timing
+        run()  # warm-up: spins up the pool before timing
         wall = _best_wall(run)
     return {
         "graph": g.name, "n": g.n, "m": g.m,
@@ -190,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['imbalance_weighted']['mean']:.3f} "
               f"(mean over {row['imbalance_weighted']['rounds']} rounds)")
     if os.cpu_count() == 1:
-        print("note: single-CPU host; parallel backends cannot beat serial")
+        print("note: single-CPU host; the threaded backend cannot beat "
+              "serial")
     print(f"wrote {out}")
     if book.enabled:
         print(f"appended {len(walls) + len(balance)} bench record(s) "

@@ -3,7 +3,8 @@
 ``BENCH_backends.json`` shows the problem: on small graphs every round's
 fixed dispatch cost dwarfs its kernel work, so the parallel backends run
 multiples *slower* than serial.  This benchmark measures the fix — for
-each (graph, backend) cell it times JP-ADG with adaptive dispatch off
+each (graph, worker count) cell it times threaded JP-ADG with adaptive
+dispatch off
 (every round dispatched, the PR-4 behavior) and on (rounds below the
 break-even estimate inlined on the coordinator), and records the
 estimator's decision counters.  Results go to ``BENCH_dispatch.json``.
@@ -14,7 +15,7 @@ The acceptance bars this file documents:
   every cell (on a single-CPU host that is serial, and adaptive
   converges to it; on a multi-core host big-graph rounds dispatch and
   adaptive tracks the parallel wall instead);
-- adaptive-on strictly beats the fixed threaded / process walls on the
+- adaptive-on strictly beats the fixed threaded walls on the
   small-graph cells, because that is exactly the regime where dispatch
   overhead dominates.
 
@@ -37,9 +38,10 @@ from repro.graphs.generators import gnm_random, kronecker
 from repro.runtime import ExecutionContext
 
 REPEATS = 5
-#: Parallel (backend, workers) rows A/B-tested per graph; serial rides
-#: along as the small-graph yardstick.
-ROWS = [("threaded", 4), ("process", 4)]
+#: Threaded (backend, workers) rows A/B-tested per graph, at every
+#: multi-worker count up to the CPU count; serial rides along as the
+#: yardstick.
+ROWS = [("threaded", w) for w in range(2, max(2, os.cpu_count() or 1) + 1)]
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..",
                            "BENCH_dispatch.json")
 DEFAULT_LEDGER = os.path.join(os.path.dirname(__file__), "..",
@@ -65,6 +67,8 @@ def _graphs() -> list:
         # Larger: early waves are big enough to amortize dispatch on a
         # multi-core host (they still inline on one core).
         kronecker(scale=13, edge_factor=8, seed=0),
+        # m = 1.3M: the benchmark's color-mem graph.
+        kronecker(scale=16, edge_factor=24, seed=0),
     ]
 
 
@@ -84,7 +88,7 @@ def measure_cell(g, backend: str, workers: int, adaptive: str) -> dict:
         def run():
             return jp_by_name(g, "ADG", seed=0, ctx=ctx)
 
-        run()  # warm-up: pool, arena, and estimator seeding
+        run()  # warm-up: pool and estimator seeding
         wall = _best_wall(run)
         digest = ctx.dispatch_record()
     row = {
@@ -114,9 +118,10 @@ def main(argv: list[str] | None = None) -> int:
             off = measure_cell(g, backend, workers, "off")
             on = measure_cell(g, backend, workers, "on")
             cells += [off, on]
-            per_graph[f"{backend}_off_wall_s"] = off["wall_s"]
-            per_graph[f"{backend}_on_wall_s"] = on["wall_s"]
-            per_graph[f"{backend}_speedup"] = round(
+            tag = f"{backend}{workers}"
+            per_graph[f"{tag}_off_wall_s"] = off["wall_s"]
+            per_graph[f"{tag}_on_wall_s"] = on["wall_s"]
+            per_graph[f"{tag}_speedup"] = round(
                 off["wall_s"] / on["wall_s"], 3)
         best_fixed = min(c["wall_s"] for c in cells if c["adaptive"] == "off")
         best_on = min(c["wall_s"] for c in cells if c["adaptive"] == "on")
@@ -140,10 +145,10 @@ def main(argv: list[str] | None = None) -> int:
             book.append(bench_record("dispatch", row))
     for s in summary:
         print(f"{s['graph']} (n={s['n']}): serial {s['serial_wall_s']*1e3:.1f} ms"
-              + "".join(f", {b} {s[f'{b}_off_wall_s']*1e3:.1f}"
-                        f" -> {s[f'{b}_on_wall_s']*1e3:.1f} ms"
-                        f" ({s[f'{b}_speedup']:.1f}x)"
-                        for b, _ in ROWS))
+              + "".join(f", {b}{w} {s[f'{b}{w}_off_wall_s']*1e3:.1f}"
+                        f" -> {s[f'{b}{w}_on_wall_s']*1e3:.1f} ms"
+                        f" ({s[f'{b}{w}_speedup']:.1f}x)"
+                        for b, w in ROWS))
         print(f"  adaptive vs best fixed backend: "
               f"{s['adaptive_vs_best_fixed']:.3f}x")
     if os.cpu_count() == 1:

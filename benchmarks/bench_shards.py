@@ -1,15 +1,16 @@
 """Micro-benchmark: the sharding layer's footprint and repair cost.
 
 The sharding layer's promise is memory isolation with bounded repair:
-one engine per shard over shared segments, each worker's working set
-bounded by its largest *shard*, plus a boundary-repair pass whose cost
-scales with the plan's cut — never the whole graph.  This benchmark
-measures that promise per graph:
+one engine per shard, each engine's working set bounded by its
+*shard*, plus a boundary-repair pass whose cost scales with the plan's
+cut — never the whole graph.  This benchmark measures that promise per
+graph:
 
 - the unsharded DEC-ADG / DEC-ADG-ITR wall and working-set bytes;
-- the sharded wall (inline and process backend), the per-shard rows
-  (wall, mapped bytes, worker peak RSS), and the repair round /
-  recolor counts against the plan's cut size.
+- the sharded wall (serial, and threaded at every multi-worker count
+  up to the CPU count — the threaded pool runs the global ordering and
+  the repair), the per-shard rows (wall, mapped bytes), and the repair
+  round / recolor counts against the plan's cut size.
 
 The acceptance bar this file documents: the largest shard's mapped
 working set stays under **half** the unsharded footprint with four
@@ -37,6 +38,8 @@ from repro.runtime import ExecutionContext
 
 REPEATS = 3
 N_SHARDS = 4
+#: Threaded worker counts the sharded path is also timed at.
+THREADED_WORKERS = list(range(2, max(2, os.cpu_count() or 1) + 1))
 ENGINES = {"DEC-ADG": (dec_adg, 6.0), "DEC-ADG-ITR": (dec_adg_itr, 0.01)}
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..",
                            "BENCH_shards.json")
@@ -60,6 +63,8 @@ def _graphs() -> list:
         # The skewed family the memory acceptance bar is stated on.
         kronecker(scale=11, edge_factor=8, seed=0),
         kronecker(scale=13, edge_factor=8, seed=0),
+        # m = 1.3M: the benchmark's color-mem graph.
+        kronecker(scale=16, edge_factor=24, seed=0),
     ]
 
 
@@ -117,20 +122,19 @@ def main(argv: list[str] | None = None) -> int:
         for algorithm in sorted(ENGINES):
             plain = measure_cell(g, algorithm, "serial", 1, 0)
             inline = measure_cell(g, algorithm, "serial", 1, N_SHARDS)
-            pooled = measure_cell(g, algorithm, "process", N_SHARDS,
-                                  N_SHARDS)
-            rows += [plain, inline, pooled]
+            threaded = [measure_cell(g, algorithm, "threaded", w, N_SHARDS)
+                        for w in THREADED_WORKERS]
+            rows += [plain, inline, *threaded]
             summary.append({
                 "graph": g.name, "n": g.n, "algorithm": algorithm,
                 "plain_wall_s": plain["wall_s"],
                 "inline_wall_s": inline["wall_s"],
-                "process_wall_s": pooled["wall_s"],
+                **{f"threaded{r['workers']}_wall_s": r["wall_s"]
+                   for r in threaded},
                 "cut_edges": inline["cut_edges"],
                 "repair_rounds": inline["repair_rounds"],
                 "repair_recolored": inline["repair_recolored"],
                 "max_bytes_ratio": inline["max_bytes_ratio"],
-                "max_worker_rss_kb": max(
-                    (r["rss_kb"] for r in pooled["per_shard"]), default=0),
             })
     report = {
         "benchmark": "shards",
@@ -150,8 +154,10 @@ def main(argv: list[str] | None = None) -> int:
     for s in summary:
         print(f"{s['graph']} (n={s['n']}) {s['algorithm']}: "
               f"plain {s['plain_wall_s']*1e3:.1f} ms, "
-              f"sharded inline {s['inline_wall_s']*1e3:.1f} ms, "
-              f"process {s['process_wall_s']*1e3:.1f} ms")
+              f"sharded serial {s['inline_wall_s']*1e3:.1f} ms"
+              + "".join(f", threaded{w} "
+                        f"{s[f'threaded{w}_wall_s']*1e3:.1f} ms"
+                        for w in THREADED_WORKERS))
         print(f"  cut={s['cut_edges']}, repair {s['repair_rounds']} rounds / "
               f"{s['repair_recolored']} recolors, "
               f"max shard bytes = {s['max_bytes_ratio']:.3f}x unsharded")

@@ -476,13 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=0.01)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--backend",
-                       choices=["serial", "threaded", "process"],
+        p.add_argument("--backend", metavar="{serial,threaded}",
                        default=None,
                        help="execution backend (default: $REPRO_BACKEND "
                             "or serial); colors are backend-independent")
         p.add_argument("--workers", type=int, default=None,
-                       help="threaded/process-backend worker count "
+                       help="threaded-backend worker count "
                             "(default: $REPRO_WORKERS or CPU count)")
         p.add_argument("--trace", metavar="FILE",
                        help="export a run trace: .jsonl for the event "
@@ -510,9 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shards", type=int, default=None, metavar="N",
                        help="run DEC-family engines through the sharding "
                             "layer with N per-shard engines (default: "
-                            "$REPRO_SHARDS or off; 0 disables); with the "
-                            "process backend each shard runs in its own "
-                            "worker over shared-memory segments")
+                            "$REPRO_SHARDS or off; 0 disables)")
         p.add_argument("--kernel-tier", dest="kernel_tier",
                        choices=["auto", "numpy", "numba"],
                        default=None,
@@ -649,6 +646,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        # Fail before any graph is loaded; names a removed backend's
+        # replacement.
+        from .runtime.context import check_backend
+        check_backend(args.backend, "--backend")
     # The runtime reads $REPRO_FAULTS / $REPRO_ADAPTIVE wherever a
     # context is built (including child contexts and the bench
     # harness), so the env vars are the one seam that covers every

@@ -45,17 +45,13 @@ def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
                                                np.ndarray]:
     """Per-partition gather, chunked: deg_l counts and taken colors.
 
-    Takes the CSR arrays (and the level/color state) directly so callers
-    on the process backend can pass the run's shared-arena views —
-    uploaded once, reused every level.
-
     Returns ``(counts_ge, taken, owners)`` where ``counts_ge[i]`` is the
     number of neighbors of ``verts[i]`` in this or higher partitions,
     and ``(owners, taken)`` lists the (local vertex, color) pairs taken
     by strictly-higher-partition neighbors (color 0 entries included;
     the caller filters by its bitmap width).
     """
-    kern = Kernel("dec.constraints", "dec",
+    kern = Kernel("dec.constraints",
                   arrays={"verts": verts, "levels": levels,
                           "indptr": indptr, "indices": indices,
                           "colors": colors},
@@ -110,20 +106,13 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     induced subgraph with ``levels`` restricted to the shard — level
     ids keep their run-global meaning, so deg_l and the bitmaps stay
     upper-bounded by the global Lemma-4 guarantee and the (2+eps)d
-    quality bound survives sharding.  Returns ``(colors, rounds)``
-    with ``colors`` already localized out of the shared arena.
+    quality bound survives sharding.  Returns ``(colors, rounds)``.
     """
     n = g.n
     tracer = ctx.tracer
     cost, mem = ctx.cost, ctx.mem
-    # Upload the graph and the cross-level state once; the level
-    # loop writes colors through the arena view (process backend)
-    # so workers track it with no per-level transfer.
-    indptr = ctx.share("dec", "indptr", g.indptr)
-    indices = ctx.share("dec", "indices", g.indices)
-    levels = ctx.share("dec", "levels", levels)
-    colors = ctx.share("dec", "colors", np.zeros(n, dtype=np.int64))
-    partitions = partitions_from_levels(ctx.localize(levels), num_levels)
+    colors = np.zeros(n, dtype=np.int64)
+    partitions = partitions_from_levels(levels, num_levels)
     rounds_total = 0
 
     with ctx.phase("dec:color"):
@@ -136,7 +125,7 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
             # deg_l(v) and the B_v bitmaps: colors taken by
             # higher-partition neighbors.
             counts_ge, taken, owners = partition_constraints(
-                indptr, indices, g.max_degree, verts, levels, level,
+                g.indptr, g.indices, g.max_degree, verts, levels, level,
                 colors, ctx, "dec:color")
             width = int(np.ceil(
                 (1.0 + mu) * max(1, int(counts_ge.max())))) + 2
@@ -160,7 +149,7 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
                                            max_rounds=max_rounds)
             colors[verts] = local_colors
             rounds_total += rounds
-    return ctx.localize(colors), rounds_total
+    return colors, rounds_total
 
 
 def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
@@ -178,8 +167,8 @@ def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
     work premium (paper SS IV-D).
 
     ``shards`` > 1 (argument, context, or ``$REPRO_SHARDS``) executes
-    through the sharding layer: one per-shard engine over shared-memory
-    segments plus the boundary-repair protocol
+    through the sharding layer: one engine per shard subgraph plus the
+    boundary-repair protocol
     (:func:`repro.coloring.sharded.sharded_color`) — same validity,
     same (2+eps)d bound.
     """

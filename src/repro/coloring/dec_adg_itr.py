@@ -52,14 +52,8 @@ def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
     tracer = ctx.tracer
     limit = max_rounds if max_rounds is not None else 4 * n + 64
     width = forbidden.shape[1]
-
-    # Per-partition shared state (process backend; passthrough otherwise).
-    indptr = ctx.share("itr", "indptr", part.indptr)
-    indices = ctx.share("itr", "indices", part.indices)
-    colors = ctx.share("itr", "colors", colors)
-    forbidden = ctx.share("itr", "forbidden", forbidden)
-    priority = ctx.share("itr", "priority", priority)
-    still = ctx.share("itr", "still", np.zeros(n, dtype=bool))
+    indptr, indices = part.indptr, part.indices
+    still = np.zeros(n, dtype=bool)
 
     while active.size:
         rounds += 1
@@ -68,7 +62,7 @@ def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
 
         # Smallest color not forbidden for each active vertex: the first
         # False in its bitmap row (column 0 is the unused color 0).
-        kern = Kernel("itr.choose", "itr",
+        kern = Kernel("itr.choose",
                       arrays={"active": active, "forbidden": forbidden})
         chosen = ctx.map_chunks(kern, active.size)
         colors[active] = np.concatenate(chosen) if chosen else \
@@ -79,7 +73,7 @@ def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
         # Conflict detection among same-round neighbors.
         still[:] = False
         still[active] = True
-        kern = Kernel("itr.conflict", "itr",
+        kern = Kernel("itr.conflict",
                       arrays={"active": active, "colors": colors,
                               "still": still, "priority": priority,
                               "indptr": indptr, "indices": indices})
@@ -119,7 +113,7 @@ def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
             offset += chunk_lost.size
         cost.scatter_decrement(committed_total)
         active = losers
-    return ctx.localize(colors), rounds, conflicts
+    return colors, rounds, conflicts
 
 
 def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
@@ -138,12 +132,8 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     cost = ctx.cost
     n = g.n
     tracer = ctx.tracer
-    # Cross-level state, uploaded once (see dec_adg).
-    indptr = ctx.share("dec", "indptr", g.indptr)
-    indices = ctx.share("dec", "indices", g.indices)
-    levels = ctx.share("dec", "levels", levels)
-    colors = ctx.share("dec", "colors", np.zeros(n, dtype=np.int64))
-    partitions = partitions_from_levels(ctx.localize(levels), num_levels)
+    colors = np.zeros(n, dtype=np.int64)
+    partitions = partitions_from_levels(levels, num_levels)
     rounds_total = 0
     conflicts_total = 0
 
@@ -157,7 +147,7 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
             # deg_l(v) bounds the bitmap width: mex never exceeds
             # degl + 1.
             counts_ge, taken, owners = partition_constraints(
-                indptr, indices, g.max_degree, verts, levels, level,
+                g.indptr, g.indices, g.max_degree, verts, levels, level,
                 colors, ctx, "dec-itr")
             width = int(counts_ge.max(initial=0)) + 3
 
@@ -175,7 +165,7 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
             colors[verts] = local_colors
             rounds_total += rounds
             conflicts_total += conflicts
-    return ctx.localize(colors), rounds_total, conflicts_total
+    return colors, rounds_total, conflicts_total
 
 
 def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,

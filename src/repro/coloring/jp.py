@@ -15,12 +15,10 @@ One engine serves every runtime backend: each wave's GetColor is the
 work-balanced chunks instead of count-balanced ones.  Within a wave
 every frontier vertex reads only *fixed* colors (its predecessors
 finished in earlier waves), so frontier chunks are independent; on the
-threaded backend NumPy releases the GIL inside the kernels, and on the
-process backend the CSR arrays, ranks, and colors live in the shared
-arena (coordinator writes after each wave are visible to workers with
-no re-transfer).  The successor notifications are combined in chunk
-order after the chunks return (DecrementAndFetch on a shared array is
-not thread-safe).  Colors, waves, and the recorded work/depth/memory
+threaded backend NumPy releases the GIL inside the kernels, which read
+the CSR arrays, ranks, and colors by reference.  The successor
+notifications are combined in chunk order after the chunks return
+(DecrementAndFetch on a shared array is not thread-safe).  Colors, waves, and the recorded work/depth/memory
 totals are bit-identical across backends.
 
 Combined with the ordering registry this yields JP-FF, JP-R, JP-LF,
@@ -106,13 +104,7 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
         frontier = np.flatnonzero(count == 0).astype(np.int64)
         waves = 0
         tracer = ctx.tracer
-        # Long-lived state goes to the shared arena once (process backend);
-        # coordinator writes through the returned views are visible to
-        # workers with no per-wave re-transfer.  serial/threaded: no-ops.
-        indptr = ctx.share("jp", "indptr", g.indptr)
-        indices = ctx.share("jp", "indices", g.indices)
-        ranks = ctx.share("jp", "ranks", ranks)
-        colors = ctx.share("jp", "colors", colors)
+        indptr, indices = g.indptr, g.indices
         # Coordinator-side scratch: the wave-weight and successor-join
         # buffers are rebuilt every wave, so they reuse the context's
         # arena instead of allocating O(frontier) twice per wave.
@@ -120,7 +112,7 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
         with ctx.phase("jp:color"):
             while frontier.size:
                 waves += 1
-                kern = Kernel("jp.wave", "jp",
+                kern = Kernel("jp.wave",
                               arrays={"indptr": indptr, "indices": indices,
                                       "ranks": ranks, "colors": colors,
                                       "frontier": frontier})
@@ -157,7 +149,6 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
                 if total:
                     np.concatenate(succs, out=succ)
                 frontier = decrement_and_fetch(count, succ, cost=cost)
-        colors = ctx.localize(colors)
     finally:
         if owns:
             ctx.close()

@@ -58,9 +58,9 @@ class ColoringResult:
     (``ExecutionContext(resources=True)`` / ``$REPRO_RESOURCES`` / an
     enabled run ledger); then it carries the
     :meth:`~repro.runtime.ExecutionContext.resource_record` digest — a
-    ``coordinator`` block (sampler peak RSS, CPU seconds, live
-    shared-arena high-water mark) and a ``workers`` list of per-pid
-    probe rows (peak RSS, CPU; shard runs add the shard id).
+    ``coordinator`` block (sampler peak RSS, CPU seconds) and a
+    ``workers`` list of per-pid rows (peak RSS, CPU, shard id) from
+    sharded runs.
     """
 
     algorithm: str

@@ -7,9 +7,8 @@ ordering once, cuts the graph into degree-balanced shards along the
 level structure (:func:`repro.runtime.plan_shards`), and runs each
 engine *interior* (:func:`~repro.coloring.dec_adg.color_partitions` /
 :func:`~repro.coloring.dec_adg_itr.itr_color_partitions`) on its own
-induced subgraph — in separate processes over shared-memory segments
-on the process backend, inline otherwise, with bit-identical colors
-and accounting either way (:class:`repro.runtime.ShardedContext`).
+induced subgraph, shard by shard, with colors and accounting merged in
+shard order (:class:`repro.runtime.ShardedContext`).
 
 Shard engines speculate: interior edges are certainly bichromatic (each
 shard's coloring is locally valid), but the plan's cross-shard edges
@@ -28,11 +27,11 @@ set (lower levels yield to higher levels, exactly the DEC invariant).
 So the sharded run keeps the engine's paper bound: (2+eps)d for
 DEC-ADG, 2(1+eps)d + 1 for DEC-ADG-ITR.
 
-When the shard executor's respawn budget is exhausted (chaos testing,
-real worker loss) the layer degrades to unsharded execution *in the
-same run*: the interior is re-run on the whole graph with the same
-ordering, seed, and priority, producing exactly the colors the plain
-engine would — one level down the sturdiness ladder, never a worse
+When the shard executor's respawn budget is exhausted (an injected
+``kill`` on every attempt) the layer degrades to unsharded execution
+*in the same run*: the interior is re-run on the whole graph with the
+same ordering, seed, and priority, producing exactly the colors the
+plain engine would — one level down the sturdiness ladder, never a worse
 answer.
 """
 
@@ -55,10 +54,6 @@ from .result import ColoringResult
 #: Engines whose interior is SIM-COL (random draws, (2+eps)d bound).
 #: Shared with incremental recoloring — see repro.coloring.repair.
 _SIMCOL_FAMILY = SIMCOL_FAMILY
-
-#: The dotted runner handed to the runtime layer (resolved in workers).
-SHARD_RUNNER = "repro.coloring.sharded:run_shard_local"
-
 
 def _shard_seed(seed: int | None, sid: int) -> int | None:
     """Decorrelate shard RNG streams, deterministically in (seed, sid)."""
@@ -86,17 +81,15 @@ def _interior(g: CSRGraph, algorithm: str, levels: np.ndarray,
 def run_shard_local(arrays: dict, *, algorithm: str, eps: float,
                     seed: int | None, num_levels: int,
                     max_rounds: int | None, shard: int) -> dict:
-    """One shard engine, start to finish (worker or inline).
+    """One shard engine, start to finish.
 
     ``arrays`` holds the shard's sub-CSR plus its slices of the
-    run-global level and priority arrays — zero-copy shared-memory
-    views in a pool worker, the coordinator's own arrays inline.  The
-    engine runs on a fresh quiet serial context (shard-level recovery
-    belongs to the coordinator, so chunk-level fault injection is
-    forced off) and writes 1-based colors into ``arrays['colors']`` in
-    place.  Returns a picklable record: the shard's accounting books
-    and round/conflict counts, which the coordinator merges in shard
-    order — making the books independent of worker scheduling.
+    run-global level and priority arrays.  The engine runs on a fresh
+    quiet serial context (shard-level recovery belongs to the
+    coordinator, so chunk-level fault injection is forced off) and
+    writes 1-based colors into ``arrays['colors']`` in place.  Returns
+    a record: the shard's accounting books and round/conflict counts,
+    which the coordinator merges in shard order.
     """
     g = CSRGraph(indptr=np.asarray(arrays["indptr"]),
                  indices=np.asarray(arrays["indices"]),
@@ -191,7 +184,7 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
         tracer.count("shard.cut_edges", plan.cut_edges)
     priority = random_tiebreak(g.n, seed)
 
-    sctx = ShardedContext(ctx, plan, SHARD_RUNNER)
+    sctx = ShardedContext(ctx, plan, run_shard_local)
     records = None
     if plan.n_shards > 1:
         shard_arrays: list[dict] = []
@@ -253,8 +246,8 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
               "repair_rounds": repair_rounds,
               "repair_recolored": repair_recolored,
               "per_shard": per_shard}
-    # Shard workers already reported pid/RSS/CPU on their records; fold
-    # them into the run's resource digest as per-shard worker rows.
+    # Shard records carry pid/RSS/CPU; fold them into the run's
+    # resource digest as per-shard worker rows.
     shard_probes = [{"pid": r["pid"], "peak_rss_kb": r.get("rss_kb", 0),
                      "cpu_s": r.get("cpu_s", 0.0), "shard": r["shard"]}
                     for r in per_shard if r.get("pid")]

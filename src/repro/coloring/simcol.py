@@ -85,16 +85,9 @@ def sim_col(
         tracer = ctx.tracer
         limit = max_rounds if max_rounds is not None else 64 * (n.bit_length() + 2)
 
-        # Per-call state for the shared arena (process backend); the
-        # caller's ``forbidden`` is copied back at the end so the
-        # documented in-place contract holds on every backend.
-        caller_forbidden = forbidden
         ws = ctx.scratch  # coordinator buffers reused across rounds
-        indptr = ctx.share("simcol", "indptr", part.indptr)
-        indices = ctx.share("simcol", "indices", part.indices)
-        colors = ctx.share("simcol", "colors", colors)
-        forbidden = ctx.share("simcol", "forbidden", forbidden)
-        still_active = ctx.share("simcol", "still", np.zeros(n, dtype=bool))
+        indptr, indices = part.indptr, part.indices
+        still_active = np.zeros(n, dtype=bool)
 
         while active.size:
             rounds += 1
@@ -111,7 +104,7 @@ def sim_col(
             # Part 2: reject on equality with an active neighbor or on B_v.
             still_active[:] = False
             still_active[active] = True
-            kern = Kernel("simcol.trial", "simcol",
+            kern = Kernel("simcol.trial",
                           arrays={"active": active, "colors": colors,
                                   "still": still_active, "indptr": indptr,
                                   "indices": indices, "forbidden": forbidden})
@@ -154,9 +147,7 @@ def sim_col(
             mem.gather(fixed_total, "simcol")
 
             active = active[clash]
-        if forbidden is not caller_forbidden:
-            caller_forbidden[...] = forbidden
-        return ctx.localize(colors), rounds
+        return colors, rounds
     finally:
         if owns:
             ctx.close()

@@ -8,8 +8,8 @@ scale path (DESIGN.md "Ingestion at scale"):
 1. the (optionally gzipped) file is split into newline-aligned byte
    ranges, and each range is parsed by a vectorized tokenizer with no
    per-line Python — ranges fan out through
-   :meth:`ExecutionContext.map_chunks`, so the threaded/process
-   backends, adaptive dispatch, tracer spans (``ingest.*`` phases) and
+   :meth:`ExecutionContext.map_chunks`, so the threaded backend,
+   adaptive dispatch, tracer spans (``ingest.*`` phases) and
    the fault/retry machinery all apply unchanged;
 2. vertex ids are compacted chunk-locally (``np.unique`` semantics:
    sorted distinct ids + inverse codes, never a Python dict) and the
@@ -520,9 +520,9 @@ def ingest_parse_kernel(lo: int, hi: int, a: dict, *, path: str,
     """Parse byte ranges [offs[lo], offs[hi]) of ``path``.
 
     Registered as ``ingest.parse`` in :data:`repro.runtime.kernels.
-    KERNELS` so the process backend can ship it by name.  Pure over
-    [lo, hi): re-reading the same ranges reproduces the same result,
-    which is what lets the fault layer retry/re-dispatch chunks.
+    KERNELS`.  Pure over [lo, hi): re-reading the same ranges
+    reproduces the same result, which is what lets the fault layer
+    retry/re-dispatch chunks.
 
     Returns ``(vocab, codes, n_edges, tier)``: the chunk-local sorted
     id vocabulary, int32 inverse codes laid out as [u codes | v codes],
@@ -1062,7 +1062,7 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
                 open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
             for w, i0 in enumerate(range(0, nr, wave)):
                 i1 = min(nr, i0 + wave)
-                kern = Kernel(name="ingest.parse", ns=f"ingest.w{w}",
+                kern = Kernel(name="ingest.parse",
                               arrays={"offs": offs[i0:i1 + 1]},
                               scalars={"path": plain, "comments": comments,
                                        "parser": p})

@@ -2,7 +2,7 @@
 
 Two forms are provided: a *materialized* induced subgraph with compacted
 vertex ids (used by DEC-ADG to hand partitions to SIM-COL, and by the
-sharding layer to hand shards to per-process engines) and cheap
+sharding layer to hand shards to per-shard engines) and cheap
 mask-based degree computations for the peeling loops that never need to
 rebuild CSR.
 

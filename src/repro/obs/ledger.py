@@ -351,6 +351,8 @@ def validate_ledger_record(rec: dict, where: str = "ledger") -> None:
     _require(rec.get("kernel_tier") is None
              or isinstance(rec["kernel_tier"], str), where,
              "kernel_tier must be a string or absent")
+    # 'process' is valid on rows recorded before that backend was
+    # removed; the ledger is history, so old rows must keep validating.
     _require(rec.get("backend") in ("serial", "threaded", "process"), where,
              f"unknown backend {rec.get('backend')!r}")
     for key in ("workers", "shards", "colors", "work", "depth", "rounds",

@@ -171,11 +171,10 @@ def shard_breakdown(result) -> list[dict]:
 def resource_breakdown(result) -> list[dict]:
     """Resource-telemetry rows for one run, from ``result.resources``.
 
-    One ``coordinator`` row (sampler peak RSS, CPU seconds, live
-    shared-arena high-water mark, sample count), then one row per
-    worker pid (``shardN`` for shard workers, ``worker`` for pool
-    workers).  Empty when telemetry was off — the profile section is
-    omitted then.
+    One ``coordinator`` row (sampler peak RSS, CPU seconds, sample
+    count), then one row per worker pid (``shardN`` for shard rows,
+    ``worker`` otherwise).  Empty when telemetry was off — the profile
+    section is omitted then.
     """
     rec = getattr(result, "resources", None)
     if not rec:
@@ -185,7 +184,6 @@ def resource_breakdown(result) -> list[dict]:
         "role": "coordinator", "pid": coord.get("pid", ""),
         "peak_rss_kb": coord.get("peak_rss_kb", 0),
         "cpu_s": round(coord.get("cpu_s", 0.0), 4),
-        "arena_kb": coord.get("max_arena_bytes", 0) // 1024,
         "samples": coord.get("samples", 0),
     }]
     for w in rec.get("workers", []):
@@ -194,7 +192,7 @@ def resource_breakdown(result) -> list[dict]:
             "role": role, "pid": w.get("pid", ""),
             "peak_rss_kb": w.get("peak_rss_kb", 0),
             "cpu_s": round(w.get("cpu_s", 0.0), 4),
-            "arena_kb": "", "samples": "",
+            "samples": "",
         })
     return rows
 

@@ -18,8 +18,8 @@ comparison is deliberately two-tier:
   own same-machine baseline for the wall/RSS tier.
 
 ``python -m repro obs matrix`` colors the fixed graph matrix (the same
-cells the baseline pins: gnm + Kronecker across serial/threaded/process
-and the sharded DEC path) appending one ledger record per run; running
+cells the baseline pins: gnm + Kronecker across serial/threaded and
+the sharded DEC path) appending one ledger record per run; running
 it twice and checking the second head against a baseline built from the
 first is the replay gate CI enforces.
 """
@@ -58,18 +58,18 @@ THRESHOLDS: dict[str, dict] = {
 
 #: The fixed graph matrix the gate colors: small enough to run in CI,
 #: wide enough to cover every backend, the JP and DEC engines, and the
-#: sharded process path whose worker RSS the resources layer samples.
+#: sharded path whose per-shard RSS the resources layer samples.
 MATRIX: tuple[dict, ...] = (
     {"gen": "gnm:2000,10000", "algorithm": "JP-ADG",
      "backend": "serial", "workers": 1, "shards": 0},
     {"gen": "gnm:2000,10000", "algorithm": "JP-ADG",
      "backend": "threaded", "workers": 4, "shards": 0},
     {"gen": "kronecker:11,8", "algorithm": "JP-ADG",
-     "backend": "process", "workers": 4, "shards": 0},
+     "backend": "threaded", "workers": 4, "shards": 0},
     {"gen": "kronecker:11,8", "algorithm": "DEC-ADG",
      "backend": "serial", "workers": 1, "shards": 0},
     {"gen": "kronecker:11,8", "algorithm": "DEC-ADG-ITR",
-     "backend": "process", "workers": 4, "shards": 4},
+     "backend": "threaded", "workers": 4, "shards": 4},
 )
 
 

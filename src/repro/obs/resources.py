@@ -4,18 +4,14 @@ Two collection points, both owned by the pool-hosting
 :class:`~repro.runtime.ExecutionContext`:
 
 - :class:`ResourceSampler` — a daemon thread on the *coordinator* that
-  samples resident set size, CPU seconds, and live shared-arena bytes
-  at a fixed interval, keeping running maxima.  When the run is traced
-  each sample also lands as ``res.*`` gauges in the tracer's
+  samples resident set size and CPU seconds at a fixed interval,
+  keeping running maxima.  When the run is traced each sample also
+  lands as a ``res.rss_kb`` gauge in the tracer's
   :class:`~repro.obs.metrics.MetricsRegistry`, so a profile shows the
   memory curve next to the frontier curve.
-- per-*worker* probes — the forkserver initializer stamps a CPU
-  baseline in each pool worker (:func:`repro.runtime.shm.
-  _pool_worker_init`), and :func:`repro.runtime.shm.worker_probe` runs
-  as an ordinary pool task to report the worker's peak RSS and CPU
-  seconds since init; shard runs additionally carry per-shard peak RSS
-  on their result records.  :func:`merge_worker_probes` dedupes the
-  reports by pid.
+- per-*shard* rows — sharded runs carry each shard engine's pid, peak
+  RSS and CPU seconds on their result records;
+  :func:`merge_worker_probes` dedupes the rows by pid.
 
 Default off (the zero-overhead contract): collection turns on with
 ``ExecutionContext(resources=True)``, ``$REPRO_RESOURCES=1``, or
@@ -110,29 +106,23 @@ def default_interval_s() -> float:
 class ResourceSampler:
     """Coordinator-side sampler thread with running maxima.
 
-    ``arena_bytes`` is a zero-argument callable returning the live
-    shared-memory footprint (the runtime passes
-    :func:`repro.runtime.shm.live_segment_bytes`); ``tracer`` an
-    enabled tracer to receive per-sample ``res.rss_kb`` /
-    ``res.arena_kb`` gauges (round = sample index).  :meth:`digest`
+    ``tracer`` is an enabled tracer to receive per-sample
+    ``res.rss_kb`` gauges (round = sample index).  :meth:`digest`
     reads the maxima without stopping the thread, so one sampler can
     serve several runs on a shared context; :meth:`stop` joins the
     thread (idempotent, called by ``ExecutionContext.close``).
     """
 
-    def __init__(self, interval: float | None = None, tracer=None,
-                 arena_bytes=None):
+    def __init__(self, interval: float | None = None, tracer=None):
         self.interval = interval if interval is not None \
             else default_interval_s()
         self._tracer = tracer if tracer is not None and tracer.enabled \
             else None
-        self._arena_bytes = arena_bytes
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._cpu0 = cpu_seconds()
         self.samples = 0
         self.max_rss_kb = 0
-        self.max_arena_bytes = 0
 
     def start(self) -> "ResourceSampler":
         if self._thread is None:
@@ -146,14 +136,8 @@ class ResourceSampler:
     def _sample(self) -> None:
         rss = current_rss_kb()
         self.max_rss_kb = max(self.max_rss_kb, rss)
-        arena = 0
-        if self._arena_bytes is not None:
-            arena = int(self._arena_bytes())
-            self.max_arena_bytes = max(self.max_arena_bytes, arena)
         if self._tracer is not None:
             self._tracer.gauge("res.rss_kb", rss, round=self.samples)
-            self._tracer.gauge("res.arena_kb", arena // 1024,
-                               round=self.samples)
         self.samples += 1
 
     def _loop(self) -> None:
@@ -168,7 +152,6 @@ class ResourceSampler:
             "interval_s": self.interval,
             "peak_rss_kb": max(self.max_rss_kb, peak_rss_kb()),
             "cpu_s": round(max(0.0, cpu_seconds() - self._cpu0), 6),
-            "max_arena_bytes": self.max_arena_bytes,
         }
 
     def stop(self) -> None:
@@ -179,11 +162,11 @@ class ResourceSampler:
 
 
 def merge_worker_probes(probes: list[dict]) -> list[dict]:
-    """Dedupe worker reports by pid, keeping per-pid maxima.
+    """Dedupe worker rows by pid, keeping per-pid maxima.
 
-    A pool worker can answer several probe tasks (and a shard record
-    reports the same pid again); the merged row keeps the max peak RSS
-    and CPU seen for that pid plus any extra keys (e.g. ``shard``).
+    Shards run on the coordinator, so several shard rows report the
+    same pid; the merged row keeps the max peak RSS and CPU seen for
+    that pid plus any extra keys (e.g. the first ``shard``).
     """
     by_pid: dict[int, dict] = {}
     for p in probes:

@@ -77,8 +77,8 @@ def adg_ordering(
     Batch selection and the UPDATE scatters run as ``adg.*`` kernels
     chunked through the execution context (``ctx``, or one built from
     ``backend``/``workers``), weighted by remaining batch degrees; every
-    backend (serial / threaded / process) produces bit-identical
-    orderings and accounting.  The ordering's cost/mem books are always its own (the
+    backend (serial / threaded) produces bit-identical orderings and
+    accounting.  The ordering's cost/mem books are always its own (the
     paper splits run-times into reordering and coloring), so a caller's
     context contributes only its backend, workers, and pool.
     """
@@ -107,18 +107,13 @@ def adg_ordering(
     cost, mem = run.cost, run.mem
     ws = run.scratch  # coordinator-side buffers reused across iterations
     n = g.n
-    # Long-lived state the coordinator mutates between iterations lives
-    # in the shared arena under the process backend (zero re-transfer);
-    # serial/threaded: share() is a passthrough.  D starts as a copy —
-    # CSRGraph.degrees is a cached, read-only array.
-    indptr = run.share("adg", "indptr", g.indptr)
-    indices = run.share("adg", "indices", g.indices)
-    D = run.share("adg", "D", g.degrees.copy())
-    active = run.share("adg", "active", np.ones(n, dtype=bool))
-    r_mask = run.share("adg", "r_mask", np.zeros(n, dtype=bool))
+    indptr, indices = g.indptr, g.indices
+    # D starts as a copy — CSRGraph.degrees is a cached, read-only array.
+    D = g.degrees.copy()
+    active = np.ones(n, dtype=bool)
+    r_mask = np.zeros(n, dtype=bool)
     levels = np.zeros(n, dtype=np.int64)
-    explicit = run.share("adg", "explicit", np.zeros(n, dtype=np.int64)) \
-        if sort_batches else None
+    explicit = np.zeros(n, dtype=np.int64) if sort_batches else None
     pred_counts = np.zeros(n, dtype=np.int64) if compute_ranks else None
     counter = 0
     remaining = n
@@ -145,7 +140,7 @@ def adg_ordering(
                         mem.stream(remaining, phase_name)
                     avg = sum_deg / remaining
                     threshold = (1.0 + eps) * avg
-                    kern = Kernel("adg.select", "adg",
+                    kern = Kernel("adg.select",
                                   arrays={"active": active, "D": D},
                                   scalars={"threshold": float(threshold)})
                     batch = np.concatenate(run.map_chunks(kern, n))
@@ -195,7 +190,7 @@ def adg_ordering(
                     if compute_ranks:
                         arrays["r_mask"] = r_mask
                         arrays["explicit"] = explicit
-                    kern = Kernel("adg.push", "adg", arrays=arrays,
+                    kern = Kernel("adg.push", arrays=arrays,
                                   scalars={"compute_ranks": compute_ranks})
                     results = run.map_chunks(
                         kern, batch.size,
@@ -215,7 +210,7 @@ def adg_ordering(
                         cost.round(nbrs_total, 1)
                 else:
                     live = np.flatnonzero(active)
-                    kern = Kernel("adg.pull", "adg",
+                    kern = Kernel("adg.pull",
                                   arrays={"live": live, "indptr": indptr,
                                           "indices": indices,
                                           "r_mask": r_mask})
@@ -232,8 +227,6 @@ def adg_ordering(
                     cut = int(dec.sum())
 
                 sum_deg = sum_deg - removed_deg_sum - cut
-        if sort_batches:
-            explicit = run.localize(explicit)
     finally:
         if owns:
             run.close()

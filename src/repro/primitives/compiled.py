@@ -20,7 +20,7 @@ Contracts mirror the NumPy tier exactly:
   compiled loops exactly as it does inside NumPy's C kernels;
 - ``cache=True`` so recompilation across processes hits the on-disk
   cache; :func:`prime` additionally runs every jitted entry on tiny
-  inputs so a pool initializer (or benchmark warm-up) absorbs the
+  inputs so the tier switch (or benchmark warm-up) absorbs the
   compile outside any timed span.
 
 :func:`jp_wave_fused` is the fused gather+mex for the JP wave shape:
@@ -282,9 +282,8 @@ def prime() -> None:
     """Compile every jitted kernel on tiny inputs (no-op without numba).
 
     Called by :func:`repro.primitives.tiers.set_kernel_tier` on the
-    switch to the numba tier and by the process-backend pool
-    initializer, so compilation cost lands at setup time — never
-    inside a timed span.
+    switch to the numba tier, so compilation cost lands at setup time
+    — never inside a timed span.
     """
     if not HAVE_NUMBA:
         return

@@ -20,11 +20,10 @@ Selection order: ``ExecutionContext(kernel_tier=...)`` >
 ``$REPRO_KERNEL_TIER`` > ``auto``.  The resolved tier is process-global
 (:func:`set_kernel_tier` / :func:`active_kernel_tier`) because the hot
 trio must stay argument-free on its hot path; the runtime re-asserts
-the run's tier at every round and ships it to pool workers, so a
-process-backend worker always resolves the same tier as its
-coordinator.  Switching *to* the numba tier primes the compile cache
-(:func:`repro.primitives.compiled.prime`) so no timed span ever pays
-compilation.
+the run's tier at every round, so pool threads always run the tier of
+the context that dispatched them.  Switching *to* the numba tier
+primes the compile cache (:func:`repro.primitives.compiled.prime`) so
+no timed span ever pays compilation.
 
 The parity contract (tested): colors, cost/memory books, and traces
 are bit-identical across tiers — only walls move.
@@ -102,7 +101,7 @@ def set_kernel_tier(tier) -> str:
     re-asserts it every round).  The first switch to ``numba`` imports
     the compiled module and primes its jit cache, so compilation never
     lands inside a timed span — callers on a timing-sensitive path
-    (pool initializers, benchmark warm-up) switch *before* measuring.
+    (benchmark warm-up) switch *before* measuring.
     """
     global _ACTIVE, _COMPILED
     if tier == _ACTIVE:

@@ -1,8 +1,7 @@
-"""Unified execution runtime: backend selection (serial / threaded /
-process), chunked — optionally work-balanced — execution, shared-memory
-state, deterministic fault injection with retry / respawn / degradation
-recovery, and end-to-end accounting and tracing behind one
-:class:`ExecutionContext` object."""
+"""Unified execution runtime: backend selection (serial / threaded),
+chunked — optionally work-balanced — execution, deterministic fault
+injection with retry / respawn / degradation recovery, and end-to-end
+accounting and tracing behind one :class:`ExecutionContext` object."""
 
 from .adaptive import (
     ADAPTIVE_MODES,
@@ -35,15 +34,13 @@ from .shard import (
     default_shards,
     plan_shards,
 )
-from .shm import SharedArena, live_segment_names
 
 __all__ = [
     "ADAPTIVE_MODES", "BACKENDS", "CHUNKS_PER_WORKER", "ChunkError",
     "DispatchEstimator", "ExecutionContext",
     "FaultInjected", "FaultPlan", "FaultSpec", "KERNELS", "Kernel",
     "ShardError", "ShardPlan", "ShardSpec", "ShardedContext",
-    "SharedArena", "WorkerDeath", "default_adaptive", "default_backend",
-    "default_shards", "default_weighted_chunks", "live_segment_names",
-    "plan_shards", "resolve_adaptive", "resolve_context",
-    "resolve_fault_plan",
+    "WorkerDeath", "default_adaptive", "default_backend",
+    "default_shards", "default_weighted_chunks", "plan_shards",
+    "resolve_adaptive", "resolve_context", "resolve_fault_plan",
 ]

@@ -2,9 +2,9 @@
 
 BENCH_backends.json documents the inversion this module removes: on
 small graphs every JP/ADG/SIM-COL round pays a fixed dispatch cost
-(future submission, spec marshalling, wave bookkeeping) that dwarfs the
-round's actual kernel work, so the parallel backends run *slower* than
-serial.  The fix is a per-round break-even decision inside
+(future submission, wave bookkeeping) that dwarfs the round's actual
+kernel work, so the threaded backend runs *slower* than serial.  The
+fix is a per-round break-even decision inside
 :meth:`ExecutionContext.map_chunks`: estimate what dispatching would
 save, compare against what it costs, and run the round inline on the
 coordinator when parallelism cannot pay for itself.
@@ -15,13 +15,14 @@ A round of ``C`` chunks carrying ``U`` work units (item count, or the
 engine's degree weights when it passes them) is predicted to spend
 ``unit_s * U / C`` kernel seconds per chunk.  Only that in-kernel time
 parallelizes (the per-chunk Python/NumPy fixed overhead holds the GIL
-on the threaded backend and is paid per chunk either way), so with
+and is paid per chunk either way), so with
 ``p = min(workers, C, cpu_count)`` effective lanes the most a dispatch
 can save is::
 
     saving = unit_s * (U / C) * (1 - 1/p)
 
-against a per-chunk dispatch + combine cost ``dispatch_s[backend]``.
+against a per-chunk dispatch + combine cost ``dispatch_s[backend]``
+(keyed by backend; only ``threaded`` dispatches).
 The round dispatches only when ``saving > MARGIN * dispatch_s`` —
 ``MARGIN`` (2x) absorbs the optimism of both estimates: the no-op
 calibration is a lower bound on real dispatch cost (no result
@@ -36,10 +37,7 @@ Both model inputs are online EWMAs seeded by one-shot calibration:
   enough (:data:`UNIT_FLOOR`) that per-call fixed overhead does not
   pollute the per-unit slope.
 - ``dispatch_s[backend]`` — per-chunk dispatch + combine seconds.
-  Seeded by pushing a wave of no-op tasks through the real pool
-  (threaded always; process only when the pool already exists — the
-  estimator never spins up a process pool just to measure it, it uses
-  a conservative static seed until real dispatches provide data), then
+  Seeded by pushing a wave of no-op tasks through the real pool, then
   updated from every dispatched round's measured overhead
   (``round_wall - kernel_wall / p``).  Floored (:data:`DISPATCH_FLOOR`)
   because a no-op measurement can only undershoot.
@@ -76,22 +74,16 @@ ALPHA = 0.25
 #: per-call fixed overhead dominates and would corrupt the slope.
 UNIT_FLOOR = 2048
 
-#: Per-backend floors (seconds/chunk) under the calibrated dispatch
-#: cost — no-op calibration is a lower bound on the real thing.
-DISPATCH_FLOOR = {"threaded": 2e-5, "process": 2e-4}
-
-#: Static dispatch seed used when calibration is not possible (process
-#: backend before any pool exists): deliberately conservative, real
-#: dispatches refine it immediately.
-STATIC_SEED = {"threaded": 5e-5, "process": 5e-4}
+#: Floor (seconds/chunk) under the calibrated dispatch cost — no-op
+#: calibration is a lower bound on the real thing.
+DISPATCH_FLOOR = 2e-5
 
 #: Work units for the one-shot unit_s calibration gather.
 _CAL_UNITS = 1 << 16
 
 
 def noop_task() -> None:
-    """Module-level no-op shipped through a pool to time its round trip
-    (module-level so the process backend can pickle it)."""
+    """No-op shipped through a pool to time its round trip."""
     return None
 
 
@@ -145,7 +137,7 @@ class DispatchEstimator:
         self.unit_s: dict = {}        # kernel name -> EWMA sec/unit
         self.unit_s_global: float | None = None
         self.dispatch_s: dict = {}    # backend -> EWMA sec/chunk
-        self.seeded: dict = {}        # backend -> "calibrated"|"static"
+        self.seeded: dict = {}        # backend -> "calibrated"
         self.decisions = {"inline": 0, "parallel": 0}
 
     # -- seeding -------------------------------------------------------------
@@ -163,26 +155,17 @@ class DispatchEstimator:
         self.unit_s_global = max(
             (time.perf_counter() - t0) / _CAL_UNITS, 1e-10)
 
-    def seed_dispatch(self, backend: str, pool=None, tasks: int = 16) -> None:
-        """One-shot dispatch_s seed for ``backend``.
-
-        With a live ``pool``, round-trip ``tasks`` no-ops through it
-        and average; without one, fall back to the conservative static
-        seed (never spin up a pool just to measure it).
-        """
+    def seed_dispatch(self, backend: str, pool, tasks: int = 16) -> None:
+        """One-shot dispatch_s seed for ``backend``: round-trip
+        ``tasks`` no-ops through its live ``pool`` and average."""
         if backend in self.dispatch_s:
-            return
-        if pool is None:
-            self.dispatch_s[backend] = STATIC_SEED.get(backend, 5e-4)
-            self.seeded[backend] = "static"
             return
         t0 = time.perf_counter()
         futs = [pool.submit(noop_task) for _ in range(tasks)]
         for f in futs:
             f.result()
         per_chunk = (time.perf_counter() - t0) / tasks
-        floor = DISPATCH_FLOOR.get(backend, 2e-5)
-        self.dispatch_s[backend] = max(per_chunk, floor)
+        self.dispatch_s[backend] = max(per_chunk, DISPATCH_FLOOR)
         self.seeded[backend] = "calibrated"
 
     # -- model ---------------------------------------------------------------
@@ -199,8 +182,7 @@ class DispatchEstimator:
         if p_eff <= 1:
             return True
         saving = self._unit(key) * (units / chunks) * (1.0 - 1.0 / p_eff)
-        overhead = self.dispatch_s.get(backend, STATIC_SEED.get(backend, 5e-4))
-        return saving <= self.margin * overhead
+        return saving <= self.margin * self.dispatch_s[backend]
 
     def observe_round(self, backend: str, key, chunks: int, units: float,
                       round_s: float, kernel_s: float, measured: int,
@@ -224,8 +206,7 @@ class DispatchEstimator:
                 else (1 - a) * prevg + a * per_unit
         if not inline and measured:
             overhead = max(0.0, round_s - kernel_s / max(1, p_eff))
-            per_chunk = max(overhead / chunks,
-                            DISPATCH_FLOOR.get(backend, 2e-5))
+            per_chunk = max(overhead / chunks, DISPATCH_FLOOR)
             prev = self.dispatch_s.get(backend)
             self.dispatch_s[backend] = per_chunk if prev is None \
                 else (1 - a) * prev + a * per_chunk

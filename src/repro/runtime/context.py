@@ -4,28 +4,26 @@ Every algorithm in this library is a sequence of *parallel rounds* over
 NumPy arrays.  An :class:`ExecutionContext` bundles everything one run
 needs to execute those rounds and account for them:
 
-- a ``backend`` switch (``'serial'``, ``'threaded'`` or ``'process'``)
-  with a worker count (argument, else ``$REPRO_WORKERS``, else the CPU
-  count);
-- the chunked execution machinery (:mod:`repro.machine.parallel`, the
-  shared-memory arena and worker pool of :mod:`repro.runtime.shm`)
+- a ``backend`` switch (``'serial'`` or ``'threaded'``) with a worker
+  count (argument, else ``$REPRO_WORKERS``, else the CPU count);
+- the chunked execution machinery (:mod:`repro.machine.parallel`)
   behind one :meth:`map_chunks` seam, with optional *work-balanced*
   chunking: engines pass per-item weights (frontier degrees, batch
   degrees) and chunk boundaries come from a prefix-sum split of total
   weight instead of an even split by count;
 - *adaptive round dispatch* (:mod:`repro.runtime.adaptive`): on the
-  parallel backends each multi-chunk round passes a break-even test —
-  an online overhead estimator (per-chunk dispatch cost per backend,
-  kernel seconds per work unit, both EWMA-updated and seeded by a
-  one-shot calibration) decides whether the round is worth shipping to
-  the pool or cheaper to run inline on the coordinator over the same
-  chunk plan (``$REPRO_ADAPTIVE``; decisions are counted, traced, and
-  summarized by :meth:`dispatch_record`);
+  threaded backend each multi-chunk round passes a break-even test —
+  an online overhead estimator (per-chunk dispatch cost, kernel
+  seconds per work unit, both EWMA-updated and seeded by a one-shot
+  calibration) decides whether the round is worth shipping to the pool
+  or cheaper to run inline on the coordinator over the same chunk plan
+  (``$REPRO_ADAPTIVE``; decisions are counted, traced, and summarized
+  by :meth:`dispatch_record`);
 - fault tolerance at the same seam (:mod:`repro.runtime.faults`):
   per-chunk retry with capped exponential backoff, a per-round deadline
   that cancels stragglers, dead-worker detection with pool respawn and
   re-dispatch of only the lost chunks, and graceful backend degradation
-  (process -> threaded -> serial) once the respawn budget is spent;
+  (threaded -> serial) once the respawn budget is spent;
 - the :class:`~repro.machine.costmodel.CostModel` and
   :class:`~repro.machine.memmodel.MemoryModel` accounting books;
 - per-phase wall-clock timers (:meth:`phase`), recording *exclusive*
@@ -38,7 +36,7 @@ needs to execute those rounds and account for them:
   pre-tracing instructions.
 
 The contract every engine written against this context obeys: the
-parallel backends chunk each round over independent spans and combine
+threaded backend chunks each round over independent spans and combines
 the partial results in deterministic chunk order, so colors, waves, and
 the recorded work/depth/memory totals are **bit-identical** to the
 serial backend — for any worker count, with weighted chunking on or
@@ -54,19 +52,15 @@ observation only: enabling it never changes results or accounting.
 Backends:
 
 - ``'serial'`` — one inline chunk per round.
-- ``'threaded'`` — a shared :class:`ThreadPoolExecutor`; NumPy kernels
-  release the GIL, so chunks overlap inside the C kernels.
-- ``'process'`` — a persistent forkserver worker pool plus a
-  :class:`~repro.runtime.shm.SharedArena`: the graph and per-run state
-  arrays live in shared memory with zero-copy views on both sides, and
-  engines describe each round as a picklable
-  :class:`~repro.runtime.kernels.Kernel` descriptor (module-level
-  kernel + array names + scalars) instead of a closure.  True
-  parallelism — no GIL — at the cost of pickling each chunk's result.
+- ``'threaded'`` — a shared :class:`ThreadPoolExecutor` over the one
+  address space; NumPy kernels release the GIL, so chunks overlap
+  inside the C kernels, and engines hand their arrays to the kernels
+  by reference.
 
-Serial and threaded accept plain ``fn(lo, hi)`` closures; the process
-backend requires the descriptor form (every engine in this library
-passes descriptors, which the other backends simply call inline).
+Both accept plain ``fn(lo, hi)`` closures and
+:class:`~repro.runtime.kernels.Kernel` descriptors (every engine in
+this library passes descriptors; the name keys the adaptive
+estimator's per-kernel cost model).
 
 Recovery policy (see DESIGN.md for the full argument):
 
@@ -77,14 +71,12 @@ Recovery policy (see DESIGN.md for the full argument):
 - With a ``round_timeout`` (``$REPRO_ROUND_TIMEOUT``), each dispatch
   wave of a round gets that deadline; stragglers are cancelled,
   counted as ``fault.timeouts``, and retried against the same budget.
-- A dead worker (``BrokenProcessPool`` on the process backend, the
-  injected :class:`~repro.runtime.faults.WorkerDeath` elsewhere) tears
-  the pool down; it is respawned up to ``max_respawns`` times
-  (``$REPRO_RESPAWNS``, default 2), then the run *degrades* one
-  backend level (process -> threaded -> serial) and finishes there.
-  Only the lost chunks are re-dispatched — completed partial results
-  and the round's chunk boundaries are kept, so the combine order
-  never changes.
+- A dead worker (the injected :class:`~repro.runtime.faults.WorkerDeath`
+  of a ``kill`` fault) tears the pool down; it is respawned up to
+  ``max_respawns`` times (``$REPRO_RESPAWNS``, default 2), then the run
+  *degrades* to the serial backend and finishes there.  Only the lost
+  chunks are re-dispatched — completed partial results and the round's
+  chunk boundaries are kept, so the combine order never changes.
 - Everything is recorded: ``fault.*`` counters in the metrics
   registry, instant events in the tracer, and the
   :meth:`fault_record` digest engines attach to ``ColoringResult``.
@@ -98,7 +90,6 @@ import time
 
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, TypeVar
 
@@ -134,17 +125,10 @@ from .faults import (
 )
 from .kernels import Kernel
 from .shard import default_shards
-from .shm import (
-    SharedArena,
-    create_pool,
-    live_segment_bytes,
-    run_kernel_task,
-    worker_probe,
-)
 
 T = TypeVar("T")
 
-BACKENDS = ("serial", "threaded", "process")
+BACKENDS = ("serial", "threaded")
 
 #: Chunks per worker: oversubscription smooths load imbalance between
 #: spans (frontier vertices have wildly varying degrees).
@@ -172,15 +156,27 @@ class ChunkError(RuntimeError):
     """
 
 
+def check_backend(backend: str, source: str = "backend") -> str:
+    """``backend`` if it names one of :data:`BACKENDS`, else a
+    ``ValueError`` naming ``source``."""
+    if backend == "process":
+        # Deleted because it won on no measured workload; old scripts
+        # and $REPRO_BACKEND settings must fail, not run elsewhere.
+        raise ValueError(f"{source}={backend!r}: the process backend was "
+                         f"removed; use 'threaded' for shared-memory "
+                         f"parallelism, or 'serial'")
+    if backend not in BACKENDS:
+        raise ValueError(f"{source} must be one of {BACKENDS}, "
+                         f"got {backend!r}")
+    return backend
+
+
 def default_backend() -> str:
     """Backend: $REPRO_BACKEND if set (and valid), else 'serial'."""
     env = os.environ.get("REPRO_BACKEND", "").strip().lower()
     if not env:
         return "serial"
-    if env not in BACKENDS:
-        raise ValueError(f"$REPRO_BACKEND must be one of {BACKENDS}, "
-                         f"got {env!r}")
-    return env
+    return check_backend(env, "$REPRO_BACKEND")
 
 
 def default_weighted_chunks() -> bool:
@@ -208,13 +204,14 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        ``'serial'``, ``'threaded'`` or ``'process'``; ``None``
-        resolves via :func:`default_backend` (``$REPRO_BACKEND``, else
-        serial).  Read it back through the :attr:`backend` property:
+        ``'serial'`` or ``'threaded'``; ``None`` resolves via
+        :func:`default_backend` (``$REPRO_BACKEND``, else serial);
+        ``'process'`` raises a ``ValueError`` naming its removal.  Read
+        it back through the :attr:`backend` property:
         after a degradation it reports the backend the run is *now*
         executing on.
     workers:
-        Worker count for the parallel backends; ``None`` resolves via
+        Worker count for the threaded backend; ``None`` resolves via
         ``$REPRO_WORKERS``, else the CPU count.  Forced to 1 on the
         serial backend.
     weighted_chunks:
@@ -271,9 +268,8 @@ class ExecutionContext:
         carried on the pool host.
     resources:
         Resource telemetry (:mod:`repro.obs.resources`): ``True``
-        starts a coordinator sampler thread (peak RSS, CPU, live
-        arena bytes) and enables per-worker probes; ``False`` forces
-        it off; ``None`` defers to ``$REPRO_RESOURCES`` and, when
+        starts a coordinator sampler thread (peak RSS, CPU); ``False``
+        forces it off; ``None`` defers to ``$REPRO_RESOURCES`` and, when
         that is silent too, follows the ledger (telemetry on iff the
         run is being recorded).  Digest via :meth:`resource_record`.
 
@@ -299,14 +295,12 @@ class ExecutionContext:
                  kernel_tier: str | None = None,
                  ledger=None, resources=None,
                  _pool_host: "ExecutionContext | None" = None):
-        # The host carries the run-wide state (pool, arena, backend,
-        # fault budgets, round counter); set it before anything that
-        # reads the `backend` property.
+        # The host carries the run-wide state (pool, backend, fault
+        # budgets, round counter); set it before anything that reads
+        # the `backend` property.
         self._pool_host = _pool_host if _pool_host is not None else self
-        resolved = backend if backend is not None else default_backend()
-        if resolved not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {resolved!r}")
+        resolved = check_backend(backend) if backend is not None \
+            else default_backend()
         self._backend = resolved
         if self._pool_host is self:
             # Resolve the run's kernel tier (argument > $REPRO_KERNEL_TIER
@@ -334,8 +328,6 @@ class ExecutionContext:
             self.tracer.meta.setdefault("adaptive", self.adaptive)
             self.tracer.meta.setdefault("kernel_tier", self.kernel_tier)
         self._pool: ThreadPoolExecutor | None = None
-        self._procpool = None
-        self._arena: SharedArena | None = None
         # Open-phase stack: [name, child_wall_seconds] frames, for
         # exclusive timing and for labeling traced rounds.
         self._phase_stack: list[list] = []
@@ -375,9 +367,7 @@ class ExecutionContext:
                 if res_on is None else res_on
             self._sampler: ResourceSampler | None = None
             if self._resources_on:
-                self._sampler = ResourceSampler(
-                    tracer=self.tracer,
-                    arena_bytes=live_segment_bytes).start()
+                self._sampler = ResourceSampler(tracer=self.tracer).start()
 
     @property
     def shards(self) -> int:
@@ -387,7 +377,7 @@ class ExecutionContext:
 
     def sharded(self, n_shards: int) -> "ExecutionContext":
         """Set the run-wide shard count; returns ``self`` for fluent
-        use: ``ExecutionContext(backend='process').sharded(4)``."""
+        use: ``ExecutionContext(backend='threaded').sharded(4)``."""
         if n_shards < 0:
             raise ValueError(f"n_shards must be >= 0, got {n_shards}")
         self._pool_host._shards = n_shards
@@ -418,7 +408,7 @@ class ExecutionContext:
         for the per-round intermediates engines build *between* chunk
         rounds (wave weights, successor concatenations, batch unions).
         Run-wide and single-threaded — only the coordinator touches it;
-        kernels running on workers use their own per-thread arena
+        kernels running on pool threads use their own per-thread arena
         (:func:`repro.runtime.kernels.scratch`)."""
         return self._pool_host._scratch
 
@@ -449,62 +439,33 @@ class ExecutionContext:
 
     def resource_record(self, workers=None) -> dict | None:
         """The run's resource digest: coordinator sampler maxima plus
-        deduped per-worker probes.  ``None`` when telemetry is off.
+        deduped worker rows.  ``None`` when telemetry is off.
 
-        ``workers`` is an optional iterable of extra worker rows (the
-        sharded path passes per-shard pid/RSS rows); live pool workers
-        are additionally probed in place.
+        ``workers`` is an optional iterable of worker rows (the sharded
+        path passes per-shard pid/RSS rows).
         """
         host = self._pool_host
         if not host._resources_on or host._sampler is None:
             return None
-        probes = list(workers or [])
-        probes += host._probe_workers()
         return {"coordinator": host._sampler.digest(),
-                "workers": merge_worker_probes(probes)}
-
-    def _probe_workers(self) -> list[dict]:
-        """Probe the live process pool's workers (best effort).
-
-        Submits a few more probe tasks than workers — pool scheduling
-        is not round-robin, so extras raise the odds every worker
-        answers at least once; duplicates merge away by pid.
-        """
-        host = self._pool_host
-        if host._procpool is None:
-            return []
-        futures = [host._procpool.submit(worker_probe)
-                   for _ in range(2 * self.workers)]
-        out = []
-        for fut in futures:
-            try:
-                out.append(fut.result(timeout=5.0))
-            except Exception:  # pragma: no cover - dead/respawning pool
-                pass
-        return out
+                "workers": merge_worker_probes(list(workers or []))}
 
     def close(self) -> None:
-        """Shut down pools and the shared arena, and flush a path-bound
-        tracer (only if this context is the pool host)."""
+        """Shut down the pool and flush a path-bound tracer (only if
+        this context is the pool host)."""
         if self._pool_host is self:
             if self._sampler is not None:
                 self._sampler.stop()
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._procpool is not None:
-                self._procpool.shutdown(wait=True)
-                self._procpool = None
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
             self.tracer.flush()
 
     def reset_books(self) -> None:
         """Zero the cost/mem books and phase timers, keep the machinery.
 
         The service layer calls this between requests so one long-lived
-        context (pools, arena, kernel tier, fault budgets all persist)
+        context (pool, kernel tier, fault budgets all persist)
         yields per-request accounting instead of a running total.
         """
         self.cost = CostModel(crew=self.cost.crew)
@@ -514,8 +475,8 @@ class ExecutionContext:
     def child(self, cost: CostModel | None = None,
               mem: MemoryModel | None = None,
               crew: bool = False) -> "ExecutionContext":
-        """Same backend/workers/pool/arena/tracer/fault state, fresh
-        books and timers."""
+        """Same backend/workers/pool/tracer/fault state, fresh books
+        and timers."""
         return ExecutionContext(backend=self.backend, workers=self.workers,
                                 cost=cost, mem=mem, crew=crew,
                                 trace=self.tracer,
@@ -530,54 +491,6 @@ class ExecutionContext:
             host._pool = ThreadPoolExecutor(max_workers=self.workers)
         return host._pool
 
-    def _acquire_procpool(self):
-        host = self._pool_host
-        if host._procpool is None:
-            host._procpool = create_pool(self.workers,
-                                         kernel_tier=self.kernel_tier)
-        return host._procpool
-
-    def _acquire_arena(self) -> SharedArena:
-        host = self._pool_host
-        if host._arena is None:
-            host._arena = SharedArena()
-        return host._arena
-
-    # -- shared state (process backend) --------------------------------------
-
-    def share(self, ns: str, name: str, arr):
-        """Adopt a per-run state array into the shared arena.
-
-        On the process backend the array is copied once into shared
-        memory and the *shared view* comes back: the engine keeps
-        reading and writing through it, workers see every coordinator
-        write with no further transfer, and :meth:`map_chunks` ships
-        only the array's name.  On every other backend (or with one
-        worker) the array is returned unchanged — the call is free.
-
-        Arrays an engine rebuilds every round (frontiers, batches) need
-        no ``share``: :meth:`map_chunks` uploads them per round.
-
-        Arena views stay valid across a degradation (the arena lives
-        until :meth:`close`), so an engine that shared its state on the
-        process backend keeps running unchanged after a mid-run
-        degradation to threaded or serial.
-        """
-        if self.backend != "process" or self.workers <= 1:
-            return arr
-        return self._acquire_arena().put(f"{ns}:{name}", arr)
-
-    def localize(self, arr):
-        """A private copy when ``arr`` is an arena view, else ``arr``.
-
-        Call on any shared array that outlives the run (result colors):
-        the arena's segments are unlinked by :meth:`close`.
-        """
-        host = self._pool_host
-        if host._arena is not None and host._arena.owns(arr):
-            return arr.copy()
-        return arr
-
     # -- execution -----------------------------------------------------------
 
     def map_chunks(self, fn: Callable[[int, int], T], n: int,
@@ -585,7 +498,7 @@ class ExecutionContext:
         """Run ``fn(lo, hi)`` over a chunking of range(n), in chunk order.
 
         Serial backend (or 1 worker): one chunk, executed inline — the
-        call is exactly ``[fn(0, n)]``.  Parallel backends: balanced
+        call is exactly ``[fn(0, n)]``.  Threaded backend: balanced
         chunks on the shared pool; results are returned in chunk order,
         so order-dependent combines are deterministic.
 
@@ -596,10 +509,6 @@ class ExecutionContext:
         ``weighted_chunks`` is off, or when all weights are zero;
         results are bit-identical in every case because only the
         boundaries move, never the combine order.
-
-        On the process backend ``fn`` must be a
-        :class:`~repro.runtime.kernels.Kernel` descriptor (serial and
-        threaded accept descriptors too and just call them).
 
         ``fn`` must be *pure over [lo, hi)* — it may read shared state
         but must not mutate it (every engine in this library combines
@@ -652,8 +561,8 @@ class ExecutionContext:
         pool respawns, even a mid-round degradation) re-dispatches the
         *same* spans, so partial results combine in the same order.
 
-        With adaptive dispatch (the default), a multi-chunk round on a
-        parallel backend first passes through the break-even decision
+        With adaptive dispatch (the default), a multi-chunk round on the
+        threaded backend first passes through the break-even decision
         (:mod:`repro.runtime.adaptive`): a round predicted too small to
         amortize its dispatch overhead runs inline on the coordinator —
         over the *same* chunk plan, drawing faults at the same
@@ -670,15 +579,6 @@ class ExecutionContext:
         set_kernel_tier(host._kernel_tier)
         est = host._estimator
         backend0 = self.backend
-        if backend0 == "process" and self.workers > 1 and len(chunks) > 1 \
-                and not isinstance(fn, Kernel):
-            # The contract holds whatever the dispatch decision: an
-            # inlined round today may dispatch tomorrow on a bigger box.
-            raise TypeError(
-                "the process backend runs picklable kernel "
-                "descriptors, not closures: pass a "
-                "repro.runtime.kernels.Kernel to map_chunks "
-                "(serial/threaded accept any callable)")
         eligible = est is not None and backend0 != "serial" \
             and self.workers > 1 and len(chunks) > 1
         inline = False
@@ -692,7 +592,10 @@ class ExecutionContext:
         if key is not None:
             key = f"{key}@{host._kernel_tier}"
         if eligible:
-            units = float(np.sum(weights)) if weights is not None \
+            # Weights estimate work only when they also shape the chunks
+            # (weighted_chunks on); otherwise the round is sized by count.
+            units = float(np.sum(weights)) \
+                if weights is not None and self.weighted_chunks \
                 else float(n)
             p_eff = effective_parallelism(self.workers, len(chunks))
             inline = self._decide_dispatch(backend0, key, units,
@@ -731,16 +634,7 @@ class ExecutionContext:
             backend = self.backend
             pooled = not inline and backend != "serial" \
                 and self.workers > 1 and len(chunks) > 1
-            if pooled and backend == "process":
-                if not isinstance(fn, Kernel):
-                    raise TypeError(
-                        "the process backend runs picklable kernel "
-                        "descriptors, not closures: pass a "
-                        "repro.runtime.kernels.Kernel to map_chunks "
-                        "(serial/threaded accept any callable)")
-                dead = self._wave_process(fn, chunks, wave, todo, results,
-                                          attempts, n, rid, records, ktimes)
-            elif pooled:
+            if pooled:
                 dead = self._wave_threaded(fn, chunks, wave, todo, results,
                                            attempts, n, rid, records, ktimes)
             else:
@@ -757,11 +651,9 @@ class ExecutionContext:
     def _decide_dispatch(self, backend: str, key, units: float,
                          n_chunks: int, p_eff: int, rid: int) -> bool:
         """Inline this round?  Forced modes answer directly; ``on``
-        consults the estimator (seeding it on first contact — the
-        process pool is never spun up just to calibrate, it keeps a
-        static seed until real dispatches refine it)."""
-        host = self._pool_host
-        est = host._estimator
+        consults the estimator (seeding it on first contact by timing
+        no-op tasks through the real pool)."""
+        est = self._pool_host._estimator
         mode = self.adaptive
         if mode == "inline":
             inline = True
@@ -770,12 +662,7 @@ class ExecutionContext:
         else:
             est.seed_unit()
             if backend not in est.dispatch_s:
-                pool = None
-                if backend == "threaded":
-                    pool = self._acquire_pool()
-                elif backend == "process":
-                    pool = host._procpool
-                est.seed_dispatch(backend, pool)
+                est.seed_dispatch(backend, self._acquire_pool())
             inline = est.should_inline(backend, key, units, n_chunks, p_eff)
         est.decisions["inline" if inline else "parallel"] += 1
         if self.tracer.enabled:
@@ -834,70 +721,16 @@ class ExecutionContext:
             futs[pool.submit(self._call_chunk, fn, lo, hi, fault,
                              records, ktimes)] = ci
         return self._collect_wave(futs, chunks, todo, results, attempts,
-                                  n, rid, broken=WorkerDeath,
-                                  finish=results.__setitem__)
-
-    def _wave_process(self, kern: Kernel, chunks, wave, todo, results,
-                      attempts, n: int, rid: int, records, ktimes) -> bool:
-        """Ship a kernel descriptor's chunks to the worker pool.
-
-        Arrays are adopted into the shared arena first: zero-copy for
-        arrays the engine holds as arena views (see :meth:`share`), one
-        memcpy for per-round arrays.  Workers receive only the kernel
-        name, the array specs, the scalars, the chunk bounds, and (for
-        chaos runs) the fault directive drawn for this dispatch.
-        """
-        pool = self._acquire_procpool()
-        arena = self._acquire_arena()
-        specs = {key: arena.adopt(f"{kern.ns}:{key}", arr)
-                 for key, arr in kern.arrays.items()}
-        timed = records is not None or ktimes is not None
-        if timed:
-            # Workers time with perf_counter; anchor their absolute
-            # stamps to this tracer's epoch (same monotonic clock).
-            epoch = time.perf_counter() - self.tracer.now() \
-                if records is not None else 0.0
-
-            def finish(ci, packed):
-                res, c0, c1, pid = packed
-                if records is not None:
-                    lo, hi = chunks[ci]
-                    records.append((lo, hi, c0 - epoch, c1 - epoch, pid))
-                if ktimes is not None:
-                    ktimes.append(c1 - c0)
-                results[ci] = res
-        else:
-            finish = results.__setitem__
-        futs = {}
-        dead = False
-        for i, ci in enumerate(wave):
-            attempts[ci] += 1
-            fault = self._draw_fault(rid, ci, attempts[ci])
-            lo, hi = chunks[ci]
-            try:
-                futs[pool.submit(run_kernel_task, kern.name, specs,
-                                 kern.scalars, lo, hi, timed, fault,
-                                 kern.tier or self.kernel_tier)] = ci
-            except BrokenProcessPool:
-                # A worker death can be noticed *while* the wave is
-                # still being submitted; requeue this chunk and every
-                # unsubmitted sibling, then collect what got out.
-                dead = True
-                todo.extend(wave[i:])
-                break
-        return self._collect_wave(futs, chunks, todo, results, attempts,
-                                  n, rid, broken=BrokenProcessPool,
-                                  finish=finish) or dead
+                                  n, rid)
 
     def _collect_wave(self, futs, chunks, todo, results, attempts,
-                      n: int, rid: int, broken, finish) -> bool:
+                      n: int, rid: int) -> bool:
         """Collect one dispatch wave with the full recovery policy.
 
-        ``broken`` is the exception class that means "the worker died"
-        (vs. "the chunk failed"): dead chunks go back on ``todo``
-        without burning retry budget — the respawn/degradation budget
-        bounds them instead.  Returns whether the pool must be
-        recycled.
+        A :class:`WorkerDeath` means "the worker died" (vs. "the chunk
+        failed"): dead chunks go back on ``todo`` without burning retry
+        budget — the respawn/degradation budget bounds them instead.
+        Returns whether the pool must be recycled.
         """
         host = self._pool_host
         dead = False
@@ -918,7 +751,7 @@ class ExecutionContext:
                 ci = futs[f]
                 try:
                     res = f.result()
-                except broken:
+                except WorkerDeath:
                     dead = True
                     todo.append(ci)
                 except Exception as exc:
@@ -926,7 +759,7 @@ class ExecutionContext:
                                          n, rid, exc, pending)
                     todo.append(ci)
                 else:
-                    finish(ci, res)
+                    results[ci] = res
         return dead
 
     def _expire_wave(self, pending, futs, chunks, todo, attempts,
@@ -982,24 +815,14 @@ class ExecutionContext:
         """A worker died: recycle the pool, then respawn or degrade.
 
         The broken pool is torn down either way.  While the respawn
-        budget lasts, the next wave lazily re-creates a pool on the
-        same backend and re-dispatches only the lost chunks; after
-        that, the run degrades one backend level (process -> threaded
-        -> serial) and the budget resets for the new backend.  The
-        arena's *mappings* survive a degradation — existing shared
-        views stay valid on the degraded backend — but its segment
-        names are unlinked the moment the run leaves the process
-        backend: no worker will ever attach again, and an unlinked
-        segment stops claiming ``/dev/shm`` space the moment the last
-        view goes away instead of leaking until garbage collection.
+        budget lasts, the next wave lazily re-creates the pool and
+        re-dispatches only the lost chunks; after that, the run
+        degrades one backend level (threaded -> serial).
         """
         host = self._pool_host
         backend = host._backend
         if backend == "serial":  # nothing below serial; inline retries
             return
-        if host._procpool is not None:
-            host._procpool.shutdown(wait=False)
-            host._procpool = None
         if host._pool is not None:
             host._pool.shutdown(wait=False, cancel_futures=True)
             host._pool = None
@@ -1009,14 +832,10 @@ class ExecutionContext:
             self._fault_event({"kind": "respawn", "backend": backend,
                                "round": rid})
             return
-        lower = BACKENDS[BACKENDS.index(backend) - 1]
-        host._backend = lower
-        host._respawns = 0
-        if backend == "process" and host._arena is not None:
-            host._arena.unlink_all()
+        host._backend = "serial"
         self._fault_count("fault.degradations", rid)
         self._fault_event({"kind": "degrade", "from": backend,
-                           "to": lower, "round": rid})
+                           "to": "serial", "round": rid})
 
     # -- fault bookkeeping ---------------------------------------------------
 

@@ -17,12 +17,10 @@ Three fault kinds:
 - ``delay`` — the chunk sleeps ``param`` seconds before running (a
   straggler; combine with ``$REPRO_ROUND_TIMEOUT`` to exercise the
   deadline path);
-- ``kill`` — worker death.  On the process backend the directive ships
-  to the worker, which ``os._exit(1)``\\ s — a *real* dead process and a
-  broken pool.  On the threaded and serial backends (threads cannot be
-  killed safely) the chunk raises :class:`WorkerDeath`, which the
-  runtime treats exactly like a dead worker: pool respawn, or backend
-  degradation once the respawn budget is spent.
+- ``kill`` — worker death.  Threads cannot be killed safely, so the
+  chunk raises :class:`WorkerDeath`, which the runtime treats exactly
+  like a dead worker: pool respawn, or backend degradation once the
+  respawn budget is spent.
 
 Plan grammar (``$REPRO_FAULTS`` or the ``faults=`` argument)::
 
@@ -84,8 +82,8 @@ class FaultInjected(RuntimeError):
 
 
 class WorkerDeath(FaultInjected):
-    """An injected worker death (the ``kill`` fault kind, simulated on
-    backends that cannot kill a real worker)."""
+    """An injected worker death (the ``kill`` fault kind, simulated
+    because a pool thread cannot be killed safely)."""
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ class FaultPlan:
 # -- injection application ----------------------------------------------------
 
 def apply_fault(spec: FaultSpec) -> None:
-    """Apply a drawn fault on the coordinator side (serial/threaded).
+    """Apply a drawn fault where the chunk runs.
 
     ``delay`` sleeps and returns — the chunk then runs normally;
     ``error`` raises :class:`FaultInjected`; ``kill`` raises
@@ -285,18 +283,6 @@ def apply_fault(spec: FaultSpec) -> None:
     if spec.kind == "kill":
         raise WorkerDeath("injected worker death")
     raise FaultInjected("injected chunk fault")
-
-
-def worker_apply(spec: FaultSpec) -> None:
-    """Apply a shipped fault inside a process-pool worker.
-
-    ``kill`` is real here: the worker exits without cleanup, the pool
-    breaks, and the coordinator sees ``BrokenProcessPool`` — exactly
-    the signature of an OOM-killed or segfaulted worker.
-    """
-    if spec.kind == "kill":
-        os._exit(1)
-    apply_fault(spec)
 
 
 # -- environment knobs --------------------------------------------------------

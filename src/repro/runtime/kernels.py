@@ -1,24 +1,16 @@
-"""Module-level round kernels + the picklable kernel-descriptor protocol.
+"""Module-level round kernels + the kernel-descriptor protocol.
 
-The process backend cannot ship closures to workers, so every engine
-round is expressed as a *kernel*: a module-level function
+Every engine round is expressed as a *kernel*: a module-level function
 
     kernel(lo, hi, a, **scalars) -> chunk result
 
 where ``a`` maps short logical array names to NumPy arrays.  Engines
-wrap one round as a :class:`Kernel` descriptor (kernel name + namespace
-+ the arrays + picklable scalars) and hand it to
-:meth:`ExecutionContext.map_chunks`:
-
-- **serial / threaded** — the descriptor is simply *called*: the
-  engine's own arrays are passed by reference, exactly the old closure
-  fast path;
-- **process** — the context registers each array in the run's
-  :class:`~repro.runtime.shm.SharedArena` (zero-copy when the engine
-  already holds the arena's view, one memcpy otherwise) and ships only
-  ``(kernel name, array specs, scalars, lo, hi)`` to the persistent
-  worker pool, which rebuilds zero-copy views and calls the same
-  function.
+wrap one round as a :class:`Kernel` descriptor (kernel name + the
+arrays + scalars) and hand it to :meth:`ExecutionContext.map_chunks`,
+which calls it per chunk — inline on the serial backend, on pool
+threads on the threaded backend, always over the engine's own arrays
+by reference.  The name keys the adaptive dispatcher's per-kernel cost
+model.
 
 One function per round on every backend is what makes the bit-identical
 contract easy to keep: there is no second implementation to drift.
@@ -51,30 +43,18 @@ from ..primitives.kernels import (
 
 @dataclass(frozen=True)
 class Kernel:
-    """A picklable description of one round's per-chunk work.
+    """One round's per-chunk work: a :data:`KERNELS` name, the arrays
+    it reads, and its scalar arguments.
 
-    ``ns`` namespaces the arrays in the shared arena (``f"{ns}:{key}"``)
-    so two engines sharing one run (an ADG ordering inside a JP run)
-    never collide.  ``scalars`` must be picklable plain values.
-
-    ``tier`` pins the kernel tier the chunk must execute under (None
-    defers to the process-global active tier) — it travels with the
-    descriptor so a forkserver worker resolves the same tier as the
-    coordinator that built it.
-
-    Calling the descriptor runs the kernel in-process on the arrays as
-    given — the serial/threaded fast path.
+    Calling the descriptor runs the kernel on the arrays as given,
+    under the process-global kernel tier the runtime asserts each round.
     """
 
     name: str
-    ns: str
     arrays: dict = field(default_factory=dict)
     scalars: dict = field(default_factory=dict)
-    tier: str | None = None
 
     def __call__(self, lo: int, hi: int):
-        if self.tier is not None and self.tier != _tiers.active_kernel_tier():
-            _tiers.set_kernel_tier(self.tier)
         return KERNELS[self.name](lo, hi, self.arrays, **self.scalars)
 
 
@@ -84,11 +64,11 @@ _TLS = threading.local()
 def scratch() -> ScratchArena:
     """The calling thread's kernel scratch arena (created on first use).
 
-    Kernels run on the coordinator (serial, inlined rounds), on pool
-    threads, or in worker processes; each execution lane gets its own
-    arena, so scratch-backed intermediates never race, and the buffers
-    persist across rounds — a worker that serves every JP wave stops
-    allocating once its arena has grown to the wave's working set.
+    Kernels run on the coordinator (serial, inlined rounds) or on pool
+    threads; each execution lane gets its own arena, so scratch-backed
+    intermediates never race, and the buffers persist across rounds — a
+    pool thread that serves every JP wave stops allocating once its
+    arena has grown to the wave's working set.
 
     Scratch backs *intermediates only*: every array a kernel returns to
     the coordinator is freshly allocated (see :class:`ScratchArena`).
@@ -104,7 +84,7 @@ def _batch_neighbors(indptr: np.ndarray, indices: np.ndarray,
                      ws: ScratchArena | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """CSR batch-neighborhood gather (same as CSRGraph.batch_neighbors,
-    usable where only the raw arrays travel to the worker).
+    over the raw arrays a kernel receives).
 
     With ``ws`` the returned ``(seg, nbrs)`` are scratch-backed views —
     valid until the same thread's next kernel call, so callers must
@@ -305,7 +285,7 @@ def itr_conflict(lo: int, hi: int, a: dict):
     return lost, seg, nbrs, md
 
 
-#: Name -> kernel function; the worker-side lookup table for descriptors.
+#: Name -> kernel function; the lookup table for descriptors.
 KERNELS: dict[str, Callable] = {
     "jp.wave": jp_wave,
     "adg.select": adg_select,

@@ -1,4 +1,4 @@
-"""The sharding layer: plans over shards, engines over processes.
+"""The sharding layer: plans over shards, one engine per shard.
 
 The DEC family already decomposes a graph into partitions that are
 colored almost independently; this module promotes that decomposition
@@ -11,41 +11,32 @@ materializes each shard as an induced subgraph with ghost bookkeeping
 have cross-shard edges (*boundary*), and which external vertices they
 see (*ghosts*).
 
-A :class:`ShardedContext` then executes one engine per shard.  On the
-process backend every shard's arrays (sub-CSR, levels, priorities,
-colors) live in their own :class:`~repro.runtime.shm.SharedArena`
-segments; each worker rebuilds zero-copy views, runs the shard engine
-to completion, and writes colors straight into the shared segment — so
-a worker's peak resident set is bounded by its largest *shard*, never
-the whole graph.  On the serial/threaded backends (or with one worker)
-the same runner executes inline, shard by shard, over the same arrays:
-colors and accounting books are bit-identical between the two paths.
+A :class:`ShardedContext` then executes one engine per shard, inline on
+the coordinator, shard by shard, over the shard's own arrays: each
+engine's working set is its shard's sub-CSR, never the whole graph,
+and colors and accounting books merge in shard order, so they are
+independent of the backend and worker count.
 
 Fault semantics extend :mod:`repro.runtime.faults` to shard
-granularity.  A shard-addressed ``kill`` is a real worker death on the
-process backend (``os._exit`` inside the worker, a broken pool on the
-coordinator); the pool is recycled against the run's respawn budget
-(``$REPRO_RESPAWNS``) and only the lost shards are re-dispatched —
-their segments survive the pool.  A shard ``error`` retries against
-the run's retry budget (``$REPRO_RETRIES``), then raises
-:class:`ShardError`.  When the respawn budget is spent the layer
-*degrades to unsharded execution*: :meth:`ShardedContext.run` returns
-``None``, unlinks every shard segment first (no ``/dev/shm`` leak),
-and the calling engine re-runs the plain single-context path — same
-colors, one level down the sturdiness ladder.
+granularity.  A shard-addressed ``kill`` raises
+:class:`~repro.runtime.faults.WorkerDeath`, which draws on the run's
+respawn budget (``$REPRO_RESPAWNS``) — the shard re-runs from scratch.
+A shard ``error`` retries against the run's retry budget
+(``$REPRO_RETRIES``), then raises :class:`ShardError`.  When the
+respawn budget is spent the layer *degrades to unsharded execution*:
+:meth:`ShardedContext.run` returns ``None`` and the calling engine
+re-runs the plain single-context path — same colors, one level down
+the sturdiness ladder.
 
-This module is deliberately engine-agnostic: the shard runner is a
-dotted ``module:function`` name resolved inside the worker, so the
-runtime layer never imports the coloring package.
+This module is deliberately engine-agnostic: the caller passes the
+shard runner in, so the runtime layer never imports the coloring
+package.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import time
-from concurrent.futures import wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +44,8 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..graphs.subgraph import InducedSubgraph, shard_extract
 from ..machine.parallel import split_chunks_weighted
+from ..obs.resources import cpu_seconds, peak_rss_kb
 from .faults import WorkerDeath, apply_fault
-from .shm import SharedArena, _view, create_pool
 
 
 class ShardError(RuntimeError):
@@ -215,61 +206,18 @@ def plan_shards(g: CSRGraph, n_shards: int,
                      cross_v=v[cross].astype(np.int64))
 
 
-# -- worker entry -------------------------------------------------------------
+# -- the shard call -----------------------------------------------------------
 
-def run_shard_task(runner: str, specs: dict, scalars: dict, fault=None):
-    """Execute one shard engine inside a process-pool worker.
-
-    ``runner`` is a dotted ``module:function`` name resolved here (the
-    runtime layer stays import-free of engine code); ``specs`` maps
-    array names to :class:`~repro.runtime.shm.ArraySpec` handles the
-    worker turns into zero-copy views.  ``fault`` is a shard-addressed
-    directive drawn by the coordinator: a ``kill`` is applied *before*
-    anything else and is a real ``os._exit`` — the coordinator sees a
-    broken pool, exactly like an OOM-killed shard.
-
-    The runner's returned record is augmented with the worker's wall
-    stamps, pid, and peak RSS so the coordinator can place the shard
-    span on its timeline and book per-shard peak footprints.
-    """
-    if fault is not None:
-        from .faults import worker_apply
-        worker_apply(fault)
-    arrays = {name: _view(spec) for name, spec in specs.items()}
-    mod_name, fn_name = runner.split(":")
-    fn = getattr(importlib.import_module(mod_name), fn_name)
+def _call_runner(runner, arrays: dict, scalars: dict) -> dict:
+    """Run one shard engine; augment its record with wall stamps, pid,
+    peak RSS and CPU seconds for the span and resource rows."""
     t0 = time.perf_counter()
-    c0 = _cpu_s()
-    record = fn(arrays, **scalars)
+    c0 = cpu_seconds()
+    record = runner(arrays, **scalars)
     record["t0"], record["t1"] = t0, time.perf_counter()
     record["pid"] = os.getpid()
-    record["rss_kb"] = _peak_rss_kb()
-    record["cpu_s"] = round(_cpu_s() - c0, 6)
-    return record
-
-
-def _peak_rss_kb() -> int:
-    """This process's peak resident set in KiB (0 where unsupported)."""
-    from .shm import peak_rss_kb
-    return peak_rss_kb()
-
-
-def _cpu_s() -> float:
-    t = os.times()
-    return float(t.user + t.system)
-
-
-def _call_inline(runner: str, arrays: dict, scalars: dict) -> dict:
-    """The inline twin of :func:`run_shard_task` (no view rebuild)."""
-    mod_name, fn_name = runner.split(":")
-    fn = getattr(importlib.import_module(mod_name), fn_name)
-    t0 = time.perf_counter()
-    c0 = _cpu_s()
-    record = fn(arrays, **scalars)
-    record["t0"], record["t1"] = t0, time.perf_counter()
-    record["pid"] = os.getpid()
-    record["rss_kb"] = _peak_rss_kb()
-    record["cpu_s"] = round(_cpu_s() - c0, 6)
+    record["rss_kb"] = peak_rss_kb()
+    record["cpu_s"] = round(cpu_seconds() - c0, 6)
     return record
 
 
@@ -278,11 +226,10 @@ def _call_inline(runner: str, arrays: dict, scalars: dict) -> dict:
 class ShardedContext:
     """Run one engine per shard, with the run's recovery policy.
 
-    Owns a private worker pool and :class:`SharedArena` for the shard
-    wave (separate from the chunk-level pool the parent context may
-    hold: shard workers are long-lived engine runs, not chunk tasks).
-    The parent :class:`~repro.runtime.ExecutionContext` supplies the
-    budgets (retries, backoff, respawns), the fault plan, the tracer,
+    ``runner(arrays, **scalars)`` runs one shard engine to completion
+    and returns its record (books, round counts).  The parent
+    :class:`~repro.runtime.ExecutionContext` supplies the budgets
+    (retries, backoff, respawns), the fault plan, the tracer,
     and the fault counters — shard recovery shows up in the same
     ``fault.*`` digest as chunk recovery, under ``fault.shard.*``
     names.
@@ -290,12 +237,9 @@ class ShardedContext:
     :meth:`run` returns one record per shard (the runner's return
     value plus timing/pid/RSS), or ``None`` when the respawn budget
     was exhausted and the caller must degrade to unsharded execution.
-    Process-backend execution and the inline fallback produce
-    bit-identical records (minus wall-clock fields) — the parity
-    contract of the chunk runtime, lifted to shards.
     """
 
-    def __init__(self, ctx, plan: ShardPlan, runner: str):
+    def __init__(self, ctx, plan: ShardPlan, runner):
         self.ctx = ctx
         self.plan = plan
         self.runner = runner
@@ -345,33 +289,20 @@ class ShardedContext:
         if host._backoff > 0:
             time.sleep(min(1.0, host._backoff * (2 ** (attempt - 1))))
 
-    def run(self, shard_arrays: list[dict], shard_scalars: list[dict],
-            outputs: tuple[str, ...] = ("colors",)) -> list[dict] | None:
-        """Execute every shard; mutate ``outputs`` arrays in place.
+    def run(self, shard_arrays: list[dict],
+            shard_scalars: list[dict]) -> list[dict] | None:
+        """Execute every shard, in shard order, on the coordinator.
 
         ``shard_arrays[sid]`` maps array names to the shard's NumPy
-        arrays; ``shard_scalars[sid]`` the picklable keyword arguments
-        for the runner.  On the process path the arrays are copied
-        into per-shard arena segments and the named ``outputs`` are
-        copied back after the wave; inline the runner mutates the
-        caller's arrays directly — either way the caller reads its
-        results from ``shard_arrays``.
+        arrays; ``shard_scalars[sid]`` the keyword arguments for the
+        runner, which mutates the caller's arrays (colors) in place.
+        Each shard draws its faults at (shard, attempt) coordinates; an
+        injected kill draws on the respawn budget, ending in unsharded
+        degradation (``None``) once it is spent.
         """
-        n_shards = len(shard_arrays)
-        use_pool = self.ctx.backend == "process" and self.ctx.workers > 1 \
-            and n_shards > 1
         tracer = self.ctx.tracer
         if tracer.enabled:
-            tracer.count("shard.dispatched", n_shards)
-        if not use_pool:
-            return self._run_inline(shard_arrays, shard_scalars)
-        return self._run_pooled(shard_arrays, shard_scalars, outputs)
-
-    def _run_inline(self, shard_arrays, shard_scalars) -> list[dict] | None:
-        """Serial fallback: same runner, same arrays, same fault
-        coordinates.  An injected kill has no pool to break here, so it
-        draws on the respawn budget directly — the same ladder, ending
-        in the same unsharded degradation."""
+            tracer.count("shard.dispatched", len(shard_arrays))
         results: list[dict | None] = [None] * len(shard_arrays)
         for sid, (arrays, scalars) in enumerate(zip(shard_arrays,
                                                     shard_scalars)):
@@ -382,7 +313,7 @@ class ShardedContext:
                 try:
                     if fault is not None:
                         apply_fault(fault)
-                    results[sid] = _call_inline(self.runner, arrays, scalars)
+                    results[sid] = _call_runner(self.runner, arrays, scalars)
                     break
                 except WorkerDeath:
                     if not self._respawn_or_degrade(sid):
@@ -392,76 +323,12 @@ class ShardedContext:
         self._record_spans(results)
         return results
 
-    def _run_pooled(self, shard_arrays, shard_scalars,
-                    outputs) -> list[dict] | None:
-        host = self._host
-        n_shards = len(shard_arrays)
-        workers = min(self.ctx.workers, n_shards)
-        arena = SharedArena()
-        pool = create_pool(workers)
-        try:
-            specs = [
-                {name: arena.adopt(f"s{sid}:{name}", arr)
-                 for name, arr in arrays.items()}
-                for sid, arrays in enumerate(shard_arrays)]
-            results: list[dict | None] = [None] * n_shards
-            attempts = [0] * n_shards
-            todo = list(range(n_shards))
-            while todo:
-                wave, todo = todo, []
-                futs = {}
-                dead_sid = None
-                for i, sid in enumerate(wave):
-                    attempts[sid] += 1
-                    fault = self._draw(sid, attempts[sid])
-                    try:
-                        futs[pool.submit(run_shard_task, self.runner,
-                                         specs[sid], shard_scalars[sid],
-                                         fault)] = sid
-                    except BrokenProcessPool:
-                        dead_sid = sid
-                        todo.extend(wave[i:])
-                        break
-                pending = set(futs)
-                while pending:
-                    done, pending = wait(pending)
-                    for f in done:
-                        sid = futs[f]
-                        try:
-                            results[sid] = f.result()
-                        except BrokenProcessPool:
-                            dead_sid = sid
-                            todo.append(sid)
-                        except Exception as exc:
-                            self._retry_or_raise(sid, attempts[sid], exc)
-                            todo.append(sid)
-                if dead_sid is not None:
-                    # The segments outlive the pool: only the lost
-                    # shards re-run, completed results stay.
-                    pool.shutdown(wait=False)
-                    pool = None
-                    if not self._respawn_or_degrade(dead_sid):
-                        arena.unlink_all()
-                        return None
-                    pool = create_pool(workers)
-            self._record_spans(results)
-            for sid, arrays in enumerate(shard_arrays):
-                for name in outputs:
-                    view = arena.get(f"s{sid}:{name}")
-                    if view is not None:
-                        arrays[name][...] = view
-            return results
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            arena.close()
-
     def _record_spans(self, results) -> None:
         tracer = self.ctx.tracer
         if not tracer.enabled:
             return
-        # Workers stamp with perf_counter; anchor to the tracer epoch
-        # (same monotonic clock) like the chunk runtime does.
+        # Records stamp with perf_counter; anchor to the tracer epoch
+        # (same monotonic clock).
         epoch = time.perf_counter() - tracer.now()
         for sid, rec in enumerate(results):
             if rec is None:

@@ -4,8 +4,8 @@ Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
 executor with an :class:`~repro.runtime.ExecutionContext` borrowed from
-a long-lived pool (pools, shared arenas, kernel tiers and fault budgets
-persist across requests; only the cost/mem books reset between them —
+a long-lived pool (thread pools, kernel tiers and fault budgets persist
+across requests; only the cost/mem books reset between them —
 ``ExecutionContext.reset_books``).
 
 Guarantees the tests lean on:
@@ -69,7 +69,7 @@ class ContextPool:
 
     Thread-safe (engine calls run on executor threads).  ``release``
     resets the context's accounting books so the next request starts
-    from zero; worker pools, arenas, the kernel tier and fault budgets
+    from zero; thread pools, the kernel tier and fault budgets
     persist — that is the point of reusing the context.
     """
 

@@ -22,7 +22,6 @@ from repro.runtime import (
 )
 from repro.runtime.adaptive import (
     DISPATCH_FLOOR,
-    STATIC_SEED,
     UNIT_FLOOR,
     effective_parallelism,
 )
@@ -76,17 +75,11 @@ class TestEffectiveParallelism:
 
 
 class TestEstimatorModel:
-    def test_static_seed_without_pool(self):
-        est = DispatchEstimator()
-        est.seed_dispatch("process", pool=None)
-        assert est.dispatch_s["process"] == STATIC_SEED["process"]
-        assert est.seeded["process"] == "static"
-
     def test_calibrated_seed_with_pool(self):
         est = DispatchEstimator()
         with ThreadPoolExecutor(max_workers=2) as pool:
             est.seed_dispatch("threaded", pool=pool)
-        assert est.dispatch_s["threaded"] >= DISPATCH_FLOOR["threaded"]
+        assert est.dispatch_s["threaded"] >= DISPATCH_FLOOR
         assert est.seeded["threaded"] == "calibrated"
 
     def test_seed_unit_once(self):
@@ -149,16 +142,17 @@ class TestEstimatorModel:
 
     def test_record_digest(self):
         est = DispatchEstimator()
-        est.seed_dispatch("process", pool=None)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            est.seed_dispatch("threaded", pool=pool)
         est.decisions["inline"] = 3
         rec = est.record()
         assert rec["decisions"] == {"inline": 3, "parallel": 0}
-        assert rec["seeded"] == {"process": "static"}
+        assert rec["seeded"] == {"threaded": "calibrated"}
         assert rec["margin"] == est.margin
 
 
 def _count_kernel(n):
-    return Kernel("adg.select", "t",
+    return Kernel("adg.select",
                   arrays={"active": np.ones(n, dtype=bool),
                           "D": np.arange(n, dtype=np.int64)},
                   scalars={"threshold": float(n)})

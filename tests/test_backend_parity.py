@@ -1,8 +1,8 @@
 """Backend parity: one engine, bit-identical results on every backend.
 
 The determinism contract of the ExecutionContext runtime: for every
-backend-aware algorithm, ``backend='threaded'`` and ``backend='process'``
-must produce exactly the colors, waves/rounds, ordering ranks/levels,
+backend-aware algorithm, ``backend='threaded'`` must produce exactly
+the colors, waves/rounds, ordering ranks/levels,
 and cost/memory books of ``backend='serial'``, for any worker count —
 and with work-balanced chunking on or off.
 """
@@ -22,10 +22,8 @@ from repro.runtime import ExecutionContext
 from repro.ordering.adg import adg_m_ordering, adg_ordering
 
 WORKER_COUNTS = [1, 2, 4]
-#: (backend, workers) rows checked against the serial baseline.  The
-#: process rows are kept lean — each spawns a worker pool.
-BACKEND_ROWS = ([("threaded", w) for w in WORKER_COUNTS]
-                + [("process", 2)])
+#: (backend, workers) rows checked against the serial baseline.
+BACKEND_ROWS = [("threaded", w) for w in WORKER_COUNTS]
 BACKEND_IDS = [f"{b}-{w}" for b, w in BACKEND_ROWS]
 
 
@@ -109,9 +107,8 @@ class TestDecParity:
 class TestWeightedChunkingParity:
     """Weights move chunk boundaries, never results or books."""
 
-    @pytest.mark.parametrize("backend,workers",
-                             [("threaded", 4), ("process", 2)],
-                             ids=["threaded", "process"])
+    @pytest.mark.parametrize("backend,workers", [("threaded", 4)],
+                             ids=["threaded"])
     def test_weighted_on_off_identical(self, parity_graph, backend,
                                        workers):
         results = {}
@@ -167,17 +164,6 @@ class TestAdaptiveParity:
             assert got.reorder_cost.work == off.reorder_cost.work
             assert got.reorder_cost.depth == off.reorder_cost.depth
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_process_modes_match_off(self, parity_graph, mode):
-        off = self._run(self.ENGINES[0][1], parity_graph, "process", 2,
-                        "off")
-        got = self._run(self.ENGINES[0][1], parity_graph, "process", 2,
-                        mode)
-        np.testing.assert_array_equal(got.colors, off.colors)
-        assert got.rounds == off.rounds
-        assert got.cost.work == off.cost.work
-        assert got.mem.total == off.mem.total
-
     def test_serial_ignores_mode(self, parity_graph):
         """Serial rounds are never dispatch-eligible: any mode is the
         plain serial run, and no dispatch record is kept."""
@@ -225,17 +211,16 @@ class TestDegradationParity:
     """Forced mid-algorithm backend degradation keeps bit parity.
 
     With ``max_respawns=0`` a single injected worker death drops the
-    run one backend level; chunk boundaries were planned before the
+    run from threaded to serial; chunk boundaries were planned before the
     fault, so the combine order — hence colors, rounds, and books — is
     untouched.  ``ColoringResult.backend`` records where the run
     *finished* and the degradation event is on the fault record.
     """
 
-    DEGRADE_ROWS = [("process", 2, "threaded"), ("threaded", 4, "serial")]
+    DEGRADE_ROWS = [("threaded", 4, "serial")]
 
     @pytest.mark.parametrize("backend,workers,lower", DEGRADE_ROWS,
-                             ids=["process-to-threaded",
-                                  "threaded-to-serial"])
+                             ids=["threaded-to-serial"])
     def test_degraded_run_matches_serial(self, parity_graph, backend,
                                          workers, lower):
         serial = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1)
@@ -253,17 +238,20 @@ class TestDegradationParity:
         assert events == [{"kind": "degrade", "from": backend,
                            "to": lower, "round": 4}]
 
-    def test_double_degradation_lands_on_serial(self, parity_graph):
+    def test_kill_after_degradation_retries_on_serial(self, parity_graph):
+        """Serial is the bottom of the ladder: a later kill has no pool
+        to break, so it is retried in place against the retry budget."""
         serial = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1)
-        with ExecutionContext(backend="process", workers=2,
-                              faults="kill@3.0;kill@6.0",
+        with ExecutionContext(backend="threaded", workers=2,
+                              faults="kill@3.0;kill@6.0", backoff=0.0,
                               max_respawns=0, adaptive="off") as ctx:
             degraded = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1,
                                   ctx=ctx)
         _assert_result_parity(serial, degraded, "serial", 2)
         path = [(e["from"], e["to"]) for e in degraded.faults["events"]
                 if e["kind"] == "degrade"]
-        assert path == [("process", "threaded"), ("threaded", "serial")]
+        assert path == [("threaded", "serial")]
+        assert degraded.faults["counters"]["fault.retries"] == 1
 
 
 class TestRegistryParity:
@@ -275,15 +263,6 @@ class TestRegistryParity:
         np.testing.assert_array_equal(threaded.colors, serial.colors)
         assert threaded.rounds == serial.rounds
         assert threaded.backend == "threaded"
-
-    @pytest.mark.parametrize("name", sorted(BACKEND_AWARE))
-    def test_every_backend_aware_algorithm_process(self, name):
-        g = gnm_random(150, 500, seed=5)
-        serial = color(name, g, seed=0)
-        proc = color(name, g, seed=0, backend="process", workers=2)
-        np.testing.assert_array_equal(proc.colors, serial.colors)
-        assert proc.rounds == serial.rounds
-        assert proc.backend == "process"
 
     def test_serial_only_algorithm_ignores_backend(self):
         g = grid_2d(10, 10)
@@ -297,9 +276,8 @@ class TestTracingParity:
     @pytest.mark.parametrize("name", ["JP-ADG", "JP-ADG-O", "DEC-ADG",
                                       "DEC-ADG-ITR"])
     @pytest.mark.parametrize("backend,workers",
-                             [("serial", 1), ("threaded", 4),
-                              ("process", 2)],
-                             ids=["serial", "threaded", "process"])
+                             [("serial", 1), ("threaded", 4)],
+                             ids=["serial", "threaded"])
     def test_traced_bit_identical(self, parity_graph, name, backend,
                                   workers):
         plain = color(name, parity_graph, seed=0,
@@ -350,13 +328,6 @@ class TestThreadedAccounting:
                          backend="threaded", workers=4)
         assert threaded.cost.snapshot() == serial.cost.snapshot()
         assert threaded.mem.total == serial.mem.total
-
-    def test_process_matches_serial_books(self, parity_graph):
-        serial = color("JP-ADG", parity_graph, seed=0)
-        proc = color("JP-ADG", parity_graph, seed=0,
-                     backend="process", workers=2)
-        assert proc.cost.snapshot() == serial.cost.snapshot()
-        assert proc.mem.total == serial.mem.total
 
     def test_phase_walls_recorded(self, parity_graph):
         res = color("JP-ADG", parity_graph, seed=0,

@@ -162,7 +162,7 @@ class TestDigestIdentity:
         ref = read_edge_list(path)
         assert got.content_digest == ref.content_digest
 
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    @pytest.mark.parametrize("backend", ["threaded"])
     def test_backend_parity(self, tmp_path, backend):
         g0 = gnm_random(200, 1500, seed=9)
         path = str(tmp_path / "g.el")

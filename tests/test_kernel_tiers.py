@@ -16,7 +16,6 @@ suite exercises the jitted kernels end to end.
 
 import json
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -303,16 +302,6 @@ class TestTierFallbackEndToEnd:
 
 
 class TestTierThreading:
-    def test_kernel_descriptor_carries_tier_and_pickles(self):
-        from repro.runtime.kernels import Kernel
-
-        kern = Kernel(name="jp.wave", ns="jp", arrays={}, scalars={},
-                      tier="numpy")
-        clone = pickle.loads(pickle.dumps(kern))
-        assert clone.tier == "numpy" and clone.name == "jp.wave"
-        # Default descriptors defer to the process-global tier.
-        assert Kernel(name="jp.wave", ns="jp").tier is None
-
     def test_context_resolves_and_exposes_tier(self):
         from repro.runtime import ExecutionContext
 

@@ -14,7 +14,6 @@ from repro.runtime import (
     CHUNKS_PER_WORKER,
     ChunkError,
     ExecutionContext,
-    Kernel,
     default_backend,
     default_weighted_chunks,
     resolve_context,
@@ -62,7 +61,7 @@ class TestConstruction:
         assert ctx.cost is cost and ctx.mem is mem
 
     def test_backends_constant(self):
-        assert BACKENDS == ("serial", "threaded", "process")
+        assert BACKENDS == ("serial", "threaded")
 
     def test_describe(self):
         ctx = ExecutionContext(backend="threaded", workers=2)
@@ -213,106 +212,26 @@ class TestWeightedMapChunks:
         assert spans == uniform
 
 
-class TestProcessBackend:
-    """Runtime-level process backend: kernels, arena, tracing."""
+class TestRemovedBackend:
+    """The deleted process backend fails loudly at every entry point."""
 
-    def _select_kernel(self, n):
-        return Kernel("adg.select", "t",
-                      arrays={"active": np.ones(n, dtype=bool),
-                              "D": np.arange(n, dtype=np.int64)},
-                      scalars={"threshold": float(n // 2)})
+    def test_constructor_rejects_process(self):
+        with pytest.raises(ValueError, match="process backend was removed"):
+            ExecutionContext(backend="process")
 
-    def test_kernel_results_match_inline(self):
-        n = 1000
-        kern = self._select_kernel(n)
-        with ExecutionContext(backend="process", workers=2) as ctx:
-            got = np.concatenate(ctx.map_chunks(kern, n))
-        np.testing.assert_array_equal(got, np.arange(n // 2 + 1))
+    def test_env_rejects_process(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(ValueError,
+                           match=r"\$REPRO_BACKEND.*process backend was "
+                                 r"removed"):
+            ExecutionContext()
 
-    def test_closures_rejected(self):
-        with ExecutionContext(backend="process", workers=2) as ctx:
-            with pytest.raises(TypeError, match="picklable kernel"):
-                ctx.map_chunks(lambda lo, hi: hi - lo, 1000)
+    def test_cli_rejects_process(self):
+        from repro.cli import main
 
-    def test_share_and_localize(self):
-        with ExecutionContext(backend="process", workers=2) as ctx:
-            arr = np.arange(100, dtype=np.int64)
-            view = ctx.share("t", "arr", arr)
-            assert view is not arr
-            np.testing.assert_array_equal(view, arr)
-            local = ctx.localize(view)
-            assert local is not view
-            local2 = ctx.localize(local)  # non-arena arrays pass through
-            assert local2 is local
-
-    def test_share_is_passthrough_on_serial_and_threaded(self):
-        arr = np.arange(10)
-        for backend in ("serial", "threaded"):
-            with ExecutionContext(backend=backend, workers=2) as ctx:
-                assert ctx.share("t", "arr", arr) is arr
-                assert ctx.localize(arr) is arr
-
-    def test_coordinator_writes_visible_to_workers(self):
-        n = 1000
-        with ExecutionContext(backend="process", workers=2) as ctx:
-            D = ctx.share("t", "D", np.arange(n, dtype=np.int64))
-            active = ctx.share("t", "active", np.ones(n, dtype=bool))
-            kern = Kernel("adg.select", "t",
-                          arrays={"active": active, "D": D},
-                          scalars={"threshold": 10.0})
-            first = np.concatenate(ctx.map_chunks(kern, n))
-            D[:] = 0  # coordinator write through the shared view
-            second = np.concatenate(ctx.map_chunks(kern, n))
-        np.testing.assert_array_equal(first, np.arange(11))
-        np.testing.assert_array_equal(second, np.arange(n))
-
-    def test_traced_round_and_chunk_events(self):
-        n = 2000
-        kern = self._select_kernel(n)
-        with ExecutionContext(backend="process", workers=2,
-                              trace=True) as ctx:
-            with ctx.phase("work"):
-                ctx.map_chunks(kern, n)
-            tracer = ctx.tracer
-        rounds = tracer.spans(cat="round")
-        chunks = tracer.spans(cat="chunk")
-        assert len(rounds) == 1
-        assert rounds[0].args["phase"] == "work"
-        assert rounds[0].args["chunks"] == len(chunks)
-        assert sum(s.args["size"] for s in chunks) == n
-        assert all(s.dur >= 0 for s in chunks)
-
-    def test_chunk_error_wraps_worker_failure(self):
-        # A kernel that indexes out of range fails inside the worker.
-        kern = Kernel("adg.select", "t",
-                      arrays={"active": np.ones(10, dtype=bool),
-                              "D": np.arange(5, dtype=np.int64)},
-                      scalars={"threshold": 3.0})
-        with ExecutionContext(backend="process", workers=2) as ctx:
-            with pytest.raises(ChunkError, match="items failed"):
-                ctx.map_chunks(kern, 10)
-            # The pool survives and stays usable.
-            good = self._select_kernel(100)
-            assert ctx.map_chunks(good, 100)
-
-    def test_pool_and_arena_closed(self):
-        ctx = ExecutionContext(backend="process", workers=2, adaptive="off")
-        assert ctx._procpool is None and ctx._arena is None
-        ctx.map_chunks(self._select_kernel(500), 500)
-        assert ctx._procpool is not None and ctx._arena is not None
-        ctx.close()
-        assert ctx._procpool is None and ctx._arena is None
-
-    def test_child_shares_pool_and_arena(self):
-        with ExecutionContext(backend="process", workers=2,
-                              adaptive="off") as ctx:
-            ctx.map_chunks(self._select_kernel(500), 500)
-            kid = ctx.child()
-            assert kid._pool_host is ctx
-            assert kid._acquire_procpool() is ctx._procpool
-            assert kid._acquire_arena() is ctx._arena
-            kid.close()  # non-host close leaves pool and arena alive
-            assert ctx._procpool is not None and ctx._arena is not None
+        with pytest.raises(ValueError,
+                           match="--backend.*process backend was removed"):
+            main(["color", "--gen", "gnm:50,100", "--backend", "process"])
 
 
 class TestPoolLifecycle:

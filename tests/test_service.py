@@ -247,8 +247,8 @@ class TestServiceUnderFaults:
                 assert stats["metrics"]["svc.retries"]["total"] >= 1
         run(main())
 
-    def test_kill_plan_on_process_backend_completes(self, monkeypatch):
-        """Mid-request worker death under the process backend: the
+    def test_kill_plan_on_threaded_backend_completes(self, monkeypatch):
+        """Mid-request worker death under the threaded backend: the
         runtime respawns/degrades or the service backstop fires; either
         way the future completes with a valid coloring."""
         monkeypatch.setenv("REPRO_FAULTS", "kill@1.0;seed=7")
@@ -256,7 +256,7 @@ class TestServiceUnderFaults:
 
         async def main():
             async with ColoringService(workers=1,
-                                       backend="process",
+                                       backend="threaded",
                                        ctx_workers=2) as svc:
                 await ask(svc, op="load", graph="g",
                           gen={"kind": "gnm", "n": 120, "m": 360,

@@ -5,12 +5,11 @@ The sharding layer's contracts, each pinned by a test class:
 - the plan is a true partition with exact cross-edge bookkeeping;
 - sharded runs stay valid and inside the engine's paper bound on the
   same family sweep as the unsharded conformance suite;
-- the process path and the inline path produce bit-identical colors
-  and accounting books (the chunk runtime's parity contract, lifted);
-- a killed shard worker respawns with unchanged output; an exhausted
+- threaded and serial sharded runs produce bit-identical colors and
+  accounting books (the chunk runtime's parity contract, lifted);
+- a killed shard engine respawns with unchanged output; an exhausted
   respawn budget degrades to unsharded execution whose colors equal
   the plain engine's exactly;
-- no shared-memory segment outlives a run, including recovery paths;
 - per-shard working sets stay under half the unsharded footprint on
   the skewed Kronecker family (the memory-isolation acceptance bar).
 """
@@ -30,7 +29,6 @@ from repro.runtime import (
     ExecutionContext,
     ShardError,
     default_shards,
-    live_segment_names,
     plan_shards,
 )
 
@@ -126,17 +124,16 @@ class TestShardedParity:
         assert res.shards["repair_rounds"] <= g.n
 
     @pytest.mark.parametrize("algorithm", sorted(ENGINES))
-    def test_process_matches_inline(self, algorithm):
+    def test_threaded_matches_serial(self, algorithm):
         g = gnm_random(300, 1200, seed=3)
         fn, eps = ENGINES[algorithm]
-        inline = fn(g, eps=eps, seed=1, shards=4)
-        pooled = fn(g, eps=eps, seed=1, shards=4, backend="process",
-                    workers=2)
-        np.testing.assert_array_equal(inline.colors, pooled.colors)
-        assert inline.cost.snapshot() == pooled.cost.snapshot()
-        assert inline.mem.total == pooled.mem.total
-        assert inline.rounds == pooled.rounds
-        assert not live_segment_names()
+        serial = fn(g, eps=eps, seed=1, shards=4)
+        threaded = fn(g, eps=eps, seed=1, shards=4, backend="threaded",
+                      workers=2)
+        np.testing.assert_array_equal(serial.colors, threaded.colors)
+        assert serial.cost.snapshot() == threaded.cost.snapshot()
+        assert serial.mem.total == threaded.mem.total
+        assert serial.rounds == threaded.rounds
 
     def test_one_shard_is_plain_engine(self):
         g = gnm_random(120, 400, seed=2)
@@ -174,18 +171,17 @@ class TestShardChaos:
 
     def test_killed_worker_respawns(self):
         g = gnm_random(300, 1200, seed=3)
-        base = dec_adg(g, seed=1, shards=4, backend="process", workers=2)
-        with ExecutionContext(backend="process", workers=2,
+        base = dec_adg(g, seed=1, shards=4, backend="threaded", workers=2)
+        with ExecutionContext(backend="threaded", workers=2,
                               faults="kill@s1", max_respawns=3) as ctx:
             res = dec_adg(g, seed=1, shards=4, ctx=ctx)
         np.testing.assert_array_equal(res.colors, base.colors)
         assert res.shards["respawns"] == 1
         assert res.shards["degraded"] is False
         assert res.faults["counters"]["fault.shard.respawns"] == 1
-        assert not live_segment_names()
 
     @pytest.mark.parametrize("backend,workers", [("serial", 1),
-                                                 ("process", 2)])
+                                                 ("threaded", 2)])
     def test_exhausted_budget_degrades_unsharded(self, backend, workers):
         g = gnm_random(300, 1200, seed=3)
         plain = dec_adg(g, seed=1)
@@ -196,7 +192,6 @@ class TestShardChaos:
         assert res.shards["degraded"] is True
         assert res.shards["respawns"] == 2
         assert res.faults["counters"]["fault.shard.degradations"] == 1
-        assert not live_segment_names(), "degradation must unlink segments"
 
     def test_shard_error_retries_then_succeeds(self):
         g = gnm_random(150, 500, seed=2)
@@ -228,9 +223,9 @@ class TestShardMemory:
             f"largest shard maps {plan.max_nbytes} bytes, "
             f"unsharded working set is {full}")
 
-    def test_shard_rss_reported_on_process_backend(self):
+    def test_shard_rss_reported(self):
         g = gnm_random(300, 1200, seed=3)
-        res = dec_adg(g, seed=1, shards=4, backend="process", workers=2)
+        res = dec_adg(g, seed=1, shards=4, backend="threaded", workers=2)
         rows = res.shards["per_shard"]
         assert all(r["pid"] is not None for r in rows)
         assert all(r["rss_kb"] >= 0 for r in rows)
