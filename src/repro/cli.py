@@ -114,6 +114,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     summary["graph"] = g.name
     summary["degeneracy"] = degeneracy(g)
     if args.json:
+        from .service.server import colors_digest
+
+        summary["colors_digest"] = colors_digest(res.colors)
         summary["phase_walls"] = {k: round(v, 6)
                                   for k, v in res.phase_walls.items()}
         if res.faults is not None:
@@ -391,7 +394,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             print("\n== sharding layer ==")
             print(format_table(shards))
         if resources:
-            print("\n== resources (peak RSS / CPU per process) ==")
+            print("\n== resources (coordinator peak RSS / CPU) ==")
             print(format_table(resources))
     flush_trace(tracer)
     return 0

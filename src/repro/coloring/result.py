@@ -35,8 +35,8 @@ class ColoringResult:
     ``faults`` is ``None`` for a quiet run with no fault plan; otherwise
     it is the runtime's :meth:`~repro.runtime.ExecutionContext.fault_record`
     digest — the run-wide ``fault.*`` counters (injections, retries,
-    timeouts, respawns, degradations), the ordered respawn/degradation
-    event log, and the injection plan's own summary.  Note that after a
+    degradations), the ordered degradation event log, and the injection
+    plan's own summary.  Note that after a
     backend degradation ``backend`` records the backend the run
     *finished* on; the events list holds where it started.
 
@@ -49,18 +49,16 @@ class ColoringResult:
     ``shards`` is ``None`` unless the run went through the sharding
     layer (``shards`` argument / ``$REPRO_SHARDS`` > 1); then it
     carries the :class:`~repro.runtime.ShardPlan` digest (shard sizes,
-    cut edges, per-shard working-set bytes), the executor digest
-    (respawns, degradation), the boundary-repair counters
-    (``repair_rounds``, ``repair_recolored``), and one ``per_shard``
-    row per shard with its engine's rounds, wall, work, and peak RSS.
+    cut edges, per-shard working-set bytes), the boundary-repair
+    counters (``repair_rounds``, ``repair_recolored``), and one
+    ``per_shard`` row per shard with its engine's rounds, wall, work,
+    and working-set bytes.
 
     ``resources`` is ``None`` unless resource telemetry was on
     (``ExecutionContext(resources=True)`` / ``$REPRO_RESOURCES`` / an
     enabled run ledger); then it carries the
     :meth:`~repro.runtime.ExecutionContext.resource_record` digest — a
-    ``coordinator`` block (sampler peak RSS, CPU seconds) and a
-    ``workers`` list of per-pid rows (peak RSS, CPU, shard id) from
-    sharded runs.
+    ``coordinator`` block (sampler peak RSS, CPU seconds).
     """
 
     algorithm: str

@@ -27,12 +27,14 @@ set (lower levels yield to higher levels, exactly the DEC invariant).
 So the sharded run keeps the engine's paper bound: (2+eps)d for
 DEC-ADG, 2(1+eps)d + 1 for DEC-ADG-ITR.
 
-When the shard executor's respawn budget is exhausted (an injected
-``kill`` on every attempt) the layer degrades to unsharded execution
-*in the same run*: the interior is re-run on the whole graph with the
-same ordering, seed, and priority, producing exactly the colors the
-plain engine would — one level down the sturdiness ladder, never a worse
-answer.
+Shard faults follow the run's one recovery policy (the level x
+fault-kind table is in :mod:`repro.runtime.faults`): a shard engine
+runs on its own quiet serial context, so an ``error`` or ``kill`` —
+or any exception — is a failed attempt, and the shard re-runs from
+scratch.  The re-run computes the same shard colors, so a recovered
+run equals the fault-free sharded run; a shard that exhausts the
+retry budget raises :class:`~repro.runtime.ShardError` rather than
+answer with different colors.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _interior(g: CSRGraph, algorithm: str, levels: np.ndarray,
               max_rounds: int | None) -> tuple[np.ndarray, int, int]:
     """Run one engine interior on ``g``; returns (colors, rounds,
     conflicts).  On the whole graph with the run seed this reproduces
-    the plain unsharded engine exactly (the degradation contract)."""
+    the plain unsharded engine exactly (the one-shard plan)."""
     if algorithm in _SIMCOL_FAMILY:
         rng = np.random.default_rng(seed)
         colors, rounds = color_partitions(g, levels, num_levels, eps / 4.0,
@@ -86,7 +88,8 @@ def run_shard_local(arrays: dict, *, algorithm: str, eps: float,
     ``arrays`` holds the shard's sub-CSR plus its slices of the
     run-global level and priority arrays.  The engine runs on a fresh
     quiet serial context (shard-level recovery belongs to the
-    coordinator, so chunk-level fault injection is forced off) and
+    coordinator, so chunk-level fault injection is forced off; with no
+    pool to lose, a shard ``kill`` is a failed attempt) and
     writes 1-based colors into ``arrays['colors']`` in place.  Returns
     a record: the shard's accounting books and round/conflict counts,
     which the coordinator merges in shard order.
@@ -184,9 +187,14 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
         tracer.count("shard.cut_edges", plan.cut_edges)
     priority = random_tiebreak(g.n, seed)
 
-    sctx = ShardedContext(ctx, plan, run_shard_local)
-    records = None
-    if plan.n_shards > 1:
+    per_shard: list[dict] = []
+    repair_rounds = repair_recolored = 0
+    if plan.n_shards <= 1:
+        # One shard is the plain engine: same ordering, seed, priority.
+        colors, rounds_total, conflicts_total = _interior(
+            g, algorithm, levels, num_levels, eps, seed, priority, ctx,
+            max_rounds)
+    else:
         shard_arrays: list[dict] = []
         shard_scalars: list[dict] = []
         for s in plan.shards:
@@ -205,18 +213,8 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
                 "max_rounds": max_rounds, "shard": s.sid,
             })
         with ctx.phase("shard:color"):
-            records = sctx.run(shard_arrays, shard_scalars)
-
-    per_shard: list[dict] = []
-    repair_rounds = repair_recolored = 0
-    if records is None:
-        # Single shard, or respawn budget exhausted: unsharded
-        # execution in this same run — identical colors to the plain
-        # engine (same ordering, seed, and priority).
-        colors, rounds_total, conflicts_total = _interior(
-            g, algorithm, levels, num_levels, eps, seed, priority, ctx,
-            max_rounds)
-    else:
+            records = ShardedContext(ctx, plan, run_shard_local).run(
+                shard_arrays, shard_scalars)
         colors = np.zeros(g.n, dtype=np.int64)
         rounds_total = conflicts_total = 0
         for s, arrays, rec in zip(plan.shards, shard_arrays, records):
@@ -230,8 +228,6 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
                 "rounds": rec["rounds"], "conflicts": rec["conflicts"],
                 "work": rec["cost"].work,
                 "wall_s": round(rec["t1"] - rec["t0"], 6),
-                "pid": rec.get("pid"), "rss_kb": rec.get("rss_kb", 0),
-                "cpu_s": rec.get("cpu_s", 0.0),
                 "bytes": s.nbytes,
             })
         with ctx.phase("shard:repair"):
@@ -242,15 +238,10 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
         conflicts_total += repair_recolored
     wall = time.perf_counter() - t0
 
-    digest = {**plan.digest(), **sctx.digest(),
+    digest = {**plan.digest(),
               "repair_rounds": repair_rounds,
               "repair_recolored": repair_recolored,
               "per_shard": per_shard}
-    # Shard records carry pid/RSS/CPU; fold them into the run's
-    # resource digest as per-shard worker rows.
-    shard_probes = [{"pid": r["pid"], "peak_rss_kb": r.get("rss_kb", 0),
-                     "cpu_s": r.get("cpu_s", 0.0), "shard": r["shard"]}
-                    for r in per_shard if r.get("pid")]
     return ColoringResult(algorithm=algorithm, colors=colors, cost=ctx.cost,
                           mem=ctx.mem, reorder_cost=ordering.cost,
                           reorder_mem=ordering.mem, rounds=rounds_total,
@@ -264,5 +255,4 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
                           faults=ctx.fault_record(),
                           dispatch=ctx.dispatch_record(),
                           shards=digest,
-                          resources=ctx.resource_record(
-                              workers=shard_probes))
+                          resources=ctx.resource_record())

@@ -47,7 +47,6 @@ from .resources import (
     ResourceSampler,
     cpu_seconds,
     current_rss_kb,
-    merge_worker_probes,
     peak_rss_kb,
     resolve_resources,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "bench_record", "cell_key", "chrome_trace", "cpu_seconds",
     "current_rss_kb", "dispatch_breakdown",
     "fault_breakdown", "git_sha", "graph_digest", "imbalance_breakdown",
-    "jsonl_records", "merge_worker_probes", "peak_rss_kb",
+    "jsonl_records", "peak_rss_kb",
     "phase_breakdown", "read_jsonl", "read_ledger", "resolve_ledger",
     "resolve_resources", "resolve_tracer", "resource_breakdown",
     "round_breakdown", "run_record", "shard_breakdown",

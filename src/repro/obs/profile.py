@@ -68,11 +68,10 @@ def round_breakdown(tracer) -> list[dict]:
 def fault_breakdown(result) -> list[dict]:
     """Fault-recovery rows for one run, from ``result.faults``.
 
-    One row per ``fault.*`` counter (injections, retries, timeouts,
-    respawns, degradations) followed by one row per recorded
-    respawn/degradation event, in order.  Empty when the run had no
-    fault plan and saw no recovery activity — the profile section is
-    omitted then.
+    One row per ``fault.*`` counter (injections, retries,
+    degradations) followed by one row per recorded degradation event,
+    in order.  Empty when the run had no fault plan and saw no recovery
+    activity — the profile section is omitted then.
     """
     rec = getattr(result, "faults", None)
     if not rec:
@@ -126,12 +125,11 @@ def shard_breakdown(result) -> list[dict]:
     """Sharding-layer rows for one run, from ``result.shards``.
 
     One row per shard (size, boundary/ghost counts, working-set bytes,
-    and — when the shard actually ran — its engine's rounds, wall,
-    work, and peak RSS), then one ``repair`` row with the cut-edge
-    count and the boundary protocol's rounds/recolors, and a
-    ``degraded`` row when the run fell back to unsharded execution.
-    Empty when the run did not go through the sharding layer — the
-    profile section is omitted then.
+    and — when the shard actually ran — its engine's rounds, wall, and
+    work), then one ``repair`` row with the cut-edge count and the
+    boundary protocol's rounds/recolors.  Empty when the run did not
+    go through the sharding layer — the profile section is omitted
+    then.
     """
     rec = getattr(result, "shards", None)
     if not rec:
@@ -149,22 +147,14 @@ def shard_breakdown(result) -> list[dict]:
             "conflicts": r["conflicts"] if r else "",
             "wall_ms": round(r["wall_s"] * 1e3, 3) if r else "",
             "work": r["work"] if r else "",
-            "rss_kb": r["rss_kb"] if r else "",
         })
     rows.append({
         "shard": "repair", "n": "", "edges": rec["cut_edges"],
         "boundary": "", "ghosts": "", "bytes": "",
         "rounds": rec["repair_rounds"],
         "conflicts": rec["repair_recolored"],
-        "wall_ms": "", "work": "", "rss_kb": "",
+        "wall_ms": "", "work": "",
     })
-    if rec.get("degraded"):
-        rows.append({
-            "shard": "degraded", "n": "", "edges": "", "boundary": "",
-            "ghosts": "", "bytes": "", "rounds": "", "conflicts": "",
-            "wall_ms": "", "work": "",
-            "rss_kb": f"respawns={rec.get('respawns', 0)}",
-        })
     return rows
 
 
@@ -172,29 +162,19 @@ def resource_breakdown(result) -> list[dict]:
     """Resource-telemetry rows for one run, from ``result.resources``.
 
     One ``coordinator`` row (sampler peak RSS, CPU seconds, sample
-    count), then one row per worker pid (``shardN`` for shard rows,
-    ``worker`` otherwise).  Empty when telemetry was off — the profile
-    section is omitted then.
+    count).  Empty when telemetry was off — the profile section is
+    omitted then.
     """
     rec = getattr(result, "resources", None)
     if not rec:
         return []
     coord = rec.get("coordinator") or {}
-    rows = [{
+    return [{
         "role": "coordinator", "pid": coord.get("pid", ""),
         "peak_rss_kb": coord.get("peak_rss_kb", 0),
         "cpu_s": round(coord.get("cpu_s", 0.0), 4),
         "samples": coord.get("samples", 0),
     }]
-    for w in rec.get("workers", []):
-        role = f"shard{w['shard']}" if "shard" in w else "worker"
-        rows.append({
-            "role": role, "pid": w.get("pid", ""),
-            "peak_rss_kb": w.get("peak_rss_kb", 0),
-            "cpu_s": round(w.get("cpu_s", 0.0), 4),
-            "samples": "",
-        })
-    return rows
 
 
 def imbalance_breakdown(tracer) -> list[dict]:

@@ -58,7 +58,7 @@ THRESHOLDS: dict[str, dict] = {
 
 #: The fixed graph matrix the gate colors: small enough to run in CI,
 #: wide enough to cover every backend, the JP and DEC engines, and the
-#: sharded path whose per-shard RSS the resources layer samples.
+#: sharded path.
 MATRIX: tuple[dict, ...] = (
     {"gen": "gnm:2000,10000", "algorithm": "JP-ADG",
      "backend": "serial", "workers": 1, "shards": 0},

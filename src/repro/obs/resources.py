@@ -1,17 +1,15 @@
 """Resource telemetry: what a run actually costs in memory and CPU.
 
-Two collection points, both owned by the pool-hosting
-:class:`~repro.runtime.ExecutionContext`:
-
-- :class:`ResourceSampler` — a daemon thread on the *coordinator* that
-  samples resident set size and CPU seconds at a fixed interval,
-  keeping running maxima.  When the run is traced each sample also
-  lands as a ``res.rss_kb`` gauge in the tracer's
-  :class:`~repro.obs.metrics.MetricsRegistry`, so a profile shows the
-  memory curve next to the frontier curve.
-- per-*shard* rows — sharded runs carry each shard engine's pid, peak
-  RSS and CPU seconds on their result records;
-  :func:`merge_worker_probes` dedupes the rows by pid.
+One collection point, owned by the pool-hosting
+:class:`~repro.runtime.ExecutionContext`: :class:`ResourceSampler`, a
+daemon thread on the *coordinator* that samples resident set size and
+CPU seconds at a fixed interval, keeping running maxima.  When the run
+is traced each sample also lands as a ``res.rss_kb`` gauge in the
+tracer's :class:`~repro.obs.metrics.MetricsRegistry`, so a profile
+shows the memory curve next to the frontier curve.  Every engine —
+shard engines included — runs in the coordinator's process, so there
+are no per-worker rows: a shard's footprint is its mapped working set
+(``bytes`` on the ``ColoringResult.shards`` rows).
 
 Default off (the zero-overhead contract): collection turns on with
 ``ExecutionContext(resources=True)``, ``$REPRO_RESOURCES=1``, or
@@ -159,28 +157,3 @@ class ResourceSampler:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-
-
-def merge_worker_probes(probes: list[dict]) -> list[dict]:
-    """Dedupe worker rows by pid, keeping per-pid maxima.
-
-    Shards run on the coordinator, so several shard rows report the
-    same pid; the merged row keeps the max peak RSS and CPU seen for
-    that pid plus any extra keys (e.g. the first ``shard``).
-    """
-    by_pid: dict[int, dict] = {}
-    for p in probes:
-        pid = p.get("pid")
-        if pid is None:
-            continue
-        cur = by_pid.get(pid)
-        if cur is None:
-            by_pid[pid] = dict(p)
-            continue
-        cur["peak_rss_kb"] = max(cur.get("peak_rss_kb", 0),
-                                 p.get("peak_rss_kb", 0))
-        cur["cpu_s"] = round(max(cur.get("cpu_s", 0.0),
-                                 p.get("cpu_s", 0.0)), 6)
-        for key, val in p.items():
-            cur.setdefault(key, val)
-    return [by_pid[pid] for pid in sorted(by_pid)]

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry
 
 #: Event categories emitted by the runtime and the engines.  ``shard``
-#: spans cover per-shard solves and boundary repair (PR 6); ``fault``
-#: instants mark injected faults and retry/timeout/respawn events
-#: (PR 4) — both validate through :mod:`repro.obs.validate`.
+#: spans cover per-shard solves and boundary repair; ``fault``
+#: instants mark injected faults and degradation events — both
+#: validate through :mod:`repro.obs.validate`.
 CATEGORIES = ("phase", "round", "chunk", "instant", "shard", "fault")
 
 

@@ -1,6 +1,6 @@
 """Unified execution runtime: backend selection (serial / threaded),
 chunked — optionally work-balanced — execution, deterministic fault
-injection with retry / respawn / degradation recovery, and end-to-end
+injection with one retry-then-degrade recovery policy, and end-to-end
 accounting and tracing behind one :class:`ExecutionContext` object."""
 
 from .adaptive import (
@@ -22,6 +22,7 @@ from .faults import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
+    RecoveryError,
     WorkerDeath,
     resolve_fault_plan,
 )
@@ -39,7 +40,7 @@ __all__ = [
     "ADAPTIVE_MODES", "BACKENDS", "CHUNKS_PER_WORKER", "ChunkError",
     "DispatchEstimator", "ExecutionContext",
     "FaultInjected", "FaultPlan", "FaultSpec", "KERNELS", "Kernel",
-    "ShardError", "ShardPlan", "ShardSpec", "ShardedContext",
+    "RecoveryError", "ShardError", "ShardPlan", "ShardSpec", "ShardedContext",
     "WorkerDeath", "default_adaptive", "default_backend",
     "default_shards", "default_weighted_chunks", "plan_shards",
     "resolve_adaptive", "resolve_context", "resolve_fault_plan",

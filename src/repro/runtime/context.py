@@ -19,11 +19,10 @@ needs to execute those rounds and account for them:
   or cheaper to run inline on the coordinator over the same chunk plan
   (``$REPRO_ADAPTIVE``; decisions are counted, traced, and summarized
   by :meth:`dispatch_record`);
-- fault tolerance at the same seam (:mod:`repro.runtime.faults`):
-  per-chunk retry with capped exponential backoff, a per-round deadline
-  that cancels stragglers, dead-worker detection with pool respawn and
-  re-dispatch of only the lost chunks, and graceful backend degradation
-  (threaded -> serial) once the respawn budget is spent;
+- fault tolerance at the same seam: the run's one
+  :class:`~repro.runtime.faults.Recovery` policy retries failed chunks
+  in place with capped backoff and, when a worker dies, degrades the
+  run to serial and re-runs only the lost chunks;
 - the :class:`~repro.machine.costmodel.CostModel` and
   :class:`~repro.machine.memmodel.MemoryModel` accounting books;
 - per-phase wall-clock timers (:meth:`phase`), recording *exclusive*
@@ -42,11 +41,10 @@ the recorded work/depth/memory totals are **bit-identical** to the
 serial backend — for any worker count, with weighted chunking on or
 off, and under any recovery the fault layer performs.  Chunk kernels
 are *pure* (all mutation happens on the coordinator, between rounds, in
-chunk order), so re-running a failed chunk, re-dispatching a dead
-worker's chunks, or finishing a round on a degraded backend recomputes
-exactly the same partial results.  On the serial backend
-:meth:`map_chunks` degrades to a single chunk — zero chunking
-overhead, exactly the monolithic vectorized round.  Tracing is
+chunk order), so re-running a failed chunk, or finishing a round on a
+degraded backend, recomputes exactly the same partial results.  On the
+serial backend :meth:`map_chunks` degrades to a single chunk — zero
+chunking overhead, exactly the monolithic vectorized round.  Tracing is
 observation only: enabling it never changes results or accounting.
 
 Backends:
@@ -62,21 +60,18 @@ Both accept plain ``fn(lo, hi)`` closures and
 this library passes descriptors; the name keys the adaptive
 estimator's per-kernel cost model).
 
-Recovery policy (see DESIGN.md for the full argument):
+Recovery policy (the level x fault-kind table is in
+:mod:`repro.runtime.faults`; DESIGN.md has the argument):
 
-- A chunk that raises is retried up to ``retries`` times
-  (``$REPRO_RETRIES``, default 2) with capped exponential backoff
-  (``backoff * 2**(attempt-1)`` seconds, capped at 1s); exhaustion
-  raises :class:`ChunkError` naming the (round, chunk) coordinates.
-- With a ``round_timeout`` (``$REPRO_ROUND_TIMEOUT``), each dispatch
-  wave of a round gets that deadline; stragglers are cancelled,
-  counted as ``fault.timeouts``, and retried against the same budget.
-- A dead worker (the injected :class:`~repro.runtime.faults.WorkerDeath`
-  of a ``kill`` fault) tears the pool down; it is respawned up to
-  ``max_respawns`` times (``$REPRO_RESPAWNS``, default 2), then the run
-  *degrades* to the serial backend and finishes there.  Only the lost
-  chunks are re-dispatched — completed partial results and the round's
-  chunk boundaries are kept, so the combine order never changes.
+- error, or any exception: the chunk is retried in place up to
+  ``retries`` times (``$REPRO_RETRIES``, default 2) with capped
+  backoff; exhaustion raises :class:`ChunkError` naming the (round,
+  chunk) coordinates.
+- kill on a threaded round, pooled or inlined: the pool is lost, the
+  run degrades to serial at once, and only the lost chunks re-run —
+  completed partial results and the round's chunk boundaries are kept,
+  so the combine order never changes.  On a serial round a kill is a
+  failed attempt like any other.
 - Everything is recorded: ``fault.*`` counters in the metrics
   registry, instant events in the tracer, and the
   :meth:`fault_record` digest engines attach to ``ColoringResult``.
@@ -89,7 +84,7 @@ import threading
 import time
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from typing import Callable, TypeVar
 
@@ -102,11 +97,7 @@ from ..machine.parallel import (
 )
 from ..obs import resolve_tracer
 from ..obs.ledger import resolve_ledger, run_record
-from ..obs.resources import (
-    ResourceSampler,
-    merge_worker_probes,
-    resolve_resources,
-)
+from ..obs.resources import ResourceSampler, resolve_resources
 from ..primitives.kernels import ScratchArena
 from ..primitives.tiers import resolve_kernel_tier, set_kernel_tier
 from .adaptive import (
@@ -115,12 +106,10 @@ from .adaptive import (
     resolve_adaptive,
 )
 from .faults import (
+    Recovery,
+    RecoveryError,
     WorkerDeath,
     apply_fault,
-    default_backoff,
-    default_max_respawns,
-    default_retries,
-    default_round_timeout,
     resolve_fault_plan,
 )
 from .kernels import Kernel
@@ -134,26 +123,27 @@ BACKENDS = ("serial", "threaded")
 #: spans (frontier vertices have wildly varying degrees).
 CHUNKS_PER_WORKER = 4
 
-#: Cap on one retry-backoff sleep, seconds.
-MAX_BACKOFF = 1.0
-
 #: "Not computed yet" marker in a round's partial-result slots (chunk
 #: kernels may legitimately return None).
 _PENDING = object()
 
 
-class ChunkError(RuntimeError):
+class ChunkError(RecoveryError):
     """A chunk of a :meth:`ExecutionContext.map_chunks` round failed
     for good.
 
-    Raised only after the retry budget is exhausted (or a straggler
-    outlives the round deadline on its last attempt); the message names
+    Raised only after the retry budget is exhausted; the message names
     the round id, the chunk id, and the chunk's ``[lo, hi)`` range, and
     the original exception is chained.  Remaining futures of the wave
     are cancelled (pending) or drained (running) before this is raised,
     so no worker outlives the call and no stale chunk can write into a
     later round.
     """
+
+
+def _chunk_name(rid: int, ci: int, span, n: int) -> str:
+    lo, hi = span
+    return f"map_chunks round {rid} chunk {ci} [{lo}, {hi}) of {n} items"
 
 
 def check_backend(backend: str, source: str = "backend") -> str:
@@ -235,10 +225,9 @@ class ExecutionContext:
         (``"error@3.0;kill@5.*;seed=7"``), ``False`` (injection off),
         or ``None`` to defer to ``$REPRO_FAULTS`` — see
         :func:`repro.runtime.faults.resolve_fault_plan`.
-    retries, backoff, round_timeout, max_respawns:
-        Recovery budgets; ``None`` resolves via ``$REPRO_RETRIES``
-        (2), ``$REPRO_BACKOFF`` (0.02s), ``$REPRO_ROUND_TIMEOUT``
-        (off; pass 0 to force off), ``$REPRO_RESPAWNS`` (2).
+    retries, backoff:
+        Recovery budget and backoff base; ``None`` resolves via
+        ``$REPRO_RETRIES`` (2) and ``$REPRO_BACKOFF`` (0.02s).
     adaptive:
         Adaptive round dispatch (:mod:`repro.runtime.adaptive`):
         ``'on'`` (break-even estimator inlines rounds too small to
@@ -288,8 +277,6 @@ class ExecutionContext:
                  weighted_chunks: bool | None = None,
                  faults=None, retries: int | None = None,
                  backoff: float | None = None,
-                 round_timeout: float | None = None,
-                 max_respawns: int | None = None,
                  adaptive=None,
                  shards: int | None = None,
                  kernel_tier: str | None = None,
@@ -332,27 +319,8 @@ class ExecutionContext:
         # exclusive timing and for labeling traced rounds.
         self._phase_stack: list[list] = []
         if self._pool_host is self:
-            self._faultplan = resolve_fault_plan(faults)
-            self._retries = retries if retries is not None \
-                else default_retries()
-            self._backoff = backoff if backoff is not None \
-                else default_backoff()
-            self._round_timeout = default_round_timeout() \
-                if round_timeout is None else (round_timeout or None)
-            self._max_respawns = max_respawns if max_respawns is not None \
-                else default_max_respawns()
-            if self._retries < 0:
-                raise ValueError(f"retries must be >= 0, "
-                                 f"got {self._retries}")
-            if self._backoff < 0:
-                raise ValueError(f"backoff must be >= 0, "
-                                 f"got {self._backoff}")
-            if self._max_respawns < 0:
-                raise ValueError(f"max_respawns must be >= 0, "
-                                 f"got {self._max_respawns}")
-            self._fault_stats: dict[str, int] = {}
-            self._fault_events: list[dict] = []
-            self._respawns = 0
+            self._recovery = Recovery(resolve_fault_plan(faults), retries,
+                                      backoff, self.tracer)
             self._round_seq = 0
             self._estimator = DispatchEstimator() \
                 if self.adaptive != "off" else None
@@ -437,18 +405,13 @@ class ExecutionContext:
                                               kind=kind, eps=eps,
                                               valid=valid, extra=extra))
 
-    def resource_record(self, workers=None) -> dict | None:
-        """The run's resource digest: coordinator sampler maxima plus
-        deduped worker rows.  ``None`` when telemetry is off.
-
-        ``workers`` is an optional iterable of worker rows (the sharded
-        path passes per-shard pid/RSS rows).
-        """
+    def resource_record(self) -> dict | None:
+        """The run's resource digest: the coordinator sampler's maxima.
+        ``None`` when telemetry is off."""
         host = self._pool_host
         if not host._resources_on or host._sampler is None:
             return None
-        return {"coordinator": host._sampler.digest(),
-                "workers": merge_worker_probes(list(workers or []))}
+        return {"coordinator": host._sampler.digest()}
 
     def close(self) -> None:
         """Shut down the pool and flush a path-bound tracer (only if
@@ -514,13 +477,12 @@ class ExecutionContext:
         but must not mutate it (every engine in this library combines
         chunk results on the coordinator).  That purity is what makes
         recovery invisible: a failed chunk is retried with backoff, a
-        dead worker's chunks are re-dispatched after a pool respawn (or
-        on a degraded backend), stragglers past the round deadline are
-        cancelled and re-run — and the returned list is bit-identical
-        to the undisturbed run.  Only when the retry budget is spent
-        does the round abort as a :class:`ChunkError` naming the
-        (round, chunk) coordinates; the wave's pending chunks are
-        cancelled and running ones drained before the error propagates.
+        dead worker's chunks re-run on the degraded serial backend —
+        and the returned list is bit-identical to the undisturbed run.
+        Only when the retry budget is spent does the round abort as a
+        :class:`ChunkError` naming the (round, chunk) coordinates; the
+        wave's pending chunks are cancelled and running ones drained
+        before the error propagates.
         """
         host = self._pool_host
         host._round_seq += 1
@@ -558,8 +520,8 @@ class ExecutionContext:
 
         The chunk boundaries are planned once, on the backend the round
         started on, and never move afterwards — recovery (retry waves,
-        pool respawns, even a mid-round degradation) re-dispatches the
-        *same* spans, so partial results combine in the same order.
+        even a mid-round degradation) re-runs the *same* spans, so
+        partial results combine in the same order.
 
         With adaptive dispatch (the default), a multi-chunk round on the
         threaded backend first passes through the break-even decision
@@ -611,7 +573,7 @@ class ExecutionContext:
         # machinery, no per-chunk invocation tax.  A fault plan keeps
         # the per-chunk loop below so injections keep firing at the
         # same coordinates they would under dispatch.
-        if inline and host._faultplan is None:
+        if inline and host._recovery.plan is None:
             try:
                 fused = [self._call_chunk(fn, 0, n, None, records, ktimes)]
             except Exception:
@@ -631,17 +593,14 @@ class ExecutionContext:
         todo = list(range(len(chunks)))
         while todo:
             wave, todo = todo, []
-            backend = self.backend
-            pooled = not inline and backend != "serial" \
-                and self.workers > 1 and len(chunks) > 1
-            if pooled:
-                dead = self._wave_threaded(fn, chunks, wave, todo, results,
-                                           attempts, n, rid, records, ktimes)
+            if not inline and self.backend != "serial" \
+                    and self.workers > 1 and len(chunks) > 1:
+                if self._wave_threaded(fn, chunks, wave, todo, results,
+                                       attempts, n, rid, records, ktimes):
+                    self._lose_pool(rid)
             else:
-                dead = self._wave_inline(fn, chunks, wave, results,
-                                         attempts, n, rid, records, ktimes)
-            if dead:
-                self._pool_failure(rid)
+                self._wave_inline(fn, chunks, wave, results, attempts,
+                                  n, rid, records, ktimes)
         if measure:
             est.observe_round(backend0, key, len(chunks), units,
                               time.perf_counter() - t0, sum(ktimes),
@@ -690,198 +649,91 @@ class ExecutionContext:
         return res
 
     def _wave_inline(self, fn, chunks, wave, results, attempts,
-                     n: int, rid: int, records, ktimes) -> bool:
+                     n: int, rid: int, records, ktimes) -> None:
         """Inline wave (serial backend, 1 worker, a 1-chunk round, or a
         round adaptive dispatch kept on the coordinator): each chunk
-        retries in place.  An injected WorkerDeath has no pool to kill
-        here, so it consumes retry budget like any other chunk failure
-        — the bottom of the degradation ladder."""
+        retries in place.  A kill on a threaded round still loses the
+        run's pool, so the run degrades and the chunk re-runs; on a
+        serial round it is a failed attempt like any other."""
+        rec = self._pool_host._recovery
         for ci in wave:
             lo, hi = chunks[ci]
-            while True:
-                attempts[ci] += 1
-                fault = self._draw_fault(rid, ci, attempts[ci])
-                try:
-                    results[ci] = self._call_chunk(fn, lo, hi, fault,
-                                                   records, ktimes)
-                    break
-                except Exception as exc:
-                    self._retry_or_raise(ci, chunks[ci], attempts[ci],
-                                         n, rid, exc)
-        return False
+            results[ci], attempts[ci] = rec.run(
+                lambda fault: self._call_chunk(fn, lo, hi, fault, records,
+                                               ktimes),
+                lambda attempt: rec.draw(rid, ci, attempt),
+                ChunkError, _chunk_name(rid, ci, chunks[ci], n),
+                round=rid, attempt=attempts[ci],
+                pool_lost=lambda: self._lose_pool(rid))
 
     def _wave_threaded(self, fn, chunks, wave, todo, results, attempts,
                        n: int, rid: int, records, ktimes) -> bool:
+        """One pooled wave; failed chunks go back on ``todo``.
+
+        A :class:`WorkerDeath` means "the pool is lost" (vs. "the chunk
+        failed"): the chunk is requeued uncharged and the caller
+        degrades the run.  Returns whether the pool was lost.
+        """
+        rec = self._pool_host._recovery
+        draw = rec.draw if rec.plan is not None else None
         pool = self._acquire_pool()
         futs = {}
         for ci in wave:
             attempts[ci] += 1
-            fault = self._draw_fault(rid, ci, attempts[ci])
+            fault = draw(rid, ci, attempts[ci]) if draw else None
             lo, hi = chunks[ci]
             futs[pool.submit(self._call_chunk, fn, lo, hi, fault,
                              records, ktimes)] = ci
-        return self._collect_wave(futs, chunks, todo, results, attempts,
-                                  n, rid)
-
-    def _collect_wave(self, futs, chunks, todo, results, attempts,
-                      n: int, rid: int) -> bool:
-        """Collect one dispatch wave with the full recovery policy.
-
-        A :class:`WorkerDeath` means "the worker died" (vs. "the chunk
-        failed"): dead chunks go back on ``todo`` without burning retry
-        budget — the respawn/degradation budget bounds them instead.
-        Returns whether the pool must be recycled.
-        """
-        host = self._pool_host
-        dead = False
-        pending = set(futs)
-        deadline = None
-        if host._round_timeout:
-            deadline = time.monotonic() + host._round_timeout
-        while pending:
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            done, pending = wait(pending, timeout=timeout)
-            if not done and pending:
-                self._expire_wave(pending, futs, chunks, todo, attempts,
-                                  n, rid)
-                break
-            for f in done:
-                ci = futs[f]
-                try:
-                    res = f.result()
-                except WorkerDeath:
-                    dead = True
-                    todo.append(ci)
-                except Exception as exc:
-                    self._retry_or_raise(ci, chunks[ci], attempts[ci],
-                                         n, rid, exc, pending)
-                    todo.append(ci)
-                else:
-                    results[ci] = res
-        return dead
-
-    def _expire_wave(self, pending, futs, chunks, todo, attempts,
-                     n: int, rid: int) -> None:
-        """The round deadline passed: cancel every straggler and requeue
-        it (running chunks cannot be interrupted, but they are pure —
-        their late results are simply discarded)."""
-        for f in pending:
-            f.cancel()
-        for f in pending:
+        lost = False
+        for f in as_completed(futs):
             ci = futs[f]
-            self._fault_count("fault.timeouts", rid)
-            if self.tracer.enabled:
-                self.tracer.instant("fault.timeout", cat="fault",
-                                    round=rid, chunk=ci)
-            if attempts[ci] > self._pool_host._retries:
-                lo, hi = chunks[ci]
-                raise ChunkError(
-                    f"map_chunks round {rid} chunk {ci} [{lo}, {hi}) of "
-                    f"{n} items timed out after {attempts[ci]} attempt(s)")
-            todo.append(ci)
-
-    def _retry_or_raise(self, ci: int, span, attempt: int, n: int,
-                        rid: int, exc, pending=()) -> None:
-        """Charge one failed attempt: back off and return (the caller
-        requeues the chunk), or abort the wave as a ChunkError."""
-        lo, hi = span
-        if attempt > self._pool_host._retries:
-            self._abort_wave(pending)
-            raise ChunkError(
-                f"map_chunks round {rid} chunk {ci} [{lo}, {hi}) of {n} "
-                f"items failed after {attempt} attempt(s): {exc}") from exc
-        self._fault_count("fault.retries", rid)
-        backoff = self._pool_host._backoff
-        if backoff > 0:
-            time.sleep(min(MAX_BACKOFF, backoff * (2 ** (attempt - 1))))
+            try:
+                results[ci] = f.result()
+            except WorkerDeath:
+                lost = True
+                todo.append(ci)
+            except Exception as exc:
+                try:
+                    rec.retry(attempts[ci], exc, ChunkError,
+                              _chunk_name(rid, ci, chunks[ci], n), rid)
+                except RecoveryError:
+                    self._abort_wave(futs)
+                    raise
+                todo.append(ci)
+        return lost
 
     @staticmethod
-    def _abort_wave(pending) -> None:
+    def _abort_wave(futs) -> None:
         """Cancel what has not started, drain what is running — after
         this returns, no chunk of the aborted wave is still executing,
         so nothing can race a later round."""
-        for f in pending:
+        for f in futs:
             f.cancel()
-        for f in pending:
+        for f in futs:
             if not f.cancelled():
                 try:
                     f.exception()
                 except BaseException:
                     pass
 
-    def _pool_failure(self, rid: int) -> None:
-        """A worker died: recycle the pool, then respawn or degrade.
-
-        The broken pool is torn down either way.  While the respawn
-        budget lasts, the next wave lazily re-creates the pool and
-        re-dispatches only the lost chunks; after that, the run
-        degrades one backend level (threaded -> serial).
-        """
+    def _lose_pool(self, rid: int) -> bool:
+        """A worker died: drop the pool and degrade the run to serial.
+        False on a serial run — there was no pool to lose."""
         host = self._pool_host
-        backend = host._backend
-        if backend == "serial":  # nothing below serial; inline retries
-            return
+        if host._backend == "serial":
+            return False
         if host._pool is not None:
             host._pool.shutdown(wait=False, cancel_futures=True)
             host._pool = None
-        if host._respawns < host._max_respawns:
-            host._respawns += 1
-            self._fault_count("fault.respawns", rid)
-            self._fault_event({"kind": "respawn", "backend": backend,
-                               "round": rid})
-            return
+        host._recovery.degrade(rid, host._backend)
         host._backend = "serial"
-        self._fault_count("fault.degradations", rid)
-        self._fault_event({"kind": "degrade", "from": backend,
-                           "to": "serial", "round": rid})
-
-    # -- fault bookkeeping ---------------------------------------------------
-
-    def _draw_fault(self, rid: int, ci: int, attempt: int):
-        plan = self._pool_host._faultplan
-        if plan is None:
-            return None
-        spec = plan.draw(rid, ci, attempt)
-        if spec is not None:
-            self._fault_count(f"fault.injected.{spec.kind}", rid)
-            if self.tracer.enabled:
-                self.tracer.instant(f"fault.{spec.kind}", cat="fault",
-                                    round=rid, chunk=ci, attempt=attempt)
-        return spec
-
-    def _fault_count(self, name: str, rid: int) -> None:
-        host = self._pool_host
-        host._fault_stats[name] = host._fault_stats.get(name, 0) + 1
-        if self.tracer.enabled:
-            self.tracer.count(name, 1, round=rid)
-
-    def _fault_event(self, event: dict) -> None:
-        host = self._pool_host
-        host._fault_events.append(event)
-        if self.tracer.enabled:
-            self.tracer.instant(f"fault.{event['kind']}", cat="fault", **{
-                k: v for k, v in event.items() if k != "kind"})
+        return True
 
     def fault_record(self) -> dict | None:
         """Digest of the run's fault activity, or ``None`` for a quiet
-        run with no plan (the common case — keeps result rows clean).
-
-        ``counters`` are the run-wide ``fault.*`` totals (injections,
-        retries, timeouts, respawns, degradations); ``events`` the
-        ordered respawn/degradation log; ``plan`` the injection plan's
-        own digest (clause count, seed, events fired per kind) when one
-        was attached.
+        run with no plan (:meth:`repro.runtime.faults.Recovery.record`).
         """
-        host = self._pool_host
-        if host._faultplan is None and not host._fault_stats \
-                and not host._fault_events:
-            return None
-        return {"counters": dict(host._fault_stats),
-                "events": list(host._fault_events),
-                "plan": host._faultplan.describe()
-                if host._faultplan is not None else None}
+        return self._pool_host._recovery.record()
 
     def dispatch_record(self) -> dict | None:
         """Digest of the run's adaptive-dispatch activity, or ``None``

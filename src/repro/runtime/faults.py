@@ -1,26 +1,41 @@
-"""Deterministic fault injection for the execution runtime.
+"""Deterministic fault injection and the runtime's one recovery policy.
 
-The runtime's recovery machinery (per-chunk retry, round deadlines,
-worker respawn, backend degradation — see
-:meth:`~repro.runtime.ExecutionContext.map_chunks`) is only trustworthy
-if every recovery path can be exercised *on demand and reproducibly*.
-A :class:`FaultPlan` is a seeded, deterministic schedule of injected
-faults addressed by ``(round, chunk)`` coordinates: round ids are the
-run-wide :meth:`map_chunks` sequence numbers shared by every context of
-one run, chunk ids index the round's chunk list, so the same plan hits
-the same coordinates on every backend and on every re-run.
+Every algorithm here is a sequence of pure parallel rounds, and the
+color bounds depend only on the ADG order and the rounds — never on the
+executor.  So re-running a failed chunk or shard cannot change a color,
+and one rule is enough at every level.  :class:`Recovery` is that rule:
+owned by the run's pool host, it is the only code that draws injected
+faults, charges failed attempts, sleeps the capped backoff, and books
+the ``fault.*`` counters and events.  A :class:`FaultPlan` makes every
+path reproducible on demand: a seeded, deterministic schedule of
+injected faults addressed by ``(round, chunk)`` coordinates — round ids
+are the run-wide :meth:`~repro.runtime.ExecutionContext.map_chunks`
+sequence numbers shared by every context of one run, chunk ids index
+the round's chunk list — or by shard id.
 
-Three fault kinds:
+Three fault kinds: ``error`` raises :class:`FaultInjected` (a kernel
+bug, a transient allocation failure); ``delay`` sleeps ``param``
+seconds, then runs (a straggler); ``kill`` raises :class:`WorkerDeath`
+(a thread cannot be killed safely, so worker death is simulated).
 
-- ``error`` — the chunk raises :class:`FaultInjected` instead of
-  running (a kernel bug, a transient allocation failure);
-- ``delay`` — the chunk sleeps ``param`` seconds before running (a
-  straggler; combine with ``$REPRO_ROUND_TIMEOUT`` to exercise the
-  deadline path);
-- ``kill`` — worker death.  Threads cannot be killed safely, so the
-  chunk raises :class:`WorkerDeath`, which the runtime treats exactly
-  like a dead worker: pool respawn, or backend degradation once the
-  respawn budget is spent.
+The policy, level by fault kind (``retries`` is ``$REPRO_RETRIES``,
+default 2; each retry sleeps ``backoff * 2**(attempt-1)`` seconds,
+``$REPRO_BACKOFF`` default 0.02, capped at :data:`MAX_BACKOFF`)::
+
+    level            error, or any exception     kill
+    ---------------  --------------------------  --------------------------
+    threaded round   retry in place, then        pool lost: degrade to
+    (pooled/inline)  ChunkError                  serial at once; only the
+                                                 lost chunks re-run, over
+                                                 the same chunk plan
+    serial round     retry in place, then        a failed attempt (retry,
+                     ChunkError                  then ChunkError)
+    shard engine     retry in place, then        a failed attempt (retry,
+                     ShardError                  then ShardError)
+    service request  RecoveryError: re-run once on a quiet serial context
+                     (``degraded: true``); anything else: error response
+
+``ChunkError`` and ``ShardError`` are both :class:`RecoveryError`.
 
 Plan grammar (``$REPRO_FAULTS`` or the ``faults=`` argument)::
 
@@ -51,9 +66,9 @@ Examples::
                          # retry budget < 5 -> ChunkError)
     delay@7.2:0.25       # chunk 2 of round 7 sleeps 250 ms first
     kill@5.*             # every chunk of round 5 kills its worker
-    kill@s1              # shard 1's engine worker dies on attempt 1
+    kill@s1              # shard 1's engine dies on attempt 1 (re-run)
     kill@s*x99           # every shard dies on every attempt (exhausts
-                         # the respawn budget -> unsharded degradation)
+                         # the retry budget -> ShardError)
     error%0.01;seed=42   # 1% of all (round, chunk) dispatches fail once
 
 Explicit and probabilistic clauses only fire while ``attempt`` stays in
@@ -76,6 +91,9 @@ KINDS = ("error", "delay", "kill")
 #: Sleep applied by a ``delay`` clause with no explicit PARAM.
 DEFAULT_DELAY = 0.05
 
+#: Cap on one retry-backoff sleep, seconds.
+MAX_BACKOFF = 1.0
+
 
 class FaultInjected(RuntimeError):
     """An injected chunk failure (the ``error`` fault kind)."""
@@ -84,6 +102,17 @@ class FaultInjected(RuntimeError):
 class WorkerDeath(FaultInjected):
     """An injected worker death (the ``kill`` fault kind, simulated
     because a pool thread cannot be killed safely)."""
+
+
+class RecoveryError(RuntimeError):
+    """A unit of work failed for good: its retry budget is spent.
+
+    The base of :class:`~repro.runtime.ChunkError` (one chunk of a
+    round) and :class:`~repro.runtime.ShardError` (one shard engine);
+    the message names the unit and the attempt count, and the last
+    failure is chained.  The service re-runs a request on a quiet
+    serial context on exactly this type, and on nothing else.
+    """
 
 
 @dataclass(frozen=True)
@@ -274,8 +303,8 @@ def apply_fault(spec: FaultSpec) -> None:
 
     ``delay`` sleeps and returns — the chunk then runs normally;
     ``error`` raises :class:`FaultInjected`; ``kill`` raises
-    :class:`WorkerDeath` (the simulated death the runtime routes
-    through its pool-failure path).
+    :class:`WorkerDeath` (the simulated death :class:`Recovery`
+    treats as a lost pool on a threaded round).
     """
     if spec.kind == "delay":
         time.sleep(spec.param or DEFAULT_DELAY)
@@ -330,15 +359,118 @@ def default_backoff() -> float:
     return _env_number("REPRO_BACKOFF", 0.02, float, 0.0)
 
 
-def default_round_timeout() -> float | None:
-    """Per-round deadline seconds: $REPRO_ROUND_TIMEOUT, else off.
+# -- the recovery policy ------------------------------------------------------
 
-    Unset, empty, or ``0`` disables the deadline.
+class Recovery:
+    """The run's one fault-recovery policy (see the module docstring).
+
+    Owned by the pool host of an :class:`~repro.runtime.ExecutionContext`
+    and shared by its child contexts and its sharded executor, so round
+    ids, budgets, counters and events are run-wide.  ``retries`` and
+    ``backoff`` of ``None`` resolve via ``$REPRO_RETRIES`` /
+    ``$REPRO_BACKOFF``.
     """
-    value = _env_number("REPRO_ROUND_TIMEOUT", None, float, 0.0)
-    return None if not value else value
 
+    def __init__(self, plan: FaultPlan | None, retries: int | None,
+                 backoff: float | None, tracer):
+        self.plan = plan
+        self.retries = default_retries() if retries is None else retries
+        self.backoff = default_backoff() if backoff is None else backoff
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.backoff < 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+        self.tracer = tracer
+        self.counters: dict[str, int] = {}
+        self.events: list[dict] = []
 
-def default_max_respawns() -> int:
-    """Pool-respawn budget before degradation: $REPRO_RESPAWNS, else 2."""
-    return _env_number("REPRO_RESPAWNS", 2, int, 0)
+    def _count(self, name: str, round: int) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
+        if self.tracer.enabled:
+            self.tracer.count(name, 1, round=round)
+
+    def _injected(self, spec: FaultSpec | None, rid: int,
+                  where: dict) -> FaultSpec | None:
+        if spec is not None:
+            self._count(f"fault.injected.{spec.kind}", rid)
+            if self.tracer.enabled:
+                self.tracer.instant(f"fault.{spec.kind}", cat="fault",
+                                    **where)
+        return spec
+
+    def draw(self, round: int, chunk: int,
+             attempt: int) -> FaultSpec | None:
+        """The fault injected into one chunk dispatch, if any."""
+        if self.plan is None:
+            return None
+        return self._injected(self.plan.draw(round, chunk, attempt), round,
+                              {"round": round, "chunk": chunk,
+                               "attempt": attempt})
+
+    def draw_shard(self, shard: int, attempt: int) -> FaultSpec | None:
+        """The fault injected into one shard-engine dispatch, if any."""
+        if self.plan is None:
+            return None
+        return self._injected(self.plan.draw_shard(shard, attempt), 0,
+                              {"shard": shard, "attempt": attempt})
+
+    def retry(self, attempt: int, exc: BaseException, error: type,
+              what: str, round: int = 0) -> None:
+        """Charge one failed attempt of ``what``.
+
+        Past the budget, raise ``error`` (a :class:`RecoveryError`
+        subclass) chaining ``exc``; otherwise count a retry and sleep
+        the capped backoff — the caller then re-runs the unit.
+        """
+        if attempt > self.retries:
+            raise error(f"{what} failed after {attempt} attempt(s): "
+                        f"{exc}") from exc
+        self._count("fault.retries", round)
+        if self.backoff > 0:
+            time.sleep(min(MAX_BACKOFF, self.backoff * 2 ** (attempt - 1)))
+
+    def run(self, call, draw, error: type, what: str, round: int = 0,
+            attempt: int = 0, pool_lost=None):
+        """Run ``call(fault)`` in place until it returns.
+
+        ``draw(attempt)`` picks each attempt's injected fault.  A
+        failure is charged through :meth:`retry`, except a ``kill``
+        for which ``pool_lost()`` reports a pool it just gave up: that
+        attempt re-runs uncharged.  ``attempt`` is the count already
+        spent on the unit.  Returns ``(result, attempts)``.
+        """
+        while True:
+            attempt += 1
+            fault = draw(attempt)
+            try:
+                return call(fault), attempt
+            except WorkerDeath as exc:
+                if pool_lost is None or not pool_lost():
+                    self.retry(attempt, exc, error, what, round)
+            except Exception as exc:
+                self.retry(attempt, exc, error, what, round)
+
+    def degrade(self, round: int, backend: str) -> None:
+        """Book the run's drop from ``backend`` to serial."""
+        self._count("fault.degradations", round)
+        event = {"kind": "degrade", "from": backend, "to": "serial",
+                 "round": round}
+        self.events.append(event)
+        if self.tracer.enabled:
+            self.tracer.instant("fault.degrade", cat="fault", **{
+                k: v for k, v in event.items() if k != "kind"})
+
+    def record(self) -> dict | None:
+        """Digest for ``ColoringResult.faults``, or ``None`` for a quiet
+        run with no plan (the common case — keeps result rows clean).
+
+        ``counters`` are the run-wide ``fault.*`` totals (injections,
+        retries, degradations); ``events`` the ordered degradation log;
+        ``plan`` the injection plan's own digest when one was attached.
+        """
+        if self.plan is None and not self.counters and not self.events:
+            return None
+        return {"counters": dict(self.counters),
+                "events": list(self.events),
+                "plan": self.plan.describe()
+                if self.plan is not None else None}

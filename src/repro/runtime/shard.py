@@ -17,16 +17,15 @@ engine's working set is its shard's sub-CSR, never the whole graph,
 and colors and accounting books merge in shard order, so they are
 independent of the backend and worker count.
 
-Fault semantics extend :mod:`repro.runtime.faults` to shard
-granularity.  A shard-addressed ``kill`` raises
-:class:`~repro.runtime.faults.WorkerDeath`, which draws on the run's
-respawn budget (``$REPRO_RESPAWNS``) — the shard re-runs from scratch.
-A shard ``error`` retries against the run's retry budget
-(``$REPRO_RETRIES``), then raises :class:`ShardError`.  When the
-respawn budget is spent the layer *degrades to unsharded execution*:
-:meth:`ShardedContext.run` returns ``None`` and the calling engine
-re-runs the plain single-context path — same colors, one level down
-the sturdiness ladder.
+Faults follow the run's one recovery policy
+(:class:`~repro.runtime.faults.Recovery`; the level x fault-kind table
+is in :mod:`repro.runtime.faults`).  A shard engine runs on its own
+serial context, so there is no pool to lose: a shard-addressed
+``error`` or ``kill`` — or any exception — is a failed attempt, and the
+shard re-runs from scratch up to the run's retry budget
+(``$REPRO_RETRIES``), then raises :class:`ShardError`.  A re-run shard
+computes the same colors, so the result equals the fault-free sharded
+run, or the run fails loudly.
 
 This module is deliberately engine-agnostic: the caller passes the
 shard runner in, so the runtime layer never imports the coloring
@@ -44,11 +43,10 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..graphs.subgraph import InducedSubgraph, shard_extract
 from ..machine.parallel import split_chunks_weighted
-from ..obs.resources import cpu_seconds, peak_rss_kb
-from .faults import WorkerDeath, apply_fault
+from .faults import RecoveryError, apply_fault
 
 
-class ShardError(RuntimeError):
+class ShardError(RecoveryError):
     """A shard engine failed for good (retry budget exhausted)."""
 
 
@@ -206,120 +204,56 @@ def plan_shards(g: CSRGraph, n_shards: int,
                      cross_v=v[cross].astype(np.int64))
 
 
-# -- the shard call -----------------------------------------------------------
-
-def _call_runner(runner, arrays: dict, scalars: dict) -> dict:
-    """Run one shard engine; augment its record with wall stamps, pid,
-    peak RSS and CPU seconds for the span and resource rows."""
-    t0 = time.perf_counter()
-    c0 = cpu_seconds()
-    record = runner(arrays, **scalars)
-    record["t0"], record["t1"] = t0, time.perf_counter()
-    record["pid"] = os.getpid()
-    record["rss_kb"] = peak_rss_kb()
-    record["cpu_s"] = round(cpu_seconds() - c0, 6)
-    return record
-
-
 # -- the sharded executor -----------------------------------------------------
 
 class ShardedContext:
-    """Run one engine per shard, with the run's recovery policy.
+    """Run one engine per shard, under the run's recovery policy.
 
     ``runner(arrays, **scalars)`` runs one shard engine to completion
     and returns its record (books, round counts).  The parent
-    :class:`~repro.runtime.ExecutionContext` supplies the budgets
-    (retries, backoff, respawns), the fault plan, the tracer,
-    and the fault counters — shard recovery shows up in the same
-    ``fault.*`` digest as chunk recovery, under ``fault.shard.*``
-    names.
-
-    :meth:`run` returns one record per shard (the runner's return
-    value plus timing/pid/RSS), or ``None`` when the respawn budget
-    was exhausted and the caller must degrade to unsharded execution.
+    :class:`~repro.runtime.ExecutionContext`'s pool host owns the
+    :class:`~repro.runtime.faults.Recovery` — fault plan, retry budget,
+    tracer and ``fault.*`` counters — so shard recovery shows up in the
+    same digest as chunk recovery.
     """
 
     def __init__(self, ctx, plan: ShardPlan, runner):
         self.ctx = ctx
         self.plan = plan
         self.runner = runner
-        self.respawns = 0
-        self.degraded = False
 
-    # The budgets live on the parent run's pool host, so sharded and
-    # chunked recovery share one policy (and one $REPRO_* seam).
-
-    @property
-    def _host(self):
-        return self.ctx._pool_host
-
-    def _draw(self, sid: int, attempt: int):
-        plan = self._host._faultplan
-        if plan is None:
-            return None
-        spec = plan.draw_shard(sid, attempt)
-        if spec is not None:
-            self.ctx._fault_count(f"fault.injected.{spec.kind}", 0)
-            if self.ctx.tracer.enabled:
-                self.ctx.tracer.instant(f"fault.{spec.kind}", cat="fault",
-                                        shard=sid, attempt=attempt)
-        return spec
-
-    def _respawn_or_degrade(self, sid: int) -> bool:
-        """One shard worker died: True to keep going (respawned),
-        False to degrade to unsharded execution."""
-        host = self._host
-        if self.respawns < host._max_respawns:
-            self.respawns += 1
-            self.ctx._fault_count("fault.shard.respawns", 0)
-            self.ctx._fault_event({"kind": "shard-respawn", "shard": sid})
-            return True
-        self.degraded = True
-        self.ctx._fault_count("fault.shard.degradations", 0)
-        self.ctx._fault_event({"kind": "shard-degrade", "shard": sid})
-        return False
-
-    def _retry_or_raise(self, sid: int, attempt: int, exc) -> None:
-        host = self._host
-        if attempt > host._retries:
-            raise ShardError(
-                f"shard {sid} failed after {attempt} attempt(s): "
-                f"{exc}") from exc
-        self.ctx._fault_count("fault.retries", 0)
-        if host._backoff > 0:
-            time.sleep(min(1.0, host._backoff * (2 ** (attempt - 1))))
+    def _call(self, fault, arrays: dict, scalars: dict) -> dict:
+        """One shard-engine attempt; the record gains wall stamps for
+        the shard span."""
+        if fault is not None:
+            apply_fault(fault)
+        t0 = time.perf_counter()
+        record = self.runner(arrays, **scalars)
+        record["t0"], record["t1"] = t0, time.perf_counter()
+        return record
 
     def run(self, shard_arrays: list[dict],
-            shard_scalars: list[dict]) -> list[dict] | None:
+            shard_scalars: list[dict]) -> list[dict]:
         """Execute every shard, in shard order, on the coordinator.
 
         ``shard_arrays[sid]`` maps array names to the shard's NumPy
         arrays; ``shard_scalars[sid]`` the keyword arguments for the
         runner, which mutates the caller's arrays (colors) in place.
-        Each shard draws its faults at (shard, attempt) coordinates; an
-        injected kill draws on the respawn budget, ending in unsharded
-        degradation (``None``) once it is spent.
+        Each shard draws its faults at (shard, attempt) coordinates and
+        re-runs in place until it succeeds or raises :class:`ShardError`.
         """
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.count("shard.dispatched", len(shard_arrays))
-        results: list[dict | None] = [None] * len(shard_arrays)
+        rec = self.ctx._pool_host._recovery
+        results: list[dict] = []
         for sid, (arrays, scalars) in enumerate(zip(shard_arrays,
                                                     shard_scalars)):
-            attempt = 0
-            while True:
-                attempt += 1
-                fault = self._draw(sid, attempt)
-                try:
-                    if fault is not None:
-                        apply_fault(fault)
-                    results[sid] = _call_runner(self.runner, arrays, scalars)
-                    break
-                except WorkerDeath:
-                    if not self._respawn_or_degrade(sid):
-                        return None
-                except Exception as exc:
-                    self._retry_or_raise(sid, attempt, exc)
+            record, _ = rec.run(
+                lambda fault: self._call(fault, arrays, scalars),
+                lambda attempt: rec.draw_shard(sid, attempt),
+                ShardError, f"shard {sid}")
+            results.append(record)
         self._record_spans(results)
         return results
 
@@ -331,12 +265,5 @@ class ShardedContext:
         # (same monotonic clock).
         epoch = time.perf_counter() - tracer.now()
         for sid, rec in enumerate(results):
-            if rec is None:
-                continue
             tracer.record(f"shard{sid}", "shard", rec["t0"] - epoch,
-                          rec["t1"] - epoch, tid=rec.get("pid"),
-                          shard=sid)
-
-    def digest(self) -> dict:
-        """Execution half of the ``ColoringResult.shards`` record."""
-        return {"respawns": self.respawns, "degraded": self.degraded}
+                          rec["t1"] - epoch, shard=sid)

@@ -20,16 +20,18 @@ Guarantees the tests lean on:
   :class:`asyncio.Condition` per graph), so concurrent deltas from many
   clients serialize deterministically while requests on *other* graphs
   proceed in parallel.
-- **Fault-aware completion**: an engine call that dies under an
-  injected fault plan (worker death, chunk errors beyond the runtime's
-  own retry/respawn/degradation ladder) is retried once on a fresh,
-  quiet, serial context; the response then reports
-  ``"degraded": True`` — the request future always completes, it never
+- **Fault-aware completion**: the service is the top level of the
+  runtime's one recovery policy (the level x fault-kind table is in
+  :mod:`repro.runtime.faults`).  An engine call that exhausts a retry
+  budget (a :class:`~repro.runtime.RecoveryError`) is re-run once on a
+  fresh, quiet, serial context with the same shard count; the response
+  then reports ``"degraded": True``.  Any other exception becomes an
+  error response — the request future always completes, it never
   hangs.
 
-Every request appends a ``kind="service"`` row to the run ledger (when
-one is configured) and bumps ``svc.*`` metrics on the service's
-:class:`~repro.obs.metrics.MetricsRegistry`.
+Every request — failed ones included — appends one ``kind="service"``
+row to the run ledger (when one is configured) and bumps ``svc.*``
+metrics on the service's :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from ..graphs.delta import GraphDelta, parse_delta_spec
 from ..graphs.generators import gnm_random, grid_2d, kronecker, ring
 from ..obs.ledger import resolve_ledger, service_record
 from ..obs.metrics import MetricsRegistry
-from ..runtime import ExecutionContext
+from ..runtime import ExecutionContext, RecoveryError
 from .cache import ResultCache, cache_key
 
 DEFAULT_ALGORITHM = "DEC-ADG-ITR"
@@ -279,14 +281,14 @@ class ColoringService:
         self._bump(f"svc.op.{op or 'unknown'}")
         t0 = time.perf_counter()
         if entry is None:
-            response = await self._dispatch(op, request, None)
+            response = await self._dispatch_or_error(op, request, None)
         else:
             # FIFO per graph: wait for our ticket, process, advance.
             async with entry.cond:
                 await entry.cond.wait_for(
                     lambda: entry.applied_seq == seq - 1)
             try:
-                response = await self._dispatch(op, request, entry)
+                response = await self._dispatch_or_error(op, request, entry)
             finally:
                 async with entry.cond:
                     entry.applied_seq = seq
@@ -310,6 +312,16 @@ class ColoringService:
         self.ledger.append(service_record(op or "unknown", row))
 
     # -- dispatch ----------------------------------------------------------
+
+    async def _dispatch_or_error(self, op: str, request: dict,
+                                 entry: _GraphEntry | None) -> dict:
+        """:meth:`_dispatch`, with any exception turned into an error
+        response — so every request gets exactly one ledger row."""
+        try:
+            return await self._dispatch(op, request, entry)
+        except Exception as exc:
+            return {"ok": False, "op": op,
+                    "error": f"{type(exc).__name__}: {exc}"}
 
     async def _dispatch(self, op: str, request: dict,
                         entry: _GraphEntry | None) -> dict:
@@ -414,12 +426,15 @@ class ColoringService:
 
     async def _run_engine(self, ctx: ExecutionContext, algorithm: str,
                           g: CSRGraph, kwargs: dict):
-        """Run the engine on the executor; retry once, quiet and serial.
+        """Run the engine on the executor; on a :class:`RecoveryError`
+        re-run it once on a quiet serial context.
 
-        The runtime already retries chunks, respawns dead workers and
-        degrades backends on its own; this is the service-level
-        backstop for plans that exhaust those budgets.  The returned
-        flag reports whether the backstop fired.
+        The runtime already retries chunks and shards and degrades a
+        run whose pool is lost; this level takes over only when a retry
+        budget is spent.  The quiet context keeps the run's shard count
+        and kernel tier, so the answer is the fault-free one.  Any other
+        exception propagates (the request gets an error response).  The
+        returned flag reports whether the re-run fired.
         """
         loop = asyncio.get_running_loop()
 
@@ -431,9 +446,11 @@ class ColoringService:
         try:
             return await loop.run_in_executor(
                 self.executor, run, ctx), False
-        except Exception:
+        except RecoveryError:
             self._bump("svc.retries")
-            quiet = ExecutionContext(backend="serial", faults=False)
+            quiet = ExecutionContext(backend="serial", faults=False,
+                                     shards=ctx.shards,
+                                     kernel_tier=ctx.kernel_tier)
             try:
                 result = await loop.run_in_executor(
                     self.executor, run, quiet)

@@ -210,9 +210,9 @@ class TestAdaptiveParity:
 class TestDegradationParity:
     """Forced mid-algorithm backend degradation keeps bit parity.
 
-    With ``max_respawns=0`` a single injected worker death drops the
-    run from threaded to serial; chunk boundaries were planned before the
-    fault, so the combine order — hence colors, rounds, and books — is
+    A single injected worker death drops the run from threaded to
+    serial at once; chunk boundaries were planned before the fault, so
+    the combine order — hence colors, rounds, and books — is
     untouched.  ``ColoringResult.backend`` records where the run
     *finished* and the degradation event is on the fault record.
     """
@@ -224,11 +224,8 @@ class TestDegradationParity:
     def test_degraded_run_matches_serial(self, parity_graph, backend,
                                          workers, lower):
         serial = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1)
-        # adaptive="off": kill faults only reach the pool on dispatched
-        # rounds, and this class is about the pool's degradation path.
         with ExecutionContext(backend=backend, workers=workers,
-                              faults="kill@4.0", max_respawns=0,
-                              adaptive="off") as ctx:
+                              faults="kill@4.0") as ctx:
             degraded = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1,
                                   ctx=ctx)
         _assert_result_parity(serial, degraded, lower, workers)
@@ -243,8 +240,8 @@ class TestDegradationParity:
         to break, so it is retried in place against the retry budget."""
         serial = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1)
         with ExecutionContext(backend="threaded", workers=2,
-                              faults="kill@3.0;kill@6.0", backoff=0.0,
-                              max_respawns=0, adaptive="off") as ctx:
+                              faults="kill@3.0;kill@6.0",
+                              backoff=0.0) as ctx:
             degraded = jp_by_name(parity_graph, "ADG", seed=0, eps=0.1,
                                   ctx=ctx)
         _assert_result_parity(serial, degraded, "serial", 2)

@@ -317,38 +317,45 @@ class TestChaosMatrix:
         assert outs[1][1] == outs[0][1]
 
 
-class TestPoolRespawn:
-    def test_worker_kill_respawns_pool(self, chaos_graph, baselines):
+class TestPoolLoss:
+    """A kill on a threaded round loses the pool: the run degrades to
+    serial at once, with no respawn, and only the lost chunks re-run."""
+
+    def test_worker_kill_degrades_to_serial(self, chaos_graph, baselines):
         plan = FaultPlan.parse("kill@3.0")
         with ExecutionContext(backend="threaded", workers=2, faults=plan,
-                              max_respawns=2, adaptive="off") as ctx:
+                              adaptive="off") as ctx:
             result = ENGINES["jp-adg"](chaos_graph, ctx)
         _assert_bit_identical(result, baselines["jp-adg"])
-        assert result.backend == "threaded"  # recovered, not degraded
+        assert result.backend == "serial"
         rec = result.faults
-        assert rec["counters"]["fault.respawns"] == 1
-        assert rec["events"] == [{"kind": "respawn", "backend": "threaded",
-                                  "round": 3}]
+        assert rec["counters"] == {"fault.injected.kill": 1,
+                                   "fault.degradations": 1}
+        assert rec["events"] == [{"kind": "degrade", "from": "threaded",
+                                  "to": "serial", "round": 3}]
 
+    def test_kill_record_independent_of_adaptive_mode(self, chaos_graph):
+        """Pooled or inlined, a kill on a threaded round is the same
+        fault: every adaptive mode books the same recovery."""
+        records = {}
+        for mode in ("on", "off", "inline", "parallel"):
+            with ExecutionContext(backend="threaded", workers=2,
+                                  faults="kill@3.0", adaptive=mode) as ctx:
+                records[mode] = ENGINES["jp-adg"](chaos_graph, ctx).faults
+        assert records["off"]["events"] == [
+            {"kind": "degrade", "from": "threaded", "to": "serial",
+             "round": 3}]
+        assert all(r == records["off"] for r in records.values()), records
 
-class TestRoundDeadline:
-    def test_straggler_cancelled_and_retried(self):
+    def test_kill_in_every_chunk_degrades_once(self):
         with ExecutionContext(backend="threaded", workers=2,
-                              faults="delay@1.0:0.5", retries=2,
-                              backoff=0.0, round_timeout=0.1,
-                              adaptive="off") as ctx:
+                              faults="kill@1.*", adaptive="off") as ctx:
             out = ctx.map_chunks(lambda lo, hi: hi - lo, 100)
+            assert ctx.backend == "serial"
         assert sum(out) == 100
         counters = ctx.fault_record()["counters"]
-        assert counters["fault.timeouts"] >= 1
-
-    def test_deadline_exhaustion_raises(self):
-        with ExecutionContext(backend="threaded", workers=2,
-                              faults="delay@1.*:0.5x9", retries=1,
-                              backoff=0.0, round_timeout=0.05,
-                              adaptive="off") as ctx:
-            with pytest.raises(ChunkError, match="timed out after"):
-                ctx.map_chunks(lambda lo, hi: hi - lo, 100)
+        assert counters["fault.degradations"] == 1
+        assert "fault.retries" not in counters
 
 
 class TestWaveCancellation:

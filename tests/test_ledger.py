@@ -38,7 +38,7 @@ from repro.obs.regress import (
     run_matrix,
     write_baseline,
 )
-from repro.obs.resources import merge_worker_probes, resolve_resources
+from repro.obs.resources import resolve_resources
 from repro.runtime import ExecutionContext
 
 
@@ -178,16 +178,6 @@ class TestResources:
         assert coord["peak_rss_kb"] > 0
         assert coord["samples"] >= 1
         assert res.resources["coordinator"]["pid"] == os.getpid()
-
-    def test_merge_worker_probes_dedupes(self):
-        merged = merge_worker_probes([
-            {"pid": 1, "peak_rss_kb": 10, "cpu_s": 0.5},
-            {"pid": 1, "peak_rss_kb": 30, "cpu_s": 0.2},
-            {"pid": 2, "peak_rss_kb": 20, "cpu_s": 0.1, "shard": 1},
-        ])
-        by_pid = {w["pid"]: w for w in merged}
-        assert by_pid[1]["peak_rss_kb"] == 30 and by_pid[1]["cpu_s"] == 0.5
-        assert by_pid[2]["shard"] == 1
 
 
 class TestTraceSummaryCategories:

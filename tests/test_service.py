@@ -225,6 +225,29 @@ class TestServiceLedger:
         delta_row = rows[2]["row"]
         assert delta_row["graph"] == "g" and "digest" in delta_row
 
+    def test_one_row_per_request_failures_included(self, tmp_path):
+        """A request whose op raises still writes its ledger row."""
+        path = str(tmp_path / "svc_ledger.jsonl")
+
+        async def main():
+            async with ColoringService(workers=2, backend="serial",
+                                       ledger=path) as svc:
+                return [
+                    await ask(svc, op="load", graph="g", gen=GNM),
+                    await ask(svc, op="color", graph="g", eps=-1),
+                    await ask(svc, op="color", graph="nope"),
+                    await ask(svc, op="apply_delta", graph="g",
+                              algorithm="Greedy", delta="add:0-1"),
+                ]
+        replies = run(main())
+        assert [r["ok"] for r in replies] == [True, False, False, False]
+        assert validate_ledger(path) == 4
+        rows = read_ledger(path)
+        assert [r["op"] for r in rows] == \
+            ["load", "color", "color", "apply_delta"]
+        assert [r["row"]["ok"] for r in rows] == [True, False, False, False]
+        assert all("error" in r["row"] for r in rows[1:])
+
 
 # -- fault plans: requests complete, never hang -------------------------------
 
@@ -249,8 +272,8 @@ class TestServiceUnderFaults:
 
     def test_kill_plan_on_threaded_backend_completes(self, monkeypatch):
         """Mid-request worker death under the threaded backend: the
-        runtime respawns/degrades or the service backstop fires; either
-        way the future completes with a valid coloring."""
+        runtime degrades the run to serial and the future completes
+        with a valid coloring."""
         monkeypatch.setenv("REPRO_FAULTS", "kill@1.0;seed=7")
         monkeypatch.setenv("REPRO_BACKOFF", "0.0")
 
@@ -288,6 +311,56 @@ class TestServiceUnderFaults:
         noisy = run(one("error@1.0x99;seed=7"))
         assert quiet["colors"] == noisy["colors"]
         assert quiet["colors_digest"] == noisy["colors_digest"]
+
+    def test_engine_error_is_not_retried(self, monkeypatch):
+        """Only a spent retry budget re-runs a request: a plain engine
+        error is one error response, and the engine runs once."""
+        import repro.service.server as server
+
+        calls = []
+        real_color = server.color
+
+        def counting_color(*args, **kwargs):
+            calls.append(args[0])
+            return real_color(*args, **kwargs)
+
+        monkeypatch.setattr(server, "color", counting_color)
+
+        async def main():
+            async with ColoringService(workers=1, backend="serial") as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                r = await ask(svc, op="color", graph="g",
+                              algorithm="DEC-ADG-ITR", eps=-1)
+                stats = await ask(svc, op="stats")
+                return r, stats
+        r, stats = run(main())
+        assert r["ok"] is False and "eps" in r["error"]
+        assert "degraded" not in r
+        assert "svc.retries" not in stats["metrics"]
+        assert calls == ["DEC-ADG-ITR"]
+
+    def test_exhausted_shard_budget_degrades(self, monkeypatch):
+        """``kill@s*x99`` exhausts every shard's retry budget; the
+        service re-runs quietly with the same shard count, so the
+        answer equals the fault-free sharded one."""
+        async def one(env):
+            if env:
+                monkeypatch.setenv("REPRO_FAULTS", env)
+                monkeypatch.setenv("REPRO_BACKOFF", "0.0")
+            else:
+                monkeypatch.delenv("REPRO_FAULTS", raising=False)
+            async with ColoringService(workers=1, backend="serial",
+                                       shards=4) as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                return await ask(svc, op="color", graph="g",
+                                 algorithm="DEC-ADG-ITR", eps=0.01, seed=0)
+
+        quiet = run(one(""))
+        noisy = run(one("kill@s*x99"))
+        assert noisy["ok"] is True and noisy["degraded"] is True
+        assert "degraded" not in quiet
+        assert noisy["result"]["colors_digest"] == \
+            quiet["result"]["colors_digest"]
 
 
 # -- TCP front end ------------------------------------------------------------
