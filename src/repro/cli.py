@@ -513,14 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run DEC-family engines through the sharding "
                             "layer with N per-shard engines (default: "
                             "$REPRO_SHARDS or off; 0 disables)")
-        p.add_argument("--kernel-tier", dest="kernel_tier",
-                       choices=["auto", "numpy", "numba"],
-                       default=None,
-                       help="hot-trio kernel implementation (default: "
-                            "$REPRO_KERNEL_TIER or auto): auto uses the "
-                            "compiled numba tier when importable and "
-                            "falls back to numpy silently; colors are "
-                            "bit-identical across tiers")
 
     p_color = sub.add_parser("color", help="run a coloring algorithm")
     common(p_color)
@@ -664,7 +656,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     for flag, env in (("faults", "REPRO_FAULTS"),
                       ("adaptive", "REPRO_ADAPTIVE"),
                       ("shards", "REPRO_SHARDS"),
-                      ("kernel_tier", "REPRO_KERNEL_TIER"),
                       ("ledger", "REPRO_LEDGER")):
         value = getattr(args, flag, None)
         # --shards 0 must override an ambient $REPRO_SHARDS (it means
@@ -680,12 +671,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "trace", None) and "REPRO_TRACE" in os.environ:
         saved["REPRO_TRACE"] = os.environ.pop("REPRO_TRACE")
     try:
-        # Resolve the kernel tier up front so even context-less engines
-        # (GM, Greedy) run under the requested tier, and an explicit
-        # --kernel-tier numba without numba fails loudly before any
-        # work starts.
-        from .primitives.tiers import resolve_kernel_tier, set_kernel_tier
-        set_kernel_tier(resolve_kernel_tier(None))
         return args.fn(args)
     finally:
         for env, old in saved.items():

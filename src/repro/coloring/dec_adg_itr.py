@@ -218,7 +218,6 @@ def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
                              wall_seconds=wall,
                              reorder_wall_seconds=reorder_wall,
                              backend=ctx.backend, workers=ctx.workers,
-                             kernel_tier=ctx.kernel_tier,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
                              faults=ctx.fault_record(),

@@ -182,7 +182,6 @@ def jp(g: CSRGraph, ordering: Ordering, use_fused_ranks: bool = True,
                              reorder_mem=ordering.mem, rounds=waves,
                              wall_seconds=wall, backend=ctx.backend,
                              workers=ctx.workers,
-                             kernel_tier=ctx.kernel_tier,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
                              faults=ctx.fault_record(),

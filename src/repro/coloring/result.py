@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,12 +21,13 @@ class ColoringResult:
     ordering phase (the paper's Fig. 1 splits run-times into reordering
     and coloring); ``cost`` holds the coloring phase.
 
-    ``backend``/``workers``/``kernel_tier`` record the execution
-    configuration the run used (colors are backend- and tier-independent
-    by construction; wall times are not), and ``phase_walls`` the
-    per-phase wall-clock split from
-    the :class:`~repro.runtime.ExecutionContext` timers (exclusive
-    time per phase).
+    ``backend``/``workers`` record the execution configuration the run
+    used (colors are backend-independent by construction; wall times
+    are not); ``kernel_tier`` is always ``"numpy"`` — kernels are
+    NumPy, and colors do not depend on the kernel implementation.
+    ``phase_walls`` is the per-phase wall-clock split from the
+    :class:`~repro.runtime.ExecutionContext` timers (exclusive time
+    per phase).
 
     ``trace_summary`` is ``None`` unless the run was traced
     (:mod:`repro.obs`): then it carries the tracer digest — event
@@ -73,7 +75,7 @@ class ColoringResult:
     reorder_wall_seconds: float = 0.0
     backend: str = "serial"
     workers: int = 1
-    kernel_tier: str = "numpy"
+    kernel_tier: ClassVar[str] = "numpy"
     phase_walls: dict[str, float] = field(default_factory=dict)
     trace_summary: dict | None = None
     faults: dict | None = None

@@ -249,7 +249,6 @@ def sharded_color(g: CSRGraph, algorithm: str, eps: float,
                           wall_seconds=wall,
                           reorder_wall_seconds=reorder_wall,
                           backend=ctx.backend, workers=ctx.workers,
-                          kernel_tier=ctx.kernel_tier,
                           phase_walls=dict(ctx.wall_by_phase),
                           trace_summary=ctx.trace_summary(),
                           faults=ctx.fault_record(),

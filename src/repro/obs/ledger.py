@@ -204,16 +204,13 @@ def git_sha() -> str | None:
 
 
 def cell_key(graph_name: str, algorithm: str, backend: str, workers: int,
-             shards: int, kernel_tier: str = "numpy") -> str:
+             shards: int) -> str:
     """The ledger's comparison key: one configuration cell.
 
-    ``kernel_tier`` is part of the key so the regression gate never
-    compares walls across tiers — a numpy baseline must not gate a
-    numba candidate (or vice versa); mismatches surface as
-    TIER-MISMATCH instead of bogus wall deltas.
+    The trailing ``numpy`` field names the kernel implementation; it is
+    a constant kept so committed baselines keep matching.
     """
-    return (f"{graph_name}|{algorithm}|{backend}|{workers}|{shards}"
-            f"|{kernel_tier}")
+    return f"{graph_name}|{algorithm}|{backend}|{workers}|{shards}|numpy"
 
 
 def run_record(result, graph=None, *, kind: str = "run",
@@ -231,14 +228,13 @@ def run_record(result, graph=None, *, kind: str = "run",
         shards_digest = result.shards
         n_shards = int(result.shards.get("n_shards", 0))
     gname = graph.name if graph is not None else "?"
-    tier = getattr(result, "kernel_tier", "numpy")
     rec = {
         "schema": LEDGER_SCHEMA,
         "kind": kind,
         "ts": round(time.time(), 3),
         "git_sha": git_sha(),
         "cell": cell_key(gname, result.algorithm, result.backend,
-                         result.workers, n_shards, tier),
+                         result.workers, n_shards),
         "graph": ({"name": graph.name, "n": int(graph.n),
                    "m": int(graph.m), "digest": graph_digest(graph)}
                   if graph is not None else None),
@@ -247,7 +243,7 @@ def run_record(result, graph=None, *, kind: str = "run",
         "backend": result.backend,
         "workers": int(result.workers),
         "shards": n_shards,
-        "kernel_tier": tier,
+        "kernel_tier": "numpy",
         "colors": int(result.num_colors),
         "valid": valid,
         "work": int(result.total_work),
@@ -340,8 +336,8 @@ def validate_ledger_record(rec: dict, where: str = "ledger") -> None:
         _require(isinstance(rec.get("row"), dict), where,
                  "service.row must be an object")
         return
-    # 5 pipes is the current form (…|kernel_tier); 4 pipes is accepted
-    # for ledgers recorded before the kernel-tier field existed.
+    # 5 pipes is the current form (…|numpy); 4 pipes is accepted for
+    # ledgers recorded before that trailing field existed.
     _require(isinstance(rec.get("cell"), str)
              and rec["cell"].count("|") in (4, 5), where,
              "cell must be 'graph|algorithm|backend|workers|shards"

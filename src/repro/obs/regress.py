@@ -155,28 +155,17 @@ def check(records: list[dict], baseline: dict, k: int | None = None,
 
     Returns ``(rows, regressions)``: one human-diff row per (cell,
     metric) with base, candidate, allowed limit, and status (``ok`` /
-    ``improved`` / ``REGRESSED`` / ``MISSING`` / ``TIER-MISMATCH``).  A
-    missing cell or metric counts as a regression — the gate must see
-    the whole matrix.  A baseline cell whose configuration ran under a
-    *different kernel tier* (same graph/algorithm/backend/workers/shards
-    prefix, different trailing tier) fails as TIER-MISMATCH instead of
-    comparing walls across tiers.
+    ``improved`` / ``REGRESSED`` / ``MISSING``).  A missing cell or
+    metric counts as a regression — the gate must see the whole matrix.
     """
     k = k if k is not None else int(baseline.get("k", DEFAULT_K))
     policies = _thresholds(baseline)
     head = head_by_cell(records, k)
-    # Tier-insensitive prefix -> head cells, to tell "this cell ran
-    # under another tier" apart from "this cell did not run at all".
-    head_prefixes: dict[str, list[str]] = {}
-    for hc in head:
-        head_prefixes.setdefault(_cell_prefix(hc), []).append(hc)
     rows: list[dict] = []
     failures = 0
     for cell in sorted(baseline.get("cells", {})):
         base_metrics = baseline["cells"][cell]
         cand = head.get(cell)
-        siblings = [hc for hc in head_prefixes.get(_cell_prefix(cell), [])
-                    if hc != cell]
         for metric in sorted(base_metrics):
             if only is not None and metric not in only:
                 continue
@@ -187,8 +176,7 @@ def check(records: list[dict], baseline: dict, k: int | None = None,
             row = {"cell": cell, "metric": metric, "base": _fmt(base),
                    "candidate": _fmt(candv), "limit": "", "status": "ok"}
             if candv is None:
-                row["status"] = "TIER-MISMATCH" \
-                    if cand is None and siblings else "MISSING"
+                row["status"] = "MISSING"
                 failures += 1
                 rows.append(row)
                 continue
@@ -208,16 +196,6 @@ def check(records: list[dict], baseline: dict, k: int | None = None,
                     row["status"] = "improved"
             rows.append(row)
     return rows, failures
-
-
-def _cell_prefix(cell: str) -> str:
-    """A cell key minus its kernel-tier field (tier-insensitive match).
-
-    Pre-tier 5-field cells are their own prefix, so legacy baselines
-    keep exact-match semantics.
-    """
-    parts = cell.split("|")
-    return "|".join(parts[:5]) if len(parts) >= 6 else cell
 
 
 def _fmt(value):
@@ -294,14 +272,11 @@ def run_matrix(ledger_path: str = DEFAULT_LEDGER_PATH, repeats: int = 3,
 
 def matrix_cells(seed: int = 0) -> list[str]:
     """The cell keys the fixed matrix produces (for docs and tests)."""
-    from ..primitives.tiers import resolve_kernel_tier
-
-    tier = resolve_kernel_tier(None)
     keys = []
     for cell in MATRIX:
         g = _gen(cell["gen"], seed)
         keys.append(cell_key(g.name, cell["algorithm"], cell["backend"],
-                             cell["workers"], cell["shards"], tier))
+                             cell["workers"], cell["shards"]))
     return keys
 
 

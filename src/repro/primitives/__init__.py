@@ -13,14 +13,6 @@ from .kernels import (
     segment_max,
     segment_sum,
 )
-from .tiers import (
-    KERNEL_TIERS,
-    active_kernel_tier,
-    default_kernel_tier,
-    numba_available,
-    resolve_kernel_tier,
-    set_kernel_tier,
-)
 from .reduce_ops import average, count, count_members, reduce_sum, reduce_with
 from .scan import pack_indices, prefix_sum
 from .sorting import (
@@ -34,8 +26,6 @@ from .sorting import (
 __all__ = [
     "decrement_and_fetch", "fetch_and_add",
     "ScratchArena", "fallback_arena",
-    "KERNEL_TIERS", "active_kernel_tier", "default_kernel_tier",
-    "numba_available", "resolve_kernel_tier", "set_kernel_tier",
     "grouped_mex", "grouped_mex_bruteforce", "multi_slice_gather",
     "segment_any", "segment_count", "segment_ids", "segment_max", "segment_sum",
     "average", "count", "count_members", "reduce_sum", "reduce_with",

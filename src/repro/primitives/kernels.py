@@ -12,8 +12,6 @@ import threading
 
 import numpy as np
 
-from . import tiers as _tiers
-
 
 class ScratchArena:
     """Keyed pool of reusable NumPy buffers for allocation-free hot paths.
@@ -82,10 +80,9 @@ def fallback_arena() -> ScratchArena:
     """Thread-local :class:`ScratchArena` for callers without one.
 
     Hot paths that can be reached scratch-less (the single-group
-    ``grouped_mex`` of late JP-wave stragglers, the compiled tier's
-    intermediates) draw from this arena instead of allocating fresh
-    every call.  Thread-local so the threaded backend's workers never
-    share buffers.
+    ``grouped_mex`` of late JP-wave stragglers) draw from this arena
+    instead of allocating fresh every call.  Thread-local so the
+    threaded backend's workers never share buffers.
     """
     arena = getattr(_FALLBACK_TLS, "arena", None)
     if arena is None:
@@ -104,8 +101,6 @@ def segment_ids(counts: np.ndarray, *, out: np.ndarray | None = None) -> np.ndar
     place — mark segment starts, prefix-sum — and the filled ``out``
     view is returned; no allocation proportional to the total.
     """
-    if _tiers._ACTIVE == "numba":
-        return _tiers._COMPILED.segment_ids(counts, out=out)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         return np.empty(0, dtype=np.int64) if out is None else out[:0]
@@ -144,9 +139,6 @@ def multi_slice_gather(data: np.ndarray, starts: np.ndarray,
     ``segment_ids(counts)`` so it is not rebuilt.  The result is
     bit-identical on every path — only where the temporaries live moves.
     """
-    if _tiers._ACTIVE == "numba":
-        return _tiers._COMPILED.multi_slice_gather(
-            data, starts, counts, out=out, seg=seg, scratch=scratch)
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if starts.shape != counts.shape:
@@ -230,9 +222,6 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
     ``1..c+1`` answers directly — the common shape of late JP waves,
     where one straggler vertex colors alone.
     """
-    if _tiers._ACTIVE == "numba":
-        return _tiers._COMPILED.grouped_mex(group, values, n_groups,
-                                            scratch=scratch)
     group = np.asarray(group, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     if group.shape != values.shape:

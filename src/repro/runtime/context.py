@@ -99,7 +99,6 @@ from ..obs import resolve_tracer
 from ..obs.ledger import resolve_ledger, run_record
 from ..obs.resources import ResourceSampler, resolve_resources
 from ..primitives.kernels import ScratchArena
-from ..primitives.tiers import resolve_kernel_tier, set_kernel_tier
 from .adaptive import (
     DispatchEstimator,
     effective_parallelism,
@@ -279,7 +278,6 @@ class ExecutionContext:
                  backoff: float | None = None,
                  adaptive=None,
                  shards: int | None = None,
-                 kernel_tier: str | None = None,
                  ledger=None, resources=None,
                  _pool_host: "ExecutionContext | None" = None):
         # The host carries the run-wide state (pool, backend, fault
@@ -289,13 +287,6 @@ class ExecutionContext:
         resolved = check_backend(backend) if backend is not None \
             else default_backend()
         self._backend = resolved
-        if self._pool_host is self:
-            # Resolve the run's kernel tier (argument > $REPRO_KERNEL_TIER
-            # > auto) and make it the process-global active tier now, so
-            # any one-shot calibration the adaptive layer runs measures
-            # the tier the run will actually execute.
-            self._kernel_tier = resolve_kernel_tier(kernel_tier)
-            set_kernel_tier(self._kernel_tier)
         if resolved == "serial":
             self.workers = 1
         else:
@@ -313,7 +304,6 @@ class ExecutionContext:
             self.tracer.meta.setdefault("backend", self.backend)
             self.tracer.meta.setdefault("workers", self.workers)
             self.tracer.meta.setdefault("adaptive", self.adaptive)
-            self.tracer.meta.setdefault("kernel_tier", self.kernel_tier)
         self._pool: ThreadPoolExecutor | None = None
         # Open-phase stack: [name, child_wall_seconds] frames, for
         # exclusive timing and for labeling traced rounds.
@@ -357,12 +347,6 @@ class ExecutionContext:
         degradation in any context of the run (ordering child, coloring
         parent) is visible everywhere."""
         return self._pool_host._backend
-
-    @property
-    def kernel_tier(self) -> str:
-        """The run's *resolved* kernel tier ('numpy' or 'numba', never
-        'auto') — run-wide, like the backend."""
-        return self._pool_host._kernel_tier
 
     @property
     def ledger(self):
@@ -428,7 +412,7 @@ class ExecutionContext:
         """Zero the cost/mem books and phase timers, keep the machinery.
 
         The service layer calls this between requests so one long-lived
-        context (pool, kernel tier, fault budgets all persist)
+        context (pool and fault budgets persist)
         yields per-request accounting instead of a running total.
         """
         self.cost = CostModel(crew=self.cost.crew)
@@ -535,10 +519,6 @@ class ExecutionContext:
         if not chunks:
             return []
         host = self._pool_host
-        # Re-assert the run's tier each round (a cheap no-op while it
-        # is already active): two interleaved contexts with different
-        # tiers in one process each execute under their own.
-        set_kernel_tier(host._kernel_tier)
         est = host._estimator
         backend0 = self.backend
         eligible = est is not None and backend0 != "serial" \
@@ -546,13 +526,8 @@ class ExecutionContext:
         inline = False
         p_eff = 1
         units = 0.0
-        # The estimator's EWMA unit costs are tier-specific (a fused
-        # numba kernel has a very different s/unit than its NumPy
-        # form), so break-even decisions re-learn after a tier switch.
         key = fn.name if isinstance(fn, Kernel) \
             else getattr(fn, "__name__", None)
-        if key is not None:
-            key = f"{key}@{host._kernel_tier}"
         if eligible:
             # Weights estimate work only when they also shape the chunks
             # (weighted_chunks on); otherwise the round is sized by count.
@@ -744,7 +719,7 @@ class ExecutionContext:
         pool; ``unit_s``/``dispatch_s`` expose the learned model
         (seconds per work unit per kernel, per-chunk overhead per
         backend) and ``seeded`` how each backend's overhead estimate
-        was born (``calibrated`` through the real pool, or ``static``).
+        was born (always ``calibrated``, through the real pool).
         """
         host = self._pool_host
         est = host._estimator
@@ -804,7 +779,6 @@ class ExecutionContext:
         including the exclusive per-phase wall split recorded so far."""
         return {"backend": self.backend, "workers": self.workers,
                 "adaptive": self.adaptive,
-                "kernel_tier": self.kernel_tier,
                 "wall_by_phase": dict(self.wall_by_phase)}
 
 
@@ -819,7 +793,6 @@ def resolve_context(ctx: ExecutionContext | None,
                     faults=None,
                     adaptive=None,
                     shards: int | None = None,
-                    kernel_tier: str | None = None,
                     ) -> tuple[ExecutionContext, bool]:
     """Return ``(context, owns)`` for an engine entry point.
 
@@ -836,4 +809,4 @@ def resolve_context(ctx: ExecutionContext | None,
                             trace=trace,
                             weighted_chunks=weighted_chunks,
                             faults=faults, adaptive=adaptive,
-                            shards=shards, kernel_tier=kernel_tier), True
+                            shards=shards), True

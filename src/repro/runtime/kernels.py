@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..primitives import tiers as _tiers
 from ..primitives.kernels import (
     ScratchArena,
     grouped_mex,
@@ -46,8 +45,7 @@ class Kernel:
     """One round's per-chunk work: a :data:`KERNELS` name, the arrays
     it reads, and its scalar arguments.
 
-    Calling the descriptor runs the kernel on the arrays as given,
-    under the process-global kernel tier the runtime asserts each round.
+    Calling the descriptor runs the kernel on the arrays as given.
     """
 
     name: str
@@ -121,14 +119,6 @@ def jp_wave(lo: int, hi: int, a: dict):
     """
     part = a["frontier"][lo:hi]
     ranks, colors = a["ranks"], a["colors"]
-    if _tiers._ACTIVE == "numba":
-        # Fully fused compiled path: one pass over the chunk's CSR rows
-        # computes colors, successors, and the wave counters directly —
-        # bit-identical to the NumPy path below (parity-tested).
-        chunk_colors, succ, k, wave_deg = _tiers._COMPILED.jp_wave_fused(
-            a["indptr"], a["indices"], part, ranks, colors,
-            scratch=scratch())
-        return part, chunk_colors, succ, k, wave_deg
     ws = scratch()
     seg, nbrs = _batch_neighbors(a["indptr"], a["indices"], part, ws)
     k = nbrs.size

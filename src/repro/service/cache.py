@@ -4,10 +4,12 @@ A cached entry is safe to replay only if *every* input that can change
 the observable response participates in the key: the graph's content
 digest (so an in-place delta invalidates by construction — see
 ``CSRGraph.content_digest``), the algorithm name, its quality knob
-``eps``, the tiebreak ``seed``, and the execution configuration fields
-the response records (``kernel_tier``, ``shards``).  Colors themselves
-are backend-count-independent by construction, but the response carries
-the configuration, so configuration is part of identity.
+``eps``, the tiebreak ``seed``, and the shard count the response
+records.  Colors themselves are backend-count-independent by
+construction, but the response carries the configuration, so
+configuration is part of identity.  Kernels are NumPy, and colors do
+not depend on the kernel implementation, so no kernel field joins the
+key.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from threading import Lock
 
 
 def cache_key(digest: str, algorithm: str, eps: float, seed,
-              kernel_tier: str, shards: int) -> str:
+              shards: int) -> str:
     """The replay-identity of a color request (see module docstring)."""
     return (f"{digest}|{algorithm}|eps={float(eps)!r}|seed={seed!r}"
-            f"|tier={kernel_tier}|shards={int(shards)}")
+            f"|shards={int(shards)}")
 
 
 class ResultCache:

@@ -4,8 +4,8 @@ Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
 executor with an :class:`~repro.runtime.ExecutionContext` borrowed from
-a long-lived pool (thread pools, kernel tiers and fault budgets persist
-across requests; only the cost/mem books reset between them —
+a long-lived pool (thread pools and fault budgets persist across
+requests; only the cost/mem books reset between them —
 ``ExecutionContext.reset_books``).
 
 Guarantees the tests lean on:
@@ -71,16 +71,14 @@ class ContextPool:
 
     Thread-safe (engine calls run on executor threads).  ``release``
     resets the context's accounting books so the next request starts
-    from zero; thread pools, the kernel tier and fault budgets
-    persist — that is the point of reusing the context.
+    from zero; thread pools and fault budgets persist — that is the
+    point of reusing the context.
     """
 
     def __init__(self, backend: str | None = None,
                  workers: int | None = None,
-                 shards: int | None = None,
-                 kernel_tier: str | None = None) -> None:
-        self._kw = dict(backend=backend, workers=workers, shards=shards,
-                        kernel_tier=kernel_tier)
+                 shards: int | None = None) -> None:
+        self._kw = dict(backend=backend, workers=workers, shards=shards)
         self._lock = threading.Lock()
         self._free: list[ExecutionContext] = []
         self._all: list[ExecutionContext] = []
@@ -186,12 +184,11 @@ class ColoringService:
                  backend: str | None = None,
                  ctx_workers: int | None = None,
                  shards: int | None = None,
-                 kernel_tier: str | None = None,
                  cache_size: int = 128,
                  ledger=None) -> None:
         self.num_workers = max(1, int(workers))
         self.pool = ContextPool(backend=backend, workers=ctx_workers,
-                                shards=shards, kernel_tier=kernel_tier)
+                                shards=shards)
         self.cache = ResultCache(cache_size)
         self.metrics = MetricsRegistry()
         self.ledger = resolve_ledger(ledger)
@@ -384,7 +381,7 @@ class ColoringService:
             key = cache_key(digest, algorithm,
                             kwargs.get("eps", DEFAULT_EPS),
                             kwargs.get("seed", 0),
-                            probe.kernel_tier, probe.shards)
+                            probe.shards)
             if not profile:
                 hit = self.cache.get(key)
                 if hit is not None:
@@ -431,8 +428,8 @@ class ColoringService:
 
         The runtime already retries chunks and shards and degrades a
         run whose pool is lost; this level takes over only when a retry
-        budget is spent.  The quiet context keeps the run's shard count
-        and kernel tier, so the answer is the fault-free one.  Any other
+        budget is spent.  The quiet context keeps the run's shard count,
+        so the answer is the fault-free one.  Any other
         exception propagates (the request gets an error response).  The
         returned flag reports whether the re-run fired.
         """
@@ -449,8 +446,7 @@ class ColoringService:
         except RecoveryError:
             self._bump("svc.retries")
             quiet = ExecutionContext(backend="serial", faults=False,
-                                     shards=ctx.shards,
-                                     kernel_tier=ctx.kernel_tier)
+                                     shards=ctx.shards)
             try:
                 result = await loop.run_in_executor(
                     self.executor, run, quiet)

@@ -215,6 +215,17 @@ class TestMapChunksModes:
         assert rec["unit_s_global"] > 0  # seeded
         assert "threaded" in rec["dispatch_s"]
 
+    def test_unit_costs_keyed_by_bare_kernel_name(self):
+        # Per-kernel unit costs are learned only for rounds whose mean
+        # chunk size clears UNIT_FLOOR, so the round is sized to clear it.
+        n = UNIT_FLOOR * 4 * 4 * 8
+        with ExecutionContext(backend="threaded", workers=4,
+                              adaptive="on") as ctx:
+            for _ in range(3):
+                ctx.map_chunks(_count_kernel(n), n)
+            rec = ctx.dispatch_record()
+        assert set(rec["unit_s"]) == {"adg.select"}
+
     def test_fused_failure_falls_back_to_wave_semantics(self):
         def boom(lo, hi):
             raise RuntimeError("boom")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.primitives.kernels import (
     ScratchArena,
+    fallback_arena,
     grouped_mex,
     grouped_mex_bruteforce,
     multi_slice_gather,
@@ -115,6 +116,11 @@ class TestGroupedMex:
         values = np.array([1, 2, 1, 3, 5])
         np.testing.assert_array_equal(grouped_mex(group, values, 3),
                                       [3, 2, 1])
+        # Interior empty segments (groups 1 and 2) get mex 1.
+        group = np.array([0, 0, 3])
+        values = np.array([1, 2, 1])
+        np.testing.assert_array_equal(grouped_mex(group, values, 5),
+                                      [3, 1, 1, 2, 1])
 
     def test_ignores_nonpositive(self):
         group = np.array([0, 0, 0])
@@ -240,6 +246,19 @@ class TestGroupedMexSingleGroup:
         second = grouped_mex(group, np.array([1, 2, 3, 4]), 1, scratch=ws)
         np.testing.assert_array_equal(first, [2])
         np.testing.assert_array_equal(second, [5])
+
+    def test_single_group_no_scratch_uses_fallback_arena(self):
+        # The scratch-less fast path draws its presence buffer from the
+        # thread-local fallback arena instead of allocating fresh each
+        # call.
+        ws = fallback_arena()
+        h0, m0 = ws.hits, ws.misses
+        group = np.zeros(6, dtype=np.int64)
+        values = np.arange(1, 7, dtype=np.int64)
+        for _ in range(4):
+            np.testing.assert_array_equal(grouped_mex(group, values, 1), [7])
+        assert ws.hits > h0  # warm takes hit the persistent buffers
+        assert ws.misses - m0 <= 3  # one miss per (key, dtype) at most
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

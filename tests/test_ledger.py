@@ -11,6 +11,7 @@ import pytest
 
 from repro.coloring.dec_adg_itr import dec_adg_itr
 from repro.coloring.jp import jp_adg
+from repro.coloring.result import ColoringResult
 from repro.coloring.verify import assert_valid_coloring
 from repro.graphs.generators import gnm_random
 from repro.obs.ledger import (
@@ -213,6 +214,32 @@ class TestTraceSummaryCategories:
         assert validate_trace_file(path) == 1
 
 
+class TestLedgerCell:
+    def test_cell_key_ends_in_numpy(self):
+        assert cell_key("g", "JP-ADG", "serial", 1, 0) \
+            == "g|JP-ADG|serial|1|0|numpy"
+
+    def test_run_record_carries_numpy(self):
+        res = ColoringResult(algorithm="JP-ADG", colors=[1, 2, 1])
+        rec = run_record(res, valid=True)
+        assert rec["kernel_tier"] == "numpy"
+        assert rec["cell"].endswith("|numpy")
+        validate_ledger_record(rec)
+
+    def test_validator_accepts_legacy_cells(self):
+        res = ColoringResult(algorithm="JP-ADG", colors=[1, 2, 1])
+        rec = run_record(res, valid=True)
+        # A record from before the trailing cell field: 4-pipe cell,
+        # no kernel_tier field.
+        rec["cell"] = "g|JP-ADG|serial|1|0"
+        rec.pop("kernel_tier")
+        validate_ledger_record(rec)
+        # Any string kernel_tier on a historical row stays valid.
+        rec["cell"] = "g|JP-ADG|serial|1|0|legacy"
+        rec["kernel_tier"] = "legacy"
+        validate_ledger_record(rec)
+
+
 class TestRegressionGate:
     CELL = "g|JP-ADG|serial|1|0"
 
@@ -269,6 +296,12 @@ class TestRegressionGate:
         base = [self._rec()]
         rows, failures = check([], self._baseline(base, k=1), k=1)
         assert failures > 0
+        assert all(r["status"] == "MISSING" for r in rows)
+        # A head cell that differs only in its trailing field is a
+        # different cell: the baseline cell is still MISSING.
+        twin = dict(self._rec(), cell=self.CELL + "|other")
+        rows, failures = check([twin], self._baseline(base, k=1), k=1)
+        assert failures == len(rows) > 0
         assert all(r["status"] == "MISSING" for r in rows)
 
     def test_only_filter(self):

@@ -64,3 +64,4 @@ class TestColoringResult:
         assert s["colors"] == 2
         assert s["work"] == 150
         assert set(s) >= {"n", "depth", "rounds", "conflicts", "wall_s"}
+        assert s["kernel_tier"] == "numpy"

@@ -67,7 +67,6 @@ class TestConstruction:
         ctx = ExecutionContext(backend="threaded", workers=2)
         assert ctx.describe() == {"backend": "threaded", "workers": 2,
                                   "adaptive": ctx.adaptive,
-                                  "kernel_tier": ctx.kernel_tier,
                                   "wall_by_phase": {}}
 
     def test_describe_includes_phase_walls(self):

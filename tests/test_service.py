@@ -50,21 +50,20 @@ class TestResultCache:
 
     def test_key_completeness(self):
         """Every field that can change the observable output must
-        change the key: digest, algorithm, eps, seed, tier, shards."""
+        change the key: digest, algorithm, eps, seed, shards."""
         base = dict(digest="aaaa", algorithm="DEC-ADG-ITR", eps=0.01,
-                    seed=0, kernel_tier="numpy", shards=1)
+                    seed=0, shards=1)
         variants = [dict(base, digest="bbbb"),
                     dict(base, algorithm="DEC-ADG"),
                     dict(base, eps=0.02),
                     dict(base, seed=1),
-                    dict(base, kernel_tier="numba"),
                     dict(base, shards=4)]
         keys = [cache_key(**base)] + [cache_key(**v) for v in variants]
         assert len(set(keys)) == len(keys), keys
 
     def test_same_inputs_same_key(self):
         kw = dict(digest="aaaa", algorithm="DEC-ADG", eps=6.0, seed=7,
-                  kernel_tier="numpy", shards=2)
+                  shards=2)
         assert cache_key(**kw) == cache_key(**kw)
 
 
