@@ -116,6 +116,8 @@ class TestGroupedMex:
         values = np.array([1, 2, 1, 3, 5])
         np.testing.assert_array_equal(grouped_mex(group, values, 3),
                                       [3, 2, 1])
+
+    def test_empty_segments(self):
         # Interior empty segments (groups 1 and 2) get mex 1.
         group = np.array([0, 0, 3])
         values = np.array([1, 2, 1])

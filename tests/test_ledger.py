@@ -297,12 +297,18 @@ class TestRegressionGate:
         rows, failures = check([], self._baseline(base, k=1), k=1)
         assert failures > 0
         assert all(r["status"] == "MISSING" for r in rows)
+
+    def test_twin_cell_reports_missing(self):
         # A head cell that differs only in its trailing field is a
         # different cell: the baseline cell is still MISSING.
+        base = [self._rec()]
         twin = dict(self._rec(), cell=self.CELL + "|other")
         rows, failures = check([twin], self._baseline(base, k=1), k=1)
         assert failures == len(rows) > 0
         assert all(r["status"] == "MISSING" for r in rows)
+        # The same cell with the same walls passes cleanly.
+        rows, failures = check(base, self._baseline(base, k=1), k=1)
+        assert failures == 0
 
     def test_only_filter(self):
         base = [self._rec(wall=0.1)]

@@ -64,4 +64,6 @@ class TestColoringResult:
         assert s["colors"] == 2
         assert s["work"] == 150
         assert set(s) >= {"n", "depth", "rounds", "conflicts", "wall_s"}
-        assert s["kernel_tier"] == "numpy"
+
+    def test_summary_reports_numpy_kernel_tier(self):
+        assert make_result().summary()["kernel_tier"] == "numpy"
