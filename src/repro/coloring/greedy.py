@@ -19,28 +19,22 @@ from ..ordering.base import Ordering
 from ..ordering.registry import get_ordering
 from ..ordering.saturation import dsatur
 from .result import ColoringResult
+from .sweep import rank_sweep
 
 
 def greedy_color_sequence(g: CSRGraph, sequence: np.ndarray,
                           cost: CostModel | None = None,
                           mem: MemoryModel | None = None) -> np.ndarray:
-    """Color vertices in the exact order of ``sequence`` (1-based colors)."""
+    """Color vertices in the exact order of ``sequence`` (1-based colors).
+
+    Runs as the rank sweep with the sequence as a descending order.
+    """
     sequence = np.asarray(sequence, dtype=np.int64)
     if sequence.size != g.n or np.unique(sequence).size != g.n:
         raise ValueError("sequence must be a permutation of all vertices")
-    colors = np.zeros(g.n, dtype=np.int64)
-    indptr, indices = g.indptr, g.indices
-    scratch = np.zeros(g.max_degree + 2, dtype=bool)
-    for v in sequence.tolist():
-        row = indices[indptr[v]:indptr[v + 1]]
-        taken = colors[row]
-        taken = taken[(taken > 0) & (taken <= row.size + 1)]
-        scratch[taken] = True
-        c = 1
-        while scratch[c]:
-            c += 1
-        colors[v] = c
-        scratch[taken] = False
+    ranks = np.empty(g.n, dtype=np.int64)
+    ranks[sequence] = np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    colors = rank_sweep(g.indptr, g.indices, ranks).colors
     if cost is not None:
         cost.round(g.n + 2 * g.m, g.n)  # inherently sequential scan
     if mem is not None:

@@ -2,24 +2,24 @@
 
 JP turns any total vertex order rho into a coloring DAG (edges point
 from higher to lower priority) and colors a vertex once all of its
-predecessors are colored, choosing the smallest free color.  The run
-proceeds in *waves*: wave k colors exactly the vertices whose longest
-predecessor path has length k, so the number of waves is 1 plus the
-longest path of G_rho — the quantity the paper's depth analysis bounds
-(Lemma 7 for rho = ADG).
+predecessors are colored, choosing the smallest free color.  Every
+vertex therefore takes the mex of its higher-ranked neighbors' colors,
+which is exactly what sequential greedy assigns in descending rho — so
+this engine runs JP as one sweep in that order
+(:func:`repro.coloring.sweep.rank_sweep`, compiled when a C compiler
+is available, pure Python otherwise).
 
-One engine serves every runtime backend: each wave's GetColor is the
-``jp.wave`` kernel (:mod:`repro.runtime.kernels`) chunked through
-:meth:`ExecutionContext.map_chunks` with the frontier's vertex
-*degrees* as chunk weights — a hub-heavy frontier splits into
-work-balanced chunks instead of count-balanced ones.  Within a wave
-every frontier vertex reads only *fixed* colors (its predecessors
-finished in earlier waves), so frontier chunks are independent; on the
-threaded backend NumPy releases the GIL inside the kernels, which read
-the CSR arrays, ranks, and colors by reference.  The successor
-notifications are combined in chunk order after the chunks return
-(DecrementAndFetch on a shared array is not thread-safe).  Colors, waves, and the recorded work/depth/memory
-totals are bit-identical across backends.
+The parallel schedule stays visible in the books.  Alg. 3 proceeds in
+*waves*: wave k colors exactly the vertices whose longest predecessor
+path has length k - 1, so the number of waves is 1 plus the longest
+path of G_rho — the quantity the paper's depth analysis bounds (Lemma 7
+for rho = ADG).  The sweep computes each vertex's wave alongside its
+color, with per-wave frontier sizes, degree sums and notification
+collisions, and :func:`jp_color` replays one GetColor round and one
+DecrementAndFetch scatter per wave into the cost and memory books and
+the ``jp.*`` tracer series.  Colors, waves, work, depth, the round log
+and the memory books are the ones the wave-by-wave engine records, on
+every backend.
 
 Combined with the ordering registry this yields JP-FF, JP-R, JP-LF,
 JP-LLF, JP-SL, JP-SLL, JP-ASL, and the paper's JP-ADG / JP-ADG-M.
@@ -36,9 +36,9 @@ from ..machine.costmodel import CostModel, log2_ceil
 from ..machine.memmodel import MemoryModel
 from ..ordering.base import Ordering
 from ..ordering.registry import get_ordering
-from ..primitives.atomics import decrement_and_fetch
-from ..runtime import ExecutionContext, Kernel, resolve_context
+from ..runtime import ExecutionContext, resolve_context
 from .result import ColoringResult
+from .sweep import rank_sweep
 
 
 def validate_ranks(g: CSRGraph, ranks: np.ndarray) -> np.ndarray:
@@ -60,10 +60,15 @@ def dag_pred_counts(g: CSRGraph, ranks: np.ndarray,
         src, dst = g.edge_array()
         count = np.bincount(src[ranks[dst] > ranks[src]],
                             minlength=g.n).astype(np.int64)
-        ctx.cost.round(g.n + 2 * g.m, log2_ceil(max(g.max_degree, 1)))
-        ctx.mem.stream(g.n, "jp:dag")
-        ctx.mem.gather(2 * g.m, "jp:dag")
+        _book_dag(g, ctx)
     return count
+
+
+def _book_dag(g: CSRGraph, ctx: ExecutionContext) -> None:
+    """Part 1's books: one round over every vertex and edge."""
+    ctx.cost.round(g.n + 2 * g.m, log2_ceil(max(g.max_degree, 1)))
+    ctx.mem.stream(g.n, "jp:dag")
+    ctx.mem.gather(2 * g.m, "jp:dag")
 
 
 def jp_color(g: CSRGraph, ranks: np.ndarray,
@@ -76,79 +81,50 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
              trace=None) -> tuple[np.ndarray, int]:
     """Color ``g`` under the total order ``ranks``; returns (colors, waves).
 
-    ``pred_counts`` (per-vertex number of higher-ranked neighbors) lets
-    the caller skip Part 1 of Alg. 3 — the fused JP-ADG of SS V-C, where
-    ADG's UPDATE already produced the DAG in-degrees.
+    ``pred_counts`` (per-vertex number of higher-ranked neighbors) says
+    Part 1 of Alg. 3 already ran — the fused JP-ADG of SS V-C, where
+    ADG's UPDATE produced the DAG in-degrees — so its round is not
+    booked again.
 
-    Execution is governed by ``ctx`` (or a fresh context built from
-    ``backend``/``workers``/``cost``/``mem``): both backends run this
-    same engine and produce bit-identical colors and accounting.
+    The sweep runs on the calling thread on every backend; ``ctx`` (or
+    a fresh context built from ``backend``/``workers``/``cost``/``mem``)
+    supplies the books, phase walls and tracer.
     """
     ranks = validate_ranks(g, ranks)
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
                                 cost=cost, mem=mem, trace=trace)
     try:
         cost, mem = ctx.cost, ctx.mem
-        n = g.n
-        colors = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return colors, 0
-
+        if g.n == 0:
+            return np.zeros(0, dtype=np.int64), 0
         if pred_counts is not None:
-            count = np.asarray(pred_counts, dtype=np.int64).copy()
-            if count.size != n:
+            if np.asarray(pred_counts).size != g.n:
                 raise ValueError("pred_counts length must equal n")
         else:
-            count = dag_pred_counts(g, ranks, ctx)
+            # The sweep finds each vertex's predecessors itself; Part 1
+            # is booked as the paper's algorithm runs it.
+            with ctx.phase("jp:dag"):
+                _book_dag(g, ctx)
 
-        frontier = np.flatnonzero(count == 0).astype(np.int64)
-        waves = 0
         tracer = ctx.tracer
-        indptr, indices = g.indptr, g.indices
-        # Coordinator-side scratch: the wave-weight and successor-join
-        # buffers are rebuilt every wave, so they reuse the context's
-        # arena instead of allocating O(frontier) twice per wave.
-        ws = ctx.scratch
         with ctx.phase("jp:color"):
-            while frontier.size:
-                waves += 1
-                kern = Kernel("jp.wave",
-                              arrays={"indptr": indptr, "indices": indices,
-                                      "ranks": ranks, "colors": colors,
-                                      "frontier": frontier})
-                # Hub-heavy waves split by work, not count.
-                wave_w = np.take(indptr[1:], frontier,
-                                 out=ws.take("jp.wave_w", frontier.size,
-                                             indptr.dtype))
-                starts = np.take(indptr, frontier,
-                                 out=ws.take("jp.wave_s", frontier.size,
-                                             indptr.dtype))
-                np.subtract(wave_w, starts, out=wave_w)
-                results = ctx.map_chunks(kern, frontier.size, weights=wave_w)
-                succs = []
-                nbrs_total = 0
-                wave_deg = 0
-                for part, chunk_colors, succ, n_nbrs, chunk_deg in results:
-                    colors[part] = chunk_colors
-                    succs.append(succ)
-                    nbrs_total += n_nbrs
-                    wave_deg = max(wave_deg, chunk_deg)
-                mem.gather(nbrs_total, "jp:color")
-                cost.round(nbrs_total + frontier.size,
-                           log2_ceil(max(wave_deg, 1)) + 1)
+            sweep = rank_sweep(g.indptr, g.indices, ranks)
+            colors = sweep.colors
+            # Book every wave exactly as Alg. 3 runs it: the GetColor
+            # gather over the frontier's neighborhoods, then the
+            # DecrementAndFetch notifications to its successors.
+            books = zip(sweep.frontier.tolist(), sweep.neighbors.tolist(),
+                        sweep.successors.tolist(), sweep.max_degree.tolist(),
+                        sweep.collisions.tolist())
+            for wave, (front, nbrs, succ, wdeg, coll) in enumerate(books, 1):
+                mem.gather(nbrs, "jp:color")
+                cost.round(nbrs + front, log2_ceil(max(wdeg, 1)) + 1)
                 if tracer.enabled:
-                    tracer.gauge("jp.frontier", int(frontier.size),
-                                 round=waves)
-                    tracer.count("jp.colored", int(frontier.size),
-                                 round=waves)
-                    tracer.gauge("jp.wave_degree", int(wave_deg),
-                                 round=waves)
-                # Join: notify successors, release the ones that hit zero.
-                total = sum(s.size for s in succs)
-                succ = ws.take("jp.succ", total)
-                if total:
-                    np.concatenate(succs, out=succ)
-                frontier = decrement_and_fetch(count, succ, cost=cost)
+                    tracer.gauge("jp.frontier", front, round=wave)
+                    tracer.count("jp.colored", front, round=wave)
+                    tracer.gauge("jp.wave_degree", wdeg, round=wave)
+                cost.scatter_decrement(succ, coll)
+            waves = sweep.waves
     finally:
         if owns:
             ctx.close()

@@ -36,7 +36,7 @@ Tokenizer tiers
 back transparently; ``$REPRO_INGEST_PARSER`` or ``parser=`` pins one:
 
 - ``c`` — a ~60-line C scanner compiled once with the system C compiler
-  into a per-user cache directory and loaded via ctypes (about
+  and loaded via ctypes through :mod:`repro.primitives.cbuild` (about
   GB/s; skipped silently when no compiler is present);
 - ``numpy`` — ``np.fromstring`` over comment-stripped bytes after a
   vectorized digits/whitespace structure check (hundreds of MB/s);
@@ -56,14 +56,13 @@ import json
 import mmap
 import os
 import shutil
-import subprocess
 import tempfile
-import threading
 import time
 import warnings
 
 import numpy as np
 
+from ..primitives.cbuild import CLibrary
 from .csr import CSRGraph
 
 # 2 MiB keeps the build passes' transient arrays (~5-6x a chunk's
@@ -240,38 +239,7 @@ long long repro_compact64(const int64_t *vals, long long k,
 }
 """
 
-_c_lock = threading.Lock()
-_c_state: dict = {"funcs": None, "tried": False}
-
-
-def _cc_cache_dir() -> str:
-    env = os.environ.get("REPRO_CC_CACHE", "").strip()
-    if env:
-        return env
-    uid = os.getuid() if hasattr(os, "getuid") else "na"
-    return os.path.join(tempfile.gettempdir(), f"repro-cc-{uid}")
-
-
-def _compile_cparser():
-    """Build (or reuse) the scanner .so; None when no toolchain."""
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        return None
-    tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:12]
-    cdir = _cc_cache_dir()
-    so_path = os.path.join(cdir, f"edgeparse-{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cdir, exist_ok=True)
-        src = os.path.join(cdir, f"edgeparse-{tag}.c")
-        tmp = os.path.join(cdir, f".edgeparse-{tag}.{os.getpid()}.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_C_SOURCE)
-        proc = subprocess.run([cc, "-O3", "-fPIC", "-shared", "-o", tmp, src],
-                              capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp, so_path)  # atomic: concurrent builders agree
-    lib = ctypes.CDLL(so_path)
+def _bind_cparser(lib):
     p64 = ctypes.POINTER(ctypes.c_longlong)
     p32 = ctypes.POINTER(ctypes.c_int)
     fn = lib.repro_parse_edges
@@ -285,24 +253,16 @@ def _compile_cparser():
     return {"parse": fn, "compact": cp}
 
 
-def _load_cfuncs():
-    with _c_lock:
-        if not _c_state["tried"]:
-            _c_state["tried"] = True
-            try:
-                _c_state["funcs"] = _compile_cparser()
-            except Exception:
-                _c_state["funcs"] = None
-        return _c_state["funcs"]
+_CPARSER = CLibrary("edgeparse", _C_SOURCE, _bind_cparser)
 
 
 def _load_cparser():
-    funcs = _load_cfuncs()
+    funcs = _CPARSER.load()
     return funcs["parse"] if funcs else None
 
 
 def _load_ccompact():
-    funcs = _load_cfuncs()
+    funcs = _CPARSER.load()
     return funcs["compact"] if funcs else None
 
 

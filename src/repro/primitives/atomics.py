@@ -1,8 +1,10 @@
 """Atomic read-modify-write primitives of the CRCW setting (paper SS II-D).
 
 ``DecrementAndFetch`` (DAF) atomically decrements and returns the new
-value; ``Join`` releases a waiter when its counter hits zero (used by JP
-to detect that all predecessors of a vertex are colored, Alg. 3 line 22).
+value; ``Join`` releases a waiter when its counter hits zero (JP's test
+that all predecessors of a vertex are colored, Alg. 3 line 22 — the
+sweep engine books those scatters through
+:meth:`CostModel.scatter_decrement` instead of running them).
 In the vectorized implementation a whole batch of DAFs is applied with a
 scatter-add; ties are resolved exactly as hardware atomics would —
 each counter reaches zero exactly once.

@@ -80,7 +80,7 @@ def fallback_arena() -> ScratchArena:
     """Thread-local :class:`ScratchArena` for callers without one.
 
     Hot paths that can be reached scratch-less (the single-group
-    ``grouped_mex`` of late JP-wave stragglers) draw from this arena
+    ``grouped_mex`` of a round with one vertex left) draw from this arena
     instead of allocating fresh every call.  Thread-local so the
     threaded backend's workers never share buffers.
     """
@@ -219,7 +219,7 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
     intermediates (the returned array is always freshly allocated).
     With a single group the lexsort is skipped entirely: a group with
     ``c`` positive values has mex <= c + 1, so a presence bitmap over
-    ``1..c+1`` answers directly — the common shape of late JP waves,
+    ``1..c+1`` answers directly — the common shape of late rounds,
     where one straggler vertex colors alone.
     """
     group = np.asarray(group, dtype=np.int64)
@@ -243,7 +243,7 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
         # Direct mex, no sort: cap values at kept+1, mark presence,
         # first unmarked slot >= 1 is the answer (a False slot always
         # exists: <= kept distinct values over kept+1 slots).  The
-        # scratch-less path (late JP-wave stragglers reach it every
+        # scratch-less path (late-round stragglers reach it every
         # round) draws from the thread-local fallback arena instead of
         # allocating fresh.
         ws = scratch if scratch is not None else fallback_arena()

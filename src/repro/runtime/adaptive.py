@@ -1,7 +1,7 @@
 """Adaptive round dispatch: inline small rounds, parallelize big ones.
 
 BENCH_backends.json documents the inversion this module removes: on
-small graphs every JP/ADG/SIM-COL round pays a fixed dispatch cost
+small graphs every ADG/SIM-COL/ITR round pays a fixed dispatch cost
 (future submission, wave bookkeeping) that dwarfs the round's actual
 kernel work, so the threaded backend runs *slower* than serial.  The
 fix is a per-round break-even decision inside
@@ -30,8 +30,8 @@ marshalling, no GIL interference), and ``p`` assumes perfect overlap.
 
 Both model inputs are online EWMAs seeded by one-shot calibration:
 
-- ``unit_s`` — kernel seconds per work unit, per kernel name (a
-  ``jp.wave`` unit is much heavier than an ``adg.select`` unit), with a
+- ``unit_s`` — kernel seconds per work unit, per kernel name (an
+  ``adg.push`` unit is much heavier than an ``adg.select`` unit), with a
   global fallback for kernels not yet observed.  Seeded by timing one
   representative segmented gather; updated only from chunks large
   enough (:data:`UNIT_FLOOR`) that per-call fixed overhead does not

@@ -358,7 +358,7 @@ class ExecutionContext:
     def scratch(self) -> ScratchArena:
         """The run's coordinator-side scratch arena: reusable buffers
         for the per-round intermediates engines build *between* chunk
-        rounds (wave weights, successor concatenations, batch unions).
+        rounds (batch weights, neighbor concatenations, batch unions).
         Run-wide and single-threaded — only the coordinator touches it;
         kernels running on pool threads use their own per-thread arena
         (:func:`repro.runtime.kernels.scratch`)."""

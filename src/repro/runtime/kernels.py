@@ -33,7 +33,6 @@ import numpy as np
 
 from ..primitives.kernels import (
     ScratchArena,
-    grouped_mex,
     multi_slice_gather,
     segment_any,
     segment_ids,
@@ -65,8 +64,8 @@ def scratch() -> ScratchArena:
     Kernels run on the coordinator (serial, inlined rounds) or on pool
     threads; each execution lane gets its own arena, so scratch-backed
     intermediates never race, and the buffers persist across rounds — a
-    pool thread that serves every JP wave stops allocating once its
-    arena has grown to the wave's working set.
+    pool thread that serves every ADG iteration stops allocating once
+    its arena has grown to the round's working set.
 
     Scratch backs *intermediates only*: every array a kernel returns to
     the coordinator is freshly allocated (see :class:`ScratchArena`).
@@ -104,34 +103,6 @@ def _batch_neighbors(indptr: np.ndarray, indices: np.ndarray,
                               out=ws.take("bn.nbrs", total),
                               seg=seg, scratch=ws)
     return seg, nbrs
-
-
-# -- JP ----------------------------------------------------------------------
-
-def jp_wave(lo: int, hi: int, a: dict):
-    """GetColor for one chunk of the wave frontier (Alg. 3 lines 25-28).
-
-    Fused gather+mex: neighbor colors are gathered *once* into scratch
-    and the non-predecessor slots zeroed — ``grouped_mex`` ignores
-    values <= 0, so this computes exactly
-    ``grouped_mex(seg[is_pred], colors[nbrs[is_pred]])`` without
-    materializing the two filtered copies.
-    """
-    part = a["frontier"][lo:hi]
-    ranks, colors = a["ranks"], a["colors"]
-    ws = scratch()
-    seg, nbrs = _batch_neighbors(a["indptr"], a["indices"], part, ws)
-    k = nbrs.size
-    nr = np.take(ranks, nbrs, out=ws.take("jp.nr", k, ranks.dtype))
-    pr = np.take(ranks, part, out=ws.take("jp.pr", part.size, ranks.dtype))
-    prs = np.take(pr, seg, out=ws.take("jp.prs", k, ranks.dtype))
-    not_pred = np.less_equal(nr, prs, out=ws.take("jp.npred", k, bool))
-    vals = np.take(colors, nbrs, out=ws.take("jp.vals", k))
-    vals[not_pred] = 0
-    chunk_colors = grouped_mex(seg, vals, part.size, scratch=ws)
-    succ = np.compress(not_pred, nbrs)  # fresh: returned to the coordinator
-    wave_deg = int(np.bincount(seg, minlength=part.size).max()) if k else 0
-    return part, chunk_colors, succ, k, wave_deg
 
 
 # -- ADG ---------------------------------------------------------------------
@@ -277,7 +248,6 @@ def itr_conflict(lo: int, hi: int, a: dict):
 
 #: Name -> kernel function; the lookup table for descriptors.
 KERNELS: dict[str, Callable] = {
-    "jp.wave": jp_wave,
     "adg.select": adg_select,
     "adg.push": adg_push,
     "adg.pull": adg_pull,

@@ -97,6 +97,30 @@ def zoo_graph(request) -> CSRGraph:
     raise AssertionError("unreachable")
 
 
+# -- independent oracle ----------------------------------------------------------
+
+def sequential_greedy(g: CSRGraph, sequence) -> np.ndarray:
+    """Greedy coloring by a plain per-vertex loop (1-based colors).
+
+    Kept apart from the library's rank sweep so JP and Greedy are
+    checked against code they do not share.
+    """
+    colors = np.zeros(g.n, dtype=np.int64)
+    indptr, indices = g.indptr, g.indices
+    scratch = np.zeros(g.max_degree + 2, dtype=bool)
+    for v in np.asarray(sequence, dtype=np.int64).tolist():
+        row = indices[indptr[v]:indptr[v + 1]]
+        taken = colors[row]
+        taken = taken[(taken > 0) & (taken <= row.size + 1)]
+        scratch[taken] = True
+        c = 1
+        while scratch[c]:
+            c += 1
+        colors[v] = c
+        scratch[taken] = False
+    return colors
+
+
 # -- hypothesis strategy for arbitrary small graphs -----------------------------
 
 @st.composite

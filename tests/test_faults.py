@@ -302,6 +302,8 @@ class TestChaosMatrix:
                               faults=plan, backoff=0.0) as ctx:
             result = ENGINES["jp-adg"](chaos_graph, ctx)
         _assert_bit_identical(result, baselines["jp-adg"])
+        # JP colors without dispatching, so the draws land in ADG rounds.
+        assert plan.fired["error"] > 0
 
     def test_simcol_fault_transparent(self):
         g = ring(40)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coloring.greedy import greedy, greedy_by_name, greedy_color_sequence
 from repro.coloring.verify import assert_valid_coloring
@@ -13,7 +15,11 @@ from repro.graphs.generators import (
     star,
 )
 from repro.graphs.properties import degeneracy
+from repro.machine.costmodel import CostModel
+from repro.machine.memmodel import MemoryModel
 from repro.ordering.simple import ff_ordering
+
+from .conftest import graphs, sequential_greedy
 
 GREEDY_NAMES = ["FF", "R", "LF", "SL", "ID", "SD"]
 
@@ -67,6 +73,23 @@ class TestGreedySequence:
         good = greedy_color_sequence(g, sides)
         assert good.max() == 2
         assert bad.max() > good.max()
+
+
+class TestGreedyMatchesOracle:
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sequences(self, g, rnd):
+        seq = list(range(g.n))
+        rnd.shuffle(seq)
+        np.testing.assert_array_equal(greedy_color_sequence(g, seq),
+                                      sequential_greedy(g, seq))
+
+    def test_books_one_sequential_round(self, small_random):
+        g = small_random
+        cost, mem = CostModel(), MemoryModel()
+        greedy_color_sequence(g, np.arange(g.n), cost=cost, mem=mem)
+        assert cost.round_log == [("<toplevel>", g.n + 2 * g.m, g.n)]
+        assert (mem.sequential, mem.random) == (g.n, 2 * g.m)
 
 
 class TestGreedyByName:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.coloring.greedy import greedy_color_sequence
 from repro.coloring.jp import jp, jp_adg, jp_adg_m, jp_by_name, jp_color, longest_dag_path
 from repro.coloring.verify import assert_valid_coloring
 from repro.graphs.generators import (
@@ -18,7 +17,7 @@ from repro.graphs.properties import degeneracy
 from repro.ordering import get_ordering
 from repro.ordering.base import Ordering
 
-from .conftest import graphs
+from .conftest import graphs, sequential_greedy
 
 JP_NAMES = ["FF", "R", "LF", "LLF", "SL", "SLL", "ASL", "ADG", "ADG-M"]
 
@@ -36,7 +35,7 @@ class TestJPCore:
         ranks = rng.permutation(small_random.n).astype(np.int64)
         jp_colors, _ = jp_color(small_random, ranks)
         seq = np.argsort(-ranks)
-        greedy_colors = greedy_color_sequence(small_random, seq)
+        greedy_colors = sequential_greedy(small_random, seq)
         np.testing.assert_array_equal(jp_colors, greedy_colors)
 
     @given(graphs())
@@ -45,7 +44,7 @@ class TestJPCore:
         rng = np.random.default_rng(0)
         ranks = rng.permutation(g.n).astype(np.int64)
         jp_colors, _ = jp_color(g, ranks)
-        greedy_colors = greedy_color_sequence(g, np.argsort(-ranks))
+        greedy_colors = sequential_greedy(g, np.argsort(-ranks))
         np.testing.assert_array_equal(jp_colors, greedy_colors)
 
     def test_path_ff_wave_count(self):
