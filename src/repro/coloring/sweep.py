@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..primitives.cbuild import CLibrary
+from ..primitives.cbuild import CLibrary, checked_csr
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -119,19 +119,10 @@ def rank_sweep(indptr: np.ndarray, indices: np.ndarray,
 
     Runs the compiled sweep when it builds, else the Python sweep; the
     two return identical arrays.  The CSR arrays are bounds-checked
-    here, since the compiled sweep indexes them unchecked.
+    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths.
     """
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
     ranks = np.ascontiguousarray(ranks, dtype=np.int64)
-    n = ranks.size
-    if indptr.size != n + 1:
-        raise ValueError("indptr must have len(ranks) + 1 entries")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0) \
-            or indptr[-1] != indices.size:
-        raise ValueError("indptr must rise from 0 to len(indices)")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise ValueError("indices must name vertices 0..n-1")
+    indptr, indices = checked_csr(indptr, indices, ranks.size)
     order = np.ascontiguousarray(np.argsort(ranks, kind="stable")[::-1])
     fn = _CSWEEP.load()
     if fn is None:

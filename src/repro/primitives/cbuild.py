@@ -14,6 +14,9 @@ per-user directory under the system temp dir), keyed by a sha256 of
 the source, so an edited source never loads a stale object.  Each
 build writes a private temp file and ``os.replace``-s it into place,
 so concurrent builders in separate processes agree on the result.
+
+Compiled code indexes its arrays unchecked, so every CSR handed to it
+first passes :func:`checked_csr`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import subprocess
 import tempfile
 import threading
 from typing import Any, Callable
+
+import numpy as np
 
 
 def cc_cache_dir() -> str:
@@ -94,3 +99,23 @@ class CLibrary:
                     # timeout, missing symbol): callers run Python.
                     self._bound = None
             return self._bound
+
+
+def checked_csr(indptr: np.ndarray, indices: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr``/``indices`` as C-contiguous int64, bounds-checked.
+
+    Raises ``ValueError`` unless ``indptr`` has ``n + 1`` entries rising
+    from 0 to ``len(indices)`` and every index names a vertex 0..n-1 —
+    the bounds a compiled CSR loop relies on.
+    """
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    if indptr.size != n + 1:
+        raise ValueError("indptr must have n + 1 entries")
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0) \
+            or indptr[-1] != indices.size:
+        raise ValueError("indptr must rise from 0 to len(indices)")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("indices must name vertices 0..n-1")
+    return indptr, indices
