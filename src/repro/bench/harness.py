@@ -47,8 +47,7 @@ class RunRecord:
     #: None.
     trace_summary: dict | None = None
     #: Resource-telemetry digest when the run sampled resources
-    #: (coordinator peak RSS / CPU plus per-shard worker rows), else
-    #: None.
+    #: (coordinator peak RSS / CPU), else None.
     resources: dict | None = None
 
     @classmethod

@@ -123,8 +123,6 @@ def cmd_color(args: argparse.Namespace) -> int:
             summary["faults"] = res.faults
         if res.dispatch is not None:
             summary["dispatch"] = res.dispatch
-        if res.shards is not None:
-            summary["shards"] = res.shards
         if res.resources is not None:
             summary["resources"] = res.resources
         print(json.dumps(summary))
@@ -339,7 +337,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         phase_breakdown,
         resource_breakdown,
         round_breakdown,
-        shard_breakdown,
     )
 
     g = load_graph(args)
@@ -367,13 +364,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     imbalance = imbalance_breakdown(tracer)
     faults = fault_breakdown(res)
     dispatch = dispatch_breakdown(res)
-    shards = shard_breakdown(res)
     resources = resource_breakdown(res)
     if args.json:
         print(json.dumps({"summary": summary, "phases": phases,
                           "rounds": rounds, "imbalance": imbalance,
                           "faults": faults, "dispatch": dispatch,
-                          "shards": shards, "resources": resources}))
+                          "resources": resources}))
     else:
         print(format_table([summary]))
         print("\n== per-phase breakdown (exclusive wall) ==")
@@ -390,9 +386,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if dispatch:
             print("\n== adaptive dispatch ==")
             print(format_table(dispatch))
-        if shards:
-            print("\n== sharding layer ==")
-            print(format_table(shards))
         if resources:
             print("\n== resources (coordinator peak RSS / CPU) ==")
             print(format_table(resources))
@@ -509,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_ADAPTIVE or on): inline rounds too "
                             "small to amortize their dispatch overhead; "
                             "colors are identical in every mode")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run DEC-family engines through the sharding "
-                            "layer with N per-shard engines (default: "
-                            "$REPRO_SHARDS or off; 0 disables)")
 
     p_color = sub.add_parser("color", help="run a coloring algorithm")
     common(p_color)
@@ -655,12 +644,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     saved: dict[str, str | None] = {}
     for flag, env in (("faults", "REPRO_FAULTS"),
                       ("adaptive", "REPRO_ADAPTIVE"),
-                      ("shards", "REPRO_SHARDS"),
                       ("ledger", "REPRO_LEDGER")):
         value = getattr(args, flag, None)
-        # --shards 0 must override an ambient $REPRO_SHARDS (it means
-        # "off"), so integers test against None rather than falsiness.
-        if value or (value is not None and flag == "shards"):
+        if value:
             saved[env] = os.environ.get(env)
             os.environ[env] = str(value)
     # --trace binds an explicit Tracer as the run's single sink; an

@@ -40,7 +40,6 @@ from .registry import (
     color,
 )
 from .result import ColoringResult
-from .sharded import sharded_color
 from .simcol import sim_col
 from .speculative import itr, itr_asl, itrb
 from .verify import (
@@ -62,7 +61,6 @@ __all__ = [
     "class_block_sequence", "iterated_greedy", "recolor_pass",
     "greedy", "greedy_by_name", "greedy_color_sequence",
     "itr", "itr_asl", "itrb", "sim_col", "dec_adg", "dec_adg_m", "dec_adg_itr",
-    "sharded_color",
     "INCREMENTAL_FAMILY", "IncrementalColoring",
     "SIMCOL_FAMILY", "deg_ge_array", "repair_caps", "repair_frontier",
     "luby_coloring", "luby_mis", "gm_coloring",

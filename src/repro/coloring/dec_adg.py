@@ -13,13 +13,9 @@ colors), so the level loop is sequential; *within* a level the
 degree-count and bitmap gathers, and every SIM-COL round, are chunked
 through the execution context — the same map_chunks seam as JP and ADG.
 
-The level loop itself is exposed as :func:`color_partitions` — the
-*interior* entry point of the sharding layer: a shard worker runs
-exactly this loop on its induced subgraph (with the global level ids
-restricted to the shard), and the cross-shard boundary is repaired
-afterwards (:mod:`repro.coloring.sharded`).  With ``shards`` (argument
-or ``$REPRO_SHARDS``) > 1 the public entry point routes through that
-sharded driver.
+The level loop itself is exposed as :func:`color_partitions`, the
+interior that :class:`~repro.coloring.incremental.IncrementalColoring`
+re-runs for a full recompute over levels it keeps across deltas.
 """
 
 from __future__ import annotations
@@ -81,8 +77,8 @@ def partitions_from_levels(levels: np.ndarray,
 
     The raw-array twin of
     :meth:`~repro.ordering.base.Ordering.level_partitions`, for callers
-    (shard workers) that carry a restricted level array instead of a
-    full :class:`~repro.ordering.base.Ordering`.  Level ids absent from
+    that carry a level array instead of a full
+    :class:`~repro.ordering.base.Ordering`.  Level ids absent from
     ``levels`` simply yield empty partitions.
     """
     order = np.argsort(levels, kind="stable")
@@ -102,11 +98,9 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
                      ) -> tuple[np.ndarray, int]:
     """The DEC-ADG interior: SIM-COL over the level partitions, top down.
 
-    ``g`` is the whole graph in an unsharded run, or one shard's
-    induced subgraph with ``levels`` restricted to the shard — level
-    ids keep their run-global meaning, so deg_l and the bitmaps stay
-    upper-bounded by the global Lemma-4 guarantee and the (2+eps)d
-    quality bound survives sharding.  Returns ``(colors, rounds)``.
+    ``levels`` are ``g``'s ADG level ids; deg_l and the bitmaps are
+    upper-bounded by the Lemma-4 guarantee, which gives the (2+eps)d
+    quality bound.  Returns ``(colors, rounds)``.
     """
     n = g.n
     tracer = ctx.tracer
@@ -158,36 +152,18 @@ def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
             ctx: ExecutionContext | None = None,
             backend: str | None = None,
             workers: int | None = None,
-            trace=None,
-            shards: int | None = None) -> ColoringResult:
+            trace=None) -> ColoringResult:
     """Run DEC-ADG (or DEC-ADG-M with ``variant='median'``).
 
     ``update='pull'`` uses the CREW ADG (Alg. 2) for the decomposition,
     making the whole pipeline concurrent-read-only at the O(m + nd)
     work premium (paper SS IV-D).
-
-    ``shards`` > 1 (argument, context, or ``$REPRO_SHARDS``) executes
-    through the sharding layer: one engine per shard subgraph plus the
-    boundary-repair protocol
-    (:func:`repro.coloring.sharded.sharded_color`) — same validity,
-    same (2+eps)d bound.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace, shards=shards)
+                                trace=trace)
     try:
-        n_shards = shards if shards is not None else ctx.shards
-        if n_shards > 1:
-            from .sharded import sharded_color
-            name = "DEC-ADG" if variant == "avg" else "DEC-ADG-M"
-            out = sharded_color(g, algorithm=name, eps=eps, seed=seed,
-                                ctx=ctx, n_shards=n_shards,
-                                variant=variant, update=update,
-                                max_rounds=max_rounds)
-            if owns:
-                ctx.ledger_record(out, graph=g, eps=eps)
-            return out
         rng = np.random.default_rng(seed)
         mu = eps / 4.0
 

@@ -13,12 +13,10 @@ coloring / conflict detection inside each partition is chunked through
 the execution context; colors and accounting are bit-identical across
 backends (the scheme is deterministic given the priority permutation).
 
-The level loop is exposed as :func:`itr_color_partitions` — the
-sharding layer's interior entry point, mirroring
-:func:`repro.coloring.dec_adg.color_partitions`: a shard worker runs it
-on its induced subgraph with the global level ids and the global
-priority permutation restricted to the shard, and
-:mod:`repro.coloring.sharded` repairs the cross-shard boundary.
+The level loop is exposed as :func:`itr_color_partitions`, mirroring
+:func:`repro.coloring.dec_adg.color_partitions`:
+:class:`~repro.coloring.incremental.IncrementalColoring` re-runs it for
+a full recompute.
 """
 
 from __future__ import annotations
@@ -122,11 +120,9 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
                          ) -> tuple[np.ndarray, int, int]:
     """The DEC-ADG-ITR interior: ITR over the level partitions, top down.
 
-    ``g`` is the whole graph or one shard's induced subgraph; ``levels``
-    and ``priority`` are the run-global level ids and tiebreak
-    permutation restricted to ``g``'s vertices, so the smallest-free
-    color stays bounded by the global deg_l and the 2(1+eps)d + 1
-    quality bound survives sharding.  Returns
+    ``levels`` and ``priority`` are ``g``'s ADG level ids and tiebreak
+    permutation; the smallest-free color stays bounded by deg_l + 1,
+    which gives the 2(1+eps)d + 1 quality bound.  Returns
     ``(colors, rounds, conflicts)``.
     """
     cost = ctx.cost
@@ -173,30 +169,13 @@ def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
                 ctx: ExecutionContext | None = None,
                 backend: str | None = None,
                 workers: int | None = None,
-                trace=None,
-                shards: int | None = None) -> ColoringResult:
-    """Run DEC-ADG-ITR (quality <= 2(1+eps)d + 1).
-
-    ``shards`` > 1 (argument, context, or ``$REPRO_SHARDS``) executes
-    through the sharding layer
-    (:func:`repro.coloring.sharded.sharded_color`).
-    """
+                trace=None) -> ColoringResult:
+    """Run DEC-ADG-ITR (quality <= 2(1+eps)d + 1)."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace, shards=shards)
+                                trace=trace)
     try:
-        n_shards = shards if shards is not None else ctx.shards
-        if n_shards > 1:
-            from .sharded import sharded_color
-            name = "DEC-ADG-ITR" if variant == "avg" else "DEC-ADG-ITR-M"
-            out = sharded_color(g, algorithm=name, eps=eps, seed=seed,
-                                ctx=ctx, n_shards=n_shards,
-                                variant=variant,
-                                max_rounds=max_rounds)
-            if owns:
-                ctx.ledger_record(out, graph=g, eps=eps)
-            return out
         t0 = time.perf_counter()
         ordering = adg_ordering(g, eps=eps, variant=variant, seed=seed,
                                 ctx=ctx)

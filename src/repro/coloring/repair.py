@@ -1,12 +1,10 @@
 """Speculative frontier repair: the shared detect-and-recolor loop.
 
-Two layers repair a coloring that is valid *except on a known frontier*:
-the sharding layer (cross-shard edges that came back monochromatic,
-:mod:`repro.coloring.sharded`) and incremental recoloring (endpoints of
-freshly inserted edges and newly attached vertices,
-:mod:`repro.coloring.incremental`).  Both run exactly the same
-optimistic loop — this module is that loop, extracted so the quality
-argument is stated (and tested) once.
+Incremental recoloring (:mod:`repro.coloring.incremental`) repairs a
+coloring that is valid *except on a known frontier*: the endpoints of
+freshly inserted edges and newly attached vertices.  This module is
+that optimistic loop, kept on its own so the quality argument is
+stated (and tested) once.
 
 The loop speculates and repairs under the run-global ADG level cap
 (Lemma 4): every active vertex first takes the smallest color free

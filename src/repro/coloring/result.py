@@ -48,14 +48,6 @@ class ColoringResult:
     decision counts, the learned per-kernel ``unit_s`` and per-backend
     ``dispatch_s`` EWMAs, and how each backend's overhead was seeded.
 
-    ``shards`` is ``None`` unless the run went through the sharding
-    layer (``shards`` argument / ``$REPRO_SHARDS`` > 1); then it
-    carries the :class:`~repro.runtime.ShardPlan` digest (shard sizes,
-    cut edges, per-shard working-set bytes), the boundary-repair
-    counters (``repair_rounds``, ``repair_recolored``), and one
-    ``per_shard`` row per shard with its engine's rounds, wall, work,
-    and working-set bytes.
-
     ``resources`` is ``None`` unless resource telemetry was on
     (``ExecutionContext(resources=True)`` / ``$REPRO_RESOURCES`` / an
     enabled run ledger); then it carries the
@@ -80,7 +72,6 @@ class ColoringResult:
     trace_summary: dict | None = None
     faults: dict | None = None
     dispatch: dict | None = None
-    shards: dict | None = None
     resources: dict | None = None
 
     def __post_init__(self) -> None:

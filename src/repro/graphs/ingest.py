@@ -22,8 +22,7 @@ scale path (DESIGN.md "Ingestion at scale"):
 4. the result is stored in a digest-keyed binary cache
    (``<file-digest>.npz`` + a JSON manifest carrying mtime/size and the
    parse options), so repeat loads are near-instant and the service
-   ``load`` op / ``ShardedContext`` can open a cached graph without
-   re-parsing.
+   ``load`` op can open a cached graph without re-parsing.
 
 The output is bit-identical to ``read_edge_list`` (same CSR digest) on
 every input both accept: same comment/blank-line skipping, arbitrary

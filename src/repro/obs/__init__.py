@@ -41,7 +41,6 @@ from .profile import (
     phase_breakdown,
     resource_breakdown,
     round_breakdown,
-    shard_breakdown,
 )
 from .resources import (
     ResourceSampler,
@@ -71,7 +70,7 @@ __all__ = [
     "jsonl_records", "peak_rss_kb",
     "phase_breakdown", "read_jsonl", "read_ledger", "resolve_ledger",
     "resolve_resources", "resolve_tracer", "resource_breakdown",
-    "round_breakdown", "run_record", "shard_breakdown",
+    "round_breakdown", "run_record",
     "validate_chrome", "validate_jsonl", "validate_ledger",
     "validate_ledger_record", "validate_trace_file",
     "write_chrome_trace", "write_jsonl",

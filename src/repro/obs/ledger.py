@@ -2,8 +2,8 @@
 
 Every engine run (and every bench-harness record) can append one
 structured, schema-versioned JSON line to a ledger file — graph digest,
-algorithm, eps, backend/workers/shards, color count, cost/memory books,
-per-phase walls, dispatch/fault/shard digests, resource telemetry, and
+algorithm, eps, backend/workers, color count, cost/memory books,
+per-phase walls, dispatch/fault digests, resource telemetry, and
 the repo's git SHA.  Unlike traces (one file per run, overwritten) the
 ledger *accumulates*: the perf trajectory across PRs lives in
 ``results/ledger.jsonl`` and the regression gate
@@ -203,14 +203,15 @@ def git_sha() -> str | None:
     return sha
 
 
-def cell_key(graph_name: str, algorithm: str, backend: str, workers: int,
-             shards: int) -> str:
+def cell_key(graph_name: str, algorithm: str, backend: str,
+             workers: int) -> str:
     """The ledger's comparison key: one configuration cell.
 
-    The trailing ``numpy`` field names the kernel implementation; it is
-    a constant kept so committed baselines keep matching.
+    The ``0`` field is the shard count of the removed sharding layer
+    and the trailing ``numpy`` names the kernel implementation; both
+    are constants kept so committed baselines keep matching.
     """
-    return f"{graph_name}|{algorithm}|{backend}|{workers}|{shards}|numpy"
+    return f"{graph_name}|{algorithm}|{backend}|{workers}|0|numpy"
 
 
 def run_record(result, graph=None, *, kind: str = "run",
@@ -222,11 +223,6 @@ def run_record(result, graph=None, *, kind: str = "run",
     block; ``valid`` records whether the caller verified the coloring
     (``None`` = not checked here).  ``extra`` keys are merged last.
     """
-    n_shards = 0
-    shards_digest = None
-    if result.shards is not None:
-        shards_digest = result.shards
-        n_shards = int(result.shards.get("n_shards", 0))
     gname = graph.name if graph is not None else "?"
     rec = {
         "schema": LEDGER_SCHEMA,
@@ -234,7 +230,7 @@ def run_record(result, graph=None, *, kind: str = "run",
         "ts": round(time.time(), 3),
         "git_sha": git_sha(),
         "cell": cell_key(gname, result.algorithm, result.backend,
-                         result.workers, n_shards),
+                         result.workers),
         "graph": ({"name": graph.name, "n": int(graph.n),
                    "m": int(graph.m), "digest": graph_digest(graph)}
                   if graph is not None else None),
@@ -242,7 +238,7 @@ def run_record(result, graph=None, *, kind: str = "run",
         "eps": eps,
         "backend": result.backend,
         "workers": int(result.workers),
-        "shards": n_shards,
+        "shards": 0,
         "kernel_tier": "numpy",
         "colors": int(result.num_colors),
         "valid": valid,
@@ -258,7 +254,6 @@ def run_record(result, graph=None, *, kind: str = "run",
                 "random": int(result.combined_mem().random)},
         "dispatch": result.dispatch,
         "faults": result.faults,
-        "shards_digest": shards_digest,
         "resources": getattr(result, "resources", None),
         "trace_events": (result.trace_summary.get("events")
                          if result.trace_summary else None),
@@ -351,6 +346,8 @@ def validate_ledger_record(rec: dict, where: str = "ledger") -> None:
     # removed; the ledger is history, so old rows must keep validating.
     _require(rec.get("backend") in ("serial", "threaded", "process"), where,
              f"unknown backend {rec.get('backend')!r}")
+    # Rows recorded before the sharding layer was removed may carry
+    # shards > 0 and a shards_digest object; both keep validating.
     for key in ("workers", "shards", "colors", "work", "depth", "rounds",
                 "conflicts"):
         _require(isinstance(rec.get(key), int) and rec[key] >= 0, where,

@@ -121,43 +121,6 @@ def dispatch_breakdown(result) -> list[dict]:
     return rows
 
 
-def shard_breakdown(result) -> list[dict]:
-    """Sharding-layer rows for one run, from ``result.shards``.
-
-    One row per shard (size, boundary/ghost counts, working-set bytes,
-    and — when the shard actually ran — its engine's rounds, wall, and
-    work), then one ``repair`` row with the cut-edge count and the
-    boundary protocol's rounds/recolors.  Empty when the run did not
-    go through the sharding layer — the profile section is omitted
-    then.
-    """
-    rec = getattr(result, "shards", None)
-    if not rec:
-        return []
-    per = {r["shard"]: r for r in rec.get("per_shard", [])}
-    rows = []
-    for sid in range(rec["n_shards"]):
-        r = per.get(sid)
-        rows.append({
-            "shard": sid,
-            "n": rec["sizes"][sid], "edges": rec["edges"][sid],
-            "boundary": rec["boundary"][sid], "ghosts": rec["ghosts"][sid],
-            "bytes": rec["bytes"][sid],
-            "rounds": r["rounds"] if r else "",
-            "conflicts": r["conflicts"] if r else "",
-            "wall_ms": round(r["wall_s"] * 1e3, 3) if r else "",
-            "work": r["work"] if r else "",
-        })
-    rows.append({
-        "shard": "repair", "n": "", "edges": rec["cut_edges"],
-        "boundary": "", "ghosts": "", "bytes": "",
-        "rounds": rec["repair_rounds"],
-        "conflicts": rec["repair_recolored"],
-        "wall_ms": "", "work": "",
-    })
-    return rows
-
-
 def resource_breakdown(result) -> list[dict]:
     """Resource-telemetry rows for one run, from ``result.resources``.
 

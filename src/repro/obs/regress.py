@@ -19,7 +19,7 @@ comparison is deliberately two-tier:
 
 ``python -m repro obs matrix`` colors the fixed graph matrix (the same
 cells the baseline pins: gnm + Kronecker across serial/threaded and
-the sharded DEC path) appending one ledger record per run; running
+the JP and DEC engines) appending one ledger record per run; running
 it twice and checking the second head against a baseline built from the
 first is the replay gate CI enforces.
 """
@@ -57,19 +57,18 @@ THRESHOLDS: dict[str, dict] = {
 }
 
 #: The fixed graph matrix the gate colors: small enough to run in CI,
-#: wide enough to cover every backend, the JP and DEC engines, and the
-#: sharded path.
+#: wide enough to cover every backend and the JP and DEC engines.
 MATRIX: tuple[dict, ...] = (
     {"gen": "gnm:2000,10000", "algorithm": "JP-ADG",
-     "backend": "serial", "workers": 1, "shards": 0},
+     "backend": "serial", "workers": 1},
     {"gen": "gnm:2000,10000", "algorithm": "JP-ADG",
-     "backend": "threaded", "workers": 4, "shards": 0},
+     "backend": "threaded", "workers": 4},
     {"gen": "kronecker:11,8", "algorithm": "JP-ADG",
-     "backend": "threaded", "workers": 4, "shards": 0},
+     "backend": "threaded", "workers": 4},
     {"gen": "kronecker:11,8", "algorithm": "DEC-ADG",
-     "backend": "serial", "workers": 1, "shards": 0},
+     "backend": "serial", "workers": 1},
     {"gen": "kronecker:11,8", "algorithm": "DEC-ADG-ITR",
-     "backend": "threaded", "workers": 4, "shards": 4},
+     "backend": "threaded", "workers": 4},
 )
 
 
@@ -261,7 +260,6 @@ def run_matrix(ledger_path: str = DEFAULT_LEDGER_PATH, repeats: int = 3,
         for _ in range(repeats):
             with ExecutionContext(backend=cell["backend"],
                                   workers=cell["workers"],
-                                  shards=cell["shards"],
                                   ledger=ledger, resources=True) as ctx:
                 res = fn(g, eps=eps, seed=seed, ctx=ctx)
                 assert_valid_coloring(g, res.colors)
@@ -276,7 +274,7 @@ def matrix_cells(seed: int = 0) -> list[str]:
     for cell in MATRIX:
         g = _gen(cell["gen"], seed)
         keys.append(cell_key(g.name, cell["algorithm"], cell["backend"],
-                             cell["workers"], cell["shards"]))
+                             cell["workers"]))
     return keys
 
 

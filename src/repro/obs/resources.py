@@ -6,10 +6,8 @@ daemon thread on the *coordinator* that samples resident set size and
 CPU seconds at a fixed interval, keeping running maxima.  When the run
 is traced each sample also lands as a ``res.rss_kb`` gauge in the
 tracer's :class:`~repro.obs.metrics.MetricsRegistry`, so a profile
-shows the memory curve next to the frontier curve.  Every engine —
-shard engines included — runs in the coordinator's process, so there
-are no per-worker rows: a shard's footprint is its mapped working set
-(``bytes`` on the ``ColoringResult.shards`` rows).
+shows the memory curve next to the frontier curve.  Every engine runs
+in the coordinator's process, so there are no per-worker rows.
 
 Default off (the zero-overhead contract): collection turns on with
 ``ExecutionContext(resources=True)``, ``$REPRO_RESOURCES=1``, or

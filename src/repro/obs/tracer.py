@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 from .metrics import MetricsRegistry
 
-#: Event categories emitted by the runtime and the engines.  ``shard``
-#: spans cover per-shard solves and boundary repair; ``fault``
-#: instants mark injected faults and degradation events — both
-#: validate through :mod:`repro.obs.validate`.
-CATEGORIES = ("phase", "round", "chunk", "instant", "shard", "fault")
+#: Event categories emitted by the runtime and the engines.  ``fault``
+#: instants mark injected faults and degradation events; they validate
+#: through :mod:`repro.obs.validate` like every other category.
+CATEGORIES = ("phase", "round", "chunk", "instant", "fault")
 
 
 @dataclass
@@ -220,12 +219,6 @@ class Tracer:
             faults[e.name] = faults.get(e.name, 0) + 1
         if faults:
             out["fault_events"] = faults
-        shard_spans = self.spans(cat="shard")
-        if shard_spans:
-            durs = [e.dur for e in shard_spans]
-            out["shard_spans"] = {"count": len(shard_spans),
-                                  "wall_s": round(sum(durs), 6),
-                                  "max_s": round(max(durs), 6)}
         return out
 
     # -- sinks ---------------------------------------------------------------

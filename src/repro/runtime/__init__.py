@@ -27,21 +27,12 @@ from .faults import (
     resolve_fault_plan,
 )
 from .kernels import KERNELS, Kernel
-from .shard import (
-    ShardedContext,
-    ShardError,
-    ShardPlan,
-    ShardSpec,
-    default_shards,
-    plan_shards,
-)
 
 __all__ = [
     "ADAPTIVE_MODES", "BACKENDS", "CHUNKS_PER_WORKER", "ChunkError",
     "DispatchEstimator", "ExecutionContext",
     "FaultInjected", "FaultPlan", "FaultSpec", "KERNELS", "Kernel",
-    "RecoveryError", "ShardError", "ShardPlan", "ShardSpec", "ShardedContext",
-    "WorkerDeath", "default_adaptive", "default_backend",
-    "default_shards", "default_weighted_chunks", "plan_shards",
+    "RecoveryError", "WorkerDeath", "default_adaptive", "default_backend",
+    "default_weighted_chunks",
     "resolve_adaptive", "resolve_context", "resolve_fault_plan",
 ]

@@ -112,7 +112,6 @@ from .faults import (
     resolve_fault_plan,
 )
 from .kernels import Kernel
-from .shard import default_shards
 
 T = TypeVar("T")
 
@@ -235,16 +234,6 @@ class ExecutionContext:
         ``'parallel'``; booleans map to on/off and ``None`` resolves
         via ``$REPRO_ADAPTIVE``, else on.  Results are bit-identical
         in every mode — the decision moves scheduling only.
-    shards:
-        Shard count for the sharding layer (:mod:`repro.runtime.shard`):
-        engines that support sharded execution (the DEC family) split
-        the run into this many per-shard engines.  ``None`` resolves
-        via ``$REPRO_SHARDS``; 0 (the default) and 1 mean unsharded.
-        Like the backend, the knob is run-wide (carried on the pool
-        host) and readable through the :attr:`shards` property;
-        :meth:`sharded` flips it fluently.  Colors are shard-count
-        independent — the boundary-repair protocol restores exactly
-        the engine's quality bound.
     ledger:
         The flight recorder (:mod:`repro.obs.ledger`): a
         :class:`~repro.obs.ledger.Ledger`, a JSONL path, ``True``
@@ -277,7 +266,6 @@ class ExecutionContext:
                  faults=None, retries: int | None = None,
                  backoff: float | None = None,
                  adaptive=None,
-                 shards: int | None = None,
                  ledger=None, resources=None,
                  _pool_host: "ExecutionContext | None" = None):
         # The host carries the run-wide state (pool, backend, fault
@@ -315,10 +303,6 @@ class ExecutionContext:
             self._estimator = DispatchEstimator() \
                 if self.adaptive != "off" else None
             self._scratch = ScratchArena()
-            self._shards = shards if shards is not None else default_shards()
-            if self._shards < 0:
-                raise ValueError(f"shards must be >= 0, "
-                                 f"got {self._shards}")
             self._ledger = resolve_ledger(ledger)
             res_on = resolve_resources(resources)
             self._resources_on = self._ledger.enabled \
@@ -326,20 +310,6 @@ class ExecutionContext:
             self._sampler: ResourceSampler | None = None
             if self._resources_on:
                 self._sampler = ResourceSampler(tracer=self.tracer).start()
-
-    @property
-    def shards(self) -> int:
-        """The run's shard count (0/1 = unsharded) — run-wide, like
-        the backend."""
-        return self._pool_host._shards
-
-    def sharded(self, n_shards: int) -> "ExecutionContext":
-        """Set the run-wide shard count; returns ``self`` for fluent
-        use: ``ExecutionContext(backend='threaded').sharded(4)``."""
-        if n_shards < 0:
-            raise ValueError(f"n_shards must be >= 0, got {n_shards}")
-        self._pool_host._shards = n_shards
-        return self
 
     @property
     def backend(self) -> str:
@@ -792,7 +762,6 @@ def resolve_context(ctx: ExecutionContext | None,
                     weighted_chunks: bool | None = None,
                     faults=None,
                     adaptive=None,
-                    shards: int | None = None,
                     ) -> tuple[ExecutionContext, bool]:
     """Return ``(context, owns)`` for an engine entry point.
 
@@ -808,5 +777,4 @@ def resolve_context(ctx: ExecutionContext | None,
                             cost=cost, mem=mem, crew=crew,
                             trace=trace,
                             weighted_chunks=weighted_chunks,
-                            faults=faults, adaptive=adaptive,
-                            shards=shards), True
+                            faults=faults, adaptive=adaptive), True

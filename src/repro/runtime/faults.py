@@ -2,7 +2,7 @@
 
 Every algorithm here is a sequence of pure parallel rounds, and the
 color bounds depend only on the ADG order and the rounds — never on the
-executor.  So re-running a failed chunk or shard cannot change a color,
+executor.  So re-running a failed chunk cannot change a color,
 and one rule is enough at every level.  :class:`Recovery` is that rule:
 owned by the run's pool host, it is the only code that draws injected
 faults, charges failed attempts, sleeps the capped backoff, and books
@@ -11,7 +11,7 @@ path reproducible on demand: a seeded, deterministic schedule of
 injected faults addressed by ``(round, chunk)`` coordinates — round ids
 are the run-wide :meth:`~repro.runtime.ExecutionContext.map_chunks`
 sequence numbers shared by every context of one run, chunk ids index
-the round's chunk list — or by shard id.
+the round's chunk list.
 
 Three fault kinds: ``error`` raises :class:`FaultInjected` (a kernel
 bug, a transient allocation failure); ``delay`` sleeps ``param``
@@ -30,34 +30,24 @@ default 2; each retry sleeps ``backoff * 2**(attempt-1)`` seconds,
                                                  the same chunk plan
     serial round     retry in place, then        a failed attempt (retry,
                      ChunkError                  then ChunkError)
-    shard engine     retry in place, then        a failed attempt (retry,
-                     ShardError                  then ShardError)
     service request  RecoveryError: re-run once on a quiet serial context
                      (``degraded: true``); anything else: error response
 
-``ChunkError`` and ``ShardError`` are both :class:`RecoveryError`.
+``ChunkError`` is a :class:`RecoveryError`.
 
 Plan grammar (``$REPRO_FAULTS`` or the ``faults=`` argument)::
 
     plan   := clause (';' clause)*
     clause := KIND '@' ROUND '.' CHUNK [':' PARAM] ['x' TIMES]
-            | KIND '@' 's' SHARD [':' PARAM] ['x' TIMES]
             | KIND '%' RATE [':' PARAM]
             | 'seed=' INT
     KIND   := 'error' | 'delay' | 'kill'
-    ROUND, CHUNK, SHARD := non-negative int, or '*' (any)
+    ROUND, CHUNK := non-negative int, or '*' (any)
     PARAM  := float (delay seconds; ignored for error/kill)
     TIMES  := fire on the first TIMES attempts of a coordinate (default 1)
     RATE   := float in [0, 1] — probabilistic clause, decided by a
               seeded hash of (seed, clause, round, chunk); first
               attempts only, so retries always make progress
-
-Shard-addressed clauses (``KIND@sSHARD``) target the sharding layer
-(:mod:`repro.runtime.shard`): the coordinate is the shard id of a
-dispatched shard engine, drawn through :meth:`FaultPlan.draw_shard`
-once per (shard, attempt).  They are invisible to the per-chunk
-:meth:`FaultPlan.draw` — and vice versa — so one plan can exercise both
-granularities without cross-talk.
 
 Examples::
 
@@ -66,9 +56,6 @@ Examples::
                          # retry budget < 5 -> ChunkError)
     delay@7.2:0.25       # chunk 2 of round 7 sleeps 250 ms first
     kill@5.*             # every chunk of round 5 kills its worker
-    kill@s1              # shard 1's engine dies on attempt 1 (re-run)
-    kill@s*x99           # every shard dies on every attempt (exhausts
-                         # the retry budget -> ShardError)
     error%0.01;seed=42   # 1% of all (round, chunk) dispatches fail once
 
 Explicit and probabilistic clauses only fire while ``attempt`` stays in
@@ -108,9 +95,8 @@ class RecoveryError(RuntimeError):
     """A unit of work failed for good: its retry budget is spent.
 
     The base of :class:`~repro.runtime.ChunkError` (one chunk of a
-    round) and :class:`~repro.runtime.ShardError` (one shard engine);
-    the message names the unit and the attempt count, and the last
-    failure is chained.  The service re-runs a request on a quiet
+    round); the message names the unit and the attempt count, and the
+    last failure is chained.  The service re-runs a request on a quiet
     serial context on exactly this type, and on nothing else.
     """
 
@@ -121,9 +107,6 @@ class FaultSpec:
 
     ``round``/``chunk`` of ``None`` are wildcards; ``rate`` switches
     the clause to probabilistic mode (coordinates are ignored then).
-    A ``shard`` coordinate (a shard id, or ``'*'`` as the any-shard
-    wildcard) makes the clause shard-addressed: matched only by
-    :meth:`FaultPlan.draw_shard`, never by the per-chunk draw.
     """
 
     kind: str
@@ -132,7 +115,6 @@ class FaultSpec:
     param: float = 0.0
     times: int = 1
     rate: float | None = None
-    shard: int | str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -144,17 +126,10 @@ class FaultSpec:
             raise ValueError(f"fault times must be >= 1, got {self.times}")
         if self.rate is not None and not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
-        if self.shard is not None and self.shard != "*" \
-                and (not isinstance(self.shard, int) or self.shard < 0):
-            raise ValueError(f"fault shard must be a non-negative int or "
-                             f"'*', got {self.shard!r}")
 
 
 _CLAUSE_AT = re.compile(
     r"^(error|delay|kill)@(\d+|\*)\.(\d+|\*)"
-    r"(?::([0-9]*\.?[0-9]+))?(?:x(\d+))?$")
-_CLAUSE_SHARD = re.compile(
-    r"^(error|delay|kill)@s(\d+|\*)"
     r"(?::([0-9]*\.?[0-9]+))?(?:x(\d+))?$")
 _CLAUSE_RATE = re.compile(
     r"^(error|delay|kill)%([0-9]*\.?[0-9]+)(?::([0-9]*\.?[0-9]+))?$")
@@ -209,16 +184,6 @@ class FaultPlan:
                     (DEFAULT_DELAY if kind == "delay" else 0.0),
                     times=int(times) if times else 1))
                 continue
-            m = _CLAUSE_SHARD.match(clause)
-            if m:
-                kind, shard, param, times = m.groups()
-                specs.append(FaultSpec(
-                    kind=kind,
-                    shard="*" if shard == "*" else int(shard),
-                    param=float(param) if param else
-                    (DEFAULT_DELAY if kind == "delay" else 0.0),
-                    times=int(times) if times else 1))
-                continue
             m = _CLAUSE_RATE.match(clause)
             if m:
                 kind, rate, param = m.groups()
@@ -229,8 +194,8 @@ class FaultPlan:
                 continue
             raise ValueError(
                 f"bad fault clause {clause!r}; expected "
-                f"kind@round.chunk[:param][xN], kind@sSHARD[:param][xN], "
-                f"kind%rate[:param], or seed=N with kind in {KINDS}")
+                f"kind@round.chunk[:param][xN], kind%rate[:param], "
+                f"or seed=N with kind in {KINDS}")
         return cls(specs, seed=seed)
 
     @classmethod
@@ -254,36 +219,14 @@ class FaultPlan:
 
         Called once per (round, chunk, attempt) by the runtime; the
         first matching clause wins and is tallied in ``fired``.
-        Shard-addressed clauses never match here (see
-        :meth:`draw_shard`).
         """
         for idx, s in enumerate(self.specs):
-            if s.shard is not None:
-                continue
             if s.rate is not None:
                 if attempt <= s.times and self._coin(idx, round,
                                                      chunk) < s.rate:
                     break
             elif (s.round in (None, round) and s.chunk in (None, chunk)
                     and attempt <= s.times):
-                break
-        else:
-            return None
-        self.fired[s.kind] = self.fired.get(s.kind, 0) + 1
-        return s
-
-    def draw_shard(self, shard: int, attempt: int = 1) -> FaultSpec | None:
-        """The fault to inject into one shard-engine dispatch, if any.
-
-        The sharding layer calls this once per (shard, attempt); only
-        shard-addressed clauses participate, so chunk-level plans run
-        untouched under sharding (shard workers drawing chunk faults
-        from their own contexts) and shard plans never perturb chunk
-        rounds.
-        """
-        for s in self.specs:
-            if s.shard is not None and s.shard in ("*", shard) \
-                    and attempt <= s.times:
                 break
         else:
             return None
@@ -365,7 +308,7 @@ class Recovery:
     """The run's one fault-recovery policy (see the module docstring).
 
     Owned by the pool host of an :class:`~repro.runtime.ExecutionContext`
-    and shared by its child contexts and its sharded executor, so round
+    and shared by its child contexts, so round
     ids, budgets, counters and events are run-wide.  ``retries`` and
     ``backoff`` of ``None`` resolve via ``$REPRO_RETRIES`` /
     ``$REPRO_BACKOFF``.
@@ -389,30 +332,19 @@ class Recovery:
         if self.tracer.enabled:
             self.tracer.count(name, 1, round=round)
 
-    def _injected(self, spec: FaultSpec | None, rid: int,
-                  where: dict) -> FaultSpec | None:
-        if spec is not None:
-            self._count(f"fault.injected.{spec.kind}", rid)
-            if self.tracer.enabled:
-                self.tracer.instant(f"fault.{spec.kind}", cat="fault",
-                                    **where)
-        return spec
-
     def draw(self, round: int, chunk: int,
              attempt: int) -> FaultSpec | None:
         """The fault injected into one chunk dispatch, if any."""
         if self.plan is None:
             return None
-        return self._injected(self.plan.draw(round, chunk, attempt), round,
-                              {"round": round, "chunk": chunk,
-                               "attempt": attempt})
-
-    def draw_shard(self, shard: int, attempt: int) -> FaultSpec | None:
-        """The fault injected into one shard-engine dispatch, if any."""
-        if self.plan is None:
-            return None
-        return self._injected(self.plan.draw_shard(shard, attempt), 0,
-                              {"shard": shard, "attempt": attempt})
+        spec = self.plan.draw(round, chunk, attempt)
+        if spec is not None:
+            self._count(f"fault.injected.{spec.kind}", round)
+            if self.tracer.enabled:
+                self.tracer.instant(f"fault.{spec.kind}", cat="fault",
+                                    round=round, chunk=chunk,
+                                    attempt=attempt)
+        return spec
 
     def retry(self, attempt: int, exc: BaseException, error: type,
               what: str, round: int = 0) -> None:

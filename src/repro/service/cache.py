@@ -4,12 +4,10 @@ A cached entry is safe to replay only if *every* input that can change
 the observable response participates in the key: the graph's content
 digest (so an in-place delta invalidates by construction — see
 ``CSRGraph.content_digest``), the algorithm name, its quality knob
-``eps``, the tiebreak ``seed``, and the shard count the response
-records.  Colors themselves are backend-count-independent by
-construction, but the response carries the configuration, so
-configuration is part of identity.  Kernels are NumPy, and colors do
-not depend on the kernel implementation, so no kernel field joins the
-key.
+``eps``, and the tiebreak ``seed``.  Colors are backend- and
+worker-count-independent by construction, kernels are NumPy, and the
+cached block records no execution configuration, so no configuration
+field joins the key.
 """
 
 from __future__ import annotations
@@ -18,11 +16,9 @@ from collections import OrderedDict
 from threading import Lock
 
 
-def cache_key(digest: str, algorithm: str, eps: float, seed,
-              shards: int) -> str:
+def cache_key(digest: str, algorithm: str, eps: float, seed) -> str:
     """The replay-identity of a color request (see module docstring)."""
-    return (f"{digest}|{algorithm}|eps={float(eps)!r}|seed={seed!r}"
-            f"|shards={int(shards)}")
+    return f"{digest}|{algorithm}|eps={float(eps)!r}|seed={seed!r}"
 
 
 class ResultCache:

@@ -24,7 +24,7 @@ Guarantees the tests lean on:
   runtime's one recovery policy (the level x fault-kind table is in
   :mod:`repro.runtime.faults`).  An engine call that exhausts a retry
   budget (a :class:`~repro.runtime.RecoveryError`) is re-run once on a
-  fresh, quiet, serial context with the same shard count; the response
+  fresh, quiet, serial context; the response
   then reports ``"degraded": True``.  Any other exception becomes an
   error response — the request future always completes, it never
   hangs.
@@ -76,9 +76,8 @@ class ContextPool:
     """
 
     def __init__(self, backend: str | None = None,
-                 workers: int | None = None,
-                 shards: int | None = None) -> None:
-        self._kw = dict(backend=backend, workers=workers, shards=shards)
+                 workers: int | None = None) -> None:
+        self._kw = dict(backend=backend, workers=workers)
         self._lock = threading.Lock()
         self._free: list[ExecutionContext] = []
         self._all: list[ExecutionContext] = []
@@ -183,12 +182,10 @@ class ColoringService:
     def __init__(self, *, workers: int = 2,
                  backend: str | None = None,
                  ctx_workers: int | None = None,
-                 shards: int | None = None,
                  cache_size: int = 128,
                  ledger=None) -> None:
         self.num_workers = max(1, int(workers))
-        self.pool = ContextPool(backend=backend, workers=ctx_workers,
-                                shards=shards)
+        self.pool = ContextPool(backend=backend, workers=ctx_workers)
         self.cache = ResultCache(cache_size)
         self.metrics = MetricsRegistry()
         self.ledger = resolve_ledger(ledger)
@@ -376,12 +373,10 @@ class ColoringService:
         kwargs = self._engine_kwargs(request)
         g = entry.graph
         digest = g.content_digest
+        key = cache_key(digest, algorithm, kwargs.get("eps", DEFAULT_EPS),
+                        kwargs.get("seed", 0))
         probe = self.pool.borrow()
         try:
-            key = cache_key(digest, algorithm,
-                            kwargs.get("eps", DEFAULT_EPS),
-                            kwargs.get("seed", 0),
-                            probe.shards)
             if not profile:
                 hit = self.cache.get(key)
                 if hit is not None:
@@ -402,8 +397,6 @@ class ColoringService:
             "colors_digest": colors_digest(result.colors),
             "rounds": int(result.rounds),
             "kernel_tier": result.kernel_tier,
-            "shards_used": (result.shards or {}).get("shards")
-            if result.shards else None,
         }
         if not profile:
             self.cache.put(key, block)
@@ -426,10 +419,10 @@ class ColoringService:
         """Run the engine on the executor; on a :class:`RecoveryError`
         re-run it once on a quiet serial context.
 
-        The runtime already retries chunks and shards and degrades a
-        run whose pool is lost; this level takes over only when a retry
-        budget is spent.  The quiet context keeps the run's shard count,
-        so the answer is the fault-free one.  Any other
+        The runtime already retries chunks and degrades a run whose
+        pool is lost; this level takes over only when a retry budget is
+        spent.  The quiet context injects no faults, so the answer is
+        the fault-free one.  Any other
         exception propagates (the request gets an error response).  The
         returned flag reports whether the re-run fired.
         """
@@ -445,8 +438,7 @@ class ColoringService:
                 self.executor, run, ctx), False
         except RecoveryError:
             self._bump("svc.retries")
-            quiet = ExecutionContext(backend="serial", faults=False,
-                                     shards=ctx.shards)
+            quiet = ExecutionContext(backend="serial", faults=False)
             try:
                 result = await loop.run_in_executor(
                     self.executor, run, quiet)

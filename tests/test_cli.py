@@ -161,7 +161,7 @@ class TestProfileCommand:
                      "JP-ADG", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"summary", "phases", "rounds", "imbalance",
-                            "faults", "dispatch", "shards", "resources"}
+                            "faults", "dispatch", "resources"}
         assert out["summary"]["algorithm"] == "JP-ADG"
         assert {r["phase"] for r in out["phases"]} >= {"jp:dag", "jp:color"}
         assert any("jp.colored" in r for r in out["rounds"])
@@ -181,45 +181,6 @@ class TestProfileCommand:
         text = capsys.readouterr().out
         assert "per-phase breakdown" in text
         assert "per-round metrics" in text
-
-    def test_shards_section(self, capsys):
-        assert main(["profile", "--gen", "gnm:150,500", "--algorithm",
-                     "DEC-ADG", "--shards", "3", "--json"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        rows = out["shards"]
-        assert len(rows) == 4  # 3 shard rows + the repair row
-        assert rows[-1]["shard"] == "repair"
-
-
-class TestShardsFlag:
-    def test_color_shards_digest(self, capsys):
-        assert main(["color", "--gen", "gnm:200,600", "--algorithm",
-                     "DEC-ADG-ITR", "--shards", "4", "--json"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["colors"] > 0
-        assert out["shards"]["n_shards"] == 4
-        assert len(out["shards"]["per_shard"]) == 4
-
-    def test_env_not_polluted(self, capsys, monkeypatch):
-        # The --shards seam sets $REPRO_SHARDS for the run and must
-        # restore the ambient value afterwards (here: unset).
-        import os
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert main(["color", "--gen", "gnm:100,300", "--algorithm",
-                     "DEC-ADG", "--shards", "2", "--json"]) == 0
-        capsys.readouterr()
-        assert "REPRO_SHARDS" not in os.environ
-
-    def test_shards_zero_overrides_env(self, capsys, monkeypatch):
-        # --shards 0 must force the layer off even with $REPRO_SHARDS
-        # set, and put the ambient value back afterwards.
-        import os
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert main(["color", "--gen", "gnm:100,300", "--algorithm",
-                     "DEC-ADG", "--shards", "0", "--json"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert "shards" not in out
-        assert os.environ["REPRO_SHARDS"] == "4"
 
     def test_profile_with_trace_file(self, tmp_path, capsys):
         path = str(tmp_path / "prof.json")

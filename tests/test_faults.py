@@ -110,6 +110,14 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError, match="bad fault clause|rate"):
             FaultPlan.parse(bad)
 
+    def test_shard_clause_rejected(self):
+        # There is no shard coordinate to draw against, so a
+        # shard-addressed clause must fail loudly instead of parsing
+        # into a fault that never fires.
+        for clause in ("kill@s1", "error@s*x3", "delay@s0:0.25"):
+            with pytest.raises(ValueError, match="bad fault clause"):
+                FaultPlan.parse(clause)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(kind="nope")
@@ -166,42 +174,6 @@ class TestFaultPlanDraw:
         with pytest.raises(FaultInjected):
             apply_fault(FaultSpec(kind="error"))
         apply_fault(FaultSpec(kind="delay", param=0.0))  # returns
-
-
-class TestShardClauses:
-    def test_parse_shard_clause(self):
-        plan = FaultPlan.parse("kill@s1;error@s*x3;delay@s0:0.25")
-        k, e, d = plan.specs
-        assert (k.kind, k.shard, k.times) == ("kill", 1, 1)
-        assert (e.kind, e.shard, e.times) == ("error", "*", 3)
-        assert (d.kind, d.shard, d.param) == ("delay", 0, 0.25)
-
-    def test_shard_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(kind="kill", shard=-1)
-        with pytest.raises(ValueError):
-            FaultSpec(kind="kill", shard="x")
-
-    def test_draw_skips_shard_specs(self):
-        # Chunk-coordinate draws must never fire shard-addressed
-        # clauses: they belong to the sharded executor.
-        plan = FaultPlan.parse("kill@s*")
-        assert all(plan.draw(r, c) is None
-                   for r in range(5) for c in range(5))
-        assert plan.fired == {}
-
-    def test_draw_shard_matches_and_counts(self):
-        plan = FaultPlan.parse("kill@s1;error@s*x2")
-        assert plan.draw_shard(0).kind == "error"
-        assert plan.draw_shard(1).kind == "kill"
-        assert plan.draw_shard(1, attempt=2).kind == "error"
-        assert plan.draw_shard(0, attempt=3) is None
-        assert plan.fired == {"kill": 1, "error": 2}
-
-    def test_draw_shard_skips_chunk_specs(self):
-        plan = FaultPlan.parse("kill@1.0;error%1.0")
-        assert plan.draw_shard(0) is None
-        assert plan.draw_shard(1) is None
 
 
 class TestResolveFaultPlan:

@@ -90,7 +90,7 @@ class TestLedgerRoundTrip:
         assert stored["schema"] == LEDGER_SCHEMA
         assert stored["algorithm"] == "JP-ADG"
         assert stored["graph"]["digest"] == graph_digest(small_graph)
-        assert stored["cell"] == cell_key("small", "JP-ADG", "serial", 1, 0)
+        assert stored["cell"] == cell_key("small", "JP-ADG", "serial", 1)
         assert stored["colors"] == res.num_colors
         assert stored["valid"] is True
 
@@ -182,28 +182,29 @@ class TestResources:
 
 
 class TestTraceSummaryCategories:
-    def test_fault_and_shard_spans_in_summary(self):
+    def test_fault_spans_in_summary(self):
         from repro.obs import Tracer
         g = gnm_random(400, 1600, seed=5)
         tracer = Tracer()
         with ExecutionContext(trace=tracer,
                               faults="error%0.4;seed=7") as ctx:
-            res = dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx, shards=3)
+            res = dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx)
         assert_valid_coloring(g, res.colors)
         summary = tracer.summary()
-        assert summary["shard_spans"]["count"] >= 3
-        assert summary["shard_spans"]["wall_s"] >= 0
-        if res.faults and res.faults["counters"].get("fault.injected", 0):
-            assert any(k.startswith("fault.")
-                       for k in summary["fault_events"])
+        injected = res.faults["counters"]["fault.injected.error"]
+        assert injected > 0
+        assert summary["fault_events"]["fault.error"] == injected
 
     def test_jsonl_trace_with_new_cats_validates(self, tmp_path):
         from repro.obs.validate import validate_trace_file
         g = gnm_random(300, 1200, seed=2)
         path = str(tmp_path / "t.jsonl")
-        with ExecutionContext(trace=path) as ctx:
-            dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx, shards=2)
+        with ExecutionContext(trace=path,
+                              faults="error%0.4;seed=7") as ctx:
+            dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx)
         assert validate_trace_file(path) > 0
+        with open(path) as fh:
+            assert any('"cat": "fault"' in line for line in fh)
 
     def test_validate_dispatches_ledger_jsonl(self, tmp_path, small_graph):
         from repro.obs.validate import validate_trace_file
@@ -216,7 +217,7 @@ class TestTraceSummaryCategories:
 
 class TestLedgerCell:
     def test_cell_key_ends_in_numpy(self):
-        assert cell_key("g", "JP-ADG", "serial", 1, 0) \
+        assert cell_key("g", "JP-ADG", "serial", 1) \
             == "g|JP-ADG|serial|1|0|numpy"
 
     def test_run_record_carries_numpy(self):
@@ -380,8 +381,7 @@ class TestRunMatrix:
     def test_single_cell_appends_and_passes_gate(self, tmp_path):
         ledger = str(tmp_path / "l.jsonl")
         from repro.obs.regress import MATRIX
-        cells = [c for c in MATRIX
-                 if c["backend"] == "serial" and c["shards"] == 0][:1]
+        cells = [c for c in MATRIX if c["backend"] == "serial"][:1]
         n = run_matrix(ledger, repeats=2, seed=0, cells=cells)
         assert n == 2
         recs = read_ledger(ledger)

@@ -50,20 +50,18 @@ class TestResultCache:
 
     def test_key_completeness(self):
         """Every field that can change the observable output must
-        change the key: digest, algorithm, eps, seed, shards."""
+        change the key: digest, algorithm, eps, seed."""
         base = dict(digest="aaaa", algorithm="DEC-ADG-ITR", eps=0.01,
-                    seed=0, shards=1)
+                    seed=0)
         variants = [dict(base, digest="bbbb"),
                     dict(base, algorithm="DEC-ADG"),
                     dict(base, eps=0.02),
-                    dict(base, seed=1),
-                    dict(base, shards=4)]
+                    dict(base, seed=1)]
         keys = [cache_key(**base)] + [cache_key(**v) for v in variants]
         assert len(set(keys)) == len(keys), keys
 
     def test_same_inputs_same_key(self):
-        kw = dict(digest="aaaa", algorithm="DEC-ADG", eps=6.0, seed=7,
-                  shards=2)
+        kw = dict(digest="aaaa", algorithm="DEC-ADG", eps=6.0, seed=7)
         assert cache_key(**kw) == cache_key(**kw)
 
 
@@ -337,29 +335,6 @@ class TestServiceUnderFaults:
         assert "degraded" not in r
         assert "svc.retries" not in stats["metrics"]
         assert calls == ["DEC-ADG-ITR"]
-
-    def test_exhausted_shard_budget_degrades(self, monkeypatch):
-        """``kill@s*x99`` exhausts every shard's retry budget; the
-        service re-runs quietly with the same shard count, so the
-        answer equals the fault-free sharded one."""
-        async def one(env):
-            if env:
-                monkeypatch.setenv("REPRO_FAULTS", env)
-                monkeypatch.setenv("REPRO_BACKOFF", "0.0")
-            else:
-                monkeypatch.delenv("REPRO_FAULTS", raising=False)
-            async with ColoringService(workers=1, backend="serial",
-                                       shards=4) as svc:
-                await ask(svc, op="load", graph="g", gen=GNM)
-                return await ask(svc, op="color", graph="g",
-                                 algorithm="DEC-ADG-ITR", eps=0.01, seed=0)
-
-        quiet = run(one(""))
-        noisy = run(one("kill@s*x99"))
-        assert noisy["ok"] is True and noisy["degraded"] is True
-        assert "degraded" not in quiet
-        assert noisy["result"]["colors_digest"] == \
-            quiet["result"]["colors_digest"]
 
 
 # -- TCP front end ------------------------------------------------------------

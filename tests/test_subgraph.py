@@ -11,7 +11,6 @@ from repro.graphs.subgraph import (
     degrees_within,
     edges_within,
     induced_subgraph,
-    shard_extract,
 )
 
 from .conftest import graphs
@@ -107,38 +106,6 @@ class TestIndexMap:
             return {(min(x, y), max(x, y)) for x, y in zip(ou, ov)}
 
         assert edge_set(a) == edge_set(b)
-
-
-class TestShardExtract:
-    def test_matches_bruteforce(self):
-        g = gnm_random(40, 200, seed=7)
-        subset = np.arange(0, 40, 2)
-        sub, boundary, ghosts = shard_extract(g, subset)
-        in_sub = set(subset.tolist())
-        exp_boundary, exp_ghosts = set(), set()
-        u, v = g.undirected_edges()
-        for a, b in zip(u.tolist(), v.tolist()):
-            if a in in_sub and b not in in_sub:
-                exp_boundary.add(a)
-                exp_ghosts.add(b)
-            elif b in in_sub and a not in in_sub:
-                exp_boundary.add(b)
-                exp_ghosts.add(a)
-        assert set(boundary.tolist()) == exp_boundary
-        assert set(ghosts.tolist()) == exp_ghosts
-        assert sub.m == induced_subgraph(g, subset).m
-
-    def test_whole_graph_has_no_ghosts(self):
-        g = gnm_random(20, 60, seed=8)
-        _, boundary, ghosts = shard_extract(g, np.arange(g.n))
-        assert boundary.size == 0 and ghosts.size == 0
-
-    def test_isolated_subset(self):
-        g = from_edges([0, 1], [1, 2], n=4)  # path 0-1-2, vertex 3 isolated
-        sub, boundary, ghosts = shard_extract(g, np.array([0, 3]))
-        assert sub.m == 0
-        np.testing.assert_array_equal(boundary, [0])
-        np.testing.assert_array_equal(ghosts, [1])
 
 
 class TestDegreesWithin:
