@@ -36,29 +36,34 @@ from .simcol import sim_col
 def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
                           max_degree: int, verts: np.ndarray,
                           levels: np.ndarray, level: int, colors: np.ndarray,
-                          ctx: ExecutionContext,
-                          phase: str) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
+                          ctx: ExecutionContext, phase: str,
+                          inline: bool = False) -> tuple[np.ndarray,
+                                                         np.ndarray,
+                                                         np.ndarray]:
     """Per-partition gather, chunked: deg_l counts and taken colors.
 
     Returns ``(counts_ge, taken, owners)`` where ``counts_ge[i]`` is the
     number of neighbors of ``verts[i]`` in this or higher partitions,
     and ``(owners, taken)`` lists the (local vertex, color) pairs taken
     by strictly-higher-partition neighbors (color 0 entries included;
-    the caller filters by its bitmap width).
+    the caller filters by its bitmap width).  ``inline`` runs the gather
+    as one call on this thread instead of through ``map_chunks``.
     """
     kern = Kernel("dec.constraints",
                   arrays={"verts": verts, "levels": levels,
                           "indptr": indptr, "indices": indices,
                           "colors": colors},
                   scalars={"level": int(level)})
-    ws = ctx.scratch
-    w = np.take(indptr[1:], verts,
-                out=ws.take("dec.w", verts.size, indptr.dtype))
-    w_lo = np.take(indptr, verts,
-                   out=ws.take("dec.wlo", verts.size, indptr.dtype))
-    np.subtract(w, w_lo, out=w)
-    results = ctx.map_chunks(kern, verts.size, weights=w)
+    if inline:
+        results = [kern(0, verts.size)]
+    else:
+        ws = ctx.scratch
+        w = np.take(indptr[1:], verts,
+                    out=ws.take("dec.w", verts.size, indptr.dtype))
+        w_lo = np.take(indptr, verts,
+                       out=ws.take("dec.wlo", verts.size, indptr.dtype))
+        np.subtract(w, w_lo, out=w)
+        results = ctx.map_chunks(kern, verts.size, weights=w)
     counts_ge = np.concatenate([r[0] for r in results]) if results else \
         np.empty(0, dtype=np.int64)
     owners = np.concatenate([r[1] for r in results]) if results else \

@@ -87,7 +87,7 @@ def _batch_neighbors(indptr: np.ndarray, indices: np.ndarray,
     valid until the same thread's next kernel call, so callers must
     only derive *fresh* arrays from them before returning.  Kernels
     whose contract is to return ``seg``/``nbrs`` themselves
-    (``simcol.trial``, ``itr.conflict``) must not pass ``ws``.
+    (``simcol.trial``) must not pass ``ws``.
     """
     if ws is None:
         counts = (indptr[batch + 1] - indptr[batch]).astype(np.int64)
@@ -192,58 +192,14 @@ def dec_constraints(lo: int, hi: int, a: dict, *, level: int):
     seg, nbrs = _batch_neighbors(a["indptr"], a["indices"], part, ws)
     k = nbrs.size
     lv = np.take(levels, nbrs, out=ws.take("dec.lv", k, levels.dtype))
-    cg = np.zeros(part.size, dtype=np.int64)  # fresh
     ge = np.greater_equal(lv, level, out=ws.take("dec.ge", k, bool))
-    np.add.at(cg, seg, ge)
+    cg = np.bincount(np.compress(ge, seg), minlength=part.size)  # fresh
     higher = np.greater(lv, level, out=ws.take("dec.hi", k, bool))
     kept = int(np.count_nonzero(higher))
     owners = np.compress(higher, seg)  # fresh
     owners += lo
     nb_h = np.compress(higher, nbrs, out=ws.take("dec.nbh", kept))
     return cg, owners, np.take(a["colors"], nb_h), k
-
-
-# -- DEC-ADG-ITR -------------------------------------------------------------
-
-def itr_choose(lo: int, hi: int, a: dict):
-    """Smallest non-forbidden color: first False in each bitmap row."""
-    mine = a["active"][lo:hi]
-    forbidden = a["forbidden"]
-    width = forbidden.shape[1]
-    ws = scratch()
-    rows = ws.take("itr.rows", mine.size * width, bool) \
-        .reshape(mine.size, width)
-    np.take(forbidden, mine, axis=0, out=rows)
-    rows[:, 0] = True
-    return np.argmin(rows, axis=1)  # fresh
-
-
-def itr_conflict(lo: int, hi: int, a: dict):
-    """Conflict detection among same-round neighbors, random priority.
-
-    Like ``simcol.trial``, ``seg``/``nbrs`` are returned for the
-    coordinator's bitmap commit, so the gather stays scratch-free.
-    """
-    mine = a["active"][lo:hi]
-    colors, still, priority = a["colors"], a["still"], a["priority"]
-    seg, nbrs = _batch_neighbors(a["indptr"], a["indices"], mine)
-    ws = scratch()
-    k = nbrs.size
-    cn = np.take(colors, nbrs, out=ws.take("itr.cn", k))
-    cm = np.take(colors, mine, out=ws.take("itr.cm", mine.size))
-    cms = np.take(cm, seg, out=ws.take("itr.cms", k))
-    same = np.equal(cn, cms, out=ws.take("itr.eq", k, bool))
-    stn = np.take(still, nbrs, out=ws.take("itr.st", k, bool))
-    np.logical_and(same, stn, out=same)
-    pn = np.take(priority, nbrs, out=ws.take("itr.pn", k, priority.dtype))
-    pm = np.take(priority, mine,
-                 out=ws.take("itr.pm", mine.size, priority.dtype))
-    pms = np.take(pm, seg, out=ws.take("itr.pms", k, priority.dtype))
-    loses = np.greater(pn, pms, out=ws.take("itr.gt", k, bool))
-    np.logical_and(loses, same, out=loses)
-    lost = segment_any(loses, seg, mine.size)  # fresh
-    md = int(np.bincount(seg, minlength=mine.size).max()) if k else 0
-    return lost, seg, nbrs, md
 
 
 #: Name -> kernel function; the lookup table for descriptors.
@@ -253,8 +209,6 @@ KERNELS: dict[str, Callable] = {
     "adg.pull": adg_pull,
     "simcol.trial": simcol_trial,
     "dec.constraints": dec_constraints,
-    "itr.choose": itr_choose,
-    "itr.conflict": itr_conflict,
 }
 
 # The streaming-ingestion parse kernel lives with the graph substrate
