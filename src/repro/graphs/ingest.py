@@ -17,8 +17,12 @@ scale path (DESIGN.md "Ingestion at scale"):
    stays O(n) while the parsed edges spill to disk as compact codes;
 3. the CSR is built out-of-core with the classic two-pass counting
    sort — degree histogram, then scatter into an ``np.memmap``-backed
-   duplicate-adjacency array under a spill directory — so peak RSS is
-   bounded by a parse wave plus the final CSR, not 3-4x the edge list;
+   duplicate-adjacency array under a spill directory, then a per-row
+   sort + dedupe — so peak RSS is bounded by a parse wave plus the
+   final CSR, not 3-4x the edge list.  The three passes run as C in
+   the same compiled library as the scanner (one call per spilled
+   chunk, one per row batch); without a compiler the NumPy passes,
+   which are also the C's test oracle, build the identical CSR;
 4. the result is stored in a digest-keyed binary cache
    (``<file-digest>.npz`` + a JSON manifest carrying mtime/size and the
    parse options), so repeat loads are near-instant and the service
@@ -64,10 +68,13 @@ import numpy as np
 from ..primitives.cbuild import CLibrary
 from .csr import CSRGraph
 
-# 2 MiB keeps the build passes' transient arrays (~5-6x a chunk's
-# edges) well under the final CSR while staying big enough that the
-# per-chunk fixed costs vanish; it also measured faster than 4 MiB
-# single-core (smaller working sets are kinder to the caches).
+# 2 MiB keeps a parse chunk's arrays and the build passes' transients
+# well under the final CSR while staying big enough that the per-chunk
+# fixed costs vanish; it also measured faster than 4 MiB single-core
+# (smaller working sets are kinder to the caches).  The compiled build
+# holds one chunk's codes and remap plus a row batch's sort buffers
+# (2 MiB, or the longest row); the NumPy fallback's sorts hold ~5-6x a
+# chunk's edges.
 DEFAULT_CHUNK_BYTES = 2 << 20
 CACHE_SCHEMA = "repro.ingest-cache/v1"
 CACHE_ENV = "REPRO_INGEST_CACHE"
@@ -99,6 +106,13 @@ _INT64_MAX = np.iinfo(np.int64).max
 # over the parsed ids that assigns first-seen codes, against which the
 # caller then applies a sorted-rank permutation to land on np.unique
 # semantics without the O(k log k) argsort of the full value array.
+#
+# repro_spill_rows and repro_sort_rows are the out-of-core CSR build:
+# the first counts (degree pass) or scatters (into the memmap duplicate
+# adjacency) one spilled chunk, the second sorts and dedupes one batch
+# of rows.  Unlike the scanner they trust no input: every code, row and
+# row cursor is checked before it indexes, and a violation returns an
+# error code that the caller raises as RuntimeError.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -236,6 +250,107 @@ long long repro_compact64(const int64_t *vals, long long k,
     }
     return d;
 }
+
+/* One spilled chunk of the CSR build: codes holds the chunk's ne u
+   codes, then its ne v codes, each an index into remap (the chunk
+   vocabulary's nv global rows, all < n).  Self-loops are dropped.
+   With adj == NULL every kept edge counts both endpoints into cur
+   (the degree pass); otherwise both directions are written at
+   adj[cur[row]++], never past end[row] (the scatter pass).  Returns
+   the kept edge count, -1 when a code or a row is out of range, -2
+   when a row cursor would pass its end. */
+long long repro_spill_rows(const int32_t *codes, long long ne,
+                           const int64_t *remap, long long nv, long long n,
+                           int64_t *cur, const int64_t *end, int64_t *adj)
+{
+    long long j, kept = 0;
+    for (j = 0; j < nv; j++)
+        if (remap[j] < 0 || remap[j] >= n) return -1;
+    for (j = 0; j < ne; j++) {
+        const int32_t a = codes[j], b = codes[ne + j];
+        int64_t u, v;
+        if (a < 0 || a >= nv || b < 0 || b >= nv) return -1;
+        u = remap[a];
+        v = remap[b];
+        if (u == v) continue;
+        kept++;
+        if (!adj) {
+            cur[u]++;
+            cur[v]++;
+            continue;
+        }
+        if (cur[u] >= end[u] || cur[v] >= end[v]) return -2;
+        adj[cur[u]++] = v;
+        adj[cur[v]++] = u;
+    }
+    return kept;
+}
+
+/* LSD radix sort of a[0..len) through tmp, one pass per byte of the
+   ids (nbytes covers any id < n); a pass whose byte is the same for
+   every entry is skipped. */
+static void radix_sort(int64_t *a, int64_t *tmp, long long len, int nbytes)
+{
+    long long cnt[256], i;
+    int64_t *src = a, *dst = tmp, *t;
+    int b, d;
+    for (b = 0; b < nbytes; b++) {
+        const int sh = 8 * b;
+        long long s = 0;
+        memset(cnt, 0, sizeof cnt);
+        for (i = 0; i < len; i++) cnt[(src[i] >> sh) & 255]++;
+        if (cnt[(src[0] >> sh) & 255] == len) continue;
+        for (d = 0; d < 256; d++) {
+            const long long c = cnt[d];
+            cnt[d] = s;
+            s += c;
+        }
+        for (i = 0; i < len; i++) dst[cnt[(src[i] >> sh) & 255]++] = src[i];
+        t = src; src = dst; dst = t;
+    }
+    if (src != a) memcpy(a, src, (size_t)len * sizeof *a);
+}
+
+/* Sort and dedupe nrows consecutive rows of the duplicate adjacency.
+   Row r is adj[rows[r] - rows[0] .. rows[r+1] - rows[0]); its sorted
+   distinct entries go to out, rows back to back, and their count to
+   deg[r].  Rows of <= 16 entries are insertion-sorted, longer ones
+   radix-sorted through tmp (>= the longest row).  Returns the number
+   of entries written. */
+long long repro_sort_rows(const int64_t *adj, const int64_t *rows,
+                          long long nrows, int nbytes, int64_t *out,
+                          int64_t *tmp, int64_t *deg)
+{
+    long long r, w = 0;
+    for (r = 0; r < nrows; r++) {
+        const long long len = rows[r + 1] - rows[r];
+        int64_t *row = out + w;
+        long long i, k;
+        if (len == 0) {
+            deg[r] = 0;
+            continue;
+        }
+        memcpy(row, adj + (rows[r] - rows[0]), (size_t)len * sizeof *row);
+        if (len <= 16) {
+            for (i = 1; i < len; i++) {
+                const int64_t x = row[i];
+                long long p = i;
+                while (p > 0 && row[p - 1] > x) {
+                    row[p] = row[p - 1];
+                    p--;
+                }
+                row[p] = x;
+            }
+        } else {
+            radix_sort(row, tmp, len, nbytes);
+        }
+        for (k = 1, i = 1; i < len; i++)
+            if (row[i] != row[k - 1]) row[k++] = row[i];
+        deg[r] = k;
+        w += k;
+    }
+    return w;
+}
 """
 
 def _bind_cparser(lib):
@@ -249,27 +364,31 @@ def _bind_cparser(lib):
     cp.restype = ctypes.c_longlong
     cp.argtypes = [p64, ctypes.c_longlong, p64, p32, ctypes.c_longlong,
                    p64, p32]
-    return {"parse": fn, "compact": cp}
+    ptr = ctypes.c_void_p
+    sr = lib.repro_spill_rows
+    sr.restype = ctypes.c_longlong
+    sr.argtypes = [ptr, ctypes.c_longlong, ptr, ctypes.c_longlong,
+                   ctypes.c_longlong, ptr, ptr, ptr]
+    so = lib.repro_sort_rows
+    so.restype = ctypes.c_longlong
+    so.argtypes = [ptr, ptr, ctypes.c_longlong, ctypes.c_int, ptr, ptr, ptr]
+    return {"parse": fn, "compact": cp, "spill_rows": sr, "sort_rows": so}
 
 
 _CPARSER = CLibrary("edgeparse", _C_SOURCE, _bind_cparser)
 
 
-def _load_cparser():
+def _cfunc(name: str):
+    """One bound function of the edgeparse library, or None unbuilt."""
     funcs = _CPARSER.load()
-    return funcs["parse"] if funcs else None
-
-
-def _load_ccompact():
-    funcs = _CPARSER.load()
-    return funcs["compact"] if funcs else None
+    return funcs[name] if funcs else None
 
 
 def _parse_c(data: bytes, comments: str):
     """C-tier parse, or None when unavailable / the chunk is not clean."""
     if len(comments) != 1 or not comments.isascii():
         return None
-    fn = _load_cparser()
+    fn = _cfunc("parse")
     if fn is None:
         return None
     # Each line is >= 4 bytes ("a b\n") and yields at most one edge.
@@ -415,7 +534,7 @@ def _compact_c(vals: np.ndarray):
     via a rank permutation.  Requires non-negative ids (-1 is the
     table's empty sentinel), which the tokenizer grammar guarantees.
     """
-    fn = _load_ccompact()
+    fn = _cfunc("compact")
     k = int(vals.size)
     if fn is None or k >= (1 << 31):
         return None
@@ -805,17 +924,125 @@ def cache_store(cdir: str, apath: str, comments: str, g: CSRGraph,
 
 # -- out-of-core CSR build -----------------------------------------------------
 
-def _iter_spill(vocab_path: str, codes_path: str, metas, vocab_global):
-    """Decode spilled chunks back to global-id edge arrays, in order."""
+def _spill_chunks(vocab_path: str, codes_path: str, metas, vocab_global):
+    """Each spilled chunk as ``(remap, codes, ne)``, in order.
+
+    ``remap`` maps the chunk's vocabulary codes to global rows;
+    ``codes`` holds the chunk's ``ne`` u codes, then its ``ne`` v codes.
+    """
     with open(vocab_path, "rb") as vf, open(codes_path, "rb") as cf:
         for nv, ne in metas:
             vocab_c = np.fromfile(vf, np.int64, nv)
             codes = np.fromfile(cf, np.int32, 2 * ne)
-            remap = np.searchsorted(vocab_global, vocab_c)
-            cu = remap[codes[:ne]]
-            cv = remap[codes[ne:]]
-            keep = cu != cv  # self-loops dropped, exactly like from_edges
-            yield cu[keep], cv[keep]
+            if vocab_c.size != nv or codes.size != 2 * ne:
+                raise RuntimeError("ingest spill is truncated")
+            yield np.searchsorted(vocab_global, vocab_c), codes, ne
+
+
+def _iter_spill(vocab_path: str, codes_path: str, metas, vocab_global):
+    """Decode spilled chunks back to global-id edge arrays, in order."""
+    for remap, codes, ne in _spill_chunks(vocab_path, codes_path, metas,
+                                          vocab_global):
+        cu = remap[codes[:ne]]
+        cv = remap[codes[ne:]]
+        keep = cu != cv  # self-loops dropped, exactly like from_edges
+        yield cu[keep], cv[keep]
+
+
+def _spill_rows_c(fn, remap, codes, ne: int, cur, end=None,
+                  adj=None) -> int:
+    """One chunk through ``repro_spill_rows``; its kept edge count.
+
+    Counts into ``cur`` when ``adj`` is None, else scatters into
+    ``adj``.  The C checks every code, row and cursor before indexing
+    with it; a violation means the spill contradicts itself, and
+    raises ``RuntimeError`` instead of building a wrong CSR.
+    """
+    remap = np.ascontiguousarray(remap, dtype=np.int64)
+    kept = fn(codes.ctypes.data, ne, remap.ctypes.data, remap.size,
+              cur.size, cur.ctypes.data,
+              None if end is None else end.ctypes.data,
+              None if adj is None else adj.ctypes.data)
+    if kept == -1:
+        raise RuntimeError("ingest spill is inconsistent: a code or row "
+                           "lies outside its vocabulary")
+    if kept == -2:
+        raise RuntimeError("ingest spill is inconsistent: a row got more "
+                           "entries than the degree pass counted")
+    return kept
+
+
+def _release_pages(mm, lo_e: int | None = None,
+                   hi_e: int | None = None) -> None:
+    """Drop a memmap's pages (entries [lo_e, hi_e) only, if given).
+
+    Keeps the duplicate adjacency from accumulating in RSS.  No flush
+    needed: for a shared file mapping MADV_DONTNEED only unmaps the
+    PTEs — dirty pages stay in the page cache and later reads see them.
+    """
+    try:
+        if lo_e is None:
+            mm._mmap.madvise(mmap.MADV_DONTNEED)
+            return
+        page = mmap.PAGESIZE  # the range, page-aligned outward
+        start = (lo_e * mm.itemsize) // page * page
+        stop = min(mm.nbytes, -(-(hi_e * mm.itemsize) // page) * page)
+        if stop > start:
+            mm._mmap.madvise(mmap.MADV_DONTNEED, start, stop - start)
+    except (AttributeError, OSError, ValueError):
+        pass
+
+
+def _scatter_numpy(chunks, cursor, adj, key_dtype) -> None:
+    """The NumPy scatter: per chunk and direction, a stable sort by row,
+    then windowed writes at the row cursors."""
+    for cu, cv in chunks:
+        # One direction at a time keeps the transient arrays at half a
+        # chunk's edges.
+        for src, dst in ((cu, cv), (cv, cu)):
+            if not src.size:
+                continue
+            order = np.argsort(src.astype(key_dtype, copy=False),
+                               kind="stable")
+            src = src[order]
+            dst = dst[order]
+            run_start = np.concatenate(
+                [[0], np.flatnonzero(src[1:] != src[:-1]) + 1])
+            uniq = src[run_start]
+            counts = np.diff(np.concatenate([run_start, [src.size]]))
+            within = np.arange(src.size, dtype=np.int64) \
+                - np.repeat(run_start, counts)
+            pos = cursor[src] + within
+            cursor[uniq] += counts
+            del src, within
+            # pos ascends with the sorted rows, so windowed writes
+            # cover disjoint ranges we can hand straight back to the
+            # kernel — the duplicate adjacency never holds more than
+            # one window's pages in RSS.
+            win = 1 << 16
+            for wlo in range(0, pos.size, win):
+                whi = min(pos.size, wlo + win)
+                adj[pos[wlo:whi]] = dst[wlo:whi]
+                _release_pages(adj, int(pos[wlo]), int(pos[whi - 1]) + 1)
+            del order, dst, pos
+        _malloc_trim()
+
+
+def _compact_numpy(block, rows, key_dtype):
+    """The NumPy compaction of one row batch: a lexsort by (row, id),
+    then an adjacent dedupe.  Returns (entries, per-row counts)."""
+    nrows = rows.size - 1
+    seg = np.repeat(np.arange(nrows, dtype=key_dtype), np.diff(rows))
+    order = np.lexsort((block.astype(key_dtype, copy=False), seg))
+    s2 = seg[order]
+    b2 = block[order]
+    if b2.size:
+        keep = np.empty(b2.size, bool)
+        keep[0] = True
+        keep[1:] = (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1])
+        s2 = s2[keep]
+        b2 = b2[keep]
+    return b2, np.bincount(s2, minlength=nrows)
 
 
 def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
@@ -829,14 +1056,25 @@ def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
     sorts + dedupes each, and appends the final indices to disk.  The
     coordinator never holds more than one chunk of edges plus O(n)
     arrays, so peak RSS ~ final CSR + a parse chunk.
+
+    The passes run as C (``repro_spill_rows`` / ``repro_sort_rows``)
+    when the edgeparse library builds, else as NumPy; both give the
+    same CSR.
     """
     n = int(vocab_global.size)
+    spilled = (vocab_path, codes_path, metas, vocab_global)
+    funcs = _CPARSER.load()
     with ctx.phase("ingest.count"):
         deg = np.zeros(n, np.int64)
-        for cu, cv in _iter_spill(vocab_path, codes_path, metas,
-                                  vocab_global):
-            deg += np.bincount(cu, minlength=n)
-            deg += np.bincount(cv, minlength=n)
+        kept = 0
+        if funcs:
+            for remap, codes, ne in _spill_chunks(*spilled):
+                kept += _spill_rows_c(funcs["spill_rows"], remap, codes,
+                                      ne, deg)
+        else:
+            for cu, cv in _iter_spill(*spilled):
+                deg += np.bincount(cu, minlength=n)
+                deg += np.bincount(cv, minlength=n)
         indptr_dup = np.zeros(n + 1, np.int64)
         np.cumsum(deg, out=indptr_dup[1:])
         total = int(indptr_dup[-1])
@@ -845,29 +1083,6 @@ def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
     # whenever the graph fits (it always does for real SNAP files).
     key_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
-    def _release(mm) -> None:
-        # Drop the mapping's pages so the duplicate adjacency never
-        # accumulates in RSS.  No flush needed: for a shared file
-        # mapping MADV_DONTNEED only unmaps the PTEs — dirty pages
-        # stay in the page cache and later reads see them.
-        try:
-            mm._mmap.madvise(mmap.MADV_DONTNEED)
-        except (AttributeError, OSError, ValueError):
-            pass
-
-    page = mmap.PAGESIZE
-
-    def _release_range(mm, lo_e: int, hi_e: int) -> None:
-        # Same, for entries [lo_e, hi_e) only (page-aligned outward).
-        start = (lo_e * 8) // page * page
-        stop = min(mm.nbytes, -(-(hi_e * 8) // page) * page)
-        if stop <= start:
-            return
-        try:
-            mm._mmap.madvise(mmap.MADV_DONTNEED, start, stop - start)
-        except (AttributeError, OSError, ValueError):
-            _release(mm)
-
     adj = None
     adj_path = os.path.join(spill, "adj.bin")
     with ctx.phase("ingest.scatter"):
@@ -875,39 +1090,28 @@ def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
             adj = np.memmap(adj_path, dtype=np.int64, mode="w+",
                             shape=(total,))
             cursor = indptr_dup[:-1].copy()
-            for cu, cv in _iter_spill(vocab_path, codes_path, metas,
-                                      vocab_global):
-                # One direction at a time keeps the transient arrays at
-                # half a chunk's edges.
-                for src, dst in ((cu, cv), (cv, cu)):
-                    if not src.size:
-                        continue
-                    order = np.argsort(src.astype(key_dtype, copy=False),
-                                       kind="stable")
-                    src = src[order]
-                    dst = dst[order]
-                    run_start = np.concatenate(
-                        [[0], np.flatnonzero(src[1:] != src[:-1]) + 1])
-                    uniq = src[run_start]
-                    counts = np.diff(np.concatenate([run_start,
-                                                     [src.size]]))
-                    within = np.arange(src.size, dtype=np.int64) \
-                        - np.repeat(run_start, counts)
-                    pos = cursor[src] + within
-                    cursor[uniq] += counts
-                    del src, within
-                    # pos ascends with the sorted rows, so windowed
-                    # writes cover disjoint ranges we can hand straight
-                    # back to the kernel — the duplicate adjacency never
-                    # holds more than one window's pages in RSS.
-                    win = 1 << 16
-                    for wlo in range(0, pos.size, win):
-                        whi = min(pos.size, wlo + win)
-                        adj[pos[wlo:whi]] = dst[wlo:whi]
-                        _release_range(adj, int(pos[wlo]),
-                                       int(pos[whi - 1]) + 1)
-                    del order, dst, pos
-                _malloc_trim()
+            if funcs:
+                scattered = 0
+                for remap, codes, ne in _spill_chunks(*spilled):
+                    scattered += _spill_rows_c(
+                        funcs["spill_rows"], remap, codes, ne, cursor,
+                        indptr_dup[1:], adj)
+                    # Rows land all over the mapping, so one chunk
+                    # touches most of its pages: dropping them after
+                    # every chunk costs re-faults but holds the
+                    # resident duplicate adjacency to what one chunk
+                    # writes (measured in DESIGN.md, "Ingestion at
+                    # scale").
+                    _release_pages(adj)
+                # No row overflowed, so equal totals mean every row
+                # was filled exactly.
+                if scattered != kept:
+                    raise RuntimeError(
+                        "ingest spill is inconsistent: the scatter kept "
+                        f"{scattered} edges, the degree pass {kept}")
+            else:
+                _scatter_numpy(_iter_spill(*spilled), cursor, adj,
+                               key_dtype)
 
     with ctx.phase("ingest.compact"):
         deg_final = np.zeros(n, np.int64)
@@ -915,40 +1119,38 @@ def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
         with open(ind_path, "wb") as outf:
             if total:
                 budget = max(1 << 16, chunk_bytes // 8)  # entries/batch
+                if funcs:
+                    longest = int(deg.max())
+                    out = np.empty(max(budget, longest), np.int64)
+                    tmp = np.empty(longest, np.int64)
+                    nbytes = max(1, ((n - 1).bit_length() + 7) // 8)
                 r0 = 0
                 while r0 < n:
                     target = int(indptr_dup[r0]) + budget
                     r1 = int(np.searchsorted(indptr_dup, target,
                                              side="right")) - 1
                     r1 = min(n, max(r1, r0 + 1))
-                    lo_p = int(indptr_dup[r0])
-                    hi_p = int(indptr_dup[r1])
-                    block = np.asarray(adj[lo_p:hi_p])
-                    seg = np.repeat(np.arange(r1 - r0, dtype=key_dtype),
-                                    np.diff(indptr_dup[r0:r1 + 1]))
-                    order = np.lexsort(
-                        (block.astype(key_dtype, copy=False), seg))
-                    s2 = seg[order]
-                    b2 = block[order]
-                    if b2.size:
-                        keep = np.empty(b2.size, bool)
-                        keep[0] = True
-                        keep[1:] = (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1])
-                        s2 = s2[keep]
-                        b2 = b2[keep]
-                    b2.tofile(outf)
-                    deg_final[r0:r1] = np.bincount(s2, minlength=r1 - r0)
-                    del block, seg, order, s2, b2
-                    _release(adj)
+                    block = adj[int(indptr_dup[r0]):int(indptr_dup[r1])]
+                    if funcs:
+                        k = funcs["sort_rows"](
+                            block.ctypes.data, indptr_dup[r0:].ctypes.data,
+                            r1 - r0, nbytes, out.ctypes.data,
+                            tmp.ctypes.data, deg_final[r0:].ctypes.data)
+                        out[:k].tofile(outf)
+                    else:
+                        b2, deg_final[r0:r1] = _compact_numpy(
+                            np.asarray(block), indptr_dup[r0:r1 + 1],
+                            key_dtype)
+                        b2.tofile(outf)
+                        del b2
+                    del block
+                    _release_pages(adj)
                     r0 = r1
         if adj is not None:
             # Return the duplicate adjacency's pages before the final
             # arrays materialize — this is what keeps peak RSS at
             # "final CSR + a chunk", not "CSR + 2m duplicates".
-            try:
-                adj._mmap.madvise(mmap.MADV_DONTNEED)
-            except (AttributeError, OSError, ValueError):
-                pass
+            _release_pages(adj)
             del adj
         _malloc_trim()
         indptr = np.zeros(n + 1, np.int64)

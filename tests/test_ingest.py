@@ -8,7 +8,9 @@ exception type.
 """
 
 import gzip
+import importlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from repro.graphs.ingest import (
     resolve_parser,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
+from repro.runtime import ExecutionContext
+
+# repro.graphs re-exports the ingest() function under the module's name.
+ingest_mod = importlib.import_module("repro.graphs.ingest")
 
 TIERS = ["auto", "c", "numpy", "python"]
 
@@ -267,6 +273,236 @@ class TestCache:
         with open(path, "rb") as fh:
             ref = hashlib.sha256(fh.read()).hexdigest()
         assert file_digest(path) == ref
+
+
+# -- the compiled CSR build ---------------------------------------------------
+
+class _NoBuild:
+    """Stands in for the edgeparse library when it cannot be built."""
+
+    def load(self):
+        return None
+
+
+def _require_c():
+    if ingest_mod._CPARSER.load() is None:
+        pytest.skip("no C compiler: the compiled build is unavailable")
+
+
+def _assert_builds_agree(path, **kw):
+    """The compiled build's CSR equals the NumPy build's; returns it."""
+    got = _ingest(path, **kw)
+    with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()):
+        ref = _ingest(path, **kw)
+    assert got.content_digest == ref.content_digest
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    return got
+
+
+def _row_lengths_text(rng):
+    """Edges whose duplicate-adjacency rows have 0, 1, 16, 17 and ~3000
+    entries, with repeats, in shuffled order."""
+    lines = ["7000 7000"]                                  # a row of 0
+    lines += ["8000 8001"]                                 # rows of 1
+    # Rows of 16 and 17 entries, distinct and with repeats.
+    lines += [f"5000 {6000 + i}" for i in range(16)]
+    lines += [f"5001 {6100 + i}" for i in range(17)]
+    lines += [f"5002 {6200 + i}" for i in range(15)] + ["5002 6200"]
+    lines += [f"5003 {6300 + i}" for i in range(15)] + ["5003 6300"] * 2
+    # A hub row of 3000 entries, 100 of them repeats.
+    lines += [f"0 {1 + i}" for i in range(2900)]
+    lines += [f"{1 + i} 0" for i in range(0, 2900, 29)]
+    rng.shuffle(lines)
+    return "".join(f"{x}\n" for x in lines)
+
+
+class TestCompiledBuild:
+    """The C count/scatter/compact passes against the NumPy oracle."""
+
+    def test_row_lengths_both_sort_branches(self, tmp_path):
+        _require_c()
+        path = _write(tmp_path, _row_lengths_text(np.random.default_rng(3)))
+        g = _assert_builds_agree(path)
+        assert sorted(set(np.diff(g.indptr).tolist()) & {0, 1, 16, 17}) \
+            == [0, 1, 16, 17]
+        assert int(g.degrees.max()) == 2900
+        assert g.content_digest == read_edge_list(path).content_digest
+
+    def test_three_byte_ids(self, tmp_path):
+        # n > 65536: the radix sort needs its third byte pass.
+        _require_c()
+        rng = np.random.default_rng(4)
+        n = 70_000
+        hub = rng.choice(np.arange(1, n), 3000, replace=False)
+        lines = [f"{i} {i + 1}" for i in range(1, n - 1)]
+        lines += [f"0 {h}" for h in hub.tolist()]
+        path = _write(tmp_path, "".join(f"{x}\n" for x in lines))
+        g = _assert_builds_agree(path, chunk_bytes=1 << 16)
+        assert g.n == n
+
+    def test_duplicates_and_self_loop_lines(self, tmp_path):
+        _require_c()
+        text = "3 3\n3 3\n1 2\n2 1\n1 2\n9 9\n2 4\n4 2\n4 4\n"
+        path = _write(tmp_path, text)
+        g = _assert_builds_agree(path)
+        assert (g.n, g.m) == (5, 2)
+
+    def test_self_loops_only(self, tmp_path):
+        _require_c()
+        path = _write(tmp_path, "1 1\n2 2\n")
+        g = _assert_builds_agree(path)
+        assert (g.n, g.m) == (2, 0)
+
+    def test_negative_ids_from_python_tier(self, tmp_path):
+        _require_c()
+        path = _write(tmp_path, "-5 3\n3 -5\n-7 -5\n-7 -7\n12 -5\n")
+        got, rep = ingest_report(path, cache=False)
+        assert rep["parser_used"] == "python"
+        _assert_builds_agree(path)
+        assert got.content_digest == read_edge_list(path).content_digest
+
+    def test_small_chunks_threaded(self, tmp_path):
+        _require_c()
+        g0 = kronecker(scale=9, edge_factor=8, seed=6)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g0, path)
+        got = _assert_builds_agree(path, chunk_bytes=4096,
+                                   backend="threaded", workers=2)
+        assert got.content_digest == read_edge_list(path).content_digest
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                    max_size=400))
+    @settings(max_examples=40, deadline=None)
+    def test_property_c_matches_numpy(self, tmp_path_factory, edges):
+        _require_c()
+        tmp = tmp_path_factory.mktemp("cbuild")
+        path = _write(tmp, "".join(f"{a} {b}\n" for a, b in edges))
+        _assert_builds_agree(path, chunk_bytes=4096)
+
+    def test_numpy_build_without_library(self, tmp_path):
+        g0 = gnm_random(150, 900, seed=8)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g0, path)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*a, **kw):
+                calls.append(name)
+                return fn(*a, **kw)
+            return wrapped
+
+        with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()), \
+                mock.patch.object(ingest_mod, "_scatter_numpy",
+                                  spy("scatter", ingest_mod._scatter_numpy)), \
+                mock.patch.object(ingest_mod, "_compact_numpy",
+                                  spy("compact", ingest_mod._compact_numpy)), \
+                mock.patch.object(ingest_mod, "_spill_rows_c",
+                                  spy("c", ingest_mod._spill_rows_c)):
+            got = _ingest(path, chunk_bytes=4096)
+        assert "scatter" in calls and "compact" in calls
+        assert "c" not in calls
+        assert got.content_digest == read_edge_list(path).content_digest
+
+
+def _spill(tmp_path, chunks, vocab_global):
+    """Write a hand-made spill: chunks are (chunk vocab, codes) pairs."""
+    vocab_path = str(tmp_path / "vocab.bin")
+    codes_path = str(tmp_path / "codes.bin")
+    metas = []
+    with open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
+        for vocab, codes in chunks:
+            np.asarray(vocab, np.int64).tofile(vf)
+            np.asarray(codes, np.int32).tofile(cf)
+            metas.append((len(vocab), len(codes) // 2))
+    return vocab_path, codes_path, metas, np.asarray(vocab_global, np.int64)
+
+
+def _build(tmp_path, spilled):
+    with ExecutionContext(backend="serial") as ctx:
+        return ingest_mod._build_csr_from_spill(
+            str(tmp_path), *spilled, ctx, 4096, "spill")
+
+
+class TestCompiledBuildGuards:
+    """An inconsistent spill raises on the C path, never builds a CSR."""
+
+    def test_consistent_spill_builds(self, tmp_path):
+        _require_c()
+        # Edges 10-20, 20-30, 30-30 (a self-loop), in two chunks.
+        spilled = _spill(tmp_path, [([10, 20], [0, 1, 1, 0]),
+                                    ([20, 30], [0, 1, 1, 1])],
+                         [10, 20, 30])
+        g = _build(tmp_path, spilled)
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        assert g.indices.tolist() == [1, 0, 2, 1]
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_code_outside_chunk_vocab(self, tmp_path, bad):
+        _require_c()
+        spilled = _spill(tmp_path, [([10, 20], [0, bad, 1, 0])],
+                         [10, 20])
+        with pytest.raises(RuntimeError, match="outside its vocabulary"):
+            _build(tmp_path, spilled)
+
+    def test_chunk_id_beyond_global_vocab(self, tmp_path):
+        _require_c()
+        spilled = _spill(tmp_path, [([10, 99], [0, 1])], [10, 20])
+        with pytest.raises(RuntimeError, match="outside its vocabulary"):
+            _build(tmp_path, spilled)
+
+    def test_truncated_spill(self, tmp_path):
+        vocab_path, codes_path, metas, vg = _spill(
+            tmp_path, [([10, 20], [0, 1])], [10, 20])
+        metas = [(2, 5)]  # claims five edges, the file holds one
+        with pytest.raises(RuntimeError, match="truncated"):
+            _build(tmp_path, (vocab_path, codes_path, metas, vg))
+
+    def test_row_cursor_cannot_pass_its_end(self):
+        _require_c()
+        fn = ingest_mod._cfunc("spill_rows")
+        remap = np.arange(3, dtype=np.int64)
+        codes = np.array([0, 0, 1, 2], np.int32)  # edges 0-1, 0-2
+        cursor = np.array([0, 1, 2], np.int64)
+        end = np.array([1, 2, 3], np.int64)       # row 0 holds one entry
+        adj = np.full(3, -1, np.int64)
+        with pytest.raises(RuntimeError, match="more entries"):
+            ingest_mod._spill_rows_c(fn, remap, codes, 2, cursor, end, adj)
+
+    def _shifting_spill(self, corrupt):
+        """A spill whose second read (the scatter) differs from the first."""
+        real = ingest_mod._spill_chunks
+        reads = []
+
+        def chunks(*a):
+            reads.append(1)
+            for remap, codes, ne in real(*a):
+                if len(reads) > 1:
+                    codes = corrupt(codes.copy(), ne)
+                yield remap, codes, ne
+        return mock.patch.object(ingest_mod, "_spill_chunks", chunks)
+
+    def test_scatter_overflow_raises_from_ingest(self, tmp_path):
+        _require_c()
+        path = _write(tmp_path, "0 1\n1 2\n2 3\n3 4\n")
+
+        def all_from_row0(codes, ne):
+            codes[:ne] = 0
+            return codes
+        with self._shifting_spill(all_from_row0), \
+                pytest.raises(RuntimeError, match="more entries"):
+            _ingest(path)
+
+    def test_kept_totals_must_match(self, tmp_path):
+        _require_c()
+        path = _write(tmp_path, "0 1\n1 2\n2 3\n3 4\n")
+
+        def self_loop(codes, ne):
+            codes[ne] = codes[0]  # the first edge becomes a self-loop
+            return codes
+        with self._shifting_spill(self_loop), \
+                pytest.raises(RuntimeError, match="the scatter kept"):
+            _ingest(path)
 
 
 # -- report plumbing ----------------------------------------------------------
