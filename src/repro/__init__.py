@@ -18,9 +18,9 @@ The package is organized as:
 - :mod:`repro.graphs` — CSR substrate, generators, I/O, degeneracy;
 - :mod:`repro.primitives` — PRAM primitives and segment kernels;
 - :mod:`repro.machine` — work-depth cost model, Brent simulation;
-- :mod:`repro.runtime` — ExecutionContext: serial/threaded backends,
-  chunked execution, end-to-end accounting;
-- :mod:`repro.obs` — run tracing: phase/chunk spans, per-round metric
+- :mod:`repro.runtime` — ExecutionContext: backend/workers
+  configuration, rounds, fault recovery, end-to-end accounting;
+- :mod:`repro.obs` — run tracing: phase/round spans, per-round metric
   series, JSONL and Chrome-trace (Perfetto) export;
 - :mod:`repro.ordering` — FF/R/LF/LLF/SL/SLL/ASL/ID/SD and **ADG**;
 - :mod:`repro.coloring` — Greedy, JP-*, ITR family, SIM-COL, **JP-ADG**,

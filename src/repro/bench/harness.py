@@ -43,7 +43,7 @@ class RunRecord:
     workers: int = 1
     phase_walls: dict = field(default_factory=dict)
     #: Tracer digest when the run was traced (per-round metric series
-    #: under "series", chunk-imbalance stats under "imbalance"), else
+    #: under "series"), else
     #: None.
     trace_summary: dict | None = None
     #: Resource-telemetry digest when the run sampled resources
@@ -132,7 +132,7 @@ def run_suite(graphs: dict[str, CSRGraph],
 
     ``trace=True`` traces every backend-aware run with a fresh
     in-memory tracer, so each record's ``trace_summary`` carries that
-    run's own per-round series and imbalance stats.  Passing a
+    run's own per-round series.  Passing a
     :class:`~repro.obs.Tracer` instance instead shares one trace across
     the whole suite (one exportable file; per-record summaries are then
     cumulative snapshots).

@@ -121,8 +121,6 @@ def cmd_color(args: argparse.Namespace) -> int:
                                   for k, v in res.phase_walls.items()}
         if res.faults is not None:
             summary["faults"] = res.faults
-        if res.dispatch is not None:
-            summary["dispatch"] = res.dispatch
         if res.resources is not None:
             summary["resources"] = res.resources
         print(json.dumps(summary))
@@ -331,9 +329,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from .obs import (
         Tracer,
-        dispatch_breakdown,
         fault_breakdown,
-        imbalance_breakdown,
         phase_breakdown,
         resource_breakdown,
         round_breakdown,
@@ -361,14 +357,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     summary["graph"] = g.name
     phases = phase_breakdown(res, tracer)
     rounds = round_breakdown(tracer)
-    imbalance = imbalance_breakdown(tracer)
     faults = fault_breakdown(res)
-    dispatch = dispatch_breakdown(res)
     resources = resource_breakdown(res)
     if args.json:
         print(json.dumps({"summary": summary, "phases": phases,
-                          "rounds": rounds, "imbalance": imbalance,
-                          "faults": faults, "dispatch": dispatch,
+                          "rounds": rounds, "faults": faults,
                           "resources": resources}))
     else:
         print(format_table([summary]))
@@ -377,15 +370,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if rounds:
             print("\n== per-round metrics ==")
             print(format_table(rounds))
-        if imbalance:
-            print("\n== chunked rounds (threaded imbalance) ==")
-            print(format_table(imbalance))
         if faults:
             print("\n== fault recovery ==")
             print(format_table(faults))
-        if dispatch:
-            print("\n== adaptive dispatch ==")
-            print(format_table(dispatch))
         if resources:
             print("\n== resources (coordinator peak RSS / CPU) ==")
             print(format_table(resources))
@@ -474,11 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
         p.add_argument("--backend", metavar="{serial,threaded}",
                        default=None,
-                       help="execution backend (default: $REPRO_BACKEND "
-                            "or serial); colors are backend-independent")
+                       help="execution backend, recorded with the run "
+                            "(default: $REPRO_BACKEND or serial); colors "
+                            "are backend-independent")
         p.add_argument("--workers", type=int, default=None,
-                       help="threaded-backend worker count "
-                            "(default: $REPRO_WORKERS or CPU count)")
+                       help="threaded-backend worker count, recorded "
+                            "with the run (default: $REPRO_WORKERS or "
+                            "CPU count)")
         p.add_argument("--trace", metavar="FILE",
                        help="export a run trace: .jsonl for the event "
                             "log, anything else for Chrome trace JSON "
@@ -491,17 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "resource telemetry for the run")
         p.add_argument("--faults", metavar="SPEC",
                        help="deterministic fault plan for chaos runs, "
-                            "e.g. 'error@3.0;kill@8.*;delay%%0.01:0.005;"
-                            "seed=7' (same grammar as $REPRO_FAULTS); "
-                            "results are bit-identical to a fault-free "
-                            "run")
-        p.add_argument("--adaptive",
-                       choices=["on", "off", "inline", "parallel"],
-                       default=None,
-                       help="adaptive round dispatch (default: "
-                            "$REPRO_ADAPTIVE or on): inline rounds too "
-                            "small to amortize their dispatch overhead; "
-                            "colors are identical in every mode")
+                            "e.g. 'error@3.0;error%%0.01;seed=7' (same "
+                            "grammar as $REPRO_FAULTS); results are "
+                            "bit-identical to a fault-free run")
 
     p_color = sub.add_parser("color", help="run a coloring algorithm")
     common(p_color)
@@ -635,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # replacement.
         from .runtime.context import check_backend
         check_backend(args.backend, "--backend")
-    # The runtime reads $REPRO_FAULTS / $REPRO_ADAPTIVE wherever a
+    # The runtime reads $REPRO_FAULTS / $REPRO_LEDGER wherever a
     # context is built (including child contexts and the bench
     # harness), so the env vars are the one seam that covers every
     # subcommand; restored afterwards so in-process callers (tests)
@@ -643,7 +624,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     import os
     saved: dict[str, str | None] = {}
     for flag, env in (("faults", "REPRO_FAULTS"),
-                      ("adaptive", "REPRO_ADAPTIVE"),
                       ("ledger", "REPRO_LEDGER")):
         value = getattr(args, flag, None)
         if value:

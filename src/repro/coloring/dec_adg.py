@@ -10,8 +10,8 @@ by higher-partition neighbors.  Quality: (2 + eps) d colors for
 
 Partitions depend on each other (lower levels read higher levels'
 colors), so the level loop is sequential; *within* a level the
-degree-count and bitmap gathers, and every SIM-COL round, are chunked
-through the execution context — the same map_chunks seam as JP and ADG.
+degree-count and bitmap gather, and every SIM-COL trial, run as rounds
+of the execution context — the same round seam as ADG.
 
 The level loop itself is exposed as :func:`color_partitions`, the
 interior that :class:`~repro.coloring.incremental.IncrementalColoring`
@@ -28,9 +28,28 @@ from ..graphs.csr import CSRGraph
 from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
-from ..runtime import ExecutionContext, Kernel, resolve_context
+from ..primitives.kernels import ScratchArena, batch_neighbors
+from ..runtime import ExecutionContext, resolve_context
 from .result import ColoringResult
 from .simcol import sim_col
+
+
+def _constraints(lo: int, hi: int, indptr: np.ndarray, indices: np.ndarray,
+                 verts: np.ndarray, levels: np.ndarray, level: int,
+                 colors: np.ndarray, ws: ScratchArena):
+    """Per-partition gather: deg_l counts and higher-partition colors."""
+    part = verts[lo:hi]
+    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    k = nbrs.size
+    lv = np.take(levels, nbrs, out=ws.take("dec.lv", k, levels.dtype))
+    ge = np.greater_equal(lv, level, out=ws.take("dec.ge", k, bool))
+    cg = np.bincount(np.compress(ge, seg), minlength=part.size)  # fresh
+    higher = np.greater(lv, level, out=ws.take("dec.hi", k, bool))
+    kept = int(np.count_nonzero(higher))
+    owners = np.compress(higher, seg)  # fresh
+    owners += lo
+    nb_h = np.compress(higher, nbrs, out=ws.take("dec.nbh", kept))
+    return cg, owners, np.take(colors, nb_h), k
 
 
 def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
@@ -40,37 +59,22 @@ def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
                           inline: bool = False) -> tuple[np.ndarray,
                                                          np.ndarray,
                                                          np.ndarray]:
-    """Per-partition gather, chunked: deg_l counts and taken colors.
+    """Per-partition gather: deg_l counts and taken colors.
 
     Returns ``(counts_ge, taken, owners)`` where ``counts_ge[i]`` is the
     number of neighbors of ``verts[i]`` in this or higher partitions,
     and ``(owners, taken)`` lists the (local vertex, color) pairs taken
     by strictly-higher-partition neighbors (color 0 entries included;
     the caller filters by its bitmap width).  ``inline`` runs the gather
-    as one call on this thread instead of through ``map_chunks``.
+    as a plain call instead of a round of ``ctx`` (no round id, no
+    fault draw).
     """
-    kern = Kernel("dec.constraints",
-                  arrays={"verts": verts, "levels": levels,
-                          "indptr": indptr, "indices": indices,
-                          "colors": colors},
-                  scalars={"level": int(level)})
-    if inline:
-        results = [kern(0, verts.size)]
-    else:
-        ws = ctx.scratch
-        w = np.take(indptr[1:], verts,
-                    out=ws.take("dec.w", verts.size, indptr.dtype))
-        w_lo = np.take(indptr, verts,
-                       out=ws.take("dec.wlo", verts.size, indptr.dtype))
-        np.subtract(w, w_lo, out=w)
-        results = ctx.map_chunks(kern, verts.size, weights=w)
-    counts_ge = np.concatenate([r[0] for r in results]) if results else \
-        np.empty(0, dtype=np.int64)
-    owners = np.concatenate([r[1] for r in results]) if results else \
-        np.empty(0, dtype=np.int64)
-    taken = np.concatenate([r[2] for r in results]) if results else \
-        np.empty(0, dtype=np.int64)
-    nbrs_total = sum(r[3] for r in results)
+    def gather(lo, hi):
+        return _constraints(lo, hi, indptr, indices, verts, levels,
+                            int(level), colors, ctx.scratch)
+
+    counts_ge, owners, taken, nbrs_total = gather(0, verts.size) if inline \
+        else ctx.map_chunks(gather, verts.size)
     ctx.cost.round(nbrs_total + verts.size, log2_ceil(max(max_degree, 1)))
     ctx.mem.gather(nbrs_total, phase)
     return counts_ge, taken, owners
@@ -194,7 +198,6 @@ def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
                              faults=ctx.fault_record(),
-                             dispatch=ctx.dispatch_record(),
                              resources=ctx.resource_record())
         if owns:
             ctx.ledger_record(out, graph=g, eps=eps)

@@ -424,7 +424,6 @@ def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
                              faults=ctx.fault_record(),
-                             dispatch=ctx.dispatch_record(),
                              resources=ctx.resource_record())
         if owns:
             ctx.ledger_record(out, graph=g, eps=eps)

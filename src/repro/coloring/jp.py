@@ -161,7 +161,6 @@ def jp(g: CSRGraph, ordering: Ordering, use_fused_ranks: bool = True,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
                              faults=ctx.fault_record(),
-                             dispatch=ctx.dispatch_record(),
                              resources=ctx.resource_record())
         if owns:
             ctx.ledger_record(out, graph=g)

@@ -23,9 +23,9 @@ from .speculative import itr, itr_asl, itrb
 ColoringFn = Callable[..., ColoringResult]
 
 #: Algorithms whose engines run on the execution-context runtime and
-#: therefore honor backend/workers selection.  The rest (sequential
-#: greedy baselines, the speculative ITR family, Luby/GM/CR) have no
-#: chunked rounds; they run serially and ignore the backend switch.
+#: therefore record the backend/workers selection.  The rest
+#: (sequential greedy baselines, the speculative ITR family, Luby/GM/CR)
+#: have no context rounds; they report the serial backend.
 BACKEND_AWARE = frozenset({
     "JP-FF", "JP-R", "JP-LF", "JP-LLF", "JP-SL", "JP-SLL", "JP-ASL",
     "JP-ADG", "JP-ADG-M", "JP-ADG-O",

@@ -22,9 +22,10 @@ class ColoringResult:
     and coloring); ``cost`` holds the coloring phase.
 
     ``backend``/``workers`` record the execution configuration the run
-    used (colors are backend-independent by construction; wall times
-    are not); ``kernel_tier`` is always ``"numpy"`` — kernels are
-    NumPy, and colors do not depend on the kernel implementation.
+    was given (recorded only: every round runs as one direct call, so
+    colors and books do not depend on it); ``kernel_tier`` is always
+    ``"numpy"`` — kernels are NumPy, and colors do not depend on the
+    kernel implementation.
     ``phase_walls`` is the per-phase wall-clock split from the
     :class:`~repro.runtime.ExecutionContext` timers (exclusive time
     per phase).
@@ -32,21 +33,16 @@ class ColoringResult:
     ``trace_summary`` is ``None`` unless the run was traced
     (:mod:`repro.obs`): then it carries the tracer digest — event
     counts, run-wide per-phase self walls, the per-round metric series
-    (frontier/batch/conflict dynamics), and the chunk-imbalance stats.
+    (frontier/batch/conflict dynamics).
 
     ``faults`` is ``None`` for a quiet run with no fault plan; otherwise
     it is the runtime's :meth:`~repro.runtime.ExecutionContext.fault_record`
-    digest — the run-wide ``fault.*`` counters (injections, retries,
-    degradations), the ordered degradation event log, and the injection
-    plan's own summary.  Note that after a
-    backend degradation ``backend`` records the backend the run
-    *finished* on; the events list holds where it started.
+    digest — the run-wide ``fault.*`` counters (injections, retries)
+    and the injection plan's own summary.
 
-    ``dispatch`` is ``None`` unless adaptive round dispatch made at
-    least one decision (parallel backend, ``$REPRO_ADAPTIVE`` not
-    ``off``); then it carries the estimator digest — inline/parallel
-    decision counts, the learned per-kernel ``unit_s`` and per-backend
-    ``dispatch_s`` EWMAs, and how each backend's overhead was seeded.
+    ``dispatch`` is always ``None``; the field is kept so readers of
+    older result rows and ledgers (which carried an adaptive-dispatch
+    digest there) keep working.
 
     ``resources`` is ``None`` unless resource telemetry was on
     (``ExecutionContext(resources=True)`` / ``$REPRO_RESOURCES`` / an

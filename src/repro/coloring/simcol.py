@@ -8,18 +8,17 @@ neighbor drew the same one or the color is forbidden by the bitmap B_v
 deactivates a constant fraction of vertices in expectation (Claim 1),
 so the loop terminates in O(log n) rounds w.h.p. (Lemma 10).
 
-Each round's trial evaluation is chunked through the execution context:
-the color draw stays a single serial RNG call (so the random stream —
-hence the coloring — is identical on every backend), while the
-per-vertex conflict checks read only this round's fixed draws and are
-embarrassingly parallel.  Bitmap commits are applied on the coordinator
-after the chunks return.
+Each round's trial evaluation runs as one round of the execution
+context: the color draw is a single RNG call before it (so the random
+stream — hence the coloring — is identical on every backend), and the
+per-vertex conflict checks read only this round's fixed draws.  Bitmap
+commits are applied after the round returns.
 
-Because the color draw happens once per round on the coordinator and
-the chunked trial kernel is pure, SIM-COL is fault-transparent: a
-retried or re-dispatched ``simcol.trial`` chunk re-reads the same fixed
-draws, so recovery under a :class:`~repro.runtime.faults.FaultPlan`
-reproduces the fault-free coloring bit for bit.  SIM-COL returns a
+Because the color draw happens before the round and the trial kernel is
+pure, SIM-COL is fault-transparent: a retried trial re-reads the same
+fixed draws, so recovery under a
+:class:`~repro.runtime.faults.FaultPlan` reproduces the fault-free
+coloring bit for bit.  SIM-COL returns a
 plain ``(colors, rounds)`` tuple; callers that build a
 :class:`~repro.coloring.result.ColoringResult` (DEC-ADG) attach the
 run's fault record there.
@@ -32,7 +31,33 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import CostModel, log2_ceil
 from ..machine.memmodel import MemoryModel
-from ..runtime import ExecutionContext, Kernel, resolve_context
+from ..primitives.kernels import ScratchArena, segment_any
+from ..runtime import ExecutionContext, resolve_context
+
+
+def _trial(lo: int, hi: int, part: CSRGraph, active: np.ndarray,
+           colors: np.ndarray, still: np.ndarray, forbidden: np.ndarray,
+           ws: ScratchArena):
+    """Trial evaluation (Alg. 5): reject equal active-neighbor draws
+    and draws forbidden by the B_v bitmap.
+
+    Returns ``(clash, seg, nbrs, max in-round degree)``.  ``seg`` and
+    ``nbrs`` are replayed by the caller for the bitmap commit, so the
+    neighborhood gather is fresh — only the masks use scratch.
+    """
+    mine = active[lo:hi]
+    seg, nbrs = part.batch_neighbors(mine)
+    k = nbrs.size
+    cn = np.take(colors, nbrs, out=ws.take("sc.cn", k))
+    cm = np.take(colors, mine, out=ws.take("sc.cm", mine.size))
+    cms = np.take(cm, seg, out=ws.take("sc.cms", k))
+    same = np.equal(cn, cms, out=ws.take("sc.eq", k, bool))
+    stn = np.take(still, nbrs, out=ws.take("sc.st", k, bool))
+    np.logical_and(same, stn, out=same)
+    clash = segment_any(same, seg, mine.size)  # fresh
+    clash |= forbidden[mine, colors[mine]]
+    md = int(np.bincount(seg, minlength=mine.size).max()) if k else 0
+    return clash, seg, nbrs, md
 
 
 def sim_col(
@@ -61,7 +86,7 @@ def sim_col(
         is taken by a neighbor of v in a higher partition.  Mutated in
         place as vertices commit (it doubles as the B_v bitmaps).
     ctx:
-        Execution context carrying backend, pool, and the accounting
+        Execution context carrying the configuration and the accounting
         books; when absent one is built from ``cost``/``mem`` on the
         default backend.
     """
@@ -85,8 +110,7 @@ def sim_col(
         tracer = ctx.tracer
         limit = max_rounds if max_rounds is not None else 64 * (n.bit_length() + 2)
 
-        ws = ctx.scratch  # coordinator buffers reused across rounds
-        indptr, indices = part.indptr, part.indices
+        ws = ctx.scratch  # buffers reused across rounds
         still_active = np.zeros(n, dtype=bool)
 
         while active.size:
@@ -104,21 +128,11 @@ def sim_col(
             # Part 2: reject on equality with an active neighbor or on B_v.
             still_active[:] = False
             still_active[active] = True
-            kern = Kernel("simcol.trial",
-                          arrays={"active": active, "colors": colors,
-                                  "still": still_active, "indptr": indptr,
-                                  "indices": indices, "forbidden": forbidden})
-            trial_w = np.take(indptr[1:], active,
-                              out=ws.take("sc.w", active.size, indptr.dtype))
-            w_lo = np.take(indptr, active,
-                           out=ws.take("sc.wlo", active.size, indptr.dtype))
-            np.subtract(trial_w, w_lo, out=trial_w)
-            results = ctx.map_chunks(kern, active.size, weights=trial_w)
-            clash = ws.take("sc.clash", active.size, bool)
-            if results:
-                np.concatenate([r[0] for r in results], out=clash)
-            nbrs_total = sum(r[2].size for r in results)
-            md = max((r[3] for r in results), default=0)
+            clash, seg, nbrs, md = ctx.map_chunks(
+                lambda lo, hi: _trial(lo, hi, part, active, colors,
+                                      still_active, forbidden, ws),
+                active.size)
+            nbrs_total = nbrs.size
             cost.round(nbrs_total + active.size, log2_ceil(max(md, 1)) + 1)
             mem.gather(nbrs_total, "simcol")
             colors[active[clash]] = 0
@@ -131,18 +145,11 @@ def sim_col(
 
             # Part 3: record the newly fixed colors in the neighbors'
             # bitmaps — after the clash rejections above, so only truly
-            # committed colors are forbidden.  The chunks' gathered
-            # neighbor arrays are reused; True-scatters commute.
-            offset = 0
-            fixed_total = 0
-            for chunk_clash, seg, nbrs, _ in results:
-                mine = active[offset:offset + chunk_clash.size]
-                fixed_nbr = (colors[nbrs] > 0) & still_active[nbrs]
-                upd_v = mine[seg[fixed_nbr]]
-                upd_c = colors[nbrs[fixed_nbr]]
-                forbidden[upd_v, upd_c] = True
-                fixed_total += int(fixed_nbr.sum())
-                offset += chunk_clash.size
+            # committed colors are forbidden.  The trial's gathered
+            # neighbor arrays are reused.
+            fixed_nbr = (colors[nbrs] > 0) & still_active[nbrs]
+            forbidden[active[seg[fixed_nbr]], colors[nbrs[fixed_nbr]]] = True
+            fixed_total = int(fixed_nbr.sum())
             cost.scatter_decrement(fixed_total)
             mem.gather(fixed_total, "simcol")
 

@@ -7,18 +7,20 @@ scale path (DESIGN.md "Ingestion at scale"):
 
 1. the (optionally gzipped) file is split into newline-aligned byte
    ranges, and each range is parsed by a vectorized tokenizer with no
-   per-line Python — ranges fan out through
-   :meth:`ExecutionContext.map_chunks`, so the threaded backend,
-   adaptive dispatch, tracer spans (``ingest.*`` phases) and
-   the fault/retry machinery all apply unchanged;
+   per-line Python — one range per
+   :meth:`ExecutionContext.map_chunks` round, so tracer spans
+   (``ingest.*`` phases) and injected-fault retries apply unchanged.
+   A malformed range raises on its first parse: only injected faults
+   are retried.  ``backend``/``workers`` are recorded in the report and
+   do not change how ranges are parsed;
 2. vertex ids are compacted chunk-locally (``np.unique`` semantics:
-   sorted distinct ids + inverse codes, never a Python dict) and the
-   chunk vocabularies are merged once per wave, so coordinator memory
+   sorted distinct ids + inverse codes, never a Python dict) and each
+   chunk vocabulary is merged as it arrives, so coordinator memory
    stays O(n) while the parsed edges spill to disk as compact codes;
 3. the CSR is built out-of-core with the classic two-pass counting
    sort — degree histogram, then scatter into an ``np.memmap``-backed
    duplicate-adjacency array under a spill directory, then a per-row
-   sort + dedupe — so peak RSS is bounded by a parse wave plus the
+   sort + dedupe — so peak RSS is bounded by a parse range plus the
    final CSR, not 3-4x the edge list.  The three passes run as C in
    the same compiled library as the scanner (one call per spilled
    chunk, one per row batch); without a compiler the NumPy passes,
@@ -66,6 +68,7 @@ import warnings
 import numpy as np
 
 from ..primitives.cbuild import CLibrary
+from ..runtime.context import resolve_context
 from .csr import CSRGraph
 
 # 2 MiB keeps a parse chunk's arrays and the build passes' transients
@@ -591,22 +594,19 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                                           copy=False)
 
 
-# -- the map_chunks parse kernel ----------------------------------------------
+# -- the parse round -----------------------------------------------------------
 
-def ingest_parse_kernel(lo: int, hi: int, a: dict, *, path: str,
-                        comments: str, parser: str):
+def parse_ranges(lo: int, hi: int, offs: np.ndarray, path: str,
+                 comments: str, parser: str):
     """Parse byte ranges [offs[lo], offs[hi]) of ``path``.
 
-    Registered as ``ingest.parse`` in :data:`repro.runtime.kernels.
-    KERNELS`.  Pure over [lo, hi): re-reading the same ranges
-    reproduces the same result, which is what lets the fault layer
-    retry/re-dispatch chunks.
+    Pure over [lo, hi): re-reading the same ranges reproduces the same
+    result, which is what lets the fault layer retry a round.
 
     Returns ``(vocab, codes, n_edges, tier)``: the chunk-local sorted
     id vocabulary, int32 inverse codes laid out as [u codes | v codes],
     the edge count, and the tokenizer tier that ran.
     """
-    offs = a["offs"]
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
     tier = "none"
@@ -1190,16 +1190,6 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
                           mb_per_s=st.st_size / 1e6 / max(wall, 1e-9))
             return g, report
 
-    # Cold path.  Runtime imports are deferred so repro.graphs never
-    # drags the runtime package in at import time (kernels.py imports
-    # this module to register the parse kernel).
-    from ..runtime.context import (
-        CHUNKS_PER_WORKER,
-        ChunkError,
-        resolve_context,
-    )
-    from ..runtime.kernels import Kernel
-
     gname = name or os.path.basename(os.fspath(path))
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers)
     spill = tempfile.mkdtemp(prefix="repro-ingest-",
@@ -1211,8 +1201,6 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
             raw_bytes = os.path.getsize(plain)
             offs = _scan_ranges(plain, chunk_bytes)
         nr = offs.size - 1
-        wave = 1 if (ctx.backend == "serial" or ctx.workers <= 1) \
-            else ctx.workers * CHUNKS_PER_WORKER
         vocab_path = os.path.join(spill, "vocab.bin")
         codes_path = os.path.join(spill, "codes.bin")
         metas: list[tuple[int, int]] = []
@@ -1221,34 +1209,19 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
         edges_in = 0
         with ctx.phase("ingest.parse"), \
                 open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
-            for w, i0 in enumerate(range(0, nr, wave)):
-                i1 = min(nr, i0 + wave)
-                kern = Kernel(name="ingest.parse",
-                              arrays={"offs": offs[i0:i1 + 1]},
-                              scalars={"path": plain, "comments": comments,
-                                       "parser": p})
-                merge = [vocab_global]
-                try:
-                    results = ctx.map_chunks(kern, i1 - i0)
-                except ChunkError as exc:
-                    # A parse error is deterministic, not a fault:
-                    # surface the legacy reader's exception, not the
-                    # retry machinery's wrapper.
-                    cause = exc.__cause__
-                    if isinstance(cause, (ValueError, OverflowError)):
-                        raise cause from None
-                    raise
-                for vocab, codes, ne, tier in results:
-                    vocab.tofile(vf)
-                    codes.tofile(cf)
-                    metas.append((int(vocab.size), int(ne)))
-                    merge.append(vocab)
-                    tiers.add(tier)
-                    edges_in += int(ne)
-                # Each vocab is already sorted; a radix sort + adjacent
+            for i in range(nr):
+                vocab, codes, ne, tier = ctx.map_chunks(
+                    lambda lo, hi: parse_ranges(lo, hi, offs[i:i + 2],
+                                                plain, comments, p), 1)
+                vocab.tofile(vf)
+                codes.tofile(cf)
+                metas.append((int(vocab.size), int(ne)))
+                tiers.add(tier)
+                edges_in += int(ne)
+                # Both vocabs are already sorted; a radix sort + adjacent
                 # dedupe of the concatenation is several times cheaper
                 # than np.unique's hash path here.
-                cat = np.concatenate(merge)
+                cat = np.concatenate([vocab_global, vocab])
                 cat.sort(kind="stable")
                 if cat.size:
                     keep = np.empty(cat.size, bool)
@@ -1256,10 +1229,10 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
                     np.not_equal(cat[1:], cat[:-1], out=keep[1:])
                     cat = cat[keep]
                 vocab_global = cat
-                # Trimming every wave costs ~0.7 ms a pop; the heap
-                # high-water only creeps across many waves, so an
+                # Trimming every range costs ~0.7 ms a pop; the heap
+                # high-water only creeps across many ranges, so an
                 # occasional trim bounds it just as well.
-                if w % 8 == 7:
+                if i % 8 == 7:
                     _malloc_trim()
             _malloc_trim()
         g = _build_csr_from_spill(spill, vocab_path, codes_path, metas,

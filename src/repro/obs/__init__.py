@@ -1,7 +1,7 @@
 """repro.obs — the observability subsystem.
 
-Structured tracing (phase spans, per-chunk events with worker ids,
-round imbalance summaries), a counter/gauge registry for per-round
+Structured tracing (phase and round spans, fault instants), a
+counter/gauge registry for per-round
 metric series, and exporters: an in-memory structured log (queryable in
 tests), a JSONL event log, and a Chrome trace-event JSON that loads in
 Perfetto.  The zero-overhead default is :data:`NULL_TRACER`; enable via
@@ -35,9 +35,7 @@ from .ledger import (
 )
 from .metrics import MetricPoint, MetricsRegistry, Series
 from .profile import (
-    dispatch_breakdown,
     fault_breakdown,
-    imbalance_breakdown,
     phase_breakdown,
     resource_breakdown,
     round_breakdown,
@@ -65,8 +63,8 @@ __all__ = [
     "Ledger", "MetricPoint", "MetricsRegistry", "NullLedger",
     "NullTracer", "ResourceSampler", "Series", "SpanEvent", "Tracer",
     "bench_record", "cell_key", "chrome_trace", "cpu_seconds",
-    "current_rss_kb", "dispatch_breakdown",
-    "fault_breakdown", "git_sha", "graph_digest", "imbalance_breakdown",
+    "current_rss_kb",
+    "fault_breakdown", "git_sha", "graph_digest",
     "jsonl_records", "peak_rss_kb",
     "phase_breakdown", "read_jsonl", "read_ledger", "resolve_ledger",
     "resolve_resources", "resolve_tracer", "resource_breakdown",

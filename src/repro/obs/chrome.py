@@ -5,9 +5,7 @@ Emits the JSON object format of the Trace Event specification —
 https://ui.perfetto.dev load directly:
 
 - every recorded span becomes a complete (``"ph": "X"``) event with
-  microsecond ``ts``/``dur``, laid out per worker thread (chunk events
-  land on the thread that executed the chunk, so load imbalance is
-  visible as ragged track ends);
+  microsecond ``ts``/``dur``, laid out per recording thread;
 - every metric series becomes a counter (``"ph": "C"``) track, giving
   per-round frontier/batch/conflict curves under the spans;
 - metadata (``"ph": "M"``) events name the process and worker tracks.

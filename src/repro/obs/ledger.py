@@ -3,7 +3,7 @@
 Every engine run (and every bench-harness record) can append one
 structured, schema-versioned JSON line to a ledger file — graph digest,
 algorithm, eps, backend/workers, color count, cost/memory books,
-per-phase walls, dispatch/fault digests, resource telemetry, and
+per-phase walls, fault digest, resource telemetry, and
 the repo's git SHA.  Unlike traces (one file per run, overwritten) the
 ledger *accumulates*: the perf trajectory across PRs lives in
 ``results/ledger.jsonl`` and the regression gate

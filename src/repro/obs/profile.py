@@ -68,10 +68,9 @@ def round_breakdown(tracer) -> list[dict]:
 def fault_breakdown(result) -> list[dict]:
     """Fault-recovery rows for one run, from ``result.faults``.
 
-    One row per ``fault.*`` counter (injections, retries,
-    degradations) followed by one row per recorded degradation event,
-    in order.  Empty when the run had no fault plan and saw no recovery
-    activity — the profile section is omitted then.
+    One row per ``fault.*`` counter (injections, retries) followed by
+    the plan digest.  Empty when the run had no fault plan and saw no
+    recovery activity — the profile section is omitted then.
     """
     rec = getattr(result, "faults", None)
     if not rec:
@@ -79,45 +78,11 @@ def fault_breakdown(result) -> list[dict]:
     rows = [{"kind": "counter", "name": name, "value": rec["counters"][name],
              "detail": ""}
             for name in sorted(rec["counters"])]
-    for ev in rec["events"]:
-        detail = {k: v for k, v in ev.items() if k != "kind"}
-        rows.append({"kind": "event", "name": ev["kind"],
-                     "value": detail.pop("round", ""),
-                     "detail": " ".join(f"{k}={v}"
-                                        for k, v in sorted(detail.items()))})
     plan = rec.get("plan")
     if plan:
         rows.append({"kind": "plan", "name": "clauses",
                      "value": plan["clauses"],
                      "detail": f"seed={plan['seed']} fired={plan['fired']}"})
-    return rows
-
-
-def dispatch_breakdown(result) -> list[dict]:
-    """Adaptive-dispatch rows for one run, from ``result.dispatch``.
-
-    One row per decision counter (inline / parallel), one per learned
-    model input (per-kernel ``unit_s``, per-backend ``dispatch_s`` with
-    its seeding provenance).  Empty when the run made no dispatch
-    decisions (serial backend, or ``$REPRO_ADAPTIVE=off``) — the
-    profile section is omitted then.
-    """
-    rec = getattr(result, "dispatch", None)
-    if not rec:
-        return []
-    rows = [{"kind": "decision", "name": name,
-             "value": rec["decisions"][name], "detail": ""}
-            for name in sorted(rec["decisions"])]
-    for key, val in rec.get("unit_s", {}).items():
-        rows.append({"kind": "unit_s", "name": key,
-                     "value": f"{val:.3e}", "detail": "sec/unit"})
-    for backend, val in rec.get("dispatch_s", {}).items():
-        rows.append({"kind": "dispatch_s", "name": backend,
-                     "value": f"{val:.3e}",
-                     "detail": f"seed={rec.get('seeded', {}).get(backend, '')}"})
-    rows.append({"kind": "mode", "name": "adaptive",
-                 "value": rec.get("mode", ""),
-                 "detail": f"margin={rec.get('margin', '')}"})
     return rows
 
 
@@ -138,20 +103,3 @@ def resource_breakdown(result) -> list[dict]:
         "cpu_s": round(coord.get("cpu_s", 0.0), 4),
         "samples": coord.get("samples", 0),
     }]
-
-
-def imbalance_breakdown(tracer) -> list[dict]:
-    """One row per multi-chunk round: chunk count and max/mean wall."""
-    if not tracer.enabled:
-        return []
-    rows = []
-    for e in tracer.spans(cat="round"):
-        if e.args.get("chunks", 0) > 1:
-            rows.append({
-                "phase": e.args.get("phase") or "", "round": e.args["round"],
-                "chunks": e.args["chunks"], "items": e.args["items"],
-                "max_chunk_ms": round(e.args["max_chunk_s"] * 1e3, 3),
-                "mean_chunk_ms": round(e.args["mean_chunk_s"] * 1e3, 3),
-                "imbalance": round(e.args["imbalance"], 3),
-            })
-    return rows

@@ -5,7 +5,7 @@ last k records per configuration cell) against a committed baseline
 (``results/baselines.json``) and exits non-zero on regression.  The
 comparison is deliberately two-tier:
 
-- **noisy metrics** (walls, peak RSS, dispatch decisions) aggregate by
+- **noisy metrics** (walls, peak RSS) aggregate by
   median-of-k and pass while ``candidate <= base * (1 + rel) + abs`` —
   wide relative tolerances plus an absolute floor, so shared-runner
   jitter cannot flake the gate but a real slowdown (the seeded
@@ -49,8 +49,6 @@ DEFAULT_K = 3
 THRESHOLDS: dict[str, dict] = {
     "wall_s":            {"kind": "noisy", "rel": 0.50, "abs": 0.02},
     "peak_rss_kb":       {"kind": "noisy", "rel": 0.35, "abs": 32768},
-    "dispatch_parallel": {"kind": "noisy", "rel": 1.00, "abs": 8},
-    "dispatch_inline":   {"kind": "noisy", "rel": 1.00, "abs": 8},
     "colors":            {"kind": "hard", "rel": 0.0},
     "work":              {"kind": "hard", "rel": 0.0},
     "valid":             {"kind": "bool"},
@@ -90,8 +88,8 @@ def metrics_of(rec: dict) -> dict | None:
     """Extract the gate's comparable metrics from one ledger record.
 
     Only ``run``/``suite`` records compare; ``bench`` rows are
-    free-form trajectory data.  Resource and dispatch metrics appear
-    only when the record carries them.
+    free-form trajectory data.  ``peak_rss_kb`` appears only when the
+    record carries resource telemetry.
     """
     if rec.get("kind") not in ("run", "suite"):
         return None
@@ -107,10 +105,6 @@ def metrics_of(rec: dict) -> dict | None:
     peaks += [int(w.get("peak_rss_kb", 0)) for w in res.get("workers", [])]
     if max(peaks) > 0:
         out["peak_rss_kb"] = max(peaks)
-    decisions = (rec.get("dispatch") or {}).get("decisions") or {}
-    if decisions:
-        out["dispatch_parallel"] = int(decisions.get("parallel", 0))
-        out["dispatch_inline"] = int(decisions.get("inline", 0))
     return out
 
 

@@ -1,6 +1,6 @@
 """Resource telemetry: what a run actually costs in memory and CPU.
 
-One collection point, owned by the pool-hosting
+One collection point, owned by the run's host
 :class:`~repro.runtime.ExecutionContext`: :class:`ResourceSampler`, a
 daemon thread on the *coordinator* that samples resident set size and
 CPU seconds at a fixed interval, keeping running maxima.  When the run

@@ -1,4 +1,4 @@
-"""Run tracers: structured span/chunk/metric recording for one run.
+"""Run tracers: structured span/metric recording for one run.
 
 Two implementations behind one duck-typed interface:
 
@@ -7,7 +7,7 @@ Two implementations behind one duck-typed interface:
   :class:`~repro.runtime.ExecutionContext` branch on ``enabled`` so an
   untraced run executes exactly the pre-tracing code.
 - :class:`Tracer` — records :class:`SpanEvent` entries (phases, rounds,
-  per-chunk execution with worker ids) into an in-memory structured log
+  fault instants, with small thread ids) into an in-memory structured log
   plus per-round metric series in a :class:`MetricsRegistry`.  Sinks:
   :func:`repro.obs.sinks.write_jsonl` and
   :func:`repro.obs.chrome.write_chrome_trace` (``flush`` dispatches on
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry
 
 #: Event categories emitted by the runtime and the engines.  ``fault``
-#: instants mark injected faults and degradation events; they validate
-#: through :mod:`repro.obs.validate` like every other category.
-CATEGORIES = ("phase", "round", "chunk", "instant", "fault")
+#: instants mark injected faults; they validate through
+#: :mod:`repro.obs.validate` like every other category.
+CATEGORIES = ("phase", "round", "instant", "fault")
 
 
 @dataclass
@@ -104,8 +104,9 @@ class Tracer:
     event log, anything else -> Chrome trace JSON for Perfetto /
     ``chrome://tracing``).
 
-    Worker threads append concurrently: list appends are atomic under
-    the GIL, and thread idents are mapped to small stable worker ids.
+    Threads (service workers, the resource sampler) may append
+    concurrently: list appends are atomic under the GIL, and thread
+    idents are mapped to small stable ids.
     """
 
     enabled = True
@@ -183,24 +184,10 @@ class Tracer:
                 float(e.args.get("self_s", e.dur))
         return out
 
-    def imbalance(self) -> dict:
-        """Aggregate chunk-imbalance digest over all multi-chunk rounds.
-
-        Per round the runtime records ``max_chunk_s`` / ``mean_chunk_s``;
-        their ratio is 1.0 for perfectly balanced chunks.  Returns the
-        worst and mean ratio over every round that actually chunked.
-        """
-        ratios = [e.args["imbalance"] for e in self.spans(cat="round")
-                  if e.args.get("chunks", 0) > 1]
-        if not ratios:
-            return {"rounds": 0, "max": 1.0, "mean": 1.0}
-        return {"rounds": len(ratios), "max": max(ratios),
-                "mean": sum(ratios) / len(ratios)}
-
     def summary(self) -> dict:
         """JSON-friendly digest carried on ``ColoringResult`` and bench
-        rows: event counts, per-phase self walls, the full per-round
-        metric series, and the imbalance digest."""
+        rows: event counts, per-phase self walls, and the full
+        per-round metric series."""
         by_cat: dict[str, int] = {}
         for e in self.events:
             by_cat[e.cat] = by_cat.get(e.cat, 0) + 1
@@ -212,7 +199,6 @@ class Tracer:
             "metrics": self.metrics.summary(),
             "series": {name: self.metrics.get(name).as_pairs()
                        for name in self.metrics.names()},
-            "imbalance": self.imbalance(),
         }
         faults: dict[str, int] = {}
         for e in self.spans(cat="fault"):

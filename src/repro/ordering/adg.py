@@ -27,28 +27,65 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import log2_ceil
+from ..primitives.kernels import ScratchArena, batch_neighbors
 from ..primitives.sorting import argsort_by
-from ..runtime import ExecutionContext, Kernel
+from ..runtime import ExecutionContext
 from .base import Ordering, random_tiebreak, total_order
 
 
-def _row_weights(ws, key: str, indptr: np.ndarray,
-                 verts: np.ndarray) -> np.ndarray:
-    """CSR row lengths of ``verts`` into a reusable scratch buffer."""
-    w = np.take(indptr[1:], verts, out=ws.take(key, verts.size, indptr.dtype))
-    lo = np.take(indptr, verts,
-                 out=ws.take(key + ".lo", verts.size, indptr.dtype))
-    np.subtract(w, lo, out=w)
-    return w
+# -- round kernels: pure over [lo, hi), scratch for intermediates only ------
+
+def _select(lo: int, hi: int, D: np.ndarray, active: np.ndarray,
+            threshold: float, ws: ScratchArena) -> np.ndarray:
+    """Batch selection: active vertices at or below the degree threshold."""
+    sel = np.less_equal(D[lo:hi], threshold,
+                        out=ws.take("sel.le", hi - lo, bool))
+    np.logical_and(sel, active[lo:hi], out=sel)
+    picked = np.flatnonzero(sel)  # fresh
+    picked += lo
+    return picked
 
 
-def _concat(ws, key: str, parts: list) -> np.ndarray:
-    """Concatenate int64 chunk results into a reusable scratch buffer."""
-    total = sum(p.size for p in parts)
-    out = ws.take(key, total)
-    if total:
-        np.concatenate(parts, out=out)
-    return out
+def _push(lo: int, hi: int, batch: np.ndarray, indptr: np.ndarray,
+          indices: np.ndarray, active: np.ndarray, r_mask: np.ndarray,
+          explicit: np.ndarray | None, ws: ScratchArena):
+    """Push UPDATE (Alg. 1), fused with PRIORITIZE (Alg. 6) when
+    ``explicit`` (the in-batch total order) is given.
+
+    Returns ``(live neighbors, gathered count, DAG predecessor owners
+    or None)``.
+    """
+    part = batch[lo:hi]
+    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    k = nbrs.size
+    live_nbr = np.take(active, nbrs, out=ws.take("push.live", k, bool))
+    preds = None
+    if explicit is not None:
+        # UPDATEandPRIORITIZE (Alg. 6): a neighbor removed *after* v —
+        # still active, or later in the sorted batch — is a DAG
+        # predecessor of v.
+        owner = np.take(part, seg, out=ws.take("push.owner", k))
+        is_pred = np.take(r_mask, nbrs, out=ws.take("push.pred", k, bool))
+        en = np.take(explicit, nbrs,
+                     out=ws.take("push.en", k, explicit.dtype))
+        eo = np.take(explicit, owner,
+                     out=ws.take("push.eo", k, explicit.dtype))
+        later = np.greater(en, eo, out=ws.take("push.later", k, bool))
+        np.logical_and(is_pred, later, out=is_pred)
+        np.logical_or(is_pred, live_nbr, out=is_pred)
+        preds = np.compress(is_pred, owner)  # fresh
+    return np.compress(live_nbr, nbrs), k, preds
+
+
+def _pull(lo: int, hi: int, live: np.ndarray, indptr: np.ndarray,
+          indices: np.ndarray, r_mask: np.ndarray, ws: ScratchArena):
+    """Pull UPDATE (Alg. 2): per-vertex Count(N_U(v) cap R)."""
+    part = live[lo:hi]
+    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    in_r = np.take(r_mask, nbrs, out=ws.take("pull.inr", nbrs.size, bool))
+    dec = np.zeros(part.size, dtype=np.int64)  # fresh: returned
+    np.add.at(dec, seg, in_r)
+    return dec, nbrs.size
 
 
 def adg_ordering(
@@ -74,13 +111,13 @@ def adg_ordering(
     and whose ``ranks`` impose the total order <rho_ADG, rho_R> — or the
     explicit sorted-batch order when ``sort_batches`` is set.
 
-    Batch selection and the UPDATE scatters run as ``adg.*`` kernels
-    chunked through the execution context (``ctx``, or one built from
-    ``backend``/``workers``), weighted by remaining batch degrees; every
-    backend (serial / threaded) produces bit-identical orderings and
-    accounting.  The ordering's cost/mem books are always its own (the
-    paper splits run-times into reordering and coloring), so a caller's
-    context contributes only its backend, workers, and pool.
+    Batch selection and the UPDATE scatters run as rounds of the
+    execution context (``ctx``, or one built from
+    ``backend``/``workers``); orderings and accounting are identical for
+    every backend and worker count.  The ordering's cost/mem books are
+    always its own (the paper splits run-times into reordering and
+    coloring), so a caller's context contributes only its
+    configuration, tracer, scratch and fault state.
     """
     if not eps >= 0:  # also rejects NaN
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -105,7 +142,7 @@ def adg_ordering(
         owns = True
     tracer = run.tracer
     cost, mem = run.cost, run.mem
-    ws = run.scratch  # coordinator-side buffers reused across iterations
+    ws = run.scratch  # buffers reused across iterations
     n = g.n
     indptr, indices = g.indptr, g.indices
     # D starts as a copy — CSRGraph.degrees is a cached, read-only array.
@@ -140,10 +177,9 @@ def adg_ordering(
                         mem.stream(remaining, phase_name)
                     avg = sum_deg / remaining
                     threshold = (1.0 + eps) * avg
-                    kern = Kernel("adg.select",
-                                  arrays={"active": active, "D": D},
-                                  scalars={"threshold": float(threshold)})
-                    batch = np.concatenate(run.map_chunks(kern, n))
+                    batch = run.map_chunks(
+                        lambda lo, hi: _select(lo, hi, D, active,
+                                               float(threshold), ws), n)
                     cost.parallel_for(remaining)
                     mem.stream(n, phase_name)
                     r_mask[:] = False
@@ -185,40 +221,24 @@ def adg_ordering(
 
                 # -- degree update ----------------------------------------------
                 if update == "push":
-                    arrays = {"batch": batch, "indptr": indptr,
-                              "indices": indices, "active": active}
-                    if compute_ranks:
-                        arrays["r_mask"] = r_mask
-                        arrays["explicit"] = explicit
-                    kern = Kernel("adg.push", arrays=arrays,
-                                  scalars={"compute_ranks": compute_ranks})
-                    results = run.map_chunks(
-                        kern, batch.size,
-                        weights=_row_weights(ws, "adg.bw", indptr, batch))
-                    live_targets = _concat(ws, "adg.live",
-                                           [r[0] for r in results])
-                    nbrs_total = sum(r[1] for r in results)
+                    live_targets, nbrs_total, preds = run.map_chunks(
+                        lambda lo, hi: _push(lo, hi, batch, indptr, indices,
+                                             active, r_mask, explicit
+                                             if compute_ranks else None, ws),
+                        batch.size)
                     mem.gather(nbrs_total, phase_name)
                     cost.scatter_decrement(nbrs_total)
                     if live_targets.size:
                         np.subtract.at(D, live_targets, 1)
                     cut = live_targets.size
                     if compute_ranks:
-                        preds = _concat(ws, "adg.pred",
-                                        [r[2] for r in results])
                         np.add.at(pred_counts, preds, 1)
                         cost.round(nbrs_total, 1)
                 else:
                     live = np.flatnonzero(active)
-                    kern = Kernel("adg.pull",
-                                  arrays={"live": live, "indptr": indptr,
-                                          "indices": indices,
-                                          "r_mask": r_mask})
-                    results = run.map_chunks(
-                        kern, live.size,
-                        weights=_row_weights(ws, "adg.lw", indptr, live))
-                    dec = _concat(ws, "adg.dec", [r[0] for r in results])
-                    nbrs_total = sum(r[1] for r in results)
+                    dec, nbrs_total = run.map_chunks(
+                        lambda lo, hi: _pull(lo, hi, live, indptr, indices,
+                                             r_mask, ws), live.size)
                     mem.gather(nbrs_total, phase_name)
                     # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
                     cost.round(nbrs_total + remaining,

@@ -39,7 +39,7 @@ def _accepts_ctx(name: str, fn: OrderingFn) -> bool:
     """Whether the ordering function takes an ExecutionContext.
 
     Inherently sequential orderings (SL's one-vertex peeling, SD's
-    saturation loop) have no chunked rounds to route through a context;
+    saturation loop) have no rounds to route through a context;
     the registry silently runs them serially instead of erroring.
     """
     if name not in _CTX_AWARE:
@@ -53,7 +53,7 @@ def get_ordering(name: str, g: CSRGraph,
     """Compute the named ordering of ``g`` (kwargs passed through).
 
     ``ctx`` routes backend/worker selection into orderings with a
-    parallel structure (ADG, ADG-M); orderings without chunked rounds
+    parallel structure (ADG, ADG-M); orderings without context rounds
     ignore it and run serially.
     """
     try:

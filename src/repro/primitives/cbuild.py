@@ -4,7 +4,7 @@ compiler into a shared-object cache and loaded through ctypes.
 A :class:`CLibrary` names a C source and a ``bind`` function that sets
 the ctypes signatures.  Its :meth:`~CLibrary.load` compiles the source
 at most once per process (guarded by a lock, so concurrent callers —
-service threads, pool workers — agree on one outcome) and returns what
+service threads — agree on one outcome) and returns what
 ``bind`` returned, or ``None`` when there is no C compiler or the
 build fails.  Callers keep a pure-Python path for ``None``; whether the
 compiled path runs is decided by the build alone, never by an option.

@@ -24,9 +24,8 @@ class ScratchArena:
     ufunc/take targets do).
 
     The one rule: scratch may only back *intermediates*.  Anything a
-    chunk kernel returns to the coordinator must be freshly allocated,
-    because the same worker reuses its arena for the next chunk before
-    the coordinator combines the results.
+    round kernel returns to its caller must be freshly allocated,
+    because the next take under the same key reuses the buffer.
     """
 
     def __init__(self) -> None:
@@ -81,8 +80,8 @@ def fallback_arena() -> ScratchArena:
 
     Hot paths that can be reached scratch-less (the single-group
     ``grouped_mex`` of a round with one vertex left) draw from this arena
-    instead of allocating fresh every call.  Thread-local so the
-    threaded backend's workers never share buffers.
+    instead of allocating fresh every call.  Thread-local so
+    concurrent service requests never share buffers.
     """
     arena = getattr(_FALLBACK_TLS, "arena", None)
     if arena is None:
@@ -173,6 +172,33 @@ def multi_slice_gather(data: np.ndarray, starts: np.ndarray,
     res = out[:total]
     np.take(data, idx, out=res)
     return res
+
+
+def batch_neighbors(indptr: np.ndarray, indices: np.ndarray,
+                    batch: np.ndarray, ws: ScratchArena | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR batch-neighborhood gather over raw arrays: ``(seg, nbrs)``
+    with ``seg[j]`` the batch position owning ``nbrs[j]`` (the same as
+    :meth:`~repro.graphs.csr.CSRGraph.batch_neighbors`).
+
+    With ``ws`` both arrays are scratch-backed views, valid until the
+    arena's next ``bn.*``/``msg.*`` take — derive fresh arrays from them
+    before returning them to a caller.
+    """
+    if ws is None:
+        counts = (indptr[batch + 1] - indptr[batch]).astype(np.int64)
+        nbrs = multi_slice_gather(indices, indptr[batch], counts)
+        return segment_ids(counts), nbrs
+    b = batch.size
+    counts = np.take(indptr[1:], batch, out=ws.take("bn.cnt", b))
+    starts = np.take(indptr, batch, out=ws.take("bn.start", b))
+    np.subtract(counts, starts, out=counts)
+    total = int(counts.sum())
+    seg = segment_ids(counts, out=ws.take("bn.seg", total))
+    nbrs = multi_slice_gather(indices, starts, counts,
+                              out=ws.take("bn.nbrs", total),
+                              seg=seg, scratch=ws)
+    return seg, nbrs
 
 
 def segment_sum(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:

@@ -1,68 +1,62 @@
 """Deterministic fault injection and the runtime's one recovery policy.
 
-Every algorithm here is a sequence of pure parallel rounds, and the
-color bounds depend only on the ADG order and the rounds — never on the
-executor.  So re-running a failed chunk cannot change a color,
-and one rule is enough at every level.  :class:`Recovery` is that rule:
-owned by the run's pool host, it is the only code that draws injected
-faults, charges failed attempts, sleeps the capped backoff, and books
-the ``fault.*`` counters and events.  A :class:`FaultPlan` makes every
-path reproducible on demand: a seeded, deterministic schedule of
-injected faults addressed by ``(round, chunk)`` coordinates — round ids
-are the run-wide :meth:`~repro.runtime.ExecutionContext.map_chunks`
-sequence numbers shared by every context of one run, chunk ids index
-the round's chunk list.
+Every algorithm here is a sequence of pure rounds, and the color bounds
+depend only on the ADG order and the rounds.  So re-running a failed
+round cannot change a color, and one rule is enough.  :class:`Recovery`
+is that rule: owned by the run's host context, it is the only code that
+draws injected faults, charges failed attempts, sleeps the capped
+backoff, and books the ``fault.*`` counters.  A :class:`FaultPlan`
+makes the path reproducible on demand: a seeded, deterministic schedule
+of injected faults addressed by round — round ids are the run-wide
+:meth:`~repro.runtime.ExecutionContext.map_chunks` sequence numbers
+shared by every context of one run.
 
-Three fault kinds: ``error`` raises :class:`FaultInjected` (a kernel
-bug, a transient allocation failure); ``delay`` sleeps ``param``
-seconds, then runs (a straggler); ``kill`` raises :class:`WorkerDeath`
-(a thread cannot be killed safely, so worker death is simulated).
+Only injected faults are retried.  An injected ``error`` raises
+:class:`FaultInjected` in place of the round; the policy (``retries``
+is ``$REPRO_RETRIES``, default 2; each retry sleeps
+``backoff * 2**(attempt-1)`` seconds, ``$REPRO_BACKOFF`` default 0.02,
+capped at :data:`MAX_BACKOFF`)::
 
-The policy, level by fault kind (``retries`` is ``$REPRO_RETRIES``,
-default 2; each retry sleeps ``backoff * 2**(attempt-1)`` seconds,
-``$REPRO_BACKOFF`` default 0.02, capped at :data:`MAX_BACKOFF`)::
+    level            injected error                   any other exception
+    ---------------  -------------------------------  -------------------
+    round            retry in place, then ChunkError  propagates at once,
+                                                      unwrapped
+    service request  ChunkError is a RecoveryError:   error response
+                     re-run once on a quiet serial
+                     context (``degraded: true``)
 
-    level            error, or any exception     kill
-    ---------------  --------------------------  --------------------------
-    threaded round   retry in place, then        pool lost: degrade to
-    (pooled/inline)  ChunkError                  serial at once; only the
-                                                 lost chunks re-run, over
-                                                 the same chunk plan
-    serial round     retry in place, then        a failed attempt (retry,
-                     ChunkError                  then ChunkError)
-    service request  RecoveryError: re-run once on a quiet serial context
-                     (``degraded: true``); anything else: error response
-
-``ChunkError`` is a :class:`RecoveryError`.
+A deterministic failure (a malformed edge list, an invalid argument)
+fails the same way on every attempt, so it is never retried.
 
 Plan grammar (``$REPRO_FAULTS`` or the ``faults=`` argument)::
 
     plan   := clause (';' clause)*
-    clause := KIND '@' ROUND '.' CHUNK [':' PARAM] ['x' TIMES]
-            | KIND '%' RATE [':' PARAM]
+    clause := 'error' '@' ROUND '.' CHUNK [':' PARAM] ['x' TIMES]
+            | 'error' '%' RATE [':' PARAM]
             | 'seed=' INT
-    KIND   := 'error' | 'delay' | 'kill'
-    ROUND, CHUNK := non-negative int, or '*' (any)
-    PARAM  := float (delay seconds; ignored for error/kill)
-    TIMES  := fire on the first TIMES attempts of a coordinate (default 1)
+    ROUND  := non-negative int, or '*' (any)
+    CHUNK  := '0' or '*' — every round is one chunk
+    PARAM  := float, accepted and ignored
+    TIMES  := fire on the first TIMES attempts of a round (default 1)
     RATE   := float in [0, 1] — probabilistic clause, decided by a
-              seeded hash of (seed, clause, round, chunk); first
-              attempts only, so retries always make progress
+              seeded hash of (seed, clause, round); first attempts
+              only, so retries always make progress
 
 Examples::
 
-    error@3.0            # chunk 0 of round 3 raises once
+    error@3.0            # round 3 raises once
     error@3.0x5          # ... on its first five attempts (exhausts a
                          # retry budget < 5 -> ChunkError)
-    delay@7.2:0.25       # chunk 2 of round 7 sleeps 250 ms first
-    kill@5.*             # every chunk of round 5 kills its worker
-    error%0.01;seed=42   # 1% of all (round, chunk) dispatches fail once
+    error%0.01;seed=42   # 1% of all rounds fail once
+
+The ``kill`` and ``delay`` kinds (worker death, straggler) and chunk
+coordinates other than ``0`` acted on the removed thread pool; a plan
+naming them raises a ``ValueError`` saying so.
 
 Explicit and probabilistic clauses only fire while ``attempt`` stays in
 range, so a plan with default ``TIMES`` never outlasts the retry
-budget: recovery re-runs the chunk, the plan stays quiet, and the
-result is bit-identical to a fault-free run (chunks are pure — all
-mutation happens on the coordinator, in chunk order).
+budget: recovery re-runs the round, the plan stays quiet, and the
+result is bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -73,31 +67,23 @@ import time
 import zlib
 from dataclasses import dataclass
 
-KINDS = ("error", "delay", "kill")
-
-#: Sleep applied by a ``delay`` clause with no explicit PARAM.
-DEFAULT_DELAY = 0.05
+KINDS = ("error",)
 
 #: Cap on one retry-backoff sleep, seconds.
 MAX_BACKOFF = 1.0
 
 
 class FaultInjected(RuntimeError):
-    """An injected chunk failure (the ``error`` fault kind)."""
-
-
-class WorkerDeath(FaultInjected):
-    """An injected worker death (the ``kill`` fault kind, simulated
-    because a pool thread cannot be killed safely)."""
+    """An injected round failure (the ``error`` fault kind)."""
 
 
 class RecoveryError(RuntimeError):
     """A unit of work failed for good: its retry budget is spent.
 
-    The base of :class:`~repro.runtime.ChunkError` (one chunk of a
-    round); the message names the unit and the attempt count, and the
-    last failure is chained.  The service re-runs a request on a quiet
-    serial context on exactly this type, and on nothing else.
+    The base of :class:`~repro.runtime.ChunkError` (one round); the
+    message names the unit and the attempt count, and the last failure
+    is chained.  The service re-runs a request on a quiet serial
+    context on exactly this type, and on nothing else.
     """
 
 
@@ -105,14 +91,12 @@ class RecoveryError(RuntimeError):
 class FaultSpec:
     """One clause of a :class:`FaultPlan`.
 
-    ``round``/``chunk`` of ``None`` are wildcards; ``rate`` switches
-    the clause to probabilistic mode (coordinates are ignored then).
+    ``round`` of ``None`` is a wildcard; ``rate`` switches the clause
+    to probabilistic mode (the round is ignored then).
     """
 
-    kind: str
+    kind: str = "error"
     round: int | None = None
-    chunk: int | None = None
-    param: float = 0.0
     times: int = 1
     rate: float | None = None
 
@@ -120,29 +104,35 @@ class FaultSpec:
         if self.kind not in KINDS:
             raise ValueError(f"fault kind must be one of {KINDS}, "
                              f"got {self.kind!r}")
-        if self.param < 0:
-            raise ValueError(f"fault param must be >= 0, got {self.param}")
         if self.times < 1:
             raise ValueError(f"fault times must be >= 1, got {self.times}")
         if self.rate is not None and not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
 
 
-_CLAUSE_AT = re.compile(
-    r"^(error|delay|kill)@(\d+|\*)\.(\d+|\*)"
-    r"(?::([0-9]*\.?[0-9]+))?(?:x(\d+))?$")
-_CLAUSE_RATE = re.compile(
-    r"^(error|delay|kill)%([0-9]*\.?[0-9]+)(?::([0-9]*\.?[0-9]+))?$")
+# ``kill`` and ``delay`` still parse, so that a plan naming them fails
+# with the reason instead of as a bad clause.
+_KIND = r"^(error|delay|kill)"
+_PARAM = r"(?::[0-9]*\.?[0-9]+)?"
+_CLAUSE_AT = re.compile(_KIND + r"@(\d+|\*)\.(\d+|\*)" + _PARAM
+                        + r"(?:x(\d+))?$")
+_CLAUSE_RATE = re.compile(_KIND + r"%([0-9]*\.?[0-9]+)" + _PARAM + "$")
+
+
+def _check_kind(kind: str, clause: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"fault clause {clause!r}: the {kind!r} fault kind "
+                         f"was removed with the thread pool; only 'error' "
+                         f"remains")
 
 
 class FaultPlan:
     """A deterministic schedule of injected faults for one run.
 
-    The runtime consults :meth:`draw` once per chunk *dispatch* (every
-    attempt of every chunk of every round); the first matching clause
-    fires.  ``fired`` counts the events actually injected per kind —
-    the ground truth the runtime's ``fault.injected.*`` counters are
-    tested against.
+    The runtime consults :meth:`draw` once per attempt of every round
+    of a run with a plan; the first matching clause fires.  ``fired``
+    counts the events actually injected per kind — the ground truth the
+    runtime's ``fault.injected.*`` counters are tested against.
     """
 
     def __init__(self, specs=(), seed: int = 0):
@@ -175,27 +165,27 @@ class FaultPlan:
                 continue
             m = _CLAUSE_AT.match(clause)
             if m:
-                kind, rnd, chk, param, times = m.groups()
+                kind, rnd, chk, times = m.groups()
+                _check_kind(kind, clause)
+                if chk not in ("0", "*"):
+                    raise ValueError(
+                        f"fault clause {clause!r}: chunk coordinate {chk} "
+                        f"was removed with chunked rounds; every round is "
+                        f"one chunk, address it as {rnd}.0")
                 specs.append(FaultSpec(
-                    kind=kind,
-                    round=None if rnd == "*" else int(rnd),
-                    chunk=None if chk == "*" else int(chk),
-                    param=float(param) if param else
-                    (DEFAULT_DELAY if kind == "delay" else 0.0),
+                    kind=kind, round=None if rnd == "*" else int(rnd),
                     times=int(times) if times else 1))
                 continue
             m = _CLAUSE_RATE.match(clause)
             if m:
-                kind, rate, param = m.groups()
-                specs.append(FaultSpec(
-                    kind=kind, rate=float(rate),
-                    param=float(param) if param else
-                    (DEFAULT_DELAY if kind == "delay" else 0.0)))
+                _check_kind(m.group(1), clause)
+                specs.append(FaultSpec(kind=m.group(1),
+                                       rate=float(m.group(2))))
                 continue
             raise ValueError(
                 f"bad fault clause {clause!r}; expected "
-                f"kind@round.chunk[:param][xN], kind%rate[:param], "
-                f"or seed=N with kind in {KINDS}")
+                f"error@round.0[:param][xN], error%rate[:param], "
+                f"or seed=N")
         return cls(specs, seed=seed)
 
     @classmethod
@@ -208,25 +198,25 @@ class FaultPlan:
 
     # -- drawing -------------------------------------------------------------
 
-    def _coin(self, idx: int, round: int, chunk: int) -> float:
-        """Deterministic uniform draw in [0, 1) for one coordinate."""
-        h = zlib.crc32(f"{self.seed}:{idx}:{round}:{chunk}".encode())
+    def _coin(self, idx: int, round: int) -> float:
+        """Deterministic uniform draw in [0, 1) for one round (the
+        trailing ``:0`` is the round's one chunk, kept so seeded plans
+        fire on the same rounds as before chunking was removed)."""
+        h = zlib.crc32(f"{self.seed}:{idx}:{round}:0".encode())
         return (h & 0xFFFFFFFF) / 2.0 ** 32
 
-    def draw(self, round: int, chunk: int,
-             attempt: int = 1) -> FaultSpec | None:
-        """The fault to inject into this dispatch, if any.
+    def draw(self, round: int, attempt: int = 1) -> FaultSpec | None:
+        """The fault to inject into this attempt of ``round``, if any.
 
-        Called once per (round, chunk, attempt) by the runtime; the
-        first matching clause wins and is tallied in ``fired``.
+        The first matching clause wins and is tallied in ``fired``.
         """
         for idx, s in enumerate(self.specs):
+            if attempt > s.times:
+                continue
             if s.rate is not None:
-                if attempt <= s.times and self._coin(idx, round,
-                                                     chunk) < s.rate:
+                if self._coin(idx, round) < s.rate:
                     break
-            elif (s.round in (None, round) and s.chunk in (None, chunk)
-                    and attempt <= s.times):
+            elif s.round in (None, round):
                 break
         else:
             return None
@@ -237,24 +227,6 @@ class FaultPlan:
         """JSON-friendly digest (carried on ``ColoringResult.faults``)."""
         return {"clauses": len(self.specs), "seed": self.seed,
                 "fired": dict(self.fired)}
-
-
-# -- injection application ----------------------------------------------------
-
-def apply_fault(spec: FaultSpec) -> None:
-    """Apply a drawn fault where the chunk runs.
-
-    ``delay`` sleeps and returns — the chunk then runs normally;
-    ``error`` raises :class:`FaultInjected`; ``kill`` raises
-    :class:`WorkerDeath` (the simulated death :class:`Recovery`
-    treats as a lost pool on a threaded round).
-    """
-    if spec.kind == "delay":
-        time.sleep(spec.param or DEFAULT_DELAY)
-        return
-    if spec.kind == "kill":
-        raise WorkerDeath("injected worker death")
-    raise FaultInjected("injected chunk fault")
 
 
 # -- environment knobs --------------------------------------------------------
@@ -293,7 +265,7 @@ def _env_number(name: str, default, cast, minimum):
 
 
 def default_retries() -> int:
-    """Per-chunk retry budget: $REPRO_RETRIES, else 2."""
+    """Per-round retry budget: $REPRO_RETRIES, else 2."""
     return _env_number("REPRO_RETRIES", 2, int, 0)
 
 
@@ -307,11 +279,10 @@ def default_backoff() -> float:
 class Recovery:
     """The run's one fault-recovery policy (see the module docstring).
 
-    Owned by the pool host of an :class:`~repro.runtime.ExecutionContext`
-    and shared by its child contexts, so round
-    ids, budgets, counters and events are run-wide.  ``retries`` and
-    ``backoff`` of ``None`` resolve via ``$REPRO_RETRIES`` /
-    ``$REPRO_BACKOFF``.
+    Owned by the host :class:`~repro.runtime.ExecutionContext` and
+    shared by its child contexts, so round ids, budgets and counters
+    are run-wide.  ``retries`` and ``backoff`` of ``None`` resolve via
+    ``$REPRO_RETRIES`` / ``$REPRO_BACKOFF``.
     """
 
     def __init__(self, plan: FaultPlan | None, retries: int | None,
@@ -325,84 +296,50 @@ class Recovery:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
         self.tracer = tracer
         self.counters: dict[str, int] = {}
-        self.events: list[dict] = []
 
     def _count(self, name: str, round: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
         if self.tracer.enabled:
             self.tracer.count(name, 1, round=round)
 
-    def draw(self, round: int, chunk: int,
-             attempt: int) -> FaultSpec | None:
-        """The fault injected into one chunk dispatch, if any."""
-        if self.plan is None:
-            return None
-        spec = self.plan.draw(round, chunk, attempt)
-        if spec is not None:
+    def run(self, call, round: int, what: str, error: type):
+        """Run ``call()`` for ``round`` under the (non-empty) plan until
+        it returns.
+
+        An attempt the plan picks raises :class:`FaultInjected` instead
+        of calling; it is retried after the capped backoff, and past
+        the budget ``error`` (a :class:`RecoveryError` subclass naming
+        ``what``) is raised from it.  Exceptions ``call`` raises itself
+        propagate unchanged.
+        """
+        attempt = 0
+        while True:
+            attempt += 1
+            spec = self.plan.draw(round, attempt)
+            if spec is None:
+                return call()
             self._count(f"fault.injected.{spec.kind}", round)
             if self.tracer.enabled:
                 self.tracer.instant(f"fault.{spec.kind}", cat="fault",
-                                    round=round, chunk=chunk,
-                                    attempt=attempt)
-        return spec
-
-    def retry(self, attempt: int, exc: BaseException, error: type,
-              what: str, round: int = 0) -> None:
-        """Charge one failed attempt of ``what``.
-
-        Past the budget, raise ``error`` (a :class:`RecoveryError`
-        subclass) chaining ``exc``; otherwise count a retry and sleep
-        the capped backoff — the caller then re-runs the unit.
-        """
-        if attempt > self.retries:
-            raise error(f"{what} failed after {attempt} attempt(s): "
-                        f"{exc}") from exc
-        self._count("fault.retries", round)
-        if self.backoff > 0:
-            time.sleep(min(MAX_BACKOFF, self.backoff * 2 ** (attempt - 1)))
-
-    def run(self, call, draw, error: type, what: str, round: int = 0,
-            attempt: int = 0, pool_lost=None):
-        """Run ``call(fault)`` in place until it returns.
-
-        ``draw(attempt)`` picks each attempt's injected fault.  A
-        failure is charged through :meth:`retry`, except a ``kill``
-        for which ``pool_lost()`` reports a pool it just gave up: that
-        attempt re-runs uncharged.  ``attempt`` is the count already
-        spent on the unit.  Returns ``(result, attempts)``.
-        """
-        while True:
-            attempt += 1
-            fault = draw(attempt)
-            try:
-                return call(fault), attempt
-            except WorkerDeath as exc:
-                if pool_lost is None or not pool_lost():
-                    self.retry(attempt, exc, error, what, round)
-            except Exception as exc:
-                self.retry(attempt, exc, error, what, round)
-
-    def degrade(self, round: int, backend: str) -> None:
-        """Book the run's drop from ``backend`` to serial."""
-        self._count("fault.degradations", round)
-        event = {"kind": "degrade", "from": backend, "to": "serial",
-                 "round": round}
-        self.events.append(event)
-        if self.tracer.enabled:
-            self.tracer.instant("fault.degrade", cat="fault", **{
-                k: v for k, v in event.items() if k != "kind"})
+                                    round=round, attempt=attempt)
+            exc = FaultInjected("injected round fault")
+            if attempt > self.retries:
+                raise error(f"{what} failed after {attempt} attempt(s): "
+                            f"{exc}") from exc
+            self._count("fault.retries", round)
+            if self.backoff > 0:
+                time.sleep(min(MAX_BACKOFF, self.backoff * 2 ** (attempt - 1)))
 
     def record(self) -> dict | None:
         """Digest for ``ColoringResult.faults``, or ``None`` for a quiet
         run with no plan (the common case — keeps result rows clean).
 
         ``counters`` are the run-wide ``fault.*`` totals (injections,
-        retries, degradations); ``events`` the ordered degradation log;
-        ``plan`` the injection plan's own digest when one was attached.
+        retries); ``plan`` the injection plan's own digest when one was
+        attached.
         """
-        if self.plan is None and not self.counters and not self.events:
+        if self.plan is None and not self.counters:
             return None
         return {"counters": dict(self.counters),
-                "events": list(self.events),
                 "plan": self.plan.describe()
                 if self.plan is not None else None}

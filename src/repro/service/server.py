@@ -4,7 +4,7 @@ Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
 executor with an :class:`~repro.runtime.ExecutionContext` borrowed from
-a long-lived pool (thread pools and fault budgets persist across
+a long-lived pool (scratch buffers and fault budgets persist across
 requests; only the cost/mem books reset between them —
 ``ExecutionContext.reset_books``).
 
@@ -22,8 +22,9 @@ Guarantees the tests lean on:
   proceed in parallel.
 - **Fault-aware completion**: the service is the top level of the
   runtime's one recovery policy (the level x fault-kind table is in
-  :mod:`repro.runtime.faults`).  An engine call that exhausts a retry
-  budget (a :class:`~repro.runtime.RecoveryError`) is re-run once on a
+  :mod:`repro.runtime.faults`).  An engine call whose injected faults
+  exhaust a retry budget (a :class:`~repro.runtime.RecoveryError`) is
+  re-run once on a
   fresh, quiet, serial context; the response
   then reports ``"degraded": True``.  Any other exception becomes an
   error response — the request future always completes, it never
@@ -71,7 +72,7 @@ class ContextPool:
 
     Thread-safe (engine calls run on executor threads).  ``release``
     resets the context's accounting books so the next request starts
-    from zero; thread pools and fault budgets persist — that is the
+    from zero; scratch buffers and fault budgets persist — that is the
     point of reusing the context.
     """
 
@@ -419,9 +420,8 @@ class ColoringService:
         """Run the engine on the executor; on a :class:`RecoveryError`
         re-run it once on a quiet serial context.
 
-        The runtime already retries chunks and degrades a run whose
-        pool is lost; this level takes over only when a retry budget is
-        spent.  The quiet context injects no faults, so the answer is
+        The runtime already retries rounds that hit an injected fault;
+        this level takes over only when a retry budget is spent.  The quiet context injects no faults, so the answer is
         the fault-free one.  Any other
         exception propagates (the request gets an error response).  The
         returned flag reports whether the re-run fired.

@@ -160,21 +160,16 @@ class TestProfileCommand:
         assert main(["profile", "--gen", "gnm:150,500", "--algorithm",
                      "JP-ADG", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"summary", "phases", "rounds", "imbalance",
-                            "faults", "dispatch", "resources"}
+        assert set(out) == {"summary", "phases", "rounds", "faults",
+                            "resources"}
         assert out["summary"]["algorithm"] == "JP-ADG"
         assert {r["phase"] for r in out["phases"]} >= {"jp:dag", "jp:color"}
         assert any("jp.colored" in r for r in out["rounds"])
 
-    def test_threaded_imbalance_rows(self, capsys):
-        # --adaptive parallel: the imbalance digest only covers rounds
-        # that actually dispatched multi-chunk.
-        assert main(["profile", "--gen", "gnm:600,2500", "--backend",
-                     "threaded", "--workers", "4", "--json",
-                     "--adaptive", "parallel"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["imbalance"], "threaded profile must report chunk rows"
-        assert all(r["chunks"] > 1 for r in out["imbalance"])
+    def test_adaptive_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["profile", "--gen", "gnm:60,200", "--adaptive", "on"])
+        assert "unrecognized arguments: --adaptive" in capsys.readouterr().err
 
     def test_table_output(self, capsys):
         assert main(["profile", "--gen", "grid:8,8"]) == 0

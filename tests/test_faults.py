@@ -1,19 +1,21 @@
-"""Chaos layer: deterministic fault injection against the recovery paths.
+"""Chaos layer: deterministic fault injection against the recovery path.
 
-The contract under test (ISSUE 4 tentpole): under any in-budget
+The contract under test: under any in-budget
 :class:`~repro.runtime.faults.FaultPlan`, every engine on every backend
 produces colors, rounds, and accounting books bit-identical to a
 fault-free serial run — and the runtime's ``fault.*`` counters agree
-with the plan's own ``fired`` tally.
+with the plan's own ``fired`` tally.  Only injected faults are retried;
+any other exception a round raises propagates on its first failure.
 
 Every context built here passes an explicit ``faults=`` (a plan, or
 ``False`` for the fault-free baselines) so the suite also runs
-unchanged under the CI chaos job, which exports a global
-``$REPRO_FAULTS`` plan.
+unchanged under an ambient ``$REPRO_FAULTS`` plan.
 """
 
-import threading
-import time
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,12 +28,8 @@ from repro.coloring.verify import assert_valid_coloring
 from repro.graphs.generators import chung_lu, gnm_random, ring
 from repro.runtime import ChunkError, ExecutionContext
 from repro.runtime.faults import (
-    DEFAULT_DELAY,
-    FaultInjected,
     FaultPlan,
     FaultSpec,
-    WorkerDeath,
-    apply_fault,
     resolve_fault_plan,
 )
 
@@ -39,7 +37,7 @@ from repro.runtime.faults import (
 CHAOS_ROWS = [("serial", 1), ("threaded", 4)]
 CHAOS_IDS = [b for b, _ in CHAOS_ROWS]
 
-KINDS = ["error", "delay", "kill"]
+KINDS = ["error"]
 
 
 @pytest.fixture(scope="module")
@@ -82,24 +80,22 @@ class TestFaultPlanParsing:
     def test_at_clause(self):
         plan = FaultPlan.parse("error@3.0")
         (s,) = plan.specs
-        assert (s.kind, s.round, s.chunk, s.times) == ("error", 3, 0, 1)
+        assert (s.kind, s.round, s.times) == ("error", 3, 1)
         assert s.rate is None
 
     def test_wildcards_param_times(self):
-        plan = FaultPlan.parse("delay@7.*:0.25;kill@*.1x3")
-        d, k = plan.specs
-        assert (d.kind, d.round, d.chunk, d.param) == ("delay", 7, None, 0.25)
-        assert (k.kind, k.round, k.chunk, k.times) == ("kill", None, 1, 3)
+        # The chunk wildcard equals chunk 0; a PARAM is accepted and
+        # ignored.
+        plan = FaultPlan.parse("error@7.*:0.25;error@*.0x3")
+        a, b = plan.specs
+        assert (a.kind, a.round, a.times) == ("error", 7, 1)
+        assert (b.kind, b.round, b.times) == ("error", None, 3)
 
     def test_rate_clause_and_seed(self):
         plan = FaultPlan.parse("error%0.25:0.1;seed=42")
         (s,) = plan.specs
         assert s.rate == 0.25
         assert plan.seed == 42
-
-    def test_delay_default_param(self):
-        plan = FaultPlan.parse("delay@1.0")
-        assert plan.specs[0].param == DEFAULT_DELAY
 
     def test_empty_clauses_skipped(self):
         assert len(FaultPlan.parse("error@1.0;;  ;seed=3").specs) == 1
@@ -118,62 +114,76 @@ class TestFaultPlanParsing:
             with pytest.raises(ValueError, match="bad fault clause"):
                 FaultPlan.parse(clause)
 
+    @pytest.mark.parametrize("clause", ["kill@8.0", "kill@5.*",
+                                        "delay@7.0:0.25", "delay%0.02:0.001",
+                                        "kill%0.1"])
+    def test_pool_kinds_rejected(self, clause):
+        # kill (pool loss) and delay (straggler) acted on the removed
+        # thread pool; a plan naming them must fail, not parse into a
+        # fault that never fires.
+        with pytest.raises(ValueError, match="removed with the thread pool"):
+            FaultPlan.parse(f"error@1.0;{clause}")
+
+    @pytest.mark.parametrize("clause", ["error@3.1", "error@*.2x3",
+                                        "error@5.12"])
+    def test_chunk_coordinate_rejected(self, clause):
+        with pytest.raises(ValueError, match="chunk coordinate .* removed"):
+            FaultPlan.parse(clause)
+
+    def test_env_plan_with_removed_kind_fails_the_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "kill@8.0")
+        with pytest.raises(ValueError, match="'kill' fault kind was removed"):
+            ExecutionContext()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(kind="nope")
         with pytest.raises(ValueError):
             FaultSpec(kind="error", times=0)
         with pytest.raises(ValueError):
-            FaultSpec(kind="delay", param=-1.0)
+            FaultSpec(kind="delay")
 
 
 class TestFaultPlanDraw:
     def test_exact_coordinate_once(self):
-        plan = FaultPlan.parse("error@2.1")
-        assert plan.draw(2, 0) is None
-        assert plan.draw(2, 1).kind == "error"
-        assert plan.draw(2, 1, attempt=2) is None  # times=1: retry is clean
+        plan = FaultPlan.parse("error@2.0")
+        assert plan.draw(1) is None
+        assert plan.draw(2).kind == "error"
+        assert plan.draw(2, attempt=2) is None  # times=1: retry is clean
         assert plan.fired == {"error": 1}
 
     def test_times_covers_attempts(self):
         plan = FaultPlan.parse("error@1.0x3")
-        assert all(plan.draw(1, 0, attempt=a) for a in (1, 2, 3))
-        assert plan.draw(1, 0, attempt=4) is None
+        assert all(plan.draw(1, attempt=a) for a in (1, 2, 3))
+        assert plan.draw(1, attempt=4) is None
         assert plan.fired == {"error": 3}
 
-    def test_wildcard_matches_every_chunk(self):
-        plan = FaultPlan.parse("kill@5.*")
-        assert plan.draw(5, 0) and plan.draw(5, 7)
-        assert plan.draw(4, 0) is None
+    def test_wildcard_matches_every_round(self):
+        plan = FaultPlan.parse("error@*.0")
+        assert plan.draw(5) and plan.draw(7)
+        assert plan.draw(7, attempt=2) is None
 
     def test_rate_deterministic_per_seed(self):
         draws = []
         for _ in range(2):
             plan = FaultPlan.parse("error%0.3;seed=9")
-            draws.append([plan.draw(r, c) is not None
-                          for r in range(20) for c in range(4)])
+            draws.append([plan.draw(r) is not None for r in range(80)])
         assert draws[0] == draws[1]
         assert any(draws[0]) and not all(draws[0])
         other = FaultPlan.parse("error%0.3;seed=10")
-        assert draws[0] != [other.draw(r, c) is not None
-                            for r in range(20) for c in range(4)]
+        assert draws[0] != [other.draw(r) is not None for r in range(80)]
 
     def test_rate_quiet_on_retry(self):
         plan = FaultPlan(specs=[FaultSpec(kind="error", rate=1.0)])
-        assert plan.draw(1, 0) is not None
-        assert plan.draw(1, 0, attempt=2) is None
+        assert plan.draw(1) is not None
+        assert plan.draw(1, attempt=2) is None
 
     def test_first_match_wins(self):
-        plan = FaultPlan.parse("delay@1.0;error@1.*")
-        assert plan.draw(1, 0).kind == "delay"
-        assert plan.draw(1, 1).kind == "error"
-
-    def test_apply_fault_kinds(self):
-        with pytest.raises(WorkerDeath):
-            apply_fault(FaultSpec(kind="kill"))
-        with pytest.raises(FaultInjected):
-            apply_fault(FaultSpec(kind="error"))
-        apply_fault(FaultSpec(kind="delay", param=0.0))  # returns
+        plan = FaultPlan.parse("error@1.0;error@*.0x3")
+        first, second = plan.specs
+        assert plan.draw(1) is first
+        assert plan.draw(1, attempt=2) is second
+        assert plan.draw(2) is second
 
 
 class TestResolveFaultPlan:
@@ -190,22 +200,23 @@ class TestResolveFaultPlan:
         assert resolve_fault_plan(False) is None
 
     def test_explicit_plan_and_str(self):
-        plan = FaultPlan.parse("kill@1.0")
+        plan = FaultPlan.parse("error@1.0")
         assert resolve_fault_plan(plan) is plan
-        assert resolve_fault_plan("kill@1.0").specs == plan.specs
+        assert resolve_fault_plan("error@1.0").specs == plan.specs
         assert resolve_fault_plan("") is None
         with pytest.raises(TypeError):
             resolve_fault_plan(42)
 
 
 class TestInlineRecovery:
-    """Serial backend: retry in place, budgets, ChunkError wording."""
+    """Retry in place, budgets, ChunkError wording, and no retry of
+    errors a round raises itself."""
 
     def test_error_retried_result_exact(self):
         with ExecutionContext(backend="serial", faults="error@1.0",
                               backoff=0.0) as ctx:
             out = ctx.map_chunks(lambda lo, hi: list(range(lo, hi)), 10)
-        assert [x for c in out for x in c] == list(range(10))
+        assert out == list(range(10))
         assert ctx.fault_record()["counters"] == {
             "fault.injected.error": 1, "fault.retries": 1}
 
@@ -223,20 +234,21 @@ class TestInlineRecovery:
             with pytest.raises(ChunkError, match="after 1 attempt"):
                 ctx.map_chunks(lambda lo, hi: hi - lo, 8)
 
-    def test_delay_fault_result_unchanged(self):
-        with ExecutionContext(backend="serial",
-                              faults="delay@1.0:0.001") as ctx:
-            out = ctx.map_chunks(lambda lo, hi: hi - lo, 12)
-        assert sum(out) == 12
-        assert ctx.fault_record()["counters"] == {"fault.injected.delay": 1}
+    @pytest.mark.parametrize("faults", [False, "error@2.0"])
+    def test_own_error_propagates_unwrapped_once(self, faults):
+        calls = []
 
-    def test_kill_on_serial_consumes_retry_budget(self):
-        # Serial is the bottom of the degradation ladder: a simulated
-        # worker death must behave like a chunk failure (terminates).
-        with ExecutionContext(backend="serial", faults="kill@1.0x9",
-                              retries=1, backoff=0.0) as ctx:
-            with pytest.raises(ChunkError, match="items failed"):
-                ctx.map_chunks(lambda lo, hi: hi - lo, 6)
+        def boom(lo, hi):
+            calls.append((lo, hi))
+            raise ValueError("bad round")
+
+        with ExecutionContext(backend="threaded", workers=4, faults=faults,
+                              retries=3, backoff=0.5) as ctx:
+            with pytest.raises(ValueError, match="bad round"):
+                ctx.map_chunks(boom, 20)
+        assert calls == [(0, 20)]
+        assert "fault.retries" not in (ctx.fault_record() or {}).get(
+            "counters", {})
 
     def test_no_faults_no_record(self):
         with ExecutionContext(backend="serial", faults=False) as ctx:
@@ -252,8 +264,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_recovery_bit_identical(self, chaos_graph, baselines, engine,
                                     backend, workers, kind):
-        param = ":0.001" if kind == "delay" else ""
-        plan = FaultPlan.parse(f"{kind}@2.0{param};{kind}@5.1{param}")
+        plan = FaultPlan.parse(f"{kind}@2.0;{kind}@5.0")
         with ExecutionContext(backend=backend, workers=workers,
                               faults=plan, backoff=0.0) as ctx:
             result = ENGINES[engine](chaos_graph, ctx)
@@ -269,7 +280,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("backend,workers", CHAOS_ROWS, ids=CHAOS_IDS)
     def test_rate_plan_bit_identical(self, chaos_graph, baselines,
                                      backend, workers):
-        plan = FaultPlan.parse("error%0.05;delay%0.02:0.001;seed=13")
+        plan = FaultPlan.parse("error%0.05;seed=13")
         with ExecutionContext(backend=backend, workers=workers,
                               faults=plan, backoff=0.0) as ctx:
             result = ENGINES["jp-adg"](chaos_graph, ctx)
@@ -289,88 +300,6 @@ class TestChaosMatrix:
                                     ctx=ctx))
         np.testing.assert_array_equal(outs[1][0], outs[0][0])
         assert outs[1][1] == outs[0][1]
-
-
-class TestPoolLoss:
-    """A kill on a threaded round loses the pool: the run degrades to
-    serial at once, with no respawn, and only the lost chunks re-run."""
-
-    def test_worker_kill_degrades_to_serial(self, chaos_graph, baselines):
-        plan = FaultPlan.parse("kill@3.0")
-        with ExecutionContext(backend="threaded", workers=2, faults=plan,
-                              adaptive="off") as ctx:
-            result = ENGINES["jp-adg"](chaos_graph, ctx)
-        _assert_bit_identical(result, baselines["jp-adg"])
-        assert result.backend == "serial"
-        rec = result.faults
-        assert rec["counters"] == {"fault.injected.kill": 1,
-                                   "fault.degradations": 1}
-        assert rec["events"] == [{"kind": "degrade", "from": "threaded",
-                                  "to": "serial", "round": 3}]
-
-    def test_kill_record_independent_of_adaptive_mode(self, chaos_graph):
-        """Pooled or inlined, a kill on a threaded round is the same
-        fault: every adaptive mode books the same recovery."""
-        records = {}
-        for mode in ("on", "off", "inline", "parallel"):
-            with ExecutionContext(backend="threaded", workers=2,
-                                  faults="kill@3.0", adaptive=mode) as ctx:
-                records[mode] = ENGINES["jp-adg"](chaos_graph, ctx).faults
-        assert records["off"]["events"] == [
-            {"kind": "degrade", "from": "threaded", "to": "serial",
-             "round": 3}]
-        assert all(r == records["off"] for r in records.values()), records
-
-    def test_kill_in_every_chunk_degrades_once(self):
-        with ExecutionContext(backend="threaded", workers=2,
-                              faults="kill@1.*", adaptive="off") as ctx:
-            out = ctx.map_chunks(lambda lo, hi: hi - lo, 100)
-            assert ctx.backend == "serial"
-        assert sum(out) == 100
-        counters = ctx.fault_record()["counters"]
-        assert counters["fault.degradations"] == 1
-        assert "fault.retries" not in counters
-
-
-class TestWaveCancellation:
-    """Regression: a poisoned round must not leak running chunks.
-
-    Before the fix, map_chunks returned the ChunkError while sibling
-    futures kept running — a stale chunk could still be writing when
-    the caller started its next round.  The abort path now cancels
-    pending futures and drains the ones already running.
-    """
-
-    def test_no_writes_after_chunk_error(self):
-        writes = []
-        gate = threading.Event()
-
-        def poisoned(lo, hi):
-            if lo == 0:
-                raise RuntimeError("boom")
-            gate.wait(2.0)  # siblings are mid-flight during the failure
-            time.sleep(0.01)
-            writes.append((lo, hi))
-            return hi - lo
-
-        with ExecutionContext(backend="threaded", workers=4,
-                              faults=False, retries=0,
-                              adaptive="off") as ctx:
-            with pytest.raises(ChunkError, match="items failed"):
-                try:
-                    gate.set()
-                    ctx.map_chunks(poisoned, 1000)
-                finally:
-                    gate.set()
-            # The abort drained the wave: whatever ran has finished, and
-            # nothing else may start.  A later round sees quiet state.
-            settled = len(writes)
-            time.sleep(0.1)
-            assert len(writes) == settled
-            out = ctx.map_chunks(lambda lo, hi: hi - lo, 1000)
-            assert sum(out) == 1000
-            time.sleep(0.05)
-            assert len(writes) == settled
 
 
 class TestFaultRecordPlumbing:
@@ -397,3 +326,33 @@ class TestFaultRecordPlumbing:
             ENGINES["jp-adg"](chaos_graph, ctx)
         assert t.metrics.get("fault.injected.error").total == 1
         assert any(e.name == "fault.error" for e in t.spans(cat="fault"))
+
+
+def _cli_color(*extra) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+    env.pop("REPRO_FAULTS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "color", "--gen", "gnm:2000,10000",
+         "--algorithm", "JP-ADG", "--json", *extra],
+        capture_output=True, text=True, env=env, check=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return json.loads(out.stdout)
+
+
+class TestCLIChaos:
+    """``--faults`` end to end: deterministic, and invisible in colors."""
+
+    def test_error_plan_reproducible_and_transparent(self):
+        runs = [_cli_color("--faults", "error@3.0", "--backend", "threaded",
+                           "--workers", "4") for _ in range(2)]
+        quiet = _cli_color()
+        for rec in runs:
+            rec.pop("wall_s", None)
+            rec.pop("reorder_wall_s", None)
+            rec.pop("phase_walls", None)
+        assert runs[0] == runs[1]
+        assert runs[0]["faults"]["counters"] == {
+            "fault.injected.error": 1, "fault.retries": 1}
+        assert runs[0]["colors_digest"] == quiet["colors_digest"]
+        assert runs[0]["backend"] == "threaded"

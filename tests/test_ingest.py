@@ -195,6 +195,29 @@ class TestDigestIdentity:
         with pytest.raises(ValueError, match="malformed edge line"):
             _ingest(path)
 
+    @pytest.mark.parametrize("backend,workers", [("serial", 1),
+                                                 ("threaded", 4)])
+    def test_malformed_range_parsed_once(self, tmp_path, monkeypatch,
+                                         backend, workers):
+        # A parse error is deterministic: it must surface on the first
+        # parse, unwrapped, with no retry and no backoff sleep.
+        monkeypatch.setenv("REPRO_RETRIES", "2")
+        monkeypatch.setenv("REPRO_BACKOFF", "30")
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        path = _write(tmp_path, "1 2\n3 x\n")
+        calls = []
+        real = ingest_mod.parse_ranges
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(ingest_mod, "parse_ranges", spy)
+        with pytest.raises(ValueError, match="invalid literal") as ei:
+            _ingest(path, backend=backend, workers=workers)
+        assert ei.value.__cause__ is None
+        assert calls == [(0, 1)]
+
 
 # -- the binary cache ---------------------------------------------------------
 

@@ -240,6 +240,32 @@ class TestLedgerCell:
         rec["kernel_tier"] = "legacy"
         validate_ledger_record(rec)
 
+    def test_validator_accepts_dispatch_and_adaptive_rows(self):
+        # Rows recorded while the threaded backend had adaptive round
+        # dispatch carry a dispatch digest and an adaptive mode; the
+        # ledger is history, so they keep validating, and the gate no
+        # longer reads them.
+        rec = {
+            "schema": LEDGER_SCHEMA, "kind": "run", "ts": 1786188791.2,
+            "git_sha": "6546de790fe4d048f369fd0cfe71753ee746652d",
+            "cell": "kron|JP-ADG|threaded|4|0|numpy", "graph": None,
+            "algorithm": "JP-ADG", "eps": 0.01, "backend": "threaded",
+            "workers": 4, "shards": 0, "kernel_tier": "numpy",
+            "colors": 23, "valid": True, "work": 100357, "depth": 301,
+            "rounds": 24, "conflicts": 0, "wall_s": 0.0275,
+            "reorder_wall_s": 0.0, "phase_walls": {"jp:color": 0.01},
+            "mem": {"sequential": 10, "random": 20},
+            "dispatch": {"decisions": {"inline": 85, "parallel": 0},
+                         "unit_s": {"adg.push": 2.1e-08},
+                         "dispatch_s": {"threaded": 4.2e-05},
+                         "seeded": {"threaded": "calibrated"},
+                         "margin": 2.0, "mode": "on"},
+            "adaptive": "on", "faults": None, "resources": None,
+            "trace_events": None,
+        }
+        validate_ledger_record(rec, where="historical")
+        assert set(metrics_of(rec)) == {"wall_s", "colors", "work", "valid"}
+
 
 class TestRegressionGate:
     CELL = "g|JP-ADG|serial|1|0"

@@ -13,7 +13,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     chrome_trace,
-    imbalance_breakdown,
     jsonl_records,
     phase_breakdown,
     read_jsonl,
@@ -138,16 +137,6 @@ class TestTracer:
         assert walls["a"] == pytest.approx(0.75)
         assert walls["b"] == pytest.approx(0.1)
 
-    def test_imbalance_empty(self):
-        assert Tracer().imbalance() == {"rounds": 0, "max": 1.0, "mean": 1.0}
-
-    def test_imbalance_over_rounds(self):
-        t = Tracer()
-        t.record("r", "round", 0, 1, chunks=4, imbalance=2.0)
-        t.record("r", "round", 1, 2, chunks=4, imbalance=1.0)
-        t.record("r", "round", 2, 3, chunks=1, imbalance=9.9)  # single chunk
-        assert t.imbalance() == {"rounds": 2, "max": 2.0, "mean": 1.5}
-
     def test_summary(self):
         t = Tracer()
         t.record("p", "phase", 0, 1, self_s=1.0)
@@ -174,7 +163,7 @@ class TestSinks:
         t = Tracer()
         t.meta["backend"] = "serial"
         t.record("p", "phase", 0.0, 1.0, self_s=1.0)
-        t.record("chunk[0:10)", "chunk", 0.1, 0.2, tid=123, round=1, size=10)
+        t.record("p#round1", "round", 0.1, 0.2, tid=123, round=1, items=10)
         t.count("colored", 5, round=1)
         t.gauge("frontier", 9, round=1)
         return t
@@ -326,24 +315,8 @@ class TestProfileBreakdowns:
                     if isinstance(r["jp.colored"], (int, float)))
         assert total == 144
 
-    def test_imbalance_breakdown_serial_empty(self):
-        res, t = self._run()
-        assert imbalance_breakdown(t) == []  # serial: single-chunk rounds
-
-    def test_imbalance_breakdown_threaded(self, monkeypatch):
-        # Force dispatch: the digest only covers rounds that actually
-        # ran multi-chunk on the pool.
-        monkeypatch.setenv("REPRO_ADAPTIVE", "parallel")
-        g = gnm_random(n=500, m=2000, seed=3)
-        t = Tracer()
-        color("JP-ADG", g, backend="threaded", workers=4, trace=t, seed=0)
-        rows = imbalance_breakdown(t)
-        assert rows, "threaded run must record multi-chunk rounds"
-        assert all(r["chunks"] > 1 and r["imbalance"] >= 1.0 for r in rows)
-
     def test_breakdowns_null_tracer(self):
         assert round_breakdown(NULL_TRACER) == []
-        assert imbalance_breakdown(NULL_TRACER) == []
 
 
 class TestHarnessTracing:

@@ -1,21 +1,21 @@
 """Unit tests for the ExecutionContext runtime."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.coloring.registry import color
+from repro.graphs.generators import gnm_random
 from repro.machine.costmodel import CostModel
 from repro.machine.memmodel import MemoryModel
-from repro.machine.parallel import split_chunks, split_chunks_weighted
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import (
     BACKENDS,
-    CHUNKS_PER_WORKER,
-    ChunkError,
     ExecutionContext,
     default_backend,
-    default_weighted_chunks,
+    default_workers,
     resolve_context,
 )
 
@@ -55,6 +55,27 @@ class TestConstruction:
         ctx = ExecutionContext(backend="threaded")
         assert ctx.workers == 3
 
+    @pytest.mark.parametrize("value,match", [
+        ("abc", r"\$REPRO_WORKERS must be a int, got 'abc'"),
+        ("0", r"\$REPRO_WORKERS must be >= 1, got 0"),
+        ("-3", r"\$REPRO_WORKERS must be >= 1, got -3"),
+        ("2.5", r"\$REPRO_WORKERS must be a int, got '2.5'"),
+    ])
+    def test_env_workers_invalid(self, monkeypatch, value, match):
+        # Same checked reader as $REPRO_RETRIES: no bare int() error, and
+        # no silent clamp of 0 / negatives to 1 (workers=0 raises too).
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ValueError, match=match):
+            default_workers()
+        with pytest.raises(ValueError, match=match):
+            ExecutionContext(backend="threaded")
+
+    def test_env_workers_unset_is_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert default_workers() >= 1
+        monkeypatch.setenv("REPRO_WORKERS", " ")
+        assert default_workers() >= 1
+
     def test_supplied_books_are_used(self):
         cost, mem = CostModel(), MemoryModel()
         ctx = ExecutionContext(cost=cost, mem=mem)
@@ -66,7 +87,6 @@ class TestConstruction:
     def test_describe(self):
         ctx = ExecutionContext(backend="threaded", workers=2)
         assert ctx.describe() == {"backend": "threaded", "workers": 2,
-                                  "adaptive": ctx.adaptive,
                                   "wall_by_phase": {}}
 
     def test_describe_includes_phase_walls(self):
@@ -79,136 +99,57 @@ class TestConstruction:
 
 
 class TestMapChunks:
+    """A round is one direct call, ``fn(0, n)``, on every backend."""
+
     def test_serial_single_chunk(self):
         ctx = ExecutionContext(backend="serial")
         calls = []
         out = ctx.map_chunks(lambda lo, hi: calls.append((lo, hi)) or hi - lo,
                              100)
         assert calls == [(0, 100)]
-        assert out == [100]
+        assert out == 100
 
     def test_threaded_one_worker_single_chunk(self):
         ctx = ExecutionContext(backend="threaded", workers=1)
         out = ctx.map_chunks(lambda lo, hi: (lo, hi), 50)
-        assert out == [(0, 50)]
+        assert out == (0, 50)
 
     def test_threaded_chunk_order_and_coverage(self):
+        caller = threading.get_ident()
         with ExecutionContext(backend="threaded", workers=4) as ctx:
-            spans = ctx.map_chunks(lambda lo, hi: (lo, hi), 1000)
-        assert spans[0][0] == 0 and spans[-1][1] == 1000
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b == c  # contiguous, in chunk order
-        assert len(spans) <= 4 * CHUNKS_PER_WORKER
+            spans = ctx.map_chunks(
+                lambda lo, hi: (lo, hi, threading.get_ident()), 1000)
+        assert spans == (0, 1000, caller)
 
     def test_threaded_concat_equals_serial(self):
         x = np.arange(1000) % 7
         pick = lambda lo, hi: np.flatnonzero(x[lo:hi] == 0) + lo
         with ExecutionContext(backend="threaded", workers=4) as ctx:
-            par = np.concatenate(ctx.map_chunks(pick, x.size))
+            par = ctx.map_chunks(pick, x.size)
         np.testing.assert_array_equal(par, np.flatnonzero(x == 0))
 
     def test_empty_range(self):
         with ExecutionContext(backend="threaded", workers=2) as ctx:
-            assert ctx.map_chunks(lambda lo, hi: hi - lo, 0) == []
+            assert ctx.map_chunks(lambda lo, hi: hi - lo, 0) == 0
 
+    def test_round_ids_are_run_wide(self):
+        with ExecutionContext(backend="threaded", workers=2,
+                              trace=True) as ctx:
+            kid = ctx.child()
+            ctx.map_chunks(lambda lo, hi: None, 5)
+            kid.map_chunks(lambda lo, hi: None, 5)
+            ctx.map_chunks(lambda lo, hi: None, 0)
+        assert [e.args["round"] for e in ctx.tracer.spans(cat="round")] \
+            == [1, 2, 3]
 
-class TestWeightedSplit:
-    """Property tests for the prefix-sum work-balanced chunking."""
-
-    @staticmethod
-    def _check_cover(spans, n):
-        assert spans[0][0] == 0 and spans[-1][1] == n
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b == c
-        assert all(lo < hi for lo, hi in spans)
-
-    def test_covers_range_exactly_and_contiguous(self):
-        rng = np.random.default_rng(0)
-        for n, k in [(1, 1), (7, 3), (100, 8), (1000, 16)]:
-            w = rng.integers(0, 50, size=n)
-            spans = split_chunks_weighted(n, k, w)
-            self._check_cover(spans, n)
-            assert len(spans) <= k
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(1)
-        w = rng.integers(0, 100, size=500)
-        assert split_chunks_weighted(500, 8, w) == \
-            split_chunks_weighted(500, 8, w.copy())
-
-    def test_balances_work_not_count(self):
-        # 10 heavy items then 990 light ones: uniform chunking piles the
-        # heavy prefix into one chunk; weighted splits it up.
-        w = np.concatenate([np.full(10, 1000), np.ones(990)])
-        spans = split_chunks_weighted(1000, 8, w)
-        self._check_cover(spans, 1000)
-        per_chunk = [w[lo:hi].sum() for lo, hi in spans]
-        # Every chunk's weight is within one max item of the ideal.
-        assert max(per_chunk) <= w.sum() / 8 + w.max()
-        uniform = split_chunks(1000, 8)
-        heavy_uniform = max(w[lo:hi].sum() for lo, hi in uniform)
-        assert max(per_chunk) < heavy_uniform
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        w = np.zeros(100)
-        assert split_chunks_weighted(100, 4, w) == split_chunks(100, 4)
-
-    def test_one_giant_item_gets_own_boundary(self):
-        w = np.ones(100)
-        w[37] = 10_000
-        spans = split_chunks_weighted(100, 8, w)
-        self._check_cover(spans, 100)
-        # The chunk holding the giant closes right after it.
-        (giant,) = [s for s in spans if s[0] <= 37 < s[1]]
-        assert giant[1] == 38
-
-    def test_empty_range(self):
-        assert split_chunks_weighted(0, 4, np.empty(0)) == []
-
-    def test_single_chunk(self):
-        assert split_chunks_weighted(10, 1, np.arange(10)) == [(0, 10)]
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            split_chunks_weighted(3, 2, np.array([1.0, -1.0, 1.0]))
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            split_chunks_weighted(3, 2, np.ones(4))
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WEIGHTED_CHUNKS", raising=False)
-        assert default_weighted_chunks() is True
-        monkeypatch.setenv("REPRO_WEIGHTED_CHUNKS", "0")
-        assert default_weighted_chunks() is False
-        monkeypatch.setenv("REPRO_WEIGHTED_CHUNKS", "on")
-        assert default_weighted_chunks() is True
-        monkeypatch.setenv("REPRO_WEIGHTED_CHUNKS", "maybe")
-        with pytest.raises(ValueError, match="REPRO_WEIGHTED_CHUNKS"):
-            default_weighted_chunks()
-
-
-class TestWeightedMapChunks:
-    def test_weights_change_boundaries_not_results(self):
-        x = np.arange(2000) % 11
-        w = np.concatenate([np.full(20, 500), np.ones(1980)])
-        pick = lambda lo, hi: np.flatnonzero(x[lo:hi] == 0) + lo
-        with ExecutionContext(backend="threaded", workers=4) as ctx:
-            plain = np.concatenate(ctx.map_chunks(pick, x.size))
-            weighted = np.concatenate(ctx.map_chunks(pick, x.size,
-                                                     weights=w))
-        np.testing.assert_array_equal(plain, weighted)
-        np.testing.assert_array_equal(weighted, np.flatnonzero(x == 0))
-
-    def test_weighted_chunks_off_ignores_weights(self):
-        with ExecutionContext(backend="threaded", workers=4,
-                              weighted_chunks=False) as ctx:
-            spans = ctx.map_chunks(
-                lambda lo, hi: (lo, hi), 1000,
-                weights=np.concatenate([np.full(10, 1e6), np.ones(990)]))
-        with ExecutionContext(backend="threaded", workers=4) as ctx:
-            uniform = ctx.map_chunks(lambda lo, hi: (lo, hi), 1000)
-        assert spans == uniform
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_threaded_color_starts_no_thread(self, workers):
+        g = gnm_random(400, 1600, seed=1)
+        before = threading.active_count()
+        for name in ("JP-ADG", "DEC-ADG", "DEC-ADG-ITR"):
+            res = color(name, g, seed=0, backend="threaded", workers=workers)
+            assert (res.backend, res.workers) == ("threaded", workers)
+            assert threading.active_count() == before
 
 
 class TestRemovedBackend:
@@ -234,22 +175,22 @@ class TestRemovedBackend:
 
 
 class TestPoolLifecycle:
-    def test_pool_lazy_and_closed(self):
-        ctx = ExecutionContext(backend="threaded", workers=2)
-        assert ctx._pool is None
-        ctx.map_chunks(lambda lo, hi: None, 100)
-        assert ctx._pool is not None
-        ctx.close()
-        assert ctx._pool is None
-
-    def test_child_shares_pool(self):
+    def test_child_shares_run_state(self):
         with ExecutionContext(backend="threaded", workers=2) as ctx:
-            ctx.map_chunks(lambda lo, hi: None, 100)
             kid = ctx.child()
-            assert kid._pool_host is ctx
-            assert kid._acquire_pool() is ctx._pool
-            kid.close()  # non-host close is a no-op on the pool
-            assert ctx._pool is not None
+            assert kid._host is ctx
+            assert kid.scratch is ctx.scratch
+            assert kid.ledger is ctx.ledger
+            kid.close()  # non-host close is a no-op
+
+    def test_close_releases_scratch(self):
+        ctx = ExecutionContext(backend="threaded", workers=2)
+        ctx.scratch.take("big", 1 << 16)
+        kid = ctx.child()
+        kid.close()
+        assert ctx.scratch.describe()["buffers"] == 1
+        ctx.close()
+        assert ctx.scratch.describe()["bytes"] == 0
 
     def test_child_fresh_books(self):
         ctx = ExecutionContext(backend="threaded", workers=2)
@@ -316,36 +257,33 @@ class TestNestedPhases:
 
 
 class TestChunkErrors:
+    """An error a round raises itself is deterministic: it propagates on
+    the first call, unwrapped and unretried."""
+
     @staticmethod
     def _boom(lo, hi):
         if lo == 0:
             raise ValueError("bad chunk")
         return hi - lo
 
-    def test_serial_raises_chunk_error_with_range(self):
-        ctx = ExecutionContext(backend="serial")
-        with pytest.raises(ChunkError, match=r"\[0, 100\) of 100 items"):
+    def test_serial_raises_original_error(self):
+        ctx = ExecutionContext(backend="serial", faults=False)
+        with pytest.raises(ValueError, match="bad chunk") as ei:
             ctx.map_chunks(self._boom, 100)
+        assert ei.value.__cause__ is None
 
-    def test_serial_chains_original_exception(self):
-        ctx = ExecutionContext(backend="serial")
-        with pytest.raises(ChunkError) as ei:
-            ctx.map_chunks(self._boom, 10)
-        assert isinstance(ei.value.__cause__, ValueError)
-
-    def test_threaded_raises_chunk_error_with_range(self):
-        with ExecutionContext(backend="threaded", workers=4) as ctx:
-            with pytest.raises(ChunkError) as ei:
+    def test_threaded_raises_original_error(self):
+        with ExecutionContext(backend="threaded", workers=4,
+                              faults=False) as ctx:
+            with pytest.raises(ValueError, match="bad chunk"):
                 ctx.map_chunks(self._boom, 1000)
-            assert "of 1000 items failed" in str(ei.value)
-            assert isinstance(ei.value.__cause__, ValueError)
-            # The pool survives the failed round and stays usable.
-            assert ctx.map_chunks(lambda lo, hi: hi - lo, 100) is not None
+            # The context stays usable after the failed round.
+            assert ctx.map_chunks(lambda lo, hi: hi - lo, 100) == 100
 
     def test_threaded_traced_still_raises(self):
         with ExecutionContext(backend="threaded", workers=2,
                               trace=True) as ctx:
-            with pytest.raises(ChunkError):
+            with pytest.raises(ValueError):
                 ctx.map_chunks(self._boom, 500)
 
 
@@ -359,23 +297,16 @@ class TestTracedRounds:
             pass
         assert ctx.trace_summary() is None
 
-    def test_traced_round_and_chunk_events(self):
+    def test_traced_round_events(self):
         with ExecutionContext(backend="threaded", workers=2,
                               trace=True) as ctx:
             with ctx.phase("work"):
                 ctx.map_chunks(lambda lo, hi: hi - lo, 1000)
             tracer = ctx.tracer
-        rounds = tracer.spans(cat="round")
-        chunks = tracer.spans(cat="chunk")
-        assert len(rounds) == 1
-        assert rounds[0].args["phase"] == "work"
-        assert rounds[0].args["items"] == 1000
-        assert rounds[0].args["chunks"] == len(chunks)
-        assert rounds[0].args["imbalance"] >= 1.0
-        assert sum(s.args["size"] for s in chunks) == 1000
-        # Chunk events carry small stable worker ids.
-        assert all(isinstance(s.tid, int) and s.tid >= 0 for s in chunks)
-        assert len({s.tid for s in chunks}) >= 1
+        (rnd,) = tracer.spans(cat="round")
+        assert rnd.name == "work#round1"
+        assert rnd.args == {"round": 1, "phase": "work", "items": 1000}
+        assert rnd.tid == 0  # recorded on the calling thread
 
     def test_traced_results_identical(self):
         fn = lambda lo, hi: list(range(lo, hi))
@@ -413,7 +344,7 @@ class TestTracedRounds:
         assert summary["events"] >= 2
         assert "round" in summary["events_by_cat"]
         assert "p" in summary["phase_self_s"]
-        assert summary["imbalance"]["rounds"] >= 0
+        assert "imbalance" not in summary
 
 
 class TestResolveContext:

@@ -267,26 +267,6 @@ class TestServiceUnderFaults:
                 assert stats["metrics"]["svc.retries"]["total"] >= 1
         run(main())
 
-    def test_kill_plan_on_threaded_backend_completes(self, monkeypatch):
-        """Mid-request worker death under the threaded backend: the
-        runtime degrades the run to serial and the future completes
-        with a valid coloring."""
-        monkeypatch.setenv("REPRO_FAULTS", "kill@1.0;seed=7")
-        monkeypatch.setenv("REPRO_BACKOFF", "0.0")
-
-        async def main():
-            async with ColoringService(workers=1,
-                                       backend="threaded",
-                                       ctx_workers=2) as svc:
-                await ask(svc, op="load", graph="g",
-                          gen={"kind": "gnm", "n": 120, "m": 360,
-                               "seed": 5})
-                r = await ask(svc, op="color", graph="g",
-                              algorithm="DEC-ADG-ITR", eps=0.01, seed=0)
-                assert r["ok"]
-                assert r["result"]["colors"] >= 1
-        run(main())
-
     def test_faulty_and_quiet_colors_identical(self, monkeypatch):
         """Fault handling must not leak into results: the degraded
         response's color count and digest equal the quiet run's."""
