@@ -119,8 +119,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         summary["colors_digest"] = colors_digest(res.colors)
         summary["phase_walls"] = {k: round(v, 6)
                                   for k, v in res.phase_walls.items()}
-        if res.faults is not None:
-            summary["faults"] = res.faults
         if res.resources is not None:
             summary["resources"] = res.resources
         print(json.dumps(summary))
@@ -329,7 +327,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from .obs import (
         Tracer,
-        fault_breakdown,
         phase_breakdown,
         resource_breakdown,
         round_breakdown,
@@ -357,12 +354,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     summary["graph"] = g.name
     phases = phase_breakdown(res, tracer)
     rounds = round_breakdown(tracer)
-    faults = fault_breakdown(res)
     resources = resource_breakdown(res)
     if args.json:
         print(json.dumps({"summary": summary, "phases": phases,
-                          "rounds": rounds, "faults": faults,
-                          "resources": resources}))
+                          "rounds": rounds, "resources": resources}))
     else:
         print(format_table([summary]))
         print("\n== per-phase breakdown (exclusive wall) ==")
@@ -370,9 +365,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if rounds:
             print("\n== per-round metrics ==")
             print(format_table(rounds))
-        if faults:
-            print("\n== fault recovery ==")
-            print(format_table(faults))
         if resources:
             print("\n== resources (coordinator peak RSS / CPU) ==")
             print(format_table(resources))
@@ -478,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_LEDGER: a path, or 1/on for "
                             "results/ledger.jsonl); also enables "
                             "resource telemetry for the run")
-        p.add_argument("--faults", metavar="SPEC",
-                       help="deterministic fault plan for chaos runs, "
-                            "e.g. 'error@3.0;error%%0.01;seed=7' (same "
-                            "grammar as $REPRO_FAULTS); results are "
-                            "bit-identical to a fault-free run")
 
     p_color = sub.add_parser("color", help="run a coloring algorithm")
     common(p_color)
@@ -616,19 +603,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         # replacement.
         from .runtime.context import check_backend
         check_backend(args.backend, "--backend")
-    # The runtime reads $REPRO_FAULTS / $REPRO_LEDGER wherever a
-    # context is built (including child contexts and the bench
-    # harness), so the env vars are the one seam that covers every
-    # subcommand; restored afterwards so in-process callers (tests)
-    # are not polluted.
+    # The runtime reads $REPRO_LEDGER wherever a context is built
+    # (including child contexts and the bench harness), so the env var
+    # is the one seam that covers every subcommand; restored afterwards
+    # so in-process callers (tests) are not polluted.
     import os
     saved: dict[str, str | None] = {}
-    for flag, env in (("faults", "REPRO_FAULTS"),
-                      ("ledger", "REPRO_LEDGER")):
-        value = getattr(args, flag, None)
-        if value:
-            saved[env] = os.environ.get(env)
-            os.environ[env] = str(value)
+    if getattr(args, "ledger", None):
+        saved["REPRO_LEDGER"] = os.environ.get("REPRO_LEDGER")
+        os.environ["REPRO_LEDGER"] = str(args.ledger)
     # --trace binds an explicit Tracer as the run's single sink; an
     # ambient $REPRO_TRACE would make every *other* context built along
     # the way bind its own tracer to that path and clobber the flushes,

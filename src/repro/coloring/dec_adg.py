@@ -67,7 +67,7 @@ def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
     by strictly-higher-partition neighbors (color 0 entries included;
     the caller filters by its bitmap width).  ``inline`` runs the gather
     as a plain call instead of a round of ``ctx`` (no round id, no
-    fault draw).
+    traced round event).
     """
     def gather(lo, hi):
         return _constraints(lo, hi, indptr, indices, verts, levels,
@@ -197,7 +197,6 @@ def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
                              backend=ctx.backend, workers=ctx.workers,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
-                             faults=ctx.fault_record(),
                              resources=ctx.resource_record())
         if owns:
             ctx.ledger_record(out, graph=g, eps=eps)

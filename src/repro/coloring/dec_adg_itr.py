@@ -179,7 +179,8 @@ long long repro_itr_levels(long long n, const int64_t *indptr,
 
 def _bind(lib):
     fn = lib.repro_itr_levels
-    arr = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    arr = np.ctypeslib.ndpointer(dtype=np.int64,
+                                 flags="C_CONTIGUOUS,ALIGNED")
     ll = ctypes.c_longlong
     fn.restype = ll
     fn.argtypes = [ll] + [arr] * 6 + [ll] * 3 + [arr] * 10
@@ -190,12 +191,13 @@ _CITR = CLibrary("itrlevels", _C_SOURCE, _bind)
 
 
 def _checked_vertex_array(a, n: int, name: str) -> np.ndarray:
-    """``a`` as a C-contiguous int64 array of length ``n``, else
-    ``ValueError`` (the per-vertex bound the compiled pass relies on)."""
+    """``a`` as an aligned C-contiguous int64 array of length ``n``,
+    else ``ValueError`` (the per-vertex bound the compiled pass relies
+    on)."""
     a = np.asarray(a)
     if a.dtype != np.int64 or a.shape != (n,):
         raise ValueError(f"{name} must be an int64 array of length n")
-    return np.ascontiguousarray(a)
+    return np.require(a, np.int64, ["C", "A"])
 
 
 def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
@@ -423,7 +425,6 @@ def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
                              backend=ctx.backend, workers=ctx.workers,
                              phase_walls=dict(ctx.wall_by_phase),
                              trace_summary=ctx.trace_summary(),
-                             faults=ctx.fault_record(),
                              resources=ctx.resource_record())
         if owns:
             ctx.ledger_record(out, graph=g, eps=eps)

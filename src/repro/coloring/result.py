@@ -23,9 +23,12 @@ class ColoringResult:
 
     ``backend``/``workers`` record the execution configuration the run
     was given (recorded only: every round runs as one direct call, so
-    colors and books do not depend on it); ``kernel_tier`` is always
-    ``"numpy"`` — kernels are NumPy, and colors do not depend on the
-    kernel implementation.
+    colors and books do not depend on it).  ``kernel_tier`` is the
+    fixed label ``"numpy"``, kept for readers of result rows: it names
+    no implementation.  JP's rank sweep, DEC-ADG-ITR's level pass, the
+    degeneracy peel and ingest run as compiled C passes when a C
+    compiler is found and as NumPy otherwise, with identical colors and
+    books either way.
     ``phase_walls`` is the per-phase wall-clock split from the
     :class:`~repro.runtime.ExecutionContext` timers (exclusive time
     per phase).
@@ -34,11 +37,6 @@ class ColoringResult:
     (:mod:`repro.obs`): then it carries the tracer digest — event
     counts, run-wide per-phase self walls, the per-round metric series
     (frontier/batch/conflict dynamics).
-
-    ``faults`` is ``None`` for a quiet run with no fault plan; otherwise
-    it is the runtime's :meth:`~repro.runtime.ExecutionContext.fault_record`
-    digest — the run-wide ``fault.*`` counters (injections, retries)
-    and the injection plan's own summary.
 
     ``dispatch`` is always ``None``; the field is kept so readers of
     older result rows and ledgers (which carried an adaptive-dispatch
@@ -66,7 +64,6 @@ class ColoringResult:
     kernel_tier: ClassVar[str] = "numpy"
     phase_walls: dict[str, float] = field(default_factory=dict)
     trace_summary: dict | None = None
-    faults: dict | None = None
     dispatch: dict | None = None
     resources: dict | None = None
 

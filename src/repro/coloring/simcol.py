@@ -14,14 +14,9 @@ stream — hence the coloring — is identical on every backend), and the
 per-vertex conflict checks read only this round's fixed draws.  Bitmap
 commits are applied after the round returns.
 
-Because the color draw happens before the round and the trial kernel is
-pure, SIM-COL is fault-transparent: a retried trial re-reads the same
-fixed draws, so recovery under a
-:class:`~repro.runtime.faults.FaultPlan` reproduces the fault-free
-coloring bit for bit.  SIM-COL returns a
-plain ``(colors, rounds)`` tuple; callers that build a
-:class:`~repro.coloring.result.ColoringResult` (DEC-ADG) attach the
-run's fault record there.
+SIM-COL returns a plain ``(colors, rounds)`` tuple; callers that build
+a :class:`~repro.coloring.result.ColoringResult` (DEC-ADG) attach the
+run's books there.
 """
 
 from __future__ import annotations

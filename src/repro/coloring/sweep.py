@@ -87,7 +87,8 @@ long long repro_rank_sweep(long long n, const int64_t *indptr,
 
 def _bind(lib):
     fn = lib.repro_rank_sweep
-    arr = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    arr = np.ctypeslib.ndpointer(dtype=np.int64,
+                                 flags="C_CONTIGUOUS,ALIGNED")
     fn.restype = ctypes.c_longlong
     fn.argtypes = [ctypes.c_longlong] + [arr] * 14
     return fn
@@ -121,7 +122,7 @@ def rank_sweep(indptr: np.ndarray, indices: np.ndarray,
     two return identical arrays.  The CSR arrays are bounds-checked
     (:func:`~repro.primitives.cbuild.checked_csr`) on both paths.
     """
-    ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+    ranks = np.require(ranks, np.int64, ["C", "A"])
     indptr, indices = checked_csr(indptr, indices, ranks.size)
     order = np.ascontiguousarray(np.argsort(ranks, kind="stable")[::-1])
     fn = _CSWEEP.load()

@@ -9,10 +9,9 @@ scale path (DESIGN.md "Ingestion at scale"):
    ranges, and each range is parsed by a vectorized tokenizer with no
    per-line Python — one range per
    :meth:`ExecutionContext.map_chunks` round, so tracer spans
-   (``ingest.*`` phases) and injected-fault retries apply unchanged.
-   A malformed range raises on its first parse: only injected faults
-   are retried.  ``backend``/``workers`` are recorded in the report and
-   do not change how ranges are parsed;
+   (``ingest.*`` phases) apply unchanged.  A malformed range raises on
+   its first parse.  ``backend``/``workers`` are recorded in the report
+   and do not change how ranges are parsed;
 2. vertex ids are compacted chunk-locally (``np.unique`` semantics:
    sorted distinct ids + inverse codes, never a Python dict) and each
    chunk vocabulary is merged as it arrives, so coordinator memory
@@ -601,7 +600,7 @@ def parse_ranges(lo: int, hi: int, offs: np.ndarray, path: str,
     """Parse byte ranges [offs[lo], offs[hi]) of ``path``.
 
     Pure over [lo, hi): re-reading the same ranges reproduces the same
-    result, which is what lets the fault layer retry a round.
+    result.
 
     Returns ``(vocab, codes, n_edges, tier)``: the chunk-local sorted
     id vocabulary, int32 inverse codes laid out as [u codes | v codes],
@@ -863,13 +862,47 @@ def _malloc_trim() -> None:
         pass
 
 
+#: Payload alignment of cache npz members, bytes.  The npy header pads
+#: itself to a multiple of 64, so a member whose local zip header ends
+#: 64-aligned has 64-aligned array data, which :func:`_npz_member_arrays`
+#: maps in place.
+NPZ_ALIGN = 64
+
+#: Zip extra-field id of the alignment padding (the id zipalign uses).
+_PAD_EXTRA_ID = 0xD935
+
+
+def _aligned_zipinfo(name: str, offset: int):
+    """A ZIP_STORED ``ZipInfo`` for ``name`` whose local header, written
+    at ``offset`` with a forced zip64 field, ends ``NPZ_ALIGN``-aligned.
+
+    The padding is one extra field (4 header bytes plus zeros), so a
+    pad of 1-3 bytes grows by ``NPZ_ALIGN``.
+    """
+    import zipfile
+
+    zi = zipfile.ZipInfo(name, time.localtime()[:6])
+    zi.compress_type = zipfile.ZIP_STORED
+    zi.CRC = zi.compress_size = 0  # set for real when the member closes
+    pad = -(offset + len(zi.FileHeader(zip64=True))) % NPZ_ALIGN
+    if 0 < pad < 4:
+        pad += NPZ_ALIGN
+    if pad:
+        zi.extra = (_PAD_EXTRA_ID.to_bytes(2, "little")
+                    + (pad - 4).to_bytes(2, "little") + bytes(pad - 4))
+    return zi
+
+
 def _stream_npz(fh, arrays: dict) -> None:
     """``np.savez`` (uncompressed), streamed in ~1 MiB slices.
 
     ``np.savez`` copies each array into multi-MiB write buffers; at the
     moment the cache is written the final CSR is already resident, so
     those copies are exactly the peak-RSS overshoot the resource bench
-    guards against.  ``np.load`` reads the result like any other npz.
+    guards against.  Each member's array data starts ``NPZ_ALIGN``-
+    aligned in the file (:func:`_aligned_zipinfo`), so a warm load maps
+    it as aligned int64 with no copy.  ``np.load`` reads the result
+    like any other npz.
     """
     import zipfile
 
@@ -879,7 +912,10 @@ def _stream_npz(fh, arrays: dict) -> None:
                          allowZip64=True) as zf:
         for key, arr in arrays.items():
             arr = np.ascontiguousarray(arr)
-            with zf.open(key + ".npy", "w", force_zip64=True) as out:
+            # Each member's local header is written where the previous
+            # one left the file position.
+            zi = _aligned_zipinfo(key + ".npy", fh.tell())
+            with zf.open(zi, "w", force_zip64=True) as out:
                 npf.write_array_header_1_0(
                     out, npf.header_data_from_array_1_0(arr))
                 mv = memoryview(arr.reshape(-1)).cast("B")

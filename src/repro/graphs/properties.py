@@ -71,7 +71,8 @@ void repro_peel(long long n, long long maxdeg, const int64_t *indptr,
 
 def _bind(lib):
     fn = lib.repro_peel
-    arr = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    arr = np.ctypeslib.ndpointer(dtype=np.int64,
+                                 flags="C_CONTIGUOUS,ALIGNED")
     fn.restype = None
     fn.argtypes = [ctypes.c_longlong, ctypes.c_longlong] + [arr] * 6
     return fn

@@ -1,6 +1,6 @@
 """repro.obs — the observability subsystem.
 
-Structured tracing (phase and round spans, fault instants), a
+Structured tracing (phase and round spans, instants), a
 counter/gauge registry for per-round
 metric series, and exporters: an in-memory structured log (queryable in
 tests), a JSONL event log, and a Chrome trace-event JSON that loads in
@@ -35,7 +35,6 @@ from .ledger import (
 )
 from .metrics import MetricPoint, MetricsRegistry, Series
 from .profile import (
-    fault_breakdown,
     phase_breakdown,
     resource_breakdown,
     round_breakdown,
@@ -63,8 +62,7 @@ __all__ = [
     "Ledger", "MetricPoint", "MetricsRegistry", "NullLedger",
     "NullTracer", "ResourceSampler", "Series", "SpanEvent", "Tracer",
     "bench_record", "cell_key", "chrome_trace", "cpu_seconds",
-    "current_rss_kb",
-    "fault_breakdown", "git_sha", "graph_digest",
+    "current_rss_kb", "git_sha", "graph_digest",
     "jsonl_records", "peak_rss_kb",
     "phase_breakdown", "read_jsonl", "read_ledger", "resolve_ledger",
     "resolve_resources", "resolve_tracer", "resource_breakdown",

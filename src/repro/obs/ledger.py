@@ -3,7 +3,7 @@
 Every engine run (and every bench-harness record) can append one
 structured, schema-versioned JSON line to a ledger file — graph digest,
 algorithm, eps, backend/workers, color count, cost/memory books,
-per-phase walls, fault digest, resource telemetry, and
+per-phase walls, resource telemetry, and
 the repo's git SHA.  Unlike traces (one file per run, overwritten) the
 ledger *accumulates*: the perf trajectory across PRs lives in
 ``results/ledger.jsonl`` and the regression gate
@@ -253,7 +253,6 @@ def run_record(result, graph=None, *, kind: str = "run",
         "mem": {"sequential": int(result.combined_mem().sequential),
                 "random": int(result.combined_mem().random)},
         "dispatch": result.dispatch,
-        "faults": result.faults,
         "resources": getattr(result, "resources", None),
         "trace_events": (result.trace_summary.get("events")
                          if result.trace_summary else None),
@@ -371,6 +370,8 @@ def validate_ledger_record(rec: dict, where: str = "ledger") -> None:
                  and isinstance(graph.get("m"), int)
                  and isinstance(graph.get("digest"), str), where,
                  "graph must carry name/n/m/digest")
+    # Rows recorded before fault injection was removed may carry a
+    # ``faults`` object; it keeps validating.
     for key in ("dispatch", "faults", "shards_digest", "resources"):
         _require(rec.get(key) is None or isinstance(rec[key], dict), where,
                  f"{key} must be an object or null")

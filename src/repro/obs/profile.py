@@ -65,27 +65,6 @@ def round_breakdown(tracer) -> list[dict]:
     return out
 
 
-def fault_breakdown(result) -> list[dict]:
-    """Fault-recovery rows for one run, from ``result.faults``.
-
-    One row per ``fault.*`` counter (injections, retries) followed by
-    the plan digest.  Empty when the run had no fault plan and saw no
-    recovery activity — the profile section is omitted then.
-    """
-    rec = getattr(result, "faults", None)
-    if not rec:
-        return []
-    rows = [{"kind": "counter", "name": name, "value": rec["counters"][name],
-             "detail": ""}
-            for name in sorted(rec["counters"])]
-    plan = rec.get("plan")
-    if plan:
-        rows.append({"kind": "plan", "name": "clauses",
-                     "value": plan["clauses"],
-                     "detail": f"seed={plan['seed']} fired={plan['fired']}"})
-    return rows
-
-
 def resource_breakdown(result) -> list[dict]:
     """Resource-telemetry rows for one run, from ``result.resources``.
 

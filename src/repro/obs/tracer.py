@@ -7,7 +7,7 @@ Two implementations behind one duck-typed interface:
   :class:`~repro.runtime.ExecutionContext` branch on ``enabled`` so an
   untraced run executes exactly the pre-tracing code.
 - :class:`Tracer` — records :class:`SpanEvent` entries (phases, rounds,
-  fault instants, with small thread ids) into an in-memory structured log
+  instants, with small thread ids) into an in-memory structured log
   plus per-round metric series in a :class:`MetricsRegistry`.  Sinks:
   :func:`repro.obs.sinks.write_jsonl` and
   :func:`repro.obs.chrome.write_chrome_trace` (``flush`` dispatches on
@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 
 from .metrics import MetricsRegistry
 
-#: Event categories emitted by the runtime and the engines.  ``fault``
-#: instants mark injected faults; they validate through
-#: :mod:`repro.obs.validate` like every other category.
-CATEGORIES = ("phase", "round", "instant", "fault")
+#: Event categories emitted by the runtime and the engines.
+CATEGORIES = ("phase", "round", "instant")
 
 
 @dataclass
@@ -191,7 +189,7 @@ class Tracer:
         by_cat: dict[str, int] = {}
         for e in self.events:
             by_cat[e.cat] = by_cat.get(e.cat, 0) + 1
-        out = {
+        return {
             "events": len(self.events),
             "events_by_cat": by_cat,
             "phase_self_s": {k: round(v, 6)
@@ -200,12 +198,6 @@ class Tracer:
             "series": {name: self.metrics.get(name).as_pairs()
                        for name in self.metrics.names()},
         }
-        faults: dict[str, int] = {}
-        for e in self.spans(cat="fault"):
-            faults[e.name] = faults.get(e.name, 0) + 1
-        if faults:
-            out["fault_events"] = faults
-        return out
 
     # -- sinks ---------------------------------------------------------------
 

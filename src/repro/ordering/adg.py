@@ -117,7 +117,7 @@ def adg_ordering(
     every backend and worker count.  The ordering's cost/mem books are
     always its own (the paper splits run-times into reordering and
     coloring), so a caller's context contributes only its
-    configuration, tracer, scratch and fault state.
+    configuration, tracer, scratch and round counter.
     """
     if not eps >= 0:  # also rejects NaN
         raise ValueError(f"eps must be >= 0, got {eps}")

@@ -103,14 +103,17 @@ class CLibrary:
 
 def checked_csr(indptr: np.ndarray, indices: np.ndarray,
                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``indptr``/``indices`` as C-contiguous int64, bounds-checked.
+    """``indptr``/``indices`` as aligned C-contiguous int64,
+    bounds-checked.
 
-    Raises ``ValueError`` unless ``indptr`` has ``n + 1`` entries rising
-    from 0 to ``len(indices)`` and every index names a vertex 0..n-1 —
-    the bounds a compiled CSR loop relies on.
+    An array that is not 8-byte aligned (a member memory-mapped at an
+    odd offset of an old ingest cache) is copied, since a compiled loop
+    must not load from it.  Raises ``ValueError`` unless ``indptr`` has
+    ``n + 1`` entries rising from 0 to ``len(indices)`` and every index
+    names a vertex 0..n-1 — the bounds a compiled CSR loop relies on.
     """
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    indptr = np.require(indptr, np.int64, ["C", "A"])
+    indices = np.require(indices, np.int64, ["C", "A"])
     if indptr.size != n + 1:
         raise ValueError("indptr must have n + 1 entries")
     if indptr[0] != 0 or np.any(np.diff(indptr) < 0) \

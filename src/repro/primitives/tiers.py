@@ -1,7 +1,8 @@
 """The kernel-implementation name recorded in run configs.
 
-Kernels are NumPy, and colors do not depend on the kernel
-implementation.  This module stays only because ``perfbench/run.py``
+The label is fixed: the compiled C passes and their NumPy fallbacks
+give identical colors, so no run config names which one ran.  This
+module stays only because ``perfbench/run.py``
 reads :func:`resolve_kernel_tier` to label its config; nothing in the
 package imports it.
 """
@@ -10,5 +11,5 @@ from __future__ import annotations
 
 
 def resolve_kernel_tier(tier=None) -> str:
-    """The kernel implementation every run uses: always ``"numpy"``."""
+    """The kernel label every run records: always ``"numpy"``."""
     return "numpy"

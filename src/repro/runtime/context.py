@@ -12,10 +12,9 @@ needs to execute those rounds and account for them:
   work/depth books model the paper's parallelism; a measured parallel
   speedup is the job of compiled passes that use ``workers`` as their
   thread count, which none does yet;
-- fault tolerance at the round seam: the run's one
-  :class:`~repro.runtime.faults.Recovery` policy draws injected faults
-  per round and retries an injected failure in place with capped
-  backoff; any other exception propagates at once, unwrapped;
+- the run-wide round id: each :meth:`map_chunks` call takes the next
+  one, shared by every child context of the run; an exception a round
+  raises propagates at once, unwrapped;
 - the :class:`~repro.machine.costmodel.CostModel` and
   :class:`~repro.machine.memmodel.MemoryModel` accounting books;
 - per-phase wall-clock timers (:meth:`phase`), recording *exclusive*
@@ -27,11 +26,9 @@ needs to execute those rounds and account for them:
   pre-tracing instructions.
 
 Round kernels are *pure* (all mutation happens on the caller after the
-round returns), so re-running a failed round recomputes exactly the
-same result: colors, rounds and the cost/memory books are bit-identical
-for every ``backend``/``workers`` value and under any in-budget fault
-plan.  Tracing is observation only: enabling it never changes results
-or accounting.
+round returns), so colors, rounds and the cost/memory books are
+bit-identical for every ``backend``/``workers`` value.  Tracing is
+observation only: enabling it never changes results or accounting.
 """
 
 from __future__ import annotations
@@ -47,21 +44,10 @@ from ..obs import resolve_tracer
 from ..obs.ledger import resolve_ledger, run_record
 from ..obs.resources import ResourceSampler, resolve_resources
 from ..primitives.kernels import ScratchArena
-from .faults import Recovery, RecoveryError, _env_number, resolve_fault_plan
 
 T = TypeVar("T")
 
 BACKENDS = ("serial", "threaded")
-
-
-class ChunkError(RecoveryError):
-    """A :meth:`ExecutionContext.map_chunks` round failed for good: its
-    injected faults outlasted the retry budget.
-
-    The message names the fault coordinate (``round R chunk 0``) and the
-    ``[0, n)`` range; the last
-    :class:`~repro.runtime.faults.FaultInjected` is chained.
-    """
 
 
 def check_backend(backend: str, source: str = "backend") -> str:
@@ -89,12 +75,22 @@ def default_backend() -> str:
 
 def default_workers() -> int:
     """Worker count: $REPRO_WORKERS (an int >= 1), else the CPU count."""
-    return _env_number("REPRO_WORKERS", max(1, os.cpu_count() or 1), int, 1)
+    env = os.environ.get("REPRO_WORKERS", "").strip()
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"$REPRO_WORKERS must be a int, "
+                         f"got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"$REPRO_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 class ExecutionContext:
-    """One object carrying the configuration, accounting, timers,
-    tracer, and the fault-recovery state of a run.
+    """One object carrying the configuration, accounting, timers and
+    tracer of a run.
 
     Parameters
     ----------
@@ -117,14 +113,6 @@ class ExecutionContext:
         ``False`` (off), or ``None`` to defer to ``$REPRO_TRACE`` — see
         :func:`repro.obs.resolve_tracer`.  Defaults to the zero-overhead
         null tracer.
-    faults:
-        A :class:`~repro.runtime.faults.FaultPlan`, a plan string
-        (``"error@3.0;seed=7"``), ``False`` (injection off), or ``None``
-        to defer to ``$REPRO_FAULTS`` — see
-        :func:`repro.runtime.faults.resolve_fault_plan`.
-    retries, backoff:
-        Recovery budget and backoff base; ``None`` resolves via
-        ``$REPRO_RETRIES`` (2) and ``$REPRO_BACKOFF`` (0.02s).
     ledger:
         The flight recorder (:mod:`repro.obs.ledger`): a
         :class:`~repro.obs.ledger.Ledger`, a JSONL path, ``True``
@@ -145,20 +133,18 @@ class ExecutionContext:
     stops the resource sampler, releases the scratch buffers and
     flushes a path-bound tracer.
     :meth:`child` derives a context with fresh accounting books that
-    *shares* the tracer, the scratch arena and the fault state (used to
-    account an ordering phase separately from the coloring phase of one
-    run: round ids and recovery budgets are run-wide).
+    *shares* the tracer, the scratch arena and the round counter (used
+    to account an ordering phase separately from the coloring phase of
+    one run: round ids are run-wide).
     """
 
     def __init__(self, backend: str | None = None, workers: int | None = None,
                  cost: CostModel | None = None, mem: MemoryModel | None = None,
                  crew: bool = False, trace=None,
-                 faults=None, retries: int | None = None,
-                 backoff: float | None = None,
                  ledger=None, resources=None,
                  _host: "ExecutionContext | None" = None):
-        # The host carries the run-wide state (fault budgets, round
-        # counter, scratch, ledger, sampler).
+        # The host carries the run-wide state (round counter, scratch,
+        # ledger, sampler).
         self._host = _host if _host is not None else self
         self.backend = check_backend(backend) if backend is not None \
             else default_backend()
@@ -179,8 +165,6 @@ class ExecutionContext:
         # exclusive timing and for labeling traced rounds.
         self._phase_stack: list[list] = []
         if self._host is self:
-            self._recovery = Recovery(resolve_fault_plan(faults), retries,
-                                      backoff, self.tracer)
             self._round_seq = 0
             self._scratch = ScratchArena()
             self._ledger = resolve_ledger(ledger)
@@ -256,8 +240,7 @@ class ExecutionContext:
         """Zero the cost/mem books and phase timers, keep the machinery.
 
         The service layer calls this between requests so one long-lived
-        context (scratch and fault budgets persist)
-        yields per-request accounting instead of a running total.
+        context (the scratch persists) yields per-request accounting instead of a running total.
         """
         self.cost = CostModel(crew=self.cost.crew)
         self.mem = MemoryModel()
@@ -266,7 +249,7 @@ class ExecutionContext:
     def child(self, cost: CostModel | None = None,
               mem: MemoryModel | None = None,
               crew: bool = False) -> "ExecutionContext":
-        """Same backend/workers/tracer/scratch/fault state, fresh books
+        """Same backend/workers/tracer/scratch/round counter, fresh books
         and timers."""
         return ExecutionContext(backend=self.backend, workers=self.workers,
                                 cost=cost, mem=mem, crew=crew,
@@ -277,38 +260,21 @@ class ExecutionContext:
     def map_chunks(self, fn: Callable[[int, int], T], n: int) -> T:
         """Run one round: ``fn(0, n)``, called once on this thread.
 
-        Each call takes the next run-wide round id; a fault plan's
-        ``error@ROUND.0`` clause addresses it.  ``fn`` must be *pure
-        over [0, n)* — it may read shared state but must not mutate it
-        — so an injected failure is retried in place (with capped
-        backoff) and the result is bit-identical to the undisturbed
-        run.  When the retry budget is spent the round raises
-        :class:`ChunkError`; any exception ``fn`` raises itself
-        propagates on the first failure, unwrapped.
+        Each call takes the next run-wide round id, which labels the
+        traced ``round`` event.  An exception ``fn`` raises propagates
+        unwrapped.
         """
         host = self._host
         host._round_seq += 1
         rid = host._round_seq
-        rec = host._recovery
         tracer = self.tracer
         t0 = tracer.now() if tracer.enabled else 0.0
-        if rec.plan is None or n <= 0:
-            out = fn(0, n)
-        else:
-            out = rec.run(lambda: fn(0, n), rid,
-                          f"map_chunks round {rid} chunk 0 [0, {n}) of {n} "
-                          f"items", ChunkError)
+        out = fn(0, n)
         if tracer.enabled:
             phase = self._phase_stack[-1][0] if self._phase_stack else None
             tracer.record(f"{phase or 'map_chunks'}#round{rid}", "round",
                           t0, tracer.now(), round=rid, phase=phase, items=n)
         return out
-
-    def fault_record(self) -> dict | None:
-        """Digest of the run's fault activity, or ``None`` for a quiet
-        run with no plan (:meth:`repro.runtime.faults.Recovery.record`).
-        """
-        return self._host._recovery.record()
 
     # -- accounting ----------------------------------------------------------
 
@@ -358,13 +324,12 @@ def resolve_context(ctx: ExecutionContext | None,
                     mem: MemoryModel | None = None,
                     crew: bool = False,
                     trace=None,
-                    faults=None,
                     ) -> tuple[ExecutionContext, bool]:
     """Return ``(context, owns)`` for an engine entry point.
 
     When the caller supplied a context it is used as-is (``owns`` False:
     the caller closes it); otherwise a fresh one is built from
-    ``backend``/``workers``/``trace``/``faults``/accounting arguments
+    ``backend``/``workers``/``trace``/accounting arguments
     and ``owns`` is True — the engine must ``close()`` it (or use it as
     a context manager).
     """
@@ -372,4 +337,4 @@ def resolve_context(ctx: ExecutionContext | None,
         return ctx, False
     return ExecutionContext(backend=backend, workers=workers,
                             cost=cost, mem=mem, crew=crew,
-                            trace=trace, faults=faults), True
+                            trace=trace), True

@@ -4,9 +4,8 @@ Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
 executor with an :class:`~repro.runtime.ExecutionContext` borrowed from
-a long-lived pool (scratch buffers and fault budgets persist across
-requests; only the cost/mem books reset between them —
-``ExecutionContext.reset_books``).
+a long-lived pool (scratch buffers persist across requests; only the
+cost/mem books reset between them — ``ExecutionContext.reset_books``).
 
 Guarantees the tests lean on:
 
@@ -20,15 +19,9 @@ Guarantees the tests lean on:
   :class:`asyncio.Condition` per graph), so concurrent deltas from many
   clients serialize deterministically while requests on *other* graphs
   proceed in parallel.
-- **Fault-aware completion**: the service is the top level of the
-  runtime's one recovery policy (the level x fault-kind table is in
-  :mod:`repro.runtime.faults`).  An engine call whose injected faults
-  exhaust a retry budget (a :class:`~repro.runtime.RecoveryError`) is
-  re-run once on a
-  fresh, quiet, serial context; the response
-  then reports ``"degraded": True``.  Any other exception becomes an
-  error response — the request future always completes, it never
-  hangs.
+- **Always completes**: an exception raised while serving a request
+  becomes an error response — the request future always completes, it
+  never hangs, and nothing is retried.
 
 Every request — failed ones included — appends one ``kind="service"``
 row to the run ledger (when one is configured) and bumps ``svc.*``
@@ -54,7 +47,7 @@ from ..graphs.delta import GraphDelta, parse_delta_spec
 from ..graphs.generators import gnm_random, grid_2d, kronecker, ring
 from ..obs.ledger import resolve_ledger, service_record
 from ..obs.metrics import MetricsRegistry
-from ..runtime import ExecutionContext, RecoveryError
+from ..runtime import ExecutionContext
 from .cache import ResultCache, cache_key
 
 DEFAULT_ALGORITHM = "DEC-ADG-ITR"
@@ -72,8 +65,8 @@ class ContextPool:
 
     Thread-safe (engine calls run on executor threads).  ``release``
     resets the context's accounting books so the next request starts
-    from zero; scratch buffers and fault budgets persist — that is the
-    point of reusing the context.
+    from zero; scratch buffers persist — that is the point of reusing
+    the context.
     """
 
     def __init__(self, backend: str | None = None,
@@ -300,8 +293,7 @@ class ColoringService:
         row = {"graph": request.get("graph"),
                "ok": bool(response.get("ok", False)),
                "wall_s": round(wall, 6)}
-        for key in ("digest", "algorithm", "cached", "degraded", "seq",
-                    "error"):
+        for key in ("digest", "algorithm", "cached", "seq", "error"):
             if key in response:
                 row[key] = response[key]
         self.ledger.append(service_record(op or "unknown", row))
@@ -385,8 +377,7 @@ class ColoringService:
                     return {"ok": True, "op": "color", "graph": entry.name,
                             "cached": True, "result": hit}
                 self._bump("svc.cache.misses")
-            result, degraded = await self._run_engine(
-                probe, algorithm, g, kwargs)
+            result = await self._run_engine(probe, algorithm, g, kwargs)
         finally:
             self.pool.release(probe)
         block = {
@@ -403,8 +394,6 @@ class ColoringService:
             self.cache.put(key, block)
         response = {"ok": True, "op": "profile" if profile else "color",
                     "graph": entry.name, "cached": False, "result": block}
-        if degraded:
-            response["degraded"] = True
         if profile:
             response["profile"] = {
                 "wall_seconds": result.wall_seconds,
@@ -417,34 +406,16 @@ class ColoringService:
 
     async def _run_engine(self, ctx: ExecutionContext, algorithm: str,
                           g: CSRGraph, kwargs: dict):
-        """Run the engine on the executor; on a :class:`RecoveryError`
-        re-run it once on a quiet serial context.
-
-        The runtime already retries rounds that hit an injected fault;
-        this level takes over only when a retry budget is spent.  The quiet context injects no faults, so the answer is
-        the fault-free one.  Any other
-        exception propagates (the request gets an error response).  The
-        returned flag reports whether the re-run fired.
-        """
+        """Run the engine on the executor; an exception propagates (the
+        request gets an error response)."""
         loop = asyncio.get_running_loop()
 
-        def run(run_ctx):
+        def run():
             if algorithm in BACKEND_AWARE:
-                return color(algorithm, g, ctx=run_ctx, **kwargs)
+                return color(algorithm, g, ctx=ctx, **kwargs)
             return color(algorithm, g, **kwargs)
 
-        try:
-            return await loop.run_in_executor(
-                self.executor, run, ctx), False
-        except RecoveryError:
-            self._bump("svc.retries")
-            quiet = ExecutionContext(backend="serial", faults=False)
-            try:
-                result = await loop.run_in_executor(
-                    self.executor, run, quiet)
-            finally:
-                quiet.close()
-            return result, True
+        return await loop.run_in_executor(self.executor, run)
 
     def _incremental(self, request: dict,
                      entry: _GraphEntry) -> IncrementalColoring:

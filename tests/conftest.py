@@ -121,6 +121,17 @@ def sequential_greedy(g: CSRGraph, sequence) -> np.ndarray:
     return colors
 
 
+def misaligned(a) -> np.ndarray:
+    """A copy of ``a`` as int64 starting one byte past an aligned
+    address — what an unpadded npz member maps to."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.frombuffer(bytearray(a.size * 8 + 1), dtype=np.int64,
+                        count=a.size, offset=1)
+    out[:] = a
+    assert a.size == 0 or not out.flags.aligned
+    return out
+
+
 # -- hypothesis strategy for arbitrary small graphs -----------------------------
 
 @st.composite

@@ -404,8 +404,7 @@ class TestPinnedBooks:
     @pytest.mark.parametrize("key", sorted(GOLDEN))
     def test_matches_recorded_books(self, key, backend, workers):
         graph, name = key.split("|")
-        with ExecutionContext(backend=backend, workers=workers,
-                              faults=False) as ctx:
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
             res = color(name, PIN_GRAPHS[graph](), seed=0, ctx=ctx)
         got = {"colors": _digest(res.colors), "rounds": res.rounds,
                "snapshot": _digest(res.cost.snapshot()),

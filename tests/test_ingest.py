@@ -200,10 +200,7 @@ class TestDigestIdentity:
     def test_malformed_range_parsed_once(self, tmp_path, monkeypatch,
                                          backend, workers):
         # A parse error is deterministic: it must surface on the first
-        # parse, unwrapped, with no retry and no backoff sleep.
-        monkeypatch.setenv("REPRO_RETRIES", "2")
-        monkeypatch.setenv("REPRO_BACKOFF", "30")
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        # parse, unwrapped, with no retry.
         path = _write(tmp_path, "1 2\n3 x\n")
         calls = []
         real = ingest_mod.parse_ranges
@@ -289,6 +286,52 @@ class TestCache:
         shutil.copy(path, copy)
         _, r = ingest_report(copy, cache_dir=cdir)
         assert r["cached"] == "digest"
+
+    def test_warm_members_mapped_aligned(self, tmp_path):
+        # indices (1.3 MB) is mapped in place: its payload must start
+        # NPZ_ALIGN-aligned in the file, so the warm CSR is aligned
+        # int64 with no copy.
+        g = gnm_random(20000, 80000, seed=9)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g, path)
+        cdir = tmp_path / "cache"
+        ingest_report(path, cache_dir=str(cdir))
+        warm, r = ingest_report(path, cache_dir=str(cdir))
+        assert r["cached"] == "stat"
+        assert isinstance(warm.indices.base, np.memmap)
+        assert warm.indices.flags.aligned and warm.indptr.flags.aligned
+        (npz,) = cdir.glob("*.npz")
+        members = ingest_mod._npz_member_arrays(str(npz))
+        mapped = [a for a in members.values() if isinstance(a, np.memmap)]
+        assert mapped
+        assert all(a.offset % ingest_mod.NPZ_ALIGN == 0 for a in mapped)
+        with np.load(npz) as data:
+            np.testing.assert_array_equal(data["indices"], warm.indices)
+
+    def test_unpadded_cache_still_loads(self, tmp_path):
+        # A cache written before members were padded maps indices at an
+        # odd offset; it loads, and colors like the source graph.
+        import zipfile
+
+        from numpy.lib import format as npf
+
+        from repro.coloring.registry import color
+        g = gnm_random(20000, 80000, seed=9)
+        npz = str(tmp_path / "old.npz")
+        with zipfile.ZipFile(npz, "w", zipfile.ZIP_STORED,
+                             allowZip64=True) as zf:
+            for key, arr in (("indptr", g.indptr), ("indices", g.indices),
+                             ("name", np.asarray("old"))):
+                with zf.open(key + ".npy", "w", force_zip64=True) as out:
+                    npf.write_array(out, arr)
+        old = ingest_mod._load_cached(npz, None)
+        assert isinstance(old.indices.base, np.memmap)
+        assert not old.indices.flags.aligned
+        assert old.name == "old"
+        # The sweep, the peel (SL) and the ITR level pass each take it.
+        for algorithm in ("JP-ADG", "JP-SL", "DEC-ADG-ITR"):
+            np.testing.assert_array_equal(color(algorithm, old).colors,
+                                          color(algorithm, g).colors)
 
     def test_file_digest_matches_hashlib(self, tmp_path):
         import hashlib

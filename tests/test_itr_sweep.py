@@ -41,7 +41,7 @@ from repro.ordering.base import random_tiebreak
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import graphs
+from .conftest import graphs, misaligned
 
 # The package re-exports the engine function under the module's name.
 itr_mod = sys.modules["repro.coloring.dec_adg_itr"]
@@ -321,6 +321,19 @@ class TestCBoundary:
         assert isinstance(cached.indices.base, np.memmap)
         assert not cached.indices.flags.writeable
         assert self._check(cached) == self._check(g)
+
+    def test_odd_offset_arrays(self):
+        g = GRAPHS["gnm"]()
+        odd = CSRGraph(indptr=misaligned(g.indptr),
+                       indices=misaligned(g.indices))
+        order = adg_ordering(g, eps=0.01, seed=0)
+        priority = random_tiebreak(g.n, 0)
+        compiled, oracle = _both_paths(lambda: interior(
+            odd, misaligned(order.levels), order.num_levels,
+            misaligned(priority)))
+        assert compiled == oracle
+        assert compiled == interior(g, order.levels, order.num_levels,
+                                    priority)
 
     @pytest.mark.parametrize("bad", [
         "short_indptr", "indptr_past_end", "falling_indptr",

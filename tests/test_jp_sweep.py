@@ -35,7 +35,7 @@ from repro.obs import Tracer
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import graphs
+from .conftest import graphs, misaligned
 
 GRAPHS = {
     "kron": lambda: kronecker(scale=9, edge_factor=8, seed=3),
@@ -689,6 +689,17 @@ class TestCBoundary:
         assert isinstance(cached.indices.base, np.memmap)
         assert not cached.indices.flags.writeable
         self._check(cached, np.random.default_rng(3).permutation(g.n))
+
+    def test_odd_offset_arrays(self):
+        # Unaligned int64 (an old ingest cache's mapped members) is
+        # copied before the sweep, never loaded from in C.
+        g = GRAPHS["kron"]()
+        odd = CSRGraph(indptr=misaligned(g.indptr),
+                       indices=misaligned(g.indices))
+        ranks = np.random.default_rng(4).permutation(g.n)
+        self._check(odd, misaligned(ranks))
+        np.testing.assert_array_equal(jp_color(odd, misaligned(ranks))[0],
+                                      jp_color(g, ranks)[0])
 
     def test_non_contiguous_ranks(self):
         g = GRAPHS["ba"]()

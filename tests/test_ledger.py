@@ -182,29 +182,15 @@ class TestResources:
 
 
 class TestTraceSummaryCategories:
-    def test_fault_spans_in_summary(self):
-        from repro.obs import Tracer
-        g = gnm_random(400, 1600, seed=5)
-        tracer = Tracer()
-        with ExecutionContext(trace=tracer,
-                              faults="error%0.4;seed=7") as ctx:
-            res = dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx)
-        assert_valid_coloring(g, res.colors)
-        summary = tracer.summary()
-        injected = res.faults["counters"]["fault.injected.error"]
-        assert injected > 0
-        assert summary["fault_events"]["fault.error"] == injected
-
     def test_jsonl_trace_with_new_cats_validates(self, tmp_path):
         from repro.obs.validate import validate_trace_file
         g = gnm_random(300, 1200, seed=2)
         path = str(tmp_path / "t.jsonl")
-        with ExecutionContext(trace=path,
-                              faults="error%0.4;seed=7") as ctx:
+        with ExecutionContext(trace=path) as ctx:
             dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx)
         assert validate_trace_file(path) > 0
         with open(path) as fh:
-            assert any('"cat": "fault"' in line for line in fh)
+            assert any('"cat": "round"' in line for line in fh)
 
     def test_validate_dispatches_ledger_jsonl(self, tmp_path, small_graph):
         from repro.obs.validate import validate_trace_file
@@ -227,6 +213,10 @@ class TestLedgerCell:
         assert rec["cell"].endswith("|numpy")
         validate_ledger_record(rec)
 
+    def test_run_record_has_no_faults_key(self):
+        res = ColoringResult(algorithm="JP-ADG", colors=[1, 2, 1])
+        assert "faults" not in run_record(res, valid=True)
+
     def test_validator_accepts_legacy_cells(self):
         res = ColoringResult(algorithm="JP-ADG", colors=[1, 2, 1])
         rec = run_record(res, valid=True)
@@ -242,9 +232,10 @@ class TestLedgerCell:
 
     def test_validator_accepts_dispatch_and_adaptive_rows(self):
         # Rows recorded while the threaded backend had adaptive round
-        # dispatch carry a dispatch digest and an adaptive mode; the
-        # ledger is history, so they keep validating, and the gate no
-        # longer reads them.
+        # dispatch carry a dispatch digest and an adaptive mode, and
+        # rows recorded under a fault plan a faults digest; the ledger
+        # is history, so they keep validating, and the gate no longer
+        # reads them.
         rec = {
             "schema": LEDGER_SCHEMA, "kind": "run", "ts": 1786188791.2,
             "git_sha": "6546de790fe4d048f369fd0cfe71753ee746652d",
@@ -263,6 +254,11 @@ class TestLedgerCell:
             "adaptive": "on", "faults": None, "resources": None,
             "trace_events": None,
         }
+        validate_ledger_record(rec, where="historical")
+        assert set(metrics_of(rec)) == {"wall_s", "colors", "work", "valid"}
+        rec["faults"] = {
+            "counters": {"fault.injected.error": 1, "fault.retries": 1},
+            "plan": {"clauses": 1, "seed": 0, "fired": {"error": 1}}}
         validate_ledger_record(rec, where="historical")
         assert set(metrics_of(rec)) == {"wall_s", "colors", "work", "valid"}
 

@@ -31,7 +31,7 @@ from repro.graphs.generators import (
 from repro.ordering.sl import sl_ordering
 from repro.primitives import cbuild
 
-from .conftest import graphs
+from .conftest import graphs, misaligned
 
 GRAPHS = {
     "kron": lambda: kronecker(scale=10, edge_factor=8, seed=3),
@@ -119,6 +119,14 @@ class TestCBoundary:
         assert isinstance(cached.indices.base, np.memmap)
         assert not cached.indices.flags.writeable
         self._check(cached)
+
+    def test_odd_offset_arrays(self):
+        g = GRAPHS["gnm"]()
+        odd = CSRGraph(indptr=misaligned(g.indptr),
+                       indices=misaligned(g.indices))
+        self._check(odd)
+        _assert_same(properties.peel_degeneracy(odd),
+                     properties.peel_degeneracy(g))
 
     @pytest.mark.parametrize("bad", ["short_indptr", "indptr_past_end",
                                      "falling_indptr", "vertex_out_of_range",

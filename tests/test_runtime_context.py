@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.coloring.jp import jp_by_name
 from repro.coloring.registry import color
 from repro.graphs.generators import gnm_random
 from repro.machine.costmodel import CostModel
@@ -62,8 +63,8 @@ class TestConstruction:
         ("2.5", r"\$REPRO_WORKERS must be a int, got '2.5'"),
     ])
     def test_env_workers_invalid(self, monkeypatch, value, match):
-        # Same checked reader as $REPRO_RETRIES: no bare int() error, and
-        # no silent clamp of 0 / negatives to 1 (workers=0 raises too).
+        # A checked reader: no bare int() error, and no silent clamp of
+        # 0 / negatives to 1 (workers=0 raises too).
         monkeypatch.setenv("REPRO_WORKERS", value)
         with pytest.raises(ValueError, match=match):
             default_workers()
@@ -141,6 +142,15 @@ class TestMapChunks:
             ctx.map_chunks(lambda lo, hi: None, 0)
         assert [e.args["round"] for e in ctx.tracer.spans(cat="round")] \
             == [1, 2, 3]
+
+    def test_ordering_child_continues_round_ids(self):
+        # JP-ADG computes its ordering on a child context; the child's
+        # rounds and the coloring's share one run-wide sequence.
+        g = gnm_random(300, 1200, seed=2)
+        with ExecutionContext(backend="serial", trace=True) as ctx:
+            jp_by_name(g, "ADG", seed=0, eps=0.1, ctx=ctx)
+        rounds = [e.args["round"] for e in ctx.tracer.spans(cat="round")]
+        assert rounds and rounds == list(range(1, len(rounds) + 1))
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_threaded_color_starts_no_thread(self, workers):
@@ -267,14 +277,28 @@ class TestChunkErrors:
         return hi - lo
 
     def test_serial_raises_original_error(self):
-        ctx = ExecutionContext(backend="serial", faults=False)
+        ctx = ExecutionContext(backend="serial")
         with pytest.raises(ValueError, match="bad chunk") as ei:
             ctx.map_chunks(self._boom, 100)
         assert ei.value.__cause__ is None
 
+    @pytest.mark.parametrize("backend,workers", [("serial", 1),
+                                                 ("threaded", 4)])
+    def test_own_error_propagates_on_first_call(self, backend, workers):
+        calls = []
+
+        def boom(lo, hi):
+            calls.append((lo, hi))
+            raise ValueError("bad round")
+
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
+            with pytest.raises(ValueError, match="bad round") as ei:
+                ctx.map_chunks(boom, 20)
+        assert type(ei.value) is ValueError and ei.value.__cause__ is None
+        assert calls == [(0, 20)]
+
     def test_threaded_raises_original_error(self):
-        with ExecutionContext(backend="threaded", workers=4,
-                              faults=False) as ctx:
+        with ExecutionContext(backend="threaded", workers=4) as ctx:
             with pytest.raises(ValueError, match="bad chunk"):
                 ctx.map_chunks(self._boom, 1000)
             # The context stays usable after the failed round.

@@ -1,4 +1,4 @@
-"""The asyncio coloring service: cache, FIFO ordering, fault behavior.
+"""The asyncio coloring service: cache, FIFO ordering, error behavior.
 
 Each test drives an in-process :class:`ColoringService` through
 ``asyncio.run`` (the TCP front end gets its own round-trip test at the
@@ -246,52 +246,12 @@ class TestServiceLedger:
         assert all("error" in r["row"] for r in rows[1:])
 
 
-# -- fault plans: requests complete, never hang -------------------------------
+# -- engine errors: requests complete, never hang -----------------------------
 
 class TestServiceUnderFaults:
-    def test_error_plan_degrades_but_completes(self, monkeypatch):
-        """A plan that exhausts the runtime's own retry budget must
-        surface as a completed, degraded response — not a hang."""
-        monkeypatch.setenv("REPRO_FAULTS", "error@1.0x99;seed=7")
-        monkeypatch.setenv("REPRO_BACKOFF", "0.0")
-
-        async def main():
-            async with ColoringService(workers=2,
-                                       backend="threaded") as svc:
-                await ask(svc, op="load", graph="g", gen=GNM)
-                r = await ask(svc, op="color", graph="g",
-                              algorithm="DEC-ADG-ITR", eps=0.01, seed=0)
-                assert r["ok"]
-                assert r.get("degraded") is True
-                stats = await ask(svc, op="stats")
-                assert stats["metrics"]["svc.retries"]["total"] >= 1
-        run(main())
-
-    def test_faulty_and_quiet_colors_identical(self, monkeypatch):
-        """Fault handling must not leak into results: the degraded
-        response's color count and digest equal the quiet run's."""
-        async def one(env):
-            if env:
-                monkeypatch.setenv("REPRO_FAULTS", env)
-                monkeypatch.setenv("REPRO_BACKOFF", "0.0")
-            else:
-                monkeypatch.delenv("REPRO_FAULTS", raising=False)
-            async with ColoringService(
-                    workers=2,
-                    backend="threaded" if env else "serial") as svc:
-                await ask(svc, op="load", graph="g", gen=GNM)
-                r = await ask(svc, op="color", graph="g",
-                              algorithm="DEC-ADG-ITR", eps=0.01, seed=0)
-                return r["result"]
-
-        quiet = run(one(""))
-        noisy = run(one("error@1.0x99;seed=7"))
-        assert quiet["colors"] == noisy["colors"]
-        assert quiet["colors_digest"] == noisy["colors_digest"]
-
     def test_engine_error_is_not_retried(self, monkeypatch):
-        """Only a spent retry budget re-runs a request: a plain engine
-        error is one error response, and the engine runs once."""
+        """An engine error is one error response, and the engine runs
+        once."""
         import repro.service.server as server
 
         calls = []
@@ -312,8 +272,7 @@ class TestServiceUnderFaults:
                 return r, stats
         r, stats = run(main())
         assert r["ok"] is False and "eps" in r["error"]
-        assert "degraded" not in r
-        assert "svc.retries" not in stats["metrics"]
+        assert stats["metrics"]["svc.errors"]["total"] == 1
         assert calls == ["DEC-ADG-ITR"]
 
 
