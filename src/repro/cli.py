@@ -45,6 +45,7 @@ from .graphs.io import load_npz, read_edge_list, read_metis
 from .graphs.properties import degeneracy, stats
 from .ordering.adg import approximation_quality
 from .ordering.registry import ORDERINGS, get_ordering
+from .runtime.context import check_workers
 
 GENERATORS = {
     "kronecker": lambda a, seed: generators.kronecker(
@@ -390,7 +391,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 args.input, ctx=ctx, comments=args.comments,
                 cache=not args.no_cache, cache_dir=args.cache_dir,
                 spill_dir=args.spill_dir, force=args.force,
-                chunk_bytes=args.chunk_bytes, parser=args.parser)
+                chunk_bytes=args.chunk_bytes)
     finally:
         sampler.stop()
     res = sampler.digest()
@@ -431,6 +432,15 @@ def cmd_obs(args: argparse.Namespace) -> int:
                          only=only, update=args.update)
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an int >= 1 (argparse names the flag)."""
+    try:
+        return check_workers(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an int >= 1, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -445,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="FILE",
                        help="edge-list file (optionally .gz) loaded "
                             "through the streaming ingest pipeline "
-                            "(parallel parse + digest-keyed binary "
+                            "(chunked parse + digest-keyed binary "
                             "cache); takes precedence over --graph/--gen")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=0.01)
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend, recorded with the run "
                             "(default: $REPRO_BACKEND or serial); colors "
                             "are backend-independent")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_worker_count, default=None,
                        help="threaded-backend worker count, recorded "
                             "with the run (default: $REPRO_WORKERS or "
                             "CPU count)")
@@ -512,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser(
         "ingest", help="stream an edge-list file into the CSR binary "
-                       "cache (parallel parse, out-of-core build)")
+                       "cache (chunked parse, out-of-core build)")
     common(p_ingest)
     p_ingest.add_argument("--comments", default="#",
                           help="comment-line prefix (default '#')")
@@ -530,11 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--chunk-bytes", dest="chunk_bytes", type=int,
                           default=2 << 20,
                           help="parse-range size in bytes (default 2MiB)")
-    p_ingest.add_argument("--parser",
-                          choices=["auto", "c", "numpy", "python"],
-                          default=None,
-                          help="tokenizer tier (default: "
-                               "$REPRO_INGEST_PARSER or auto)")
     p_ingest.set_defaults(fn=cmd_ingest)
 
     p_serve = sub.add_parser(

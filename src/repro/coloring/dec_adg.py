@@ -10,8 +10,8 @@ by higher-partition neighbors.  Quality: (2 + eps) d colors for
 
 Partitions depend on each other (lower levels read higher levels'
 colors), so the level loop is sequential; *within* a level the
-degree-count and bitmap gather, and every SIM-COL trial, run as rounds
-of the execution context — the same round seam as ADG.
+degree-count and bitmap gather, and every SIM-COL trial, are one plain
+call each, booked as one round of work and depth — as in ADG.
 
 The level loop itself is exposed as :func:`color_partitions`, the
 interior that :class:`~repro.coloring.incremental.IncrementalColoring`
@@ -34,20 +34,18 @@ from .result import ColoringResult
 from .simcol import sim_col
 
 
-def _constraints(lo: int, hi: int, indptr: np.ndarray, indices: np.ndarray,
-                 verts: np.ndarray, levels: np.ndarray, level: int,
-                 colors: np.ndarray, ws: ScratchArena):
+def _constraints(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
+                 levels: np.ndarray, level: int, colors: np.ndarray,
+                 ws: ScratchArena):
     """Per-partition gather: deg_l counts and higher-partition colors."""
-    part = verts[lo:hi]
-    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    seg, nbrs = batch_neighbors(indptr, indices, verts, ws)
     k = nbrs.size
     lv = np.take(levels, nbrs, out=ws.take("dec.lv", k, levels.dtype))
     ge = np.greater_equal(lv, level, out=ws.take("dec.ge", k, bool))
-    cg = np.bincount(np.compress(ge, seg), minlength=part.size)  # fresh
+    cg = np.bincount(np.compress(ge, seg), minlength=verts.size)  # fresh
     higher = np.greater(lv, level, out=ws.take("dec.hi", k, bool))
     kept = int(np.count_nonzero(higher))
     owners = np.compress(higher, seg)  # fresh
-    owners += lo
     nb_h = np.compress(higher, nbrs, out=ws.take("dec.nbh", kept))
     return cg, owners, np.take(colors, nb_h), k
 
@@ -55,26 +53,19 @@ def _constraints(lo: int, hi: int, indptr: np.ndarray, indices: np.ndarray,
 def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
                           max_degree: int, verts: np.ndarray,
                           levels: np.ndarray, level: int, colors: np.ndarray,
-                          ctx: ExecutionContext, phase: str,
-                          inline: bool = False) -> tuple[np.ndarray,
-                                                         np.ndarray,
-                                                         np.ndarray]:
+                          ctx: ExecutionContext,
+                          phase: str) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
     """Per-partition gather: deg_l counts and taken colors.
 
     Returns ``(counts_ge, taken, owners)`` where ``counts_ge[i]`` is the
     number of neighbors of ``verts[i]`` in this or higher partitions,
     and ``(owners, taken)`` lists the (local vertex, color) pairs taken
     by strictly-higher-partition neighbors (color 0 entries included;
-    the caller filters by its bitmap width).  ``inline`` runs the gather
-    as a plain call instead of a round of ``ctx`` (no round id, no
-    traced round event).
+    the caller filters by its bitmap width).
     """
-    def gather(lo, hi):
-        return _constraints(lo, hi, indptr, indices, verts, levels,
-                            int(level), colors, ctx.scratch)
-
-    counts_ge, owners, taken, nbrs_total = gather(0, verts.size) if inline \
-        else ctx.map_chunks(gather, verts.size)
+    counts_ge, owners, taken, nbrs_total = _constraints(
+        indptr, indices, verts, levels, int(level), colors, ctx.scratch)
     ctx.cost.round(nbrs_total + verts.size, log2_ceil(max(max_degree, 1)))
     ctx.mem.gather(nbrs_total, phase)
     return counts_ge, taken, owners

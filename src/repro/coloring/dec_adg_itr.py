@@ -277,7 +277,7 @@ def _levels_numpy(g: CSRGraph, levels: np.ndarray, num_levels: int,
         # deg_l(v) bounds the bitmap width: mex never exceeds degl + 1.
         counts_ge, taken, owners = partition_constraints(
             g.indptr, g.indices, g.max_degree, verts, levels, level,
-            colors, ctx, "dec-itr", inline=True)
+            colors, ctx, "dec-itr")
         width = int(counts_ge.max(initial=0)) + 3
 
         forbidden = np.zeros((verts.size, width), dtype=bool)

@@ -89,11 +89,10 @@ def repair_frontier(g: CSRGraph, colors: np.ndarray, levels: np.ndarray,
         colors[active] = 0
         seg, nbrs = g.batch_neighbors(active)
         ncol = colors[nbrs]
-        c_all = grouped_mex(seg, ncol, active.size, scratch=ctx.scratch)
+        c_all = grouped_mex(seg, ncol, active.size)
         lv_act = levels[active]
         ge = levels[nbrs] >= lv_act[seg]
-        c_ge = grouped_mex(seg, np.where(ge, ncol, 0), active.size,
-                           scratch=ctx.scratch)
+        c_ge = grouped_mex(seg, np.where(ge, ncol, 0), active.size)
         chosen = np.where(c_all <= cap[active], c_all, c_ge)
         colors[active] = chosen
 

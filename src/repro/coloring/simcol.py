@@ -8,11 +8,11 @@ neighbor drew the same one or the color is forbidden by the bitmap B_v
 deactivates a constant fraction of vertices in expectation (Claim 1),
 so the loop terminates in O(log n) rounds w.h.p. (Lemma 10).
 
-Each round's trial evaluation runs as one round of the execution
-context: the color draw is a single RNG call before it (so the random
-stream — hence the coloring — is identical on every backend), and the
-per-vertex conflict checks read only this round's fixed draws.  Bitmap
-commits are applied after the round returns.
+Each round's trial evaluation is one plain call of a pure kernel over
+the active vertices: the color draw is a single RNG call before it (so
+the random stream — hence the coloring — is identical on every
+backend), and the per-vertex conflict checks read only this round's
+fixed draws.  Bitmap commits are applied after the kernel returns.
 
 SIM-COL returns a plain ``(colors, rounds)`` tuple; callers that build
 a :class:`~repro.coloring.result.ColoringResult` (DEC-ADG) attach the
@@ -30,9 +30,8 @@ from ..primitives.kernels import ScratchArena, segment_any
 from ..runtime import ExecutionContext, resolve_context
 
 
-def _trial(lo: int, hi: int, part: CSRGraph, active: np.ndarray,
-           colors: np.ndarray, still: np.ndarray, forbidden: np.ndarray,
-           ws: ScratchArena):
+def _trial(part: CSRGraph, mine: np.ndarray, colors: np.ndarray,
+           still: np.ndarray, forbidden: np.ndarray, ws: ScratchArena):
     """Trial evaluation (Alg. 5): reject equal active-neighbor draws
     and draws forbidden by the B_v bitmap.
 
@@ -40,7 +39,6 @@ def _trial(lo: int, hi: int, part: CSRGraph, active: np.ndarray,
     ``nbrs`` are replayed by the caller for the bitmap commit, so the
     neighborhood gather is fresh — only the masks use scratch.
     """
-    mine = active[lo:hi]
     seg, nbrs = part.batch_neighbors(mine)
     k = nbrs.size
     cn = np.take(colors, nbrs, out=ws.take("sc.cn", k))
@@ -123,10 +121,8 @@ def sim_col(
             # Part 2: reject on equality with an active neighbor or on B_v.
             still_active[:] = False
             still_active[active] = True
-            clash, seg, nbrs, md = ctx.map_chunks(
-                lambda lo, hi: _trial(lo, hi, part, active, colors,
-                                      still_active, forbidden, ws),
-                active.size)
+            clash, seg, nbrs, md = _trial(part, active, colors,
+                                          still_active, forbidden, ws)
             nbrs_total = nbrs.size
             cost.round(nbrs_total + active.size, log2_ceil(max(md, 1)) + 1)
             mem.gather(nbrs_total, "simcol")

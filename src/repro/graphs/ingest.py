@@ -1,4 +1,4 @@
-"""Streaming edge-list ingestion: parallel parse + out-of-core CSR build.
+"""Streaming edge-list ingestion: chunked parse + out-of-core CSR build.
 
 The paper's corpus is real SNAP/KONECT edge-list downloads; reading one
 through :func:`repro.graphs.io.read_edge_list`'s per-line Python loop
@@ -7,10 +7,9 @@ scale path (DESIGN.md "Ingestion at scale"):
 
 1. the (optionally gzipped) file is split into newline-aligned byte
    ranges, and each range is parsed by a vectorized tokenizer with no
-   per-line Python — one range per
-   :meth:`ExecutionContext.map_chunks` round, so tracer spans
-   (``ingest.*`` phases) apply unchanged.  A malformed range raises on
-   its first parse.  ``backend``/``workers`` are recorded in the report
+   per-line Python — one plain call per range on a file opened once,
+   inside the ``ingest.parse`` phase.  A malformed range raises on its
+   first parse.  ``backend``/``workers`` are recorded in the report
    and do not change how ranges are parsed;
 2. vertex ids are compacted chunk-locally (``np.unique`` semantics:
    sorted distinct ids + inverse codes, never a Python dict) and each
@@ -36,8 +35,9 @@ dropped, duplicates merged, edges symmetrized.
 
 Tokenizer tiers
 ---------------
-``auto`` (default) picks the fastest available tier per chunk and falls
-back transparently; ``$REPRO_INGEST_PARSER`` or ``parser=`` pins one:
+Each chunk takes the first tier that built and can prove the chunk
+clean, in this order; no option pins one (the report's
+``parser_used`` names the tiers that ran):
 
 - ``c`` — a ~60-line C scanner compiled once with the system C compiler
   and loaded via ctypes through :mod:`repro.primitives.cbuild` (about
@@ -80,8 +80,6 @@ from .csr import CSRGraph
 DEFAULT_CHUNK_BYTES = 2 << 20
 CACHE_SCHEMA = "repro.ingest-cache/v1"
 CACHE_ENV = "REPRO_INGEST_CACHE"
-PARSER_ENV = "REPRO_INGEST_PARSER"
-_PARSERS = ("auto", "c", "numpy", "python")
 _INT64_MAX = np.iinfo(np.int64).max
 
 # -- tier 1: compiled C scanner ------------------------------------------------
@@ -491,37 +489,26 @@ def _parse_python(data: bytes, comments: str):
     return (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
 
 
-def resolve_parser(parser: str | None = None) -> str:
-    """Tier choice: explicit argument > $REPRO_INGEST_PARSER > auto."""
-    p = (parser or os.environ.get(PARSER_ENV, "").strip().lower() or "auto")
-    if p not in _PARSERS:
-        raise ValueError(f"unknown ingest parser {p!r}; options: {_PARSERS}")
-    return p
-
-
-def _parse_dispatch(data: bytes, comments: str, parser: str):
-    if parser in ("auto", "c"):
-        out = _parse_c(data, comments)
+def _parse_chunk(data: bytes, comments: str):
+    """``(u, v, tier)``: C if it built and the chunk scans clean, else
+    NumPy if the chunk is provably clean, else Python."""
+    for tier, parse in (("c", _parse_c), ("numpy", _parse_numpy)):
+        out = parse(data, comments)
         if out is not None:
-            return out[0], out[1], "c"
-    if parser in ("auto", "numpy"):
-        out = _parse_numpy(data, comments)
-        if out is not None:
-            return out[0], out[1], "numpy"
+            return out[0], out[1], tier
     u, v = _parse_python(data, comments)
     return u, v, "python"
 
 
-def parse_edge_bytes(data: bytes, comments: str = "#",
-                     parser: str | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def parse_edge_bytes(data: bytes,
+                     comments: str = "#") -> tuple[np.ndarray, np.ndarray]:
     """Parse raw edge-list bytes into (u, v) int64 arrays.
 
     Same line grammar as ``read_edge_list``; the fastest available
     tokenizer tier is used and unclean input transparently re-parses
     on the Python tier (which raises the legacy errors).
     """
-    u, v, _ = _parse_dispatch(data, comments, resolve_parser(parser))
+    u, v, _ = _parse_chunk(data, comments)
     return u, v
 
 
@@ -593,32 +580,17 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                                           copy=False)
 
 
-# -- the parse round -----------------------------------------------------------
+# -- one byte range -----------------------------------------------------------
 
-def parse_ranges(lo: int, hi: int, offs: np.ndarray, path: str,
-                 comments: str, parser: str):
-    """Parse byte ranges [offs[lo], offs[hi]) of ``path``.
-
-    Pure over [lo, hi): re-reading the same ranges reproduces the same
-    result.
+def _parse_range(fh, start: int, end: int, comments: str):
+    """Parse bytes [start, end) of the open binary file ``fh``.
 
     Returns ``(vocab, codes, n_edges, tier)``: the chunk-local sorted
     id vocabulary, int32 inverse codes laid out as [u codes | v codes],
     the edge count, and the tokenizer tier that ran.
     """
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    tier = "none"
-    with open(path, "rb") as fh:
-        for i in range(lo, hi):
-            fh.seek(int(offs[i]))
-            data = fh.read(int(offs[i + 1]) - int(offs[i]))
-            u, v, t = _parse_dispatch(data, comments, parser)
-            tier = t if tier in ("none", t) else "mixed"
-            us.append(u)
-            vs.append(v)
-    u = np.concatenate(us) if us else np.empty(0, np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
+    fh.seek(start)
+    u, v, tier = _parse_chunk(fh.read(end - start), comments)
     vocab, inv = compact_ids(np.concatenate([u, v]))
     if vocab.size > np.iinfo(np.int32).max:
         raise ValueError("chunk vocabulary exceeds int32 code space")
@@ -664,7 +636,7 @@ def _is_gzip(path: str) -> bool:
 
 def _spill_decompress(path: str, spill: str) -> str:
     """Stream-decompress a gzip file into the spill dir once; the
-    plain copy is then range-seekable for the parallel parse."""
+    plain copy is then range-seekable for the chunked parse."""
     out = os.path.join(spill, "plain.el")
     with gzip.open(path, "rb") as src, open(out, "wb") as dst:
         shutil.copyfileobj(src, dst, DEFAULT_CHUNK_BYTES)
@@ -1203,17 +1175,15 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
                   workers: int | None = None,
                   chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                   cache: bool = True, cache_dir=None, spill_dir=None,
-                  force: bool = False, parser: str | None = None
-                  ) -> tuple[CSRGraph, dict]:
+                  force: bool = False) -> tuple[CSRGraph, dict]:
     """:func:`ingest`, plus a report dict (timings, tiers, cache mode)."""
     apath = os.path.abspath(os.fspath(path))
     st = os.stat(apath)  # missing file raises here, like open() would
-    p = resolve_parser(parser)
     if chunk_bytes < 1 << 12:
         chunk_bytes = 1 << 12
     t0 = time.perf_counter()
     report: dict = {"path": apath, "file_bytes": int(st.st_size),
-                    "cached": False, "parser": p,
+                    "cached": False,
                     "backend": None, "workers": None}
     cdir = resolve_cache_dir(apath, cache_dir, cache)
     sha = None
@@ -1243,12 +1213,11 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
         tiers: set[str] = set()
         vocab_global = np.empty(0, np.int64)
         edges_in = 0
-        with ctx.phase("ingest.parse"), \
+        with ctx.phase("ingest.parse"), open(plain, "rb") as fh, \
                 open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
             for i in range(nr):
-                vocab, codes, ne, tier = ctx.map_chunks(
-                    lambda lo, hi: parse_ranges(lo, hi, offs[i:i + 2],
-                                                plain, comments, p), 1)
+                vocab, codes, ne, tier = _parse_range(
+                    fh, int(offs[i]), int(offs[i + 1]), comments)
                 vocab.tofile(vf)
                 codes.tofile(cf)
                 metas.append((int(vocab.size), int(ne)))
@@ -1286,11 +1255,10 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
         shutil.rmtree(spill, ignore_errors=True)
 
     wall = time.perf_counter() - t0
-    tiers.discard("none")
     report.update(n=int(g.n), m=int(g.m), digest=g.content_digest,
                   gz=gz, raw_bytes=int(raw_bytes), edges_in=edges_in,
                   ranges=int(nr), wall_s=wall, phase_walls=phases,
-                  parser_used="+".join(sorted(tiers)) or "none",
+                  parser_used="+".join(sorted(tiers)),
                   backend=backend_used, workers=workers_used,
                   mb_per_s=raw_bytes / 1e6 / max(wall, 1e-9),
                   edges_per_s=edges_in / max(wall, 1e-9))
@@ -1300,12 +1268,11 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
 def ingest(path, *, comments: str = "#", name: str | None = None,
            ctx=None, backend: str | None = None, workers: int | None = None,
            chunk_bytes: int = DEFAULT_CHUNK_BYTES, cache: bool = True,
-           cache_dir=None, spill_dir=None, force: bool = False,
-           parser: str | None = None) -> CSRGraph:
+           cache_dir=None, spill_dir=None, force: bool = False) -> CSRGraph:
     """Stream an edge-list file (optionally gzipped) into a CSRGraph.
 
     Digest-identical to ``read_edge_list(path, comments)`` on every
-    input both accept, but parses in parallel chunks with a vectorized
+    input both accept, but parses in byte-range chunks with a vectorized
     tokenizer, builds the CSR out-of-core under a spill directory, and
     memoizes the result in a digest-keyed binary cache (see
     :func:`resolve_cache_dir`).  ``force=True`` re-parses even on a
@@ -1315,5 +1282,5 @@ def ingest(path, *, comments: str = "#", name: str | None = None,
                          backend=backend, workers=workers,
                          chunk_bytes=chunk_bytes, cache=cache,
                          cache_dir=cache_dir, spill_dir=spill_dir,
-                         force=force, parser=parser)
+                         force=force)
     return g

@@ -1,10 +1,9 @@
 """repro.obs — the observability subsystem.
 
-Structured tracing (phase and round spans, instants), a
-counter/gauge registry for per-round
-metric series, and exporters: an in-memory structured log (queryable in
-tests), a JSONL event log, and a Chrome trace-event JSON that loads in
-Perfetto.  The zero-overhead default is :data:`NULL_TRACER`; enable via
+Structured tracing (phase spans, instants), a counter/gauge registry
+for per-round metric series, and exporters: an in-memory structured
+log (queryable in tests), a JSONL event log, and a Chrome trace-event
+JSON that loads in Perfetto.  The zero-overhead default is :data:`NULL_TRACER`; enable via
 ``ExecutionContext(trace=...)``, ``--trace FILE`` on any CLI
 subcommand, or ``$REPRO_TRACE``.
 

@@ -6,7 +6,7 @@ Two implementations behind one duck-typed interface:
   False, every method is a no-op, and the hot paths in
   :class:`~repro.runtime.ExecutionContext` branch on ``enabled`` so an
   untraced run executes exactly the pre-tracing code.
-- :class:`Tracer` — records :class:`SpanEvent` entries (phases, rounds,
+- :class:`Tracer` — records :class:`SpanEvent` entries (phases and
   instants, with small thread ids) into an in-memory structured log
   plus per-round metric series in a :class:`MetricsRegistry`.  Sinks:
   :func:`repro.obs.sinks.write_jsonl` and
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry
 
 #: Event categories emitted by the runtime and the engines.
-CATEGORIES = ("phase", "round", "instant")
+CATEGORIES = ("phase", "instant")
 
 
 @dataclass

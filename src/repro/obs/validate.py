@@ -25,6 +25,9 @@ from .metrics import KINDS
 from .tracer import CATEGORIES
 
 _NUM = (int, float)
+#: Span categories a trace may carry: the emitted ones, plus ``round``
+#: from traces recorded while every round was a traced dispatch call.
+SPAN_CATEGORIES = CATEGORIES + ("round",)
 
 
 def _require(cond: bool, where: str, msg: str) -> None:
@@ -51,8 +54,8 @@ def validate_jsonl(path: str) -> int:
         elif kind == "span":
             _require(isinstance(rec.get("name"), str), where,
                      "span.name must be a string")
-            _require(rec.get("cat") in CATEGORIES, where,
-                     f"span.cat must be one of {CATEGORIES}")
+            _require(rec.get("cat") in SPAN_CATEGORIES, where,
+                     f"span.cat must be one of {SPAN_CATEGORIES}")
             _require(isinstance(rec.get("t0"), _NUM) and
                      isinstance(rec.get("t1"), _NUM), where,
                      "span.t0/t1 must be numbers")

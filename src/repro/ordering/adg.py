@@ -19,6 +19,10 @@ Variants implemented, selected by keyword:
   increasing remaining degree, giving an explicit total order (SS V-B);
 - ``cache_degree_sums`` — maintain the running degree sum instead of
   re-reducing each iteration (SS V-F).
+
+Each iteration's selection and UPDATE are plain calls of the pure
+kernels below over all vertices at once; the paper's parallelism lives
+in the work/depth books each iteration charges.
 """
 
 from __future__ import annotations
@@ -33,21 +37,18 @@ from ..runtime import ExecutionContext
 from .base import Ordering, random_tiebreak, total_order
 
 
-# -- round kernels: pure over [lo, hi), scratch for intermediates only ------
+# -- round kernels: pure, scratch for intermediates only --------------------
 
-def _select(lo: int, hi: int, D: np.ndarray, active: np.ndarray,
-            threshold: float, ws: ScratchArena) -> np.ndarray:
+def _select(D: np.ndarray, active: np.ndarray, threshold: float,
+            ws: ScratchArena) -> np.ndarray:
     """Batch selection: active vertices at or below the degree threshold."""
-    sel = np.less_equal(D[lo:hi], threshold,
-                        out=ws.take("sel.le", hi - lo, bool))
-    np.logical_and(sel, active[lo:hi], out=sel)
-    picked = np.flatnonzero(sel)  # fresh
-    picked += lo
-    return picked
+    sel = np.less_equal(D, threshold, out=ws.take("sel.le", D.size, bool))
+    np.logical_and(sel, active, out=sel)
+    return np.flatnonzero(sel)  # fresh
 
 
-def _push(lo: int, hi: int, batch: np.ndarray, indptr: np.ndarray,
-          indices: np.ndarray, active: np.ndarray, r_mask: np.ndarray,
+def _push(batch: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+          active: np.ndarray, r_mask: np.ndarray,
           explicit: np.ndarray | None, ws: ScratchArena):
     """Push UPDATE (Alg. 1), fused with PRIORITIZE (Alg. 6) when
     ``explicit`` (the in-batch total order) is given.
@@ -55,8 +56,7 @@ def _push(lo: int, hi: int, batch: np.ndarray, indptr: np.ndarray,
     Returns ``(live neighbors, gathered count, DAG predecessor owners
     or None)``.
     """
-    part = batch[lo:hi]
-    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    seg, nbrs = batch_neighbors(indptr, indices, batch, ws)
     k = nbrs.size
     live_nbr = np.take(active, nbrs, out=ws.take("push.live", k, bool))
     preds = None
@@ -64,7 +64,7 @@ def _push(lo: int, hi: int, batch: np.ndarray, indptr: np.ndarray,
         # UPDATEandPRIORITIZE (Alg. 6): a neighbor removed *after* v —
         # still active, or later in the sorted batch — is a DAG
         # predecessor of v.
-        owner = np.take(part, seg, out=ws.take("push.owner", k))
+        owner = np.take(batch, seg, out=ws.take("push.owner", k))
         is_pred = np.take(r_mask, nbrs, out=ws.take("push.pred", k, bool))
         en = np.take(explicit, nbrs,
                      out=ws.take("push.en", k, explicit.dtype))
@@ -77,13 +77,12 @@ def _push(lo: int, hi: int, batch: np.ndarray, indptr: np.ndarray,
     return np.compress(live_nbr, nbrs), k, preds
 
 
-def _pull(lo: int, hi: int, live: np.ndarray, indptr: np.ndarray,
-          indices: np.ndarray, r_mask: np.ndarray, ws: ScratchArena):
+def _pull(live: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+          r_mask: np.ndarray, ws: ScratchArena):
     """Pull UPDATE (Alg. 2): per-vertex Count(N_U(v) cap R)."""
-    part = live[lo:hi]
-    seg, nbrs = batch_neighbors(indptr, indices, part, ws)
+    seg, nbrs = batch_neighbors(indptr, indices, live, ws)
     in_r = np.take(r_mask, nbrs, out=ws.take("pull.inr", nbrs.size, bool))
-    dec = np.zeros(part.size, dtype=np.int64)  # fresh: returned
+    dec = np.zeros(live.size, dtype=np.int64)  # fresh: returned
     np.add.at(dec, seg, in_r)
     return dec, nbrs.size
 
@@ -111,13 +110,12 @@ def adg_ordering(
     and whose ``ranks`` impose the total order <rho_ADG, rho_R> — or the
     explicit sorted-batch order when ``sort_batches`` is set.
 
-    Batch selection and the UPDATE scatters run as rounds of the
-    execution context (``ctx``, or one built from
-    ``backend``/``workers``); orderings and accounting are identical for
-    every backend and worker count.  The ordering's cost/mem books are
-    always its own (the paper splits run-times into reordering and
+    The context (``ctx``, or one built from ``backend``/``workers``)
+    is recorded configuration: orderings and accounting are identical
+    for every backend and worker count.  The ordering's cost/mem books
+    are always its own (the paper splits run-times into reordering and
     coloring), so a caller's context contributes only its
-    configuration, tracer, scratch and round counter.
+    configuration, tracer and scratch.
     """
     if not eps >= 0:  # also rejects NaN
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -177,9 +175,7 @@ def adg_ordering(
                         mem.stream(remaining, phase_name)
                     avg = sum_deg / remaining
                     threshold = (1.0 + eps) * avg
-                    batch = run.map_chunks(
-                        lambda lo, hi: _select(lo, hi, D, active,
-                                               float(threshold), ws), n)
+                    batch = _select(D, active, threshold, ws)
                     cost.parallel_for(remaining)
                     mem.stream(n, phase_name)
                     r_mask[:] = False
@@ -221,11 +217,9 @@ def adg_ordering(
 
                 # -- degree update ----------------------------------------------
                 if update == "push":
-                    live_targets, nbrs_total, preds = run.map_chunks(
-                        lambda lo, hi: _push(lo, hi, batch, indptr, indices,
-                                             active, r_mask, explicit
-                                             if compute_ranks else None, ws),
-                        batch.size)
+                    live_targets, nbrs_total, preds = _push(
+                        batch, indptr, indices, active, r_mask,
+                        explicit if compute_ranks else None, ws)
                     mem.gather(nbrs_total, phase_name)
                     cost.scatter_decrement(nbrs_total)
                     if live_targets.size:
@@ -236,9 +230,7 @@ def adg_ordering(
                         cost.round(nbrs_total, 1)
                 else:
                     live = np.flatnonzero(active)
-                    dec, nbrs_total = run.map_chunks(
-                        lambda lo, hi: _pull(lo, hi, live, indptr, indices,
-                                             r_mask, ws), live.size)
+                    dec, nbrs_total = _pull(live, indptr, indices, r_mask, ws)
                     mem.gather(nbrs_total, phase_name)
                     # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
                     cost.round(nbrs_total + remaining,

@@ -4,7 +4,6 @@ from .atomics import decrement_and_fetch, fetch_and_add
 from .kernels import (
     ScratchArena,
     batch_neighbors,
-    fallback_arena,
     grouped_mex,
     grouped_mex_bruteforce,
     multi_slice_gather,
@@ -26,7 +25,7 @@ from .sorting import (
 
 __all__ = [
     "decrement_and_fetch", "fetch_and_add",
-    "ScratchArena", "batch_neighbors", "fallback_arena",
+    "ScratchArena", "batch_neighbors",
     "grouped_mex", "grouped_mex_bruteforce", "multi_slice_gather",
     "segment_any", "segment_count", "segment_ids", "segment_max", "segment_sum",
     "average", "count", "count_members", "reduce_sum", "reduce_with",

@@ -8,8 +8,6 @@ excludant (the ``GetColor`` routine of JP, Alg. 3 lines 25-28).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
@@ -70,24 +68,6 @@ class ScratchArena:
                 "bytes": int(sum(b.nbytes for b in self._bufs.values())
                              + self._iota.nbytes),
                 "hits": self.hits, "misses": self.misses}
-
-
-_FALLBACK_TLS = threading.local()
-
-
-def fallback_arena() -> ScratchArena:
-    """Thread-local :class:`ScratchArena` for callers without one.
-
-    Hot paths that can be reached scratch-less (the single-group
-    ``grouped_mex`` of a round with one vertex left) draw from this arena
-    instead of allocating fresh every call.  Thread-local so
-    concurrent service requests never share buffers.
-    """
-    arena = getattr(_FALLBACK_TLS, "arena", None)
-    if arena is None:
-        arena = ScratchArena()
-        _FALLBACK_TLS.arena = arena
-    return arena
 
 
 def segment_ids(counts: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -228,8 +208,8 @@ def segment_count(seg: np.ndarray, n_segments: int) -> np.ndarray:
     return np.bincount(seg, minlength=n_segments).astype(np.int64)
 
 
-def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
-                scratch: ScratchArena | None = None) -> np.ndarray:
+def grouped_mex(group: np.ndarray, values: np.ndarray,
+                n_groups: int) -> np.ndarray:
     """Smallest positive integer absent from each group's value set.
 
     ``values <= 0`` are ignored (color 0 means "uncolored" throughout the
@@ -241,8 +221,6 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
 
     Work O(k) (integer-sort based), depth O(log k) in the paper's model.
 
-    ``scratch`` reuses a :class:`ScratchArena` for the filter/cap
-    intermediates (the returned array is always freshly allocated).
     With a single group the lexsort is skipped entirely: a group with
     ``c`` positive values has mex <= c + 1, so a presence bitmap over
     ``1..c+1`` answers directly — the common shape of late rounds,
@@ -256,11 +234,7 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
     if group.size == 0:
         return out
 
-    if scratch is None:
-        pos = values > 0
-    else:
-        pos = np.greater(values, 0,
-                         out=scratch.take("gmx.pos", values.size, bool))
+    pos = values > 0
     kept = int(np.count_nonzero(pos))
     if kept == 0:
         return out
@@ -268,36 +242,19 @@ def grouped_mex(group: np.ndarray, values: np.ndarray, n_groups: int, *,
     if n_groups == 1:
         # Direct mex, no sort: cap values at kept+1, mark presence,
         # first unmarked slot >= 1 is the answer (a False slot always
-        # exists: <= kept distinct values over kept+1 slots).  The
-        # scratch-less path (late-round stragglers reach it every
-        # round) draws from the thread-local fallback arena instead of
-        # allocating fresh.
-        ws = scratch if scratch is not None else fallback_arena()
-        vals = np.compress(pos, values, out=ws.take("gmx.v", kept))
-        np.minimum(vals, kept + 1, out=vals)
-        present = ws.take("gmx.present", kept + 2, bool)
-        present[:] = False
-        present[vals] = True
+        # exists: <= kept distinct values over kept+1 slots).
+        present = np.zeros(kept + 2, dtype=bool)
+        present[np.minimum(values[pos], kept + 1)] = True
         out[0] = int(np.argmin(present[1:])) + 1
         return out
 
-    if scratch is None:
-        group = group[pos]
-        values = values[pos]
-    else:
-        group = np.compress(pos, group, out=scratch.take("gmx.g", kept))
-        values = np.compress(pos, values, out=scratch.take("gmx.v", kept))
+    group = group[pos]
+    values = values[pos]
     # Values larger than the group size cannot lower the mex (a group
     # with c values has mex <= c + 1); cap them so the sort key stays
     # small (keeps counting-sort linear even for huge sparse colors).
     gcount = np.bincount(group, minlength=n_groups)
-    if scratch is None:
-        values = np.minimum(values, gcount[group] + 1)
-    else:
-        cap = scratch.take("gmx.cap", kept)
-        np.take(gcount, group, out=cap)
-        np.add(cap, 1, out=cap)
-        np.minimum(values, cap, out=values)
+    values = np.minimum(values, gcount[group] + 1)
     order = np.lexsort((values, group))
     g = group[order]
     v = values[order]

@@ -7,20 +7,18 @@ needs to execute those rounds and account for them:
 - the ``backend`` (``'serial'`` or ``'threaded'``) and ``workers``
   configuration.  Both are *recorded* configuration: they are
   validated, carried on results, ledger rows and regress cell keys,
-  and have no effect on execution — every round runs as one direct
-  call on the calling thread (:meth:`map_chunks`).  The analytic
-  work/depth books model the paper's parallelism; a measured parallel
-  speedup is the job of compiled passes that use ``workers`` as their
-  thread count, which none does yet;
-- the run-wide round id: each :meth:`map_chunks` call takes the next
-  one, shared by every child context of the run; an exception a round
-  raises propagates at once, unwrapped;
+  and have no effect on execution — engines call their round kernels
+  directly on the calling thread, and an exception a kernel raises
+  propagates at once, unwrapped.  The analytic work/depth books model
+  the paper's parallelism; a measured parallel speedup is the job of
+  compiled passes that use ``workers`` as their thread count, which
+  none does yet;
 - the :class:`~repro.machine.costmodel.CostModel` and
   :class:`~repro.machine.memmodel.MemoryModel` accounting books;
 - per-phase wall-clock timers (:meth:`phase`), recording *exclusive*
   (self) time so nested phases never double-count;
-- a run tracer (:mod:`repro.obs`): span events per phase and per round
-  and the per-round metric series engines emit.  The default is the
+- a run tracer (:mod:`repro.obs`): span events per phase and the
+  per-round metric series engines emit.  The default is the
   no-op null tracer — every traced code path branches on
   ``tracer.enabled``, so an untraced run executes exactly the
   pre-tracing instructions.
@@ -33,10 +31,10 @@ observation only: enabling it never changes results or accounting.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from contextlib import contextmanager
-from typing import Callable, TypeVar
 
 from ..machine.costmodel import CostModel
 from ..machine.memmodel import MemoryModel
@@ -44,8 +42,6 @@ from ..obs import resolve_tracer
 from ..obs.ledger import resolve_ledger, run_record
 from ..obs.resources import ResourceSampler, resolve_resources
 from ..primitives.kernels import ScratchArena
-
-T = TypeVar("T")
 
 BACKENDS = ("serial", "threaded")
 
@@ -63,6 +59,17 @@ def check_backend(backend: str, source: str = "backend") -> str:
         raise ValueError(f"{source} must be one of {BACKENDS}, "
                          f"got {backend!r}")
     return backend
+
+
+def check_workers(workers, source: str = "workers") -> int:
+    """``workers`` as an int if it is an integer >= 1 (a bool is not),
+    else a ``ValueError`` naming ``source``."""
+    if isinstance(workers, bool) or \
+            not isinstance(workers, numbers.Integral):
+        raise ValueError(f"{source} must be an int, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return int(workers)
 
 
 def default_backend() -> str:
@@ -83,9 +90,7 @@ def default_workers() -> int:
     except ValueError:
         raise ValueError(f"$REPRO_WORKERS must be a int, "
                          f"got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"$REPRO_WORKERS must be >= 1, got {workers}")
-    return workers
+    return check_workers(workers, "$REPRO_WORKERS")
 
 
 class ExecutionContext:
@@ -102,7 +107,8 @@ class ExecutionContext:
     workers:
         Worker count recorded for the threaded backend; ``None``
         resolves via :func:`default_workers` (``$REPRO_WORKERS``, else
-        the CPU count).  Forced to 1 on the serial backend.
+        the CPU count).  Validated on every backend (an int >= 1, not
+        a bool), then forced to 1 on the serial backend.
     cost, mem:
         Accounting books to record into; fresh models when ``None``.
     crew:
@@ -133,9 +139,8 @@ class ExecutionContext:
     stops the resource sampler, releases the scratch buffers and
     flushes a path-bound tracer.
     :meth:`child` derives a context with fresh accounting books that
-    *shares* the tracer, the scratch arena and the round counter (used
-    to account an ordering phase separately from the coloring phase of
-    one run: round ids are run-wide).
+    *shares* the tracer and the scratch arena (used to account an
+    ordering phase separately from the coloring phase of one run).
     """
 
     def __init__(self, backend: str | None = None, workers: int | None = None,
@@ -143,17 +148,16 @@ class ExecutionContext:
                  crew: bool = False, trace=None,
                  ledger=None, resources=None,
                  _host: "ExecutionContext | None" = None):
-        # The host carries the run-wide state (round counter, scratch,
-        # ledger, sampler).
+        # The host carries the run-wide state (scratch, ledger, sampler).
         self._host = _host if _host is not None else self
         self.backend = check_backend(backend) if backend is not None \
             else default_backend()
+        if workers is not None:
+            workers = check_workers(workers)
         if self.backend == "serial":
             self.workers = 1
         else:
             self.workers = workers if workers is not None else default_workers()
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.cost = cost if cost is not None else CostModel(crew=crew)
         self.mem = mem if mem is not None else MemoryModel()
         self.wall_by_phase: dict[str, float] = {}
@@ -161,11 +165,10 @@ class ExecutionContext:
         if self.tracer.enabled:
             self.tracer.meta.setdefault("backend", self.backend)
             self.tracer.meta.setdefault("workers", self.workers)
-        # Open-phase stack: [name, child_wall_seconds] frames, for
-        # exclusive timing and for labeling traced rounds.
-        self._phase_stack: list[list] = []
+        # Open-phase stack: one [child_wall_seconds] cell per open
+        # phase, for exclusive timing.
+        self._phase_stack: list[list[float]] = []
         if self._host is self:
-            self._round_seq = 0
             self._scratch = ScratchArena()
             self._ledger = resolve_ledger(ledger)
             res_on = resolve_resources(resources)
@@ -249,32 +252,10 @@ class ExecutionContext:
     def child(self, cost: CostModel | None = None,
               mem: MemoryModel | None = None,
               crew: bool = False) -> "ExecutionContext":
-        """Same backend/workers/tracer/scratch/round counter, fresh books
-        and timers."""
+        """Same backend/workers/tracer/scratch, fresh books and timers."""
         return ExecutionContext(backend=self.backend, workers=self.workers,
                                 cost=cost, mem=mem, crew=crew,
                                 trace=self.tracer, _host=self._host)
-
-    # -- execution -----------------------------------------------------------
-
-    def map_chunks(self, fn: Callable[[int, int], T], n: int) -> T:
-        """Run one round: ``fn(0, n)``, called once on this thread.
-
-        Each call takes the next run-wide round id, which labels the
-        traced ``round`` event.  An exception ``fn`` raises propagates
-        unwrapped.
-        """
-        host = self._host
-        host._round_seq += 1
-        rid = host._round_seq
-        tracer = self.tracer
-        t0 = tracer.now() if tracer.enabled else 0.0
-        out = fn(0, n)
-        if tracer.enabled:
-            phase = self._phase_stack[-1][0] if self._phase_stack else None
-            tracer.record(f"{phase or 'map_chunks'}#round{rid}", "round",
-                          t0, tracer.now(), round=rid, phase=phase, items=n)
-        return out
 
     # -- accounting ----------------------------------------------------------
 
@@ -289,7 +270,7 @@ class ExecutionContext:
         tracer = self.tracer
         tr0 = tracer.now() if tracer.enabled else 0.0
         t0 = time.perf_counter()
-        frame = [name, 0.0]
+        frame = [0.0]
         self._phase_stack.append(frame)
         with self.cost.phase(name):
             try:
@@ -297,11 +278,11 @@ class ExecutionContext:
             finally:
                 elapsed = time.perf_counter() - t0
                 self._phase_stack.pop()
-                self_time = max(0.0, elapsed - frame[1])
+                self_time = max(0.0, elapsed - frame[0])
                 self.wall_by_phase[name] = \
                     self.wall_by_phase.get(name, 0.0) + self_time
                 if self._phase_stack:
-                    self._phase_stack[-1][1] += elapsed
+                    self._phase_stack[-1][0] += elapsed
                 if tracer.enabled:
                     tracer.record(name, "phase", tr0, tracer.now(),
                                   self_s=self_time)

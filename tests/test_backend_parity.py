@@ -363,8 +363,9 @@ class TestTracingParity:
         res = color("JP-ADG", parity_graph, seed=0,
                     backend="threaded", workers=2, trace=t)
         assert res.trace_summary["events"] == len(t.events) > 0
-        assert res.trace_summary["events_by_cat"].get("round", 0) > 0
-        assert "chunk" not in res.trace_summary["events_by_cat"]
+        assert res.trace_summary["events_by_cat"].get("phase", 0) > 0
+        assert set(res.trace_summary["events_by_cat"]) <= {"phase",
+                                                           "instant"}
         assert t.metrics.get("jp.colored").total == parity_graph.n
 
 

@@ -107,6 +107,21 @@ class TestColorDeterminism:
         assert "unrecognized arguments: --faults" in capsys.readouterr().err
 
 
+class TestIngestCommand:
+    def test_json_report(self, graph_file, capsys):
+        assert main(["ingest", "--input", graph_file, "--no-cache",
+                     "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["parser_used"] in ("c", "numpy", "python")
+        assert "parser" not in rep
+
+    def test_parser_flag_removed(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["ingest", "--input", graph_file, "--parser", "c"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --parser" in capsys.readouterr().err
+
+
 class TestOrderCommand:
     def test_adg(self, capsys):
         assert main(["order", "--gen", "gnm:150,600", "--ordering",

@@ -25,7 +25,6 @@ from repro.graphs.ingest import (
     ingest_report,
     parse_edge_bytes,
     resolve_cache_dir,
-    resolve_parser,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.runtime import ExecutionContext
@@ -33,7 +32,50 @@ from repro.runtime import ExecutionContext
 # repro.graphs re-exports the ingest() function under the module's name.
 ingest_mod = importlib.import_module("repro.graphs.ingest")
 
+#: "auto" is the tokenizer chain ingest runs (C, then NumPy, then
+#: Python, each taking the chunks it can prove clean); the others name
+#: one tier.
 TIERS = ["auto", "c", "numpy", "python"]
+TIER_FNS = {"auto": parse_edge_bytes, "c": ingest_mod._parse_c,
+            "numpy": ingest_mod._parse_numpy,
+            "python": ingest_mod._parse_python}
+
+
+class _NoBuild:
+    """Stands in for the edgeparse library when it cannot be built."""
+
+    def load(self):
+        return None
+
+
+def _require_c():
+    if ingest_mod._CPARSER.load() is None:
+        pytest.skip("no C compiler: the compiled build is unavailable")
+
+
+def _on_tier(tier, data):
+    """One tier called directly: ``(u, v)`` lists, or None where the
+    tier declines the chunk."""
+    if tier == "c":
+        _require_c()
+    out = TIER_FNS[tier](data, "#")
+    return None if out is None else (out[0].tolist(), out[1].tolist())
+
+
+@pytest.fixture
+def forced_tier(request, monkeypatch):
+    """Start ingest's tokenizer chain at one tier: a no-build library
+    skips C, and a NumPy tokenizer that declines every chunk skips it
+    too.  "auto" leaves the chain as built."""
+    tier = request.param
+    if tier == "c":
+        _require_c()
+    if tier in ("numpy", "python"):
+        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
+    if tier == "python":
+        monkeypatch.setattr(ingest_mod, "_parse_numpy",
+                            lambda data, comments: None)
+    return tier
 
 
 def _write(tmp_path, text, name="g.el", binary=False):
@@ -55,56 +97,73 @@ def _ingest(path, **kw):
 class TestParseEdgeBytes:
     @pytest.mark.parametrize("tier", TIERS)
     def test_plain(self, tier):
-        u, v = parse_edge_bytes(b"0 1\n1 2\n2 0\n", parser=tier)
-        assert u.tolist() == [0, 1, 2]
-        assert v.tolist() == [1, 2, 0]
+        assert _on_tier(tier, b"0 1\n1 2\n2 0\n") == ([0, 1, 2], [1, 2, 0])
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_crlf_and_tabs(self, tier):
-        u, v = parse_edge_bytes(b"0\t1\r\n1\t2\r\n", parser=tier)
-        assert u.tolist() == [0, 1]
-        assert v.tolist() == [1, 2]
+        assert _on_tier(tier, b"0\t1\r\n1\t2\r\n") == ([0, 1], [1, 2])
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_trailing_columns_ignored(self, tier):
+        # NumPy proves only digit/whitespace chunks clean; the chain
+        # hands this one on.
         data = b"0 1 1970-01-01 0.5\n1 2 weight\n"
-        u, v = parse_edge_bytes(data, parser=tier)
-        assert u.tolist() == [0, 1]
-        assert v.tolist() == [1, 2]
+        want = None if tier == "numpy" else ([0, 1], [1, 2])
+        assert _on_tier(tier, data) == want
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_comments_and_blank_lines(self, tier):
         data = b"# header\n\n0 1\n# mid\n1 2\n\n"
-        u, v = parse_edge_bytes(data, parser=tier)
-        assert u.tolist() == [0, 1]
+        assert _on_tier(tier, data) == ([0, 1], [1, 2])
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_single_token_line_raises(self, tier):
-        with pytest.raises(ValueError, match="malformed edge line"):
-            parse_edge_bytes(b"0 1\n7\n", parser=tier)
+        # The fast tiers decline; Python (and so the chain) raises.
+        data = b"0 1\n7\n"
+        if tier in ("c", "numpy"):
+            assert _on_tier(tier, data) is None
+        else:
+            with pytest.raises(ValueError, match="malformed edge line"):
+                _on_tier(tier, data)
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_oversized_id_raises_overflow(self, tier):
-        too_big = str(2 ** 64).encode()
-        with pytest.raises(OverflowError):
-            parse_edge_bytes(b"0 " + too_big + b"\n", parser=tier)
+        data = b"0 " + str(2 ** 64).encode() + b"\n"
+        if tier in ("c", "numpy"):
+            assert _on_tier(tier, data) is None
+        else:
+            with pytest.raises(OverflowError):
+                _on_tier(tier, data)
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_int64_max_survives(self, tier):
         # The numpy tier's saturation sentinel must not eat a genuine
-        # INT64_MAX id.
-        big = str(2 ** 63 - 1).encode()
-        u, v = parse_edge_bytes(b"0 " + big + b"\n", parser=tier)
-        assert v.tolist() == [2 ** 63 - 1]
+        # INT64_MAX id: it declines, and the chain keeps the id.
+        big = 2 ** 63 - 1
+        want = None if tier == "numpy" else ([0], [big])
+        assert _on_tier(tier, b"0 " + str(big).encode() + b"\n") == want
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown ingest parser"):
+        # No tier can be chosen: the keyword is gone.
+        with pytest.raises(TypeError, match="parser"):
             parse_edge_bytes(b"0 1\n", parser="fortran")
 
-    def test_env_tier(self, monkeypatch):
+    def test_env_tier(self, tmp_path, monkeypatch):
+        # $REPRO_INGEST_PARSER is not read: the chain alone decides.
+        path = _write(tmp_path, "0 1\n1 2\n")
+        _, want = ingest_report(path, cache=False)
         monkeypatch.setenv("REPRO_INGEST_PARSER", "python")
-        assert resolve_parser(None) == "python"
-        assert resolve_parser("numpy") == "numpy"  # arg wins
+        _, got = ingest_report(path, cache=False)
+        assert got["parser_used"] == want["parser_used"]
+        assert "parser" not in got
+
+    def test_chain_order(self, monkeypatch):
+        data = b"0 1\n1 2\n"
+        if ingest_mod._CPARSER.load() is not None:
+            assert ingest_mod._parse_chunk(data, "#")[2] == "c"
+        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
+        assert ingest_mod._parse_chunk(data, "#")[2] == "numpy"
+        assert ingest_mod._parse_chunk(b"0 1 x\n", "#")[2] == "python"
 
 
 class TestCompactIds:
@@ -134,20 +193,39 @@ FIXTURES = {
 
 class TestDigestIdentity:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_fixture(self, tmp_path, name, tier):
+    @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
+    def test_fixture(self, tmp_path, name, forced_tier):
         path = _write(tmp_path, FIXTURES[name])
         ref = read_edge_list(path)
-        got = _ingest(path, parser=tier)
+        got, rep = ingest_report(path, cache=False)
         assert got.content_digest == ref.content_digest
         assert (got.n, got.m) == (ref.n, ref.m)
+        if forced_tier != "auto":
+            # The chain starts at the forced tier or hands on from it.
+            assert rep["parser_used"] in TIERS[TIERS.index(forced_tier):]
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_empty_file(self, tmp_path, tier):
+    @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
+    def test_empty_file(self, tmp_path, forced_tier):
         path = _write(tmp_path, "")
-        g = _ingest(path, parser=tier)
+        g, rep = ingest_report(path, cache=False)
         assert (g.n, g.m) == (0, 0)
         assert g.content_digest == read_edge_list(path).content_digest
+        if forced_tier != "auto":
+            assert rep["parser_used"] == forced_tier
+
+    @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
+    def test_every_tier_cold_and_cached(self, tmp_path, forced_tier):
+        g0 = gnm_random(200, 1500, seed=4)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g0, path)
+        ref = read_edge_list(path).content_digest
+        cdir = str(tmp_path / "cache")
+        cold, r1 = ingest_report(path, cache_dir=cdir, chunk_bytes=1 << 12)
+        warm, r2 = ingest_report(path, cache_dir=cdir)
+        assert (r1["cached"], r2["cached"]) == (False, "stat")
+        assert cold.content_digest == warm.content_digest == ref
+        if forced_tier != "auto":
+            assert r1["parser_used"] == forced_tier
 
     def test_gzip(self, tmp_path):
         text = "".join(f"{i} {i + 1}\n" for i in range(500))
@@ -203,17 +281,17 @@ class TestDigestIdentity:
         # parse, unwrapped, with no retry.
         path = _write(tmp_path, "1 2\n3 x\n")
         calls = []
-        real = ingest_mod.parse_ranges
+        real = ingest_mod._parse_range
 
-        def spy(*args):
-            calls.append(args[:2])
-            return real(*args)
+        def spy(fh, start, end, comments):
+            calls.append((start, end))
+            return real(fh, start, end, comments)
 
-        monkeypatch.setattr(ingest_mod, "parse_ranges", spy)
+        monkeypatch.setattr(ingest_mod, "_parse_range", spy)
         with pytest.raises(ValueError, match="invalid literal") as ei:
             _ingest(path, backend=backend, workers=workers)
         assert ei.value.__cause__ is None
-        assert calls == [(0, 1)]
+        assert calls == [(0, 8)]
 
 
 # -- the binary cache ---------------------------------------------------------
@@ -342,18 +420,6 @@ class TestCache:
 
 
 # -- the compiled CSR build ---------------------------------------------------
-
-class _NoBuild:
-    """Stands in for the edgeparse library when it cannot be built."""
-
-    def load(self):
-        return None
-
-
-def _require_c():
-    if ingest_mod._CPARSER.load() is None:
-        pytest.skip("no C compiler: the compiled build is unavailable")
-
 
 def _assert_builds_agree(path, **kw):
     """The compiled build's CSR equals the NumPy build's; returns it."""

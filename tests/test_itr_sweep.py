@@ -276,22 +276,6 @@ class TestNoDispatch:
 
         assert importlib.util.find_spec("repro.runtime.kernels") is None
 
-    @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_interior_never_maps_chunks(self, path, monkeypatch):
-        if path == "numpy":
-            monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
-        phases = []
-        real = ExecutionContext.map_chunks
-
-        def spy(self, fn, n):
-            phases.append(self._phase_stack[-1][0])
-            return real(self, fn, n)
-
-        monkeypatch.setattr(ExecutionContext, "map_chunks", spy)
-        with ExecutionContext(backend="threaded", workers=2) as ctx:
-            dec_adg_itr(GRAPHS["kron"](), seed=0, ctx=ctx)
-        assert phases and "dec-itr:color" not in phases
-
 
 class TestCBoundary:
     def _check(self, g, ordered=None):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.primitives.kernels import (
     ScratchArena,
-    fallback_arena,
     grouped_mex,
     grouped_mex_bruteforce,
     multi_slice_gather,
@@ -237,30 +236,14 @@ class TestGroupedMexSingleGroup:
         values = np.array([2**62, 1, 10**15])
         np.testing.assert_array_equal(grouped_mex(group, values, 1), [2])
 
-    def test_with_scratch(self):
-        ws = ScratchArena()
-        group = np.zeros(4, dtype=np.int64)
-        values = np.array([3, 1, 1, 7])
-        first = grouped_mex(group, values, 1, scratch=ws)
-        np.testing.assert_array_equal(first, [2])
-        # The returned array must be fresh, not a scratch view: a
+    def test_results_are_fresh(self):
+        # The single-group fast path returns a new array each call: a
         # second call must not clobber the first result.
-        second = grouped_mex(group, np.array([1, 2, 3, 4]), 1, scratch=ws)
+        group = np.zeros(4, dtype=np.int64)
+        first = grouped_mex(group, np.array([3, 1, 1, 7]), 1)
+        second = grouped_mex(group, np.array([1, 2, 3, 4]), 1)
         np.testing.assert_array_equal(first, [2])
         np.testing.assert_array_equal(second, [5])
-
-    def test_single_group_no_scratch_uses_fallback_arena(self):
-        # The scratch-less fast path draws its presence buffer from the
-        # thread-local fallback arena instead of allocating fresh each
-        # call.
-        ws = fallback_arena()
-        h0, m0 = ws.hits, ws.misses
-        group = np.zeros(6, dtype=np.int64)
-        values = np.arange(1, 7, dtype=np.int64)
-        for _ in range(4):
-            np.testing.assert_array_equal(grouped_mex(group, values, 1), [7])
-        assert ws.hits > h0  # warm takes hit the persistent buffers
-        assert ws.misses - m0 <= 3  # one miss per (key, dtype) at most
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -270,10 +253,8 @@ class TestGroupedMexSingleGroup:
             st.one_of(st.integers(-2, 12), st.integers(10**9, 2**62)),
             min_size=k, max_size=k)), dtype=np.int64)
         group = np.zeros(k, dtype=np.int64)
-        ws = data.draw(st.booleans())
         np.testing.assert_array_equal(
-            grouped_mex(group, values, 1,
-                        scratch=ScratchArena() if ws else None),
+            grouped_mex(group, values, 1),
             grouped_mex_bruteforce(group, values, 1))
 
 

@@ -190,7 +190,7 @@ class TestTraceSummaryCategories:
             dec_adg_itr(g, eps=0.01, seed=0, ctx=ctx)
         assert validate_trace_file(path) > 0
         with open(path) as fh:
-            assert any('"cat": "round"' in line for line in fh)
+            assert any('"cat": "phase"' in line for line in fh)
 
     def test_validate_dispatches_ledger_jsonl(self, tmp_path, small_graph):
         from repro.obs.validate import validate_trace_file

@@ -8,6 +8,7 @@ from repro.bench.harness import run_suite
 from repro.coloring import color
 from repro.graphs import gnm_random, grid_2d
 from repro.obs import (
+    CATEGORIES,
     NULL_TRACER,
     MetricsRegistry,
     NullTracer,
@@ -223,6 +224,22 @@ class TestSinks:
                                  "args": {}}) + "\n")
         with pytest.raises(ValueError, match="cat"):
             validate_jsonl(path)
+
+    def test_validate_accepts_recorded_round_events(self, tmp_path):
+        # Traces recorded while rounds were traced dispatch calls carry
+        # ``round`` spans; nothing emits them now, but they still load.
+        path = str(tmp_path / "old.jsonl")
+        recs = [{"type": "meta", "version": 1, "backend": "threaded",
+                 "workers": 2},
+                {"type": "span", "name": "order:adg", "cat": "phase",
+                 "t0": 0.0, "t1": 0.5, "tid": 0, "args": {"self_s": 0.4}},
+                {"type": "span", "name": "order:adg#round1", "cat": "round",
+                 "t0": 0.1, "t1": 0.2, "tid": 0,
+                 "args": {"round": 1, "phase": "order:adg", "items": 400}}]
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in recs)
+        assert "round" not in CATEGORIES
+        assert validate_jsonl(path) == validate_trace_file(path) == 3
 
     def test_validate_rejects_bad_chrome(self, tmp_path):
         path = str(tmp_path / "bad.json")

@@ -1,5 +1,6 @@
 """Unit tests for the ExecutionContext runtime."""
 
+import importlib
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.graphs.generators import gnm_random
 from repro.machine.costmodel import CostModel
 from repro.machine.memmodel import MemoryModel
 from repro.obs import NULL_TRACER, Tracer
+from repro.ordering.adg import adg_ordering
 from repro.runtime import (
     BACKENDS,
     ExecutionContext,
@@ -19,6 +21,11 @@ from repro.runtime import (
     default_workers,
     resolve_context,
 )
+
+# Packages re-export some engine functions under their module's name.
+adg_mod = importlib.import_module("repro.ordering.adg")
+dec_adg_mod = importlib.import_module("repro.coloring.dec_adg")
+simcol_mod = importlib.import_module("repro.coloring.simcol")
 
 
 class TestConstruction:
@@ -35,6 +42,32 @@ class TestConstruction:
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ExecutionContext(backend="threaded", workers=0)
+
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
+    @pytest.mark.parametrize("workers,match", [
+        (0, "workers must be >= 1, got 0"),
+        (-3, "workers must be >= 1, got -3"),
+        (2.5, "workers must be an int, got 2.5"),
+        (True, "workers must be an int, got True"),
+        ("2", "workers must be an int, got '2'"),
+    ])
+    def test_workers_validated_on_every_backend(self, backend, workers,
+                                                match):
+        with pytest.raises(ValueError, match=match):
+            ExecutionContext(backend=backend, workers=workers)
+
+    def test_numpy_int_workers_stored_as_int(self):
+        ctx = ExecutionContext(backend="threaded", workers=np.int64(3))
+        assert ctx.workers == 3 and type(ctx.workers) is int
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_cli_rejects_bad_workers(self, capsys, value):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as ei:
+            main(["color", "--gen", "gnm:100,300", "--workers", value])
+        assert ei.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
 
     def test_serial_forces_one_worker(self):
         ctx = ExecutionContext(backend="serial", workers=8)
@@ -100,57 +133,12 @@ class TestConstruction:
 
 
 class TestMapChunks:
-    """A round is one direct call, ``fn(0, n)``, on every backend."""
+    """No round dispatcher is left: engines call their kernels directly,
+    on the calling thread, whatever ``backend``/``workers`` record."""
 
-    def test_serial_single_chunk(self):
-        ctx = ExecutionContext(backend="serial")
-        calls = []
-        out = ctx.map_chunks(lambda lo, hi: calls.append((lo, hi)) or hi - lo,
-                             100)
-        assert calls == [(0, 100)]
-        assert out == 100
-
-    def test_threaded_one_worker_single_chunk(self):
-        ctx = ExecutionContext(backend="threaded", workers=1)
-        out = ctx.map_chunks(lambda lo, hi: (lo, hi), 50)
-        assert out == (0, 50)
-
-    def test_threaded_chunk_order_and_coverage(self):
-        caller = threading.get_ident()
-        with ExecutionContext(backend="threaded", workers=4) as ctx:
-            spans = ctx.map_chunks(
-                lambda lo, hi: (lo, hi, threading.get_ident()), 1000)
-        assert spans == (0, 1000, caller)
-
-    def test_threaded_concat_equals_serial(self):
-        x = np.arange(1000) % 7
-        pick = lambda lo, hi: np.flatnonzero(x[lo:hi] == 0) + lo
-        with ExecutionContext(backend="threaded", workers=4) as ctx:
-            par = ctx.map_chunks(pick, x.size)
-        np.testing.assert_array_equal(par, np.flatnonzero(x == 0))
-
-    def test_empty_range(self):
-        with ExecutionContext(backend="threaded", workers=2) as ctx:
-            assert ctx.map_chunks(lambda lo, hi: hi - lo, 0) == 0
-
-    def test_round_ids_are_run_wide(self):
-        with ExecutionContext(backend="threaded", workers=2,
-                              trace=True) as ctx:
-            kid = ctx.child()
-            ctx.map_chunks(lambda lo, hi: None, 5)
-            kid.map_chunks(lambda lo, hi: None, 5)
-            ctx.map_chunks(lambda lo, hi: None, 0)
-        assert [e.args["round"] for e in ctx.tracer.spans(cat="round")] \
-            == [1, 2, 3]
-
-    def test_ordering_child_continues_round_ids(self):
-        # JP-ADG computes its ordering on a child context; the child's
-        # rounds and the coloring's share one run-wide sequence.
-        g = gnm_random(300, 1200, seed=2)
-        with ExecutionContext(backend="serial", trace=True) as ctx:
-            jp_by_name(g, "ADG", seed=0, eps=0.1, ctx=ctx)
-        rounds = [e.args["round"] for e in ctx.tracer.spans(cat="round")]
-        assert rounds and rounds == list(range(1, len(rounds) + 1))
+    def test_round_seam_is_gone(self):
+        assert not hasattr(ExecutionContext, "map_chunks")
+        assert not hasattr(ExecutionContext(), "_round_seq")
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_threaded_color_starts_no_thread(self, workers):
@@ -267,48 +255,52 @@ class TestNestedPhases:
 
 
 class TestChunkErrors:
-    """An error a round raises itself is deterministic: it propagates on
+    """An error a round kernel raises is deterministic: it propagates on
     the first call, unwrapped and unretried."""
 
     @staticmethod
-    def _boom(lo, hi):
-        if lo == 0:
-            raise ValueError("bad chunk")
-        return hi - lo
+    def _boom(calls):
+        def boom(*args):
+            calls.append(args)
+            raise ValueError("bad round")
+        return boom
 
-    def test_serial_raises_original_error(self):
-        ctx = ExecutionContext(backend="serial")
-        with pytest.raises(ValueError, match="bad chunk") as ei:
-            ctx.map_chunks(self._boom, 100)
+    def test_serial_raises_original_error(self, monkeypatch):
+        monkeypatch.setattr(adg_mod, "_select", self._boom([]))
+        with pytest.raises(ValueError, match="bad round") as ei:
+            adg_ordering(gnm_random(50, 100, seed=1), backend="serial")
         assert ei.value.__cause__ is None
 
     @pytest.mark.parametrize("backend,workers", [("serial", 1),
                                                  ("threaded", 4)])
-    def test_own_error_propagates_on_first_call(self, backend, workers):
+    def test_own_error_propagates_on_first_call(self, monkeypatch, backend,
+                                                workers):
         calls = []
-
-        def boom(lo, hi):
-            calls.append((lo, hi))
-            raise ValueError("bad round")
-
+        monkeypatch.setattr(simcol_mod, "_trial", self._boom(calls))
         with ExecutionContext(backend=backend, workers=workers) as ctx:
             with pytest.raises(ValueError, match="bad round") as ei:
-                ctx.map_chunks(boom, 20)
+                color("DEC-ADG", gnm_random(50, 100, seed=1), seed=0,
+                      ctx=ctx)
         assert type(ei.value) is ValueError and ei.value.__cause__ is None
-        assert calls == [(0, 20)]
+        assert len(calls) == 1
 
-    def test_threaded_raises_original_error(self):
+    def test_threaded_raises_original_error(self, monkeypatch):
+        g = gnm_random(50, 100, seed=1)
         with ExecutionContext(backend="threaded", workers=4) as ctx:
-            with pytest.raises(ValueError, match="bad chunk"):
-                ctx.map_chunks(self._boom, 1000)
-            # The context stays usable after the failed round.
-            assert ctx.map_chunks(lambda lo, hi: hi - lo, 100) == 100
+            with monkeypatch.context() as m:
+                m.setattr(adg_mod, "_push", self._boom([]))
+                with pytest.raises(ValueError, match="bad round"):
+                    adg_ordering(g, ctx=ctx)
+            # The context stays usable after the failed run.
+            assert adg_ordering(g, ctx=ctx).num_levels > 0
 
-    def test_threaded_traced_still_raises(self):
+    def test_threaded_traced_still_raises(self, monkeypatch):
+        monkeypatch.setattr(dec_adg_mod, "_constraints", self._boom([]))
         with ExecutionContext(backend="threaded", workers=2,
                               trace=True) as ctx:
-            with pytest.raises(ValueError):
-                ctx.map_chunks(self._boom, 500)
+            with pytest.raises(ValueError, match="bad round"):
+                color("DEC-ADG", gnm_random(50, 100, seed=1), seed=0,
+                      ctx=ctx)
 
 
 class TestTracedRounds:
@@ -316,30 +308,23 @@ class TestTracedRounds:
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         ctx = ExecutionContext()
         assert ctx.tracer is NULL_TRACER
-        ctx.map_chunks(lambda lo, hi: None, 100)
         with ctx.phase("p"):
-            pass
+            adg_ordering(gnm_random(60, 200, seed=3), ctx=ctx)
         assert ctx.trace_summary() is None
-
-    def test_traced_round_events(self):
-        with ExecutionContext(backend="threaded", workers=2,
-                              trace=True) as ctx:
-            with ctx.phase("work"):
-                ctx.map_chunks(lambda lo, hi: hi - lo, 1000)
-            tracer = ctx.tracer
-        (rnd,) = tracer.spans(cat="round")
-        assert rnd.name == "work#round1"
-        assert rnd.args == {"round": 1, "phase": "work", "items": 1000}
-        assert rnd.tid == 0  # recorded on the calling thread
+        assert len(NULL_TRACER.events) == 0
 
     def test_traced_results_identical(self):
-        fn = lambda lo, hi: list(range(lo, hi))
+        g = gnm_random(300, 1200, seed=2)
         with ExecutionContext(backend="threaded", workers=4) as plain:
-            a = plain.map_chunks(fn, 777)
+            a = jp_by_name(g, "ADG", seed=0, eps=0.1, ctx=plain)
         with ExecutionContext(backend="threaded", workers=4,
                               trace=True) as traced:
-            b = traced.map_chunks(fn, 777)
-        assert a == b
+            b = jp_by_name(g, "ADG", seed=0, eps=0.1, ctx=traced)
+        np.testing.assert_array_equal(a.colors, b.colors)
+        assert a.cost.snapshot() == b.cost.snapshot()
+        assert a.reorder_cost.round_log == b.reorder_cost.round_log
+        assert (a.mem.random, a.mem.sequential) == \
+            (b.mem.random, b.mem.sequential)
 
     def test_child_shares_tracer(self):
         with ExecutionContext(trace=True) as ctx:
@@ -363,11 +348,12 @@ class TestTracedRounds:
         with ExecutionContext(backend="threaded", workers=2,
                               trace=True) as ctx:
             with ctx.phase("p"):
-                ctx.map_chunks(lambda lo, hi: None, 200)
+                adg_ordering(gnm_random(60, 200, seed=3), ctx=ctx)
             summary = ctx.trace_summary()
         assert summary["events"] >= 2
-        assert "round" in summary["events_by_cat"]
-        assert "p" in summary["phase_self_s"]
+        assert summary["events_by_cat"] == {"phase": summary["events"]}
+        assert {"p", "order:adg"} <= set(summary["phase_self_s"])
+        assert summary["metrics"]["adg.batch"]["points"] >= 1
         assert "imbalance" not in summary
 
 
