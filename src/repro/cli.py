@@ -433,7 +433,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _worker_count(text: str) -> int:
-    """``--workers`` value: an int >= 1 (argparse names the flag)."""
+    """``--workers``/``--svc-workers`` value: an int >= 1 (argparse
+    names the flag)."""
     try:
         return check_workers(int(text))
     except ValueError:
@@ -547,10 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642)
-    p_serve.add_argument("--svc-workers", dest="svc_workers", type=int,
-                         default=2,
-                         help="concurrent request workers (each borrows "
-                              "a long-lived execution context)")
+    p_serve.add_argument("--svc-workers", dest="svc_workers",
+                         type=_worker_count, default=2,
+                         help="concurrent request workers (each engine "
+                              "call runs under its own execution "
+                              "context)")
     p_serve.add_argument("--cache-size", dest="cache_size", type=int,
                          default=128,
                          help="digest-keyed result cache capacity")

@@ -28,26 +28,20 @@ from ..graphs.csr import CSRGraph
 from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
-from ..primitives.kernels import ScratchArena, batch_neighbors
+from ..primitives.kernels import batch_neighbors
 from ..runtime import ExecutionContext, resolve_context
 from .result import ColoringResult
 from .simcol import sim_col
 
 
 def _constraints(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
-                 levels: np.ndarray, level: int, colors: np.ndarray,
-                 ws: ScratchArena):
+                 levels: np.ndarray, level: int, colors: np.ndarray):
     """Per-partition gather: deg_l counts and higher-partition colors."""
-    seg, nbrs = batch_neighbors(indptr, indices, verts, ws)
-    k = nbrs.size
-    lv = np.take(levels, nbrs, out=ws.take("dec.lv", k, levels.dtype))
-    ge = np.greater_equal(lv, level, out=ws.take("dec.ge", k, bool))
-    cg = np.bincount(np.compress(ge, seg), minlength=verts.size)  # fresh
-    higher = np.greater(lv, level, out=ws.take("dec.hi", k, bool))
-    kept = int(np.count_nonzero(higher))
-    owners = np.compress(higher, seg)  # fresh
-    nb_h = np.compress(higher, nbrs, out=ws.take("dec.nbh", kept))
-    return cg, owners, np.take(colors, nb_h), k
+    seg, nbrs = batch_neighbors(indptr, indices, verts)
+    lv = levels[nbrs]
+    cg = np.bincount(seg[lv >= level], minlength=verts.size)
+    higher = lv > level
+    return cg, seg[higher], colors[nbrs[higher]], nbrs.size
 
 
 def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
@@ -65,7 +59,7 @@ def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
     the caller filters by its bitmap width).
     """
     counts_ge, owners, taken, nbrs_total = _constraints(
-        indptr, indices, verts, levels, int(level), colors, ctx.scratch)
+        indptr, indices, verts, levels, int(level), colors)
     ctx.cost.round(nbrs_total + verts.size, log2_ceil(max(max_degree, 1)))
     ctx.mem.gather(nbrs_total, phase)
     return counts_ge, taken, owners

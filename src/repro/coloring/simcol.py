@@ -26,30 +26,24 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import CostModel, log2_ceil
 from ..machine.memmodel import MemoryModel
-from ..primitives.kernels import ScratchArena, segment_any
+from ..primitives.kernels import segment_any
 from ..runtime import ExecutionContext, resolve_context
 
 
 def _trial(part: CSRGraph, mine: np.ndarray, colors: np.ndarray,
-           still: np.ndarray, forbidden: np.ndarray, ws: ScratchArena):
+           still: np.ndarray, forbidden: np.ndarray):
     """Trial evaluation (Alg. 5): reject equal active-neighbor draws
     and draws forbidden by the B_v bitmap.
 
-    Returns ``(clash, seg, nbrs, max in-round degree)``.  ``seg`` and
-    ``nbrs`` are replayed by the caller for the bitmap commit, so the
-    neighborhood gather is fresh — only the masks use scratch.
+    Returns ``(clash, seg, nbrs, max in-round degree)``; the caller
+    replays ``seg`` and ``nbrs`` for the bitmap commit.
     """
     seg, nbrs = part.batch_neighbors(mine)
-    k = nbrs.size
-    cn = np.take(colors, nbrs, out=ws.take("sc.cn", k))
-    cm = np.take(colors, mine, out=ws.take("sc.cm", mine.size))
-    cms = np.take(cm, seg, out=ws.take("sc.cms", k))
-    same = np.equal(cn, cms, out=ws.take("sc.eq", k, bool))
-    stn = np.take(still, nbrs, out=ws.take("sc.st", k, bool))
-    np.logical_and(same, stn, out=same)
-    clash = segment_any(same, seg, mine.size)  # fresh
-    clash |= forbidden[mine, colors[mine]]
-    md = int(np.bincount(seg, minlength=mine.size).max()) if k else 0
+    cm = colors[mine]
+    same = (colors[nbrs] == cm[seg]) & still[nbrs]
+    clash = segment_any(same, seg, mine.size)
+    clash |= forbidden[mine, cm]
+    md = int(np.bincount(seg, minlength=mine.size).max()) if nbrs.size else 0
     return clash, seg, nbrs, md
 
 
@@ -103,7 +97,6 @@ def sim_col(
         tracer = ctx.tracer
         limit = max_rounds if max_rounds is not None else 64 * (n.bit_length() + 2)
 
-        ws = ctx.scratch  # buffers reused across rounds
         still_active = np.zeros(n, dtype=bool)
 
         while active.size:
@@ -122,7 +115,7 @@ def sim_col(
             still_active[:] = False
             still_active[active] = True
             clash, seg, nbrs, md = _trial(part, active, colors,
-                                          still_active, forbidden, ws)
+                                          still_active, forbidden)
             nbrs_total = nbrs.size
             cost.round(nbrs_total + active.size, log2_ceil(max(md, 1)) + 1)
             mem.gather(nbrs_total, "simcol")

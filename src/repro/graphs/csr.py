@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..primitives.kernels import multi_slice_gather, segment_ids
+from ..primitives.kernels import batch_neighbors
 
 #: The cached_property names that derive from indptr/indices and must
 #: be dropped whenever the arrays are swapped (see replace_arrays).
@@ -121,10 +121,7 @@ class CSRGraph:
         *position in the batch* owning ``neighbors[j]`` — the flattened
         "for all v in batch: for all u in N(v)" loop.
         """
-        batch = np.asarray(batch, dtype=np.int64)
-        counts = (self.indptr[batch + 1] - self.indptr[batch]).astype(np.int64)
-        nbrs = multi_slice_gather(self.indices, self.indptr[batch], counts)
-        return segment_ids(counts), nbrs
+        return batch_neighbors(self.indptr, self.indices, batch)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """All directed arcs as (src, dst) arrays of length 2m."""

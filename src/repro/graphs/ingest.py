@@ -1190,10 +1190,15 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
     if cdir and not force:
         g, mode, sha = cache_lookup(cdir, apath, comments, name)
         if g is not None:
+            # Same keys as a cold parse; those describing the parse
+            # that did not run read None (phase_walls {}).
             wall = time.perf_counter() - t0
             report.update(cached=mode, n=int(g.n), m=int(g.m),
-                          digest=g.content_digest, wall_s=wall,
-                          mb_per_s=st.st_size / 1e6 / max(wall, 1e-9))
+                          digest=g.content_digest, gz=_is_gzip(apath),
+                          raw_bytes=None, edges_in=None, ranges=None,
+                          wall_s=wall, phase_walls={}, parser_used=None,
+                          mb_per_s=st.st_size / 1e6 / max(wall, 1e-9),
+                          edges_per_s=None)
             return g, report
 
     gname = name or os.path.basename(os.fspath(path))

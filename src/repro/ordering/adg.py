@@ -31,59 +31,48 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import log2_ceil
-from ..primitives.kernels import ScratchArena, batch_neighbors
+from ..primitives.kernels import batch_neighbors
 from ..primitives.sorting import argsort_by
 from ..runtime import ExecutionContext
 from .base import Ordering, random_tiebreak, total_order
 
 
-# -- round kernels: pure, scratch for intermediates only --------------------
+# -- round kernels: pure ----------------------------------------------------
 
-def _select(D: np.ndarray, active: np.ndarray, threshold: float,
-            ws: ScratchArena) -> np.ndarray:
+def _select(D: np.ndarray, active: np.ndarray,
+            threshold: float) -> np.ndarray:
     """Batch selection: active vertices at or below the degree threshold."""
-    sel = np.less_equal(D, threshold, out=ws.take("sel.le", D.size, bool))
-    np.logical_and(sel, active, out=sel)
-    return np.flatnonzero(sel)  # fresh
+    return np.flatnonzero((D <= threshold) & active)
 
 
 def _push(batch: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
           active: np.ndarray, r_mask: np.ndarray,
-          explicit: np.ndarray | None, ws: ScratchArena):
+          explicit: np.ndarray | None):
     """Push UPDATE (Alg. 1), fused with PRIORITIZE (Alg. 6) when
     ``explicit`` (the in-batch total order) is given.
 
     Returns ``(live neighbors, gathered count, DAG predecessor owners
     or None)``.
     """
-    seg, nbrs = batch_neighbors(indptr, indices, batch, ws)
-    k = nbrs.size
-    live_nbr = np.take(active, nbrs, out=ws.take("push.live", k, bool))
+    seg, nbrs = batch_neighbors(indptr, indices, batch)
+    live_nbr = active[nbrs]
     preds = None
     if explicit is not None:
         # UPDATEandPRIORITIZE (Alg. 6): a neighbor removed *after* v —
         # still active, or later in the sorted batch — is a DAG
         # predecessor of v.
-        owner = np.take(batch, seg, out=ws.take("push.owner", k))
-        is_pred = np.take(r_mask, nbrs, out=ws.take("push.pred", k, bool))
-        en = np.take(explicit, nbrs,
-                     out=ws.take("push.en", k, explicit.dtype))
-        eo = np.take(explicit, owner,
-                     out=ws.take("push.eo", k, explicit.dtype))
-        later = np.greater(en, eo, out=ws.take("push.later", k, bool))
-        np.logical_and(is_pred, later, out=is_pred)
-        np.logical_or(is_pred, live_nbr, out=is_pred)
-        preds = np.compress(is_pred, owner)  # fresh
-    return np.compress(live_nbr, nbrs), k, preds
+        owner = batch[seg]
+        later = r_mask[nbrs] & (explicit[nbrs] > explicit[owner])
+        preds = owner[later | live_nbr]
+    return nbrs[live_nbr], nbrs.size, preds
 
 
 def _pull(live: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-          r_mask: np.ndarray, ws: ScratchArena):
+          r_mask: np.ndarray):
     """Pull UPDATE (Alg. 2): per-vertex Count(N_U(v) cap R)."""
-    seg, nbrs = batch_neighbors(indptr, indices, live, ws)
-    in_r = np.take(r_mask, nbrs, out=ws.take("pull.inr", nbrs.size, bool))
-    dec = np.zeros(live.size, dtype=np.int64)  # fresh: returned
-    np.add.at(dec, seg, in_r)
+    seg, nbrs = batch_neighbors(indptr, indices, live)
+    dec = np.zeros(live.size, dtype=np.int64)
+    np.add.at(dec, seg, r_mask[nbrs])
     return dec, nbrs.size
 
 
@@ -115,7 +104,7 @@ def adg_ordering(
     for every backend and worker count.  The ordering's cost/mem books
     are always its own (the paper splits run-times into reordering and
     coloring), so a caller's context contributes only its
-    configuration, tracer and scratch.
+    configuration and tracer.
     """
     if not eps >= 0:  # also rejects NaN
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -140,7 +129,6 @@ def adg_ordering(
         owns = True
     tracer = run.tracer
     cost, mem = run.cost, run.mem
-    ws = run.scratch  # buffers reused across iterations
     n = g.n
     indptr, indices = g.indptr, g.indices
     # D starts as a copy — CSRGraph.degrees is a cached, read-only array.
@@ -175,7 +163,7 @@ def adg_ordering(
                         mem.stream(remaining, phase_name)
                     avg = sum_deg / remaining
                     threshold = (1.0 + eps) * avg
-                    batch = _select(D, active, threshold, ws)
+                    batch = _select(D, active, threshold)
                     cost.parallel_for(remaining)
                     mem.stream(n, phase_name)
                     r_mask[:] = False
@@ -219,7 +207,7 @@ def adg_ordering(
                 if update == "push":
                     live_targets, nbrs_total, preds = _push(
                         batch, indptr, indices, active, r_mask,
-                        explicit if compute_ranks else None, ws)
+                        explicit if compute_ranks else None)
                     mem.gather(nbrs_total, phase_name)
                     cost.scatter_decrement(nbrs_total)
                     if live_targets.size:
@@ -230,7 +218,7 @@ def adg_ordering(
                         cost.round(nbrs_total, 1)
                 else:
                     live = np.flatnonzero(active)
-                    dec, nbrs_total = _pull(live, indptr, indices, r_mask, ws)
+                    dec, nbrs_total = _pull(live, indptr, indices, r_mask)
                     mem.gather(nbrs_total, phase_name)
                     # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
                     cost.round(nbrs_total + remaining,

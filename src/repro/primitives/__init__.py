@@ -2,7 +2,6 @@
 
 from .atomics import decrement_and_fetch, fetch_and_add
 from .kernels import (
-    ScratchArena,
     batch_neighbors,
     grouped_mex,
     grouped_mex_bruteforce,
@@ -25,7 +24,7 @@ from .sorting import (
 
 __all__ = [
     "decrement_and_fetch", "fetch_and_add",
-    "ScratchArena", "batch_neighbors",
+    "batch_neighbors",
     "grouped_mex", "grouped_mex_bruteforce", "multi_slice_gather",
     "segment_any", "segment_count", "segment_ids", "segment_max", "segment_sum",
     "average", "count", "count_members", "reduce_sum", "reduce_with",

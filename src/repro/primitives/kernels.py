@@ -11,112 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 
-class ScratchArena:
-    """Keyed pool of reusable NumPy buffers for allocation-free hot paths.
-
-    ``take(key, size, dtype)`` returns an exact-size view of a buffer
-    that persists under ``key`` and grows geometrically, so a kernel
-    that runs every round with roughly the same working-set size stops
-    allocating after the first few rounds.  The contents of a taken
-    buffer are *undefined* — callers must fully overwrite it (``out=``
-    ufunc/take targets do).
-
-    The one rule: scratch may only back *intermediates*.  Anything a
-    round kernel returns to its caller must be freshly allocated,
-    because the next take under the same key reuses the buffer.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict = {}
-        self._iota = np.empty(0, dtype=np.int64)
-        self.hits = 0
-        self.misses = 0
-
-    def take(self, key: str, size: int, dtype=np.int64) -> np.ndarray:
-        # Buffers are keyed on (key, dtype): a key alternating between
-        # two dtypes (e.g. an int64 buffer name reused for a bool mask)
-        # keeps one buffer per dtype instead of evicting and
-        # reallocating on every call.
-        size = int(size)
-        dtype = np.dtype(dtype)
-        slot = (key, dtype)
-        buf = self._bufs.get(slot)
-        if buf is None or buf.size < size:
-            cap = max(size, 2 * (buf.size if buf is not None else 0), 16)
-            buf = np.empty(cap, dtype=dtype)
-            self._bufs[slot] = buf
-            self.misses += 1
-        else:
-            self.hits += 1
-        return buf[:size]
-
-    def iota(self, size: int) -> np.ndarray:
-        """Read-only ``arange(size)`` view (shared, never mutated)."""
-        size = int(size)
-        if self._iota.size < size:
-            grown = np.arange(max(size, 2 * self._iota.size, 16),
-                              dtype=np.int64)
-            grown.flags.writeable = False
-            self._iota = grown
-            self.misses += 1
-        else:
-            self.hits += 1
-        return self._iota[:size]
-
-    def describe(self) -> dict:
-        return {"buffers": len(self._bufs),
-                "bytes": int(sum(b.nbytes for b in self._bufs.values())
-                             + self._iota.nbytes),
-                "hits": self.hits, "misses": self.misses}
-
-
-def segment_ids(counts: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def segment_ids(counts: np.ndarray) -> np.ndarray:
     """Expand per-segment counts into a flat array of segment indices.
 
     ``segment_ids([2, 0, 3]) == [0, 0, 2, 2, 2]``.
-
-    With ``out`` (an int64 buffer of at least ``counts.sum()`` items,
-    e.g. from a :class:`ScratchArena`) the expansion is computed in
-    place — mark segment starts, prefix-sum — and the filled ``out``
-    view is returned; no allocation proportional to the total.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
-        return np.empty(0, dtype=np.int64) if out is None else out[:0]
+        return np.empty(0, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    if out is None:
-        return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    total = int(counts.sum())
-    if out.size < total:
-        raise ValueError(f"out must hold {total} items, has {out.size}")
-    ids = out[:total]
-    ids[:] = 0
-    if counts.size > 1 and total:
-        bumps = np.cumsum(counts[:-1])
-        # Empty segments stack bumps on one position; trailing empties
-        # would land one past the end — drop those.
-        np.add.at(ids, bumps[bumps < total], 1)
-    np.cumsum(ids, out=ids)
-    return ids
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
 def multi_slice_gather(data: np.ndarray, starts: np.ndarray,
-                       counts: np.ndarray, *,
-                       out: np.ndarray | None = None,
-                       seg: np.ndarray | None = None,
-                       scratch: ScratchArena | None = None) -> np.ndarray:
+                       counts: np.ndarray) -> np.ndarray:
     """Concatenate ``data[starts[i] : starts[i]+counts[i]]`` for all i.
 
     This is the vectorized "for all v in batch: for all u in N(v)" gather:
     with CSR ``starts = indptr[batch]`` and ``counts = degrees[batch]`` it
     returns the concatenated neighbor lists of the batch, in batch order.
-
-    ``out`` (a buffer of ``data``'s dtype, >= ``counts.sum()`` items)
-    receives the gather in place.  ``scratch`` eliminates the index
-    intermediates too; ``seg`` passes precomputed
-    ``segment_ids(counts)`` so it is not rebuilt.  The result is
-    bit-identical on every path — only where the temporaries live moves.
     """
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -124,61 +38,25 @@ def multi_slice_gather(data: np.ndarray, starts: np.ndarray,
         raise ValueError("starts and counts must have the same shape")
     total = int(counts.sum())
     if total == 0:
-        return data[:0] if out is None else out[:0]
+        return data[:0]
     offsets = np.zeros(counts.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     # index[j] = starts[seg(j)] + (j - offsets[seg(j)])
-    if scratch is None:
-        if seg is None:
-            idx = np.arange(total, dtype=np.int64)
-            idx -= np.repeat(offsets, counts)
-            idx += np.repeat(starts, counts)
-        else:
-            idx = starts[seg] - offsets[seg] + np.arange(total,
-                                                         dtype=np.int64)
-    else:
-        if seg is None:
-            seg = segment_ids(counts, out=scratch.take("msg.seg", total))
-        idx = scratch.take("msg.idx", total)
-        np.take(starts, seg, out=idx)
-        tmp = scratch.take("msg.tmp", total)
-        np.take(offsets, seg, out=tmp)
-        np.subtract(idx, tmp, out=idx)
-        np.add(idx, scratch.iota(total), out=idx)
-    if out is None:
-        return data[idx]
-    if out.size < total:
-        raise ValueError(f"out must hold {total} items, has {out.size}")
-    res = out[:total]
-    np.take(data, idx, out=res)
-    return res
+    idx = np.arange(total, dtype=np.int64)
+    idx += np.repeat(starts - offsets, counts)
+    return data[idx]
 
 
 def batch_neighbors(indptr: np.ndarray, indices: np.ndarray,
-                    batch: np.ndarray, ws: ScratchArena | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR batch-neighborhood gather over raw arrays: ``(seg, nbrs)``
-    with ``seg[j]`` the batch position owning ``nbrs[j]`` (the same as
-    :meth:`~repro.graphs.csr.CSRGraph.batch_neighbors`).
-
-    With ``ws`` both arrays are scratch-backed views, valid until the
-    arena's next ``bn.*``/``msg.*`` take — derive fresh arrays from them
-    before returning them to a caller.
+                    batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR neighbor lists of a vertex batch: ``(seg, nbrs)``
+    with ``seg[j]`` the *position in the batch* owning ``nbrs[j]`` —
+    the flattened "for all v in batch: for all u in N(v)" loop.
     """
-    if ws is None:
-        counts = (indptr[batch + 1] - indptr[batch]).astype(np.int64)
-        nbrs = multi_slice_gather(indices, indptr[batch], counts)
-        return segment_ids(counts), nbrs
-    b = batch.size
-    counts = np.take(indptr[1:], batch, out=ws.take("bn.cnt", b))
-    starts = np.take(indptr, batch, out=ws.take("bn.start", b))
-    np.subtract(counts, starts, out=counts)
-    total = int(counts.sum())
-    seg = segment_ids(counts, out=ws.take("bn.seg", total))
-    nbrs = multi_slice_gather(indices, starts, counts,
-                              out=ws.take("bn.nbrs", total),
-                              seg=seg, scratch=ws)
-    return seg, nbrs
+    batch = np.asarray(batch, dtype=np.int64)
+    counts = (indptr[batch + 1] - indptr[batch]).astype(np.int64)
+    nbrs = multi_slice_gather(indices, indptr[batch], counts)
+    return segment_ids(counts), nbrs
 
 
 def segment_sum(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:

@@ -5,12 +5,13 @@ direct calls, and end-to-end accounting and tracing behind one
 from .context import (
     BACKENDS,
     ExecutionContext,
+    check_workers,
     default_backend,
     default_workers,
     resolve_context,
 )
 
 __all__ = [
-    "BACKENDS", "ExecutionContext", "default_backend", "default_workers",
-    "resolve_context",
+    "BACKENDS", "ExecutionContext", "check_workers", "default_backend",
+    "default_workers", "resolve_context",
 ]

@@ -41,7 +41,6 @@ from ..machine.memmodel import MemoryModel
 from ..obs import resolve_tracer
 from ..obs.ledger import resolve_ledger, run_record
 from ..obs.resources import ResourceSampler, resolve_resources
-from ..primitives.kernels import ScratchArena
 
 BACKENDS = ("serial", "threaded")
 
@@ -136,10 +135,9 @@ class ExecutionContext:
         run is being recorded).  Digest via :meth:`resource_record`.
 
     The context is a context manager; :meth:`close` / ``__exit__``
-    stops the resource sampler, releases the scratch buffers and
-    flushes a path-bound tracer.
+    stops the resource sampler and flushes a path-bound tracer.
     :meth:`child` derives a context with fresh accounting books that
-    *shares* the tracer and the scratch arena (used to account an
+    *shares* the tracer, ledger and sampler (used to account an
     ordering phase separately from the coloring phase of one run).
     """
 
@@ -148,7 +146,7 @@ class ExecutionContext:
                  crew: bool = False, trace=None,
                  ledger=None, resources=None,
                  _host: "ExecutionContext | None" = None):
-        # The host carries the run-wide state (scratch, ledger, sampler).
+        # The host carries the run-wide state (ledger, sampler).
         self._host = _host if _host is not None else self
         self.backend = check_backend(backend) if backend is not None \
             else default_backend()
@@ -169,7 +167,6 @@ class ExecutionContext:
         # phase, for exclusive timing.
         self._phase_stack: list[list[float]] = []
         if self._host is self:
-            self._scratch = ScratchArena()
             self._ledger = resolve_ledger(ledger)
             res_on = resolve_resources(resources)
             self._resources_on = self._ledger.enabled \
@@ -183,13 +180,6 @@ class ExecutionContext:
         """The run's flight-recorder ledger (run-wide; the null ledger
         when recording is off)."""
         return self._host._ledger
-
-    @property
-    def scratch(self) -> ScratchArena:
-        """The run's scratch arena: reusable buffers for per-round
-        intermediates, shared by the engines and their round kernels.
-        Run-wide; a context is used by one thread at a time."""
-        return self._host._scratch
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -225,34 +215,17 @@ class ExecutionContext:
         return {"coordinator": host._sampler.digest()}
 
     def close(self) -> None:
-        """Stop the resource sampler, release the scratch buffers and
-        flush a path-bound tracer (only if this context is the host).
-
-        The buffers are released here rather than left to the garbage
-        collector: the host refers to itself, so a dropped context is
-        only freed by a cyclic collection, and the round kernels' buffers
-        are as large as the graph's edge arrays.
-        """
+        """Stop the resource sampler and flush a path-bound tracer (only
+        if this context is the host)."""
         if self._host is self:
             if self._sampler is not None:
                 self._sampler.stop()
-            self._scratch = ScratchArena()
             self.tracer.flush()
-
-    def reset_books(self) -> None:
-        """Zero the cost/mem books and phase timers, keep the machinery.
-
-        The service layer calls this between requests so one long-lived
-        context (the scratch persists) yields per-request accounting instead of a running total.
-        """
-        self.cost = CostModel(crew=self.cost.crew)
-        self.mem = MemoryModel()
-        self.wall_by_phase = {}
 
     def child(self, cost: CostModel | None = None,
               mem: MemoryModel | None = None,
               crew: bool = False) -> "ExecutionContext":
-        """Same backend/workers/tracer/scratch, fresh books and timers."""
+        """Same backend/workers/tracer/ledger, fresh books and timers."""
         return ExecutionContext(backend=self.backend, workers=self.workers,
                                 cost=cost, mem=mem, crew=crew,
                                 trace=self.tracer, _host=self._host)

@@ -2,8 +2,8 @@
 
 - :mod:`repro.service.cache`: the digest-keyed result cache;
 - :mod:`repro.service.server`: :class:`ColoringService`, the asyncio
-  job queue + worker pool dispatching onto long-lived
-  :class:`~repro.runtime.ExecutionContext` instances;
+  job queue + worker pool; each engine call runs under its own
+  :class:`~repro.runtime.ExecutionContext`;
 - :mod:`repro.service.net`: the JSON-lines TCP front end and a small
   synchronous client.
 """

@@ -3,9 +3,11 @@
 Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
-executor with an :class:`~repro.runtime.ExecutionContext` borrowed from
-a long-lived pool (scratch buffers persist across requests; only the
-cost/mem books reset between them — ``ExecutionContext.reset_books``).
+executor.  A ``color``/``profile`` request runs under its own fresh
+:class:`~repro.runtime.ExecutionContext` (so its books are its own),
+and a graph's live
+:class:`~repro.coloring.incremental.IncrementalColoring` owns its
+context until the graph is reloaded or the service stops.
 
 Guarantees the tests lean on:
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -47,7 +48,7 @@ from ..graphs.delta import GraphDelta, parse_delta_spec
 from ..graphs.generators import gnm_random, grid_2d, kronecker, ring
 from ..obs.ledger import resolve_ledger, service_record
 from ..obs.metrics import MetricsRegistry
-from ..runtime import ExecutionContext
+from ..runtime import ExecutionContext, check_workers
 from .cache import ResultCache, cache_key
 
 DEFAULT_ALGORITHM = "DEC-ADG-ITR"
@@ -58,45 +59,6 @@ def colors_digest(colors: np.ndarray) -> str:
     """Stable 16-hex-char hash of a color vector (response identity)."""
     arr = np.ascontiguousarray(np.asarray(colors, dtype=np.int64))
     return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
-
-
-class ContextPool:
-    """Long-lived execution contexts, borrowed per request.
-
-    Thread-safe (engine calls run on executor threads).  ``release``
-    resets the context's accounting books so the next request starts
-    from zero; scratch buffers persist — that is the point of reusing
-    the context.
-    """
-
-    def __init__(self, backend: str | None = None,
-                 workers: int | None = None) -> None:
-        self._kw = dict(backend=backend, workers=workers)
-        self._lock = threading.Lock()
-        self._free: list[ExecutionContext] = []
-        self._all: list[ExecutionContext] = []
-        self.created = 0
-
-    def borrow(self) -> ExecutionContext:
-        with self._lock:
-            if self._free:
-                return self._free.pop()
-        ctx = ExecutionContext(**self._kw)
-        with self._lock:
-            self._all.append(ctx)
-            self.created += 1
-        return ctx
-
-    def release(self, ctx: ExecutionContext) -> None:
-        ctx.reset_books()
-        with self._lock:
-            self._free.append(ctx)
-
-    def close(self) -> None:
-        with self._lock:
-            ctxs, self._all, self._free = self._all, [], []
-        for ctx in ctxs:
-            ctx.close()
 
 
 class _GraphEntry:
@@ -178,8 +140,9 @@ class ColoringService:
                  ctx_workers: int | None = None,
                  cache_size: int = 128,
                  ledger=None) -> None:
-        self.num_workers = max(1, int(workers))
-        self.pool = ContextPool(backend=backend, workers=ctx_workers)
+        self.num_workers = check_workers(workers, "workers")
+        self.backend = backend
+        self.ctx_workers = ctx_workers
         self.cache = ResultCache(cache_size)
         self.metrics = MetricsRegistry()
         self.ledger = resolve_ledger(ledger)
@@ -208,7 +171,6 @@ class ColoringService:
         for entry in self.graphs.values():
             if entry.incremental is not None:
                 entry.incremental.close()
-        self.pool.close()
 
     async def __aenter__(self) -> "ColoringService":
         await self.start()
@@ -368,18 +330,14 @@ class ColoringService:
         digest = g.content_digest
         key = cache_key(digest, algorithm, kwargs.get("eps", DEFAULT_EPS),
                         kwargs.get("seed", 0))
-        probe = self.pool.borrow()
-        try:
-            if not profile:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    self._bump("svc.cache.hits")
-                    return {"ok": True, "op": "color", "graph": entry.name,
-                            "cached": True, "result": hit}
-                self._bump("svc.cache.misses")
-            result = await self._run_engine(probe, algorithm, g, kwargs)
-        finally:
-            self.pool.release(probe)
+        if not profile:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self._bump("svc.cache.hits")
+                return {"ok": True, "op": "color", "graph": entry.name,
+                        "cached": True, "result": hit}
+            self._bump("svc.cache.misses")
+        result = await self._run_engine(algorithm, g, kwargs)
         block = {
             "digest": digest, "algorithm": algorithm,
             "eps": kwargs.get("eps", DEFAULT_EPS),
@@ -404,16 +362,23 @@ class ColoringService:
             }
         return response
 
-    async def _run_engine(self, ctx: ExecutionContext, algorithm: str,
-                          g: CSRGraph, kwargs: dict):
+    async def _run_engine(self, algorithm: str, g: CSRGraph, kwargs: dict):
         """Run the engine on the executor; an exception propagates (the
-        request gets an error response)."""
+        request gets an error response).
+
+        A backend-aware engine runs under a fresh context on the
+        service's backend; ``ledger=False`` because the service writes
+        its own ledger rows, so no per-request resource sampler starts.
+        """
         loop = asyncio.get_running_loop()
 
         def run():
-            if algorithm in BACKEND_AWARE:
+            if algorithm not in BACKEND_AWARE:
+                return color(algorithm, g, **kwargs)
+            with ExecutionContext(backend=self.backend,
+                                  workers=self.ctx_workers,
+                                  ledger=False) as ctx:
                 return color(algorithm, g, ctx=ctx, **kwargs)
-            return color(algorithm, g, **kwargs)
 
         return await loop.run_in_executor(self.executor, run)
 
@@ -429,10 +394,7 @@ class ColoringService:
                 entry.graph, algorithm,
                 eps=float(request.get("eps", DEFAULT_EPS)),
                 seed=request.get("seed", 0),
-                ctx=self.pool.borrow())
-            # The incremental engine keeps this context for its
-            # lifetime; it is returned to the pool on unload/stop.
-            entry.incremental._owns = False
+                backend=self.backend, workers=self.ctx_workers)
             self._bump("svc.incremental.created")
         return entry.incremental
 
@@ -481,5 +443,4 @@ class ColoringService:
                                   "incremental": e.incremental is not None}
                            for name, e in self.graphs.items()},
                 "cache": self.cache.stats(),
-                "contexts": self.pool.created,
                 "metrics": self.metrics.summary()}

@@ -115,11 +115,38 @@ class TestIngestCommand:
         assert rep["parser_used"] in ("c", "numpy", "python")
         assert "parser" not in rep
 
+    def test_json_twice_warm(self, graph_file, tmp_path, monkeypatch,
+                             capsys):
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "l.jsonl"))
+        argv = ["ingest", "--input", graph_file, "--cache-dir",
+                str(tmp_path / "cache"), "--json"]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["cached"] == "stat"
+        assert set(warm) == set(cold)
+
     def test_parser_flag_removed(self, graph_file, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["ingest", "--input", graph_file, "--parser", "c"])
         assert ei.value.code == 2
         assert "unrecognized arguments: --parser" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("value", ["0", "-5", "2.7"])
+    def test_svc_workers_rejected(self, value, capsys, monkeypatch):
+        import repro.service.net as net
+
+        def no_serve(**kwargs):  # an accepted value must not start a server
+            raise AssertionError(f"served with {kwargs}")
+
+        monkeypatch.setattr(net, "run_service", no_serve)
+        with pytest.raises(SystemExit) as ei:
+            main(["serve", "--svc-workers", value])
+        assert ei.value.code == 2
+        assert "--svc-workers" in capsys.readouterr().err
 
 
 class TestOrderCommand:

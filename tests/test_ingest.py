@@ -651,6 +651,26 @@ class TestReport:
         assert set(rep["phase_walls"]) >= {"ingest.scan", "ingest.parse"}
         assert rep["wall_s"] > 0 and rep["ranges"] >= 1
 
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_warm_report_has_cold_keys(self, tmp_path, gz):
+        g = gnm_random(40, 120, seed=3)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g, path)
+        if gz:
+            with open(path, "rb") as src, gzip.open(path + ".gz", "wb") as dst:
+                dst.write(src.read())
+            path += ".gz"
+        cdir = str(tmp_path / "cache")
+        _, cold = ingest_report(path, cache_dir=cdir)
+        _, warm = ingest_report(path, cache_dir=cdir)
+        assert (cold["cached"], warm["cached"]) == (False, "stat")
+        assert set(warm) == set(cold)
+        assert warm["gz"] is cold["gz"] is gz
+        assert warm["phase_walls"] == {}
+        for key in ("parser_used", "edges_in", "edges_per_s", "ranges",
+                    "raw_bytes"):
+            assert warm[key] is None, key
+
     def test_missing_file_raises(self):
         with pytest.raises(OSError):
             ingest("/nonexistent/edges.el")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.primitives.kernels import (
-    ScratchArena,
     grouped_mex,
     grouped_mex_bruteforce,
     multi_slice_gather,
@@ -256,126 +255,3 @@ class TestGroupedMexSingleGroup:
         np.testing.assert_array_equal(
             grouped_mex(group, values, 1),
             grouped_mex_bruteforce(group, values, 1))
-
-
-class TestScratchArena:
-    def test_exact_size_views(self):
-        ws = ScratchArena()
-        a = ws.take("k", 10)
-        assert a.size == 10 and a.dtype == np.int64
-        b = ws.take("k", 7, np.float64)
-        assert b.size == 7 and b.dtype == np.float64
-
-    def test_reuse_same_buffer(self):
-        ws = ScratchArena()
-        a = ws.take("k", 100)
-        b = ws.take("k", 50)
-        assert np.shares_memory(a, b)
-        assert ws.hits == 1 and ws.misses == 1
-
-    def test_growth_reallocates(self):
-        ws = ScratchArena()
-        small = ws.take("k", 16)
-        big = ws.take("k", 1000)
-        assert big.size == 1000
-        assert not np.shares_memory(small, big)
-
-    def test_distinct_keys_distinct_buffers(self):
-        ws = ScratchArena()
-        a = ws.take("a", 32)
-        b = ws.take("b", 32)
-        assert not np.shares_memory(a, b)
-
-    def test_iota_read_only_and_shared(self):
-        ws = ScratchArena()
-        i = ws.iota(10)
-        np.testing.assert_array_equal(i, np.arange(10))
-        with pytest.raises(ValueError):
-            i[0] = 5
-        j = ws.iota(4)
-        assert np.shares_memory(i, j)
-
-    def test_describe(self):
-        ws = ScratchArena()
-        ws.take("k", 64)
-        ws.take("k", 32)
-        d = ws.describe()
-        assert d["buffers"] == 1
-        assert d["bytes"] >= 64 * 8
-        assert d["hits"] == 1 and d["misses"] == 1
-
-    def test_dtype_alternation_no_thrash(self):
-        # Regression: a key alternating between two dtypes used to
-        # evict and reallocate every call; buffers are keyed on
-        # (key, dtype), so after one miss per dtype every further take
-        # is a hit against a stable buffer.
-        ws = ScratchArena()
-        a0 = ws.take("k", 32)               # miss (int64)
-        b0 = ws.take("k", 32, bool)         # miss (bool)
-        assert ws.describe()["buffers"] == 2
-        assert ws.hits == 0 and ws.misses == 2
-        for _ in range(5):
-            a = ws.take("k", 32)
-            b = ws.take("k", 32, bool)
-            assert np.shares_memory(a, a0)
-            assert np.shares_memory(b, b0)
-        d = ws.describe()
-        assert d["buffers"] == 2
-        assert d["hits"] == 10 and d["misses"] == 2
-
-
-class TestOutParameterParity:
-    """out=/scratch=/seg= move where temporaries live, never the bits."""
-
-    def test_segment_ids_out(self):
-        counts = np.array([2, 0, 3, 1, 0])
-        plain = segment_ids(counts)
-        buf = np.empty(16, dtype=np.int64)
-        np.testing.assert_array_equal(segment_ids(counts, out=buf), plain)
-
-    def test_segment_ids_out_too_small(self):
-        with pytest.raises(ValueError, match="out must hold"):
-            segment_ids(np.array([4, 4]), out=np.empty(3, dtype=np.int64))
-
-    def test_segment_ids_out_empty(self):
-        got = segment_ids(np.empty(0, np.int64),
-                          out=np.empty(4, dtype=np.int64))
-        assert got.size == 0
-
-    def test_gather_out_scratch_seg(self):
-        data = np.arange(100, dtype=np.int64) * 3
-        starts = np.array([5, 40, 0, 90])
-        counts = np.array([10, 0, 4, 7])
-        plain = multi_slice_gather(data, starts, counts)
-        ws = ScratchArena()
-        buf = ws.take("g", int(counts.sum()))
-        seg = segment_ids(counts)
-        for kwargs in ({"out": buf}, {"scratch": ws},
-                       {"out": buf, "scratch": ws},
-                       {"out": buf, "scratch": ws, "seg": seg}):
-            np.testing.assert_array_equal(
-                multi_slice_gather(data, starts, counts, **kwargs), plain)
-
-    def test_gather_out_too_small(self):
-        with pytest.raises(ValueError, match="out must hold"):
-            multi_slice_gather(np.arange(10), np.array([0]), np.array([5]),
-                               out=np.empty(3, dtype=np.int64))
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_property_parity(self, data):
-        n = data.draw(st.integers(1, 50))
-        k = data.draw(st.integers(0, 12))
-        arr = np.arange(n, dtype=np.int64) * 7 - 3
-        starts = np.asarray(data.draw(st.lists(
-            st.integers(0, n - 1), min_size=k, max_size=k)), np.int64)
-        counts = np.asarray([data.draw(st.integers(0, n - int(s)))
-                             for s in starts], np.int64)
-        plain = multi_slice_gather(arr, starts, counts)
-        ws = ScratchArena()
-        scratched = multi_slice_gather(arr, starts, counts, scratch=ws,
-                                       out=ws.take("out", counts.sum()))
-        np.testing.assert_array_equal(scratched, plain)
-        np.testing.assert_array_equal(
-            segment_ids(counts, out=ws.take("seg", counts.sum())),
-            segment_ids(counts))

@@ -177,18 +177,9 @@ class TestPoolLifecycle:
         with ExecutionContext(backend="threaded", workers=2) as ctx:
             kid = ctx.child()
             assert kid._host is ctx
-            assert kid.scratch is ctx.scratch
+            assert kid.tracer is ctx.tracer
             assert kid.ledger is ctx.ledger
             kid.close()  # non-host close is a no-op
-
-    def test_close_releases_scratch(self):
-        ctx = ExecutionContext(backend="threaded", workers=2)
-        ctx.scratch.take("big", 1 << 16)
-        kid = ctx.child()
-        kid.close()
-        assert ctx.scratch.describe()["buffers"] == 1
-        ctx.close()
-        assert ctx.scratch.describe()["bytes"] == 0
 
     def test_child_fresh_books(self):
         ctx = ExecutionContext(backend="threaded", workers=2)

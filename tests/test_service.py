@@ -246,6 +246,37 @@ class TestServiceLedger:
         assert all("error" in r["row"] for r in rows[1:])
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize("workers", [0, -5, 2.7, True])
+    def test_bad_worker_count_raises(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            ColoringService(workers=workers)
+
+    def test_reload_closes_live_incremental_context(self, monkeypatch):
+        """Reloading a graph closes its live incremental engine's
+        context at once, not at stop()."""
+        closed = []
+
+        async def main():
+            async with ColoringService(workers=1, backend="serial") as svc:
+                for cycle in range(3):
+                    await ask(svc, op="load", graph="g", gen=GNM)
+                    d = await ask(svc, op="apply_delta", graph="g",
+                                  delta="add:0-149")
+                    assert d["ok"], d
+                    ctx = svc.graphs["g"].incremental.ctx
+                    monkeypatch.setattr(
+                        ctx, "close",
+                        lambda ctx=ctx: closed.append(ctx))
+                    assert len(closed) == cycle
+                await ask(svc, op="load", graph="g", gen=GNM)
+                assert len(closed) == 3
+                stats = await ask(svc, op="stats")
+                assert "contexts" not in stats
+        run(main())
+        assert len(set(map(id, closed))) == 3
+
+
 # -- engine errors: requests complete, never hang -----------------------------
 
 class TestServiceUnderFaults:
