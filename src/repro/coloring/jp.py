@@ -42,14 +42,15 @@ from .sweep import rank_sweep
 
 
 def validate_ranks(g: CSRGraph, ranks: np.ndarray) -> np.ndarray:
-    """Check that ``ranks`` is a total order over ``g``'s vertices."""
+    """``ranks`` as int64 if it has one entry per vertex of ``g``.
+
+    Distinctness (a total order) is checked by
+    :func:`~repro.coloring.sweep.rank_sweep` while it builds the sweep
+    order, in O(n) for a permutation of 0..n-1.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size != g.n:
         raise ValueError("ranks length must equal n")
-    if ranks.size and np.unique(ranks).size != ranks.size:
-        # A rank collision between neighbors would let JP color them in
-        # the same wave with the same mex result — an invalid coloring.
-        raise ValueError("ranks must be distinct (a total order)")
     return ranks
 
 

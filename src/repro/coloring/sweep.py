@@ -120,15 +120,40 @@ def rank_sweep(indptr: np.ndarray, indices: np.ndarray,
 
     Runs the compiled sweep when it builds, else the Python sweep; the
     two return identical arrays.  The CSR arrays are bounds-checked
-    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths.
+    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths, and
+    repeated ranks raise ``ValueError``.
     """
     ranks = np.require(ranks, np.int64, ["C", "A"])
     indptr, indices = checked_csr(indptr, indices, ranks.size)
-    order = np.ascontiguousarray(np.argsort(ranks, kind="stable")[::-1])
+    order = _descending(ranks)
     fn = _CSWEEP.load()
     if fn is None:
         return _sweep_python(indptr, indices, ranks, order)
     return _sweep_c(fn, indptr, indices, ranks, order)
+
+
+def _descending(ranks: np.ndarray) -> np.ndarray:
+    """The vertices in descending ``ranks``; ``ValueError`` on a repeat.
+
+    Ranks spanning exactly 0..n-1 (every ordering's) are inverted by
+    one scatter, where a repeat leaves a slot unfilled; other ranks
+    take a stable argsort and an adjacent-equal check.
+    """
+    n = ranks.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    if ranks.min() == 0 and ranks.max() == n - 1:
+        order = np.full(n, -1, dtype=np.int64)
+        order[n - 1 - ranks] = np.arange(n, dtype=np.int64)
+        distinct = order.min() >= 0
+    else:
+        order = np.ascontiguousarray(np.argsort(ranks, kind="stable")[::-1])
+        distinct = not np.any(ranks[order[1:]] == ranks[order[:-1]])
+    if not distinct:
+        # A rank collision between neighbors would let JP color them in
+        # the same wave with the same mex result — an invalid coloring.
+        raise ValueError("ranks must be distinct (a total order)")
+    return order
 
 
 def _sweep_c(fn, indptr, indices, ranks, order) -> Sweep:

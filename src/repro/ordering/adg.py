@@ -20,21 +20,174 @@ Variants implemented, selected by keyword:
 - ``cache_degree_sums`` — maintain the running degree sum instead of
   re-reducing each iteration (SS V-F).
 
-Each iteration's selection and UPDATE are plain calls of the pure
-kernels below over all vertices at once; the paper's parallelism lives
-in the work/depth books each iteration charges.
+The avg variant runs as one compiled pass (~120 lines of C built through
+:mod:`repro.primitives.cbuild`) whenever it builds: a single call runs
+every iteration — the threshold in the same double arithmetic, the
+batch and its level, the in-batch stable counting sort and fused
+predecessor counts of ADG-O, the push or pull UPDATE — and then builds
+the ranks <rho_ADG, rho_R> by a counting sort over the random
+tie-break.  It returns six numbers per iteration (batch size, removed
+degree sum, neighbors touched, cut, remaining, the batch's largest
+degree), from which :func:`_replay` books ``cost``, ``mem`` and the
+``adg.*`` tracer series in the order the NumPy loop books them; the
+two paths give identical levels, ranks and books.  ADG-M
+(``variant='median'``) takes its k smallest in the tie order of
+:func:`~repro.primitives.sorting.argsort_by` and always runs the NumPy
+loop.  Without a C compiler every variant runs the NumPy loop, whose
+selection and UPDATE are plain calls of the pure kernels below over all
+vertices at once; it is also the compiled pass's test oracle.  The
+paper's parallelism lives in the work/depth books each iteration
+charges.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import log2_ceil
+from ..primitives.cbuild import CLibrary, checked_csr
 from ..primitives.kernels import batch_neighbors
-from ..primitives.sorting import argsort_by
+from ..primitives.sorting import argsort_by, sort_books
 from ..runtime import ExecutionContext
 from .base import Ordering, random_tiebreak, total_order
+
+_C_SOURCE = r"""
+#include <stdint.h>
+
+/* Every iteration of ADG (avg variant) in one pass.  deg, live, batch
+   and ranks (n slots) and bucket (max degree + 1 slots) need no
+   initialization; levels and pred (n slots, pred only with flag 4) and
+   books (6 x n: batch size, removed degree sum, neighbors touched,
+   cut, remaining, batch max degree) start at 0.  flags: 1 = pull
+   UPDATE (else push), 2 = sort each batch by degree (ranks receives
+   that explicit order), 4 = fused DAG predecessor counts.  Without
+   flag 2, ranks receives the order <levels, tiebreak> (tiebreak a
+   permutation of 0..n-1).  Returns the number of iterations, or
+   minus the iteration that selected no vertex. */
+long long repro_adg(long long n, const int64_t *indptr,
+                    const int64_t *indices, double eps, long long flags,
+                    const int64_t *tiebreak, int64_t *deg, int64_t *levels,
+                    int64_t *ranks, int64_t *pred, int64_t *live,
+                    int64_t *batch, int64_t *bucket, int64_t *books)
+{
+    int64_t *b_size = books, *b_removed = books + n, *b_touched = books + 2 * n;
+    int64_t *b_cut = books + 3 * n, *b_left = books + 4 * n;
+    int64_t *b_max = books + 5 * n;
+    long long i, k, it = 0, nlive = n;
+    int64_t sum = 0, counter = 0;
+    for (i = 0; i < n; i++) {
+        deg[i] = indptr[i + 1] - indptr[i];
+        sum += deg[i];
+        live[i] = i;
+    }
+    while (nlive > 0) {
+        /* The NumPy loop's arithmetic: sum / remaining, then (1+eps)*avg. */
+        const double avg = (double)sum / (double)nlive;
+        const double threshold = (1.0 + eps) * avg;
+        long long nb = 0, keep = 0;
+        int64_t removed = 0, touched = 0, cut = 0, dmax = 0;
+        it++;
+        for (i = 0; i < nlive; i++) {   /* live stays in ascending id order */
+            const int64_t v = live[i];
+            if ((double)deg[v] <= threshold) {
+                batch[nb++] = v;
+                levels[v] = it;
+                removed += deg[v];
+                if (deg[v] > dmax)
+                    dmax = deg[v];
+            } else {
+                live[keep++] = v;
+            }
+        }
+        b_left[it - 1] = keep;
+        if (nb == 0)
+            return -it;
+        nlive = keep;
+        if (flags & 2) {                /* stable counting sort by degree */
+            int64_t acc = counter;
+            for (k = 0; k <= dmax; k++)
+                bucket[k] = 0;
+            for (i = 0; i < nb; i++)
+                bucket[deg[batch[i]]]++;
+            for (k = 0; k <= dmax; k++) {
+                const int64_t c = bucket[k];
+                bucket[k] = acc;
+                acc += c;
+            }
+            for (i = 0; i < nb; i++)
+                ranks[batch[i]] = bucket[deg[batch[i]]]++;
+            counter += nb;
+        }
+        if (flags & 1) {                /* pull: Count(N_U(v) cap R) */
+            for (i = 0; i < nlive; i++) {
+                const int64_t v = live[i], lo = indptr[v], hi = indptr[v + 1];
+                int64_t j, dec = 0;
+                for (j = lo; j < hi; j++)
+                    dec += levels[indices[j]] == it;
+                deg[v] -= dec;
+                cut += dec;
+                touched += hi - lo;
+            }
+        } else {                        /* push, fused with PRIORITIZE */
+            for (i = 0; i < nb; i++) {
+                const int64_t v = batch[i], lo = indptr[v], hi = indptr[v + 1];
+                int64_t j, later = 0;
+                for (j = lo; j < hi; j++) {
+                    const int64_t u = indices[j], lu = levels[u];
+                    const int64_t alive = lu == 0;  /* branch-free: ~50% */
+                    deg[u] -= alive;
+                    cut += alive;
+                    later += alive;
+                    if ((flags & 4) && lu == it && ranks[u] > ranks[v])
+                        later++;        /* later in the sorted batch */
+                }
+                touched += hi - lo;
+                if (flags & 4)
+                    pred[v] += later;
+            }
+        }
+        sum -= removed + cut;
+        b_size[it - 1] = nb;
+        b_removed[it - 1] = removed;
+        b_touched[it - 1] = touched;
+        b_cut[it - 1] = cut;
+        b_max[it - 1] = dmax;
+    }
+    if (!(flags & 2)) {
+        /* Counting sort by level over the vertices in tie-break order:
+           live[l - 1] is the first rank of level l, batch the inverse
+           tie-break. */
+        int64_t acc = 0;
+        for (k = 0; k < it; k++) {
+            live[k] = acc;
+            acc += b_size[k];
+        }
+        for (i = 0; i < n; i++)
+            batch[tiebreak[i]] = i;
+        for (i = 0; i < n; i++) {
+            const int64_t v = batch[i];
+            ranks[v] = live[levels[v] - 1]++;
+        }
+    }
+    return it;
+}
+"""
+
+
+def _bind(lib):
+    fn = lib.repro_adg
+    arr = np.ctypeslib.ndpointer(dtype=np.int64,
+                                 flags="C_CONTIGUOUS,ALIGNED")
+    ll = ctypes.c_longlong
+    fn.restype = ll
+    fn.argtypes = [ll, arr, arr, ctypes.c_double, ll] + [arr] * 9
+    return fn
+
+
+_CADG = CLibrary("adg", _C_SOURCE, _bind)
 
 
 # -- round kernels: pure ----------------------------------------------------
@@ -99,6 +252,11 @@ def adg_ordering(
     and whose ``ranks`` impose the total order <rho_ADG, rho_R> — or the
     explicit sorted-batch order when ``sort_batches`` is set.
 
+    The avg variant runs the compiled pass when it builds, else the
+    NumPy loop (ADG-M always runs the NumPy loop); both give the same
+    ordering and books.  The CSR is bounds-checked
+    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths.
+
     The context (``ctx``, or one built from ``backend``/``workers``)
     is recorded configuration: orderings and accounting are identical
     for every backend and worker count.  The ordering's cost/mem books
@@ -119,6 +277,8 @@ def adg_ordering(
         raise ValueError("compute_ranks requires sort_batches=True")
     if compute_ranks and update != "push":
         raise ValueError("compute_ranks is fused into the push UPDATE")
+    indptr, indices = checked_csr(g.indptr, g.indices, g.n)
+    fn = _CADG.load() if variant == "avg" else None
 
     if ctx is not None:
         run = ctx.child(crew=(update == "pull"))
@@ -127,12 +287,100 @@ def adg_ordering(
         run = ExecutionContext(backend=backend, workers=workers,
                                crew=(update == "pull"), trace=trace)
         owns = True
+    opts = dict(update=update, sort_batches=sort_batches,
+                sort_method=sort_method, compute_ranks=compute_ranks,
+                cache_degree_sums=cache_degree_sums)
+    phase_name = "order:adg" if variant == "avg" else "order:adg-m"
+    try:
+        with run.phase(phase_name):
+            run.cost.reduce(g.n)  # initial degree sum
+            if fn is not None:
+                levels, ranks, pred_counts, iterations = _adg_c(
+                    fn, indptr, indices, g.max_degree, eps, seed, run,
+                    phase_name, **opts)
+            else:
+                levels, ranks, pred_counts, iterations = _adg_numpy(
+                    indptr, indices, g.max_degree, eps, variant, seed,
+                    run, phase_name, **opts)
+    finally:
+        if owns:
+            run.close()
+
+    if sort_batches:
+        name = "ADG-O" if variant == "avg" else "ADG-M-O"
+    else:
+        name = "ADG" if variant == "avg" else "ADG-M"
+    return Ordering(name=name, ranks=ranks, levels=levels,
+                    num_levels=iterations, cost=run.cost, mem=run.mem,
+                    pred_counts=pred_counts)
+
+
+def _adg_c(fn, indptr, indices, max_deg, eps, seed, run, phase_name,
+           **opts):
+    """The compiled pass, then its books replayed.  Returns ``(levels,
+    ranks, pred_counts or None, iterations)``."""
+    n = indptr.size - 1
+    sort_batches, compute_ranks = opts["sort_batches"], opts["compute_ranks"]
+    tiebreak = (np.empty(0, dtype=np.int64) if sort_batches
+                else random_tiebreak(n, seed))
+    levels = np.zeros(n, dtype=np.int64)
+    ranks = np.empty(n, dtype=np.int64)
+    pred = np.zeros(n if compute_ranks else 0, dtype=np.int64)
+    books = np.zeros((6, n), dtype=np.int64)
+    flags = ((opts["update"] == "pull") | 2 * sort_batches
+             | 4 * compute_ranks)
+    got = int(fn(n, indptr, indices, float(eps), flags, tiebreak,
+                 np.empty(n, dtype=np.int64), levels, ranks, pred,
+                 np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+                 np.empty(max_deg + 1, dtype=np.int64), books))
+    iterations = abs(got)
+    _replay(books[:, :iterations], n, max_deg, run, phase_name, **opts)
+    return levels, ranks, pred if compute_ranks else None, iterations
+
+
+def _replay(books, n, max_deg, run, phase_name, *, update, sort_batches,
+            sort_method, compute_ranks, cache_degree_sums) -> None:
+    """Book each iteration of the compiled pass exactly as
+    :func:`_adg_numpy` books it; raises where that loop raises."""
+    cost, mem, tracer = run.cost, run.mem, run.tracer
+    rows = zip(*(b.tolist() for b in books))
+    for it, (size, _removed, touched, cut, left, bmax) in enumerate(rows, 1):
+        remaining = left + size
+        if cache_degree_sums:
+            cost.round(2, 1)
+        else:
+            cost.reduce(remaining)
+            cost.reduce(remaining)
+            mem.stream(remaining, phase_name)
+        cost.parallel_for(remaining)
+        mem.stream(n, phase_name)
+        if size == 0:
+            raise RuntimeError("ADG made no progress; invariant broken")
+        if sort_batches:
+            sort_books(sort_method, size, bmax, cost)
+            cost.parallel_for(size)
+        cost.round(size, 1)
+        if tracer.enabled:
+            tracer.count("adg.batch", size, round=it)
+            tracer.gauge("adg.remaining", left, round=it)
+        mem.gather(touched, phase_name)
+        if update == "push":
+            cost.scatter_decrement(touched)
+            if compute_ranks:
+                cost.round(touched, 1)
+        else:
+            cost.round(touched + left, log2_ceil(max(max_deg, 1)))
+
+
+def _adg_numpy(indptr, indices, max_deg, eps, variant, seed, run,
+               phase_name, *, update, sort_batches, sort_method,
+               compute_ranks, cache_degree_sums):
+    """The NumPy loop.  Returns ``(levels, ranks, pred_counts or None,
+    iterations)``."""
     tracer = run.tracer
     cost, mem = run.cost, run.mem
-    n = g.n
-    indptr, indices = g.indptr, g.indices
-    # D starts as a copy — CSRGraph.degrees is a cached, read-only array.
-    D = g.degrees.copy()
+    n = indptr.size - 1
+    D = np.diff(indptr)
     active = np.ones(n, dtype=bool)
     r_mask = np.zeros(n, dtype=bool)
     levels = np.zeros(n, dtype=np.int64)
@@ -142,104 +390,86 @@ def adg_ordering(
     remaining = n
     sum_deg = int(D.sum()) if n else 0
     iteration = 0
-    max_deg = g.max_degree
 
-    phase_name = "order:adg" if variant == "avg" else "order:adg-m"
-    try:
-        with run.phase(phase_name):
-            cost.reduce(n)  # initial degree sum
-            while remaining:
-                iteration += 1
+    while remaining:
+        iteration += 1
 
-                # -- select the removal batch R --------------------------------
-                if variant == "avg":
-                    if cache_degree_sums:
-                        cost.round(2, 1)  # delta_hat from cached sum and count
-                    else:
-                        live = np.flatnonzero(active)
-                        sum_deg = int(D[live].sum())
-                        cost.reduce(remaining)
-                        cost.reduce(remaining)
-                        mem.stream(remaining, phase_name)
-                    avg = sum_deg / remaining
-                    threshold = (1.0 + eps) * avg
-                    batch = _select(D, active, threshold)
-                    cost.parallel_for(remaining)
-                    mem.stream(n, phase_name)
-                    r_mask[:] = False
-                    r_mask[batch] = True
-                else:
-                    # ADG-M: the floor(|U|/2)+parity smallest-degree vertices.
-                    live = np.flatnonzero(active)
-                    order = argsort_by(D[live], sort_method, cost=cost)
-                    k = (remaining + 1) // 2
-                    batch = np.sort(live[order[:k]])
-                    r_mask[:] = False
-                    r_mask[batch] = True
-                    mem.stream(remaining, phase_name)
+        # -- select the removal batch R ----------------------------------------
+        if variant == "avg":
+            if cache_degree_sums:
+                cost.round(2, 1)  # delta_hat from cached sum and count
+            else:
+                live = np.flatnonzero(active)
+                sum_deg = int(D[live].sum())
+                cost.reduce(remaining)
+                cost.reduce(remaining)
+                mem.stream(remaining, phase_name)
+            avg = sum_deg / remaining
+            threshold = (1.0 + eps) * avg
+            batch = _select(D, active, threshold)
+            cost.parallel_for(remaining)
+            mem.stream(n, phase_name)
+            r_mask[:] = False
+            r_mask[batch] = True
+        else:
+            # ADG-M: the floor(|U|/2)+parity smallest-degree vertices.
+            live = np.flatnonzero(active)
+            order = argsort_by(D[live], sort_method, cost=cost)
+            k = (remaining + 1) // 2
+            batch = np.sort(live[order[:k]])
+            r_mask[:] = False
+            r_mask[batch] = True
+            mem.stream(remaining, phase_name)
 
-                if batch.size == 0:
-                    # Cannot happen for valid inputs (the min degree is always
-                    # <= the average), kept as a loud invariant check.
-                    raise RuntimeError("ADG made no progress; invariant broken")
+        if batch.size == 0:
+            # Cannot happen for valid inputs (the min degree is always
+            # <= the average), kept as a loud invariant check.
+            raise RuntimeError("ADG made no progress; invariant broken")
 
-                levels[batch] = iteration
-                removed_deg_sum = int(D[batch].sum())
+        levels[batch] = iteration
+        removed_deg_sum = int(D[batch].sum())
 
-                # -- explicit in-batch ordering (ADG-O, SS V-B) -----------------
-                if sort_batches:
-                    in_batch = argsort_by(D[batch], sort_method, cost=cost)
-                    ordered = batch[in_batch]
-                    explicit[ordered] = counter + np.arange(ordered.size)
-                    counter += ordered.size
-                    cost.parallel_for(batch.size)
+        # -- explicit in-batch ordering (ADG-O, SS V-B) -------------------------
+        if sort_batches:
+            in_batch = argsort_by(D[batch], sort_method, cost=cost)
+            ordered = batch[in_batch]
+            explicit[ordered] = counter + np.arange(ordered.size)
+            counter += ordered.size
+            cost.parallel_for(batch.size)
 
-                active[batch] = False
-                remaining -= batch.size
-                cost.round(batch.size, 1)  # U = U \ R via bitmap overwrite
-                if tracer.enabled:
-                    tracer.count("adg.batch", int(batch.size),
-                                 round=iteration)
-                    tracer.gauge("adg.remaining", int(remaining),
-                                 round=iteration)
+        active[batch] = False
+        remaining -= batch.size
+        cost.round(batch.size, 1)  # U = U \ R via bitmap overwrite
+        if tracer.enabled:
+            tracer.count("adg.batch", int(batch.size), round=iteration)
+            tracer.gauge("adg.remaining", int(remaining), round=iteration)
 
-                # -- degree update ----------------------------------------------
-                if update == "push":
-                    live_targets, nbrs_total, preds = _push(
-                        batch, indptr, indices, active, r_mask,
-                        explicit if compute_ranks else None)
-                    mem.gather(nbrs_total, phase_name)
-                    cost.scatter_decrement(nbrs_total)
-                    if live_targets.size:
-                        np.subtract.at(D, live_targets, 1)
-                    cut = live_targets.size
-                    if compute_ranks:
-                        np.add.at(pred_counts, preds, 1)
-                        cost.round(nbrs_total, 1)
-                else:
-                    live = np.flatnonzero(active)
-                    dec, nbrs_total = _pull(live, indptr, indices, r_mask)
-                    mem.gather(nbrs_total, phase_name)
-                    # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
-                    cost.round(nbrs_total + remaining,
-                               log2_ceil(max(max_deg, 1)))
-                    D[live] -= dec
-                    cut = int(dec.sum())
+        # -- degree update ------------------------------------------------------
+        if update == "push":
+            live_targets, nbrs_total, preds = _push(
+                batch, indptr, indices, active, r_mask,
+                explicit if compute_ranks else None)
+            mem.gather(nbrs_total, phase_name)
+            cost.scatter_decrement(nbrs_total)
+            if live_targets.size:
+                np.subtract.at(D, live_targets, 1)
+            cut = live_targets.size
+            if compute_ranks:
+                np.add.at(pred_counts, preds, 1)
+                cost.round(nbrs_total, 1)
+        else:
+            live = np.flatnonzero(active)
+            dec, nbrs_total = _pull(live, indptr, indices, r_mask)
+            mem.gather(nbrs_total, phase_name)
+            # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
+            cost.round(nbrs_total + remaining, log2_ceil(max(max_deg, 1)))
+            D[live] -= dec
+            cut = int(dec.sum())
 
-                sum_deg = sum_deg - removed_deg_sum - cut
-    finally:
-        if owns:
-            run.close()
-
-    if sort_batches:
-        ranks = total_order(explicit)
-        name = "ADG-O" if variant == "avg" else "ADG-M-O"
-    else:
-        ranks = total_order(levels, random_tiebreak(n, seed))
-        name = "ADG" if variant == "avg" else "ADG-M"
-    return Ordering(name=name, ranks=ranks, levels=levels,
-                    num_levels=iteration, cost=cost, mem=mem,
-                    pred_counts=pred_counts)
+        sum_deg = sum_deg - removed_deg_sum - cut
+    ranks = (total_order(explicit) if sort_batches
+             else total_order(levels, random_tiebreak(n, seed)))
+    return levels, ranks, pred_counts, iteration
 
 
 def adg_m_ordering(g: CSRGraph, **kwargs) -> Ordering:

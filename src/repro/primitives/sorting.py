@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine.costmodel import CostModel
+from ..machine.costmodel import CostModel, log2_ceil
 
 
 def counting_argsort(keys: np.ndarray, key_range: int | None = None,
@@ -79,7 +79,6 @@ def quick_argsort(keys: np.ndarray, cost: CostModel | None = None) -> np.ndarray
     """
     keys = np.asarray(keys)
     if cost is not None and keys.size > 0:
-        from ..machine.costmodel import log2_ceil
         cost.round(keys.size * max(1, log2_ceil(keys.size)),
                    2 * max(1, log2_ceil(keys.size)))
     return np.argsort(keys, kind="stable").astype(np.int64)
@@ -101,3 +100,24 @@ def argsort_by(keys: np.ndarray, method: str = "counting",
         raise ValueError(f"unknown sort method {method!r}; "
                          f"options: {sorted(SORTERS)}") from None
     return fn(keys, cost=cost)
+
+
+def sort_books(method: str, n_items: int, max_key: int,
+               cost: CostModel) -> None:
+    """Book what ``argsort_by(keys, method, cost)`` books for
+    ``n_items`` non-negative keys whose largest is ``max_key``, without
+    sorting (a compiled pass sorts; its books are replayed here)."""
+    if method not in SORTERS:
+        raise ValueError(f"unknown sort method {method!r}; "
+                         f"options: {sorted(SORTERS)}")
+    if n_items <= 0:
+        return
+    if method == "counting":
+        cost.integer_sort(n_items, max_key + 1)
+    elif method == "radix":
+        # One 8-bit counting pass per digit of max_key, at least one.
+        for _ in range(max(1, -(-max_key.bit_length() // 8))):
+            cost.integer_sort(n_items, 256)
+    else:
+        cost.round(n_items * max(1, log2_ceil(n_items)),
+                   2 * max(1, log2_ceil(n_items)))

@@ -5,6 +5,7 @@ direct calls, and end-to-end accounting and tracing behind one
 from .context import (
     BACKENDS,
     ExecutionContext,
+    check_backend,
     check_workers,
     default_backend,
     default_workers,
@@ -12,6 +13,6 @@ from .context import (
 )
 
 __all__ = [
-    "BACKENDS", "ExecutionContext", "check_workers", "default_backend",
-    "default_workers", "resolve_context",
+    "BACKENDS", "ExecutionContext", "check_backend", "check_workers",
+    "default_backend", "default_workers", "resolve_context",
 ]

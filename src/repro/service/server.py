@@ -3,7 +3,8 @@
 Requests are dicts ``{"op": ..., ...}``; responses are dicts with an
 ``"ok"`` flag.  An asyncio job queue feeds a small worker-task pool;
 each worker dispatches the blocking NumPy engine call onto a thread
-executor.  A ``color``/``profile`` request runs under its own fresh
+executor.  A ``color``/``profile`` request, and a ``verify`` with no
+live coloring, runs under its own fresh
 :class:`~repro.runtime.ExecutionContext` (so its books are its own),
 and a graph's live
 :class:`~repro.coloring.incremental.IncrementalColoring` owns its
@@ -48,7 +49,8 @@ from ..graphs.delta import GraphDelta, parse_delta_spec
 from ..graphs.generators import gnm_random, grid_2d, kronecker, ring
 from ..obs.ledger import resolve_ledger, service_record
 from ..obs.metrics import MetricsRegistry
-from ..runtime import ExecutionContext, check_workers
+from ..runtime import (ExecutionContext, check_backend, check_workers,
+                       default_backend)
 from .cache import ResultCache, cache_key
 
 DEFAULT_ALGORITHM = "DEC-ADG-ITR"
@@ -141,8 +143,11 @@ class ColoringService:
                  cache_size: int = 128,
                  ledger=None) -> None:
         self.num_workers = check_workers(workers, "workers")
-        self.backend = backend
-        self.ctx_workers = ctx_workers
+        # A bad backend (or $REPRO_BACKEND) fails here, not every request.
+        self.backend = (default_backend() if backend is None
+                        else check_backend(backend, "backend"))
+        self.ctx_workers = (None if ctx_workers is None
+                            else check_workers(ctx_workers, "ctx_workers"))
         self.cache = ResultCache(cache_size)
         self.metrics = MetricsRegistry()
         self.ledger = resolve_ledger(ledger)
@@ -337,7 +342,9 @@ class ColoringService:
                 return {"ok": True, "op": "color", "graph": entry.name,
                         "cached": True, "result": hit}
             self._bump("svc.cache.misses")
-        result = await self._run_engine(algorithm, g, kwargs)
+        # An exception propagates: the request gets an error response.
+        result = await asyncio.get_running_loop().run_in_executor(
+            self.executor, self._color, algorithm, g, kwargs)
         block = {
             "digest": digest, "algorithm": algorithm,
             "eps": kwargs.get("eps", DEFAULT_EPS),
@@ -362,25 +369,20 @@ class ColoringService:
             }
         return response
 
-    async def _run_engine(self, algorithm: str, g: CSRGraph, kwargs: dict):
-        """Run the engine on the executor; an exception propagates (the
-        request gets an error response).
+    def _color(self, algorithm: str, g: CSRGraph, kwargs: dict):
+        """One engine call, on the calling (executor) thread.
 
         A backend-aware engine runs under a fresh context on the
         service's backend; ``ledger=False`` because the service writes
-        its own ledger rows, so no per-request resource sampler starts.
+        its own ledger rows, so the engine writes none and no
+        per-request resource sampler starts.
         """
-        loop = asyncio.get_running_loop()
-
-        def run():
-            if algorithm not in BACKEND_AWARE:
-                return color(algorithm, g, **kwargs)
-            with ExecutionContext(backend=self.backend,
-                                  workers=self.ctx_workers,
-                                  ledger=False) as ctx:
-                return color(algorithm, g, ctx=ctx, **kwargs)
-
-        return await loop.run_in_executor(self.executor, run)
+        if algorithm not in BACKEND_AWARE:
+            return color(algorithm, g, **kwargs)
+        with ExecutionContext(backend=self.backend,
+                              workers=self.ctx_workers,
+                              ledger=False) as ctx:
+            return color(algorithm, g, ctx=ctx, **kwargs)
 
     def _incremental(self, request: dict,
                      entry: _GraphEntry) -> IncrementalColoring:
@@ -425,8 +427,8 @@ class ColoringService:
                 return entry.incremental.verify()
             # Stateless verify: no live coloring, so color then check.
             algorithm = str(request.get("algorithm", DEFAULT_ALGORITHM))
-            result = color(algorithm, entry.graph,
-                           **self._engine_kwargs(request))
+            result = self._color(algorithm, entry.graph,
+                                 self._engine_kwargs(request))
             return {"valid": bool(is_valid_coloring(entry.graph,
                                                     result.colors)),
                     "colors": result.num_colors}

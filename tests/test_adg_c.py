@@ -1,0 +1,322 @@
+"""ADG's compiled pass: C/NumPy agreement, C boundary, fallback.
+
+The NumPy loop (``adg._adg_numpy``) is the oracle: for every variant
+the compiled pass covers (avg; push or pull; plain, sorted or sorted
+with fused ranks; cached or re-reduced degree sums; every sort method)
+it must give the same levels, ranks, fused predecessor counts, number
+of levels, cost snapshot, round log, memory books and ``adg.*`` tracer
+series.  ``tests/test_adg_sweep.py`` pins both paths to the recorded
+books.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.coloring.dec_adg_itr import dec_adg_itr
+from repro.coloring.jp import jp_adg, jp_adg_fused
+from repro.graphs import CSRGraph
+from repro.graphs.builders import empty_graph, from_edges
+from repro.graphs.generators import (
+    chung_lu,
+    complete_graph,
+    gnm_random,
+    kronecker,
+    ring,
+    star,
+)
+from repro.obs import Tracer
+from repro.ordering import adg
+from repro.ordering.adg import adg_ordering
+from repro.primitives import cbuild
+from repro.runtime import ExecutionContext
+
+from .conftest import graphs, misaligned
+from .test_adg_sweep import GOLDEN, PIN_GRAPHS, fingerprint
+from .test_adg_sweep import VARIANTS as PIN_VARIANTS
+
+GRAPHS = {
+    "kron": lambda: kronecker(scale=9, edge_factor=8, seed=3),
+    "chung": lambda: chung_lu(400, 2000, seed=11),
+    "empty": lambda: empty_graph(0),
+    "isolated": lambda: from_edges([0, 3, 3], [3, 4, 7], n=12),
+    "edgeless": lambda: empty_graph(9),
+    "clique": lambda: complete_graph(12),
+    "star": lambda: star(40),
+    "ring": lambda: ring(64),
+}
+SERIES = ("adg.batch", "adg.remaining")
+
+#: Every configuration the compiled pass runs: name -> keywords.
+VARIANTS = {}
+for _update in ("push", "pull"):
+    for _sort in ("plain", "sort", "sort+ranks"):
+        if _sort == "sort+ranks" and _update == "pull":
+            continue
+        for _cache in (True, False):
+            for _method in (("counting",) if _sort == "plain"
+                            else ("counting", "radix", "quick")):
+                VARIANTS["|".join([_update, _sort, _method]
+                                  + ([] if _cache else ["nocache"]))] = dict(
+                    update=_update, sort_batches=_sort != "plain",
+                    compute_ranks=_sort == "sort+ranks",
+                    cache_degree_sums=_cache, sort_method=_method)
+
+
+class _NoBuild:
+    """Stands in for the compiled library when it cannot be built."""
+
+    def load(self):
+        return None
+
+
+def _require_c():
+    if adg._CADG.load() is None:
+        pytest.skip("no C compiler: the compiled ADG pass is unavailable")
+
+
+def _both_paths(call) -> list:
+    """``[call()]`` on the compiled pass, then on the NumPy loop."""
+    _require_c()
+    out = [call()]
+    real, adg._CADG = adg._CADG, _NoBuild()
+    try:
+        out.append(call())
+    finally:
+        adg._CADG = real
+    return out
+
+
+def books(g, eps=0.1, **kwargs) -> dict:
+    """Everything one traced ``adg_ordering`` returns and books."""
+    with ExecutionContext(backend="serial", trace=Tracer()) as ctx:
+        order = adg_ordering(g, eps=eps, seed=0, ctx=ctx, **kwargs)
+        metrics = ctx.tracer.metrics
+        series = {n: metrics.series(n) for n in SERIES if n in metrics}
+    return {"levels": order.levels.tolist(), "ranks": order.ranks.tolist(),
+            "pred_counts": None if order.pred_counts is None
+            else order.pred_counts.tolist(),
+            "num_levels": order.num_levels, "name": order.name,
+            "snapshot": order.cost.snapshot(),
+            "round_log": order.cost.round_log,
+            "mem": [order.mem.random, order.mem.sequential,
+                    sorted(order.mem.by_phase.items())],
+            "series": series}
+
+
+class TestCAndNumpyAgree:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_fixed_graphs(self, graph, variant):
+        g = GRAPHS[graph]()
+        compiled, oracle = _both_paths(
+            lambda: books(g, **VARIANTS[variant]))
+        assert compiled == oracle
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 1.0, 7.5])
+    @pytest.mark.parametrize("variant", ["push|plain|counting",
+                                         "pull|sort|quick",
+                                         "push|sort+ranks|radix"])
+    def test_eps_values(self, eps, variant):
+        g = kronecker(scale=10, edge_factor=8, seed=1)
+        compiled, oracle = _both_paths(
+            lambda: books(g, eps=eps, **VARIANTS[variant]))
+        assert compiled == oracle
+
+    @given(graphs(max_n=40, max_m=160), st.sampled_from(sorted(VARIANTS)),
+           st.sampled_from([0.0, 0.01, 0.5, 3.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, g, variant, eps):
+        compiled, oracle = _both_paths(
+            lambda: books(g, eps=eps, **VARIANTS[variant]))
+        assert compiled == oracle
+
+    def test_colorings_that_use_it(self):
+        g = kronecker(scale=10, edge_factor=8, seed=2)
+
+        def run():
+            return [jp_adg(g, seed=3).colors.tolist(),
+                    jp_adg_fused(g, seed=3).colors.tolist(),
+                    dec_adg_itr(g, seed=3).colors.tolist()]
+
+        compiled, oracle = _both_paths(run)
+        assert compiled == oracle
+
+    def test_median_variant_never_reaches_c(self, monkeypatch):
+        calls = []
+
+        class Recorder:
+            def load(self):
+                return lambda *args: calls.append(args)
+
+        monkeypatch.setattr(adg, "_CADG", Recorder())
+        order = adg_ordering(GRAPHS["kron"](), variant="median",
+                             sort_batches=True, compute_ranks=True)
+        assert calls == []
+        assert order.name == "ADG-M-O"
+
+
+class TestNoProgressInvariant:
+    """An infinite eps on an edgeless graph makes the threshold
+    (1 + inf) * 0 = NaN, so no vertex is selected: both paths raise."""
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_raises(self, path, cache, monkeypatch):
+        if path == "numpy":
+            monkeypatch.setattr(adg, "_CADG", _NoBuild())
+        else:
+            _require_c()
+        with pytest.raises(RuntimeError, match="no progress"):
+            adg_ordering(empty_graph(5), eps=float("inf"),
+                         cache_degree_sums=cache)
+
+
+class TestCBoundary:
+    def _check(self, g, ref=None):
+        compiled, oracle = _both_paths(lambda: books(g, eps=0.01))
+        assert compiled == oracle
+        if ref is not None:
+            assert compiled == books(ref, eps=0.01)
+
+    def test_int32_arrays(self):
+        g = gnm_random(400, 1600, seed=5)
+        g32 = CSRGraph(indptr=g.indptr.astype(np.int32),
+                       indices=g.indices.astype(np.int32))
+        self._check(g32, ref=g)
+
+    def test_odd_offset_arrays(self):
+        g = GRAPHS["kron"]()
+        odd = CSRGraph(indptr=misaligned(g.indptr),
+                       indices=misaligned(g.indices))
+        self._check(odd, ref=g)
+
+    def test_read_only_memmap_from_the_ingest_cache(self, tmp_path):
+        from repro.graphs.ingest import _load_cached
+
+        # Members of 1 MiB and up are mapped, not read.
+        g = gnm_random(20000, 80000, seed=9)
+        path = tmp_path / "g.npz"
+        np.savez(path, indptr=g.indptr, indices=g.indices,
+                 name=np.array("gnm"))
+        cached = _load_cached(str(path), None)
+        assert isinstance(cached.indices.base, np.memmap)
+        assert not cached.indices.flags.writeable
+        self._check(cached, ref=g)
+
+    @pytest.mark.parametrize("bad", [
+        "short_indptr", "indptr_past_end", "falling_indptr",
+        "nonzero_start", "vertex_out_of_range", "negative_vertex"])
+    @pytest.mark.parametrize("variant", ["avg", "median"])
+    def test_malformed_csr_never_reaches_c(self, bad, variant, monkeypatch):
+        calls = []
+
+        class Recorder:
+            def load(self):
+                return lambda *args: calls.append(args)
+
+        monkeypatch.setattr(adg, "_CADG", Recorder())
+        indptr = np.array([0, 1, 2], dtype=np.int64)
+        indices = np.array([1, 0], dtype=np.int64)
+        if bad == "short_indptr":
+            indptr = np.array([0, 2])
+        elif bad == "indptr_past_end":
+            indptr = np.array([0, 1, 3])
+        elif bad == "falling_indptr":
+            indptr = np.array([0, 2, 1, 2])
+        elif bad == "nonzero_start":
+            indptr = np.array([1, 1, 2])
+        elif bad == "vertex_out_of_range":
+            indices = np.array([1, 2])
+        else:
+            indices = np.array([1, -1])
+        g = CSRGraph(indptr=indptr, indices=indices)
+        with pytest.raises(ValueError):
+            adg_ordering(g, variant=variant)
+        assert calls == []
+
+
+class TestFallback:
+    @pytest.fixture
+    def numpy_calls(self, monkeypatch):
+        calls = []
+        real = adg._adg_numpy
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adg, "_adg_numpy", spy)
+        return calls
+
+    def _fresh_library(self, monkeypatch, tmp_path, source):
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+        monkeypatch.setattr(adg, "_CADG",
+                            cbuild.CLibrary("adg", source, adg._bind))
+
+    def _check(self, numpy_calls):
+        key = "kron|avg|push|sort+ranks"
+        order = adg_ordering(PIN_GRAPHS["kron"](), eps=0.1, seed=0,
+                             **PIN_VARIANTS["avg|push|sort+ranks"])
+        assert fingerprint(order) == GOLDEN[key]
+        assert numpy_calls == [1]
+
+    def test_no_compiler_on_path(self, monkeypatch, tmp_path, numpy_calls):
+        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
+        assert adg._CADG.load() is None
+        self._check(numpy_calls)
+
+    def test_build_command_fails(self, monkeypatch, tmp_path, numpy_calls):
+        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
+        monkeypatch.setattr(
+            cbuild.subprocess, "run",
+            lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))
+        assert adg._CADG.load() is None
+        assert not list(tmp_path.glob("*.so"))
+        self._check(numpy_calls)
+
+    def test_source_that_does_not_compile(self, monkeypatch, tmp_path,
+                                          numpy_calls):
+        self._fresh_library(monkeypatch, tmp_path, "this is not C;\n")
+        assert adg._CADG.load() is None
+        self._check(numpy_calls)
+
+    def test_library_load_returns_none(self, monkeypatch, numpy_calls):
+        monkeypatch.setattr(cbuild.CLibrary, "load", lambda self: None)
+        self._check(numpy_calls)
+
+    def test_compiled_path_skips_the_numpy_loop(self, numpy_calls):
+        _require_c()
+        adg_ordering(GRAPHS["kron"]())
+        assert numpy_calls == []
+
+    def test_concurrent_loaders_build_once(self, monkeypatch, tmp_path):
+        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
+        builds, got = [], []
+        real = cbuild.build_shared
+        monkeypatch.setattr(cbuild, "build_shared",
+                            lambda *a: builds.append(1) or real(*a))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: got.append(adg._CADG.load()))
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [1]
+        assert len(got) == 8 and all(f is got[0] for f in got)

@@ -148,6 +148,20 @@ class TestServeCommand:
         assert ei.value.code == 2
         assert "--svc-workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,env", [
+        (["--backend", "bogus"], {}),
+        ([], {"REPRO_BACKEND": "bogus"})])
+    def test_bad_backend_exits_before_listening(self, flag, env):
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+            p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *flag],
+            capture_output=True, text=True, env=env, timeout=60,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        assert proc.returncode != 0
+        assert "listening" not in proc.stdout
+        assert "ValueError" in proc.stderr and "backend" in proc.stderr
+
 
 class TestOrderCommand:
     def test_adg(self, capsys):

@@ -725,3 +725,38 @@ class TestCBoundary:
             indices = np.array([1, 2])
         with pytest.raises(ValueError):
             sweep.rank_sweep(indptr, indices, ranks)
+
+
+class TestSweepOrder:
+    """The sweep order is built, and distinctness checked, in one pass:
+    an inverse-permutation scatter for ranks spanning 0..n-1, a stable
+    argsort otherwise."""
+
+    @given(st.integers(0, 60), st.integers(-9, 9), st.integers(1, 4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_descending_distinct_ranks(self, n, shift, scale, rnd):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        ranks = np.asarray(perm, dtype=np.int64) * scale + shift
+        np.testing.assert_array_equal(
+            sweep._descending(ranks),
+            np.argsort(ranks, kind="stable")[::-1])
+
+    @pytest.mark.parametrize("ranks", [
+        [0, 1, 1, 3],        # spans 0..n-1 with a hole
+        [0, 3, 3, 3],
+        [2, 0, 2],           # no hole in range, but not 0..n-1
+        [5, 5, 7],
+        [0, 0],
+        [-1, 4, -1, 0]])
+    def test_repeated_ranks_raise(self, ranks):
+        ranks = np.asarray(ranks, dtype=np.int64)
+        with pytest.raises(ValueError, match="distinct"):
+            sweep._descending(ranks)
+        g = ring(ranks.size) if ranks.size > 2 else CSRGraph(
+            indptr=np.array([0, 1, 2]), indices=np.array([1, 0]))
+        with pytest.raises(ValueError, match="distinct"):
+            sweep.rank_sweep(g.indptr, g.indices, ranks)
+        with pytest.raises(ValueError, match="distinct"):
+            jp_color(g, ranks)

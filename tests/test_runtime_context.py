@@ -245,9 +245,17 @@ class TestNestedPhases:
         assert ctx.wall_by_phase["p"] >= 0.01
 
 
+class _NoBuild:
+    """Stands in for a compiled library that cannot be built."""
+
+    def load(self):
+        return None
+
+
 class TestChunkErrors:
     """An error a round kernel raises is deterministic: it propagates on
-    the first call, unwrapped and unretried."""
+    the first call, unwrapped and unretried.  ADG's Python round
+    kernels run on its NumPy path, so the ADG cases force that path."""
 
     @staticmethod
     def _boom(calls):
@@ -257,6 +265,7 @@ class TestChunkErrors:
         return boom
 
     def test_serial_raises_original_error(self, monkeypatch):
+        monkeypatch.setattr(adg_mod, "_CADG", _NoBuild())
         monkeypatch.setattr(adg_mod, "_select", self._boom([]))
         with pytest.raises(ValueError, match="bad round") as ei:
             adg_ordering(gnm_random(50, 100, seed=1), backend="serial")
@@ -279,6 +288,7 @@ class TestChunkErrors:
         g = gnm_random(50, 100, seed=1)
         with ExecutionContext(backend="threaded", workers=4) as ctx:
             with monkeypatch.context() as m:
+                m.setattr(adg_mod, "_CADG", _NoBuild())
                 m.setattr(adg_mod, "_push", self._boom([]))
                 with pytest.raises(ValueError, match="bad round"):
                     adg_ordering(g, ctx=ctx)

@@ -245,12 +245,81 @@ class TestServiceLedger:
         assert [r["row"]["ok"] for r in rows] == [True, False, False, False]
         assert all("error" in r["row"] for r in rows[1:])
 
+    def test_stateless_verify_writes_only_its_service_row(self, tmp_path,
+                                                          monkeypatch):
+        """A verify with no live coloring colors under the service's
+        context: no engine ``kind="run"`` row beside the service's."""
+        path = str(tmp_path / "svc_ledger.jsonl")
+        monkeypatch.setenv("REPRO_LEDGER", path)
+
+        async def main():
+            async with ColoringService(workers=1, backend="threaded",
+                                       ctx_workers=3) as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                return await ask(svc, op="verify", graph="g")
+        reply = run(main())
+        assert reply["ok"] and reply["valid"], reply
+        assert validate_ledger(path) == 2
+        rows = read_ledger(path)
+        assert [(r["kind"], r["op"]) for r in rows] == \
+            [("service", "load"), ("service", "verify")]
+
+    def test_stateless_verify_runs_on_the_service_backend(self,
+                                                          monkeypatch):
+        import repro.service.server as server
+
+        seen = []
+        real_color = server.color
+
+        def spy(*args, **kwargs):
+            ctx = kwargs.get("ctx")
+            seen.append(None if ctx is None
+                        else (ctx.backend, ctx.workers))
+            return real_color(*args, **kwargs)
+
+        monkeypatch.setattr(server, "color", spy)
+
+        async def main():
+            async with ColoringService(workers=1, backend="threaded",
+                                       ctx_workers=3) as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                return await ask(svc, op="verify", graph="g")
+        assert run(main())["ok"]
+        assert seen == [("threaded", 3)]
+
 
 class TestServiceConfig:
     @pytest.mark.parametrize("workers", [0, -5, 2.7, True])
     def test_bad_worker_count_raises(self, workers):
         with pytest.raises(ValueError, match="workers"):
             ColoringService(workers=workers)
+
+    @pytest.mark.parametrize("backend", ["bogus", "process", ""])
+    def test_bad_backend_raises(self, backend):
+        with pytest.raises(ValueError, match="backend"):
+            ColoringService(backend=backend)
+
+    def test_bad_backend_env_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
+            ColoringService()
+
+    @pytest.mark.parametrize("ctx_workers", [0, -5, 2.7, True])
+    def test_bad_ctx_workers_raises(self, ctx_workers):
+        with pytest.raises(ValueError, match="ctx_workers"):
+            ColoringService(ctx_workers=ctx_workers)
+
+    def test_bad_backend_fails_before_listening(self, capsys):
+        """``repro serve``'s coroutine raises before it binds a port
+        (it used to serve and then fail every color request)."""
+        from repro.service.net import serve
+
+        async def main():
+            await asyncio.wait_for(serve(port=0, backend="bogus"), 30)
+
+        with pytest.raises(ValueError, match="backend"):
+            asyncio.run(main())
+        assert "listening" not in capsys.readouterr().out
 
     def test_reload_closes_live_incremental_context(self, monkeypatch):
         """Reloading a graph closes its live incremental engine's

@@ -12,6 +12,7 @@ from repro.primitives.sorting import (
     counting_argsort,
     quick_argsort,
     radix_argsort,
+    sort_books,
 )
 
 ALL_METHODS = sorted(SORTERS)
@@ -99,3 +100,30 @@ class TestQuickSort:
 def test_unknown_method_raises():
     with pytest.raises(ValueError):
         argsort_by(np.array([1]), "bogus")
+
+
+class TestSortBooks:
+    """``sort_books`` books what the sorter would, without sorting."""
+
+    @given(st.lists(st.integers(0, 1 << 20), min_size=0, max_size=50),
+           st.sampled_from(ALL_METHODS))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_argsort_by(self, keys, method):
+        keys = np.asarray(keys, dtype=np.int64)
+        sorted_cost, booked = CostModel(), CostModel()
+        argsort_by(keys, method, cost=sorted_cost)
+        sort_books(method, keys.size, int(keys.max(initial=0)), booked)
+        assert booked.round_log == sorted_cost.round_log
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("max_key", [0, 1, 255, 256, 65535, 65536])
+    def test_radix_digit_boundaries(self, method, max_key):
+        keys = np.array([max_key, 0, max_key // 2], dtype=np.int64)
+        sorted_cost, booked = CostModel(), CostModel()
+        argsort_by(keys, method, cost=sorted_cost)
+        sort_books(method, keys.size, max_key, booked)
+        assert booked.round_log == sorted_cost.round_log
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError):
+            sort_books("bogus", 3, 1, CostModel())
