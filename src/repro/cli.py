@@ -390,8 +390,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             g, report = ingest_report(
                 args.input, ctx=ctx, comments=args.comments,
                 cache=not args.no_cache, cache_dir=args.cache_dir,
-                spill_dir=args.spill_dir, force=args.force,
-                chunk_bytes=args.chunk_bytes)
+                force=args.force)
     finally:
         sampler.stop()
     res = sampler.digest()
@@ -523,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser(
         "ingest", help="stream an edge-list file into the CSR binary "
-                       "cache (chunked parse, out-of-core build)")
+                       "cache (block parse, in-memory CSR build)")
     common(p_ingest)
     p_ingest.add_argument("--comments", default="#",
                           help="comment-line prefix (default '#')")
@@ -535,12 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cache directory (default: "
                                "$REPRO_INGEST_CACHE or "
                                "<file's dir>/.repro_ingest)")
-    p_ingest.add_argument("--spill-dir", dest="spill_dir",
-                          help="directory for out-of-core spill files "
-                               "(default: the system temp dir)")
-    p_ingest.add_argument("--chunk-bytes", dest="chunk_bytes", type=int,
-                          default=2 << 20,
-                          help="parse-range size in bytes (default 2MiB)")
     p_ingest.set_defaults(fn=cmd_ingest)
 
     p_serve = sub.add_parser(

@@ -40,7 +40,7 @@ from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
 from ..ordering.base import random_tiebreak
-from ..primitives.cbuild import CLibrary, checked_csr
+from ..primitives.cbuild import CLibrary
 from ..primitives.kernels import segment_any
 from ..runtime import ExecutionContext, resolve_context
 from .dec_adg import partition_constraints, partitions_from_levels
@@ -379,7 +379,7 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     n = g.n
     levels = _checked_vertex_array(levels, n, "levels")
     priority = _checked_vertex_array(priority, n, "priority")
-    indptr, indices = checked_csr(g.indptr, g.indices, n)
+    indptr, indices = g.checked_arrays
     fn = _CITR.load()
     with ctx.phase("dec-itr:color"):
         if fn is None:

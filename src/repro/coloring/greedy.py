@@ -28,13 +28,19 @@ def greedy_color_sequence(g: CSRGraph, sequence: np.ndarray,
     """Color vertices in the exact order of ``sequence`` (1-based colors).
 
     Runs as the rank sweep with the sequence as a descending order.
+    ``sequence`` must be a permutation of 0..n-1 (else ``ValueError``),
+    checked in O(n): every entry in range, and the rank scatter leaves
+    no slot unfilled.
     """
     sequence = np.asarray(sequence, dtype=np.int64)
-    if sequence.size != g.n or np.unique(sequence).size != g.n:
+    if sequence.size != g.n or (g.n and (sequence.min() < 0
+                                         or sequence.max() >= g.n)):
         raise ValueError("sequence must be a permutation of all vertices")
-    ranks = np.empty(g.n, dtype=np.int64)
+    ranks = np.full(g.n, -1, dtype=np.int64)
     ranks[sequence] = np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    colors = rank_sweep(g.indptr, g.indices, ranks).colors
+    if g.n and ranks.min() < 0:  # a repeat left some vertex unranked
+        raise ValueError("sequence must be a permutation of all vertices")
+    colors = rank_sweep(g, ranks).colors
     if cost is not None:
         cost.round(g.n + 2 * g.m, g.n)  # inherently sequential scan
     if mem is not None:

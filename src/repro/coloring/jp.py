@@ -109,7 +109,7 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
 
         tracer = ctx.tracer
         with ctx.phase("jp:color"):
-            sweep = rank_sweep(g.indptr, g.indices, ranks)
+            sweep = rank_sweep(g, ranks)
             colors = sweep.colors
             # Book every wave exactly as Alg. 3 runs it: the GetColor
             # gather over the frontier's neighborhoods, then the

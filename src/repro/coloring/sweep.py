@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..primitives.cbuild import CLibrary, checked_csr
+from ..graphs.csr import CSRGraph
+from ..primitives.cbuild import CLibrary
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -114,17 +115,20 @@ class Sweep(NamedTuple):
         return int(self.frontier.size)
 
 
-def rank_sweep(indptr: np.ndarray, indices: np.ndarray,
-               ranks: np.ndarray) -> Sweep:
-    """Color the CSR graph greedily in descending ``ranks`` (distinct).
+def rank_sweep(g: CSRGraph, ranks: np.ndarray) -> Sweep:
+    """Color ``g`` greedily in descending ``ranks`` (distinct, one per
+    vertex).
 
     Runs the compiled sweep when it builds, else the Python sweep; the
-    two return identical arrays.  The CSR arrays are bounds-checked
-    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths, and
-    repeated ranks raise ``ValueError``.
+    two return identical arrays.  Both read ``g``'s bounds-checked
+    arrays (:attr:`~repro.graphs.csr.CSRGraph.checked_arrays`, checked
+    once per graph), and ranks of the wrong length or with repeats
+    raise ``ValueError``.
     """
     ranks = np.require(ranks, np.int64, ["C", "A"])
-    indptr, indices = checked_csr(indptr, indices, ranks.size)
+    if ranks.size != g.n:
+        raise ValueError("ranks length must equal n")
+    indptr, indices = g.checked_arrays
     order = _descending(ranks)
     fn = _CSWEEP.load()
     if fn is None:

@@ -15,11 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
+from ..primitives.cbuild import checked_csr
 from ..primitives.kernels import batch_neighbors
 
 #: The cached_property names that derive from indptr/indices and must
 #: be dropped whenever the arrays are swapped (see replace_arrays).
-_DERIVED_CACHES = ("degrees", "max_degree", "min_degree", "content_digest")
+_DERIVED_CACHES = ("degrees", "max_degree", "min_degree", "content_digest",
+                   "checked_arrays")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,21 @@ class CSRGraph:
         h.update(np.ascontiguousarray(self.indices).data)
         return h.hexdigest()[:16]
 
+    @cached_property
+    def checked_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` as the compiled passes take them.
+
+        :func:`~repro.primitives.cbuild.checked_csr`'s aligned
+        C-contiguous int64 copies (the arrays themselves when they
+        already are), bounds-checked once per graph: every compiled
+        pass of a job (ADG, the JP sweep, the ITR level pass, the peel)
+        reads this cache instead of re-scanning the arrays.  A malformed
+        CSR raises ``ValueError`` and caches nothing;
+        :meth:`replace_arrays` drops the cache, so swapped-in arrays
+        are checked again.
+        """
+        return checked_csr(self.indptr, self.indices, self.n)
+
     @property
     def avg_degree(self) -> float:
         """delta-hat: the average degree (0.0 for an empty graph)."""
@@ -146,10 +163,11 @@ class CSRGraph:
         """Drop every cached property derived from the arrays.
 
         ``degrees`` / ``max_degree`` / ``min_degree`` /
-        ``content_digest`` are all cached per instance under the
-        immutability assumption; any helper that swaps the arrays must
-        call this (``replace_arrays`` does) or stale statistics — and,
-        worse, a stale digest keying a result cache — survive the
+        ``content_digest`` / ``checked_arrays`` are all cached per
+        instance under the immutability assumption; any helper that
+        swaps the arrays must call this (``replace_arrays`` does) or
+        stale statistics — and, worse, a stale digest keying a result
+        cache or unchecked arrays reaching compiled code — survive the
         mutation.
         """
         for name in _DERIVED_CACHES:

@@ -1,28 +1,29 @@
-"""Streaming edge-list ingestion: chunked parse + out-of-core CSR build.
+"""Streaming edge-list ingestion: block parse + in-memory CSR build.
 
 The paper's corpus is real SNAP/KONECT edge-list downloads; reading one
 through :func:`repro.graphs.io.read_edge_list`'s per-line Python loop
 takes minutes and many GB of interpreter objects.  This module is the
 scale path (DESIGN.md "Ingestion at scale"):
 
-1. the (optionally gzipped) file is split into newline-aligned byte
-   ranges, and each range is parsed by a vectorized tokenizer with no
-   per-line Python — one plain call per range on a file opened once,
-   inside the ``ingest.parse`` phase.  A malformed range raises on its
-   first parse.  ``backend``/``workers`` are recorded in the report
-   and do not change how ranges are parsed;
-2. vertex ids are compacted chunk-locally (``np.unique`` semantics:
+1. the (optionally gzipped) file is read once, sequentially, in blocks
+   of whole lines (:data:`BLOCK_BYTES` per read, the partial last line
+   carried into the next block), and each block is parsed by a
+   compiled tokenizer with no per-line Python, inside the
+   ``ingest.parse`` phase.  A malformed block raises on its first
+   parse.  With a cache directory the same loop hashes the raw bytes
+   for the cache key.  ``backend``/``workers`` are recorded in the
+   report and do not change how blocks are parsed;
+2. vertex ids are compacted block-locally (``np.unique`` semantics:
    sorted distinct ids + inverse codes, never a Python dict) and each
-   chunk vocabulary is merged as it arrives, so coordinator memory
-   stays O(n) while the parsed edges spill to disk as compact codes;
-3. the CSR is built out-of-core with the classic two-pass counting
-   sort — degree histogram, then scatter into an ``np.memmap``-backed
-   duplicate-adjacency array under a spill directory, then a per-row
-   sort + dedupe — so peak RSS is bounded by a parse range plus the
-   final CSR, not 3-4x the edge list.  The three passes run as C in
-   the same compiled library as the scanner (one call per spilled
-   chunk, one per row batch); without a compiler the NumPy passes,
-   which are also the C's test oracle, build the identical CSR;
+   block vocabulary is merged as it arrives; a block is kept as its
+   vocabulary and int32 codes;
+3. the CSR is built in memory by three compiled passes: a degree count
+   and a scatter of each kept edge once, in its canonical min->max
+   direction, into an int32 adjacency; a per-row sort + dedupe in
+   place; and a symmetrization into the final int64 CSR.  Peak RSS
+   stays under twice the final CSR.  Without a compiler (or for
+   n >= 2**31) the blocks go through ``from_edges``, the legacy
+   reader's builder, which is also the compiled build's test oracle;
 4. the result is stored in a digest-keyed binary cache
    (``<file-digest>.npz`` + a JSON manifest carrying mtime/size and the
    parse options), so repeat loads are near-instant and the service
@@ -35,19 +36,17 @@ dropped, duplicates merged, edges symmetrized.
 
 Tokenizer tiers
 ---------------
-Each chunk takes the first tier that built and can prove the chunk
+Each block takes the first tier that built and can prove the block
 clean, in this order; no option pins one (the report's
 ``parser_used`` names the tiers that ran):
 
 - ``c`` — a ~60-line C scanner compiled once with the system C compiler
   and loaded via ctypes through :mod:`repro.primitives.cbuild` (about
   GB/s; skipped silently when no compiler is present);
-- ``numpy`` — ``np.fromstring`` over comment-stripped bytes after a
-  vectorized digits/whitespace structure check (hundreds of MB/s);
 - ``python`` — the legacy per-line loop, kept as the semantic ground
-  truth.  Chunks the fast tiers cannot prove clean (stray bytes,
-  ragged lines, oversized ids) re-parse on this tier, so malformed
-  input raises exactly like ``read_edge_list`` on every tier.
+  truth and the no-compiler path.  Blocks the C scanner cannot prove
+  clean (stray bytes, ragged lines, oversized ids) re-parse on this
+  tier, so malformed input raises exactly like ``read_edge_list``.
 """
 
 from __future__ import annotations
@@ -57,10 +56,7 @@ import glob
 import gzip
 import hashlib
 import json
-import mmap
 import os
-import shutil
-import tempfile
 import time
 import warnings
 
@@ -68,19 +64,18 @@ import numpy as np
 
 from ..primitives.cbuild import CLibrary
 from ..runtime.context import resolve_context
+from .builders import from_edges
 from .csr import CSRGraph
 
-# 2 MiB keeps a parse chunk's arrays and the build passes' transients
-# well under the final CSR while staying big enough that the per-chunk
-# fixed costs vanish; it also measured faster than 4 MiB single-core
-# (smaller working sets are kinder to the caches).  The compiled build
-# holds one chunk's codes and remap plus a row batch's sort buffers
-# (2 MiB, or the longest row); the NumPy fallback's sorts hold ~5-6x a
-# chunk's edges.
-DEFAULT_CHUNK_BYTES = 2 << 20
+#: Bytes per read of the block reader.  A block's parse transients
+#: (its bytes, the tokenizer's id arrays, the compaction's buffers) come
+#: to ~8x its size on top of the codes kept so far, so 1 MiB holds the
+#: peak under twice the final CSR even on a file that lists every edge
+#: both ways (2 MiB measured 1.98x there, 1 MiB 1.72x), and is big
+#: enough that the per-block fixed costs vanish.
+BLOCK_BYTES = 1 << 20
 CACHE_SCHEMA = "repro.ingest-cache/v1"
 CACHE_ENV = "REPRO_INGEST_CACHE"
-_INT64_MAX = np.iinfo(np.int64).max
 
 # -- tier 1: compiled C scanner ------------------------------------------------
 
@@ -107,12 +102,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 # caller then applies a sorted-rank permutation to land on np.unique
 # semantics without the O(k log k) argsort of the full value array.
 #
-# repro_spill_rows and repro_sort_rows are the out-of-core CSR build:
-# the first counts (degree pass) or scatters (into the memmap duplicate
-# adjacency) one spilled chunk, the second sorts and dedupes one batch
-# of rows.  Unlike the scanner they trust no input: every code, row and
-# row cursor is checked before it indexes, and a violation returns an
-# error code that the caller raises as RuntimeError.
+# repro_canon_rows, repro_sort_rows and repro_symmetrize are the CSR
+# build: the first counts (degree pass) or scatters (into the int32
+# canonical adjacency) one parsed block's edges, each once, in the row
+# of its smaller endpoint; the second sorts and dedupes every row in
+# place; the third writes the final symmetric int64 CSR.  Unlike the
+# scanner, canon_rows and symmetrize trust no input: every code, row,
+# entry and row cursor is checked before it indexes, and a violation
+# returns an error code that the caller raises as RuntimeError.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -251,37 +248,38 @@ long long repro_compact64(const int64_t *vals, long long k,
     return d;
 }
 
-/* One spilled chunk of the CSR build: codes holds the chunk's ne u
-   codes, then its ne v codes, each an index into remap (the chunk
-   vocabulary's nv global rows, all < n).  Self-loops are dropped.
-   With adj == NULL every kept edge counts both endpoints into cur
-   (the degree pass); otherwise both directions are written at
-   adj[cur[row]++], never past end[row] (the scatter pass).  Returns
-   the kept edge count, -1 when a code or a row is out of range, -2
-   when a row cursor would pass its end. */
-long long repro_spill_rows(const int32_t *codes, long long ne,
+/* One parsed block's share of the CSR build, in the canonical
+   direction: codes holds the block's ne u codes, then its ne v codes,
+   each an index into remap (the block vocabulary's nv global rows, all
+   < n < 2^31).  Self-loops are dropped; every kept edge belongs to the
+   row of its smaller endpoint.  With adj == NULL it counts into cur
+   (the degree pass); otherwise the larger endpoint is written at
+   adj[cur[row]++], never past end[row] (the scatter pass).  Returns the
+   kept edge count, -1 when n, a code or a row is out of range, -2 when
+   a row cursor would pass its end. */
+long long repro_canon_rows(const int32_t *codes, long long ne,
                            const int64_t *remap, long long nv, long long n,
-                           int64_t *cur, const int64_t *end, int64_t *adj)
+                           int64_t *cur, const int64_t *end, int32_t *adj)
 {
     long long j, kept = 0;
+    if (n > 2147483647LL) return -1;
     for (j = 0; j < nv; j++)
         if (remap[j] < 0 || remap[j] >= n) return -1;
     for (j = 0; j < ne; j++) {
         const int32_t a = codes[j], b = codes[ne + j];
-        int64_t u, v;
+        int64_t lo, hi;
         if (a < 0 || a >= nv || b < 0 || b >= nv) return -1;
-        u = remap[a];
-        v = remap[b];
-        if (u == v) continue;
+        lo = remap[a];
+        hi = remap[b];
+        if (lo == hi) continue;
+        if (lo > hi) { const int64_t t = lo; lo = hi; hi = t; }
         kept++;
         if (!adj) {
-            cur[u]++;
-            cur[v]++;
+            cur[lo]++;
             continue;
         }
-        if (cur[u] >= end[u] || cur[v] >= end[v]) return -2;
-        adj[cur[u]++] = v;
-        adj[cur[v]++] = u;
+        if (cur[lo] >= end[lo]) return -2;
+        adj[cur[lo]++] = (int32_t)hi;
     }
     return kept;
 }
@@ -289,10 +287,10 @@ long long repro_spill_rows(const int32_t *codes, long long ne,
 /* LSD radix sort of a[0..len) through tmp, one pass per byte of the
    ids (nbytes covers any id < n); a pass whose byte is the same for
    every entry is skipped. */
-static void radix_sort(int64_t *a, int64_t *tmp, long long len, int nbytes)
+static void radix_sort(int32_t *a, int32_t *tmp, long long len, int nbytes)
 {
     long long cnt[256], i;
-    int64_t *src = a, *dst = tmp, *t;
+    int32_t *src = a, *dst = tmp, *t;
     int b, d;
     for (b = 0; b < nbytes; b++) {
         const int sh = 8 * b;
@@ -311,29 +309,24 @@ static void radix_sort(int64_t *a, int64_t *tmp, long long len, int nbytes)
     if (src != a) memcpy(a, src, (size_t)len * sizeof *a);
 }
 
-/* Sort and dedupe nrows consecutive rows of the duplicate adjacency.
-   Row r is adj[rows[r] - rows[0] .. rows[r+1] - rows[0]); its sorted
-   distinct entries go to out, rows back to back, and their count to
-   deg[r].  Rows of <= 16 entries are insertion-sorted, longer ones
-   radix-sorted through tmp (>= the longest row).  Returns the number
-   of entries written. */
-long long repro_sort_rows(const int64_t *adj, const int64_t *rows,
-                          long long nrows, int nbytes, int64_t *out,
-                          int64_t *tmp, int64_t *deg)
+/* Sort and dedupe the n rows of the canonical adjacency in place.  Row
+   r is adj[rows[r] .. rows[r+1]); its sorted distinct entries move to
+   the front of adj, rows back to back, and their count goes to deg[r].
+   A row never moves right, so each write lands at or before the entry
+   it copies.  Rows of <= 16 entries are insertion-sorted, longer ones
+   radix-sorted through tmp (>= the longest row).  Returns the entries
+   kept. */
+long long repro_sort_rows(int32_t *adj, const int64_t *rows, long long n,
+                          int nbytes, int32_t *tmp, int64_t *deg)
 {
     long long r, w = 0;
-    for (r = 0; r < nrows; r++) {
+    for (r = 0; r < n; r++) {
         const long long len = rows[r + 1] - rows[r];
-        int64_t *row = out + w;
-        long long i, k;
-        if (len == 0) {
-            deg[r] = 0;
-            continue;
-        }
-        memcpy(row, adj + (rows[r] - rows[0]), (size_t)len * sizeof *row);
+        int32_t *row = adj + rows[r];
+        long long i, k = 0;
         if (len <= 16) {
             for (i = 1; i < len; i++) {
-                const int64_t x = row[i];
+                const int32_t x = row[i];
                 long long p = i;
                 while (p > 0 && row[p - 1] > x) {
                     row[p] = row[p - 1];
@@ -344,12 +337,48 @@ long long repro_sort_rows(const int64_t *adj, const int64_t *rows,
         } else {
             radix_sort(row, tmp, len, nbytes);
         }
-        for (k = 1, i = 1; i < len; i++)
-            if (row[i] != row[k - 1]) row[k++] = row[i];
+        for (i = 0; i < len; i++)
+            if (k == 0 || row[i] != adj[w + k - 1]) adj[w + k++] = row[i];
         deg[r] = k;
         w += k;
     }
     return w;
+}
+
+/* The final CSR from the deduped canonical rows: up holds total
+   entries, each row r's sorted entries (all above r) back to back, and
+   updeg[r] counts them.  Row r of the result is every s with r in
+   up(s), ascending, then up(r): sorted, since the first part lies below
+   r and the second above.  cur is n entries of scratch; indptr gets
+   n + 1 offsets and indices 2 * total ids.  Returns 0, or -1 when the
+   counts overrun total or an entry is not above its row and below n. */
+long long repro_symmetrize(const int32_t *up, long long total,
+                           const int64_t *updeg, long long n,
+                           int64_t *cur, int64_t *indptr, int64_t *indices)
+{
+    long long r, j, w = 0;
+    memset(cur, 0, (size_t)n * sizeof *cur);
+    for (r = 0; r < n; r++) {
+        if (updeg[r] < 0 || updeg[r] > total - w) return -1;
+        for (j = w; j < w + updeg[r]; j++) {
+            if (up[j] <= r || up[j] >= n) return -1;
+            cur[up[j]]++;
+        }
+        w += updeg[r];
+    }
+    if (w != total) return -1;
+    indptr[0] = 0;
+    for (r = 0; r < n; r++) {
+        indptr[r + 1] = indptr[r] + cur[r] + updeg[r];
+        cur[r] = indptr[r];
+    }
+    for (r = 0, w = 0; r < n; r++) {
+        const int32_t *row = up + w;
+        for (j = 0; j < updeg[r]; j++) indices[cur[row[j]]++] = r;
+        for (j = 0; j < updeg[r]; j++) indices[cur[r] + j] = row[j];
+        w += updeg[r];
+    }
+    return 0;
 }
 """
 
@@ -365,14 +394,18 @@ def _bind_cparser(lib):
     cp.argtypes = [p64, ctypes.c_longlong, p64, p32, ctypes.c_longlong,
                    p64, p32]
     ptr = ctypes.c_void_p
-    sr = lib.repro_spill_rows
-    sr.restype = ctypes.c_longlong
-    sr.argtypes = [ptr, ctypes.c_longlong, ptr, ctypes.c_longlong,
-                   ctypes.c_longlong, ptr, ptr, ptr]
+    ll = ctypes.c_longlong
+    cr = lib.repro_canon_rows
+    cr.restype = ll
+    cr.argtypes = [ptr, ll, ptr, ll, ll, ptr, ptr, ptr]
     so = lib.repro_sort_rows
-    so.restype = ctypes.c_longlong
-    so.argtypes = [ptr, ptr, ctypes.c_longlong, ctypes.c_int, ptr, ptr, ptr]
-    return {"parse": fn, "compact": cp, "spill_rows": sr, "sort_rows": so}
+    so.restype = ll
+    so.argtypes = [ptr, ptr, ll, ctypes.c_int, ptr, ptr]
+    sy = lib.repro_symmetrize
+    sy.restype = ll
+    sy.argtypes = [ptr, ll, ptr, ll, ptr, ptr, ptr]
+    return {"parse": fn, "compact": cp, "canon_rows": cr, "sort_rows": so,
+            "symmetrize": sy}
 
 
 _CPARSER = CLibrary("edgeparse", _C_SOURCE, _bind_cparser)
@@ -408,67 +441,7 @@ def _parse_c(data: bytes, comments: str):
     return u[:m], v[:m]
 
 
-# -- tier 2: vectorized NumPy tokenizer ---------------------------------------
-
-def _blank_comment_lines(buf: np.ndarray, cbyte: int) -> np.ndarray | None:
-    """Overwrite comment lines with spaces; None when too hairy."""
-    pos = np.flatnonzero(buf == cbyte)
-    if pos.size == 0:
-        return buf
-    if pos.size > 4096:  # comment-dense file: not worth vectorizing
-        return None
-    nl = np.flatnonzero(buf == 10)
-    out = buf.copy()
-    for p in pos.tolist():
-        j = int(np.searchsorted(nl, p))
-        start = 0 if j == 0 else int(nl[j - 1]) + 1
-        end = int(nl[j]) if j < nl.size else buf.size - 1
-        if bool(np.all(out[start:p] <= 32)):  # '#' is the first token
-            out[start:end + 1] = 32
-    return out
-
-
-def _parse_numpy(data: bytes, comments: str):
-    """Vectorized parse of a provably clean chunk, else None.
-
-    Clean means: after comment lines are blanked, every byte is a
-    decimal digit or whitespace and every non-blank line holds exactly
-    two tokens.  ``np.fromstring``'s C loop then yields the token
-    stream directly; saturated values (ids near 2**63) punt to the
-    Python tier, which raises ``OverflowError`` exactly like the
-    legacy reader's ``np.asarray``.
-    """
-    if len(comments) != 1 or not comments.isascii():
-        return None
-    if not data:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    buf = _blank_comment_lines(buf, ord(comments))
-    if buf is None:
-        return None
-    digit = (buf - np.uint8(48)) < 10  # uint8 wraparound: '0'..'9' only
-    ws = buf <= 32
-    if int(np.count_nonzero(digit)) + int(np.count_nonzero(ws)) != buf.size:
-        return None
-    starts = digit.copy()
-    starts[1:] &= ~digit[:-1]
-    cum = np.cumsum(starts, dtype=np.int64)
-    nl = np.flatnonzero(buf == 10)
-    bounds = np.concatenate([[0], cum[nl], [cum[-1]]]) if buf.size \
-        else np.zeros(2, np.int64)
-    per_line = np.diff(bounds)
-    if not bool(np.all((per_line == 0) | (per_line == 2))):
-        return None
-    text = buf.tobytes().decode("latin-1")  # bytes validated ascii above
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        arr = np.fromstring(text, dtype=np.int64, sep=" ")
-    if arr.size and bool(np.any(arr == _INT64_MAX)):
-        return None  # saturation is indistinguishable from the real max
-    return arr[0::2].copy(), arr[1::2].copy()
-
-
-# -- tier 3: per-line Python (ground truth) -----------------------------------
+# -- tier 2: per-line Python (ground truth) -----------------------------------
 
 def _parse_python(data: bytes, comments: str):
     """The legacy reader's loop, byte-for-byte semantics included."""
@@ -491,11 +464,10 @@ def _parse_python(data: bytes, comments: str):
 
 def _parse_chunk(data: bytes, comments: str):
     """``(u, v, tier)``: C if it built and the chunk scans clean, else
-    NumPy if the chunk is provably clean, else Python."""
-    for tier, parse in (("c", _parse_c), ("numpy", _parse_numpy)):
-        out = parse(data, comments)
-        if out is not None:
-            return out[0], out[1], tier
+    Python."""
+    out = _parse_c(data, comments)
+    if out is not None:
+        return out[0], out[1], "c"
     u, v = _parse_python(data, comments)
     return u, v, "python"
 
@@ -529,7 +501,7 @@ def _compact_c(vals: np.ndarray):
         return None
     v64 = np.ascontiguousarray(vals, dtype=np.int64)
     # Load factor <= 2/3: probe chains stay short while the table
-    # (the per-chunk transient that dominates this path's footprint)
+    # (the per-block transient that dominates this path's footprint)
     # stays as small as possible.
     tsize = 1 << max(12, (k + (k >> 1) - 1).bit_length())
     keys = np.full(tsize, -1, dtype=np.int64)
@@ -552,7 +524,7 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values + inverse codes (np.unique semantics).
 
     For the bounded-universe common case (SNAP ids are dense-ish) a
-    presence bitmap + rank prefix sum produces the identical
+    presence bitmap + rank scatter produces the identical
     (vocab, inverse) pair in O(span) without the sort; sparse
     non-negative ids go through the compiled hash compactor when the
     toolchain built one; the general case is
@@ -564,13 +536,15 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = int(vals.max())
     span = hi - lo + 1
     if span <= max(1 << 16, 2 * vals.size):
+        off = vals - lo
         seen = np.zeros(span, dtype=bool)
-        seen[vals - lo] = True
-        rank = np.cumsum(seen, dtype=np.int64)
-        rank -= 1
-        vocab = np.flatnonzero(seen).astype(np.int64)
-        vocab += lo
-        return vocab, rank[vals - lo]
+        seen[off] = True
+        present = np.flatnonzero(seen)
+        # Only the present slots are ever read back, so ranking them
+        # is a scatter of their count, not a prefix sum over the span.
+        rank = np.empty(span, dtype=np.int64)
+        rank[present] = np.arange(present.size, dtype=np.int64)
+        return present + np.int64(lo), rank[off]
     if lo >= 0:
         out = _compact_c(vals)
         if out is not None:
@@ -580,52 +554,27 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                                           copy=False)
 
 
-# -- one byte range -----------------------------------------------------------
+# -- one block ----------------------------------------------------------------
 
-def _parse_range(fh, start: int, end: int, comments: str):
-    """Parse bytes [start, end) of the open binary file ``fh``.
+def _parse_block(data: bytes, comments: str):
+    """Parse one block of whole lines.
 
-    Returns ``(vocab, codes, n_edges, tier)``: the chunk-local sorted
+    Returns ``(vocab, codes, n_edges, tier)``: the block-local sorted
     id vocabulary, int32 inverse codes laid out as [u codes | v codes],
     the edge count, and the tokenizer tier that ran.
     """
-    fh.seek(start)
-    u, v, tier = _parse_chunk(fh.read(end - start), comments)
-    vocab, inv = compact_ids(np.concatenate([u, v]))
+    u, v, tier = _parse_chunk(data, comments)
+    ne = int(u.size)
+    uv = np.concatenate([u, v])
+    del u, v
+    vocab, inv = compact_ids(uv)
+    del uv
     if vocab.size > np.iinfo(np.int32).max:
-        raise ValueError("chunk vocabulary exceeds int32 code space")
-    return vocab, inv.astype(np.int32, copy=False), int(u.size), tier
+        raise ValueError("block vocabulary exceeds int32 code space")
+    return vocab, inv.astype(np.int32, copy=False), ne, tier
 
 
-# -- byte-range planning / gzip spill -----------------------------------------
-
-def _scan_ranges(path: str, chunk_bytes: int) -> np.ndarray:
-    """Newline-aligned range offsets: int64 [0, b1, ..., size]."""
-    size = os.path.getsize(path)
-    if size == 0 or chunk_bytes >= size:
-        return np.array([0, size], dtype=np.int64)
-    offs = [0]
-    with open(path, "rb") as fh:
-        pos = chunk_bytes
-        while pos < size:
-            fh.seek(pos)
-            cut = None
-            while True:  # advance to just past the next newline
-                window = fh.read(1 << 16)
-                if not window:
-                    break
-                j = window.find(b"\n")
-                if j >= 0:
-                    cut = pos + j + 1
-                    break
-                pos += len(window)
-            if cut is None or cut >= size:
-                break
-            offs.append(cut)
-            pos = cut + chunk_bytes
-    offs.append(size)
-    return np.array(offs, dtype=np.int64)
-
+# -- the sequential block reader ----------------------------------------------
 
 def _is_gzip(path: str) -> bool:
     if os.fspath(path).endswith(".gz"):
@@ -634,13 +583,53 @@ def _is_gzip(path: str) -> bool:
         return fh.read(2) == b"\x1f\x8b"
 
 
-def _spill_decompress(path: str, spill: str) -> str:
-    """Stream-decompress a gzip file into the spill dir once; the
-    plain copy is then range-seekable for the chunked parse."""
-    out = os.path.join(spill, "plain.el")
-    with gzip.open(path, "rb") as src, open(out, "wb") as dst:
-        shutil.copyfileobj(src, dst, DEFAULT_CHUNK_BYTES)
-    return out
+class _HashingReader:
+    """A binary file whose every read also feeds a hash, booked to the
+    ``ingest.cache`` phase (it is the cache key's work, wherever the
+    read happens)."""
+
+    def __init__(self, fh, h, ctx) -> None:
+        self._fh = fh
+        self._h = h
+        self._ctx = ctx
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._fh.read(size)
+        with self._ctx.phase("ingest.cache"):
+            self._h.update(data)
+        return data
+
+
+def _read_blocks(path: str, gz: bool, h=None, ctx=None):
+    """The file's (decompressed) text as blocks of whole lines.
+
+    One sequential pass, ``BLOCK_BYTES`` at a time, for plain and gzip
+    files alike: the partial last line of each read carries into the
+    next block.  With a hash ``h`` (and the ``ctx`` that books it),
+    every raw byte read (for gzip, the compressed bytes) also feeds
+    ``h``, so the cache key needs no second read of the file.
+    """
+    with open(path, "rb") as raw:
+        src = raw if h is None else _HashingReader(raw, h, ctx)
+        stream = gzip.GzipFile(fileobj=src, mode="rb") if gz else src
+        carry = b""
+        blocks = 0
+        while True:
+            data = stream.read(BLOCK_BYTES)
+            if not data:
+                break
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                carry += data
+                continue
+            block = b"".join((carry, memoryview(data)[:cut]))
+            carry = data[cut:]
+            del data  # only the block stays alive while it is parsed
+            blocks += 1
+            yield block
+        # An unterminated last line, or an empty file's one empty block.
+        if carry or not blocks:
+            yield carry
 
 
 # -- digest-keyed binary cache -------------------------------------------------
@@ -930,241 +919,121 @@ def cache_store(cdir: str, apath: str, comments: str, g: CSRGraph,
         return False
 
 
-# -- out-of-core CSR build -----------------------------------------------------
+# -- the in-memory CSR build --------------------------------------------------
 
-def _spill_chunks(vocab_path: str, codes_path: str, metas, vocab_global):
-    """Each spilled chunk as ``(remap, codes, ne)``, in order.
-
-    ``remap`` maps the chunk's vocabulary codes to global rows;
-    ``codes`` holds the chunk's ``ne`` u codes, then its ``ne`` v codes.
-    """
-    with open(vocab_path, "rb") as vf, open(codes_path, "rb") as cf:
-        for nv, ne in metas:
-            vocab_c = np.fromfile(vf, np.int64, nv)
-            codes = np.fromfile(cf, np.int32, 2 * ne)
-            if vocab_c.size != nv or codes.size != 2 * ne:
-                raise RuntimeError("ingest spill is truncated")
-            yield np.searchsorted(vocab_global, vocab_c), codes, ne
-
-
-def _iter_spill(vocab_path: str, codes_path: str, metas, vocab_global):
-    """Decode spilled chunks back to global-id edge arrays, in order."""
-    for remap, codes, ne in _spill_chunks(vocab_path, codes_path, metas,
-                                          vocab_global):
-        cu = remap[codes[:ne]]
-        cv = remap[codes[ne:]]
-        keep = cu != cv  # self-loops dropped, exactly like from_edges
-        yield cu[keep], cv[keep]
-
-
-def _spill_rows_c(fn, remap, codes, ne: int, cur, end=None,
+def _canon_rows_c(fn, remap, codes, ne: int, cur, end=None,
                   adj=None) -> int:
-    """One chunk through ``repro_spill_rows``; its kept edge count.
+    """One block through ``repro_canon_rows``; its kept edge count.
 
-    Counts into ``cur`` when ``adj`` is None, else scatters into
-    ``adj``.  The C checks every code, row and cursor before indexing
-    with it; a violation means the spill contradicts itself, and
-    raises ``RuntimeError`` instead of building a wrong CSR.
+    Counts into ``cur`` when ``adj`` is None, else scatters into the
+    int32 ``adj``.  Python checks the codes' length, the C every code,
+    row and cursor before indexing with it; a violation means the
+    blocks contradict themselves, and raises ``RuntimeError`` instead
+    of building a wrong CSR.
     """
     remap = np.ascontiguousarray(remap, dtype=np.int64)
+    codes = np.ascontiguousarray(codes, dtype=np.int32)
+    if codes.size != 2 * ne:
+        raise RuntimeError("ingest block is truncated: its codes do not "
+                           "hold two per edge")
     kept = fn(codes.ctypes.data, ne, remap.ctypes.data, remap.size,
               cur.size, cur.ctypes.data,
               None if end is None else end.ctypes.data,
               None if adj is None else adj.ctypes.data)
     if kept == -1:
-        raise RuntimeError("ingest spill is inconsistent: a code or row "
+        raise RuntimeError("ingest blocks are inconsistent: a code or row "
                            "lies outside its vocabulary")
     if kept == -2:
-        raise RuntimeError("ingest spill is inconsistent: a row got more "
+        raise RuntimeError("ingest blocks are inconsistent: a row got more "
                            "entries than the degree pass counted")
     return kept
 
 
-def _release_pages(mm, lo_e: int | None = None,
-                   hi_e: int | None = None) -> None:
-    """Drop a memmap's pages (entries [lo_e, hi_e) only, if given).
-
-    Keeps the duplicate adjacency from accumulating in RSS.  No flush
-    needed: for a shared file mapping MADV_DONTNEED only unmaps the
-    PTEs — dirty pages stay in the page cache and later reads see them.
-    """
-    try:
-        if lo_e is None:
-            mm._mmap.madvise(mmap.MADV_DONTNEED)
-            return
-        page = mmap.PAGESIZE  # the range, page-aligned outward
-        start = (lo_e * mm.itemsize) // page * page
-        stop = min(mm.nbytes, -(-(hi_e * mm.itemsize) // page) * page)
-        if stop > start:
-            mm._mmap.madvise(mmap.MADV_DONTNEED, start, stop - start)
-    except (AttributeError, OSError, ValueError):
-        pass
+def _build_from_edges(blocks, vocab_global, ctx, name: str) -> CSRGraph:
+    """The build without the compiled library (or for n >= 2**31):
+    the blocks decoded to global ids, then ``from_edges``, the legacy
+    reader's own builder."""
+    with ctx.phase("ingest.scatter"):
+        us = [np.empty(0, np.int64)]
+        vs = [np.empty(0, np.int64)]
+        while blocks:
+            vocab, codes, ne = blocks.pop(0)
+            remap = np.searchsorted(vocab_global, vocab)
+            us.append(remap[codes[:ne]])
+            vs.append(remap[codes[ne:]])
+        u = np.concatenate(us)
+        v = np.concatenate(vs)
+        del us, vs
+    with ctx.phase("ingest.compact"):
+        return from_edges(u, v, n=int(vocab_global.size), name=name)
 
 
-def _scatter_numpy(chunks, cursor, adj, key_dtype) -> None:
-    """The NumPy scatter: per chunk and direction, a stable sort by row,
-    then windowed writes at the row cursors."""
-    for cu, cv in chunks:
-        # One direction at a time keeps the transient arrays at half a
-        # chunk's edges.
-        for src, dst in ((cu, cv), (cv, cu)):
-            if not src.size:
-                continue
-            order = np.argsort(src.astype(key_dtype, copy=False),
-                               kind="stable")
-            src = src[order]
-            dst = dst[order]
-            run_start = np.concatenate(
-                [[0], np.flatnonzero(src[1:] != src[:-1]) + 1])
-            uniq = src[run_start]
-            counts = np.diff(np.concatenate([run_start, [src.size]]))
-            within = np.arange(src.size, dtype=np.int64) \
-                - np.repeat(run_start, counts)
-            pos = cursor[src] + within
-            cursor[uniq] += counts
-            del src, within
-            # pos ascends with the sorted rows, so windowed writes
-            # cover disjoint ranges we can hand straight back to the
-            # kernel — the duplicate adjacency never holds more than
-            # one window's pages in RSS.
-            win = 1 << 16
-            for wlo in range(0, pos.size, win):
-                whi = min(pos.size, wlo + win)
-                adj[pos[wlo:whi]] = dst[wlo:whi]
-                _release_pages(adj, int(pos[wlo]), int(pos[whi - 1]) + 1)
-            del order, dst, pos
-        _malloc_trim()
+def _build_csr(blocks: list, vocab_global: np.ndarray, ctx,
+               name: str) -> CSRGraph:
+    """The CSR of the parsed blocks, built in memory; empties ``blocks``.
 
-
-def _compact_numpy(block, rows, key_dtype):
-    """The NumPy compaction of one row batch: a lexsort by (row, id),
-    then an adjacent dedupe.  Returns (entries, per-row counts)."""
-    nrows = rows.size - 1
-    seg = np.repeat(np.arange(nrows, dtype=key_dtype), np.diff(rows))
-    order = np.lexsort((block.astype(key_dtype, copy=False), seg))
-    s2 = seg[order]
-    b2 = block[order]
-    if b2.size:
-        keep = np.empty(b2.size, bool)
-        keep[0] = True
-        keep[1:] = (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1])
-        s2 = s2[keep]
-        b2 = b2[keep]
-    return b2, np.bincount(s2, minlength=nrows)
-
-
-def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
-                          metas, vocab_global: np.ndarray, ctx,
-                          chunk_bytes: int, name: str) -> CSRGraph:
-    """Two-pass counting sort into a memmap, then per-row compaction.
-
-    Pass 1 streams the spilled chunks to a degree histogram; pass 2
-    scatters both edge directions into an ``np.memmap`` duplicate
-    adjacency under the spill dir; pass 3 walks contiguous row batches,
-    sorts + dedupes each, and appends the final indices to disk.  The
-    coordinator never holds more than one chunk of edges plus O(n)
-    arrays, so peak RSS ~ final CSR + a parse chunk.
-
-    The passes run as C (``repro_spill_rows`` / ``repro_sort_rows``)
-    when the edgeparse library builds, else as NumPy; both give the
-    same CSR.
+    ``blocks`` holds each block's ``(vocab, codes, n_edges)``.  Each
+    kept edge is counted, then scattered once, in the canonical min->max
+    direction, into an int32 adjacency; each row is sorted and deduped
+    in place; the final int64 CSR is then written symmetrized, row r
+    being every s with r in up(s), ascending, then up(r).  Storing one
+    direction in int32 keeps the transient adjacency at a quarter of
+    the final indices (half when the file lists every edge both ways),
+    which is what holds peak RSS under twice the CSR.  The three passes
+    run as C; without the compiled library, or for n >= 2**31, the
+    blocks go through ``from_edges`` instead, which gives the same CSR
+    and is the C path's test oracle.
     """
     n = int(vocab_global.size)
-    spilled = (vocab_path, codes_path, metas, vocab_global)
     funcs = _CPARSER.load()
+    if not funcs or n > np.iinfo(np.int32).max:
+        return _build_from_edges(blocks, vocab_global, ctx, name)
     with ctx.phase("ingest.count"):
-        deg = np.zeros(n, np.int64)
+        for i, (vocab, codes, ne) in enumerate(blocks):
+            blocks[i] = np.searchsorted(vocab_global, vocab), codes, ne
+        rows = np.zeros(n + 1, np.int64)
         kept = 0
-        if funcs:
-            for remap, codes, ne in _spill_chunks(*spilled):
-                kept += _spill_rows_c(funcs["spill_rows"], remap, codes,
-                                      ne, deg)
-        else:
-            for cu, cv in _iter_spill(*spilled):
-                deg += np.bincount(cu, minlength=n)
-                deg += np.bincount(cv, minlength=n)
-        indptr_dup = np.zeros(n + 1, np.int64)
-        np.cumsum(deg, out=indptr_dup[1:])
-        total = int(indptr_dup[-1])
+        for remap, codes, ne in blocks:
+            kept += _canon_rows_c(funcs["canon_rows"], remap, codes, ne,
+                                  rows[1:])
+        np.cumsum(rows, out=rows)
 
-    # Sort keys are row ids < n; int32 halves the radix-sort passes
-    # whenever the graph fits (it always does for real SNAP files).
-    key_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-
-    adj = None
-    adj_path = os.path.join(spill, "adj.bin")
     with ctx.phase("ingest.scatter"):
-        if total:
-            adj = np.memmap(adj_path, dtype=np.int64, mode="w+",
-                            shape=(total,))
-            cursor = indptr_dup[:-1].copy()
-            if funcs:
-                scattered = 0
-                for remap, codes, ne in _spill_chunks(*spilled):
-                    scattered += _spill_rows_c(
-                        funcs["spill_rows"], remap, codes, ne, cursor,
-                        indptr_dup[1:], adj)
-                    # Rows land all over the mapping, so one chunk
-                    # touches most of its pages: dropping them after
-                    # every chunk costs re-faults but holds the
-                    # resident duplicate adjacency to what one chunk
-                    # writes (measured in DESIGN.md, "Ingestion at
-                    # scale").
-                    _release_pages(adj)
-                # No row overflowed, so equal totals mean every row
-                # was filled exactly.
-                if scattered != kept:
-                    raise RuntimeError(
-                        "ingest spill is inconsistent: the scatter kept "
-                        f"{scattered} edges, the degree pass {kept}")
-            else:
-                _scatter_numpy(_iter_spill(*spilled), cursor, adj,
-                               key_dtype)
+        adj = np.empty(kept, np.int32)
+        cursor = rows[:-1].copy()
+        scattered = 0
+        while blocks:
+            remap, codes, ne = blocks.pop(0)
+            scattered += _canon_rows_c(funcs["canon_rows"], remap, codes,
+                                       ne, cursor, rows[1:], adj)
+        del cursor
+        # No row overflowed, so equal totals mean every row was filled
+        # exactly.
+        if scattered != kept:
+            raise RuntimeError(
+                "ingest blocks are inconsistent: the scatter kept "
+                f"{scattered} edges, the degree pass {kept}")
+        _malloc_trim()
 
     with ctx.phase("ingest.compact"):
-        deg_final = np.zeros(n, np.int64)
-        ind_path = os.path.join(spill, "indices.bin")
-        with open(ind_path, "wb") as outf:
-            if total:
-                budget = max(1 << 16, chunk_bytes // 8)  # entries/batch
-                if funcs:
-                    longest = int(deg.max())
-                    out = np.empty(max(budget, longest), np.int64)
-                    tmp = np.empty(longest, np.int64)
-                    nbytes = max(1, ((n - 1).bit_length() + 7) // 8)
-                r0 = 0
-                while r0 < n:
-                    target = int(indptr_dup[r0]) + budget
-                    r1 = int(np.searchsorted(indptr_dup, target,
-                                             side="right")) - 1
-                    r1 = min(n, max(r1, r0 + 1))
-                    block = adj[int(indptr_dup[r0]):int(indptr_dup[r1])]
-                    if funcs:
-                        k = funcs["sort_rows"](
-                            block.ctypes.data, indptr_dup[r0:].ctypes.data,
-                            r1 - r0, nbytes, out.ctypes.data,
-                            tmp.ctypes.data, deg_final[r0:].ctypes.data)
-                        out[:k].tofile(outf)
-                    else:
-                        b2, deg_final[r0:r1] = _compact_numpy(
-                            np.asarray(block), indptr_dup[r0:r1 + 1],
-                            key_dtype)
-                        b2.tofile(outf)
-                        del b2
-                    del block
-                    _release_pages(adj)
-                    r0 = r1
-        if adj is not None:
-            # Return the duplicate adjacency's pages before the final
-            # arrays materialize — this is what keeps peak RSS at
-            # "final CSR + a chunk", not "CSR + 2m duplicates".
-            _release_pages(adj)
-            del adj
+        updeg = np.empty(n, np.int64)
+        longest = int(np.diff(rows).max()) if n else 0
+        tmp = np.empty(longest, np.int32)
+        nbytes = max(1, ((n - 1).bit_length() + 7) // 8)
+        total = funcs["sort_rows"](adj.ctypes.data, rows.ctypes.data, n,
+                                   nbytes, tmp.ctypes.data,
+                                   updeg.ctypes.data)
+        del tmp, rows
+        indptr = np.empty(n + 1, np.int64)
+        indices = np.empty(2 * total, np.int64)
+        cur = np.empty(n, np.int64)
+        if funcs["symmetrize"](adj.ctypes.data, total, updeg.ctypes.data,
+                               n, cur.ctypes.data, indptr.ctypes.data,
+                               indices.ctypes.data):
+            raise RuntimeError("ingest build is inconsistent: a deduped "
+                               "row holds an entry outside its range")
+        del adj, cur, updeg
         _malloc_trim()
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(deg_final, out=indptr[1:])
-        indices = np.fromfile(ind_path, np.int64) if total \
-            else np.empty(0, np.int64)
     return CSRGraph(indptr=indptr, indices=indices, name=name)
 
 
@@ -1172,19 +1041,17 @@ def _build_csr_from_spill(spill: str, vocab_path: str, codes_path: str,
 
 def ingest_report(path, *, comments: str = "#", name: str | None = None,
                   ctx=None, backend: str | None = None,
-                  workers: int | None = None,
-                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                  cache: bool = True, cache_dir=None, spill_dir=None,
-                  force: bool = False) -> tuple[CSRGraph, dict]:
+                  workers: int | None = None, cache: bool = True,
+                  cache_dir=None, force: bool = False
+                  ) -> tuple[CSRGraph, dict]:
     """:func:`ingest`, plus a report dict (timings, tiers, cache mode)."""
     apath = os.path.abspath(os.fspath(path))
     st = os.stat(apath)  # missing file raises here, like open() would
-    if chunk_bytes < 1 << 12:
-        chunk_bytes = 1 << 12
     t0 = time.perf_counter()
     report: dict = {"path": apath, "file_bytes": int(st.st_size),
                     "cached": False,
                     "backend": None, "workers": None}
+    gz = _is_gzip(apath)
     cdir = resolve_cache_dir(apath, cache_dir, cache)
     sha = None
     if cdir and not force:
@@ -1194,7 +1061,7 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
             # that did not run read None (phase_walls {}).
             wall = time.perf_counter() - t0
             report.update(cached=mode, n=int(g.n), m=int(g.m),
-                          digest=g.content_digest, gz=_is_gzip(apath),
+                          digest=g.content_digest, gz=gz,
                           raw_bytes=None, edges_in=None, ranges=None,
                           wall_s=wall, phase_walls={}, parser_used=None,
                           mb_per_s=st.st_size / 1e6 / max(wall, 1e-9),
@@ -1202,32 +1069,22 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
             return g, report
 
     gname = name or os.path.basename(os.fspath(path))
+    # The cache key is hashed from the bytes the parse reads anyway.
+    hasher = hashlib.sha256() if cdir and sha is None else None
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers)
-    spill = tempfile.mkdtemp(prefix="repro-ingest-",
-                             dir=os.fspath(spill_dir) if spill_dir else None)
     try:
-        with ctx.phase("ingest.scan"):
-            gz = _is_gzip(apath)
-            plain = _spill_decompress(apath, spill) if gz else apath
-            raw_bytes = os.path.getsize(plain)
-            offs = _scan_ranges(plain, chunk_bytes)
-        nr = offs.size - 1
-        vocab_path = os.path.join(spill, "vocab.bin")
-        codes_path = os.path.join(spill, "codes.bin")
-        metas: list[tuple[int, int]] = []
+        blocks: list = []
         tiers: set[str] = set()
         vocab_global = np.empty(0, np.int64)
-        edges_in = 0
-        with ctx.phase("ingest.parse"), open(plain, "rb") as fh, \
-                open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
-            for i in range(nr):
-                vocab, codes, ne, tier = _parse_range(
-                    fh, int(offs[i]), int(offs[i + 1]), comments)
-                vocab.tofile(vf)
-                codes.tofile(cf)
-                metas.append((int(vocab.size), int(ne)))
+        edges_in = raw_bytes = 0
+        with ctx.phase("ingest.parse"):
+            for i, data in enumerate(_read_blocks(apath, gz, hasher, ctx)):
+                raw_bytes += len(data)
+                vocab, codes, ne, tier = _parse_block(data, comments)
+                del data
+                blocks.append((vocab, codes, ne))
                 tiers.add(tier)
-                edges_in += int(ne)
+                edges_in += ne
                 # Both vocabs are already sorted; a radix sort + adjacent
                 # dedupe of the concatenation is several times cheaper
                 # than np.unique's hash path here.
@@ -1239,17 +1096,17 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
                     np.not_equal(cat[1:], cat[:-1], out=keep[1:])
                     cat = cat[keep]
                 vocab_global = cat
-                # Trimming every range costs ~0.7 ms a pop; the heap
-                # high-water only creeps across many ranges, so an
+                # Trimming every block costs ~0.7 ms a pop; the heap
+                # high-water only creeps across many blocks, so an
                 # occasional trim bounds it just as well.
                 if i % 8 == 7:
                     _malloc_trim()
             _malloc_trim()
-        g = _build_csr_from_spill(spill, vocab_path, codes_path, metas,
-                                  vocab_global, ctx, chunk_bytes, gname)
+        nblocks = len(blocks)
+        g = _build_csr(blocks, vocab_global, ctx, gname)
         if cdir:
             with ctx.phase("ingest.cache"):
-                sha = sha or file_digest(apath)
+                sha = sha or hasher.hexdigest()
                 cache_store(cdir, apath, comments, g, sha)
         phases = {k: round(v, 6) for k, v in ctx.wall_by_phase.items()
                   if k.startswith("ingest.")}
@@ -1257,12 +1114,11 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
     finally:
         if owns:
             ctx.close()
-        shutil.rmtree(spill, ignore_errors=True)
 
     wall = time.perf_counter() - t0
     report.update(n=int(g.n), m=int(g.m), digest=g.content_digest,
                   gz=gz, raw_bytes=int(raw_bytes), edges_in=edges_in,
-                  ranges=int(nr), wall_s=wall, phase_walls=phases,
+                  ranges=nblocks, wall_s=wall, phase_walls=phases,
                   parser_used="+".join(sorted(tiers)),
                   backend=backend_used, workers=workers_used,
                   mb_per_s=raw_bytes / 1e6 / max(wall, 1e-9),
@@ -1272,20 +1128,18 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
 
 def ingest(path, *, comments: str = "#", name: str | None = None,
            ctx=None, backend: str | None = None, workers: int | None = None,
-           chunk_bytes: int = DEFAULT_CHUNK_BYTES, cache: bool = True,
-           cache_dir=None, spill_dir=None, force: bool = False) -> CSRGraph:
+           cache: bool = True, cache_dir=None,
+           force: bool = False) -> CSRGraph:
     """Stream an edge-list file (optionally gzipped) into a CSRGraph.
 
     Digest-identical to ``read_edge_list(path, comments)`` on every
-    input both accept, but parses in byte-range chunks with a vectorized
-    tokenizer, builds the CSR out-of-core under a spill directory, and
+    input both accept, but parses the file in blocks with a compiled
+    tokenizer, builds the CSR in memory with compiled passes, and
     memoizes the result in a digest-keyed binary cache (see
     :func:`resolve_cache_dir`).  ``force=True`` re-parses even on a
     cache hit; ``cache=False`` bypasses the cache entirely.
     """
     g, _ = ingest_report(path, comments=comments, name=name, ctx=ctx,
-                         backend=backend, workers=workers,
-                         chunk_bytes=chunk_bytes, cache=cache,
-                         cache_dir=cache_dir, spill_dir=spill_dir,
-                         force=force)
+                         backend=backend, workers=workers, cache=cache,
+                         cache_dir=cache_dir, force=force)
     return g

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..primitives.cbuild import CLibrary, checked_csr
+from ..primitives.cbuild import CLibrary
 from .csr import CSRGraph
 
 _C_SOURCE = r"""
@@ -106,11 +106,11 @@ def peel_degeneracy(g: CSRGraph) -> PeelResult:
 
     Runs the compiled peel when it builds, else the Python loop; the
     two return identical ``order``, ``coreness`` and ``degeneracy``.
-    The CSR arrays are bounds-checked
-    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths, and
-    ``g`` is never modified.
+    Both paths read ``g``'s bounds-checked arrays
+    (:attr:`~repro.graphs.csr.CSRGraph.checked_arrays`), and ``g`` is
+    never modified.
     """
-    indptr, indices = checked_csr(g.indptr, g.indices, g.n)
+    indptr, indices = g.checked_arrays
     fn = _CPEEL.load()
     if fn is None:
         return _peel_python(g)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import log2_ceil
-from ..primitives.cbuild import CLibrary, checked_csr
+from ..primitives.cbuild import CLibrary
 from ..primitives.kernels import batch_neighbors
 from ..primitives.sorting import argsort_by, sort_books
 from ..runtime import ExecutionContext
@@ -254,8 +254,8 @@ def adg_ordering(
 
     The avg variant runs the compiled pass when it builds, else the
     NumPy loop (ADG-M always runs the NumPy loop); both give the same
-    ordering and books.  The CSR is bounds-checked
-    (:func:`~repro.primitives.cbuild.checked_csr`) on both paths.
+    ordering and books.  Both paths read ``g``'s bounds-checked arrays
+    (:attr:`~repro.graphs.csr.CSRGraph.checked_arrays`).
 
     The context (``ctx``, or one built from ``backend``/``workers``)
     is recorded configuration: orderings and accounting are identical
@@ -277,7 +277,7 @@ def adg_ordering(
         raise ValueError("compute_ranks requires sort_batches=True")
     if compute_ranks and update != "push":
         raise ValueError("compute_ranks is fused into the push UPDATE")
-    indptr, indices = checked_csr(g.indptr, g.indices, g.n)
+    indptr, indices = g.checked_arrays
     fn = _CADG.load() if variant == "avg" else None
 
     if ctx is not None:

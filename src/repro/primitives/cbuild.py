@@ -16,7 +16,8 @@ build writes a private temp file and ``os.replace``-s it into place,
 so concurrent builders in separate processes agree on the result.
 
 Compiled code indexes its arrays unchecked, so every CSR handed to it
-first passes :func:`checked_csr`.
+first passes :func:`checked_csr` — once per graph, through the
+``CSRGraph.checked_arrays`` cache.
 """
 
 from __future__ import annotations

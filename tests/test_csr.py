@@ -221,3 +221,57 @@ class TestMutationCacheInvalidation:
         g.invalidate_caches()
         g.invalidate_caches()  # nothing cached: still fine
         assert g.max_degree == 2
+
+
+class TestCheckedArraysOnce:
+    """Every compiled pass reads ``g.checked_arrays``: a graph's CSR is
+    bounds-checked once, and swapped-in arrays are checked again."""
+
+    def _count_checks(self, monkeypatch):
+        import repro.graphs.csr as csr_mod
+
+        calls = []
+        real = csr_mod.checked_csr
+
+        def spy(indptr, indices, n):
+            calls.append(n)
+            return real(indptr, indices, n)
+        monkeypatch.setattr(csr_mod, "checked_csr", spy)
+        return calls
+
+    def test_one_check_per_graph(self, monkeypatch):
+        from repro.coloring import color
+        from repro.graphs import gnm_random
+        from repro.graphs.properties import peel_degeneracy
+
+        calls = self._count_checks(monkeypatch)
+        g = gnm_random(200, 800, seed=4)
+        first = color("JP-ADG", g, seed=0).colors
+        assert calls == [g.n]
+        # ADG, the JP sweep, the ITR level pass and the peel: no rescan.
+        np.testing.assert_array_equal(color("JP-ADG", g, seed=0).colors,
+                                      first)
+        color("DEC-ADG-ITR", g, seed=0)
+        peel_degeneracy(g)
+        assert calls == [g.n]
+        indptr, indices = g.checked_arrays
+        assert indptr is g.indptr and indices is g.indices  # no copy
+
+    def test_replace_arrays_drops_the_check(self, monkeypatch):
+        from repro.coloring.jp import jp_color
+        from repro.graphs.properties import peel_degeneracy
+
+        calls = self._count_checks(monkeypatch)
+        g = from_edges([0, 1], [1, 2], n=3)
+        peel_degeneracy(g)
+        assert len(calls) == 1
+        # Passes replace_arrays' own shape check, names vertex 5 of 3.
+        g.replace_arrays(np.array([0, 1, 3, 4]), np.array([1, 0, 5, 1]))
+        with pytest.raises(ValueError, match="vertices 0..n-1"):
+            peel_degeneracy(g)
+        with pytest.raises(ValueError, match="vertices 0..n-1"):
+            jp_color(g, np.arange(3))
+        assert len(calls) == 3  # a failed check caches nothing
+        g.replace_arrays(np.array([0, 1, 2, 2]), np.array([1, 0]))
+        assert peel_degeneracy(g).degeneracy == 1
+        assert len(calls) == 4

@@ -55,6 +55,17 @@ class TestGreedySequence:
             greedy_color_sequence(small_random,
                                   np.zeros(small_random.n, dtype=np.int64))
 
+    @pytest.mark.parametrize("seq", [[-1, 1, 2, 3, 4, 5],   # wraps to 5
+                                     [0, 1, 2, 3, 4, 6],    # past n - 1
+                                     [0, 1, 2, 3, 4, 4],    # a repeat
+                                     [0, 1, 2, 3, 4]])      # too short
+    def test_out_of_range_sequence_raises(self, seq):
+        # -1 passes an np.unique count but indexes from the end, which
+        # left vertex 0 unranked; an entry >= n must not surface as an
+        # IndexError.
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_color_sequence(ring(6), np.asarray(seq))
+
     def test_order_matters(self):
         """A crown-graph-style instance where order changes quality."""
         # bipartite crown: FF order alternating sides forces many colors

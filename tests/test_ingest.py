@@ -2,14 +2,17 @@
 
 The load-bearing property throughout: for every input the legacy
 reader accepts, ``ingest`` produces a digest-identical CSR — on every
-tokenizer tier, every backend, cold or from the binary cache — and for
-every input the legacy reader rejects, ``ingest`` raises the same
-exception type.
+tokenizer tier, every backend, every block size, cold or from the
+binary cache — and for every input the legacy reader rejects,
+``ingest`` raises the same exception type.
 """
 
 import gzip
 import importlib
+import json
 import os
+import shutil
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -32,12 +35,10 @@ from repro.runtime import ExecutionContext
 # repro.graphs re-exports the ingest() function under the module's name.
 ingest_mod = importlib.import_module("repro.graphs.ingest")
 
-#: "auto" is the tokenizer chain ingest runs (C, then NumPy, then
-#: Python, each taking the chunks it can prove clean); the others name
-#: one tier.
-TIERS = ["auto", "c", "numpy", "python"]
+#: "auto" is the tokenizer chain ingest runs (C, then Python, which
+#: takes the blocks C cannot prove clean); the others name one tier.
+TIERS = ["auto", "c", "python"]
 TIER_FNS = {"auto": parse_edge_bytes, "c": ingest_mod._parse_c,
-            "numpy": ingest_mod._parse_numpy,
             "python": ingest_mod._parse_python}
 
 
@@ -65,16 +66,13 @@ def _on_tier(tier, data):
 @pytest.fixture
 def forced_tier(request, monkeypatch):
     """Start ingest's tokenizer chain at one tier: a no-build library
-    skips C, and a NumPy tokenizer that declines every chunk skips it
-    too.  "auto" leaves the chain as built."""
+    skips C (and builds through ``from_edges``).  "auto" leaves the
+    chain as built."""
     tier = request.param
     if tier == "c":
         _require_c()
-    if tier in ("numpy", "python"):
-        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
     if tier == "python":
-        monkeypatch.setattr(ingest_mod, "_parse_numpy",
-                            lambda data, comments: None)
+        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
     return tier
 
 
@@ -105,11 +103,8 @@ class TestParseEdgeBytes:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_trailing_columns_ignored(self, tier):
-        # NumPy proves only digit/whitespace chunks clean; the chain
-        # hands this one on.
         data = b"0 1 1970-01-01 0.5\n1 2 weight\n"
-        want = None if tier == "numpy" else ([0, 1], [1, 2])
-        assert _on_tier(tier, data) == want
+        assert _on_tier(tier, data) == ([0, 1], [1, 2])
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_comments_and_blank_lines(self, tier):
@@ -118,9 +113,9 @@ class TestParseEdgeBytes:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_single_token_line_raises(self, tier):
-        # The fast tiers decline; Python (and so the chain) raises.
+        # C declines; Python (and so the chain) raises.
         data = b"0 1\n7\n"
-        if tier in ("c", "numpy"):
+        if tier == "c":
             assert _on_tier(tier, data) is None
         else:
             with pytest.raises(ValueError, match="malformed edge line"):
@@ -129,7 +124,7 @@ class TestParseEdgeBytes:
     @pytest.mark.parametrize("tier", TIERS)
     def test_oversized_id_raises_overflow(self, tier):
         data = b"0 " + str(2 ** 64).encode() + b"\n"
-        if tier in ("c", "numpy"):
+        if tier == "c":
             assert _on_tier(tier, data) is None
         else:
             with pytest.raises(OverflowError):
@@ -137,11 +132,9 @@ class TestParseEdgeBytes:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_int64_max_survives(self, tier):
-        # The numpy tier's saturation sentinel must not eat a genuine
-        # INT64_MAX id: it declines, and the chain keeps the id.
         big = 2 ** 63 - 1
-        want = None if tier == "numpy" else ([0], [big])
-        assert _on_tier(tier, b"0 " + str(big).encode() + b"\n") == want
+        assert _on_tier(tier, b"0 " + str(big).encode() + b"\n") \
+            == ([0], [big])
 
     def test_unknown_tier_rejected(self):
         # No tier can be chosen: the keyword is gone.
@@ -161,9 +154,10 @@ class TestParseEdgeBytes:
         data = b"0 1\n1 2\n"
         if ingest_mod._CPARSER.load() is not None:
             assert ingest_mod._parse_chunk(data, "#")[2] == "c"
+        # Signed ids: C declines, Python parses.
+        assert ingest_mod._parse_chunk(b"-1 2\n", "#")[2] == "python"
         monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
-        assert ingest_mod._parse_chunk(data, "#")[2] == "numpy"
-        assert ingest_mod._parse_chunk(b"0 1 x\n", "#")[2] == "python"
+        assert ingest_mod._parse_chunk(data, "#")[2] == "python"
 
 
 class TestCompactIds:
@@ -214,13 +208,15 @@ class TestDigestIdentity:
             assert rep["parser_used"] == forced_tier
 
     @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
-    def test_every_tier_cold_and_cached(self, tmp_path, forced_tier):
+    def test_every_tier_cold_and_cached(self, tmp_path, forced_tier,
+                                        monkeypatch):
         g0 = gnm_random(200, 1500, seed=4)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
         ref = read_edge_list(path).content_digest
         cdir = str(tmp_path / "cache")
-        cold, r1 = ingest_report(path, cache_dir=cdir, chunk_bytes=1 << 12)
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 1 << 12)
+        cold, r1 = ingest_report(path, cache_dir=cdir)
         warm, r2 = ingest_report(path, cache_dir=cdir)
         assert (r1["cached"], r2["cached"]) == (False, "stat")
         assert cold.content_digest == warm.content_digest == ref
@@ -236,24 +232,52 @@ class TestDigestIdentity:
         assert _ingest(gz).content_digest == \
             read_edge_list(raw).content_digest
 
-    def test_many_chunks(self, tmp_path):
-        # Force several byte ranges so cross-chunk vocab merging and
-        # the out-of-core build loop actually run.
+    def test_many_chunks(self, tmp_path, monkeypatch):
+        # Force several blocks so cross-block vocab merging and the
+        # per-block build loops actually run.
         g0 = gnm_random(300, 2400, seed=5)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
-        got = _ingest(path, chunk_bytes=1 << 12)
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 1 << 12)
+        got, rep = ingest_report(path, cache=False)
+        assert rep["ranges"] > 1
         ref = read_edge_list(path)
         assert got.content_digest == ref.content_digest
 
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("block", [37, 1 << 12])
+    def test_both_ways_across_blocks(self, tmp_path, monkeypatch, gz,
+                                     block):
+        # Every edge listed in both directions, grouped by source like
+        # a SNAP export, read in blocks that cut lines (37 bytes) or
+        # span many (4 KiB): the two directions of an edge land in
+        # different blocks and must merge into one.
+        g0 = gnm_random(400, 3000, seed=12)
+        src, dst = g0.edge_array()
+        text = "# both ways\n" + "".join(
+            f"{a * 7 + 3} {b * 7 + 3}\n"
+            for a, b in zip(src.tolist(), dst.tolist()))
+        path = _write(tmp_path, text)
+        ref = read_edge_list(path)
+        if gz:
+            with gzip.open(path + ".gz", "wt") as fh:
+                fh.write(text)
+            path += ".gz"
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", block)
+        got, rep = ingest_report(path, cache=False)
+        assert rep["ranges"] > 1
+        assert rep["raw_bytes"] == len(text)
+        assert got.content_digest == ref.content_digest
+        assert (got.n, got.m) == (g0.n, g0.m)
+
     @pytest.mark.parametrize("backend", ["threaded"])
-    def test_backend_parity(self, tmp_path, backend):
+    def test_backend_parity(self, tmp_path, backend, monkeypatch):
         g0 = gnm_random(200, 1500, seed=9)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
         ref = read_edge_list(path)
-        got = _ingest(path, backend=backend, workers=2,
-                      chunk_bytes=1 << 12)
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 1 << 12)
+        got = _ingest(path, backend=backend, workers=2)
         assert got.content_digest == ref.content_digest
 
     @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
@@ -281,17 +305,17 @@ class TestDigestIdentity:
         # parse, unwrapped, with no retry.
         path = _write(tmp_path, "1 2\n3 x\n")
         calls = []
-        real = ingest_mod._parse_range
+        real = ingest_mod._parse_block
 
-        def spy(fh, start, end, comments):
-            calls.append((start, end))
-            return real(fh, start, end, comments)
+        def spy(data, comments):
+            calls.append(data)
+            return real(data, comments)
 
-        monkeypatch.setattr(ingest_mod, "_parse_range", spy)
+        monkeypatch.setattr(ingest_mod, "_parse_block", spy)
         with pytest.raises(ValueError, match="invalid literal") as ei:
             _ingest(path, backend=backend, workers=workers)
         assert ei.value.__cause__ is None
-        assert calls == [(0, 8)]
+        assert calls == [b"1 2\n3 x\n"]
 
 
 # -- the binary cache ---------------------------------------------------------
@@ -359,7 +383,6 @@ class TestCache:
         path = self._file(tmp_path)
         cdir = str(tmp_path / "cache")
         ingest_report(path, cache_dir=cdir)
-        import shutil
         copy = str(tmp_path / "copy.el")
         shutil.copy(path, copy)
         _, r = ingest_report(copy, cache_dir=cdir)
@@ -411,6 +434,56 @@ class TestCache:
             np.testing.assert_array_equal(color(algorithm, old).colors,
                                           color(algorithm, g).colors)
 
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_cold_parse_hashes_while_reading(self, tmp_path, monkeypatch,
+                                             gz):
+        # The cache key is hashed in the block reader's loop (for gzip,
+        # over the compressed bytes): file_digest never re-reads the
+        # file, yet the manifest holds the file's sha256 and a moved
+        # copy still hits on it.
+        path = self._file(tmp_path)
+        if gz:
+            with open(path, "rb") as src, gzip.open(path + ".gz",
+                                                    "wb") as dst:
+                dst.write(src.read())
+            path += ".gz"
+        want = file_digest(path)
+        cdir = tmp_path / "cache"
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 1 << 12)
+        with mock.patch.object(ingest_mod, "file_digest",
+                               side_effect=AssertionError("re-read")):
+            ingest_report(path, cache_dir=str(cdir))
+        (man,) = cdir.glob("*.json")
+        assert json.loads(man.read_text())["file_sha256"] == want
+        copy = str(tmp_path / ("copy.el.gz" if gz else "copy.el"))
+        shutil.copy(path, copy)
+        _, r = ingest_report(copy, cache_dir=str(cdir))
+        assert r["cached"] == "digest"
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_cold_ingest_writes_only_the_cache(self, tmp_path, monkeypatch,
+                                               gz):
+        # No spill or scratch file: the temp dir stays empty and the
+        # only new files are the cache entry's npz and manifest.
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        src = tmp_path / "src"
+        src.mkdir()
+        path = self._file(src)
+        if gz:
+            with open(path, "rb") as fin, gzip.open(path + ".gz",
+                                                    "wb") as dst:
+                dst.write(fin.read())
+            path += ".gz"
+        cdir = tmp_path / "cache"
+        before = sorted(p.name for p in src.iterdir())
+        ingest_report(path, cache_dir=str(cdir), force=True)
+        assert list(tmp.iterdir()) == []
+        assert sorted(p.name for p in src.iterdir()) == before
+        assert sorted(p.suffix for p in cdir.iterdir()) == [".json", ".npz"]
+
     def test_file_digest_matches_hashlib(self, tmp_path):
         import hashlib
         path = self._file(tmp_path)
@@ -421,11 +494,14 @@ class TestCache:
 
 # -- the compiled CSR build ---------------------------------------------------
 
-def _assert_builds_agree(path, **kw):
-    """The compiled build's CSR equals the NumPy build's; returns it."""
-    got = _ingest(path, **kw)
-    with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()):
-        ref = _ingest(path, **kw)
+def _assert_builds_agree(path, block=None):
+    """The compiled build's CSR equals the ``from_edges`` build's (the
+    no-compiler path); returns it.  ``block`` sets the block size."""
+    with mock.patch.object(ingest_mod, "BLOCK_BYTES",
+                           block or ingest_mod.BLOCK_BYTES):
+        got = _ingest(path)
+        with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()):
+            ref = _ingest(path)
     assert got.content_digest == ref.content_digest
     np.testing.assert_array_equal(got.indptr, ref.indptr)
     np.testing.assert_array_equal(got.indices, ref.indices)
@@ -433,8 +509,8 @@ def _assert_builds_agree(path, **kw):
 
 
 def _row_lengths_text(rng):
-    """Edges whose duplicate-adjacency rows have 0, 1, 16, 17 and ~3000
-    entries, with repeats, in shuffled order."""
+    """Edges whose canonical rows have 0, 1, 16, 17 and ~3000 entries,
+    with repeats, in shuffled order."""
     lines = ["7000 7000"]                                  # a row of 0
     lines += ["8000 8001"]                                 # rows of 1
     # Rows of 16 and 17 entries, distinct and with repeats.
@@ -450,7 +526,8 @@ def _row_lengths_text(rng):
 
 
 class TestCompiledBuild:
-    """The C count/scatter/compact passes against the NumPy oracle."""
+    """The C count/scatter/sort/symmetrize passes against the
+    ``from_edges`` oracle."""
 
     def test_row_lengths_both_sort_branches(self, tmp_path):
         _require_c()
@@ -470,7 +547,7 @@ class TestCompiledBuild:
         lines = [f"{i} {i + 1}" for i in range(1, n - 1)]
         lines += [f"0 {h}" for h in hub.tolist()]
         path = _write(tmp_path, "".join(f"{x}\n" for x in lines))
-        g = _assert_builds_agree(path, chunk_bytes=1 << 16)
+        g = _assert_builds_agree(path, block=1 << 16)
         assert g.n == n
 
     def test_duplicates_and_self_loop_lines(self, tmp_path):
@@ -499,20 +576,25 @@ class TestCompiledBuild:
         g0 = kronecker(scale=9, edge_factor=8, seed=6)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
-        got = _assert_builds_agree(path, chunk_bytes=4096,
-                                   backend="threaded", workers=2)
+        with mock.patch.object(ingest_mod, "BLOCK_BYTES", 4096):
+            got = _ingest(path, backend="threaded", workers=2)
+        assert got.content_digest == _assert_builds_agree(
+            path, block=4096).content_digest
         assert got.content_digest == read_edge_list(path).content_digest
 
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
                     max_size=400))
     @settings(max_examples=40, deadline=None)
     def test_property_c_matches_numpy(self, tmp_path_factory, edges):
+        # The oracle is from_edges, the NumPy build.
         _require_c()
         tmp = tmp_path_factory.mktemp("cbuild")
         path = _write(tmp, "".join(f"{a} {b}\n" for a, b in edges))
-        _assert_builds_agree(path, chunk_bytes=4096)
+        _assert_builds_agree(path, block=4096)
 
     def test_numpy_build_without_library(self, tmp_path):
+        # No compiled library: the blocks go through from_edges (the
+        # NumPy build the legacy reader uses), and no C pass runs.
         g0 = gnm_random(150, 900, seed=8)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
@@ -525,94 +607,88 @@ class TestCompiledBuild:
             return wrapped
 
         with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()), \
-                mock.patch.object(ingest_mod, "_scatter_numpy",
-                                  spy("scatter", ingest_mod._scatter_numpy)), \
-                mock.patch.object(ingest_mod, "_compact_numpy",
-                                  spy("compact", ingest_mod._compact_numpy)), \
-                mock.patch.object(ingest_mod, "_spill_rows_c",
-                                  spy("c", ingest_mod._spill_rows_c)):
-            got = _ingest(path, chunk_bytes=4096)
-        assert "scatter" in calls and "compact" in calls
-        assert "c" not in calls
+                mock.patch.object(ingest_mod, "BLOCK_BYTES", 4096), \
+                mock.patch.object(ingest_mod, "from_edges",
+                                  spy("from_edges", ingest_mod.from_edges)), \
+                mock.patch.object(ingest_mod, "_canon_rows_c",
+                                  spy("c", ingest_mod._canon_rows_c)):
+            got, rep = ingest_report(path, cache=False)
+        assert calls == ["from_edges"]
+        assert rep["ranges"] > 1 and rep["parser_used"] == "python"
+        assert set(rep["phase_walls"]) == {"ingest.parse", "ingest.scatter",
+                                           "ingest.compact"}
         assert got.content_digest == read_edge_list(path).content_digest
 
 
-def _spill(tmp_path, chunks, vocab_global):
-    """Write a hand-made spill: chunks are (chunk vocab, codes) pairs."""
-    vocab_path = str(tmp_path / "vocab.bin")
-    codes_path = str(tmp_path / "codes.bin")
-    metas = []
-    with open(vocab_path, "wb") as vf, open(codes_path, "wb") as cf:
-        for vocab, codes in chunks:
-            np.asarray(vocab, np.int64).tofile(vf)
-            np.asarray(codes, np.int32).tofile(cf)
-            metas.append((len(vocab), len(codes) // 2))
-    return vocab_path, codes_path, metas, np.asarray(vocab_global, np.int64)
+def _blocks(chunks):
+    """Hand-made parsed blocks: chunks are (block vocab, codes) pairs."""
+    return [(np.asarray(vocab, np.int64), np.asarray(codes, np.int32),
+             len(codes) // 2) for vocab, codes in chunks]
 
 
-def _build(tmp_path, spilled):
+def _build(blocks, vocab_global):
     with ExecutionContext(backend="serial") as ctx:
-        return ingest_mod._build_csr_from_spill(
-            str(tmp_path), *spilled, ctx, 4096, "spill")
+        return ingest_mod._build_csr(
+            blocks, np.asarray(vocab_global, np.int64), ctx, "blocks")
 
 
 class TestCompiledBuildGuards:
-    """An inconsistent spill raises on the C path, never builds a CSR."""
+    """Inconsistent in-memory blocks raise on the C path, never build a
+    CSR."""
 
-    def test_consistent_spill_builds(self, tmp_path):
+    def test_consistent_spill_builds(self):
         _require_c()
-        # Edges 10-20, 20-30, 30-30 (a self-loop), in two chunks.
-        spilled = _spill(tmp_path, [([10, 20], [0, 1, 1, 0]),
-                                    ([20, 30], [0, 1, 1, 1])],
-                         [10, 20, 30])
-        g = _build(tmp_path, spilled)
+        # Edges 10-20, 20-30, 30-30 (a self-loop), in two blocks.
+        blocks = _blocks([([10, 20], [0, 1, 1, 0]),
+                          ([20, 30], [0, 1, 1, 1])])
+        g = _build(blocks, [10, 20, 30])
+        assert blocks == []
         assert g.indptr.tolist() == [0, 1, 3, 4]
         assert g.indices.tolist() == [1, 0, 2, 1]
 
     @pytest.mark.parametrize("bad", [2, -1])
-    def test_code_outside_chunk_vocab(self, tmp_path, bad):
+    def test_code_outside_chunk_vocab(self, bad):
         _require_c()
-        spilled = _spill(tmp_path, [([10, 20], [0, bad, 1, 0])],
-                         [10, 20])
+        blocks = _blocks([([10, 20], [0, bad, 1, 0])])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
-            _build(tmp_path, spilled)
+            _build(blocks, [10, 20])
 
-    def test_chunk_id_beyond_global_vocab(self, tmp_path):
+    def test_chunk_id_beyond_global_vocab(self):
         _require_c()
-        spilled = _spill(tmp_path, [([10, 99], [0, 1])], [10, 20])
+        blocks = _blocks([([10, 99], [0, 1])])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
-            _build(tmp_path, spilled)
+            _build(blocks, [10, 20])
 
-    def test_truncated_spill(self, tmp_path):
-        vocab_path, codes_path, metas, vg = _spill(
-            tmp_path, [([10, 20], [0, 1])], [10, 20])
-        metas = [(2, 5)]  # claims five edges, the file holds one
+    def test_truncated_spill(self):
+        # A block claiming five edges with one edge's codes never
+        # reaches the C.
+        _require_c()
+        blocks = [(np.array([10, 20]), np.array([0, 1], np.int32), 5)]
         with pytest.raises(RuntimeError, match="truncated"):
-            _build(tmp_path, (vocab_path, codes_path, metas, vg))
+            _build(blocks, [10, 20])
 
     def test_row_cursor_cannot_pass_its_end(self):
         _require_c()
-        fn = ingest_mod._cfunc("spill_rows")
+        fn = ingest_mod._cfunc("canon_rows")
         remap = np.arange(3, dtype=np.int64)
         codes = np.array([0, 0, 1, 2], np.int32)  # edges 0-1, 0-2
         cursor = np.array([0, 1, 2], np.int64)
         end = np.array([1, 2, 3], np.int64)       # row 0 holds one entry
-        adj = np.full(3, -1, np.int64)
+        adj = np.full(3, -1, np.int32)
         with pytest.raises(RuntimeError, match="more entries"):
-            ingest_mod._spill_rows_c(fn, remap, codes, 2, cursor, end, adj)
+            ingest_mod._canon_rows_c(fn, remap, codes, 2, cursor, end, adj)
+        assert adj.tolist() == [1, -1, -1]
 
-    def _shifting_spill(self, corrupt):
-        """A spill whose second read (the scatter) differs from the first."""
-        real = ingest_mod._spill_chunks
-        reads = []
+    def _shifting_blocks(self, corrupt):
+        """Blocks whose codes change between the degree pass and the
+        scatter."""
+        real = ingest_mod._canon_rows_c
 
-        def chunks(*a):
-            reads.append(1)
-            for remap, codes, ne in real(*a):
-                if len(reads) > 1:
-                    codes = corrupt(codes.copy(), ne)
-                yield remap, codes, ne
-        return mock.patch.object(ingest_mod, "_spill_chunks", chunks)
+        def rows(fn, remap, codes, ne, cur, end=None, adj=None):
+            if adj is not None:
+                codes = corrupt(codes.copy(), ne)
+            return real(fn, remap, codes, ne, cur, end, adj)
+        return mock.patch.object(ingest_mod, "_canon_rows_c", rows)
 
     def test_scatter_overflow_raises_from_ingest(self, tmp_path):
         _require_c()
@@ -621,7 +697,7 @@ class TestCompiledBuildGuards:
         def all_from_row0(codes, ne):
             codes[:ne] = 0
             return codes
-        with self._shifting_spill(all_from_row0), \
+        with self._shifting_blocks(all_from_row0), \
                 pytest.raises(RuntimeError, match="more entries"):
             _ingest(path)
 
@@ -632,9 +708,34 @@ class TestCompiledBuildGuards:
         def self_loop(codes, ne):
             codes[ne] = codes[0]  # the first edge becomes a self-loop
             return codes
-        with self._shifting_spill(self_loop), \
+        with self._shifting_blocks(self_loop), \
                 pytest.raises(RuntimeError, match="the scatter kept"):
             _ingest(path)
+
+    @pytest.mark.parametrize("bad", ["not_above_row", "beyond_n",
+                                     "counts_overrun"])
+    def test_symmetrize_rejects_bad_rows(self, bad):
+        _require_c()
+        fn = ingest_mod._cfunc("symmetrize")
+        up = np.array([1, 2, 2], np.int32)        # 0: {1, 2}, 1: {2}
+        updeg = np.array([2, 1, 0], np.int64)
+        if bad == "not_above_row":
+            up[2] = 1
+        elif bad == "beyond_n":
+            up[1] = 3
+        else:
+            updeg[2] = 1
+        indptr = np.empty(4, np.int64)
+        indices = np.empty(6, np.int64)
+        cur = np.empty(3, np.int64)
+        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3, cur.ctypes.data,
+                  indptr.ctypes.data, indices.ctypes.data) == -1
+        up[:] = [1, 2, 2]
+        updeg[:] = [2, 1, 0]
+        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3, cur.ctypes.data,
+                  indptr.ctypes.data, indices.ctypes.data) == 0
+        assert indptr.tolist() == [0, 2, 4, 6]
+        assert indices.tolist() == [1, 2, 0, 2, 0, 1]
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -647,8 +748,9 @@ class TestReport:
         got, rep = ingest_report(path, cache=False)
         assert rep["n"] == got.n and rep["m"] == got.m
         assert rep["digest"] == got.content_digest
-        assert rep["parser_used"] in ("c", "numpy", "python")
-        assert set(rep["phase_walls"]) >= {"ingest.scan", "ingest.parse"}
+        assert rep["parser_used"] in ("c", "python")
+        assert set(rep["phase_walls"]) >= {"ingest.parse", "ingest.scatter",
+                                           "ingest.compact"}
         assert rep["wall_s"] > 0 and rep["ranges"] >= 1
 
     @pytest.mark.parametrize("gz", [False, True])

@@ -553,20 +553,20 @@ class TestCAndPythonAgree:
         rnd.shuffle(perm)
         # Ranks need only be distinct, not 0..n-1.
         ranks = np.asarray(perm, dtype=np.int64) * 3 - 7
-        _assert_same(sweep.rank_sweep(g.indptr, g.indices, ranks),
+        _assert_same(sweep.rank_sweep(g, ranks),
                      _python_sweep(g.indptr, g.indices, ranks))
 
     def test_kronecker_random_order(self):
         _require_c()
         g = kronecker(scale=11, edge_factor=8, seed=1)
         ranks = np.random.default_rng(4).permutation(g.n)
-        _assert_same(sweep.rank_sweep(g.indptr, g.indices, ranks),
+        _assert_same(sweep.rank_sweep(g, ranks),
                      _python_sweep(g.indptr, g.indices, ranks))
 
     def test_waves_are_the_longest_path_layering(self):
         g = gnm_random(120, 500, seed=2)
         ranks = np.random.default_rng(0).permutation(g.n)
-        s = sweep.rank_sweep(g.indptr, g.indices, ranks)
+        s = sweep.rank_sweep(g, ranks)
         for v in range(g.n):
             nb = g.indices[g.indptr[v]:g.indptr[v + 1]]
             pred = nb[ranks[nb] > ranks[v]]
@@ -666,7 +666,7 @@ class TestCBoundary:
         ref = _python_sweep(g.indptr, g.indices, ranks)
         np.testing.assert_array_equal(colors, ref.colors)
         assert waves == ref.waves
-        _assert_same(sweep.rank_sweep(g.indptr, g.indices, ranks), ref)
+        _assert_same(sweep.rank_sweep(g, ranks), ref)
 
     def test_int32_arrays(self):
         g = GRAPHS["gnm"]()
@@ -724,7 +724,7 @@ class TestCBoundary:
         else:
             indices = np.array([1, 2])
         with pytest.raises(ValueError):
-            sweep.rank_sweep(indptr, indices, ranks)
+            sweep.rank_sweep(CSRGraph(indptr=indptr, indices=indices), ranks)
 
 
 class TestSweepOrder:
@@ -757,6 +757,6 @@ class TestSweepOrder:
         g = ring(ranks.size) if ranks.size > 2 else CSRGraph(
             indptr=np.array([0, 1, 2]), indices=np.array([1, 0]))
         with pytest.raises(ValueError, match="distinct"):
-            sweep.rank_sweep(g.indptr, g.indices, ranks)
+            sweep.rank_sweep(g, ranks)
         with pytest.raises(ValueError, match="distinct"):
             jp_color(g, ranks)
