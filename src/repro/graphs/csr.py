@@ -93,10 +93,12 @@ class CSRGraph:
         """
         h = hashlib.sha256()
         h.update(f"{self.n}:{self.m}:".encode())
-        # Feed the raw buffers (same bytes as .tobytes()) so hashing a
-        # large graph never materializes a second copy of its arrays.
-        h.update(np.ascontiguousarray(self.indptr).data)
-        h.update(np.ascontiguousarray(self.indices).data)
+        # Feed the raw int64 buffers (same bytes as .tobytes()) so
+        # hashing a large int64 graph never materializes a second copy
+        # of its arrays, and an int32 CSR hashes like its int64 twin
+        # (the one checked_arrays swaps in).
+        h.update(np.ascontiguousarray(self.indptr, dtype=np.int64).data)
+        h.update(np.ascontiguousarray(self.indices, dtype=np.int64).data)
         return h.hexdigest()[:16]
 
     @cached_property
@@ -107,12 +109,18 @@ class CSRGraph:
         C-contiguous int64 copies (the arrays themselves when they
         already are), bounds-checked once per graph: every compiled
         pass of a job (ADG, the JP sweep, the ITR level pass, the peel)
-        reads this cache instead of re-scanning the arrays.  A malformed
-        CSR raises ``ValueError`` and caches nothing;
-        :meth:`replace_arrays` drops the cache, so swapped-in arrays
-        are checked again.
+        reads this cache instead of re-scanning the arrays.  When the
+        check had to copy (an int32 CSR, or a member mapped at an odd
+        offset of an older ingest cache), the copies, holding the same
+        values, become the graph's own arrays, so one CSR stays alive,
+        not two.  A malformed CSR raises ``ValueError`` and caches
+        nothing; :meth:`replace_arrays` drops the cache, so swapped-in
+        arrays are checked again.
         """
-        return checked_csr(self.indptr, self.indices, self.n)
+        indptr, indices = checked_csr(self.indptr, self.indices, self.n)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        return indptr, indices
 
     @property
     def avg_degree(self) -> float:

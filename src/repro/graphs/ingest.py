@@ -13,17 +13,25 @@ scale path (DESIGN.md "Ingestion at scale"):
    parse.  With a cache directory the same loop hashes the raw bytes
    for the cache key.  ``backend``/``workers`` are recorded in the
    report and do not change how blocks are parsed;
-2. vertex ids are compacted block-locally (``np.unique`` semantics:
-   sorted distinct ids + inverse codes, never a Python dict) and each
-   block vocabulary is merged as it arrives; a block is kept as its
-   vocabulary and int32 codes;
+2. each block's ids are coded against one running first-seen id
+   space (a compiled hash table: O(n) state, never a Python dict), so
+   a block is kept as its int32 codes alone; sorting the distinct ids
+   once at the end gives ``np.unique`` semantics (ids numbered in
+   sorted order);
 3. the CSR is built in memory by three compiled passes: a degree count
-   and a scatter of each kept edge once, in its canonical min->max
-   direction, into an int32 adjacency; a per-row sort + dedupe in
-   place; and a symmetrization into the final int64 CSR.  Peak RSS
-   stays under twice the final CSR.  Without a compiler (or for
-   n >= 2**31) the blocks go through ``from_edges``, the legacy
-   reader's builder, which is also the compiled build's test oracle;
+   (which also rewrites each code as its vertex) and a scatter of each
+   kept edge once, in its canonical min->max direction, into an int32
+   adjacency; a per-row sort + dedupe in place; and a symmetrization
+   into the final int64 CSR.  Over the interpreter, peak RSS is a few
+   MiB of block transients plus at most 8 bytes per edge line + 24 per
+   vertex while parsing, 12 + 16 while scattering, against the CSR's
+   8 per line (16 when each edge is listed once) + 8 per vertex: under
+   twice the CSR whenever the file has more lines than vertices,
+   1.2-1.6x measured (``bench_ingest.py``).
+   Without a compiler (or past 2**31 - 1 distinct ids) the blocks go
+   through ``from_edges``, the legacy reader's builder and the compiled
+   build's test oracle, which holds every id as int64 at once and has
+   no such bound;
 4. the result is stored in a digest-keyed binary cache
    (``<file-digest>.npz`` + a JSON manifest carrying mtime/size and the
    parse options), so repeat loads are near-instant and the service
@@ -55,6 +63,7 @@ import ctypes
 import glob
 import gzip
 import hashlib
+import io
 import json
 import os
 import time
@@ -68,11 +77,9 @@ from .builders import from_edges
 from .csr import CSRGraph
 
 #: Bytes per read of the block reader.  A block's parse transients
-#: (its bytes, the tokenizer's id arrays, the compaction's buffers) come
-#: to ~8x its size on top of the codes kept so far, so 1 MiB holds the
-#: peak under twice the final CSR even on a file that lists every edge
-#: both ways (2 MiB measured 1.98x there, 1 MiB 1.72x), and is big
-#: enough that the per-block fixed costs vanish.
+#: (its bytes, the tokenizer's id arrays, its codes) come to a few
+#: times its size on top of the codes kept so far: 1 MiB keeps them a
+#: few MiB, and is big enough that the per-block fixed costs vanish.
 BLOCK_BYTES = 1 << 20
 CACHE_SCHEMA = "repro.ingest-cache/v1"
 CACHE_ENV = "REPRO_INGEST_CACHE"
@@ -97,10 +104,11 @@ CACHE_ENV = "REPRO_INGEST_CACHE"
 # tokens (after skipping leading zeros) pay a decimal string compare
 # against INT64_MAX.
 #
-# repro_compact64 is the id-compaction sibling: one linear-probe pass
-# over the parsed ids that assigns first-seen codes, against which the
+# repro_encode is the id-compaction sibling: one linear-probe pass over
+# the parsed ids that assigns first-seen codes against a running table,
+# so a whole file's ids share one code space held in O(n) memory; the
 # caller then applies a sorted-rank permutation to land on np.unique
-# semantics without the O(k log k) argsort of the full value array.
+# semantics, sorting only the distinct ids.
 #
 # repro_canon_rows, repro_sort_rows and repro_symmetrize are the CSR
 # build: the first counts (degree pass) or scatters (into the int32
@@ -220,66 +228,70 @@ long long repro_parse_edges(const unsigned char *b, long long n,
     return m;
 }
 
-/* First-seen-order compaction of k non-negative ids.  keys (size tsize,
-   a power of two, pre-filled with -1) and kcode are the caller's probe
-   table; distinct values land in vocab in first-seen order, codes[j]
-   gets vals[j]'s slot.  Returns the distinct count. */
-long long repro_compact64(const int64_t *vals, long long k,
-                          int64_t *keys, int32_t *kcode, long long tsize,
-                          int64_t *vocab, int32_t *codes)
+/* First-seen-order encoding of k ids against a running table.  slot
+   (tsize entries, a power of two, -1 = empty) holds codes into vocab,
+   whose first d entries are the distinct ids seen so far; an unseen id
+   is appended to vocab and gets the next code.  The caller keeps the
+   table under 2/3 full and vocab room for d + k ids.  codes[j], when
+   codes is not NULL, gets vals[j]'s code.  Returns the new distinct
+   count. */
+long long repro_encode(const int64_t *vals, long long k, int32_t *slot,
+                       long long tsize, int64_t *vocab, long long d,
+                       int32_t *codes)
 {
     const uint64_t mask = (uint64_t)tsize - 1;
-    long long d = 0, j;
+    long long j;
     for (j = 0; j < k; j++) {
-        int64_t xv = vals[j];
-        uint64_t h = (uint64_t)xv;
+        const int64_t x = vals[j];
+        uint64_t h = (uint64_t)x;
         h ^= h >> 33; h *= 0xff51afd7ed558ccdULL; h ^= h >> 33;
         h &= mask;
-        while (keys[h] != -1 && keys[h] != xv)
+        while (slot[h] >= 0 && vocab[slot[h]] != x)
             h = (h + 1) & mask;
-        if (keys[h] == -1) {
-            keys[h] = xv;
-            kcode[h] = (int32_t)d;
-            vocab[d] = xv;
-            d++;
+        if (slot[h] < 0) {
+            slot[h] = (int32_t)d;
+            vocab[d++] = x;
         }
-        codes[j] = kcode[h];
+        if (codes)
+            codes[j] = slot[h];
     }
     return d;
 }
 
 /* One parsed block's share of the CSR build, in the canonical
-   direction: codes holds the block's ne u codes, then its ne v codes,
-   each an index into remap (the block vocabulary's nv global rows, all
-   < n < 2^31).  Self-loops are dropped; every kept edge belongs to the
-   row of its smaller endpoint.  With adj == NULL it counts into cur
-   (the degree pass); otherwise the larger endpoint is written at
-   adj[cur[row]++], never past end[row] (the scatter pass).  Returns the
-   kept edge count, -1 when n, a code or a row is out of range, -2 when
-   a row cursor would pass its end. */
-long long repro_canon_rows(const int32_t *codes, long long ne,
-                           const int64_t *remap, long long nv, long long n,
+   direction: codes holds the block's ne u codes, then its ne v codes.
+   With rank, a code is an index into rank (the nv codes' rows, all
+   < n < 2^31) and is rewritten in place as its row; without, it is a
+   row already (nv == n).  Self-loops are dropped; every kept edge
+   belongs to the row of its smaller endpoint.  With adj == NULL it
+   counts into cur (the degree pass); otherwise the larger endpoint is
+   written at adj[cur[row]++], never past end[row] (the scatter pass).
+   Returns the kept edge count, -1 when n, a code or a row is out of
+   range, -2 when a row cursor would pass its end. */
+long long repro_canon_rows(int32_t *codes, long long ne,
+                           const int32_t *rank, long long nv, long long n,
                            int64_t *cur, const int64_t *end, int32_t *adj)
 {
     long long j, kept = 0;
-    if (n > 2147483647LL) return -1;
-    for (j = 0; j < nv; j++)
-        if (remap[j] < 0 || remap[j] >= n) return -1;
+    if (n > 2147483647LL || (!rank && nv != n)) return -1;
+    for (j = 0; rank && j < nv; j++)
+        if (rank[j] < 0 || rank[j] >= n) return -1;
     for (j = 0; j < ne; j++) {
-        const int32_t a = codes[j], b = codes[ne + j];
-        int64_t lo, hi;
-        if (a < 0 || a >= nv || b < 0 || b >= nv) return -1;
-        lo = remap[a];
-        hi = remap[b];
+        int32_t lo = codes[j], hi = codes[ne + j];
+        if (lo < 0 || lo >= nv || hi < 0 || hi >= nv) return -1;
+        if (rank) {
+            lo = codes[j] = rank[lo];
+            hi = codes[ne + j] = rank[hi];
+        }
         if (lo == hi) continue;
-        if (lo > hi) { const int64_t t = lo; lo = hi; hi = t; }
+        if (lo > hi) { const int32_t t = lo; lo = hi; hi = t; }
         kept++;
         if (!adj) {
             cur[lo]++;
             continue;
         }
         if (cur[lo] >= end[lo]) return -2;
-        adj[cur[lo]++] = (int32_t)hi;
+        adj[cur[lo]++] = hi;
     }
     return kept;
 }
@@ -349,52 +361,53 @@ long long repro_sort_rows(int32_t *adj, const int64_t *rows, long long n,
    entries, each row r's sorted entries (all above r) back to back, and
    updeg[r] counts them.  Row r of the result is every s with r in
    up(s), ascending, then up(r): sorted, since the first part lies below
-   r and the second above.  cur is n entries of scratch; indptr gets
-   n + 1 offsets and indices 2 * total ids.  Returns 0, or -1 when the
-   counts overrun total or an entry is not above its row and below n. */
+   r and the second above.  indptr gets n + 1 offsets (indptr[r] is row
+   r's fill cursor until the final shift) and indices 2 * total ids.
+   Returns 0, or -1 when the counts overrun total or an entry is not
+   above its row and below n. */
 long long repro_symmetrize(const int32_t *up, long long total,
                            const int64_t *updeg, long long n,
-                           int64_t *cur, int64_t *indptr, int64_t *indices)
+                           int64_t *indptr, int64_t *indices)
 {
     long long r, j, w = 0;
-    memset(cur, 0, (size_t)n * sizeof *cur);
+    memset(indptr, 0, (size_t)(n + 1) * sizeof *indptr);
     for (r = 0; r < n; r++) {
         if (updeg[r] < 0 || updeg[r] > total - w) return -1;
         for (j = w; j < w + updeg[r]; j++) {
             if (up[j] <= r || up[j] >= n) return -1;
-            cur[up[j]]++;
+            indptr[up[j] + 1]++;
         }
         w += updeg[r];
     }
     if (w != total) return -1;
-    indptr[0] = 0;
-    for (r = 0; r < n; r++) {
-        indptr[r + 1] = indptr[r] + cur[r] + updeg[r];
-        cur[r] = indptr[r];
-    }
+    for (r = 0; r < n; r++)
+        indptr[r + 1] += indptr[r] + updeg[r];
+    /* indptr[r] now starts row r: advance it as the row fills. */
     for (r = 0, w = 0; r < n; r++) {
         const int32_t *row = up + w;
-        for (j = 0; j < updeg[r]; j++) indices[cur[row[j]]++] = r;
-        for (j = 0; j < updeg[r]; j++) indices[cur[r] + j] = row[j];
+        for (j = 0; j < updeg[r]; j++) indices[indptr[row[j]]++] = r;
+        for (j = 0; j < updeg[r]; j++) indices[indptr[r] + j] = row[j];
+        indptr[r] += updeg[r];
         w += updeg[r];
     }
+    /* Each indptr[r] now ends row r, which is where row r + 1 starts. */
+    for (r = n; r > 0; r--) indptr[r] = indptr[r - 1];
+    indptr[0] = 0;
     return 0;
 }
 """
 
 def _bind_cparser(lib):
     p64 = ctypes.POINTER(ctypes.c_longlong)
-    p32 = ctypes.POINTER(ctypes.c_int)
     fn = lib.repro_parse_edges
     fn.restype = ctypes.c_longlong
     fn.argtypes = [ctypes.c_char_p, ctypes.c_longlong, ctypes.c_ubyte,
                    p64, p64]
-    cp = lib.repro_compact64
-    cp.restype = ctypes.c_longlong
-    cp.argtypes = [p64, ctypes.c_longlong, p64, p32, ctypes.c_longlong,
-                   p64, p32]
     ptr = ctypes.c_void_p
     ll = ctypes.c_longlong
+    en = lib.repro_encode
+    en.restype = ll
+    en.argtypes = [ptr, ll, ptr, ll, ptr, ll, ptr]
     cr = lib.repro_canon_rows
     cr.restype = ll
     cr.argtypes = [ptr, ll, ptr, ll, ll, ptr, ptr, ptr]
@@ -403,8 +416,8 @@ def _bind_cparser(lib):
     so.argtypes = [ptr, ptr, ll, ctypes.c_int, ptr, ptr]
     sy = lib.repro_symmetrize
     sy.restype = ll
-    sy.argtypes = [ptr, ll, ptr, ll, ptr, ptr, ptr]
-    return {"parse": fn, "compact": cp, "canon_rows": cr, "sort_rows": so,
+    sy.argtypes = [ptr, ll, ptr, ll, ptr, ptr]
+    return {"parse": fn, "encode": en, "canon_rows": cr, "sort_rows": so,
             "symmetrize": sy}
 
 
@@ -462,9 +475,9 @@ def _parse_python(data: bytes, comments: str):
     return (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
 
 
-def _parse_chunk(data: bytes, comments: str):
-    """``(u, v, tier)``: C if it built and the chunk scans clean, else
-    Python."""
+def _parse_block(data: bytes, comments: str):
+    """``(u, v, tier)`` of one block of whole lines: C if it built and
+    the block scans clean, else Python."""
     out = _parse_c(data, comments)
     if out is not None:
         return out[0], out[1], "c"
@@ -480,55 +493,100 @@ def parse_edge_bytes(data: bytes,
     tokenizer tier is used and unclean input transparently re-parses
     on the Python tier (which raises the legacy errors).
     """
-    u, v, _ = _parse_chunk(data, comments)
+    u, v, _ = _parse_block(data, comments)
     return u, v
 
 
 # -- id compaction -------------------------------------------------------------
 
-def _compact_c(vals: np.ndarray):
-    """C hash-table compaction, or None when unavailable.
+#: The most distinct ids the compiled build codes (its codes are int32).
+#: A file with more goes through ``from_edges`` instead; tests lower it
+#: to reach that hand-off.
+MAX_CODES = int(np.iinfo(np.int32).max)
 
-    One linear-probe pass assigns first-seen codes; sorting only the
-    distinct values (k log k on the vocabulary, not the full array)
-    then yields the np.unique-identical (sorted vocab, inverse) pair
-    via a rank permutation.  Requires non-negative ids (-1 is the
-    table's empty sentinel), which the tokenizer grammar guarantees.
+
+class _Encoder:
+    """Every parsed id's first-seen int32 code, in one running space.
+
+    ``repro_encode``'s table (int32 codes, -1 empty, kept under 2/3
+    full) and ``vocab`` (the distinct ids in code order) are O(n) state
+    however many blocks a file has, so a parsed block is kept as its
+    int32 codes alone.
     """
-    fn = _cfunc("compact")
-    k = int(vals.size)
-    if fn is None or k >= (1 << 31):
-        return None
-    v64 = np.ascontiguousarray(vals, dtype=np.int64)
-    # Load factor <= 2/3: probe chains stay short while the table
-    # (the per-block transient that dominates this path's footprint)
-    # stays as small as possible.
-    tsize = 1 << max(12, (k + (k >> 1) - 1).bit_length())
-    keys = np.full(tsize, -1, dtype=np.int64)
-    kcode = np.empty(tsize, dtype=np.int32)
-    vocab = np.empty(k, dtype=np.int64)
-    codes = np.empty(k, dtype=np.int32)
-    p64 = ctypes.POINTER(ctypes.c_longlong)
-    p32 = ctypes.POINTER(ctypes.c_int)
-    d = int(fn(v64.ctypes.data_as(p64), k, keys.ctypes.data_as(p64),
-               kcode.ctypes.data_as(p32), tsize,
-               vocab.ctypes.data_as(p64), codes.ctypes.data_as(p32)))
-    vocab = vocab[:d]
-    order = np.argsort(vocab, kind="stable")
-    rank = np.empty(d, dtype=np.int64)
-    rank[order] = np.arange(d, dtype=np.int64)
-    return vocab[order], rank[codes]
+
+    def __init__(self, fn) -> None:
+        self._fn = fn
+        self._slots = np.full(1 << 12, -1, np.int32)
+        self._vocab = np.empty(1 << 11, np.int64)
+        self.d = 0
+
+    @property
+    def vocab(self) -> np.ndarray:
+        """The distinct ids so far, in first-seen (code) order."""
+        return self._vocab[:self.d]
+
+    def _insert(self, vals: np.ndarray, codes) -> None:
+        vals = np.ascontiguousarray(vals, dtype=np.int64)
+        self.d = self._fn(vals.ctypes.data, vals.size,
+                          self._slots.ctypes.data, self._slots.size,
+                          self._vocab.ctypes.data, self.d,
+                          None if codes is None else codes.ctypes.data)
+
+    def encode(self, *parts: np.ndarray):
+        """The codes of ``parts``' ids, back to back as int32, or None
+        when the distinct ids could pass :data:`MAX_CODES`."""
+        k = sum(int(p.size) for p in parts)
+        need = self.d + k
+        if need > MAX_CODES:
+            return None
+        if need > self._vocab.size:
+            vocab = np.empty(max(need, self._vocab.size * 3 // 2), np.int64)
+            vocab[:self.d] = self.vocab
+            self._vocab = vocab
+        if 3 * need > 2 * self._slots.size:
+            # Re-inserting the distinct ids in code order gives every
+            # one its old code in the larger table.
+            self._slots = np.full(1 << (3 * need // 2).bit_length(), -1,
+                                  np.int32)
+            old, self.d = self.vocab, 0
+            self._insert(old, None)
+        codes = np.empty(k, np.int32)
+        off = 0
+        for p in parts:
+            self._insert(p, codes[off:off + p.size])
+            off += p.size
+        return codes
+
+    def release_ranks(self) -> np.ndarray:
+        """Every code's vertex (:func:`_ranks` of the ids' order); drops
+        the table and the ids, which nothing needs after this."""
+        self._slots = None
+        order = np.argsort(self.vocab)
+        self._vocab = None
+        self.d = 0
+        rank = _ranks(order)
+        del order
+        _malloc_trim()
+        return rank
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order`` as int32: with ``order``
+    the argsort of the distinct ids, each first-seen code's place in
+    sorted order, i.e. the map to ``np.unique``'s inverse codes."""
+    rank = np.empty(order.size, np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return rank
 
 
 def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values + inverse codes (np.unique semantics).
+    """Sorted distinct values + inverse codes (np.unique semantics), as
+    the ``from_edges`` build numbers its ids.
 
     For the bounded-universe common case (SNAP ids are dense-ish) a
     presence bitmap + rank scatter produces the identical
-    (vocab, inverse) pair in O(span) without the sort; sparse
-    non-negative ids go through the compiled hash compactor when the
-    toolchain built one; the general case is
-    ``np.unique(return_inverse=True)`` exactly as specified.
+    (vocab, inverse) pair in O(span) without the sort; the general case
+    is ``np.unique(return_inverse=True)`` exactly as specified.
     """
     if vals.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -545,33 +603,9 @@ def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank = np.empty(span, dtype=np.int64)
         rank[present] = np.arange(present.size, dtype=np.int64)
         return present + np.int64(lo), rank[off]
-    if lo >= 0:
-        out = _compact_c(vals)
-        if out is not None:
-            return out
     vocab, inv = np.unique(vals, return_inverse=True)
     return vocab.astype(np.int64, copy=False), inv.astype(np.int64,
                                                           copy=False)
-
-
-# -- one block ----------------------------------------------------------------
-
-def _parse_block(data: bytes, comments: str):
-    """Parse one block of whole lines.
-
-    Returns ``(vocab, codes, n_edges, tier)``: the block-local sorted
-    id vocabulary, int32 inverse codes laid out as [u codes | v codes],
-    the edge count, and the tokenizer tier that ran.
-    """
-    u, v, tier = _parse_chunk(data, comments)
-    ne = int(u.size)
-    uv = np.concatenate([u, v])
-    del u, v
-    vocab, inv = compact_ids(uv)
-    del uv
-    if vocab.size > np.iinfo(np.int32).max:
-        raise ValueError("block vocabulary exceeds int32 code space")
-    return vocab, inv.astype(np.int32, copy=False), ne, tier
 
 
 # -- the sequential block reader ----------------------------------------------
@@ -583,21 +617,29 @@ def _is_gzip(path: str) -> bool:
         return fh.read(2) == b"\x1f\x8b"
 
 
-class _HashingReader:
-    """A binary file whose every read also feeds a hash, booked to the
-    ``ingest.cache`` phase (it is the cache key's work, wherever the
-    read happens)."""
+class _HashingReader(io.RawIOBase):
+    """A raw binary file whose every read also feeds a hash, booked to
+    the ``ingest.cache`` phase (it is the cache key's work, wherever
+    the read happens).  :func:`_read_blocks` reads it through a
+    ``BLOCK_BYTES`` buffer, so the phase opens once per block read
+    however small the reads above the buffer are (``GzipFile`` pulls
+    8 KiB at a time)."""
 
     def __init__(self, fh, h, ctx) -> None:
+        super().__init__()
         self._fh = fh
         self._h = h
         self._ctx = ctx
 
-    def read(self, size: int = -1) -> bytes:
-        data = self._fh.read(size)
-        with self._ctx.phase("ingest.cache"):
-            self._h.update(data)
-        return data
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        if n:
+            with self._ctx.phase("ingest.cache"):
+                self._h.update(memoryview(buf)[:n])
+        return n
 
 
 def _read_blocks(path: str, gz: bool, h=None, ctx=None):
@@ -610,7 +652,8 @@ def _read_blocks(path: str, gz: bool, h=None, ctx=None):
     ``h``, so the cache key needs no second read of the file.
     """
     with open(path, "rb") as raw:
-        src = raw if h is None else _HashingReader(raw, h, ctx)
+        src = raw if h is None else io.BufferedReader(
+            _HashingReader(raw, h, ctx), BLOCK_BYTES)
         stream = gzip.GzipFile(fileobj=src, mode="rb") if gz else src
         carry = b""
         blocks = 0
@@ -921,24 +964,31 @@ def cache_store(cdir: str, apath: str, comments: str, g: CSRGraph,
 
 # -- the in-memory CSR build --------------------------------------------------
 
-def _canon_rows_c(fn, remap, codes, ne: int, cur, end=None,
+def _canon_rows_c(fn, rank, codes, ne: int, cur, end=None,
                   adj=None) -> int:
     """One block through ``repro_canon_rows``; its kept edge count.
 
-    Counts into ``cur`` when ``adj`` is None, else scatters into the
-    int32 ``adj``.  Python checks the codes' length, the C every code,
-    row and cursor before indexing with it; a violation means the
-    blocks contradict themselves, and raises ``RuntimeError`` instead
-    of building a wrong CSR.
+    With ``rank`` the block's codes are rewritten in place as their
+    rows (``rank=None``: they are rows already).  Counts into ``cur``
+    when ``adj`` is None, else scatters into the int32 ``adj``.  Python
+    checks the codes' length, the C every code, row and cursor before
+    indexing with it; a violation means the blocks contradict
+    themselves, and raises ``RuntimeError`` instead of building a wrong
+    CSR.
     """
-    remap = np.ascontiguousarray(remap, dtype=np.int64)
-    codes = np.ascontiguousarray(codes, dtype=np.int32)
+    if codes.dtype != np.int32 or not codes.flags.c_contiguous \
+            or not codes.flags.writeable:
+        raise TypeError("block codes must be a writeable C-contiguous "
+                        "int32 array")
     if codes.size != 2 * ne:
         raise RuntimeError("ingest block is truncated: its codes do not "
                            "hold two per edge")
-    kept = fn(codes.ctypes.data, ne, remap.ctypes.data, remap.size,
-              cur.size, cur.ctypes.data,
-              None if end is None else end.ctypes.data,
+    if rank is not None:
+        rank = np.ascontiguousarray(rank, dtype=np.int32)
+    kept = fn(codes.ctypes.data, ne,
+              None if rank is None else rank.ctypes.data,
+              cur.size if rank is None else rank.size, cur.size,
+              cur.ctypes.data, None if end is None else end.ctypes.data,
               None if adj is None else adj.ctypes.data)
     if kept == -1:
         raise RuntimeError("ingest blocks are inconsistent: a code or row "
@@ -949,53 +999,49 @@ def _canon_rows_c(fn, remap, codes, ne: int, cur, end=None,
     return kept
 
 
-def _build_from_edges(blocks, vocab_global, ctx, name: str) -> CSRGraph:
-    """The build without the compiled library (or for n >= 2**31):
-    the blocks decoded to global ids, then ``from_edges``, the legacy
-    reader's own builder."""
+def _build_from_edges(blocks: list, ctx, name: str) -> CSRGraph:
+    """The build without the compiled library (or past
+    :data:`MAX_CODES`): the blocks' ``(u, v)`` ids compacted to
+    0..n-1, then ``from_edges``, the legacy reader's own builder.
+    Unlike the compiled build, it holds every id as int64 at once."""
     with ctx.phase("ingest.scatter"):
-        us = [np.empty(0, np.int64)]
-        vs = [np.empty(0, np.int64)]
-        while blocks:
-            vocab, codes, ne = blocks.pop(0)
-            remap = np.searchsorted(vocab_global, vocab)
-            us.append(remap[codes[:ne]])
-            vs.append(remap[codes[ne:]])
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        del us, vs
+        # Every block's u ids, then every block's v ids.
+        uv = np.concatenate([np.empty(0, np.int64)]
+                            + [b[0] for b in blocks] + [b[1] for b in blocks])
+        blocks.clear()
+        vocab, inv = compact_ids(uv)
+        del uv
     with ctx.phase("ingest.compact"):
-        return from_edges(u, v, n=int(vocab_global.size), name=name)
+        m = inv.size // 2
+        return from_edges(inv[:m], inv[m:], n=int(vocab.size), name=name)
 
 
-def _build_csr(blocks: list, vocab_global: np.ndarray, ctx,
-               name: str) -> CSRGraph:
-    """The CSR of the parsed blocks, built in memory; empties ``blocks``.
+def _build_csr(blocks: list, enc, ctx, name: str) -> CSRGraph:
+    """The CSR of the parsed blocks, built in memory; empties ``blocks``
+    and releases ``enc``.
 
-    ``blocks`` holds each block's ``(vocab, codes, n_edges)``.  Each
-    kept edge is counted, then scattered once, in the canonical min->max
-    direction, into an int32 adjacency; each row is sorted and deduped
-    in place; the final int64 CSR is then written symmetrized, row r
-    being every s with r in up(s), ascending, then up(r).  Storing one
-    direction in int32 keeps the transient adjacency at a quarter of
-    the final indices (half when the file lists every edge both ways),
-    which is what holds peak RSS under twice the CSR.  The three passes
-    run as C; without the compiled library, or for n >= 2**31, the
-    blocks go through ``from_edges`` instead, which gives the same CSR
-    and is the C path's test oracle.
+    ``blocks`` holds each block's ``(codes, n_edges)``: int32 codes,
+    the block's u codes then its v codes, from the encoder ``enc``,
+    whose ranks (each id's place in sorted order) map every code to its
+    vertex.  Each kept edge is counted, then scattered once, in the
+    canonical min->max direction, into an int32 adjacency; each row is
+    sorted and deduped in place; the final int64 CSR is then written
+    symmetrized, row r being every s with r in up(s), ascending, then
+    up(r).  Storing one direction in int32 keeps the transient
+    adjacency at a quarter of the final indices (half when the file
+    lists every edge both ways).
     """
-    n = int(vocab_global.size)
     funcs = _CPARSER.load()
-    if not funcs or n > np.iinfo(np.int32).max:
-        return _build_from_edges(blocks, vocab_global, ctx, name)
     with ctx.phase("ingest.count"):
-        for i, (vocab, codes, ne) in enumerate(blocks):
-            blocks[i] = np.searchsorted(vocab_global, vocab), codes, ne
+        rank = enc.release_ranks()
+        n = int(rank.size)
         rows = np.zeros(n + 1, np.int64)
         kept = 0
-        for remap, codes, ne in blocks:
-            kept += _canon_rows_c(funcs["canon_rows"], remap, codes, ne,
+        # The degree pass also rewrites every code as its row.
+        for codes, ne in blocks:
+            kept += _canon_rows_c(funcs["canon_rows"], rank, codes, ne,
                                   rows[1:])
+        del rank
         np.cumsum(rows, out=rows)
 
     with ctx.phase("ingest.scatter"):
@@ -1003,9 +1049,10 @@ def _build_csr(blocks: list, vocab_global: np.ndarray, ctx,
         cursor = rows[:-1].copy()
         scattered = 0
         while blocks:
-            remap, codes, ne = blocks.pop(0)
-            scattered += _canon_rows_c(funcs["canon_rows"], remap, codes,
+            codes, ne = blocks.pop(0)
+            scattered += _canon_rows_c(funcs["canon_rows"], None, codes,
                                        ne, cursor, rows[1:], adj)
+            del codes
         del cursor
         # No row overflowed, so equal totals mean every row was filled
         # exactly.
@@ -1016,23 +1063,29 @@ def _build_csr(blocks: list, vocab_global: np.ndarray, ctx,
         _malloc_trim()
 
     with ctx.phase("ingest.compact"):
+        # updeg holds the row lengths until sort_rows overwrites it
+        # with the deduped ones.
         updeg = np.empty(n, np.int64)
-        longest = int(np.diff(rows).max()) if n else 0
-        tmp = np.empty(longest, np.int32)
+        np.subtract(rows[1:], rows[:-1], out=updeg)
+        tmp = np.empty(int(updeg.max()) if n else 0, np.int32)
         nbytes = max(1, ((n - 1).bit_length() + 7) // 8)
         total = funcs["sort_rows"](adj.ctypes.data, rows.ctypes.data, n,
                                    nbytes, tmp.ctypes.data,
                                    updeg.ctypes.data)
         del tmp, rows
+        # The deduped rows sit at the front; realloc hands the tail
+        # back (half of adj when the file lists every edge both ways),
+        # and the trim returns it and the row offsets to the kernel
+        # before the final CSR is written.
+        adj.resize(total, refcheck=False)
+        _malloc_trim()
         indptr = np.empty(n + 1, np.int64)
         indices = np.empty(2 * total, np.int64)
-        cur = np.empty(n, np.int64)
         if funcs["symmetrize"](adj.ctypes.data, total, updeg.ctypes.data,
-                               n, cur.ctypes.data, indptr.ctypes.data,
-                               indices.ctypes.data):
+                               n, indptr.ctypes.data, indices.ctypes.data):
             raise RuntimeError("ingest build is inconsistent: a deduped "
                                "row holds an entry outside its range")
-        del adj, cur, updeg
+        del adj, updeg
         _malloc_trim()
     return CSRGraph(indptr=indptr, indices=indices, name=name)
 
@@ -1073,37 +1126,40 @@ def ingest_report(path, *, comments: str = "#", name: str | None = None,
     hasher = hashlib.sha256() if cdir and sha is None else None
     ctx, owns = resolve_context(ctx, backend=backend, workers=workers)
     try:
+        # Compiled: each block's (codes, n_edges) against one running
+        # id space; otherwise (or past MAX_CODES) its (u, v) ids.
+        funcs = _CPARSER.load()
+        enc = _Encoder(funcs["encode"]) if funcs else None
         blocks: list = []
         tiers: set[str] = set()
-        vocab_global = np.empty(0, np.int64)
         edges_in = raw_bytes = 0
         with ctx.phase("ingest.parse"):
             for i, data in enumerate(_read_blocks(apath, gz, hasher, ctx)):
                 raw_bytes += len(data)
-                vocab, codes, ne, tier = _parse_block(data, comments)
+                u, v, tier = _parse_block(data, comments)
                 del data
-                blocks.append((vocab, codes, ne))
                 tiers.add(tier)
-                edges_in += ne
-                # Both vocabs are already sorted; a radix sort + adjacent
-                # dedupe of the concatenation is several times cheaper
-                # than np.unique's hash path here.
-                cat = np.concatenate([vocab_global, vocab])
-                cat.sort(kind="stable")
-                if cat.size:
-                    keep = np.empty(cat.size, bool)
-                    keep[0] = True
-                    np.not_equal(cat[1:], cat[:-1], out=keep[1:])
-                    cat = cat[keep]
-                vocab_global = cat
+                edges_in += int(u.size)
+                codes = None if enc is None else enc.encode(u, v)
+                if codes is not None:
+                    blocks.append((codes, int(u.size)))
+                else:
+                    if enc is not None:  # past MAX_CODES: decode all
+                        blocks = [(enc.vocab[c[:ne]], enc.vocab[c[ne:]])
+                                  for c, ne in blocks]
+                        enc = None
+                    blocks.append((u, v))
+                del u, v, codes
                 # Trimming every block costs ~0.7 ms a pop; the heap
                 # high-water only creeps across many blocks, so an
                 # occasional trim bounds it just as well.
                 if i % 8 == 7:
                     _malloc_trim()
-            _malloc_trim()
         nblocks = len(blocks)
-        g = _build_csr(blocks, vocab_global, ctx, gname)
+        if enc is None:
+            g = _build_from_edges(blocks, ctx, gname)
+        else:
+            g = _build_csr(blocks, enc, ctx, gname)
         if cdir:
             with ctx.phase("ingest.cache"):
                 sha = sha or hasher.hexdigest()

@@ -275,3 +275,24 @@ class TestCheckedArraysOnce:
         g.replace_arrays(np.array([0, 1, 2, 2]), np.array([1, 0]))
         assert peel_degeneracy(g).degeneracy == 1
         assert len(calls) == 4
+
+    def test_copied_check_replaces_the_arrays(self, monkeypatch):
+        # An int32 CSR's checked copy becomes the graph's own arrays:
+        # one CSR stays alive, and the digest does not move.
+        from repro.coloring.jp import jp_color
+
+        calls = self._count_checks(monkeypatch)
+        g = from_edges([0, 1, 2], [1, 2, 0], n=4)
+        g32 = CSRGraph(indptr=g.indptr.astype(np.int32),
+                       indices=g.indices.astype(np.int32))
+        digest = g32.content_digest
+        assert digest == g.content_digest
+        jp_color(g32, np.arange(4))
+        indptr, indices = g32.checked_arrays
+        assert indptr is g32.indptr and indices is g32.indices
+        assert g32.indices.dtype == np.int64
+        np.testing.assert_array_equal(g32.indices, g.indices)
+        g32.invalidate_caches()
+        assert g32.content_digest == digest
+        jp_color(g32, np.arange(4))
+        assert len(calls) == 2

@@ -30,6 +30,7 @@ from repro.graphs.ingest import (
     resolve_cache_dir,
 )
 from repro.graphs.io import read_edge_list, write_edge_list
+from repro.obs import Tracer
 from repro.runtime import ExecutionContext
 
 # repro.graphs re-exports the ingest() function under the module's name.
@@ -153,11 +154,11 @@ class TestParseEdgeBytes:
     def test_chain_order(self, monkeypatch):
         data = b"0 1\n1 2\n"
         if ingest_mod._CPARSER.load() is not None:
-            assert ingest_mod._parse_chunk(data, "#")[2] == "c"
+            assert ingest_mod._parse_block(data, "#")[2] == "c"
         # Signed ids: C declines, Python parses.
-        assert ingest_mod._parse_chunk(b"-1 2\n", "#")[2] == "python"
+        assert ingest_mod._parse_block(b"-1 2\n", "#")[2] == "python"
         monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
-        assert ingest_mod._parse_chunk(data, "#")[2] == "python"
+        assert ingest_mod._parse_block(data, "#")[2] == "python"
 
 
 class TestCompactIds:
@@ -460,6 +461,29 @@ class TestCache:
         _, r = ingest_report(copy, cache_dir=str(cdir))
         assert r["cached"] == "digest"
 
+    def test_traced_gzip_hash_opens_a_phase_per_block(self, tmp_path,
+                                                      monkeypatch):
+        # GzipFile pulls 8 KiB at a time; the hash sits under a
+        # BLOCK_BYTES buffer, so ingest.cache opens once per block of
+        # compressed bytes (plus the EOF read and the store), not once
+        # per 8 KiB.
+        rng = np.random.default_rng(9)
+        u = rng.integers(0, 10**9, 40_000)
+        v = rng.integers(0, 10**9, 40_000)
+        path = str(tmp_path / "g.el.gz")
+        with gzip.open(path, "wt") as fh:
+            fh.write("".join(f"{a} {b}\n" for a, b in zip(u.tolist(),
+                                                          v.tolist())))
+        block = 1 << 16
+        size = os.path.getsize(path)
+        assert size > 4 * block  # dozens of 8 KiB reads
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", block)
+        with ExecutionContext(backend="serial", trace=Tracer()) as ctx:
+            ingest_report(path, cache_dir=str(tmp_path / "cache"), ctx=ctx)
+            spans = [e for e in ctx.tracer.events
+                     if e.name == "ingest.cache"]
+        assert len(spans) <= size // block + 3, len(spans)
+
     @pytest.mark.parametrize("gz", [False, True])
     def test_cold_ingest_writes_only_the_cache(self, tmp_path, monkeypatch,
                                                gz):
@@ -620,16 +644,67 @@ class TestCompiledBuild:
         assert got.content_digest == read_edge_list(path).content_digest
 
 
-def _blocks(chunks):
-    """Hand-made parsed blocks: chunks are (block vocab, codes) pairs."""
-    return [(np.asarray(vocab, np.int64), np.asarray(codes, np.int32),
-             len(codes) // 2) for vocab, codes in chunks]
+    def test_past_max_codes_hands_off_to_from_edges(self, tmp_path,
+                                                     monkeypatch):
+        # Once the distinct ids could pass the int32 code space, the
+        # blocks coded so far are decoded and the file finishes through
+        # from_edges, with the same CSR.
+        _require_c()
+        g0 = gnm_random(300, 1500, seed=12)
+        path = str(tmp_path / "g.el")
+        write_edge_list(g0, path)
+        calls = []
+        real = ingest_mod.from_edges
+
+        def spy(*a, **kw):
+            calls.append("from_edges")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(ingest_mod, "MAX_CODES", 400)
+        monkeypatch.setattr(ingest_mod, "from_edges", spy)
+        got, rep = ingest_report(path, cache=False)
+        assert calls == ["from_edges"] and rep["ranges"] > 3
+        assert got.content_digest == read_edge_list(path).content_digest
+
+    def test_encoder_keeps_codes_across_table_growth(self):
+        # One running id space: a repeated id keeps its first code
+        # after the table and vocabulary have grown, and the ranks map
+        # codes to np.unique's inverse.
+        _require_c()
+        enc = ingest_mod._Encoder(ingest_mod._cfunc("encode"))
+        rng = np.random.default_rng(5)
+        ids = rng.choice(10**12, 20_000, replace=False).astype(np.int64)
+        first = enc.encode(ids[:10], ids[:3])
+        assert first.tolist() == list(range(10)) + [0, 1, 2]
+        later = enc.encode(ids, ids[::-1])
+        assert enc.d == ids.size
+        np.testing.assert_array_equal(later[:ids.size],
+                                      np.arange(ids.size))
+        np.testing.assert_array_equal(enc.vocab, ids)
+        vocab, inv = np.unique(ids, return_inverse=True)
+        np.testing.assert_array_equal(
+            ingest_mod._ranks(np.argsort(enc.vocab)), inv)
+
+def _blocks(*codes):
+    """Hand-made parsed blocks: each a block's codes, its u codes then
+    its v codes."""
+    return [(np.asarray(c, np.int32), len(c) // 2) for c in codes]
 
 
-def _build(blocks, vocab_global):
+class _Ranked:
+    """Stands in for the encoder: hands the build fixed ranks."""
+
+    def __init__(self, rank):
+        self._rank = np.asarray(rank, np.int32)
+
+    def release_ranks(self):
+        return self._rank
+
+
+def _build(blocks, rank):
     with ExecutionContext(backend="serial") as ctx:
-        return ingest_mod._build_csr(
-            blocks, np.asarray(vocab_global, np.int64), ctx, "blocks")
+        return ingest_mod._build_csr(blocks, _Ranked(rank), ctx, "blocks")
 
 
 class TestCompiledBuildGuards:
@@ -638,45 +713,47 @@ class TestCompiledBuildGuards:
 
     def test_consistent_spill_builds(self):
         _require_c()
-        # Edges 10-20, 20-30, 30-30 (a self-loop), in two blocks.
-        blocks = _blocks([([10, 20], [0, 1, 1, 0]),
-                          ([20, 30], [0, 1, 1, 1])])
-        g = _build(blocks, [10, 20, 30])
+        # Ids 20, 10, 30 in first-seen order (codes 0, 1, 2; ranks 1,
+        # 0, 2): edges 20-10 (listed both ways), 10-30 and 30-30 (a
+        # self-loop), in two blocks.
+        blocks = _blocks([0, 1, 1, 0], [1, 2, 2, 2])
+        g = _build(blocks, [1, 0, 2])
         assert blocks == []
-        assert g.indptr.tolist() == [0, 1, 3, 4]
-        assert g.indices.tolist() == [1, 0, 2, 1]
+        assert g.indptr.tolist() == [0, 2, 3, 4]
+        assert g.indices.tolist() == [1, 2, 0, 0]
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_code_outside_chunk_vocab(self, bad):
         _require_c()
-        blocks = _blocks([([10, 20], [0, bad, 1, 0])])
+        blocks = _blocks([0, bad, 1, 0])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
-            _build(blocks, [10, 20])
+            _build(blocks, [0, 1])
 
     def test_chunk_id_beyond_global_vocab(self):
+        # A code whose rank names no vertex.
         _require_c()
-        blocks = _blocks([([10, 99], [0, 1])])
+        blocks = _blocks([0, 1])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
-            _build(blocks, [10, 20])
+            _build(blocks, [0, 2])
 
     def test_truncated_spill(self):
         # A block claiming five edges with one edge's codes never
         # reaches the C.
         _require_c()
-        blocks = [(np.array([10, 20]), np.array([0, 1], np.int32), 5)]
+        blocks = [(np.array([0, 1], np.int32), 5)]
         with pytest.raises(RuntimeError, match="truncated"):
-            _build(blocks, [10, 20])
+            _build(blocks, [0, 1])
 
     def test_row_cursor_cannot_pass_its_end(self):
         _require_c()
         fn = ingest_mod._cfunc("canon_rows")
-        remap = np.arange(3, dtype=np.int64)
+        rank = np.arange(3, dtype=np.int32)
         codes = np.array([0, 0, 1, 2], np.int32)  # edges 0-1, 0-2
         cursor = np.array([0, 1, 2], np.int64)
         end = np.array([1, 2, 3], np.int64)       # row 0 holds one entry
         adj = np.full(3, -1, np.int32)
         with pytest.raises(RuntimeError, match="more entries"):
-            ingest_mod._canon_rows_c(fn, remap, codes, 2, cursor, end, adj)
+            ingest_mod._canon_rows_c(fn, rank, codes, 2, cursor, end, adj)
         assert adj.tolist() == [1, -1, -1]
 
     def _shifting_blocks(self, corrupt):
@@ -684,10 +761,10 @@ class TestCompiledBuildGuards:
         scatter."""
         real = ingest_mod._canon_rows_c
 
-        def rows(fn, remap, codes, ne, cur, end=None, adj=None):
+        def rows(fn, rank, codes, ne, cur, end=None, adj=None):
             if adj is not None:
                 codes = corrupt(codes.copy(), ne)
-            return real(fn, remap, codes, ne, cur, end, adj)
+            return real(fn, rank, codes, ne, cur, end, adj)
         return mock.patch.object(ingest_mod, "_canon_rows_c", rows)
 
     def test_scatter_overflow_raises_from_ingest(self, tmp_path):
@@ -727,12 +804,11 @@ class TestCompiledBuildGuards:
             updeg[2] = 1
         indptr = np.empty(4, np.int64)
         indices = np.empty(6, np.int64)
-        cur = np.empty(3, np.int64)
-        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3, cur.ctypes.data,
+        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3,
                   indptr.ctypes.data, indices.ctypes.data) == -1
         up[:] = [1, 2, 2]
         updeg[:] = [2, 1, 0]
-        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3, cur.ctypes.data,
+        assert fn(up.ctypes.data, 3, updeg.ctypes.data, 3,
                   indptr.ctypes.data, indices.ctypes.data) == 0
         assert indptr.tolist() == [0, 2, 4, 6]
         assert indices.tolist() == [1, 2, 0, 2, 0, 1]
