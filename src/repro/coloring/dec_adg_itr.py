@@ -39,7 +39,6 @@ from ..graphs.csr import CSRGraph
 from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
-from ..ordering.base import random_tiebreak
 from ..primitives.cbuild import CLibrary
 from ..primitives.kernels import segment_any
 from ..runtime import ExecutionContext, resolve_context
@@ -406,12 +405,12 @@ def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
         ordering = adg_ordering(g, eps=eps, variant=variant, seed=seed,
                                 ctx=ctx)
         reorder_wall = time.perf_counter() - t0
-        assert ordering.levels is not None
+        assert ordering.levels is not None and ordering.tiebreak is not None
 
-        priority_global = random_tiebreak(g.n, seed)
+        # ADG's rho_R tiebreak doubles as the ITR priority permutation.
         t0 = time.perf_counter()
         colors, rounds_total, conflicts_total = itr_color_partitions(
-            g, ordering.levels, ordering.num_levels, priority_global, ctx,
+            g, ordering.levels, ordering.num_levels, ordering.tiebreak, ctx,
             max_rounds=max_rounds)
         wall = time.perf_counter() - t0
 

@@ -41,7 +41,6 @@ from ..graphs.csr import CSRGraph
 from ..graphs.delta import GraphDelta, apply_delta
 from ..graphs.properties import peel_degeneracy
 from ..ordering.adg import adg_ordering
-from ..ordering.base import random_tiebreak
 from ..runtime import ExecutionContext, resolve_context
 from .dec_adg import color_partitions
 from .dec_adg_itr import itr_color_partitions
@@ -107,30 +106,27 @@ class IncrementalColoring:
         """Fresh decomposition + interior coloring of the current graph."""
         g = self.graph
         n = g.n
-        self.priority = random_tiebreak(n, self.seed)
         if n == 0:
+            self.priority = np.zeros(0, dtype=np.int64)
             self.colors = np.zeros(0, dtype=np.int64)
             self.levels = np.zeros(0, dtype=np.int64)
             self.num_levels = 0
             self.deg_ge = np.zeros(0, dtype=np.int64)
-        elif self.algorithm == "DEC-ADG":
-            ordering = adg_ordering(g, self.eps / 12.0, seed=self.seed,
-                                    ctx=self.ctx)
+        else:
+            dec = self.algorithm == "DEC-ADG"
+            ordering = adg_ordering(g, self.eps / 12.0 if dec else self.eps,
+                                    seed=self.seed, ctx=self.ctx)
+            self.priority = ordering.tiebreak  # ADG's rho_R, drawn once
             self.levels = np.asarray(ordering.levels, dtype=np.int64)
             self.num_levels = ordering.num_levels
-            rng = np.random.default_rng(self.seed)
-            self.colors, _ = color_partitions(
-                g, self.levels, self.num_levels, mu=self.eps / 4.0,
-                rng=rng, ctx=self.ctx)
-            self.deg_ge = deg_ge_array(g, self.levels, self.ctx,
-                                       label="inc")
-        else:  # DEC-ADG-ITR
-            ordering = adg_ordering(g, self.eps, seed=self.seed,
-                                    ctx=self.ctx)
-            self.levels = np.asarray(ordering.levels, dtype=np.int64)
-            self.num_levels = ordering.num_levels
-            self.colors, _, _ = itr_color_partitions(
-                g, self.levels, self.num_levels, self.priority, self.ctx)
+            if dec:
+                rng = np.random.default_rng(self.seed)
+                self.colors, _ = color_partitions(
+                    g, self.levels, self.num_levels, mu=self.eps / 4.0,
+                    rng=rng, ctx=self.ctx)
+            else:  # DEC-ADG-ITR
+                self.colors, _, _ = itr_color_partitions(
+                    g, self.levels, self.num_levels, self.priority, self.ctx)
             self.deg_ge = deg_ge_array(g, self.levels, self.ctx,
                                        label="inc")
         self._colors_ref = num_colors(self.colors)

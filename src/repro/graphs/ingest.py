@@ -87,7 +87,8 @@ CACHE_ENV = "REPRO_INGEST_CACHE"
 # -- tier 1: compiled C scanner ------------------------------------------------
 
 # One forward scan per chunk.  Bytes <= 0x20 are separators (space,
-# tab, CR, LF — matching str.split()); a line's first token starting
+# tab, CR, LF — matching str.split()), and LF, CR and CRLF each end a
+# line (universal newlines); a line's first token starting
 # with the comment byte skips the line; each kept line must open with
 # two decimal tokens, anything after them is ignored (SNAP files carry
 # timestamps/weights).  Errors return -(offset+1) and the caller
@@ -123,6 +124,8 @@ _C_SOURCE = r"""
 #include <string.h>
 
 #define DIE(pos) (-((long long)(pos) + 1))
+/* A lone CR ends a line too: universal newlines, as read_edge_list. */
+#define EOL(c) ((c) == '\n' || (c) == '\r')
 
 /* INT64_MAX in decimal, for the deferred overflow check. */
 static const unsigned char MAXDEC[19] = "9223372036854775807";
@@ -212,18 +215,18 @@ long long repro_parse_edges(const unsigned char *b, long long n,
         while (i < n && b[i] <= ' ') i++;        /* blank lines too */
         if (i >= n) break;
         if (b[i] == comment) {                   /* comment line */
-            while (i < n && b[i] != '\n') i++;
+            while (i < n && !EOL(b[i])) i++;
             continue;
         }
         int64_t x, y;
         if (token(b, n, &i, &x)) return DIE(i);
         if (i < n && b[i] > ' ') return DIE(i);  /* junk glued to token */
-        while (i < n && b[i] <= ' ' && b[i] != '\n') i++;
-        if (i >= n || b[i] == '\n') return DIE(i);   /* one token only */
+        while (i < n && b[i] <= ' ' && !EOL(b[i])) i++;
+        if (i >= n || EOL(b[i])) return DIE(i);  /* one token only */
         if (token(b, n, &i, &y)) return DIE(i);
         if (i < n && b[i] > ' ') return DIE(i);
         u[m] = x; v[m] = y; m++;
-        while (i < n && b[i] != '\n') i++;       /* trailing columns */
+        while (i < n && !EOL(b[i])) i++;         /* trailing columns */
     }
     return m;
 }
@@ -661,7 +664,10 @@ def _read_blocks(path: str, gz: bool, h=None, ctx=None):
             data = stream.read(BLOCK_BYTES)
             if not data:
                 break
-            cut = data.rfind(b"\n") + 1
+            # A line ends at LF, CR or CRLF; a CRLF split between two
+            # reads leaves the next block a blank first line.
+            nl = data.rfind(b"\n")
+            cut = max(nl, data.rfind(b"\r", nl + 1)) + 1
             if not cut:
                 carry += data
                 continue

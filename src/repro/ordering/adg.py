@@ -250,7 +250,9 @@ def adg_ordering(
     Returns an :class:`Ordering` whose ``levels`` array holds the
     1-based removal iteration of each vertex (the rho_ADG of the paper)
     and whose ``ranks`` impose the total order <rho_ADG, rho_R> — or the
-    explicit sorted-batch order when ``sort_batches`` is set.
+    explicit sorted-batch order when ``sort_batches`` is set.  rho_R,
+    drawn once from ``seed``, is kept as the ordering's ``tiebreak``
+    (``None`` with ``sort_batches``).
 
     The avg variant runs the compiled pass when it builds, else the
     NumPy loop (ADG-M always runs the NumPy loop); both give the same
@@ -291,16 +293,17 @@ def adg_ordering(
                 sort_method=sort_method, compute_ranks=compute_ranks,
                 cache_degree_sums=cache_degree_sums)
     phase_name = "order:adg" if variant == "avg" else "order:adg-m"
+    tiebreak = None if sort_batches else random_tiebreak(g.n, seed)
     try:
         with run.phase(phase_name):
             run.cost.reduce(g.n)  # initial degree sum
             if fn is not None:
                 levels, ranks, pred_counts, iterations = _adg_c(
-                    fn, indptr, indices, g.max_degree, eps, seed, run,
+                    fn, indptr, indices, g.max_degree, eps, tiebreak, run,
                     phase_name, **opts)
             else:
                 levels, ranks, pred_counts, iterations = _adg_numpy(
-                    indptr, indices, g.max_degree, eps, variant, seed,
+                    indptr, indices, g.max_degree, eps, variant, tiebreak,
                     run, phase_name, **opts)
     finally:
         if owns:
@@ -312,17 +315,17 @@ def adg_ordering(
         name = "ADG" if variant == "avg" else "ADG-M"
     return Ordering(name=name, ranks=ranks, levels=levels,
                     num_levels=iterations, cost=run.cost, mem=run.mem,
-                    pred_counts=pred_counts)
+                    pred_counts=pred_counts, tiebreak=tiebreak)
 
 
-def _adg_c(fn, indptr, indices, max_deg, eps, seed, run, phase_name,
+def _adg_c(fn, indptr, indices, max_deg, eps, tiebreak, run, phase_name,
            **opts):
     """The compiled pass, then its books replayed.  Returns ``(levels,
     ranks, pred_counts or None, iterations)``."""
     n = indptr.size - 1
     sort_batches, compute_ranks = opts["sort_batches"], opts["compute_ranks"]
-    tiebreak = (np.empty(0, dtype=np.int64) if sort_batches
-                else random_tiebreak(n, seed))
+    if tiebreak is None:
+        tiebreak = np.empty(0, dtype=np.int64)
     levels = np.zeros(n, dtype=np.int64)
     ranks = np.empty(n, dtype=np.int64)
     pred = np.zeros(n if compute_ranks else 0, dtype=np.int64)
@@ -372,7 +375,7 @@ def _replay(books, n, max_deg, run, phase_name, *, update, sort_batches,
             cost.round(touched + left, log2_ceil(max(max_deg, 1)))
 
 
-def _adg_numpy(indptr, indices, max_deg, eps, variant, seed, run,
+def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
                phase_name, *, update, sort_batches, sort_method,
                compute_ranks, cache_degree_sums):
     """The NumPy loop.  Returns ``(levels, ranks, pred_counts or None,
@@ -468,7 +471,7 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, seed, run,
 
         sum_deg = sum_deg - removed_deg_sum - cut
     ranks = (total_order(explicit) if sort_batches
-             else total_order(levels, random_tiebreak(n, seed)))
+             else total_order(levels, tiebreak))
     return levels, ranks, pred_counts, iteration
 
 

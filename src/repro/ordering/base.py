@@ -25,7 +25,10 @@ class Ordering:
     ``pred_counts``, when present, holds each vertex's number of
     higher-ranked neighbors — the DAG in-degrees JP needs — computed
     during the ordering itself (the fused JP-ADG optimization of paper
-    SS V-C), so JP can skip its DAG-construction part.
+    SS V-C), so JP can skip its DAG-construction part.  ``tiebreak``,
+    when present, is the random permutation rho_R that broke the ties
+    between equal ``levels``, kept so that a consumer of the same draw
+    (DEC-ADG-ITR's priorities) does not draw it again.
     """
 
     name: str
@@ -35,6 +38,7 @@ class Ordering:
     cost: CostModel = field(default_factory=CostModel)
     mem: MemoryModel = field(default_factory=MemoryModel)
     pred_counts: np.ndarray | None = None
+    tiebreak: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.ranks = np.asarray(self.ranks, dtype=np.int64)

@@ -8,6 +8,12 @@ service threads — agree on one outcome) and returns what
 ``bind`` returned, or ``None`` when there is no C compiler or the
 build fails.  Callers keep a pure-Python path for ``None``; whether the
 compiled path runs is decided by the build alone, never by an option.
+The passes built this way: the ingest parser and CSR build
+(``graphs/ingest.py``), the JP/Greedy rank sweep
+(``coloring/sweep.py``), the degeneracy peel
+(``graphs/properties.py``), the ADG ordering (``ordering/adg.py``),
+DEC-ADG-ITR's level pass (``coloring/dec_adg_itr.py``) and the
+coloring-verify neighbor scan (``coloring/verify.py``).
 
 Built objects are cached under ``$REPRO_CC_CACHE`` (default: a
 per-user directory under the system temp dir), keyed by a sha256 of

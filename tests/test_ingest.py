@@ -179,6 +179,7 @@ class TestCompactIds:
 FIXTURES = {
     "plain": "0 1\n1 2\n2 3\n",
     "crlf": "0 1\r\n1 2\r\n",
+    "cr": "0 1\r1 2\r2 3\r",
     "junk_columns": "0 1 1299283200 x\n1 2 1299283201 y\n",
     "dups_self_loops": "0 0\n0 1\n0 1\n1 0\n5 5\n",
     "comments": "# SNAP header\n# n=3 m=2\n10 20\n20 30\n",
@@ -244,6 +245,32 @@ class TestDigestIdentity:
         assert rep["ranges"] > 1
         ref = read_edge_list(path)
         assert got.content_digest == ref.content_digest
+
+    @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
+    def test_lone_cr_ends_a_line(self, tmp_path, forced_tier):
+        # Universal newlines, as read_edge_list reads the file.
+        path = _write(tmp_path, b"0 1\r1 2\r2 3\r", binary=True)
+        got = _ingest(path)
+        ref = read_edge_list(path)
+        assert (got.n, got.m) == (ref.n, ref.m) == (4, 3)
+        assert got.content_digest == ref.content_digest
+
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("forced_tier", TIERS, indirect=True)
+    def test_every_line_end_cuts_blocks(self, tmp_path, monkeypatch, eol,
+                                        forced_tier):
+        # A CR-only file is read in blocks like an LF file (not held
+        # whole as one block), and 37-byte reads split some CRLF pairs
+        # between two blocks.
+        g0 = gnm_random(300, 2400, seed=5)
+        u, v = g0.undirected_edges()
+        text = "".join(f"{a} {b}{eol}" for a, b in zip(u.tolist(),
+                                                       v.tolist()))
+        path = _write(tmp_path, text.encode(), binary=True)
+        monkeypatch.setattr(ingest_mod, "BLOCK_BYTES", 37)
+        got, rep = ingest_report(path, cache=False)
+        assert rep["ranges"] > 1
+        assert got.content_digest == read_edge_list(path).content_digest
 
     @pytest.mark.parametrize("gz", [False, True])
     @pytest.mark.parametrize("block", [37, 1 << 12])

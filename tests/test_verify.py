@@ -1,8 +1,19 @@
-"""Tests for coloring verification utilities."""
+"""Tests for coloring verification utilities.
+
+The NumPy edge-list checks are the oracle of the compiled neighbor
+scan: for every graph and coloring the two agree on every boolean,
+every ``conflicting_edges`` array and every error message.
+"""
+
+import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.coloring import verify
 from repro.coloring.verify import (
     InvalidColoringError,
     assert_valid_coloring,
@@ -13,8 +24,12 @@ from repro.coloring.verify import (
     num_colors,
     quality_vs_degeneracy,
 )
-from repro.graphs.builders import from_edges
-from repro.graphs.generators import complete_graph, ring
+from repro.graphs import CSRGraph
+from repro.graphs.builders import empty_graph, from_edges
+from repro.graphs.generators import complete_graph, kronecker, ring
+from repro.primitives import cbuild
+
+from .conftest import graphs
 
 
 def triangle():
@@ -83,3 +98,185 @@ class TestMetrics:
         g = complete_graph(5)  # d = 4, chromatic = 5
         q = quality_vs_degeneracy(g, np.arange(1, 6))
         assert q == pytest.approx(1.0)
+
+
+# -- the compiled scan against the NumPy oracle --------------------------------
+
+class _NoBuild:
+    """Stands in for the compiled scan when it cannot be built."""
+
+    def load(self):
+        return None
+
+
+def _require_c():
+    if verify._CVERIFY.load() is None:
+        pytest.skip("no C compiler: the compiled scan is unavailable")
+
+
+def _outcomes(g, colors) -> dict:
+    """Everything the three checks report about ``colors``."""
+    out = {allow: is_valid_coloring(g, colors, allow_uncolored=allow)
+           for allow in (False, True)}
+    try:
+        assert_valid_coloring(g, colors)
+        out["assert"] = None
+    except InvalidColoringError as exc:
+        out["assert"] = str(exc)
+    try:
+        bu, bv = conflicting_edges(g, colors)
+        out["edges"] = (bu.tolist(), bv.tolist(), bu.dtype, bv.dtype)
+    except IndexError:  # a short array, on the NumPy path
+        out["edges"] = IndexError
+    return out
+
+
+def _on_numpy(g, colors) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_CVERIFY", _NoBuild())
+        return _outcomes(g, colors)
+
+
+DTYPES = [np.int64, np.int32, np.uint8, np.uint64, np.bool_, np.float64]
+
+
+@st.composite
+def colored_graphs(draw):
+    """``(csr arrays, colors)``: a random graph (n = 0 and isolated
+    vertices included, int32 or int64 CSR) and a coloring with planted
+    conflicts, uncolored vertices (0 and negative), any of
+    :data:`DTYPES`, sometimes strided or of the wrong length."""
+    g = draw(st.one_of(st.just(empty_graph(0)), graphs(max_n=25, max_m=80)))
+    n = g.n
+    if draw(st.booleans()):
+        colors = np.asarray(draw(st.permutations(range(1, n + 1))),
+                            dtype=np.int64)
+    else:
+        k = draw(st.integers(1, 4))
+        colors = np.asarray(draw(st.lists(st.integers(1, k), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+    u, v = g.undirected_edges()
+    if u.size:
+        for i in draw(st.lists(st.integers(0, u.size - 1), max_size=3)):
+            colors[v[i]] = colors[u[i]]
+    if n:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            colors[i] = draw(st.integers(-3, 0))
+    colors = colors.astype(draw(st.sampled_from(DTYPES)))
+    shape = draw(st.sampled_from(["plain", "plain", "strided", "short",
+                                  "long"]))
+    if shape == "strided":
+        colors = np.repeat(colors, 2)[::2]
+    elif shape == "short":
+        colors = colors[:-1]
+    elif shape == "long":
+        colors = np.append(colors, colors[:1])
+    itype = draw(st.sampled_from([np.int64, np.int32]))
+    return (g.indptr.astype(itype), g.indices.astype(itype)), colors
+
+
+class TestScanAgreesWithNumPy:
+    @given(colored_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_colorings(self, case):
+        _require_c()
+        (indptr, indices), colors = case
+        # Fresh graphs: the compiled path swaps an int32 CSR for its
+        # checked int64 copy.
+        got = _outcomes(CSRGraph(indptr=indptr, indices=indices), colors)
+        ref = _on_numpy(CSRGraph(indptr=indptr, indices=indices), colors)
+        assert got == ref
+
+    def test_named_graph_messages(self):
+        _require_c()
+        g = kronecker(scale=9, edge_factor=8, seed=3)
+        colors = np.arange(1, g.n + 1, dtype=np.int64)
+        u, v = g.undirected_edges()
+        colors[v[::7]] = colors[u[::7]]
+        got, ref = _outcomes(g, colors), _on_numpy(g, colors)
+        assert got == ref
+        assert "conflicting edges, first: " in got["assert"]
+        colors[[3, 9, 11, 40, 41, 50]] = [0, -1, 0, -5, 0, 0]
+        got, ref = _outcomes(g, colors), _on_numpy(g, colors)
+        assert got == ref
+        assert got["assert"].startswith("6 uncolored vertices, first: ")
+
+
+class TestScanDispatch:
+    """Which colors take the scan, and how often it runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        _require_c()
+        fn = verify._CVERIFY.load()
+        seen = []
+
+        class Recorder:
+            def load(self):
+                return lambda *args: seen.append(args[4]) or fn(*args)
+
+        monkeypatch.setattr(verify, "_CVERIFY", Recorder())
+        return seen
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8,
+                                       np.uint8, np.uint32])
+    def test_integer_colors_take_the_scan(self, calls, dtype):
+        g = ring(6)
+        colors = np.array([1, 2] * 3, dtype=dtype)
+        assert is_valid_coloring(g, colors)
+        assert_valid_coloring(g, colors)
+        assert calls == [0, 0]  # one counting pass each
+        bu, _ = conflicting_edges(g, np.ones(6, dtype=dtype))
+        assert bu.size == 6 and calls[2:] == [0, 6]  # count, then fill
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.bool_, np.float64,
+                                       object])
+    def test_other_colors_take_numpy(self, calls, dtype):
+        g = ring(6)
+        colors = np.array([1, 2] * 3, dtype=dtype)
+        is_valid_coloring(g, colors)
+        with pytest.raises(InvalidColoringError) if dtype is np.bool_ \
+                else contextlib.nullcontext():
+            assert_valid_coloring(g, colors)
+        conflicting_edges(g, colors)
+        assert calls == []
+
+    def test_wrong_shape_takes_numpy(self, calls):
+        g = ring(6)
+        assert not is_valid_coloring(g, np.array([1, 2] * 2))
+        assert conflicting_edges(g, np.array([1, 2] * 4))[0].size == 0
+        assert calls == []
+
+    def test_malformed_csr_never_reaches_c(self, calls):
+        g = CSRGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 2]))
+        with pytest.raises(ValueError):
+            is_valid_coloring(g, np.array([1, 2]))
+        assert calls == []
+
+    def test_valid_path_allocates_nothing(self):
+        _require_c()
+        g = kronecker(scale=12, edge_factor=8, seed=3)
+        colors = np.arange(1, g.n + 1, dtype=np.int64)
+        assert_valid_coloring(g, colors)  # builds, checks the CSR
+        tracemalloc.start()
+        try:
+            assert_valid_coloring(g, colors)
+            assert is_valid_coloring(g, colors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Less than half an n-word array (ctypes' small objects); the
+        # NumPy path takes several 2m-word arrays.
+        assert peak < 4 * g.n, peak
+
+    def test_no_compiler_on_path(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+        monkeypatch.setattr(verify, "_CVERIFY", cbuild.CLibrary(
+            "verify", verify._C_SOURCE, verify._bind))
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
+        assert verify._CVERIFY.load() is None
+        g = triangle()
+        assert is_valid_coloring(g, np.array([1, 2, 3]))
+        with pytest.raises(InvalidColoringError, match="conflicting"):
+            assert_valid_coloring(g, np.array([1, 1, 2]))
+        assert not list(tmp_path.glob("*.so"))
