@@ -11,12 +11,18 @@ quality bound with ITR's practical speed.
 The level loop is sequential (lower levels read higher levels'
 colors), and the scheme is deterministic given the priority
 permutation, so the whole interior runs as one pass on the calling
-thread: ~120 lines of C built through :mod:`repro.primitives.cbuild`.
-For each partition, top level first, the C walks the vertices' CSR
-rows to build the in-partition CSR and the deg_l counts (which size
-the bitmap), then again to fill the B_v bitmap rows from the higher
-levels' colors; the synchronous ITR rounds then touch in-partition
-neighbors only.  It returns per-partition and per-round books, and
+thread: ~140 lines of C built through :mod:`repro.primitives.cbuild`.
+For each partition, top level first, the C reads each vertex's CSR row
+once, in one branch-free walk that counts deg_l (which sizes the
+bitmap), collects the in-partition CSR and the higher levels' colors;
+a short loop then fills the B_v bitmap rows from those colors.  One
+read of the running color array tells the three kinds of neighbor
+apart: 0 for a lower level, a negative local id in the partition, a
+color above it.  The synchronous ITR rounds touch in-partition
+neighbors only, and each round's winners commit their colors from
+their own rows: ``CSRGraph`` rows are symmetric, so these are the
+(loser, winner) pairs a walk of every active row would find, without
+rescanning the losers.  It returns per-partition and per-round books, and
 :func:`itr_color_partitions` replays them into the cost and memory
 books and the ``dec-itr.*`` tracer series in the order the rounds ran.
 Without a C compiler the NumPy rounds below compute the same colors and
@@ -51,20 +57,20 @@ _C_SOURCE = r"""
 #include <string.h>
 
 /* ITR over the ADG level partitions, top level first.  Partition L is
-   order[bounds[L-1]:bounds[L]].  loc (n slots) and the per-partition
-   scratch lptr (largest partition + 1), lidx (largest partition degree
-   sum), lcol, lprio, stamp and active (largest partition) need no
-   initialization.  pb (4 x levels: degree sum, width, kept bits,
-   rounds) and rb (5 x cap: active, neighbor sum, max degree, losers,
-   committed pairs) start at 0.  Returns the number of rounds, -1 when
-   a partition exceeds its round limit, -2 when a bitmap calloc fails. */
-long long repro_itr_levels(long long n, const int64_t *indptr,
-                           const int64_t *indices, const int64_t *levels,
+   order[bounds[L-1]:bounds[L]], and order lists every vertex once;
+   colors starts at 0.  The per-partition scratch lptr (largest
+   partition + 1), lidx and hbuf (largest partition degree sum), lcol,
+   lprio, stamp and active (largest partition) need no initialization.
+   pb (4 x levels: degree sum, width, kept bits, rounds) and rb (5 x
+   cap: active, neighbor sum, max degree, losers, committed pairs)
+   start at 0.  Returns the number of rounds, -1 when a partition
+   exceeds its round limit, -2 when a bitmap calloc fails. */
+long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
                            const int64_t *priority, const int64_t *order,
                            const int64_t *bounds, long long num_levels,
                            long long max_rounds, long long cap,
-                           int64_t *colors, int64_t *loc, int64_t *lptr,
-                           int64_t *lidx, int64_t *lcol, int64_t *lprio,
+                           int64_t *colors, int64_t *lptr, int64_t *lidx,
+                           int64_t *hbuf, int64_t *lcol, int64_t *lprio,
                            int64_t *stamp, int64_t *active, int64_t *pb,
                            int64_t *rb)
 {
@@ -73,44 +79,57 @@ long long repro_itr_levels(long long n, const int64_t *indptr,
         const int64_t *verts = order + bounds[L - 1];
         const int64_t nv = bounds[L] - bounds[L - 1];
         const int64_t limit = max_rounds >= 0 ? max_rounds : 4 * nv + 64;
-        int64_t i, j, r, nact = nv, width, kept = 0, dsum = 0, top = 0, e = 0;
+        int64_t i, j, r, nact = nv, width, kept = 0, dsum = 0, top = 0;
+        int64_t e = 0, h = 0;
         unsigned char *bm;
         if (nv == 0)
             continue;
+        /* colors tells a neighbor's partition apart in one read: 0
+           below L (not colored yet), -(local id + 1) in L, > 0 above L
+           (a partition's smallest free color is >= 1, as B_v never
+           fills a row; see width). */
         for (i = 0; i < nv; i++)
-            loc[verts[i]] = i;
-        /* The in-partition CSR (local ids) and deg_l, the width bound. */
+            colors[verts[i]] = -i - 1;
+        /* One walk per row: deg_l (ge), the in-partition CSR in local
+           ids (lidx) and the higher partitions' colors (hbuf).  Both
+           cursors store at every neighbor and advance only on a match,
+           so a store never passes the partition's degree sum; lcol
+           holds each row's end in hbuf until round 1 overwrites it. */
         lptr[0] = 0;
         for (i = 0; i < nv; i++) {
             const int64_t v = verts[i];
             int64_t ge = 0;
             for (j = indptr[v]; j < indptr[v + 1]; j++) {
-                const int64_t lu = levels[indices[j]];
-                ge += lu >= L;
-                if (lu == L)
-                    lidx[e++] = loc[indices[j]];
+                const int64_t x = colors[indices[j]];
+                lidx[e] = -x - 1;
+                hbuf[h] = x;
+                e += x < 0;
+                h += x > 0;
+                ge += x != 0;
             }
             dsum += indptr[v + 1] - indptr[v];
             lptr[i + 1] = e;
+            lcol[i] = h;
             if (ge > top)
                 top = ge;
             lprio[i] = priority[v];
             stamp[i] = 0;
             active[i] = i;
         }
+        /* deg_l bounds the set bits of a row, so colors 1..top+2 always
+           leave one free. */
         width = top + 3;
         bm = calloc((size_t)nv * (size_t)width, 1);
         if (bm == NULL)
             return -2;
-        /* B_v: colors already taken by higher-partition neighbors. */
-        for (i = 0; i < nv; i++) {
-            const int64_t v = verts[i];
-            for (j = indptr[v]; j < indptr[v + 1]; j++) {
-                const int64_t u = indices[j], c = colors[u];
-                if (levels[u] > L && c > 0 && c < width) {
-                    bm[i * width + c] = 1;
-                    kept++;
-                }
+        /* B_v: colors already taken by higher-partition neighbors.  A
+           color past the row marks column 0, which no round reads. */
+        for (i = 0, h = 0; i < nv; i++) {
+            unsigned char *row = bm + i * width;
+            for (; h < lcol[i]; h++) {
+                const int64_t c = hbuf[h], ok = c > 0 && c < width;
+                row[c * ok] = 1;
+                kept += ok;
             }
         }
         for (r = 1; nact > 0; r++) {
@@ -133,27 +152,34 @@ long long repro_itr_levels(long long n, const int64_t *indptr,
                     md = d;
                 for (j = lptr[v]; j < lptr[v + 1]; j++) {
                     const int64_t u = lidx[j];
-                    if ((stamp[u] == r || stamp[u] == -r)
-                            && lcol[u] == lcol[v] && lprio[u] > lprio[v]) {
+                    if (lcol[u] == lcol[v] && (stamp[u] == r || stamp[u] == -r)
+                            && lprio[u] > lprio[v]) {
                         stamp[v] = -r;
                         break;
                     }
                 }
             }
-            /* Commit the winners' colors into the losers' rows; a
+            /* Each winner commits its color into its active neighbors'
+               rows.  Rows are symmetric, so these are the (loser,
+               winner) pairs a walk of the losers' rows would find.  A
                loser's stale color is overwritten when it chooses again. */
             for (a = 0; a < nact; a++) {
-                const int64_t v = active[a], lost = stamp[v] == -r;
-                for (j = lptr[v]; j < lptr[v + 1]; j++) {
-                    const int64_t u = lidx[j];
-                    if (stamp[u] == r && lcol[u] > 0) {
+                const int64_t u = active[a], c = lcol[u];
+                if (stamp[u] != r || c <= 0)
+                    continue;
+                for (j = lptr[u]; j < lptr[u + 1]; j++) {
+                    const int64_t v = lidx[j], s = stamp[v];
+                    if (s == r || s == -r) {
                         committed++;
-                        if (lost)
-                            bm[v * width + lcol[u]] = 1;
+                        if (s == -r)
+                            bm[v * width + c] = 1;
                     }
                 }
-                if (lost)
-                    active[nlost++] = v;
+            }
+            for (a = 0; a < nact; a++) {        /* losers, in order */
+                const int64_t v = active[a];
+                active[nlost] = v;
+                nlost += stamp[v] == -r;
             }
             rb[k] = nact;
             rb[cap + k] = nsum;
@@ -182,7 +208,7 @@ def _bind(lib):
                                  flags="C_CONTIGUOUS,ALIGNED")
     ll = ctypes.c_longlong
     fn.restype = ll
-    fn.argtypes = [ll] + [arr] * 6 + [ll] * 3 + [arr] * 10
+    fn.argtypes = [arr] * 5 + [ll] * 3 + [arr] * 10
     return fn
 
 
@@ -306,13 +332,13 @@ def _levels_c(fn, g: CSRGraph, indptr: np.ndarray, indices: np.ndarray,
                              side="left")
     sizes = np.diff(bounds)
     # Scratch is sized by the largest partition: its vertex count and
-    # its full-graph degree sum (an upper bound on its in-partition CSR).
+    # its full-graph degree sum (an upper bound on its in-partition CSR
+    # and on its higher-level neighbors).
     big = int(sizes.max(initial=0))
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.diff(indptr)[order], out=prefix[1:])
-    lidx = np.empty(int(np.diff(prefix[bounds]).max(initial=0)),
-                    dtype=np.int64)
-    loc = np.empty(n, dtype=np.int64)
+    span = int(np.diff(prefix[bounds]).max(initial=0))
+    lidx, hbuf = np.empty((2, span), dtype=np.int64)
     lptr = np.empty(big + 1, dtype=np.int64)
     lcol, lprio, stamp, active = np.empty((4, big), dtype=np.int64)
     # Every round commits the top-priority active vertex, so a partition
@@ -322,9 +348,9 @@ def _levels_c(fn, g: CSRGraph, indptr: np.ndarray, indices: np.ndarray,
     colors = np.zeros(n, dtype=np.int64)
     pb = np.zeros((4, max(num_levels, 0)), dtype=np.int64)
     rb = np.zeros((5, cap), dtype=np.int64)
-    done = int(fn(n, indptr, indices, levels, priority, order, bounds,
-                  num_levels, limit, cap, colors, loc, lptr, lidx, lcol,
-                  lprio, stamp, active, pb, rb))
+    done = int(fn(indptr, indices, priority, order, bounds, num_levels,
+                  limit, cap, colors, lptr, lidx, hbuf, lcol, lprio, stamp,
+                  active, pb, rb))
     if done == -2:
         raise MemoryError("DEC-ADG-ITR bitmap allocation failed")
     if done < 0:
@@ -369,14 +395,16 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     """The DEC-ADG-ITR interior: ITR over the level partitions, top down.
 
     ``levels`` and ``priority`` are ``g``'s ADG level ids and tiebreak
-    permutation (int64 arrays of length n, else ``ValueError``); the
-    smallest-free color stays bounded by deg_l + 1, which gives the
-    2(1+eps)d + 1 quality bound.  Runs the compiled pass when it
+    permutation (int64 arrays of length n, levels in 1..num_levels,
+    else ``ValueError``); the smallest-free color stays bounded by
+    deg_l + 1, which gives the 2(1+eps)d + 1 quality bound.  Runs the compiled pass when it
     builds, else the NumPy rounds; both return the same colors and
     record the same books.  Returns ``(colors, rounds, conflicts)``.
     """
     n = g.n
     levels = _checked_vertex_array(levels, n, "levels")
+    if n and not 1 <= levels.min() <= levels.max() <= num_levels:
+        raise ValueError("levels must lie in 1..num_levels")
     priority = _checked_vertex_array(priority, n, "priority")
     indptr, indices = g.checked_arrays
     fn = _CITR.load()

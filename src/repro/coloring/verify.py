@@ -8,7 +8,8 @@ edge set :meth:`~repro.graphs.csr.CSRGraph.undirected_edges` yields, in
 the same order.  It runs for integer colors that cast to int64 without
 a value change; other colors, and a missing compiler, take the NumPy
 edge-list path below, which gives the same results and is the scan's
-test oracle.
+test oracle.  Colors of any shape but ``(n,)`` take neither: they are
+invalid, and ``conflicting_edges`` rejects them with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class InvalidColoringError(AssertionError):
 def _scan(g: CSRGraph, colors: np.ndarray, cap: int = 0):
     """``(uncolored, conflicts, bu, bv)`` from the compiled scan, with
     the first ``cap`` conflicting pairs in ``bu``/``bv``; ``None`` when
-    the NumPy path must run instead (no build, or ``colors`` is not a
-    length-n integer array that casts to int64 without a value change).
+    the NumPy path must run instead (no build, or the length-n
+    ``colors`` is not an integer array that casts to int64 without a
+    value change).
     """
-    if colors.shape != (g.n,) or colors.dtype.kind not in "iu" \
+    if colors.dtype.kind not in "iu" \
             or not np.can_cast(colors.dtype, np.int64):
         return None
     fn = _CVERIFY.load()
@@ -96,15 +98,26 @@ def _scan(g: CSRGraph, colors: np.ndarray, cap: int = 0):
     return uncolored.value, bad, bu, bv
 
 
+def _shape_error(g: CSRGraph, colors: np.ndarray) -> str | None:
+    """Why ``colors`` cannot color ``g`` (one entry per vertex), or None."""
+    if colors.shape == (g.n,):
+        return None
+    return f"colors has shape {colors.shape}, expected a length-{g.n} vector"
+
+
 def conflicting_edges(g: CSRGraph, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (u, v) with u < v, both colored, and equal colors.
 
     The compiled scan runs twice, to count the pairs and then to fill
     arrays of exactly that size; the NumPy path gathers the colors of
     every undirected edge.  Both return the pairs in
-    ``g.undirected_edges()`` order.
+    ``g.undirected_edges()`` order.  Colors of any shape but ``(n,)``
+    raise ``ValueError``.
     """
     colors = np.asarray(colors)
+    bad_shape = _shape_error(g, colors)
+    if bad_shape:
+        raise ValueError(bad_shape)
     scan = _scan(g, colors)
     if scan is not None:
         _, _, bu, bv = _scan(g, colors, cap=scan[1])
@@ -117,9 +130,10 @@ def conflicting_edges(g: CSRGraph, colors: np.ndarray) -> tuple[np.ndarray, np.n
 
 def is_valid_coloring(g: CSRGraph, colors: np.ndarray,
                       allow_uncolored: bool = False) -> bool:
-    """True iff no edge is monochromatic and (unless allowed) all colored."""
+    """True iff ``colors`` has shape ``(n,)``, no edge is monochromatic
+    and (unless allowed) every vertex is colored."""
     colors = np.asarray(colors)
-    if colors.size != g.n:
+    if _shape_error(g, colors):
         return False
     scan = _scan(g, colors)
     if scan is not None:
@@ -134,9 +148,9 @@ def is_valid_coloring(g: CSRGraph, colors: np.ndarray,
 def assert_valid_coloring(g: CSRGraph, colors: np.ndarray) -> None:
     """Raise InvalidColoringError with a diagnostic when invalid."""
     colors = np.asarray(colors)
-    if colors.size != g.n:
-        raise InvalidColoringError(
-            f"colors has length {colors.size}, graph has {g.n} vertices")
+    bad_shape = _shape_error(g, colors)
+    if bad_shape:
+        raise InvalidColoringError(bad_shape)
     scan = _scan(g, colors)
     if scan is not None and scan[:2] == (0, 0):
         return

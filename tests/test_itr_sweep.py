@@ -34,6 +34,7 @@ from repro.graphs.generators import (
     grid_2d,
     kronecker,
     ring,
+    star,
 )
 from repro.obs import Tracer
 from repro.ordering.adg import adg_ordering
@@ -269,6 +270,56 @@ class TestCAndNumpyAgree:
             np.asarray(compiled[0]), dec_adg_itr(g, eps=0.1, seed=0).colors)
 
 
+class TestPassEdges:
+    """Partitions at the ends of the compiled pass's scratch and rounds:
+    both paths agree on everything :func:`interior` returns."""
+
+    def _agree(self, g, levels, num_levels, seed=0) -> tuple:
+        levels = np.asarray(levels, dtype=np.int64)
+        priority = random_tiebreak(g.n, seed)
+        compiled, oracle = _both_paths(lambda: interior(
+            g, levels, num_levels, priority))
+        assert compiled == oracle
+        assert is_valid_coloring(g, np.asarray(compiled[0], dtype=np.int64))
+        return compiled
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_clique_top_level_runs_many_rounds(self, seed):
+        """K_60 less the edges (i, i + 1), i a multiple of 8, on level 2
+        over a level-1 tail: each top round commits one or two winners."""
+        k, tail = 60, 30
+        src, dst = np.triu_indices(k, 1)
+        keep = (dst - src != 1) | (src % 8 != 0)
+        t = np.arange(k, k + tail)
+        g = from_edges(np.concatenate([src[keep], t, t, t[1:]]),
+                       np.concatenate([dst[keep], t % k, (7 * t) % k,
+                                       t[:-1]]), n=k + tail)
+        out = self._agree(g, [2] * k + [1] * tail, 2, seed)
+        # Round numbers restart at 1 with the level-1 partition.
+        colored = out[6]["dec-itr.colored"]
+        rounds = next(i for i, (r, _) in enumerate(colored) if i and r == 1)
+        assert rounds >= 50
+        assert all(1 <= c <= 2 for _, c in colored[:rounds])
+
+    def test_every_row_in_the_partition(self):
+        """One level, so the in-partition CSR fills its whole scratch."""
+        g = complete_graph(33)
+        out = self._agree(g, np.ones(g.n), 1)
+        assert out[1] == g.n and sorted(out[0]) == list(range(1, g.n + 1))
+
+    @pytest.mark.parametrize("leaves", [1, 2, 40])
+    def test_every_row_above_the_partition(self, leaves):
+        """A star's center alone on level 2: every leaf row is one
+        higher-level neighbor, so the color buffer fills its whole
+        scratch, and the center's row is all below its partition."""
+        g = star(leaves)
+        levels = np.ones(g.n)
+        levels[0] = 2
+        out = self._agree(g, levels, 2)
+        assert out[0] == [1] + [2] * leaves
+        assert out[1:3] == (2, 0)
+
+
 class TestNoDispatch:
     def test_itr_kernels_are_gone(self):
         # The kernel registry itself is gone: rounds are direct calls.
@@ -322,7 +373,8 @@ class TestCBoundary:
     @pytest.mark.parametrize("bad", [
         "short_indptr", "indptr_past_end", "falling_indptr",
         "vertex_out_of_range", "negative_vertex", "short_levels",
-        "int32_levels", "float_priority", "long_priority", "2d_levels"])
+        "int32_levels", "float_priority", "long_priority", "2d_levels",
+        "level_zero", "level_above_num_levels"])
     def test_malformed_inputs_never_reach_c(self, bad, monkeypatch):
         calls = []
 
@@ -354,6 +406,10 @@ class TestCBoundary:
             priority = priority.astype(np.float64)
         elif bad == "long_priority":
             priority = np.arange(3, dtype=np.int64)
+        elif bad == "level_zero":
+            levels = np.array([1, 0], dtype=np.int64)
+        elif bad == "level_above_num_levels":
+            levels = np.array([2, 1], dtype=np.int64)
         else:
             levels = levels.reshape(1, 2)
         g = CSRGraph(indptr=indptr, indices=indices)

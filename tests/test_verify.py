@@ -126,8 +126,8 @@ def _outcomes(g, colors) -> dict:
     try:
         bu, bv = conflicting_edges(g, colors)
         out["edges"] = (bu.tolist(), bv.tolist(), bu.dtype, bv.dtype)
-    except IndexError:  # a short array, on the NumPy path
-        out["edges"] = IndexError
+    except ValueError as exc:  # a short or long array
+        out["edges"] = str(exc)
     return out
 
 
@@ -202,6 +202,46 @@ class TestScanAgreesWithNumPy:
         assert got["assert"].startswith("6 uncolored vertices, first: ")
 
 
+# Shapes that are not one color per vertex of ring(6).
+WRONG_SHAPES = [(3, 2), (6, 1), (1, 6), (5,), (7,), (0,), ()]
+SHAPE_IDS = ["3x2", "6x1", "1x6", "5", "7", "0", "scalar"]
+
+
+class TestWrongShape:
+    """Colors of any shape but (n,) are rejected cleanly, on both paths."""
+
+    @pytest.fixture(params=["compiled", "numpy"])
+    def path(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(verify, "_CVERIFY", _NoBuild())
+        else:
+            _require_c()
+
+    @pytest.mark.parametrize("shape", WRONG_SHAPES, ids=SHAPE_IDS)
+    def test_is_valid_returns_false(self, path, shape):
+        colors = np.ones(shape, dtype=np.int64)
+        assert not is_valid_coloring(ring(6), colors)
+        assert not is_valid_coloring(ring(6), colors, allow_uncolored=True)
+
+    @pytest.mark.parametrize("shape", WRONG_SHAPES, ids=SHAPE_IDS)
+    def test_assert_names_the_shape(self, path, shape):
+        with pytest.raises(InvalidColoringError) as exc:
+            assert_valid_coloring(ring(6), np.ones(shape, dtype=np.int64))
+        assert str(exc.value) == (f"colors has shape {shape}, expected a "
+                                  f"length-6 vector")
+
+    @pytest.mark.parametrize("shape", WRONG_SHAPES, ids=SHAPE_IDS)
+    def test_conflicting_edges_names_the_shape(self, path, shape):
+        with pytest.raises(ValueError) as exc:
+            conflicting_edges(ring(6), np.ones(shape, dtype=np.int64))
+        assert not isinstance(exc.value, IndexError)
+        assert f"shape {shape}" in str(exc.value)
+
+    def test_python_list_of_the_right_length(self, path):
+        assert is_valid_coloring(ring(6), [1, 2] * 3)
+        assert conflicting_edges(ring(6), [1] * 6)[0].size == 6
+
+
 class TestScanDispatch:
     """Which colors take the scan, and how often it runs."""
 
@@ -241,10 +281,11 @@ class TestScanDispatch:
         conflicting_edges(g, colors)
         assert calls == []
 
-    def test_wrong_shape_takes_numpy(self, calls):
+    def test_wrong_shape_never_reaches_c(self, calls):
         g = ring(6)
         assert not is_valid_coloring(g, np.array([1, 2] * 2))
-        assert conflicting_edges(g, np.array([1, 2] * 4))[0].size == 0
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            conflicting_edges(g, np.array([1, 2] * 4))
         assert calls == []
 
     def test_malformed_csr_never_reaches_c(self, calls):
