@@ -11,8 +11,8 @@ written to ``BENCH_ingest.json``:
   loop, ``int()`` per token, dict-free but O(m) object remap) against
   the ingest parse phase on the same file.  Acceptance: >= 20x.
 - ``warm_speedup`` — a cache hit against the cold parse.  The warm
-  path memory-maps the uncompressed npz members, so this is page-table
-  work, not I/O.  Acceptance: >= 50x.
+  path memory-maps the entry's two ``.npy`` arrays, so this is
+  page-table work, not I/O.  Acceptance: >= 50x.
 - ``rss_ratio`` — peak RSS growth of a cold ``python -m repro ingest``
   subprocess over the final CSR's bytes (resource-sampler numbers from
   the CLI's own report).  Acceptance: < 2x.  ``rss_ratio_both_ways`` is
@@ -214,7 +214,7 @@ def run(workdir: str) -> dict:
             parse_wall, cold = stage, rep
     cold_wall = cold["wall_s"]
 
-    # Warm load, best of three (it is sub-millisecond: mmap'd npz).
+    # Warm load, best of three (it is sub-millisecond: mmap'd .npy).
     warm_wall = float("inf")
     for _ in range(3):
         gw, warm = ingest_report(path, cache_dir=cache_dir)

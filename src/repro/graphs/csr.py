@@ -110,10 +110,9 @@ class CSRGraph:
         already are), bounds-checked once per graph: every compiled
         pass of a job (ADG, the JP sweep, the ITR level pass, the peel)
         reads this cache instead of re-scanning the arrays.  When the
-        check had to copy (an int32 CSR, or a member mapped at an odd
-        offset of an older ingest cache), the copies, holding the same
-        values, become the graph's own arrays, so one CSR stays alive,
-        not two.  A malformed CSR raises ``ValueError`` and caches
+        check had to copy (an int32 CSR, or an array mapped at an odd
+        file offset), the copies, holding the same values, become the
+        graph's own arrays, so one CSR stays alive, not two.  A malformed CSR raises ``ValueError`` and caches
         nothing; :meth:`replace_arrays` drops the cache, so swapped-in
         arrays are checked again.
         """

@@ -32,10 +32,12 @@ scale path (DESIGN.md "Ingestion at scale"):
    through ``from_edges``, the legacy reader's builder and the compiled
    build's test oracle, which holds every id as int64 at once and has
    no such bound;
-4. the result is stored in a digest-keyed binary cache
-   (``<file-digest>.npz`` + a JSON manifest carrying mtime/size and the
-   parse options), so repeat loads are near-instant and the service
-   ``load`` op can open a cached graph without re-parsing.
+4. the result is stored in a digest-keyed binary cache: the CSR's
+   ``indptr`` and ``indices`` as two ``.npy`` files, plus a JSON
+   manifest carrying mtime/size, the parse options, the graph's name,
+   ``n``, ``m`` and digest.  A repeat load memory-maps the two arrays,
+   so it is near-instant and the service ``load`` op can open a cached
+   graph without re-parsing.
 
 The output is bit-identical to ``read_edge_list`` (same CSR digest) on
 every input both accept: same comment/blank-line skipping, arbitrary
@@ -81,7 +83,7 @@ from .csr import CSRGraph
 #: times its size on top of the codes kept so far: 1 MiB keeps them a
 #: few MiB, and is big enough that the per-block fixed costs vanish.
 BLOCK_BYTES = 1 << 20
-CACHE_SCHEMA = "repro.ingest-cache/v1"
+CACHE_SCHEMA = "repro.ingest-cache/v2"
 CACHE_ENV = "REPRO_INGEST_CACHE"
 
 # -- tier 1: compiled C scanner ------------------------------------------------
@@ -582,35 +584,6 @@ def _ranks(order: np.ndarray) -> np.ndarray:
     return rank
 
 
-def compact_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values + inverse codes (np.unique semantics), as
-    the ``from_edges`` build numbers its ids.
-
-    For the bounded-universe common case (SNAP ids are dense-ish) a
-    presence bitmap + rank scatter produces the identical
-    (vocab, inverse) pair in O(span) without the sort; the general case
-    is ``np.unique(return_inverse=True)`` exactly as specified.
-    """
-    if vals.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    lo = int(vals.min())
-    hi = int(vals.max())
-    span = hi - lo + 1
-    if span <= max(1 << 16, 2 * vals.size):
-        off = vals - lo
-        seen = np.zeros(span, dtype=bool)
-        seen[off] = True
-        present = np.flatnonzero(seen)
-        # Only the present slots are ever read back, so ranking them
-        # is a scatter of their count, not a prefix sum over the span.
-        rank = np.empty(span, dtype=np.int64)
-        rank[present] = np.arange(present.size, dtype=np.int64)
-        return present + np.int64(lo), rank[off]
-    vocab, inv = np.unique(vals, return_inverse=True)
-    return vocab.astype(np.int64, copy=False), inv.astype(np.int64,
-                                                          copy=False)
-
-
 # -- the sequential block reader ----------------------------------------------
 
 def _is_gzip(path: str) -> bool:
@@ -683,12 +656,12 @@ def _read_blocks(path: str, gz: bool, h=None, ctx=None):
 
 # -- digest-keyed binary cache -------------------------------------------------
 
-def file_digest(path: str, block: int = 1 << 20) -> str:
+def file_digest(path: str) -> str:
     """sha256 of the file's raw bytes (compressed bytes for .gz)."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         while True:
-            chunk = fh.read(block)
+            chunk = fh.read(BLOCK_BYTES)
             if not chunk:
                 return h.hexdigest()
             h.update(chunk)
@@ -718,79 +691,44 @@ def _options_tag(comments: str) -> str:
     return hashlib.sha256(f"comments={comments}".encode()).hexdigest()[:8]
 
 
-def _cache_paths(cdir: str, sha: str, comments: str) -> tuple[str, str]:
-    stem = f"{sha[:24]}-{_options_tag(comments)}"
-    return (os.path.join(cdir, f"{stem}.npz"),
-            os.path.join(cdir, f"{stem}.json"))
+def _cache_stem(cdir: str, sha: str, comments: str) -> str:
+    """An entry's path minus its suffixes: the manifest is
+    ``<stem>.json``, the arrays ``<stem>.indptr.npy`` and
+    ``<stem>.indices.npy``."""
+    return os.path.join(cdir, f"{sha[:24]}-{_options_tag(comments)}")
 
 
-def _npz_member_arrays(npz_path: str) -> dict:
-    """Map each uncompressed npz member to a read-only memmap array.
+#: The CSR arrays a cache entry holds, one ``.npy`` file each.
+_CACHE_ARRAYS = ("indptr", "indices")
 
-    The cache npz is ZIP_STORED, so every member's .npy payload sits
-    contiguously in the file; mapping it skips the two whole-array
-    copies ``np.load`` makes (zip read + frombuffer) and the warm path
-    becomes a handful of page-table operations.  Raises on anything
-    unexpected (compressed member, odd npy version); the caller falls
-    back to ``np.load``.
+
+def _load_cached(stem: str, man: dict, name: str | None) -> CSRGraph | None:
+    """The entry's CSR, its arrays memory-mapped read-only, or None (a
+    miss) when an array file is missing or short, or the arrays' ``n``
+    and ``m`` are not the manifest's.
+
+    ``np.save`` pads each header so the array data starts 64-byte
+    aligned, so the mapped arrays reach the compiled passes uncopied.
     """
-    import zipfile
-
-    from numpy.lib import format as npf
-
-    out = {}
-    with zipfile.ZipFile(npz_path) as zf, open(npz_path, "rb") as fh:
-        for zi in zf.infolist():
-            if zi.compress_type != zipfile.ZIP_STORED:
-                raise ValueError("compressed npz member")
-            # Local file header: 30 fixed bytes, then name and extra
-            # fields (their lengths at offsets 26 and 28).
-            fh.seek(zi.header_offset)
-            head = fh.read(30)
-            if len(head) != 30 or head[:4] != b"PK\x03\x04":
-                raise ValueError("bad local header")
-            name_len = int.from_bytes(head[26:28], "little")
-            extra_len = int.from_bytes(head[28:30], "little")
-            fh.seek(zi.header_offset + 30 + name_len + extra_len)
-            version = npf.read_magic(fh)
-            if version != (1, 0):
-                raise ValueError(f"npy format {version}")
-            shape, fortran, dtype = npf.read_array_header_1_0(fh)
-            if fortran or dtype.hasobject:
-                raise ValueError("unsupported npy layout")
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            if nbytes < (1 << 20):  # small members: plain read
-                arr = np.frombuffer(fh.read(nbytes),
-                                    dtype=dtype).reshape(shape)
-            else:
-                arr = np.memmap(npz_path, dtype=dtype, mode="r",
-                                offset=fh.tell(), shape=shape)
-            out[zi.filename[:-4] if zi.filename.endswith(".npy")
-                else zi.filename] = arr
-    return out
-
-
-def _load_cached(npz_path: str, name: str | None) -> CSRGraph | None:
     try:
-        data = _npz_member_arrays(npz_path)
-        return CSRGraph(indptr=np.asarray(data["indptr"]),
-                        indices=np.asarray(data["indices"]),
-                        name=name or str(data["name"][()]))
-    except (OSError, KeyError, ValueError):
-        pass
-    try:
-        with np.load(npz_path, allow_pickle=False) as data:
-            return CSRGraph(indptr=data["indptr"].astype(np.int64),
-                            indices=data["indices"].astype(np.int64),
-                            name=name or str(data["name"]))
-    except (OSError, KeyError, ValueError):
+        indptr, indices = (
+            np.asarray(np.load(f"{stem}.{key}.npy", mmap_mode="r",
+                               allow_pickle=False))
+            for key in _CACHE_ARRAYS)
+    except (OSError, ValueError, EOFError):
         return None
+    g = CSRGraph(indptr=indptr, indices=indices,
+                 name=name or str(man.get("name", "graph")))
+    if (g.n, g.m) != (man.get("n"), man.get("m")):
+        return None
+    _seed_digest(g, man)
+    return g
 
 
 def _seed_digest(g: CSRGraph, man: dict) -> None:
     """Pre-fill ``content_digest`` from the manifest on a cache hit.
 
-    The manifest recorded the digest when the npz was written, so a
+    The manifest recorded the digest when the arrays were written, so a
     warm load need not re-hash 2m+n words — that hash would otherwise
     dominate the warm path.  ``cached_property`` stores through the
     instance ``__dict__``, which works on the frozen dataclass too.
@@ -836,18 +774,16 @@ def cache_lookup(cdir: str, apath: str, comments: str,
         manifests.append((mpath, man))
         if man.get("source") == apath and man.get("size") == st.st_size \
                 and man.get("mtime_ns") == st.st_mtime_ns:
-            g = _load_cached(mpath[:-5] + ".npz", name)
+            g = _load_cached(mpath[:-5], man, name)
             if g is not None:
-                _seed_digest(g, man)
                 return g, "stat", None
     # Stat mismatch (moved/touched file): one content hash decides.
     sha = file_digest(apath)
     for mpath, man in manifests:
         if man.get("file_sha256") != sha:
             continue
-        g = _load_cached(mpath[:-5] + ".npz", name)
+        g = _load_cached(mpath[:-5], man, name)
         if g is not None:
-            _seed_digest(g, man)
             man.update(source=apath, size=st.st_size,
                        mtime_ns=st.st_mtime_ns)
             try:
@@ -872,90 +808,32 @@ def _malloc_trim() -> None:
         pass
 
 
-#: Payload alignment of cache npz members, bytes.  The npy header pads
-#: itself to a multiple of 64, so a member whose local zip header ends
-#: 64-aligned has 64-aligned array data, which :func:`_npz_member_arrays`
-#: maps in place.
-NPZ_ALIGN = 64
-
-#: Zip extra-field id of the alignment padding (the id zipalign uses).
-_PAD_EXTRA_ID = 0xD935
-
-
-def _aligned_zipinfo(name: str, offset: int):
-    """A ZIP_STORED ``ZipInfo`` for ``name`` whose local header, written
-    at ``offset`` with a forced zip64 field, ends ``NPZ_ALIGN``-aligned.
-
-    The padding is one extra field (4 header bytes plus zeros), so a
-    pad of 1-3 bytes grows by ``NPZ_ALIGN``.
-    """
-    import zipfile
-
-    zi = zipfile.ZipInfo(name, time.localtime()[:6])
-    zi.compress_type = zipfile.ZIP_STORED
-    zi.CRC = zi.compress_size = 0  # set for real when the member closes
-    pad = -(offset + len(zi.FileHeader(zip64=True))) % NPZ_ALIGN
-    if 0 < pad < 4:
-        pad += NPZ_ALIGN
-    if pad:
-        zi.extra = (_PAD_EXTRA_ID.to_bytes(2, "little")
-                    + (pad - 4).to_bytes(2, "little") + bytes(pad - 4))
-    return zi
-
-
-def _stream_npz(fh, arrays: dict) -> None:
-    """``np.savez`` (uncompressed), streamed in ~1 MiB slices.
-
-    ``np.savez`` copies each array into multi-MiB write buffers; at the
-    moment the cache is written the final CSR is already resident, so
-    those copies are exactly the peak-RSS overshoot the resource bench
-    guards against.  Each member's array data starts ``NPZ_ALIGN``-
-    aligned in the file (:func:`_aligned_zipinfo`), so a warm load maps
-    it as aligned int64 with no copy.  ``np.load`` reads the result
-    like any other npz.
-    """
-    import zipfile
-
-    from numpy.lib import format as npf
-
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED,
-                         allowZip64=True) as zf:
-        for key, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            # Each member's local header is written where the previous
-            # one left the file position.
-            zi = _aligned_zipinfo(key + ".npy", fh.tell())
-            with zf.open(zi, "w", force_zip64=True) as out:
-                npf.write_array_header_1_0(
-                    out, npf.header_data_from_array_1_0(arr))
-                mv = memoryview(arr.reshape(-1)).cast("B")
-                step = 1 << 20
-                for off in range(0, len(mv), step):
-                    out.write(mv[off:off + step])
-
-
 def cache_store(cdir: str, apath: str, comments: str, g: CSRGraph,
                 sha: str) -> bool:
-    """Write ``<digest>.npz`` + manifest atomically; False on IO error.
+    """Write the entry's two ``.npy`` files, then its manifest; False
+    on IO error.
 
-    The npz is uncompressed on purpose: a warm load is then a single
-    sequential read of the raw CSR arrays, which is what makes repeat
-    loads ~100x cheaper than a parse.  The manifest is written last —
-    its presence implies a complete npz.
+    Each file is written to a temp name and renamed into place, so a
+    live mapping of the old file is never truncated.  ``np.save``
+    writes a C-contiguous array straight from its buffer (no copy on
+    top of the resident CSR) and uncompressed, which is what lets a
+    warm load map it.  The manifest is written last — its presence
+    implies complete arrays.
     """
     try:
         st = os.stat(apath)
         os.makedirs(cdir, exist_ok=True)
-        npz_path, man_path = _cache_paths(cdir, sha, comments)
-        tmp = f"{npz_path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            _stream_npz(fh, {"indptr": g.indptr, "indices": g.indices,
-                             "name": np.asarray(g.name)})
-        os.replace(tmp, npz_path)
-        _write_json(man_path, {
+        stem = _cache_stem(cdir, sha, comments)
+        for key in _CACHE_ARRAYS:
+            path = f"{stem}.{key}.npy"
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "wb") as fh:
+                np.save(fh, getattr(g, key), allow_pickle=False)
+            os.replace(tmp, path)
+        _write_json(f"{stem}.json", {
             "schema": CACHE_SCHEMA, "source": apath,
             "size": st.st_size, "mtime_ns": st.st_mtime_ns,
-            "comments": comments, "file_sha256": sha,
+            "comments": comments, "file_sha256": sha, "name": g.name,
             "n": int(g.n), "m": int(g.m),
             "graph_digest": g.content_digest,
             "created": time.time(),
@@ -1015,7 +893,7 @@ def _build_from_edges(blocks: list, ctx, name: str) -> CSRGraph:
         uv = np.concatenate([np.empty(0, np.int64)]
                             + [b[0] for b in blocks] + [b[1] for b in blocks])
         blocks.clear()
-        vocab, inv = compact_ids(uv)
+        vocab, inv = np.unique(uv, return_inverse=True)
         del uv
     with ctx.phase("ingest.compact"):
         m = inv.size // 2

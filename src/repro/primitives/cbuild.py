@@ -113,9 +113,9 @@ def checked_csr(indptr: np.ndarray, indices: np.ndarray,
     """``indptr``/``indices`` as aligned C-contiguous int64,
     bounds-checked.
 
-    An array that is not 8-byte aligned (a member memory-mapped at an
-    odd offset of an old ingest cache) is copied, since a compiled loop
-    must not load from it.  Raises ``ValueError`` unless ``indptr`` has
+    An array that is not 8-byte aligned (one memory-mapped at an odd
+    file offset) is copied, since a compiled loop must not load from
+    it.  Raises ``ValueError`` unless ``indptr`` has
     ``n + 1`` entries rising from 0 to ``len(indices)`` and every index
     names a vertex 0..n-1 — the bounds a compiled CSR loop relies on.
     """

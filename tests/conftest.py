@@ -123,13 +123,33 @@ def sequential_greedy(g: CSRGraph, sequence) -> np.ndarray:
 
 def misaligned(a) -> np.ndarray:
     """A copy of ``a`` as int64 starting one byte past an aligned
-    address — what an unpadded npz member maps to."""
+    address, which a compiled loop must not load from."""
     a = np.asarray(a, dtype=np.int64)
     out = np.frombuffer(bytearray(a.size * 8 + 1), dtype=np.int64,
                         count=a.size, offset=1)
     out[:] = a
     assert a.size == 0 or not out.flags.aligned
     return out
+
+
+def warm_from_ingest_cache(g, tmp_path) -> tuple[CSRGraph, CSRGraph]:
+    """``(cold, warm)``: ``g`` written as an edge list and ingested cold
+    into a cache, then loaded again from that cache, its arrays
+    memory-mapped read-only.  Both are ``g`` as its edge list reads
+    back: isolated vertices, which no line names, are dropped."""
+    from repro.graphs.ingest import ingest_report
+    from repro.graphs.io import write_edge_list
+
+    path = str(tmp_path / "g.el")
+    write_edge_list(g, path)
+    cdir = str(tmp_path / "cache")
+    cold, _ = ingest_report(path, cache_dir=cdir)
+    warm, report = ingest_report(path, cache_dir=cdir)
+    assert report["cached"] == "stat"
+    assert isinstance(warm.indices.base, np.memmap)
+    assert not warm.indices.flags.writeable
+    assert warm.content_digest == cold.content_digest
+    return cold, warm
 
 
 # -- hypothesis strategy for arbitrary small graphs -----------------------------

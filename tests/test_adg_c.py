@@ -38,7 +38,8 @@ from repro.ordering.adg import adg_ordering
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import graphs, misaligned
+from .conftest import (graphs, misaligned,
+                       warm_from_ingest_cache)
 from .test_adg_sweep import GOLDEN, PIN_GRAPHS, fingerprint
 from .test_adg_sweep import VARIANTS as PIN_VARIANTS
 
@@ -199,16 +200,8 @@ class TestCBoundary:
         self._check(odd, ref=g)
 
     def test_read_only_memmap_from_the_ingest_cache(self, tmp_path):
-        from repro.graphs.ingest import _load_cached
-
-        # Members of 1 MiB and up are mapped, not read.
-        g = gnm_random(20000, 80000, seed=9)
-        path = tmp_path / "g.npz"
-        np.savez(path, indptr=g.indptr, indices=g.indices,
-                 name=np.array("gnm"))
-        cached = _load_cached(str(path), None)
-        assert isinstance(cached.indices.base, np.memmap)
-        assert not cached.indices.flags.writeable
+        g, cached = warm_from_ingest_cache(gnm_random(20000, 80000, seed=9),
+                                           tmp_path)
         self._check(cached, ref=g)
 
     @pytest.mark.parametrize("bad", [

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import gnm_random, kronecker
 from repro.graphs.ingest import (
-    compact_ids,
     file_digest,
     ingest,
     ingest_report,
@@ -159,19 +158,6 @@ class TestParseEdgeBytes:
         assert ingest_mod._parse_block(b"-1 2\n", "#")[2] == "python"
         monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
         assert ingest_mod._parse_block(data, "#")[2] == "python"
-
-
-class TestCompactIds:
-    def test_matches_np_unique(self):
-        rng = np.random.default_rng(7)
-        for vals in [rng.integers(0, 50, 1000),
-                     rng.integers(0, 2 ** 40, 1000),  # sparse universe
-                     np.array([], np.int64)]:
-            vals = vals.astype(np.int64)
-            vocab, inv = compact_ids(vals)
-            ids, ref = np.unique(vals, return_inverse=True)
-            assert np.array_equal(vocab, ids)
-            assert np.array_equal(inv, ref)
 
 
 # -- digest identity with the legacy reader -----------------------------------
@@ -405,7 +391,8 @@ class TestCache:
         monkeypatch.setenv("REPRO_INGEST_CACHE", str(cdir))
         path = self._file(tmp_path)
         ingest_report(path)
-        assert any(p.suffix == ".npz" for p in cdir.iterdir())
+        assert sorted(p.suffix for p in cdir.iterdir()) == [".json", ".npy",
+                                                             ".npy"]
 
     def test_same_content_different_path_digest_hit(self, tmp_path):
         path = self._file(tmp_path)
@@ -417,50 +404,98 @@ class TestCache:
         assert r["cached"] == "digest"
 
     def test_warm_members_mapped_aligned(self, tmp_path):
-        # indices (1.3 MB) is mapped in place: its payload must start
-        # NPZ_ALIGN-aligned in the file, so the warm CSR is aligned
-        # int64 with no copy.
+        # A warm load maps the entry's two .npy files read-only; np.save
+        # pads each header so the data starts 64-byte aligned, and the
+        # compiled passes take the mapped arrays with no copy.
         g = gnm_random(20000, 80000, seed=9)
         path = str(tmp_path / "g.el")
         write_edge_list(g, path)
-        cdir = tmp_path / "cache"
-        ingest_report(path, cache_dir=str(cdir))
-        warm, r = ingest_report(path, cache_dir=str(cdir))
+        cdir = str(tmp_path / "cache")
+        cold, _ = ingest_report(path, cache_dir=cdir)
+        warm, r = ingest_report(path, cache_dir=cdir)
         assert r["cached"] == "stat"
-        assert isinstance(warm.indices.base, np.memmap)
-        assert warm.indices.flags.aligned and warm.indptr.flags.aligned
-        (npz,) = cdir.glob("*.npz")
-        members = ingest_mod._npz_member_arrays(str(npz))
-        mapped = [a for a in members.values() if isinstance(a, np.memmap)]
-        assert mapped
-        assert all(a.offset % ingest_mod.NPZ_ALIGN == 0 for a in mapped)
-        with np.load(npz) as data:
-            np.testing.assert_array_equal(data["indices"], warm.indices)
+        for key in ("indptr", "indices"):
+            arr = getattr(warm, key)
+            assert isinstance(arr.base, np.memmap)
+            assert not arr.flags.writeable
+            assert arr.ctypes.data % np.lib.format.ARRAY_ALIGN == 0
+            np.testing.assert_array_equal(arr, getattr(cold, key))
+        indptr, indices = warm.checked_arrays
+        assert isinstance(indptr.base, np.memmap)
+        assert isinstance(indices.base, np.memmap)
 
-    def test_unpadded_cache_still_loads(self, tmp_path):
-        # A cache written before members were padded maps indices at an
-        # odd offset; it loads, and colors like the source graph.
-        import zipfile
+    def _stem(self, cdir, path):
+        """The path of ``path``'s cache entry minus its suffixes."""
+        for man in cdir.glob("*.json"):
+            if json.loads(man.read_text())["source"] == path:
+                return str(man)[:-len(".json")]
+        raise AssertionError(f"no cache entry for {path}")
 
-        from numpy.lib import format as npf
+    def test_arrays_disagreeing_with_the_manifest_miss(self, tmp_path):
+        # An entry holding another graph's arrays is a miss, not a hit
+        # under its manifest's digest (which the service keys on): the
+        # file is re-parsed and the entry rewritten.
+        cdir = tmp_path / "cache"
+        paths = {}
+        for key, g in (("small", gnm_random(100, 300, seed=1)),
+                       ("big", gnm_random(20000, 80000, seed=9))):
+            paths[key] = str(tmp_path / f"{key}.el")
+            write_edge_list(g, paths[key])
+        _, cold = ingest_report(paths["big"], cache_dir=str(cdir))
+        ingest_report(paths["small"], cache_dir=str(cdir))
+        src = self._stem(cdir, paths["small"])
+        dst = self._stem(cdir, paths["big"])
+        for f in cdir.glob(os.path.basename(src) + ".*"):
+            if f.suffix != ".json":
+                shutil.copy(f, dst + str(f)[len(src):])
+        g, r = ingest_report(paths["big"], cache_dir=str(cdir))
+        assert r["cached"] is False
+        assert (g.n, r["digest"]) == (cold["n"], cold["digest"])
+        g, r = ingest_report(paths["big"], cache_dir=str(cdir))
+        assert r["cached"] == "stat"
+        assert (g.n, r["digest"]) == (cold["n"], cold["digest"])
 
-        from repro.coloring.registry import color
-        g = gnm_random(20000, 80000, seed=9)
-        npz = str(tmp_path / "old.npz")
-        with zipfile.ZipFile(npz, "w", zipfile.ZIP_STORED,
-                             allowZip64=True) as zf:
-            for key, arr in (("indptr", g.indptr), ("indices", g.indices),
-                             ("name", np.asarray("old"))):
-                with zf.open(key + ".npy", "w", force_zip64=True) as out:
-                    npf.write_array(out, arr)
-        old = ingest_mod._load_cached(npz, None)
-        assert isinstance(old.indices.base, np.memmap)
-        assert not old.indices.flags.aligned
-        assert old.name == "old"
-        # The sweep, the peel (SL) and the ITR level pass each take it.
-        for algorithm in ("JP-ADG", "JP-SL", "DEC-ADG-ITR"):
-            np.testing.assert_array_equal(color(algorithm, old).colors,
-                                          color(algorithm, g).colors)
+    def test_truncated_entry_misses(self, tmp_path):
+        # A short array file is a miss, not a crash; the re-parse
+        # rewrites it.  No graph maps the file while it is truncated
+        # (truncating a live mapping in place is a SIGBUS).
+        path = self._file(tmp_path)
+        cdir = tmp_path / "cache"
+        _, cold = ingest_report(path, cache_dir=str(cdir))
+        (arr,) = cdir.glob("*.indices.npy")
+        with open(arr, "r+b") as fh:
+            fh.truncate(arr.stat().st_size // 2)
+        _, r = ingest_report(path, cache_dir=str(cdir))
+        assert r["cached"] is False
+        assert r["digest"] == cold["digest"]
+        _, r = ingest_report(path, cache_dir=str(cdir))
+        assert r["cached"] == "stat"
+        assert r["digest"] == cold["digest"]
+
+    def test_v1_entry_is_a_miss_and_replaced(self, tmp_path):
+        # A v1 entry (one npz, schema v1) is not read: the file is
+        # re-parsed, and the v2 store overwrites the manifest, whose
+        # stem is the same.  The old npz is left behind.
+        path = self._file(tmp_path)
+        cdir = tmp_path / "cache"
+        g, cold = ingest_report(path, cache_dir=str(cdir))
+        (man,) = cdir.glob("*.json")
+        fields = json.loads(man.read_text())
+        fields["schema"] = "repro.ingest-cache/v1"
+        man.write_text(json.dumps(fields))
+        for f in cdir.glob("*.npy"):
+            f.unlink()
+        npz = man.with_suffix(".npz")
+        np.savez(npz, indptr=g.indptr, indices=g.indices,
+                 name=np.asarray(g.name))
+        _, r = ingest_report(path, cache_dir=str(cdir))
+        assert r["cached"] is False
+        assert r["digest"] == cold["digest"]
+        assert json.loads(man.read_text())["schema"] \
+            == ingest_mod.CACHE_SCHEMA
+        _, r = ingest_report(path, cache_dir=str(cdir))
+        assert r["cached"] == "stat"
+        assert npz.exists()
 
     @pytest.mark.parametrize("gz", [False, True])
     def test_cold_parse_hashes_while_reading(self, tmp_path, monkeypatch,
@@ -515,7 +550,7 @@ class TestCache:
     def test_cold_ingest_writes_only_the_cache(self, tmp_path, monkeypatch,
                                                gz):
         # No spill or scratch file: the temp dir stays empty and the
-        # only new files are the cache entry's npz and manifest.
+        # only new files are the cache entry's two arrays and manifest.
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
@@ -533,7 +568,8 @@ class TestCache:
         ingest_report(path, cache_dir=str(cdir), force=True)
         assert list(tmp.iterdir()) == []
         assert sorted(p.name for p in src.iterdir()) == before
-        assert sorted(p.suffix for p in cdir.iterdir()) == [".json", ".npz"]
+        assert sorted(p.suffix for p in cdir.iterdir()) == [".json", ".npy",
+                                                             ".npy"]
 
     def test_file_digest_matches_hashlib(self, tmp_path):
         import hashlib

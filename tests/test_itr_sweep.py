@@ -42,7 +42,8 @@ from repro.ordering.base import random_tiebreak
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import graphs, misaligned
+from .conftest import (graphs, misaligned,
+                       warm_from_ingest_cache)
 
 # The package re-exports the engine function under the module's name.
 itr_mod = sys.modules["repro.coloring.dec_adg_itr"]
@@ -345,16 +346,8 @@ class TestCBoundary:
         assert self._check(g32, ordered=g) == self._check(g)
 
     def test_read_only_memmap_from_the_ingest_cache(self, tmp_path):
-        from repro.graphs.ingest import _load_cached
-
-        # Members of 1 MiB and up are mapped, not read.
-        g = gnm_random(20000, 80000, seed=9)
-        path = tmp_path / "g.npz"
-        np.savez(path, indptr=g.indptr, indices=g.indices,
-                 name=np.array("gnm"))
-        cached = _load_cached(str(path), None)
-        assert isinstance(cached.indices.base, np.memmap)
-        assert not cached.indices.flags.writeable
+        g, cached = warm_from_ingest_cache(gnm_random(20000, 80000, seed=9),
+                                           tmp_path)
         assert self._check(cached) == self._check(g)
 
     def test_odd_offset_arrays(self):

@@ -35,7 +35,8 @@ from repro.obs import Tracer
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import graphs, misaligned
+from .conftest import (graphs, misaligned,
+                       warm_from_ingest_cache)
 
 GRAPHS = {
     "kron": lambda: kronecker(scale=9, edge_factor=8, seed=3),
@@ -678,20 +679,12 @@ class TestCBoundary:
                                       jp_color(g, ranks)[0])
 
     def test_read_only_memmap_from_the_ingest_cache(self, tmp_path):
-        from repro.graphs.ingest import _load_cached
-
-        # Members of 1 MiB and up are mapped, not read.
-        g = gnm_random(20000, 80000, seed=9)
-        path = tmp_path / "g.npz"
-        np.savez(path, indptr=g.indptr, indices=g.indices,
-                 name=np.array("gnm"))
-        cached = _load_cached(str(path), None)
-        assert isinstance(cached.indices.base, np.memmap)
-        assert not cached.indices.flags.writeable
+        g, cached = warm_from_ingest_cache(gnm_random(20000, 80000, seed=9),
+                                           tmp_path)
         self._check(cached, np.random.default_rng(3).permutation(g.n))
 
     def test_odd_offset_arrays(self):
-        # Unaligned int64 (an old ingest cache's mapped members) is
+        # Unaligned int64 (an array mapped at an odd file offset) is
         # copied before the sweep, never loaded from in C.
         g = GRAPHS["kron"]()
         odd = CSRGraph(indptr=misaligned(g.indptr),

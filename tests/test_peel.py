@@ -31,7 +31,8 @@ from repro.graphs.generators import (
 from repro.ordering.sl import sl_ordering
 from repro.primitives import cbuild
 
-from .conftest import graphs, misaligned
+from .conftest import (graphs, misaligned,
+                       warm_from_ingest_cache)
 
 GRAPHS = {
     "kron": lambda: kronecker(scale=10, edge_factor=8, seed=3),
@@ -108,16 +109,8 @@ class TestCBoundary:
                      properties.peel_degeneracy(g))
 
     def test_read_only_memmap_from_the_ingest_cache(self, tmp_path):
-        from repro.graphs.ingest import _load_cached
-
-        # Members of 1 MiB and up are mapped, not read.
-        g = gnm_random(20000, 80000, seed=9)
-        path = tmp_path / "g.npz"
-        np.savez(path, indptr=g.indptr, indices=g.indices,
-                 name=np.array("gnm"))
-        cached = _load_cached(str(path), None)
-        assert isinstance(cached.indices.base, np.memmap)
-        assert not cached.indices.flags.writeable
+        _, cached = warm_from_ingest_cache(gnm_random(20000, 80000, seed=9),
+                                           tmp_path)
         self._check(cached)
 
     def test_odd_offset_arrays(self):
