@@ -36,33 +36,18 @@ from .simcol import sim_col
 
 def _constraints(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
                  levels: np.ndarray, level: int, colors: np.ndarray):
-    """Per-partition gather: deg_l counts and higher-partition colors."""
+    """Per-partition gather: ``(counts_ge, owners, taken, gathered)``.
+
+    ``counts_ge[i]`` is deg_l of ``verts[i]`` (its neighbors in this or
+    higher partitions), ``(owners, taken)`` the (local vertex, color)
+    pairs taken by strictly-higher-partition neighbors, and
+    ``gathered`` the number of neighbors read.
+    """
     seg, nbrs = batch_neighbors(indptr, indices, verts)
     lv = levels[nbrs]
     cg = np.bincount(seg[lv >= level], minlength=verts.size)
     higher = lv > level
     return cg, seg[higher], colors[nbrs[higher]], nbrs.size
-
-
-def partition_constraints(indptr: np.ndarray, indices: np.ndarray,
-                          max_degree: int, verts: np.ndarray,
-                          levels: np.ndarray, level: int, colors: np.ndarray,
-                          ctx: ExecutionContext,
-                          phase: str) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
-    """Per-partition gather: deg_l counts and taken colors.
-
-    Returns ``(counts_ge, taken, owners)`` where ``counts_ge[i]`` is the
-    number of neighbors of ``verts[i]`` in this or higher partitions,
-    and ``(owners, taken)`` lists the (local vertex, color) pairs taken
-    by strictly-higher-partition neighbors (color 0 entries included;
-    the caller filters by its bitmap width).
-    """
-    counts_ge, owners, taken, nbrs_total = _constraints(
-        indptr, indices, verts, levels, int(level), colors)
-    ctx.cost.round(nbrs_total + verts.size, log2_ceil(max(max_degree, 1)))
-    ctx.mem.gather(nbrs_total, phase)
-    return counts_ge, taken, owners
 
 
 def partitions_from_levels(levels: np.ndarray,
@@ -112,9 +97,11 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
 
             # deg_l(v) and the B_v bitmaps: colors taken by
             # higher-partition neighbors.
-            counts_ge, taken, owners = partition_constraints(
-                g.indptr, g.indices, g.max_degree, verts, levels, level,
-                colors, ctx, "dec:color")
+            counts_ge, owners, taken, nbrs_total = _constraints(
+                g.indptr, g.indices, verts, levels, level, colors)
+            cost.round(nbrs_total + verts.size,
+                       log2_ceil(max(g.max_degree, 1)))
+            mem.gather(nbrs_total, "dec:color")
             width = int(np.ceil(
                 (1.0 + mu) * max(1, int(counts_ge.max())))) + 2
             forbidden = np.zeros((verts.size, width), dtype=bool)

@@ -11,27 +11,33 @@ quality bound with ITR's practical speed.
 The level loop is sequential (lower levels read higher levels'
 colors), and the scheme is deterministic given the priority
 permutation, so the whole interior runs as one pass on the calling
-thread: ~140 lines of C built through :mod:`repro.primitives.cbuild`.
+thread: ~150 lines of C built through :mod:`repro.primitives.cbuild`.
 For each partition, top level first, the C reads each vertex's CSR row
-once, in one branch-free walk that counts deg_l (which sizes the
-bitmap), collects the in-partition CSR and the higher levels' colors;
-a short loop then fills the B_v bitmap rows from those colors.  One
-read of the running color array tells the three kinds of neighbor
-apart: 0 for a lower level, a negative local id in the partition, a
-color above it.  The synchronous ITR rounds touch in-partition
-neighbors only, and each round's winners commit their colors from
-their own rows: ``CSRGraph`` rows are symmetric, so these are the
-(loser, winner) pairs a walk of every active row would find, without
-rescanning the losers.  It returns per-partition and per-round books, and
-:func:`itr_color_partitions` replays them into the cost and memory
-books and the ``dec-itr.*`` tracer series in the order the rounds ran.
-Without a C compiler the NumPy rounds below compute the same colors and
-books; they are also the C path's test oracle.
+once, in one branch-free walk that counts deg_l(v), collects the
+in-partition CSR and the higher levels' colors; a short loop then
+fills the B_v bitmap rows from those colors.  Each row B_v is sized by
+its own deg_l(v) + 2: deg_l bounds its set colors, so a color in
+1..deg_l(v) + 1 is always free.  The bitmap thus holds at most the
+partition's degree sum plus two bytes a vertex, however skewed its
+degrees.  One read of the running color array tells the three kinds
+of neighbor apart: 0 for a lower level, a negative local id in the
+partition, a color above it.  The synchronous ITR rounds touch
+in-partition neighbors only, and each round's winners commit their
+colors from their own rows: ``CSRGraph`` rows are symmetric, so these
+are the (loser, winner) pairs a walk of every active row would find,
+without rescanning the losers.  Without a C compiler the NumPy rounds
+below compute the same colors on the same per-row bitmap; they are
+also the C path's test oracle.
 
-The level loop is exposed as :func:`itr_color_partitions`, mirroring
-:func:`repro.coloring.dec_adg.color_partitions`:
+Both paths book nothing: :func:`itr_levels` returns the colors and the
+pass's log, per partition and per round.  :func:`itr_color_partitions`
+replays that log into the cost and memory books and the ``dec-itr.*``
+tracer series in the order the rounds ran, and is the level loop's
+entry point, mirroring :func:`repro.coloring.dec_adg.color_partitions`:
 :class:`~repro.coloring.incremental.IncrementalColoring` re-runs it for
-a full recompute.
+a full recompute.  The ITR and ITR-ASL baselines
+(:mod:`repro.coloring.speculative`) run :func:`itr_levels` with every
+vertex on one level and replay the log into their own books.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
 from ..primitives.cbuild import CLibrary
-from ..primitives.kernels import segment_any
+from ..primitives.kernels import multi_slice_gather, segment_any
 from ..runtime import ExecutionContext, resolve_context
-from .dec_adg import partition_constraints, partitions_from_levels
+from .dec_adg import _constraints, partitions_from_levels
 from .result import ColoringResult
 
 _C_SOURCE = r"""
@@ -58,21 +64,22 @@ _C_SOURCE = r"""
 
 /* ITR over the ADG level partitions, top level first.  Partition L is
    order[bounds[L-1]:bounds[L]], and order lists every vertex once;
-   colors starts at 0.  The per-partition scratch lptr (largest
-   partition + 1), lidx and hbuf (largest partition degree sum), lcol,
-   lprio, stamp and active (largest partition) need no initialization.
-   pb (4 x levels: degree sum, width, kept bits, rounds) and rb (5 x
-   cap: active, neighbor sum, max degree, losers, committed pairs)
-   start at 0.  Returns the number of rounds, -1 when a partition
-   exceeds its round limit, -2 when a bitmap calloc fails. */
+   colors starts at 0.  The per-partition scratch lptr and boff
+   (largest partition + 1), lidx and hbuf (largest partition degree
+   sum), lcol, lprio, stamp and active (largest partition) need no
+   initialization.  pb (5 x levels: vertices, degree sum, width, kept
+   bits, rounds) and rb (5 x cap: active, neighbor sum, max degree,
+   losers, committed pairs) start at 0.  Returns the number of rounds,
+   -1 when a partition exceeds its round limit, -2 when a bitmap calloc
+   fails. */
 long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
                            const int64_t *priority, const int64_t *order,
                            const int64_t *bounds, long long num_levels,
                            long long max_rounds, long long cap,
                            int64_t *colors, int64_t *lptr, int64_t *lidx,
                            int64_t *hbuf, int64_t *lcol, int64_t *lprio,
-                           int64_t *stamp, int64_t *active, int64_t *pb,
-                           int64_t *rb)
+                           int64_t *stamp, int64_t *active, int64_t *boff,
+                           int64_t *pb, int64_t *rb)
 {
     long long L, k = 0;
     for (L = num_levels; L >= 1; L--) {
@@ -87,15 +94,19 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
         /* colors tells a neighbor's partition apart in one read: 0
            below L (not colored yet), -(local id + 1) in L, > 0 above L
            (a partition's smallest free color is >= 1, as B_v never
-           fills a row; see width). */
+           fills a row; see boff). */
         for (i = 0; i < nv; i++)
             colors[verts[i]] = -i - 1;
         /* One walk per row: deg_l (ge), the in-partition CSR in local
            ids (lidx) and the higher partitions' colors (hbuf).  Both
            cursors store at every neighbor and advance only on a match,
            so a store never passes the partition's degree sum; lcol
-           holds each row's end in hbuf until round 1 overwrites it. */
+           holds each row's end in hbuf until round 1 overwrites it.
+           Row B_v spans colors 0..deg_l(v) + 1: deg_l bounds its set
+           colors, so one of 1..deg_l(v) + 1 is always free, and the
+           bitmap holds at most the degree sum plus 2 bytes a vertex. */
         lptr[0] = 0;
+        boff[0] = 0;
         for (i = 0; i < nv; i++) {
             const int64_t v = verts[i];
             int64_t ge = 0;
@@ -109,6 +120,7 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
             }
             dsum += indptr[v + 1] - indptr[v];
             lptr[i + 1] = e;
+            boff[i + 1] = boff[i] + ge + 2;
             lcol[i] = h;
             if (ge > top)
                 top = ge;
@@ -116,20 +128,21 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
             stamp[i] = 0;
             active[i] = i;
         }
-        /* deg_l bounds the set bits of a row, so colors 1..top+2 always
-           leave one free. */
+        /* The books count kept colors against the partition-wide
+           palette width, as if every row were max deg_l + 3 wide. */
         width = top + 3;
-        bm = calloc((size_t)nv * (size_t)width, 1);
+        bm = calloc((size_t)boff[nv], 1);
         if (bm == NULL)
             return -2;
         /* B_v: colors already taken by higher-partition neighbors.  A
            color past the row marks column 0, which no round reads. */
         for (i = 0, h = 0; i < nv; i++) {
-            unsigned char *row = bm + i * width;
+            unsigned char *row = bm + boff[i];
+            const int64_t len = boff[i + 1] - boff[i];
             for (; h < lcol[i]; h++) {
-                const int64_t c = hbuf[h], ok = c > 0 && c < width;
-                row[c * ok] = 1;
-                kept += ok;
+                const int64_t c = hbuf[h];
+                row[c * (c < len)] = 1;
+                kept += c < width;
             }
         }
         for (r = 1; nact > 0; r++) {
@@ -140,8 +153,9 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
             }
             for (a = 0; a < nact; a++) {        /* first free bit */
                 const int64_t v = active[a];
-                const unsigned char *row = bm + v * width;
-                const unsigned char *p = memchr(row + 1, 0, width - 1);
+                const unsigned char *row = bm + boff[v];
+                const unsigned char *p = memchr(row + 1, 0,
+                                                boff[v + 1] - boff[v] - 1);
                 lcol[v] = p ? p - row : 0;
                 stamp[v] = r;
             }
@@ -162,7 +176,8 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
             /* Each winner commits its color into its active neighbors'
                rows.  Rows are symmetric, so these are the (loser,
                winner) pairs a walk of the losers' rows would find.  A
-               loser's stale color is overwritten when it chooses again. */
+               loser's stale color is overwritten when it chooses again;
+               a color past the loser's row cannot be its first free. */
             for (a = 0; a < nact; a++) {
                 const int64_t u = active[a], c = lcol[u];
                 if (stamp[u] != r || c <= 0)
@@ -171,8 +186,8 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
                     const int64_t v = lidx[j], s = stamp[v];
                     if (s == r || s == -r) {
                         committed++;
-                        if (s == -r)
-                            bm[v * width + c] = 1;
+                        if (s == -r && c < boff[v + 1] - boff[v])
+                            bm[boff[v] + c] = 1;
                     }
                 }
             }
@@ -192,10 +207,11 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
         free(bm);
         for (i = 0; i < nv; i++)
             colors[verts[i]] = lcol[i];
-        pb[L - 1] = dsum;
-        pb[num_levels + L - 1] = width;
-        pb[2 * num_levels + L - 1] = kept;
-        pb[3 * num_levels + L - 1] = r - 1;
+        pb[L - 1] = nv;
+        pb[num_levels + L - 1] = dsum;
+        pb[2 * num_levels + L - 1] = width;
+        pb[3 * num_levels + L - 1] = kept;
+        pb[4 * num_levels + L - 1] = r - 1;
     }
     return k;
 }
@@ -208,7 +224,7 @@ def _bind(lib):
                                  flags="C_CONTIGUOUS,ALIGNED")
     ll = ctypes.c_longlong
     fn.restype = ll
-    fn.argtypes = [arr] * 5 + [ll] * 3 + [arr] * 10
+    fn.argtypes = [arr] * 5 + [ll] * 3 + [arr] * 11
     return fn
 
 
@@ -225,108 +241,93 @@ def _checked_vertex_array(a, n: int, name: str) -> np.ndarray:
     return np.require(a, np.int64, ["C", "A"])
 
 
-def _itr_partition(part: CSRGraph, forbidden: np.ndarray,
-                   priority: np.ndarray, ctx: ExecutionContext,
-                   max_rounds: int | None) -> tuple[np.ndarray, int, int]:
-    """ITR rounds within one partition, colors constrained by ``forbidden``
-    (the NumPy path)."""
-    cost, mem = ctx.cost, ctx.mem
+def _rounds(part: CSRGraph, deg_l: np.ndarray, owners: np.ndarray,
+            taken: np.ndarray, priority: np.ndarray, max_rounds: int | None,
+            engine: str, log: list) -> np.ndarray:
+    """ITR rounds within one partition (the NumPy path), one ``log``
+    entry per round.  B_v is a flat bitmap laid out as the C pass's,
+    deg_l(v) + 2 colors a row, first set from the (``owners``,
+    ``taken``) colors of higher-partition neighbors."""
     n = part.n
+    rowlen = deg_l + 2
+    boff = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(rowlen, out=boff[1:])
+    bm = np.zeros(int(boff[-1]), dtype=bool)
+    fits = taken < rowlen[owners]
+    bm[boff[owners[fits]] + taken[fits]] = True
     colors = np.zeros(n, dtype=np.int64)
     active = np.arange(n, dtype=np.int64)
-    rounds = 0
-    conflicts = 0
-    tracer = ctx.tracer
-    limit = max_rounds if max_rounds is not None else 4 * n + 64
-    width = forbidden.shape[1]
     deg = np.diff(part.indptr)
-    still = np.zeros(n, dtype=bool)
-
+    on = np.zeros(n, dtype=bool)
+    limit = max_rounds if max_rounds is not None else 4 * n + 64
+    rounds = 0
     while active.size:
         rounds += 1
         if rounds > limit:
-            raise RuntimeError("DEC-ADG-ITR failed to converge")
-
-        # Smallest color not forbidden for each active vertex: the first
-        # False in its bitmap row (column 0 is the unused color 0).
-        rows = forbidden[active]
-        rows[:, 0] = True
-        colors[active] = np.argmin(rows, axis=1)
-        cost.round(active.size * width, log2_ceil(max(width, 1)))
-        mem.stream(active.size * width, "dec-itr")
+            raise RuntimeError(f"{engine} failed to converge")
+        # Smallest free color: the first clear bit of each active row
+        # past column 0 (one of 1..deg_l + 1 always is).
+        span = rowlen[active] - 1
+        start = np.zeros(active.size, dtype=np.int64)
+        np.cumsum(span[:-1], out=start[1:])
+        free = np.flatnonzero(~multi_slice_gather(bm, boff[active] + 1, span))
+        colors[active] = free[np.searchsorted(free, start)] - start + 1
 
         # Conflict detection among same-round neighbors: the lower
         # priority of two equal colors loses.
-        still[:] = False
-        still[active] = True
+        on[active] = True
         seg, nbrs = part.batch_neighbors(active)
-        same = (colors[nbrs] == colors[active][seg]) & still[nbrs]
-        same &= priority[nbrs] > priority[active][seg]
+        mine = active[seg]
+        same = on[nbrs] & (colors[nbrs] == colors[mine])
+        same &= priority[nbrs] > priority[mine]
         lost = segment_any(same, seg, active.size)
-        md = int(deg[active].max())
-        cost.round(nbrs.size + active.size, log2_ceil(max(md, 1)) + 1)
-        mem.gather(nbrs.size, "dec-itr")
         losers = active[lost]
         colors[losers] = 0
-        conflicts += losers.size
-        if tracer.enabled:
-            tracer.gauge("dec-itr.active", int(active.size), round=rounds)
-            tracer.count("dec-itr.conflicts", int(losers.size), round=rounds)
-            tracer.count("dec-itr.colored",
-                         int(active.size) - int(losers.size), round=rounds)
+        won = on[nbrs] & (colors[nbrs] > 0)
+        on[active] = False
+        log.append((active.size, nbrs.size, int(deg[active].max()),
+                    losers.size, int(np.count_nonzero(won))))
 
-        # Record newly committed colors in active neighbors' bitmaps —
-        # after the losers are reset, so only kept colors are forbidden.
-        committed = (colors[nbrs] > 0) & still[nbrs]
-        forbidden[active[seg[committed]], colors[nbrs[committed]]] = True
-        cost.scatter_decrement(int(committed.sum()))
+        # A loser's B_v gains its winning neighbors' colors; one past
+        # its row cannot be its first free color.
+        fresh = won & lost[seg]
+        owner, color = mine[fresh], colors[nbrs[fresh]]
+        fits = color < rowlen[owner]
+        bm[boff[owner[fits]] + color[fits]] = True
         active = losers
-    return colors, rounds, conflicts
+    return colors
 
 
 def _levels_numpy(g: CSRGraph, levels: np.ndarray, num_levels: int,
-                  priority: np.ndarray, ctx: ExecutionContext,
-                  max_rounds: int | None) -> tuple[np.ndarray, int, int]:
+                  priority: np.ndarray, max_rounds: int | None,
+                  engine: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The level loop in NumPy: the no-compiler path and the oracle."""
-    cost, tracer = ctx.cost, ctx.tracer
     colors = np.zeros(g.n, dtype=np.int64)
+    pb = np.zeros((5, max(num_levels, 0)), dtype=np.int64)
+    log: list = []
     partitions = partitions_from_levels(levels, num_levels)
-    rounds_total = 0
-    conflicts_total = 0
     for level in range(num_levels, 0, -1):
         verts = partitions[level - 1]
         if verts.size == 0:
             continue
-        sub = induced_subgraph(g, verts)
-
-        # deg_l(v) bounds the bitmap width: mex never exceeds degl + 1.
-        counts_ge, taken, owners = partition_constraints(
-            g.indptr, g.indices, g.max_degree, verts, levels, level,
-            colors, ctx, "dec-itr")
-        width = int(counts_ge.max(initial=0)) + 3
-
-        forbidden = np.zeros((verts.size, width), dtype=bool)
-        keep = (taken > 0) & (taken < width)
-        forbidden[owners[keep], taken[keep]] = True
-        cost.scatter_decrement(int(keep.sum()))
-        if tracer.enabled:
-            tracer.gauge("dec-itr.partition", int(verts.size), round=level)
-            tracer.gauge("dec-itr.palette", int(width), round=level)
-
-        local_colors, rounds, conflicts = _itr_partition(
-            sub.graph, forbidden, priority[verts], ctx, max_rounds)
-        colors[verts] = local_colors
-        rounds_total += rounds
-        conflicts_total += conflicts
-    return colors, rounds_total, conflicts_total
+        counts_ge, owners, taken, dsum = _constraints(
+            g.indptr, g.indices, verts, levels, level, colors)
+        width = int(counts_ge.max()) + 3
+        first = len(log)
+        colors[verts] = _rounds(induced_subgraph(g, verts).graph, counts_ge,
+                                owners, taken, priority[verts], max_rounds,
+                                engine, log)
+        pb[:, level - 1] = (verts.size, dsum, width,
+                            np.count_nonzero(taken < width), len(log) - first)
+    return colors, pb, np.array(log, dtype=np.int64).reshape(-1, 5).T
 
 
-def _levels_c(fn, g: CSRGraph, indptr: np.ndarray, indices: np.ndarray,
+def _levels_c(fn, indptr: np.ndarray, indices: np.ndarray,
               levels: np.ndarray, num_levels: int, priority: np.ndarray,
-              ctx: ExecutionContext,
-              max_rounds: int | None) -> tuple[np.ndarray, int, int]:
-    """The level loop as one compiled pass, its books replayed after."""
-    n = g.n
+              max_rounds: int | None,
+              engine: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level loop as one compiled pass."""
+    n = levels.size
     order = np.argsort(levels, kind="stable")
     bounds = np.searchsorted(levels[order], np.arange(1, num_levels + 2),
                              side="left")
@@ -339,42 +340,75 @@ def _levels_c(fn, g: CSRGraph, indptr: np.ndarray, indices: np.ndarray,
     np.cumsum(np.diff(indptr)[order], out=prefix[1:])
     span = int(np.diff(prefix[bounds]).max(initial=0))
     lidx, hbuf = np.empty((2, span), dtype=np.int64)
-    lptr = np.empty(big + 1, dtype=np.int64)
+    lptr, boff = np.empty((2, big + 1), dtype=np.int64)
     lcol, lprio, stamp, active = np.empty((4, big), dtype=np.int64)
     # Every round commits the top-priority active vertex, so a partition
     # runs at most nv rounds (fewer when max_rounds cuts it off).
     limit = -1 if max_rounds is None else max(max_rounds, 0)
     cap = int(np.minimum(sizes, n if limit < 0 else limit).sum())
     colors = np.zeros(n, dtype=np.int64)
-    pb = np.zeros((4, max(num_levels, 0)), dtype=np.int64)
+    pb = np.zeros((5, max(num_levels, 0)), dtype=np.int64)
     rb = np.zeros((5, cap), dtype=np.int64)
     done = int(fn(indptr, indices, priority, order, bounds, num_levels,
                   limit, cap, colors, lptr, lidx, hbuf, lcol, lprio, stamp,
-                  active, pb, rb))
+                  active, boff, pb, rb))
     if done == -2:
-        raise MemoryError("DEC-ADG-ITR bitmap allocation failed")
+        raise MemoryError(f"{engine} bitmap allocation failed")
     if done < 0:
-        raise RuntimeError("DEC-ADG-ITR failed to converge")
+        raise RuntimeError(f"{engine} failed to converge")
+    return colors, pb, rb[:, :done]
 
-    # Replay the books exactly as the NumPy rounds record them.
+
+def itr_levels(g: CSRGraph, levels: np.ndarray, num_levels: int,
+               priority: np.ndarray, max_rounds: int | None,
+               engine: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ITR over the level partitions, top level first; books nothing.
+
+    ``levels`` and ``priority`` are ``g``'s level ids and priority
+    permutation (int64 arrays of length n, levels in 1..num_levels,
+    else ``ValueError``).  Runs the compiled pass when it builds, else
+    the NumPy rounds; both return the same ``(colors, pb, rb)``:
+    ``pb[:, L - 1]`` is partition L's (vertices, degree sum, palette
+    width, kept higher-level colors, rounds) and ``rb[:, k]`` the k-th
+    round's (active, neighbor sum, max degree, losers, committed
+    pairs), in the order the rounds ran.  A round limit or bitmap
+    allocation failure is raised in the name of ``engine``.
+    """
+    n = g.n
+    levels = _checked_vertex_array(levels, n, "levels")
+    if n and not 1 <= levels.min() <= levels.max() <= num_levels:
+        raise ValueError("levels must lie in 1..num_levels")
+    priority = _checked_vertex_array(priority, n, "priority")
+    indptr, indices = g.checked_arrays
+    fn = _CITR.load()
+    if fn is None:
+        g64 = CSRGraph(indptr=indptr, indices=indices, name=g.name)
+        return _levels_numpy(g64, levels, num_levels, priority, max_rounds,
+                             engine)
+    return _levels_c(fn, indptr, indices, levels, num_levels, priority,
+                     max_rounds, engine)
+
+
+def _book_levels(ctx: ExecutionContext, max_degree: int, pb: np.ndarray,
+                 rb: np.ndarray) -> None:
+    """Replay :func:`itr_levels`' log into ``ctx``'s cost and memory
+    books and ``dec-itr.*`` tracer series, in the order the rounds ran."""
     cost, mem, tracer = ctx.cost, ctx.mem, ctx.tracer
-    gather_depth = log2_ceil(max(g.max_degree, 1))
-    nv_by_level = sizes.tolist()
-    degsum, widths, kept, rounds = pb.tolist()
-    books = iter(zip(*rb[:, :done].tolist()))
-    for level in range(num_levels, 0, -1):
-        nv = nv_by_level[level - 1]
+    gather_depth = log2_ceil(max(max_degree, 1))
+    parts = pb.T.tolist()
+    books = iter(zip(*rb.tolist()))
+    for level in range(len(parts), 0, -1):
+        nv, degsum, width, kept, rounds = parts[level - 1]
         if nv == 0:
             continue
-        width = widths[level - 1]
-        cost.round(degsum[level - 1] + nv, gather_depth)
-        mem.gather(degsum[level - 1], "dec-itr")
-        cost.scatter_decrement(kept[level - 1])
+        cost.round(degsum + nv, gather_depth)
+        mem.gather(degsum, "dec-itr")
+        cost.scatter_decrement(kept)
         if tracer.enabled:
             tracer.gauge("dec-itr.partition", nv, round=level)
             tracer.gauge("dec-itr.palette", width, round=level)
         choose_depth = log2_ceil(max(width, 1))
-        for r in range(1, rounds[level - 1] + 1):
+        for r in range(1, rounds + 1):
             act, nsum, md, lost, committed = next(books)
             cost.round(act * width, choose_depth)
             mem.stream(act * width, "dec-itr")
@@ -385,7 +419,6 @@ def _levels_c(fn, g: CSRGraph, indptr: np.ndarray, indices: np.ndarray,
                 tracer.count("dec-itr.conflicts", lost, round=r)
                 tracer.count("dec-itr.colored", act - lost, round=r)
             cost.scatter_decrement(committed)
-    return colors, done, int(rb[3, :done].sum())
 
 
 def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
@@ -395,26 +428,16 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     """The DEC-ADG-ITR interior: ITR over the level partitions, top down.
 
     ``levels`` and ``priority`` are ``g``'s ADG level ids and tiebreak
-    permutation (int64 arrays of length n, levels in 1..num_levels,
-    else ``ValueError``); the smallest-free color stays bounded by
-    deg_l + 1, which gives the 2(1+eps)d + 1 quality bound.  Runs the compiled pass when it
-    builds, else the NumPy rounds; both return the same colors and
-    record the same books.  Returns ``(colors, rounds, conflicts)``.
+    permutation (as in :func:`itr_levels`); the smallest-free color
+    stays bounded by deg_l + 1, which gives the 2(1+eps)d + 1 quality
+    bound.  Runs :func:`itr_levels` and books its log into ``ctx``.
+    Returns ``(colors, rounds, conflicts)``.
     """
-    n = g.n
-    levels = _checked_vertex_array(levels, n, "levels")
-    if n and not 1 <= levels.min() <= levels.max() <= num_levels:
-        raise ValueError("levels must lie in 1..num_levels")
-    priority = _checked_vertex_array(priority, n, "priority")
-    indptr, indices = g.checked_arrays
-    fn = _CITR.load()
     with ctx.phase("dec-itr:color"):
-        if fn is None:
-            g64 = CSRGraph(indptr=indptr, indices=indices, name=g.name)
-            return _levels_numpy(g64, levels, num_levels, priority, ctx,
-                                 max_rounds)
-        return _levels_c(fn, g, indptr, indices, levels, num_levels,
-                         priority, ctx, max_rounds)
+        colors, pb, rb = itr_levels(g, levels, num_levels, priority,
+                                    max_rounds, "DEC-ADG-ITR")
+        _book_levels(ctx, g.max_degree, pb, rb)
+    return colors, rb.shape[1], int(rb[3].sum())
 
 
 def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,

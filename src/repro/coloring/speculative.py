@@ -12,6 +12,14 @@ parallel and then fix the conflicts they created:
 - **ITRB** (Boman et al.): the round is split into sequential blocks
   ("supersteps"), trading depth for fewer conflicts — the paper finds it
   >2x slower but sometimes close in quality.
+
+ITR and ITR-ASL run on DEC-ADG-ITR's level pass
+(:func:`repro.coloring.dec_adg_itr.itr_levels`) with every vertex on
+one level: with no higher partition, B_v holds exactly the colors v's
+neighbors have committed, so the pass's rounds are ITR's rounds.  Each
+keeps its own priority and replays its ``itr:rounds`` books from the
+pass's round log.  ITRB keeps its own block-superstep loop: one level
+does not express its blocks.
 """
 
 from __future__ import annotations
@@ -26,64 +34,36 @@ from ..machine.memmodel import MemoryModel
 from ..ordering.asl import asl_ordering
 from ..ordering.base import random_tiebreak
 from ..primitives.kernels import grouped_mex, segment_any
+from .dec_adg_itr import itr_levels
 from .result import ColoringResult
 
 
-def _speculative_rounds(g: CSRGraph, priority: np.ndarray,
-                        cost: CostModel, mem: MemoryModel,
-                        max_rounds: int | None = None,
-                        ) -> tuple[np.ndarray, int, int]:
-    """The ITR engine: returns (colors, rounds, conflicts_resolved)."""
-    n = g.n
-    colors = np.zeros(n, dtype=np.int64)
-    active = np.arange(n, dtype=np.int64)
-    rounds = 0
-    conflicts = 0
-    limit = max_rounds if max_rounds is not None else 4 * n + 64
-
+def _itr_pass(g: CSRGraph, priority: np.ndarray, max_rounds: int | None
+              ) -> tuple[np.ndarray, CostModel, MemoryModel, int, int]:
+    """ITR as the level pass on one level: ``(colors, cost, mem, rounds,
+    conflicts)``, the books replayed from the pass's round log."""
+    cost = CostModel()
+    mem = MemoryModel()
+    colors, _, rb = itr_levels(g, np.ones(g.n, dtype=np.int64), 1,
+                               priority, max_rounds, "ITR")
     with cost.phase("itr:rounds"):
-        while active.size:
-            rounds += 1
-            if rounds > limit:
-                raise RuntimeError("speculative coloring failed to converge")
-            seg, nbrs = g.batch_neighbors(active)
-            mem.gather(nbrs.size, "itr")
-            # Tentative assignment: mex over the snapshot of all neighbor
-            # colors (vertices recolored this round still expose their
-            # previous color 0, so only committed colors constrain).
-            colors[active] = grouped_mex(seg, colors[nbrs], active.size)
-            max_deg_round = int(np.bincount(seg, minlength=active.size).max()) \
-                if nbrs.size else 0
-            cost.round(nbrs.size + active.size,
-                       log2_ceil(max(max_deg_round, 1)) + 1)
-
-            # Conflict detection: same-round neighbors with equal colors;
-            # the lower-priority endpoint loses its color.
-            is_active_nbr = np.zeros(n, dtype=bool)
-            is_active_nbr[active] = True
-            same = (colors[nbrs] == colors[active[seg]]) & is_active_nbr[nbrs]
-            loses = same & (priority[nbrs] > priority[active[seg]])
-            lost = segment_any(loses, seg, active.size)
-            cost.round(nbrs.size + active.size,
-                       log2_ceil(max(max_deg_round, 1)) + 1)
-            mem.gather(nbrs.size, "itr")
-
-            losers = active[lost]
-            colors[losers] = 0
-            conflicts += losers.size
-            active = losers
-    return colors, rounds, conflicts
+        for act, nsum, md, _, _ in zip(*rb.tolist()):
+            depth = log2_ceil(max(md, 1)) + 1
+            # Gather the neighbors' colors, take the mex, then gather
+            # them again to find the conflicts.
+            mem.gather(nsum, "itr")
+            cost.round(nsum + act, depth)
+            cost.round(nsum + act, depth)
+            mem.gather(nsum, "itr")
+    return colors, cost, mem, rb.shape[1], int(rb[3].sum())
 
 
 def itr(g: CSRGraph, seed: int | None = 0,
         max_rounds: int | None = None) -> ColoringResult:
     """ITR with a random conflict-winner priority."""
-    cost = CostModel()
-    mem = MemoryModel()
     priority = random_tiebreak(g.n, seed)
     t0 = time.perf_counter()
-    colors, rounds, conflicts = _speculative_rounds(g, priority, cost, mem,
-                                                    max_rounds)
+    colors, cost, mem, rounds, conflicts = _itr_pass(g, priority, max_rounds)
     wall = time.perf_counter() - t0
     return ColoringResult(algorithm="ITR", colors=colors, cost=cost, mem=mem,
                           rounds=rounds, conflicts_resolved=conflicts,
@@ -96,11 +76,9 @@ def itr_asl(g: CSRGraph, seed: int | None = 0,
     t0 = time.perf_counter()
     ordering = asl_ordering(g, seed=seed)
     reorder_wall = time.perf_counter() - t0
-    cost = CostModel()
-    mem = MemoryModel()
     t0 = time.perf_counter()
-    colors, rounds, conflicts = _speculative_rounds(g, ordering.ranks,
-                                                    cost, mem, max_rounds)
+    colors, cost, mem, rounds, conflicts = _itr_pass(g, ordering.ranks,
+                                                     max_rounds)
     wall = time.perf_counter() - t0
     return ColoringResult(algorithm="ITR-ASL", colors=colors, cost=cost,
                           mem=mem, reorder_cost=ordering.cost,

@@ -5,14 +5,17 @@ C/NumPy agreement, C boundary, fallback.
 configurations below, captured from that engine before the compiled
 pass replaced it: both paths must reproduce its colors, rounds,
 conflicts, work, depth, round log, per-phase snapshot, memory books and
-``dec-itr.*`` tracer series bit for bit.  The NumPy rounds are the
-C path's oracle everywhere else.
+``dec-itr.*`` tracer series bit for bit.  ``GOLDEN_ITR`` does the same
+for the ITR and ITR-ASL baselines, which run the pass as one level:
+captured from their own NumPy round loop before it was deleted.  The
+NumPy rounds are the C path's oracle everywhere else.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.coloring.dec_adg_itr import dec_adg_itr, itr_color_partitions
 from repro.coloring.incremental import IncrementalColoring
+from repro.coloring.speculative import itr, itr_asl
 from repro.coloring.verify import is_valid_coloring
 from repro.graphs import CSRGraph
 from repro.graphs.builders import empty_graph, from_edges
@@ -170,6 +174,105 @@ GOLDEN = {
 }
 
 
+# Recorded from the ITR baselines' own NumPy rounds (seed 0); key
+# "algorithm|graph".
+GOLDEN_ITR = {
+    "ITR|kron": dict(
+        colors="6191c0af644ffe5d", rounds=19, conflicts=1095, work=84694,
+        depth=312, round_log="0bc965e90dabb979",
+        snapshot="2ba4878100b7725b", mem=[81480, 0],
+        mem_phases="01b7434d0945cd98"),
+    "ITR|gnm": dict(
+        colors="accaae10e59f4d54", rounds=8, conflicts=904, work=24590,
+        depth=94, round_log="a0356883e258b93e",
+        snapshot="0468290f629694c9", mem=[21982, 0],
+        mem_phases="566b07860bb8c087"),
+    "ITR|ba": dict(
+        colors="8fa60b6eb2866533", rounds=7, conflicts=512, work=12730,
+        depth=94, round_log="67b5354868468fec",
+        snapshot="58012d5e7633e0ee", mem=[11106, 0],
+        mem_phases="7dbab5705ab176a5"),
+    "ITR|grid": dict(
+        colors="af18c4b7ecc3f667", rounds=4, conflicts=297, work=5278,
+        depth=24, round_log="782ed3d2cc2b985f",
+        snapshot="4b37505b7f3aff07", mem=[4174, 0],
+        mem_phases="edbbf4a7c43f437b"),
+    "ITR|clique": dict(
+        colors="994bddf006a5c20f", rounds=12, conflicts=66, work=1872,
+        depth=120, round_log="3436f306acf0725c",
+        snapshot="9607b34fa238f370", mem=[1716, 0],
+        mem_phases="57787881c365681a"),
+    "ITR|ring": dict(
+        colors="acc6d786a010474e", rounds=3, conflicts=52, work=696,
+        depth=12, round_log="18cc70dd0ebba780",
+        snapshot="5dd4b26e7427f296", mem=[464, 0],
+        mem_phases="101cc46e8b267520"),
+    "ITR|empty": dict(
+        colors="e3b0c44298fc1c14", rounds=0, conflicts=0, work=0,
+        depth=0, round_log="4f53cda18c2baa0c",
+        snapshot="9e17aba66997d7af", mem=[0, 0],
+        mem_phases="4f53cda18c2baa0c"),
+    "ITR|isolated": dict(
+        colors="1269a18cc92f8506", rounds=2, conflicts=2, work=48,
+        depth=12, round_log="4addc048601c0daf",
+        snapshot="84cbc295d1618fb2", mem=[20, 0],
+        mem_phases="fd6a5ed03cb0deeb"),
+    "ITR-ASL|kron": dict(
+        colors="8aae01a13904844d", rounds=15, conflicts=1438, work=79496,
+        depth=238, round_log="419a68d8fc2f134d",
+        snapshot="0d99f75ddddf9754", mem=[75596, 0],
+        mem_phases="c92d44c4e4975502"),
+    "ITR-ASL|gnm": dict(
+        colors="22b1e69d9afaf6b2", rounds=11, conflicts=1853, work=38788,
+        depth=116, round_log="e1dba362d8cd167e",
+        snapshot="677889d45e559a45", mem=[34282, 0],
+        mem_phases="b0a711009a9746c9"),
+    "ITR-ASL|ba": dict(
+        colors="9c0201a790e5ad31", rounds=7, conflicts=946, work=15902,
+        depth=84, round_log="2705b3ffc9d88856",
+        snapshot="f5cd8069b69bee34", mem=[13410, 0],
+        mem_phases="b6b94a04086b2456"),
+    "ITR-ASL|grid": dict(
+        colors="167fcc599c69a8ad", rounds=9, conflicts=1080, work=12454,
+        depth=52, round_log="710bd433b665c84a",
+        snapshot="246b99bcb1753eee", mem=[9784, 0],
+        mem_phases="6cfae2c0d6d7a6b2"),
+    "ITR-ASL|clique": dict(
+        colors="994bddf006a5c20f", rounds=12, conflicts=66, work=1872,
+        depth=120, round_log="3436f306acf0725c",
+        snapshot="9607b34fa238f370", mem=[1716, 0],
+        mem_phases="57787881c365681a"),
+    "ITR-ASL|ring": dict(
+        colors="acc6d786a010474e", rounds=3, conflicts=52, work=696,
+        depth=12, round_log="18cc70dd0ebba780",
+        snapshot="5dd4b26e7427f296", mem=[464, 0],
+        mem_phases="101cc46e8b267520"),
+    "ITR-ASL|empty": dict(
+        colors="e3b0c44298fc1c14", rounds=0, conflicts=0, work=0,
+        depth=0, round_log="4f53cda18c2baa0c",
+        snapshot="9e17aba66997d7af", mem=[0, 0],
+        mem_phases="4f53cda18c2baa0c"),
+    "ITR-ASL|isolated": dict(
+        colors="e9c6255ab16843c4", rounds=2, conflicts=3, work=48,
+        depth=10, round_log="eb4c487500f1d559",
+        snapshot="a0d031e7e5c12f2d", mem=[18, 0],
+        mem_phases="defb226b3ff976b4"),
+}
+ITR_FNS = {"ITR": itr, "ITR-ASL": itr_asl}
+
+
+def itr_fingerprint(algorithm: str, graph: str) -> dict:
+    """An ITR or ITR-ASL run's books, arrays and logs as digests."""
+    res = ITR_FNS[algorithm](GRAPHS[graph](), seed=0)
+    return {"colors": _digest(res.colors), "rounds": res.rounds,
+            "conflicts": res.conflicts_resolved, "work": res.cost.work,
+            "depth": res.cost.depth,
+            "round_log": _digest(res.cost.round_log),
+            "snapshot": _digest(res.cost.snapshot()),
+            "mem": [res.mem.random, res.mem.sequential],
+            "mem_phases": _digest(sorted(res.mem.by_phase.items()))}
+
+
 class _NoBuild:
     """Stands in for the compiled library when it cannot be built."""
 
@@ -228,6 +331,28 @@ class TestPinnedBooks:
         graph, eps, variant, backend = _split(key)
         got = fingerprint(GRAPHS[graph](), eps, variant, backend)
         assert got == GOLDEN[key]
+
+
+class TestPinnedITRBaselines:
+    """ITR and ITR-ASL are the pass on one level, their books replayed."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_ITR))
+    def test_default_path(self, key):
+        assert itr_fingerprint(*key.split("|")) == GOLDEN_ITR[key]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_ITR))
+    def test_numpy_path(self, key, numpy_path):
+        assert itr_fingerprint(*key.split("|")) == GOLDEN_ITR[key]
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("algorithm", sorted(ITR_FNS))
+    def test_round_limit_names_itr(self, algorithm, path, monkeypatch):
+        if path == "numpy":
+            monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
+        else:
+            _require_c()
+        with pytest.raises(RuntimeError, match="^ITR failed to converge$"):
+            ITR_FNS[algorithm](complete_graph(16), seed=0, max_rounds=1)
 
 
 CONFIGS = [(0.01, "avg"), (0.1, "avg"), (1.0, "avg"), (0.1, "median")]
@@ -419,7 +544,8 @@ class TestCBoundary:
         else:
             _require_c()
         g = complete_graph(20)
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        with pytest.raises(RuntimeError,
+                           match="^DEC-ADG-ITR failed to converge$"):
             dec_adg_itr(g, seed=0, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -432,40 +558,105 @@ class TestCBoundary:
         assert dec_adg_itr(g, seed=0, max_rounds=25).rounds == \
             GOLDEN["kron|0.01|avg|serial"]["rounds"]
 
-    @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_failed_bitmap_allocation_raises_memory_error(self, path):
-        """A star in one partition needs an n x n bitmap (~2 GB here);
-        under a small address-space limit the allocation must fail as
-        a ``MemoryError``, not crash the process."""
+    @staticmethod
+    def _limited(path: str, body: str, env: dict | None = None) -> str:
+        """Run ``body`` in a fresh interpreter on ``path``, where
+        ``limit(headroom)`` caps the address space at its current size
+        plus ``headroom`` bytes; returns its stdout."""
         if path == "compiled":
             _require_c()
         script = textwrap.dedent(f"""
             import resource, sys
             import numpy as np
             from repro.coloring.dec_adg_itr import itr_color_partitions
+            from repro.coloring.speculative import itr
+            from repro.coloring.verify import is_valid_coloring
             from repro.graphs.generators import star
             from repro.runtime import ExecutionContext
             mod = sys.modules["repro.coloring.dec_adg_itr"]
             if {path!r} == "numpy":
                 mod._CITR.load = lambda: None
             assert (mod._CITR.load() is None) == ({path!r} == "numpy")
+
+            def limit(headroom):
+                with open("/proc/self/statm") as fh:
+                    vm = int(fh.read().split()[0]) * resource.getpagesize()
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                resource.setrlimit(resource.RLIMIT_AS, (vm + headroom, hard))
+        """) + textwrap.dedent(body)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=None if env is None else {**os.environ,
+                                                            **env})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_one_level_star_colors_under_512_mb(self, path):
+        """A star in one partition: each B_v row is sized by its own
+        deg_l, so neither path allocates n x (max deg_l + 3) (~2 GB
+        here) and both color it within 512 MB, as ITR does."""
+        out = self._limited(path, """
             g = star(45000)
             levels = np.ones(g.n, dtype=np.int64)
             priority = np.arange(g.n, dtype=np.int64)
-            with open("/proc/self/statm") as fh:
-                vm = int(fh.read().split()[0]) * resource.getpagesize()
-            limit = vm + (512 << 20)
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            limit(512 << 20)
+            colors, rounds, _ = itr_color_partitions(
+                g, levels, 1, priority, ExecutionContext(backend="serial"))
+            res = itr(g, seed=0)
+            print(is_valid_coloring(g, colors), colors.max(),
+                  is_valid_coloring(g, res.colors), res.num_colors)
+        """)
+        assert out == "True 2 True 2"
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_limit_too_tight_for_the_scratch_raises_memory_error(self, path):
+        """With no room even for the pass's scratch the allocation must
+        fail as a ``MemoryError``, not crash the process."""
+        out = self._limited(path, """
+            g = star(200000)
+            levels = np.ones(g.n, dtype=np.int64)
+            priority = np.arange(g.n, dtype=np.int64)
+            ctx = ExecutionContext(backend="serial")
+            limit(1 << 20)
             try:
-                itr_color_partitions(g, levels, 1, priority,
-                                     ExecutionContext(backend="serial"))
+                itr_color_partitions(g, levels, 1, priority, ctx)
             except MemoryError:
                 print("MemoryError")
         """)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "MemoryError"
+        assert out == "MemoryError"
+
+    def test_failed_bitmap_calloc_raises_memory_error(self):
+        """The scratch fits and only the bitmap does not: the pass
+        returns -2, raised as a ``MemoryError`` in the engine's name.
+        glibc maps every block of 64 KiB or more, so the ~180 KB bitmap
+        cannot come from free heap space."""
+        out = self._limited("compiled", """
+            real = mod._CITR.load()
+
+            def capped(*args):
+                soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+                limit(0)
+                try:
+                    return real(*args)
+                finally:
+                    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+            mod._CITR.load = lambda: capped
+            g = star(45000)
+            levels = np.ones(g.n, dtype=np.int64)
+            priority = np.arange(g.n, dtype=np.int64)
+            ctx = ExecutionContext(backend="serial")
+            for run in (lambda: itr_color_partitions(g, levels, 1, priority,
+                                                     ctx),
+                        lambda: itr(g, seed=0)):
+                try:
+                    run()
+                except MemoryError as exc:
+                    print(exc)
+        """, env={"MALLOC_MMAP_THRESHOLD_": "65536"})
+        assert out.splitlines() == ["DEC-ADG-ITR bitmap allocation failed",
+                                    "ITR bitmap allocation failed"]
 
 
 class TestFallback:
