@@ -35,8 +35,9 @@ def test_bench_ordering(benchmark, name, graph):
 
 def test_report_table2_approx_sweep(benchmark):
     """Approximation factors of the degeneracy-order family across the
-    structurally distinct stand-ins: only ADG/ADG-M stay under their
-    proven factors everywhere; SLL/ASL fluctuate (no guarantee)."""
+    structurally distinct stand-ins: ADG/ADG-M stay under their proven
+    factors everywhere; SLL and ASL carry no proven factor, though on
+    these stand-ins ASL measures exact and SLL at or below ADG."""
     from repro.bench.datasets import dataset
 
     rows = []

@@ -16,7 +16,7 @@ Quickstart::
 The package is organized as:
 
 - :mod:`repro.graphs` — CSR substrate, generators, I/O, degeneracy;
-- :mod:`repro.primitives` — PRAM primitives and segment kernels;
+- :mod:`repro.primitives` — segment kernels, integer sorts, the C builder;
 - :mod:`repro.machine` — work-depth cost model, Brent simulation;
 - :mod:`repro.runtime` — ExecutionContext: backend/workers
   configuration, rounds, end-to-end accounting;

@@ -6,12 +6,8 @@ from .cliques import (
     maximal_cliques,
     maximal_cliques_exact_order,
 )
-from .densest import DensestResult, densest_subgraph, subgraph_density
-from .estimate import approximate_degeneracy
 
 __all__ = [
     "maximal_cliques", "maximal_cliques_exact_order", "count_maximal_cliques",
     "max_clique",
-    "DensestResult", "densest_subgraph", "subgraph_density",
-    "approximate_degeneracy",
 ]

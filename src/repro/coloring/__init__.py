@@ -2,12 +2,6 @@
 
 from .dec_adg import dec_adg, dec_adg_m
 from .dec_adg_itr import dec_adg_itr
-from .distance2 import (
-    greedy_distance2,
-    is_valid_distance2,
-    jp_distance2,
-    square_graph,
-)
 from .exact import chromatic_number, optimal_coloring
 from .gm import gm_coloring
 from .incremental import INCREMENTAL_FAMILY, IncrementalColoring
@@ -23,7 +17,6 @@ from .jp import (
     validate_ranks,
 )
 from .mis import luby_coloring, luby_mis
-from .recolor import class_block_sequence, iterated_greedy, recolor_pass
 from .reduction import color_reduction
 from .repair import (
     SIMCOL_FAMILY,
@@ -58,13 +51,11 @@ __all__ = [
     "jp", "jp_color", "jp_by_name", "jp_adg", "jp_adg_m", "jp_adg_fused",
     "longest_dag_path", "validate_ranks",
     "chromatic_number", "optimal_coloring",
-    "class_block_sequence", "iterated_greedy", "recolor_pass",
     "greedy", "greedy_by_name", "greedy_color_sequence",
     "itr", "itr_asl", "itrb", "sim_col", "dec_adg", "dec_adg_m", "dec_adg_itr",
     "INCREMENTAL_FAMILY", "IncrementalColoring",
     "SIMCOL_FAMILY", "deg_ge_array", "repair_caps", "repair_frontier",
     "luby_coloring", "luby_mis", "gm_coloring",
-    "greedy_distance2", "is_valid_distance2", "jp_distance2", "square_graph",
     "color_reduction",
     "ALGORITHMS", "FIGURE1_SET", "JP_CLASS", "OUR_ALGORITHMS", "SC_CLASS",
     "color",

@@ -67,12 +67,6 @@ from .properties import (
     stats,
 )
 from .subgraph import InducedSubgraph, degrees_within, edges_within, induced_subgraph
-from .transforms import (
-    largest_component,
-    relabel_bfs,
-    relabel_by_degree,
-    relabel_random,
-)
 
 __all__ = [
     "CSRGraph",
@@ -81,7 +75,6 @@ __all__ = [
     "average_local_clustering", "bfs_distances", "degree_assortativity",
     "degree_histogram", "effective_diameter", "global_clustering",
     "triangle_count", "triangles_per_vertex",
-    "largest_component", "relabel_bfs", "relabel_by_degree", "relabel_random",
     "empty_graph", "from_adjacency", "from_edge_list", "from_edges",
     "from_networkx", "relabel", "to_networkx",
     "barabasi_albert", "chung_lu", "complete_graph", "gnm_random", "grid_2d",

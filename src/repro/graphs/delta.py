@@ -47,14 +47,18 @@ __all__ = ["GraphDelta", "AppliedDelta", "apply_delta",
 def _pairs(edges) -> np.ndarray:
     """Normalize edge input to a (k, 2) int64 array with u < v, deduped.
 
-    ``None`` means "no edges" (service requests omit unused fields)."""
+    ``None`` or empty input means "no edges" (service requests omit
+    unused fields); any other shape than (k, 2) is a ``ValueError``,
+    never re-paired."""
     if edges is None:
         return np.empty((0, 2), dtype=np.int64)
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray)
                      else edges, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = arr.reshape(-1, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"delta edges must have shape (k, 2), "
+                         f"got {arr.shape}")
     if np.any(arr[:, 0] == arr[:, 1]):
         raise ValueError("delta edges must not be self-loops")
     lo = np.minimum(arr[:, 0], arr[:, 1])

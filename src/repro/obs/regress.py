@@ -31,7 +31,7 @@ import os
 import time
 from statistics import median
 
-from .ledger import Ledger, cell_key, git_sha, read_ledger
+from .ledger import Ledger, git_sha, read_ledger
 
 #: Defaults for ``--ledger`` / ``--baseline``.
 DEFAULT_LEDGER_PATH = os.path.join("results", "ledger.jsonl")
@@ -260,16 +260,6 @@ def run_matrix(ledger_path: str = DEFAULT_LEDGER_PATH, repeats: int = 3,
                 ctx.ledger_record(res, graph=g, eps=eps, valid=True)
             appended += 1
     return appended
-
-
-def matrix_cells(seed: int = 0) -> list[str]:
-    """The cell keys the fixed matrix produces (for docs and tests)."""
-    keys = []
-    for cell in MATRIX:
-        g = _gen(cell["gen"], seed)
-        keys.append(cell_key(g.name, cell["algorithm"], cell["backend"],
-                             cell["workers"]))
-    return keys
 
 
 def check_command(ledger_path: str, baseline_path: str,

@@ -7,7 +7,6 @@ from .composed import adg_with_tiebreak, compose, convergence_gap
 from .incidence import id_ordering
 from .registry import ORDERINGS, get_ordering
 from .saturation import SaturationResult, dsatur, sd_ordering
-from .semi_streaming import stream_from_arrays, streaming_adg
 from .simple import ff_ordering, lf_ordering, llf_ordering, random_ordering
 from .sl import sl_ordering
 from .sll import sll_ordering
@@ -18,6 +17,6 @@ __all__ = [
     "asl_ordering", "ff_ordering", "id_ordering", "lf_ordering",
     "llf_ordering", "random_ordering", "sd_ordering", "sl_ordering",
     "sll_ordering", "dsatur", "SaturationResult",
-    "ORDERINGS", "get_ordering", "streaming_adg", "stream_from_arrays",
+    "ORDERINGS", "get_ordering",
     "compose", "adg_with_tiebreak", "convergence_gap",
 ]

@@ -117,14 +117,10 @@ def _parse_delta(spec) -> GraphDelta:
     if isinstance(spec, str):
         return parse_delta_spec(spec)
     if isinstance(spec, dict):
-        def pairs(key):
-            arr = np.asarray(spec.get(key, []), dtype=np.int64)
-            return arr.reshape(-1, 2) if arr.size else None
-        rmv = np.asarray(spec.get("remove_vertices", []), dtype=np.int64)
-        return GraphDelta(add_edges=pairs("add_edges"),
-                          remove_edges=pairs("remove_edges"),
+        return GraphDelta(add_edges=spec.get("add_edges"),
+                          remove_edges=spec.get("remove_edges"),
                           add_vertices=int(spec.get("add_vertices", 0)),
-                          remove_vertices=rmv if rmv.size else None)
+                          remove_vertices=spec.get("remove_vertices"))
     raise ValueError(f"delta must be a spec string or dict, got "
                      f"{type(spec).__name__}")
 

@@ -1,8 +1,5 @@
-"""Tests for the ADG applications: degeneracy estimation, densest
-subgraph, maximal cliques."""
+"""Tests for the ADG application kept beside coloring: maximal cliques."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro.applications.cliques import (
@@ -11,106 +8,17 @@ from repro.applications.cliques import (
     maximal_cliques,
     maximal_cliques_exact_order,
 )
-from repro.applications.densest import (
-    densest_subgraph,
-    subgraph_density,
-)
-from repro.applications.estimate import approximate_degeneracy
 from repro.graphs.builders import from_edges, to_networkx
 from repro.graphs.generators import (
-    chung_lu,
     complete_graph,
     gnm_random,
     grid_2d,
     planted_kcore,
-    random_tree,
     ring,
     star,
 )
-from repro.graphs.properties import degeneracy
 
 from .conftest import graphs
-
-
-class TestApproximateDegeneracy:
-    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
-    def test_sandwich_bound(self, eps):
-        for seed in range(4):
-            g = gnm_random(150, 600, seed=seed)
-            d = degeneracy(g)
-            est = approximate_degeneracy(g, eps=eps)
-            assert d <= est <= np.ceil(2 * (1 + eps) * d)
-
-    def test_planted_core(self):
-        g = planted_kcore(120, 9, seed=0)
-        est = approximate_degeneracy(g, eps=0.1)
-        assert 9 <= est <= np.ceil(2.2 * 9)
-
-    def test_tree(self):
-        g = random_tree(60, seed=1)
-        assert 1 <= approximate_degeneracy(g, eps=0.1) <= 3
-
-    def test_clique_exact(self):
-        # K_n peels in one batch where every degree is n-1
-        assert approximate_degeneracy(complete_graph(9), eps=0.1) == 8
-
-    def test_empty(self):
-        assert approximate_degeneracy(from_edges([], [], n=4)) == 0
-
-    def test_negative_eps_raises(self, small_random):
-        with pytest.raises(ValueError):
-            approximate_degeneracy(small_random, eps=-0.1)
-
-    @given(graphs())
-    @settings(max_examples=30, deadline=None)
-    def test_sandwich_property(self, g):
-        d = degeneracy(g)
-        est = approximate_degeneracy(g, eps=0.1)
-        assert d <= est <= max(np.ceil(2.2 * d), 0)
-
-
-class TestDensestSubgraph:
-    def test_clique_plus_fringe(self):
-        """The planted clique is (near) the densest part."""
-        g = planted_kcore(200, 12, fringe_edges=1, seed=0)
-        res = densest_subgraph(g, eps=0.1)
-        clique_density = 12 / 2  # K_13: (13*12/2)/13
-        assert res.density >= clique_density / res.approx_factor
-
-    def test_density_matches_recount(self):
-        g = chung_lu(300, 1500, seed=1)
-        res = densest_subgraph(g, eps=0.1)
-        assert res.density == pytest.approx(
-            subgraph_density(g, res.vertices))
-
-    def test_at_least_global_density(self):
-        for seed in range(3):
-            g = gnm_random(200, 800, seed=seed)
-            res = densest_subgraph(g, eps=0.1)
-            assert res.density >= g.m / g.n - 1e-9
-
-    def test_clique_found_exactly(self):
-        g = complete_graph(10)
-        res = densest_subgraph(g, eps=0.01)
-        assert res.vertices.size == 10
-        assert res.density == pytest.approx(4.5)
-
-    def test_empty_graph(self):
-        res = densest_subgraph(from_edges([], [], n=0))
-        assert res.density == 0.0 and res.size == 0
-
-    def test_eps_validation(self, small_random):
-        with pytest.raises(ValueError):
-            densest_subgraph(small_random, eps=-1)
-
-    def test_iterations_logarithmic(self):
-        g = chung_lu(2000, 10000, seed=2)
-        res = densest_subgraph(g, eps=0.25)
-        assert res.iterations <= 60
-
-    def test_subgraph_density_empty(self):
-        g = ring(5)
-        assert subgraph_density(g, np.array([], dtype=np.int64)) == 0.0
 
 
 class TestMaximalCliques:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.coloring.greedy import greedy_color_sequence
 from repro.coloring.jp import jp_color
-from repro.coloring.recolor import class_block_sequence
 from repro.coloring.reduction import color_reduction
 from repro.coloring.simcol import sim_col
 from repro.graphs.builders import from_edges
@@ -76,10 +75,6 @@ class TestColoringInputs:
         with pytest.raises(ValueError):
             sim_col(g2, g2.degrees, forbidden, -1.0,
                     np.random.default_rng(0))
-
-    def test_recolor_rejects_partial(self):
-        with pytest.raises(ValueError):
-            class_block_sequence(np.array([1, 0, 2]))
 
     def test_reduction_rejects_partial_initial(self, g):
         bad = np.ones(g.n, dtype=np.int64)

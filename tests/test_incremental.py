@@ -194,6 +194,19 @@ def test_incremental_rejects_non_dec_algorithms():
     assert "JP-ADG" not in INCREMENTAL_FAMILY
 
 
+@pytest.mark.parametrize("edges", [[[0, 1, 2], [3, 4, 5]], [0, 1, 2, 3]])
+@pytest.mark.parametrize("field", ["add_edges", "remove_edges"])
+def test_delta_edges_of_wrong_shape_raise(field, edges):
+    """Edges must come as (k, 2); another shape is never re-paired."""
+    with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+        GraphDelta(**{field: edges})
+
+
+def test_empty_delta_edges_mean_no_edges():
+    delta = GraphDelta(add_edges=[], remove_edges=np.empty((0, 2)))
+    assert delta.add_edges.shape == delta.remove_edges.shape == (0, 2)
+
+
 def test_incremental_from_empty_graph():
     from repro.graphs import empty_graph
 

@@ -629,8 +629,9 @@ class TestCBoundary:
     def test_failed_bitmap_calloc_raises_memory_error(self):
         """The scratch fits and only the bitmap does not: the pass
         returns -2, raised as a ``MemoryError`` in the engine's name.
-        glibc maps every block of 64 KiB or more, so the ~180 KB bitmap
-        cannot come from free heap space."""
+        glibc maps every block of 64 KiB or more, and the ~2 MB bitmap
+        is larger than all the free heap space (under 1 MB after the
+        imports), so it cannot come from there either."""
         out = self._limited("compiled", """
             real = mod._CITR.load()
 
@@ -643,7 +644,7 @@ class TestCBoundary:
                     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
             mod._CITR.load = lambda: capped
-            g = star(45000)
+            g = star(500000)
             levels = np.ones(g.n, dtype=np.int64)
             priority = np.arange(g.n, dtype=np.int64)
             ctx = ExecutionContext(backend="serial")

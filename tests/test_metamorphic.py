@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from repro.coloring.jp import jp_adg, jp_by_name
 from repro.coloring.speculative import itr
 from repro.coloring.verify import assert_valid_coloring, num_colors
-from repro.graphs.builders import from_edges
+from repro.graphs.builders import from_edges, relabel
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import chung_lu, gnm_random
 from repro.graphs.properties import degeneracy
-from repro.graphs.transforms import relabel_random
 
 from .conftest import graphs
 
@@ -30,6 +29,11 @@ def disjoint_union(a: CSRGraph, b: CSRGraph) -> CSRGraph:
     return from_edges(np.concatenate([au, bu + a.n]),
                       np.concatenate([av, bv + a.n]),
                       n=a.n + b.n, name="union")
+
+
+def relabel_random(g: CSRGraph, seed: int) -> CSRGraph:
+    rng = np.random.default_rng(seed)
+    return relabel(g, rng.permutation(g.n))
 
 
 def with_isolated(g: CSRGraph, extra: int) -> CSRGraph:

@@ -184,6 +184,22 @@ class TestServiceBasics:
                 assert not r["ok"]
         run(main())
 
+    @pytest.mark.parametrize("edges", [[[0, 2, 4], [1, 3, 5]], [0, 2, 4, 6]])
+    def test_delta_edges_of_wrong_shape_leave_graph_unchanged(self, edges):
+        async def main():
+            async with ColoringService(workers=2,
+                                       backend="serial") as svc:
+                loaded = await ask(svc, op="load", graph="g",
+                                   gen={"kind": "ring", "n": 8})
+                r = await ask(svc, op="apply_delta", graph="g",
+                              delta={"add_edges": edges})
+                assert not r["ok"] and "shape (k, 2)" in r["error"]
+                same = await ask(svc, op="apply_delta", graph="g",
+                                 delta={})
+                assert same["ok"] and same["m"] == loaded["m"] == 8
+                assert same["digest"] == loaded["digest"]
+        run(main())
+
     def test_profile_reports_walls(self):
         async def main():
             async with ColoringService(workers=2,
