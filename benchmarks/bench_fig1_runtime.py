@@ -20,10 +20,7 @@ from .conftest import save_report
 def test_bench_fig1_representative(benchmark, small_suite, alg):
     """Wall-clock of the headline algorithms on the h-bai stand-in."""
     g = small_suite["h_bai"]
-    kwargs = {"seed": 0}
-    if alg in ("JP-ADG", "DEC-ADG-ITR"):
-        kwargs["eps"] = 0.01
-    benchmark.pedantic(lambda: color(alg, g, **kwargs),
+    benchmark.pedantic(lambda: color(alg, g, seed=0),
                        rounds=1, iterations=1)
 
 

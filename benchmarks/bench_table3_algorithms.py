@@ -28,10 +28,7 @@ def graph():
 @pytest.mark.parametrize("name", ALG_NAMES)
 def test_bench_algorithm(benchmark, name, graph):
     """Wall-clock of each coloring algorithm on the s-flx stand-in."""
-    kwargs = {"seed": 0}
-    if name in ("JP-ADG", "DEC-ADG-ITR"):
-        kwargs["eps"] = 0.01
-    benchmark.pedantic(lambda: color(name, graph, **kwargs),
+    benchmark.pedantic(lambda: color(name, graph, seed=0),
                        rounds=1, iterations=1)
 
 
@@ -42,14 +39,8 @@ def test_report_table3(benchmark, graph):
                          degeneracy=d)
     rows = []
     for name in ALG_NAMES:
-        kwargs = {"seed": 0}
-        eps = 0.01
-        if name in ("JP-ADG", "DEC-ADG-ITR"):
-            kwargs["eps"] = eps
-        if name in ("DEC-ADG", "DEC-ADG-M"):
-            eps = 6.0
-        res = color(name, graph, **kwargs)
-        bound = quality_bound(name, params, eps)
+        res = color(name, graph, seed=0)
+        bound = quality_bound(name, params, res.eps)
         rows.append({
             "algorithm": name,
             "colors": res.num_colors,

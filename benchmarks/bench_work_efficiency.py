@@ -28,10 +28,7 @@ def sweep():
 @pytest.mark.parametrize("alg", ALGS)
 def test_bench_largest_instance(benchmark, alg, sweep):
     g = sweep[-1]
-    kwargs = {"seed": 0}
-    if alg in ("JP-ADG", "DEC-ADG-ITR"):
-        kwargs["eps"] = 0.01
-    benchmark.pedantic(lambda: color(alg, g, **kwargs), rounds=1,
+    benchmark.pedantic(lambda: color(alg, g, seed=0), rounds=1,
                        iterations=1)
 
 
@@ -41,10 +38,7 @@ def test_report_work_efficiency(benchmark, sweep):
     for g in sweep:
         nm = g.n + 2 * g.m
         for alg in ALGS:
-            kwargs = {"seed": 0}
-            if alg in ("JP-ADG", "DEC-ADG-ITR"):
-                kwargs["eps"] = 0.01
-            res = color(alg, g, **kwargs)
+            res = color(alg, g, seed=0)
             ratio = res.total_work / nm
             ratios[alg].append(ratio)
             rows.append({"graph": g.name, "n": g.n, "m": g.m,

@@ -36,31 +36,28 @@ class GraphParams:
 
 
 def quality_bound(algorithm: str, params: GraphParams,
-                  eps: float = 0.01) -> int:
+                  eps: float | None = 0.01) -> int:
     """The proven worst-case color count for ``algorithm`` (Table III).
 
     Returns the bound with the paper's ceilings applied:
     JP-ADG / DEC-ADG-ITR: ceil(2(1+eps)d) + 1; JP-ADG-M: 4d + 1;
     DEC-ADG: ceil((2+eps)d); DEC-ADG-M: ceil((4+eps)d); JP-SL /
-    Greedy-SL: d + 1; everything else: Delta + 1.
+    Greedy-SL: d + 1; everything else: Delta + 1.  Only the ε bounds
+    read ``eps``; it may be ``None`` for the rest (a result's ``eps``
+    for an algorithm without one).
     """
     d = params.degeneracy
-    delta = params.max_degree
-    table = {
-        "JP-ADG": math.ceil(2 * (1 + eps) * d) + 1,
-        "JP-ADG-O": math.ceil(2 * (1 + eps) * d) + 1,
-        "JP-ADG-M": 4 * d + 1,
-        "JP-ADG-M-O": 4 * d + 1,
-        "DEC-ADG": math.ceil((2 + eps) * d),
-        "DEC-ADG-M": math.ceil((4 + eps) * d),
-        "DEC-ADG-ITR": math.ceil(2 * (1 + eps) * d) + 1,
-        "DEC-ADG-ITR-M": 4 * d + 1,
-        "JP-SL": d + 1,
-        "Greedy-SL": d + 1,
-    }
-    if algorithm in table:
-        return int(table[algorithm])
-    return delta + 1
+    if algorithm in ("JP-ADG", "JP-ADG-O", "DEC-ADG-ITR"):
+        return math.ceil(2 * (1 + eps) * d) + 1
+    if algorithm == "DEC-ADG":
+        return math.ceil((2 + eps) * d)
+    if algorithm == "DEC-ADG-M":
+        return math.ceil((4 + eps) * d)
+    if algorithm in ("JP-ADG-M", "JP-ADG-M-O", "DEC-ADG-ITR-M"):
+        return 4 * d + 1
+    if algorithm in ("JP-SL", "Greedy-SL"):
+        return d + 1
+    return params.max_degree + 1
 
 
 def adg_iteration_bound(n: int, eps: float) -> int:

@@ -32,20 +32,17 @@ class CalibrationPoint:
 
 
 def calibrate(graphs: list[CSRGraph], algorithms: list[str],
-              seed: int = 0, eps: float = 0.01,
+              seed: int = 0, eps: float | None = None,
               repeats: int = 3) -> list[CalibrationPoint]:
     """Measure wall-clock (best of ``repeats``) and model work per pair."""
     points: list[CalibrationPoint] = []
     for g in graphs:
         for alg in algorithms:
-            kwargs: dict = {"seed": seed}
-            if alg in ("JP-ADG", "DEC-ADG-ITR"):
-                kwargs["eps"] = eps
             best = float("inf")
             res = None
             for _ in range(max(1, repeats)):
                 t0 = time.perf_counter()
-                res = color(alg, g, **kwargs)
+                res = color(alg, g, seed=seed, eps=eps)
                 best = min(best, time.perf_counter() - t0)
             assert res is not None
             points.append(CalibrationPoint(

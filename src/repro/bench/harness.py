@@ -51,14 +51,14 @@ class RunRecord:
     resources: dict | None = None
 
     @classmethod
-    def from_result(cls, g: CSRGraph, d: int, res: ColoringResult,
-                    eps: float) -> "RunRecord":
+    def from_result(cls, g: CSRGraph, d: int,
+                    res: ColoringResult) -> "RunRecord":
         params = GraphParams(n=g.n, m=g.m, max_degree=g.max_degree,
                              degeneracy=d)
         return cls(
             algorithm=res.algorithm, graph=g.name, n=g.n, m=g.m,
             degeneracy=d, colors=res.num_colors,
-            quality_bound=quality_bound(res.algorithm, params, eps),
+            quality_bound=quality_bound(res.algorithm, params, res.eps),
             work=res.total_work, depth=res.total_depth,
             reorder_work=res.reorder_cost.work if res.reorder_cost else 0,
             coloring_work=res.cost.work,
@@ -113,7 +113,7 @@ class SuiteResult:
 
 def run_suite(graphs: dict[str, CSRGraph],
               algorithms: list[str] | None = None,
-              eps: float = 0.01, seed: int = 0,
+              eps: float | None = None, seed: int = 0,
               validate: bool = True,
               algorithm_kwargs: dict[str, dict] | None = None,
               backend: str | None = None,
@@ -123,14 +123,15 @@ def run_suite(graphs: dict[str, CSRGraph],
     """Run each algorithm on each graph; returns all records.
 
     ``algorithm_kwargs`` maps algorithm name -> extra keyword arguments
-    (e.g. ``{"JP-ADG": {"eps": 0.1}}``).  ADG-based algorithms receive
-    ``eps`` unless overridden.  ``backend``/``workers`` select the
-    execution runtime for every backend-aware algorithm; each record
-    reports the backend, worker count, and per-phase wall times the run
-    actually used, so serial and threaded trajectories are comparable
-    row by row.
+    (e.g. ``{"JP-ADG": {"eps": 0.1}}``).  ``eps`` goes to every
+    algorithm that takes one unless overridden (``None``: each one's
+    default); each record's quality bound is taken at the ε its run
+    used.  ``backend``/``workers`` are recorded on every run; each
+    record reports the backend, worker count, and per-phase wall times
+    (ordering and coloring) of its run, so serial and threaded
+    trajectories are comparable row by row.
 
-    ``trace=True`` traces every backend-aware run with a fresh
+    ``trace=True`` traces every run with a fresh
     in-memory tracer, so each record's ``trace_summary`` carries that
     run's own per-round series.  Passing a
     :class:`~repro.obs.Tracer` instance instead shares one trace across
@@ -138,7 +139,7 @@ def run_suite(graphs: dict[str, CSRGraph],
     cumulative snapshots).
 
     ``ledger`` selects a flight-recorder sink.  ``None`` (the default)
-    leaves recording to the engines' own ``$REPRO_LEDGER`` seam, which
+    leaves recording to the driver's own ``$REPRO_LEDGER`` seam, which
     appends one ``kind="run"`` record per execution.  Passing a path,
     ``True``, or a :class:`~repro.obs.Ledger` makes the harness itself
     append one richer ``kind="suite"`` record per :class:`RunRecord`
@@ -158,17 +159,14 @@ def run_suite(graphs: dict[str, CSRGraph],
         for alg in algorithms:
             kwargs = dict(algorithm_kwargs.get(alg, {}))
             kwargs.setdefault("seed", seed)
-            if alg in ("JP-ADG", "DEC-ADG-ITR"):
-                kwargs.setdefault("eps", eps)
+            kwargs.setdefault("eps", eps)
             run_trace = Tracer() if trace is True else (trace or None)
             res = color(alg, g, backend=backend, workers=workers,
                         trace=run_trace, **kwargs)
             if validate:
                 assert_valid_coloring(g, res.colors)
-            eff_eps = kwargs.get("eps", eps)
-            out.records.append(RunRecord.from_result(g, d, res, eff_eps))
+            out.records.append(RunRecord.from_result(g, d, res))
             if book.enabled:
                 book.append(run_record(res, graph=g, kind="suite",
-                                       eps=eff_eps,
                                        valid=True if validate else None))
     return out

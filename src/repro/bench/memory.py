@@ -30,14 +30,11 @@ class MemoryPoint:
 
 def memory_pressure(g: CSRGraph, algorithms: list[str],
                     processors: int = 32, seed: int = 0,
-                    eps: float = 0.01) -> list[MemoryPoint]:
+                    eps: float | None = None) -> list[MemoryPoint]:
     """Run each algorithm and report its locality metrics."""
     points: list[MemoryPoint] = []
     for alg in algorithms:
-        kwargs: dict = {"seed": seed}
-        if alg in ("JP-ADG", "DEC-ADG-ITR"):
-            kwargs["eps"] = eps
-        res = color(alg, g, **kwargs)
+        res = color(alg, g, seed=seed, eps=eps)
         mem = res.combined_mem()
         sim = simulate(res.combined_cost(), processors)
         points.append(MemoryPoint(

@@ -32,7 +32,7 @@ class ScalingPoint:
 
 def strong_scaling(g: CSRGraph, algorithms: list[str],
                    processor_counts: list[int] | None = None,
-                   seed: int = 0, eps: float = 0.01,
+                   seed: int = 0, eps: float | None = None,
                    ) -> list[ScalingPoint]:
     """T(P) for each algorithm over a processor sweep on a fixed graph.
 
@@ -42,10 +42,7 @@ def strong_scaling(g: CSRGraph, algorithms: list[str],
     processor_counts = processor_counts or [1, 2, 4, 8, 16, 32]
     points: list[ScalingPoint] = []
     for alg in algorithms:
-        kwargs: dict = {"seed": seed}
-        if alg in ("JP-ADG", "DEC-ADG-ITR"):
-            kwargs["eps"] = eps
-        res = color(alg, g, **kwargs)
+        res = color(alg, g, seed=seed, eps=eps)
         cost = res.combined_cost()
         t1 = simulate(cost, 1).time
         for p in processor_counts:
@@ -59,7 +56,8 @@ def strong_scaling(g: CSRGraph, algorithms: list[str],
 
 def weak_scaling(algorithms: list[str], scale: int = 12,
                  edge_factors: list[int] | None = None,
-                 seed: int = 0, eps: float = 0.01) -> list[ScalingPoint]:
+                 seed: int = 0,
+                 eps: float | None = None) -> list[ScalingPoint]:
     """The paper's weak-scaling axis: edge factor k paired with k threads.
 
     Vertices stay fixed (the paper uses n = 1M; here n = 2**scale) while
@@ -72,10 +70,7 @@ def weak_scaling(algorithms: list[str], scale: int = 12,
         g = kronecker(scale=scale, edge_factor=k, seed=seed + k,
                       name=f"kron{scale}x{k}")
         for alg in algorithms:
-            kwargs: dict = {"seed": seed}
-            if alg in ("JP-ADG", "DEC-ADG-ITR"):
-                kwargs["eps"] = eps
-            res = color(alg, g, **kwargs)
+            res = color(alg, g, seed=seed, eps=eps)
             cost = res.combined_cost()
             t = simulate(cost, k)
             t1 = simulate(cost, 1).time

@@ -104,12 +104,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     if getattr(args, "delta", None):
         return _color_with_deltas(args)
     g = load_graph(args)
-    kwargs: dict = {"seed": args.seed}
-    if args.algorithm in ("JP-ADG", "DEC-ADG-ITR"):
-        kwargs["eps"] = args.eps
     tracer = make_tracer(args)
     res = color(args.algorithm, g, backend=args.backend,
-                workers=args.workers, trace=tracer, **kwargs)
+                workers=args.workers, trace=tracer, seed=args.seed,
+                eps=args.eps)
     assert_valid_coloring(g, res.colors)
     summary = res.summary()
     summary["graph"] = g.name
@@ -145,9 +143,10 @@ def _color_with_deltas(args: argparse.Namespace) -> int:
     g = load_graph(args)
     deltas = [parse_delta_spec(spec) for spec in args.delta]
     rows = []
-    with IncrementalColoring(g, args.algorithm, eps=args.eps,
-                             seed=args.seed, backend=args.backend,
-                             workers=args.workers) as inc:
+    eps = {} if args.eps is None else {"eps": args.eps}
+    with IncrementalColoring(g, args.algorithm, seed=args.seed,
+                             backend=args.backend, workers=args.workers,
+                             **eps) as inc:
         for i, delta in enumerate(deltas):
             report = inc.apply_delta(delta)
             rows.append({"delta": i, "spec": args.delta[i], **report})
@@ -160,7 +159,7 @@ def _color_with_deltas(args: argparse.Namespace) -> int:
         if book.enabled:
             book.append(service_record("cli_delta", {
                 "graph": g.name, "digest": inc.graph.content_digest,
-                "algorithm": args.algorithm, "eps": args.eps,
+                "algorithm": args.algorithm, "eps": inc.eps,
                 "n": inc.graph.n, "m": inc.graph.m, **summary}))
         if args.output:
             import numpy as np
@@ -189,7 +188,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 
     g = load_graph(args)
     kwargs: dict = {"seed": args.seed}
-    if args.ordering in ("ADG", "ADG-M"):
+    if args.ordering in ("ADG", "ADG-M") and args.eps is not None:
         kwargs["eps"] = args.eps
     tracer = make_tracer(args)
     with ExecutionContext(backend=args.backend, workers=args.workers,
@@ -334,9 +333,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
 
     g = load_graph(args)
-    kwargs: dict = {"seed": args.seed}
-    if args.algorithm in ("JP-ADG", "DEC-ADG-ITR"):
-        kwargs["eps"] = args.eps
     tracer = Tracer(path=args.trace or None)
     # A profile is explicitly about what the run costs, so resource
     # telemetry defaults on here (still overridable via the env).
@@ -345,7 +341,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         os.environ["REPRO_RESOURCES"] = "1"
     try:
         res = color(args.algorithm, g, backend=args.backend,
-                    workers=args.workers, trace=tracer, **kwargs)
+                    workers=args.workers, trace=tracer, seed=args.seed,
+                    eps=args.eps)
     finally:
         if not had_res:
             os.environ.pop("REPRO_RESOURCES", None)
@@ -458,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(chunked parse + digest-keyed binary "
                             "cache); takes precedence over --graph/--gen")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=0.01)
+        p.add_argument("--eps", type=float, default=None,
+                       help="epsilon of the algorithms that take one "
+                            "(default: each one's own)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--backend", metavar="{serial,threaded}",

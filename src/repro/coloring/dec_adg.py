@@ -20,8 +20,6 @@ re-runs for a full recompute over levels it keeps across deltas.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
@@ -29,7 +27,8 @@ from ..graphs.subgraph import induced_subgraph
 from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
 from ..primitives.kernels import batch_neighbors
-from ..runtime import ExecutionContext, resolve_context
+from ..runtime import ExecutionContext
+from .driver import drive
 from .result import ColoringResult
 from .simcol import sim_col
 
@@ -129,53 +128,25 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
 
 def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
             variant: str = "avg", update: str = "push",
-            max_rounds: int | None = None,
-            ctx: ExecutionContext | None = None,
-            backend: str | None = None,
-            workers: int | None = None,
-            trace=None) -> ColoringResult:
+            max_rounds: int | None = None, **run) -> ColoringResult:
     """Run DEC-ADG (or DEC-ADG-M with ``variant='median'``).
 
     ``update='pull'`` uses the CREW ADG (Alg. 2) for the decomposition,
     making the whole pipeline concurrent-read-only at the O(m + nd)
-    work premium (paper SS IV-D).
+    work premium (paper SS IV-D).  ``run`` as for
+    :func:`~repro.coloring.driver.drive`.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace)
-    try:
-        rng = np.random.default_rng(seed)
-        mu = eps / 4.0
-
-        t0 = time.perf_counter()
-        ordering = adg_ordering(g, eps=eps / 12.0, variant=variant,
-                                update=update, seed=seed, ctx=ctx)
-        reorder_wall = time.perf_counter() - t0
-        assert ordering.levels is not None
-
-        t0 = time.perf_counter()
-        colors, rounds_total = color_partitions(
-            g, ordering.levels, ordering.num_levels, mu, rng, ctx,
-            max_rounds=max_rounds)
-        wall = time.perf_counter() - t0
-
-        name = "DEC-ADG" if variant == "avg" else "DEC-ADG-M"
-        out = ColoringResult(algorithm=name, colors=colors, cost=ctx.cost,
-                             mem=ctx.mem, reorder_cost=ordering.cost,
-                             reorder_mem=ordering.mem, rounds=rounds_total,
-                             wall_seconds=wall,
-                             reorder_wall_seconds=reorder_wall,
-                             backend=ctx.backend, workers=ctx.workers,
-                             phase_walls=dict(ctx.wall_by_phase),
-                             trace_summary=ctx.trace_summary(),
-                             resources=ctx.resource_record())
-        if owns:
-            ctx.ledger_record(out, graph=g, eps=eps)
-        return out
-    finally:
-        if owns:
-            ctx.close()
+    return drive(
+        g, "DEC-ADG" if variant == "avg" else "DEC-ADG-M",
+        lambda g, o, ctx: (*color_partitions(
+            g, o.levels, o.num_levels, eps / 4.0,
+            np.random.default_rng(seed), ctx, max_rounds=max_rounds), 0),
+        order=lambda g, ctx: adg_ordering(
+            g, eps=eps / 12.0, variant=variant, update=update, seed=seed,
+            ctx=ctx),
+        eps=eps, **run)
 
 
 def dec_adg_m(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,

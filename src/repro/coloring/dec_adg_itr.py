@@ -43,7 +43,6 @@ vertex on one level and replay the log into their own books.
 from __future__ import annotations
 
 import ctypes
-import time
 
 import numpy as np
 
@@ -53,8 +52,9 @@ from ..machine.costmodel import log2_ceil
 from ..ordering.adg import adg_ordering
 from ..primitives.cbuild import CLibrary
 from ..primitives.kernels import multi_slice_gather, segment_any
-from ..runtime import ExecutionContext, resolve_context
+from ..runtime import ExecutionContext
 from .dec_adg import _constraints, partitions_from_levels
+from .driver import drive
 from .result import ColoringResult
 
 _C_SOURCE = r"""
@@ -442,43 +442,17 @@ def itr_color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
 
 def dec_adg_itr(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
                 variant: str = "avg", max_rounds: int | None = None,
-                ctx: ExecutionContext | None = None,
-                backend: str | None = None,
-                workers: int | None = None,
-                trace=None) -> ColoringResult:
-    """Run DEC-ADG-ITR (quality <= 2(1+eps)d + 1)."""
+                **run) -> ColoringResult:
+    """Run DEC-ADG-ITR (quality <= 2(1+eps)d + 1); ``run`` as for
+    :func:`~repro.coloring.driver.drive`.  ADG's rho_R tiebreak doubles
+    as the ITR priority permutation."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace)
-    try:
-        t0 = time.perf_counter()
-        ordering = adg_ordering(g, eps=eps, variant=variant, seed=seed,
-                                ctx=ctx)
-        reorder_wall = time.perf_counter() - t0
-        assert ordering.levels is not None and ordering.tiebreak is not None
-
-        # ADG's rho_R tiebreak doubles as the ITR priority permutation.
-        t0 = time.perf_counter()
-        colors, rounds_total, conflicts_total = itr_color_partitions(
-            g, ordering.levels, ordering.num_levels, ordering.tiebreak, ctx,
-            max_rounds=max_rounds)
-        wall = time.perf_counter() - t0
-
-        name = "DEC-ADG-ITR" if variant == "avg" else "DEC-ADG-ITR-M"
-        out = ColoringResult(algorithm=name, colors=colors, cost=ctx.cost,
-                             mem=ctx.mem, reorder_cost=ordering.cost,
-                             reorder_mem=ordering.mem, rounds=rounds_total,
-                             conflicts_resolved=conflicts_total,
-                             wall_seconds=wall,
-                             reorder_wall_seconds=reorder_wall,
-                             backend=ctx.backend, workers=ctx.workers,
-                             phase_walls=dict(ctx.wall_by_phase),
-                             trace_summary=ctx.trace_summary(),
-                             resources=ctx.resource_record())
-        if owns:
-            ctx.ledger_record(out, graph=g, eps=eps)
-        return out
-    finally:
-        if owns:
-            ctx.close()
+    return drive(
+        g, "DEC-ADG-ITR" if variant == "avg" else "DEC-ADG-ITR-M",
+        lambda g, o, ctx: itr_color_partitions(
+            g, o.levels, o.num_levels, o.tiebreak, ctx,
+            max_rounds=max_rounds),
+        order=lambda g, ctx: adg_ordering(g, eps=eps, variant=variant,
+                                          seed=seed, ctx=ctx),
+        eps=eps, **run)

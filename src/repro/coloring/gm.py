@@ -12,21 +12,21 @@ O(Delta n), depth O(Delta n / P) — efficient when conflicts are rare
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import CostModel, log2_ceil
-from ..machine.memmodel import MemoryModel
 from ..primitives.kernels import grouped_mex
+from ..runtime import ExecutionContext
+from .driver import drive
 from .result import ColoringResult
 from .verify import conflicting_edges
 
 
 def gm_coloring(g: CSRGraph, processors: int = 8, seed: int | None = 0,
-                ) -> ColoringResult:
-    """Run GM with ``processors`` blocks.
+                **run) -> ColoringResult:
+    """Run GM with ``processors`` blocks; ``run`` as for
+    :func:`~repro.coloring.driver.drive`.
 
     The simulated parallel phase colors one vertex per block per
     superstep (the P processors advance in lock-step through their
@@ -35,19 +35,24 @@ def gm_coloring(g: CSRGraph, processors: int = 8, seed: int | None = 0,
     """
     if processors < 1:
         raise ValueError(f"processors must be >= 1, got {processors}")
-    cost = CostModel()
-    mem = MemoryModel()
+    return drive(g, "GM",
+                 lambda g, _, ctx: _gm_colors(g, processors, seed, ctx),
+                 **run)
+
+
+def _gm_colors(g: CSRGraph, processors: int, seed: int | None,
+               ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
+    cost, mem = ctx.cost, ctx.mem
     n = g.n
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n).astype(np.int64)
     colors = np.zeros(n, dtype=np.int64)
-    t0 = time.perf_counter()
 
     # Phase 1: parallel speculative pass, one vertex per block per step.
     bounds = np.linspace(0, n, processors + 1, dtype=np.int64)
     blocks = [perm[bounds[i]:bounds[i + 1]] for i in range(processors)]
     steps = max((b.size for b in blocks), default=0)
-    with cost.phase("gm:speculate"):
+    with ctx.phase("gm:speculate"):
         for step in range(steps):
             wave = np.asarray([b[step] for b in blocks if step < b.size],
                               dtype=np.int64)
@@ -59,7 +64,7 @@ def gm_coloring(g: CSRGraph, processors: int = 8, seed: int | None = 0,
             mem.gather(nbrs.size, "gm")
 
     # Phase 2: detect conflicts (parallel reduce over the edges).
-    with cost.phase("gm:detect"):
+    with ctx.phase("gm:detect"):
         bu, bv = conflicting_edges(g, colors)
         cost.round(n + 2 * g.m, log2_ceil(max(g.max_degree, 1)))
         mem.gather(2 * g.m, "gm")
@@ -68,16 +73,13 @@ def gm_coloring(g: CSRGraph, processors: int = 8, seed: int | None = 0,
 
     # Phase 3: sequential cleanup of the conflicting vertices.
     conflicts = int(loser.size)
-    with cost.phase("gm:cleanup"):
+    with ctx.phase("gm:cleanup"):
         if conflicts:
             colors[loser] = 0
             sub_cost = CostModel()
             colors = _recolor_subset(g, colors, loser, sub_cost)
             cost.merge(sub_cost)
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="GM", colors=colors, cost=cost, mem=mem,
-                          rounds=steps + 1, conflicts_resolved=conflicts,
-                          wall_seconds=wall)
+    return colors, steps + 1, conflicts
 
 
 def _recolor_subset(g: CSRGraph, colors: np.ndarray, subset: np.ndarray,

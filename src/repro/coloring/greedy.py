@@ -8,8 +8,6 @@ These are the Class-2 baselines of Table III (Greedy-FF/R/LF/SL/ID/SD).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
@@ -18,6 +16,8 @@ from ..machine.memmodel import MemoryModel
 from ..ordering.base import Ordering
 from ..ordering.registry import get_ordering
 from ..ordering.saturation import dsatur
+from ..runtime import ExecutionContext
+from .driver import drive
 from .result import ColoringResult
 from .sweep import rank_sweep
 
@@ -49,38 +49,38 @@ def greedy_color_sequence(g: CSRGraph, sequence: np.ndarray,
     return colors
 
 
-def greedy(g: CSRGraph, ordering: Ordering) -> ColoringResult:
-    """Greedy under a precomputed ordering (highest rank first)."""
-    cost = CostModel()
-    mem = MemoryModel()
-    t0 = time.perf_counter()
-    with cost.phase("greedy"):
+def _greedy_colors(g: CSRGraph, ordering: Ordering,
+                   ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
+    """Greedy's coloring step: one sequential scan in ``ordering``."""
+    with ctx.phase("greedy"):
         colors = greedy_color_sequence(g, ordering.coloring_sequence(),
-                                       cost=cost, mem=mem)
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm=f"Greedy-{ordering.name}", colors=colors,
-                          cost=cost, mem=mem, reorder_cost=ordering.cost,
-                          reorder_mem=ordering.mem, rounds=g.n,
-                          wall_seconds=wall)
+                                       cost=ctx.cost, mem=ctx.mem)
+    return colors, g.n, 0
+
+
+def greedy(g: CSRGraph, ordering: Ordering, **run) -> ColoringResult:
+    """Greedy under a precomputed ordering (highest rank first);
+    ``run`` as for :func:`~repro.coloring.driver.drive`."""
+    return drive(g, "Greedy-{}", _greedy_colors,
+                 order=lambda g, ctx: ordering, **run)
 
 
 def greedy_by_name(g: CSRGraph, ordering_name: str, seed: int | None = 0,
-                   **ordering_kwargs) -> ColoringResult:
+                   ctx: ExecutionContext | None = None,
+                   backend: str | None = None, workers: int | None = None,
+                   trace=None, **ordering_kwargs) -> ColoringResult:
     """Greedy-X for an ordering name from the registry.
 
-    Greedy-SD is special-cased to the coupled DSATUR implementation
-    (the SD order depends on the colors as they are assigned).
+    Greedy-SD is the coupled DSATUR implementation (the SD order
+    depends on the colors as they are assigned): one coloring step, no
+    separate ordering.
     """
+    run = dict(ctx=ctx, backend=backend, workers=workers, trace=trace)
     if ordering_name == "SD":
-        t0 = time.perf_counter()
-        sat = dsatur(g, seed)
-        wall = time.perf_counter() - t0
-        return ColoringResult(algorithm="Greedy-SD", colors=sat.colors,
-                              cost=sat.ordering.cost, mem=sat.ordering.mem,
-                              rounds=g.n, wall_seconds=wall)
-    t0 = time.perf_counter()
-    ordering = get_ordering(ordering_name, g, seed=seed, **ordering_kwargs)
-    reorder_wall = time.perf_counter() - t0
-    out = greedy(g, ordering)
-    out.reorder_wall_seconds = reorder_wall
-    return out
+        return drive(g, "Greedy-SD",
+                     lambda g, _, ctx: (dsatur(g, seed, ctx).colors, g.n, 0),
+                     **run)
+    return drive(g, "Greedy-{}", _greedy_colors,
+                 order=lambda g, ctx: get_ordering(
+                     ordering_name, g, seed=seed, ctx=ctx,
+                     **ordering_kwargs), **run)

@@ -27,16 +27,16 @@ JP-LLF, JP-SL, JP-SLL, JP-ASL, and the paper's JP-ADG / JP-ADG-M.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import CostModel, log2_ceil
 from ..machine.memmodel import MemoryModel
+from ..ordering.adg import adg_ordering
 from ..ordering.base import Ordering
 from ..ordering.registry import get_ordering
 from ..runtime import ExecutionContext, resolve_context
+from .driver import drive
 from .result import ColoringResult
 from .sweep import rank_sweep
 
@@ -134,40 +134,27 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
     return colors, waves
 
 
+def _jp_colors(g: CSRGraph, ordering: Ordering, ctx: ExecutionContext,
+               use_fused_ranks: bool = True) -> tuple[np.ndarray, int, int]:
+    """JP's coloring step: ``(colors, waves, 0)`` under ``ordering``."""
+    pred = ordering.pred_counts if use_fused_ranks else None
+    colors, waves = jp_color(g, ordering.ranks, ctx=ctx, pred_counts=pred)
+    return colors, waves, 0
+
+
 def jp(g: CSRGraph, ordering: Ordering, use_fused_ranks: bool = True,
-       ctx: ExecutionContext | None = None,
-       backend: str | None = None,
-       workers: int | None = None,
-       trace=None) -> ColoringResult:
+       **run) -> ColoringResult:
     """Run JP under a precomputed ordering.
 
     When the ordering carries fused predecessor counts (ADG-O with
     ``compute_ranks=True``) they are used automatically, skipping JP's
     DAG-construction part; pass ``use_fused_ranks=False`` to disable.
+    ``run`` takes ``ctx``/``backend``/``workers``/``trace``, as
+    :func:`~repro.coloring.driver.drive` does.
     """
-    ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace)
-    try:
-        pred = ordering.pred_counts if use_fused_ranks else None
-        t0 = time.perf_counter()
-        colors, waves = jp_color(g, ordering.ranks, ctx=ctx,
-                                 pred_counts=pred)
-        wall = time.perf_counter() - t0
-        out = ColoringResult(algorithm=f"JP-{ordering.name}", colors=colors,
-                             cost=ctx.cost, mem=ctx.mem,
-                             reorder_cost=ordering.cost,
-                             reorder_mem=ordering.mem, rounds=waves,
-                             wall_seconds=wall, backend=ctx.backend,
-                             workers=ctx.workers,
-                             phase_walls=dict(ctx.wall_by_phase),
-                             trace_summary=ctx.trace_summary(),
-                             resources=ctx.resource_record())
-        if owns:
-            ctx.ledger_record(out, graph=g)
-        return out
-    finally:
-        if owns:
-            ctx.close()
+    return drive(g, "JP-{}",
+                 lambda g, o, ctx: _jp_colors(g, o, ctx, use_fused_ranks),
+                 order=lambda g, ctx: ordering, **run)
 
 
 def jp_by_name(g: CSRGraph, ordering_name: str, seed: int | None = 0,
@@ -175,22 +162,12 @@ def jp_by_name(g: CSRGraph, ordering_name: str, seed: int | None = 0,
                backend: str | None = None, workers: int | None = None,
                trace=None, **ordering_kwargs) -> ColoringResult:
     """JP-X for any ordering name in the registry (e.g. 'ADG', 'LLF')."""
-    ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace)
-    try:
-        t0 = time.perf_counter()
-        ordering = get_ordering(ordering_name, g, seed=seed, ctx=ctx,
-                                **ordering_kwargs)
-        reorder_wall = time.perf_counter() - t0
-        out = jp(g, ordering, ctx=ctx)
-        out.reorder_wall_seconds = reorder_wall
-        if owns:
-            ctx.ledger_record(out, graph=g,
-                              eps=ordering_kwargs.get("eps"))
-        return out
-    finally:
-        if owns:
-            ctx.close()
+    return drive(g, "JP-{}", _jp_colors,
+                 order=lambda g, ctx: get_ordering(
+                     ordering_name, g, seed=seed, ctx=ctx,
+                     **ordering_kwargs),
+                 eps=ordering_kwargs.get("eps"), ctx=ctx, backend=backend,
+                 workers=workers, trace=trace)
 
 
 def jp_adg(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
@@ -211,24 +188,13 @@ def jp_adg_fused(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
     """JP-ADG-O with the SS V-C fusion: ADG sorts its batches into an
     explicit total order and emits the DAG predecessor counts from its
     own UPDATE, so JP starts coloring without a DAG-construction pass."""
-    from ..ordering.adg import adg_ordering
-
     adg_kwargs.setdefault("sort_batches", True)
     adg_kwargs.setdefault("compute_ranks", True)
-    ctx, owns = resolve_context(ctx, backend=backend, workers=workers,
-                                trace=trace)
-    try:
-        t0 = time.perf_counter()
-        ordering = adg_ordering(g, eps=eps, seed=seed, ctx=ctx, **adg_kwargs)
-        reorder_wall = time.perf_counter() - t0
-        out = jp(g, ordering, ctx=ctx)
-        out.reorder_wall_seconds = reorder_wall
-        if owns:
-            ctx.ledger_record(out, graph=g, eps=eps)
-        return out
-    finally:
-        if owns:
-            ctx.close()
+    return drive(g, "JP-{}", _jp_colors,
+                 order=lambda g, ctx: adg_ordering(g, eps=eps, seed=seed,
+                                                   ctx=ctx, **adg_kwargs),
+                 eps=eps, ctx=ctx, backend=backend, workers=workers,
+                 trace=trace)
 
 
 def longest_dag_path(g: CSRGraph, ranks: np.ndarray) -> int:

@@ -9,14 +9,14 @@ JP on high-degree graphs.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import CostModel, log2_ceil
 from ..machine.memmodel import MemoryModel
 from ..primitives.kernels import segment_any
+from ..runtime import ExecutionContext
+from .driver import drive
 from .result import ColoringResult
 
 
@@ -67,27 +67,28 @@ def luby_mis(g: CSRGraph, candidates: np.ndarray, rng: np.random.Generator,
     return np.flatnonzero(in_mis).astype(np.int64)
 
 
-def luby_coloring(g: CSRGraph, seed: int | None = 0) -> ColoringResult:
-    """Color by repeated MIS extraction (one color per MIS)."""
-    cost = CostModel()
-    mem = MemoryModel()
+def luby_coloring(g: CSRGraph, seed: int | None = 0,
+                  **run) -> ColoringResult:
+    """Color by repeated MIS extraction (one color per MIS); ``run`` as
+    for :func:`~repro.coloring.driver.drive`."""
+    return drive(g, "Luby", lambda g, _, ctx: _luby_colors(g, seed, ctx),
+                 **run)
+
+
+def _luby_colors(g: CSRGraph, seed: int | None,
+                 ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
     rng = np.random.default_rng(seed)
     colors = np.zeros(g.n, dtype=np.int64)
     color = 0
-    rounds = 0
-    t0 = time.perf_counter()
-    with cost.phase("luby:color"):
+    with ctx.phase("luby:color"):
         while True:
             uncolored = np.flatnonzero(colors == 0).astype(np.int64)
             if uncolored.size == 0:
                 break
             color += 1
-            rounds += 1
-            mis = luby_mis(g, uncolored, rng, cost=cost, mem=mem)
+            mis = luby_mis(g, uncolored, rng, cost=ctx.cost, mem=ctx.mem)
             # The MIS is maximal within the *uncolored* subgraph only if we
             # restrict adjacency tests to uncolored vertices; luby_mis
             # already ignores colored vertices because they are not live.
             colors[mis] = color
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="Luby", colors=colors, cost=cost, mem=mem,
-                          rounds=rounds, wall_seconds=wall)
+    return colors, color, 0

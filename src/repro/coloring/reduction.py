@@ -13,39 +13,44 @@ exactly as the paper's Table III notes.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel, log2_ceil
-from ..machine.memmodel import MemoryModel
+from ..machine.costmodel import log2_ceil
 from ..primitives.kernels import grouped_mex
+from ..runtime import ExecutionContext
+from .driver import drive
 from .result import ColoringResult
 
 
 def color_reduction(g: CSRGraph, seed: int | None = 0,
-                    initial: np.ndarray | None = None) -> ColoringResult:
+                    initial: np.ndarray | None = None,
+                    **run) -> ColoringResult:
     """Reduce a trivial n-coloring to at most Delta + 1 colors.
 
     ``initial`` may supply any valid starting coloring (1-based); by
     default a random permutation of {1..n} (ids as colors) is used.
+    ``run`` as for :func:`~repro.coloring.driver.drive`.
     """
-    cost = CostModel()
-    mem = MemoryModel()
+    if initial is not None:
+        initial = np.asarray(initial, dtype=np.int64).copy()
+        if initial.size != g.n or (g.n and initial.min() <= 0):
+            raise ValueError("initial must be a complete 1-based coloring")
+    return drive(g, "CR", lambda g, _, ctx: _reduce(g, seed, initial, ctx),
+                 **run)
+
+
+def _reduce(g: CSRGraph, seed: int | None, initial: np.ndarray | None,
+            ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
+    cost, mem = ctx.cost, ctx.mem
     n = g.n
     rng = np.random.default_rng(seed)
-    if initial is None:
-        colors = rng.permutation(n).astype(np.int64) + 1
-    else:
-        colors = np.asarray(initial, dtype=np.int64).copy()
-        if colors.size != n or (n and colors.min() <= 0):
-            raise ValueError("initial must be a complete 1-based coloring")
+    colors = rng.permutation(n).astype(np.int64) + 1 \
+        if initial is None else initial
     target = g.max_degree + 1
     rounds = 0
-    t0 = time.perf_counter()
 
-    with cost.phase("cr:reduce"):
+    with ctx.phase("cr:reduce"):
         while True:
             over = np.flatnonzero(colors > target).astype(np.int64)
             cost.parallel_for(n)
@@ -69,6 +74,4 @@ def color_reduction(g: CSRGraph, seed: int | None = 0,
                 if nbrs.size else 0
             cost.round(nbrs.size + batch.size, log2_ceil(max(md, 1)) + 1)
             mem.gather(nbrs.size, "cr")
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="CR", colors=colors, cost=cost, mem=mem,
-                          rounds=rounds, wall_seconds=wall)
+    return colors, rounds, 0

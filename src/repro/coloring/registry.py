@@ -7,6 +7,7 @@ baselines, and the paper's JP-ADG(-M), DEC-ADG(-M), DEC-ADG-ITR.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..graphs.csr import CSRGraph
@@ -14,50 +15,29 @@ from .dec_adg import dec_adg, dec_adg_m
 from .dec_adg_itr import dec_adg_itr
 from .gm import gm_coloring
 from .greedy import greedy_by_name
-from .jp import jp_adg_fused, jp_by_name
+from .jp import jp_adg, jp_adg_fused, jp_adg_m, jp_by_name
 from .mis import luby_coloring
 from .reduction import color_reduction
 from .result import ColoringResult
 from .speculative import itr, itr_asl, itrb
 
+#: An algorithm's entry point: ``fn(g, **algorithm_kwargs, ctx=...,
+#: backend=..., workers=..., trace=...)``, one call into
+#: :func:`~repro.coloring.driver.drive` (its ordering step and coloring
+#: step).
 ColoringFn = Callable[..., ColoringResult]
-
-#: Algorithms whose engines run on the execution-context runtime and
-#: therefore record the backend/workers selection.  The rest
-#: (sequential greedy baselines, the speculative ITR family, Luby/GM/CR)
-#: have no context rounds; they report the serial backend.
-BACKEND_AWARE = frozenset({
-    "JP-FF", "JP-R", "JP-LF", "JP-LLF", "JP-SL", "JP-SLL", "JP-ASL",
-    "JP-ADG", "JP-ADG-M", "JP-ADG-O",
-    "DEC-ADG", "DEC-ADG-M", "DEC-ADG-ITR",
-})
-
-
-def _jp(name: str) -> ColoringFn:
-    def run(g: CSRGraph, seed: int | None = 0, **kw) -> ColoringResult:
-        return jp_by_name(g, name, seed=seed, **kw)
-    run.__name__ = f"jp_{name.lower().replace('-', '_')}"
-    return run
-
-
-def _greedy(name: str) -> ColoringFn:
-    def run(g: CSRGraph, seed: int | None = 0, **kw) -> ColoringResult:
-        return greedy_by_name(g, name, seed=seed, **kw)
-    run.__name__ = f"greedy_{name.lower()}"
-    return run
-
 
 ALGORITHMS: dict[str, ColoringFn] = {
     # Class 3: JP family.
-    "JP-FF": _jp("FF"),
-    "JP-R": _jp("R"),
-    "JP-LF": _jp("LF"),
-    "JP-LLF": _jp("LLF"),
-    "JP-SL": _jp("SL"),
-    "JP-SLL": _jp("SLL"),
-    "JP-ASL": _jp("ASL"),
-    "JP-ADG": _jp("ADG"),
-    "JP-ADG-M": _jp("ADG-M"),
+    "JP-FF": partial(jp_by_name, ordering_name="FF"),
+    "JP-R": partial(jp_by_name, ordering_name="R"),
+    "JP-LF": partial(jp_by_name, ordering_name="LF"),
+    "JP-LLF": partial(jp_by_name, ordering_name="LLF"),
+    "JP-SL": partial(jp_by_name, ordering_name="SL"),
+    "JP-SLL": partial(jp_by_name, ordering_name="SLL"),
+    "JP-ASL": partial(jp_by_name, ordering_name="ASL"),
+    "JP-ADG": jp_adg,
+    "JP-ADG-M": jp_adg_m,
     "JP-ADG-O": jp_adg_fused,  # sorted batches + fused DAG ranks (SS V)
     # Class 1: speculative / MIS.
     "ITR": itr,
@@ -70,13 +50,18 @@ ALGORITHMS: dict[str, ColoringFn] = {
     "DEC-ADG-M": dec_adg_m,
     "DEC-ADG-ITR": dec_adg_itr,
     # Class 2: sequential greedy baselines.
-    "Greedy-FF": _greedy("FF"),
-    "Greedy-R": _greedy("R"),
-    "Greedy-LF": _greedy("LF"),
-    "Greedy-SL": _greedy("SL"),
-    "Greedy-ID": _greedy("ID"),
-    "Greedy-SD": _greedy("SD"),
+    "Greedy-FF": partial(greedy_by_name, ordering_name="FF"),
+    "Greedy-R": partial(greedy_by_name, ordering_name="R"),
+    "Greedy-LF": partial(greedy_by_name, ordering_name="LF"),
+    "Greedy-SL": partial(greedy_by_name, ordering_name="SL"),
+    "Greedy-ID": partial(greedy_by_name, ordering_name="ID"),
+    "Greedy-SD": partial(greedy_by_name, ordering_name="SD"),
 }
+
+#: The algorithms that take an ε: ADG's slack for the JP-ADG and
+#: DEC-ADG-ITR family, the (2+ε)d color range for DEC-ADG(-M).
+EPS_ALGORITHMS = frozenset({"JP-ADG", "JP-ADG-O", "DEC-ADG", "DEC-ADG-M",
+                            "DEC-ADG-ITR"})
 
 # The algorithm sets used by the paper's figures.
 JP_CLASS = ["JP-FF", "JP-R", "JP-LF", "JP-LLF", "JP-SL", "JP-SLL",
@@ -87,25 +72,24 @@ FIGURE1_SET = SC_CLASS + JP_CLASS
 
 
 def color(name: str, g: CSRGraph, backend: str | None = None,
-          workers: int | None = None, trace=None,
+          workers: int | None = None, trace=None, eps: float | None = None,
           **kwargs) -> ColoringResult:
     """Run the named coloring algorithm on ``g``.
 
-    ``backend`` / ``workers`` select the execution runtime for the
-    algorithms in :data:`BACKEND_AWARE`; serial-only algorithms ignore
-    them (their results report ``backend='serial'``), so a whole suite
-    can be driven with one backend switch.  ``trace`` (a
-    :class:`~repro.obs.Tracer`, a sink path, or ``True``) enables run
-    tracing on the same set of algorithms; the result's
-    ``trace_summary`` then carries the per-round series.
+    Every algorithm runs through the one driver, so each records
+    ``backend``/``workers`` (or the ``ctx=`` it is given) on its
+    result, is traced when ``trace`` (a :class:`~repro.obs.Tracer`, a
+    sink path, or ``True``) is set — the result's ``trace_summary``
+    then carries the per-round series — and appends one ledger row when
+    a ledger is on.  ``eps`` goes to the algorithms in
+    :data:`EPS_ALGORITHMS` (``None``: each one's default); the others
+    have no ε.  The result's ``eps`` is the ε the run used.
     """
     try:
         fn = ALGORITHMS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"options: {sorted(ALGORITHMS)}") from None
-    if name in BACKEND_AWARE:
-        kwargs.setdefault("backend", backend)
-        kwargs.setdefault("workers", workers)
-        kwargs.setdefault("trace", trace)
-    return fn(g, **kwargs)
+    if eps is not None and name in EPS_ALGORITHMS:
+        kwargs["eps"] = eps
+    return fn(g, backend=backend, workers=workers, trace=trace, **kwargs)

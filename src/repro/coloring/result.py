@@ -21,17 +21,22 @@ class ColoringResult:
     ordering phase (the paper's Fig. 1 splits run-times into reordering
     and coloring); ``cost`` holds the coloring phase.
 
-    ``backend``/``workers`` record the execution configuration the run
-    was given (recorded only: every round runs as one direct call, so
-    colors and books do not depend on it).  ``kernel_tier`` is the
-    fixed label ``"numpy"``, kept for readers of result rows: it names
-    no implementation.  JP's rank sweep, DEC-ADG-ITR's level pass, the
-    degeneracy peel and ingest run as compiled C passes when a C
-    compiler is found and as NumPy otherwise, with identical colors and
-    books either way.
+    ``eps`` is the ε the run used (``None`` for algorithms without
+    one).  ``backend``/``workers`` record the execution configuration
+    the run was given (recorded only: every round runs as one direct
+    call, so colors and books do not depend on it).  ``kernel_tier`` is
+    the fixed label ``"numpy"``, kept for readers of result rows: it
+    names no implementation.  JP's rank sweep, DEC-ADG-ITR's level
+    pass, the ADG ordering, the degeneracy peel, the verify scan and
+    ingest run as compiled C passes when a C compiler is found and as
+    NumPy otherwise, with identical colors and books either way.
     ``phase_walls`` is the per-phase wall-clock split from the
     :class:`~repro.runtime.ExecutionContext` timers (exclusive time
-    per phase).
+    per phase), the ordering's phases (``order:adg``, ...) beside the
+    coloring's.
+
+    Every algorithm builds its result through
+    :func:`repro.coloring.driver.drive`.
 
     ``trace_summary`` is ``None`` unless the run was traced
     (:mod:`repro.obs`): then it carries the tracer digest — event
@@ -59,6 +64,7 @@ class ColoringResult:
     conflicts_resolved: int = 0
     wall_seconds: float = 0.0
     reorder_wall_seconds: float = 0.0
+    eps: float | None = None
     backend: str = "serial"
     workers: int = 1
     kernel_tier: ClassVar[str] = "numpy"

@@ -24,29 +24,27 @@ does not express its blocks.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel, log2_ceil
-from ..machine.memmodel import MemoryModel
+from ..machine.costmodel import log2_ceil
 from ..ordering.asl import asl_ordering
 from ..ordering.base import random_tiebreak
 from ..primitives.kernels import grouped_mex, segment_any
+from ..runtime import ExecutionContext
 from .dec_adg_itr import itr_levels
+from .driver import drive
 from .result import ColoringResult
 
 
-def _itr_pass(g: CSRGraph, priority: np.ndarray, max_rounds: int | None
-              ) -> tuple[np.ndarray, CostModel, MemoryModel, int, int]:
-    """ITR as the level pass on one level: ``(colors, cost, mem, rounds,
+def _itr_pass(g: CSRGraph, priority: np.ndarray, max_rounds: int | None,
+              ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
+    """ITR as the level pass on one level: ``(colors, rounds,
     conflicts)``, the books replayed from the pass's round log."""
-    cost = CostModel()
-    mem = MemoryModel()
-    colors, _, rb = itr_levels(g, np.ones(g.n, dtype=np.int64), 1,
-                               priority, max_rounds, "ITR")
-    with cost.phase("itr:rounds"):
+    cost, mem = ctx.cost, ctx.mem
+    with ctx.phase("itr:rounds"):
+        colors, _, rb = itr_levels(g, np.ones(g.n, dtype=np.int64), 1,
+                                   priority, max_rounds, "ITR")
         for act, nsum, md, _, _ in zip(*rb.tolist()):
             depth = log2_ceil(max(md, 1)) + 1
             # Gather the neighbors' colors, take the mex, then gather
@@ -55,40 +53,28 @@ def _itr_pass(g: CSRGraph, priority: np.ndarray, max_rounds: int | None
             cost.round(nsum + act, depth)
             cost.round(nsum + act, depth)
             mem.gather(nsum, "itr")
-    return colors, cost, mem, rb.shape[1], int(rb[3].sum())
+    return colors, rb.shape[1], int(rb[3].sum())
 
 
-def itr(g: CSRGraph, seed: int | None = 0,
-        max_rounds: int | None = None) -> ColoringResult:
-    """ITR with a random conflict-winner priority."""
-    priority = random_tiebreak(g.n, seed)
-    t0 = time.perf_counter()
-    colors, cost, mem, rounds, conflicts = _itr_pass(g, priority, max_rounds)
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="ITR", colors=colors, cost=cost, mem=mem,
-                          rounds=rounds, conflicts_resolved=conflicts,
-                          wall_seconds=wall)
+def itr(g: CSRGraph, seed: int | None = 0, max_rounds: int | None = None,
+        **run) -> ColoringResult:
+    """ITR with a random conflict-winner priority; ``run`` as for
+    :func:`~repro.coloring.driver.drive`."""
+    return drive(g, "ITR", lambda g, _, ctx: _itr_pass(
+        g, random_tiebreak(g.n, seed), max_rounds, ctx), **run)
 
 
 def itr_asl(g: CSRGraph, seed: int | None = 0,
-            max_rounds: int | None = None) -> ColoringResult:
+            max_rounds: int | None = None, **run) -> ColoringResult:
     """ITR whose priority is the ASL (approximate smallest-last) order."""
-    t0 = time.perf_counter()
-    ordering = asl_ordering(g, seed=seed)
-    reorder_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    colors, cost, mem, rounds, conflicts = _itr_pass(g, ordering.ranks,
-                                                     max_rounds)
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="ITR-ASL", colors=colors, cost=cost,
-                          mem=mem, reorder_cost=ordering.cost,
-                          reorder_mem=ordering.mem, rounds=rounds,
-                          conflicts_resolved=conflicts, wall_seconds=wall,
-                          reorder_wall_seconds=reorder_wall)
+    return drive(g, "ITR-ASL",
+                 lambda g, o, ctx: _itr_pass(g, o.ranks, max_rounds, ctx),
+                 order=lambda g, ctx: asl_ordering(g, seed=seed, ctx=ctx),
+                 **run)
 
 
 def itrb(g: CSRGraph, seed: int | None = 0, blocks: int = 8,
-         max_rounds: int | None = None) -> ColoringResult:
+         max_rounds: int | None = None, **run) -> ColoringResult:
     """ITRB: block-synchronous speculation (Boman et al., via Zoltan).
 
     Each round processes the active set in ``blocks`` sequential blocks;
@@ -98,18 +84,23 @@ def itrb(g: CSRGraph, seed: int | None = 0, blocks: int = 8,
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
-    cost = CostModel()
-    mem = MemoryModel()
+    return drive(g, "ITRB", lambda g, _, ctx: _itrb_rounds(
+        g, random_tiebreak(g.n, seed), blocks, max_rounds, ctx), **run)
+
+
+def _itrb_rounds(g: CSRGraph, priority: np.ndarray, blocks: int,
+                 max_rounds: int | None,
+                 ctx: ExecutionContext) -> tuple[np.ndarray, int, int]:
+    """ITRB's block-superstep rounds: ``(colors, rounds, conflicts)``."""
+    cost, mem = ctx.cost, ctx.mem
     n = g.n
-    priority = random_tiebreak(n, seed)
     colors = np.zeros(n, dtype=np.int64)
     active = np.arange(n, dtype=np.int64)
     rounds = 0
     conflicts = 0
     limit = max_rounds if max_rounds is not None else 4 * n + 64
-    t0 = time.perf_counter()
 
-    with cost.phase("itrb:rounds"):
+    with ctx.phase("itrb:rounds"):
         while active.size:
             rounds += 1
             if rounds > limit:
@@ -138,7 +129,4 @@ def itrb(g: CSRGraph, seed: int | None = 0, blocks: int = 8,
             colors[losers] = 0
             conflicts += losers.size
             active = losers
-    wall = time.perf_counter() - t0
-    return ColoringResult(algorithm="ITRB", colors=colors, cost=cost, mem=mem,
-                          rounds=rounds, conflicts_resolved=conflicts,
-                          wall_seconds=wall)
+    return colors, rounds, conflicts

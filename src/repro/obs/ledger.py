@@ -215,13 +215,14 @@ def cell_key(graph_name: str, algorithm: str, backend: str,
 
 
 def run_record(result, graph=None, *, kind: str = "run",
-               eps: float | None = None, valid: bool | None = None,
+               valid: bool | None = None,
                extra: dict | None = None) -> dict:
     """Build one schema-versioned ledger record from a ColoringResult.
 
     ``graph`` (the CSRGraph the run colored) adds the name/n/m/digest
-    block; ``valid`` records whether the caller verified the coloring
-    (``None`` = not checked here).  ``extra`` keys are merged last.
+    block; ``eps`` is the ε the run used (the result's); ``valid``
+    records whether the caller verified the coloring (``None`` = not
+    checked here).  ``extra`` keys are merged last.
     """
     gname = graph.name if graph is not None else "?"
     rec = {
@@ -235,7 +236,7 @@ def run_record(result, graph=None, *, kind: str = "run",
                    "m": int(graph.m), "digest": graph_digest(graph)}
                   if graph is not None else None),
         "algorithm": result.algorithm,
-        "eps": eps,
+        "eps": result.eps,
         "backend": result.backend,
         "workers": int(result.workers),
         "shards": 0,

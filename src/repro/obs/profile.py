@@ -15,10 +15,11 @@ from __future__ import annotations
 def phase_breakdown(result, tracer=None) -> list[dict]:
     """One row per (stage, phase): model cost, memory touches, wall.
 
-    Wall seconds are *exclusive* (self) times.  When a tracer is given
-    its run-wide phase spans are preferred — ``result.phase_walls``
-    only covers the coloring context, while an ordering computed on a
-    child context reports through the shared tracer.
+    Wall seconds are *exclusive* (self) times, from
+    ``result.phase_walls``: the ordering's phases beside the
+    coloring's, since an ordering's child context books its walls on
+    the run's timers.  When a tracer is given its phase spans are
+    preferred (a tracer shared across runs sums them).
     """
     walls = dict(result.phase_walls)
     if tracer is not None and tracer.enabled:

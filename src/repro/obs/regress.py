@@ -238,26 +238,21 @@ def run_matrix(ledger_path: str = DEFAULT_LEDGER_PATH, repeats: int = 3,
     appended records carry everything the gate compares.  Returns the
     number of records appended.
     """
-    from ..coloring.dec_adg import dec_adg
-    from ..coloring.dec_adg_itr import dec_adg_itr
-    from ..coloring.jp import jp_adg
+    from ..coloring.registry import color
     from ..coloring.verify import assert_valid_coloring
     from ..runtime import ExecutionContext
 
-    engines = {"JP-ADG": (jp_adg, 0.01), "DEC-ADG": (dec_adg, 6.0),
-               "DEC-ADG-ITR": (dec_adg_itr, 0.01)}
     ledger = Ledger(ledger_path)
     appended = 0
     for cell in (cells if cells is not None else MATRIX):
         g = _gen(cell["gen"], seed)
-        fn, eps = engines[cell["algorithm"]]
         for _ in range(repeats):
             with ExecutionContext(backend=cell["backend"],
                                   workers=cell["workers"],
                                   ledger=ledger, resources=True) as ctx:
-                res = fn(g, eps=eps, seed=seed, ctx=ctx)
+                res = color(cell["algorithm"], g, seed=seed, ctx=ctx)
                 assert_valid_coloring(g, res.colors)
-                ctx.ledger_record(res, graph=g, eps=eps, valid=True)
+                ctx.ledger_record(res, graph=g, valid=True)
             appended += 1
     return appended
 

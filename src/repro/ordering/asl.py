@@ -12,22 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering, random_tiebreak, total_order
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context, random_tiebreak, total_order
 
 
-def asl_ordering(g: CSRGraph, seed: int | None = 0, slack: int = 0) -> Ordering:
+def asl_ordering(g: CSRGraph, seed: int | None = 0, slack: int = 0,
+                 ctx: ExecutionContext | None = None) -> Ordering:
     """Rounds removing all vertices with degree <= (current min) + slack."""
-    cost = CostModel()
-    mem = MemoryModel()
+    run = ordering_context(ctx)
+    cost, mem = run.cost, run.mem
     n = g.n
     deg = g.degrees.copy()
     active = np.ones(n, dtype=bool)
     level = np.zeros(n, dtype=np.int64)
     round_no = 0
 
-    with cost.phase("order:asl"):
+    with run.phase("order:asl"):
         remaining = n
         while remaining:
             round_no += 1
@@ -47,7 +47,6 @@ def asl_ordering(g: CSRGraph, seed: int | None = 0, slack: int = 0) -> Ordering:
             mem.gather(nbrs.size, "order:asl")
             if live.size:
                 np.subtract.at(deg, live, 1)
-
-    ranks = total_order(level, random_tiebreak(n, seed))
+        ranks = total_order(level, random_tiebreak(n, seed))
     return Ordering(name="ASL", ranks=ranks, levels=level,
                     num_levels=round_no, cost=cost, mem=mem)

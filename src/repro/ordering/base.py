@@ -16,6 +16,7 @@ import numpy as np
 
 from ..machine.costmodel import CostModel
 from ..machine.memmodel import MemoryModel
+from ..runtime import ExecutionContext
 
 
 @dataclass
@@ -105,3 +106,13 @@ def random_tiebreak(n: int, seed: int | None) -> np.ndarray:
     """The rho_R of the paper: a uniformly random permutation of ids."""
     rng = np.random.default_rng(seed)
     return rng.permutation(n).astype(np.int64)
+
+
+def ordering_context(ctx: ExecutionContext | None) -> ExecutionContext:
+    """The context an ordering books on: a child of the run's ``ctx``
+    (its own cost and memory books, the run's tracer and phase walls),
+    else a fresh serial one that records nothing else."""
+    if ctx is not None:
+        return ctx.child()
+    return ExecutionContext(backend="serial", trace=False, ledger=False,
+                            resources=False)

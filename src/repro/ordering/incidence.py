@@ -13,15 +13,14 @@ import heapq
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context
 
 
-def id_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
+def id_ordering(g: CSRGraph, seed: int | None = None,
+                ctx: ExecutionContext | None = None) -> Ordering:
     """Max-incidence-first sequence; earlier-picked = higher rank."""
-    cost = CostModel()
-    mem = MemoryModel()
+    run = ordering_context(ctx)
     n = g.n
     deg = g.degrees
     incidence = np.zeros(n, dtype=np.int64)
@@ -33,7 +32,7 @@ def id_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
     heapq.heapify(heap)
     order: list[int] = []
 
-    with cost.phase("order:id"):
+    with run.phase("order:id"):
         while heap:
             neg_inc, neg_deg, v = heapq.heappop(heap)
             if picked[v] or -neg_inc != incidence[v]:
@@ -44,10 +43,10 @@ def id_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
                 if not picked[u]:
                     incidence[u] += 1
                     heapq.heappush(heap, (-int(incidence[u]), -int(deg[u]), int(u)))
-        cost.round(2 * g.m + n, n)
-    mem.stream(n, "order:id")
-    mem.gather(2 * g.m, "order:id")
+        run.cost.round(2 * g.m + n, n)
+    run.mem.stream(n, "order:id")
+    run.mem.gather(2 * g.m, "order:id")
 
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.asarray(order, dtype=np.int64)] = np.arange(n - 1, -1, -1)
-    return Ordering(name="ID", ranks=ranks, cost=cost, mem=mem)
+    return Ordering(name="ID", ranks=ranks, cost=run.cost, mem=run.mem)

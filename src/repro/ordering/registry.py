@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable
 
 from ..graphs.csr import CSRGraph
@@ -32,35 +31,18 @@ ORDERINGS: dict[str, OrderingFn] = {
     "ADG-M": adg_m_ordering,
 }
 
-_CTX_AWARE: dict[str, bool] = {}
-
-
-def _accepts_ctx(name: str, fn: OrderingFn) -> bool:
-    """Whether the ordering function takes an ExecutionContext.
-
-    Inherently sequential orderings (SL's one-vertex peeling, SD's
-    saturation loop) have no rounds to route through a context;
-    the registry silently runs them serially instead of erroring.
-    """
-    if name not in _CTX_AWARE:
-        params = inspect.signature(fn).parameters
-        _CTX_AWARE[name] = "ctx" in params
-    return _CTX_AWARE[name]
-
 
 def get_ordering(name: str, g: CSRGraph,
                  ctx: ExecutionContext | None = None, **kwargs) -> Ordering:
     """Compute the named ordering of ``g`` (kwargs passed through).
 
-    ``ctx`` routes backend/worker selection into orderings with a
-    parallel structure (ADG, ADG-M); orderings without context rounds
-    ignore it and run serially.
+    Every ordering books on its own child of ``ctx`` (the run's tracer
+    and phase walls, separate cost and memory books), or on a fresh
+    context when ``ctx`` is ``None``.
     """
     try:
         fn = ORDERINGS[name]
     except KeyError:
         raise ValueError(f"unknown ordering {name!r}; "
                          f"options: {sorted(ORDERINGS)}") from None
-    if ctx is not None and _accepts_ctx(name, fn):
-        kwargs["ctx"] = ctx
-    return fn(g, **kwargs)
+    return fn(g, ctx=ctx, **kwargs)

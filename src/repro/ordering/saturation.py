@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context
 
 
 @dataclass
@@ -28,15 +27,20 @@ class SaturationResult:
     colors: np.ndarray  # 1-based colors
 
 
-def sd_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
+def sd_ordering(g: CSRGraph, seed: int | None = None,
+                ctx: ExecutionContext | None = None) -> Ordering:
     """The SD vertex sequence (discards the coupled coloring)."""
-    return dsatur(g, seed).ordering
+    return dsatur(g, seed, ordering_context(ctx)).ordering
 
 
-def dsatur(g: CSRGraph, seed: int | None = None) -> SaturationResult:
-    """Run DSATUR; earlier-picked vertices receive higher ranks."""
-    cost = CostModel()
-    mem = MemoryModel()
+def dsatur(g: CSRGraph, seed: int | None = None,
+           ctx: ExecutionContext | None = None) -> SaturationResult:
+    """Run DSATUR; earlier-picked vertices receive higher ranks.
+
+    Books on ``ctx`` itself (Greedy-SD's coloring step), else on a
+    fresh context.
+    """
+    run = ctx if ctx is not None else ordering_context(None)
     n = g.n
     deg = g.degrees
     colors = np.zeros(n, dtype=np.int64)
@@ -45,7 +49,7 @@ def dsatur(g: CSRGraph, seed: int | None = None) -> SaturationResult:
     heapq.heapify(heap)
     order: list[int] = []
 
-    with cost.phase("order:sd"):
+    with run.phase("order:sd"):
         while heap:
             neg_sat, neg_deg, v = heapq.heappop(heap)
             if colors[v] != 0 or -neg_sat != len(neighbor_colors[v]):
@@ -62,11 +66,11 @@ def dsatur(g: CSRGraph, seed: int | None = None) -> SaturationResult:
                     if c not in sat_set:
                         sat_set.add(c)
                         heapq.heappush(heap, (-len(sat_set), -int(deg[u]), int(u)))
-        cost.round(2 * g.m + n, n)
-    mem.stream(n, "order:sd")
-    mem.gather(2 * g.m, "order:sd")
+        run.cost.round(2 * g.m + n, n)
+    run.mem.stream(n, "order:sd")
+    run.mem.gather(2 * g.m, "order:sd")
 
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.asarray(order, dtype=np.int64)] = np.arange(n - 1, -1, -1)
-    ordering = Ordering(name="SD", ranks=ranks, cost=cost, mem=mem)
+    ordering = Ordering(name="SD", ranks=ranks, cost=run.cost, mem=run.mem)
     return SaturationResult(ordering=ordering, colors=colors)

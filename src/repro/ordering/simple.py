@@ -13,61 +13,58 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering, random_tiebreak, total_order
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context, random_tiebreak, total_order
 
 
-def ff_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
+def ff_ordering(g: CSRGraph, seed: int | None = None,
+                ctx: ExecutionContext | None = None) -> Ordering:
     """First-fit: rank n-1 for vertex 0, descending with vertex id."""
-    cost = CostModel()
-    mem = MemoryModel()
-    with cost.phase("order:ff"):
-        cost.parallel_for(g.n)
-    mem.stream(g.n, "order:ff")
-    ranks = np.arange(g.n - 1, -1, -1, dtype=np.int64) if g.n else \
-        np.empty(0, dtype=np.int64)
-    return Ordering(name="FF", ranks=ranks, cost=cost, mem=mem)
+    run = ordering_context(ctx)
+    with run.phase("order:ff"):
+        run.cost.parallel_for(g.n)
+        ranks = np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    run.mem.stream(g.n, "order:ff")
+    return Ordering(name="FF", ranks=ranks, cost=run.cost, mem=run.mem)
 
 
-def random_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
+def random_ordering(g: CSRGraph, seed: int | None = 0,
+                    ctx: ExecutionContext | None = None) -> Ordering:
     """R: a uniformly random permutation of the vertices."""
-    cost = CostModel()
-    mem = MemoryModel()
-    with cost.phase("order:random"):
-        cost.parallel_for(g.n)
-    mem.stream(g.n, "order:random")
-    return Ordering(name="R", ranks=random_tiebreak(g.n, seed),
-                    cost=cost, mem=mem)
+    run = ordering_context(ctx)
+    with run.phase("order:random"):
+        run.cost.parallel_for(g.n)
+        ranks = random_tiebreak(g.n, seed)
+    run.mem.stream(g.n, "order:random")
+    return Ordering(name="R", ranks=ranks, cost=run.cost, mem=run.mem)
 
 
-def lf_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
+def lf_ordering(g: CSRGraph, seed: int | None = 0,
+                ctx: ExecutionContext | None = None) -> Ordering:
     """LF: rho(v) = <deg(v), rho_R(v)> lexicographic, largest first."""
-    cost = CostModel()
-    mem = MemoryModel()
-    with cost.phase("order:lf"):
-        cost.parallel_for(g.n)
-    mem.stream(g.n, "order:lf")
+    run = ordering_context(ctx)
     deg = g.degrees
-    return Ordering(name="LF",
-                    ranks=total_order(deg, random_tiebreak(g.n, seed)),
-                    levels=deg + 1, num_levels=g.max_degree + 1,
-                    cost=cost, mem=mem)
+    with run.phase("order:lf"):
+        run.cost.parallel_for(g.n)
+        ranks = total_order(deg, random_tiebreak(g.n, seed))
+    run.mem.stream(g.n, "order:lf")
+    return Ordering(name="LF", ranks=ranks, levels=deg + 1,
+                    num_levels=g.max_degree + 1, cost=run.cost, mem=run.mem)
 
 
-def llf_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
+def llf_ordering(g: CSRGraph, seed: int | None = 0,
+                 ctx: ExecutionContext | None = None) -> Ordering:
     """LLF: rho(v) = <ceil(log2 deg(v)), rho_R(v)>, largest bucket first."""
-    cost = CostModel()
-    mem = MemoryModel()
-    with cost.phase("order:llf"):
-        cost.parallel_for(g.n)
-    mem.stream(g.n, "order:llf")
+    run = ordering_context(ctx)
     deg = g.degrees
-    buckets = np.zeros(g.n, dtype=np.int64)
-    pos = deg > 0
-    buckets[pos] = np.ceil(np.log2(np.maximum(deg[pos], 1) + 1)).astype(np.int64)
+    with run.phase("order:llf"):
+        run.cost.parallel_for(g.n)
+        buckets = np.zeros(g.n, dtype=np.int64)
+        pos = deg > 0
+        buckets[pos] = np.ceil(
+            np.log2(np.maximum(deg[pos], 1) + 1)).astype(np.int64)
+        ranks = total_order(buckets, random_tiebreak(g.n, seed))
+    run.mem.stream(g.n, "order:llf")
     num_levels = int(buckets.max()) + 1 if g.n else 0
-    return Ordering(name="LLF",
-                    ranks=total_order(buckets, random_tiebreak(g.n, seed)),
-                    levels=buckets + 1, num_levels=num_levels,
-                    cost=cost, mem=mem)
+    return Ordering(name="LLF", ranks=ranks, levels=buckets + 1,
+                    num_levels=num_levels, cost=run.cost, mem=run.mem)

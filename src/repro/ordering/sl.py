@@ -13,24 +13,23 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import peel_degeneracy
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context
 
 
-def sl_ordering(g: CSRGraph, seed: int | None = None) -> Ordering:
+def sl_ordering(g: CSRGraph, seed: int | None = None,
+                ctx: ExecutionContext | None = None) -> Ordering:
     """Exact degeneracy ordering; rank = removal position (last = highest)."""
-    cost = CostModel()
-    mem = MemoryModel()
-    peel = peel_degeneracy(g)
-    with cost.phase("order:sl"):
+    run = ordering_context(ctx)
+    with run.phase("order:sl"):
+        peel = peel_degeneracy(g)
         # Sequential peeling: each of the n steps touches the removed
         # vertex's remaining neighbors -> O(n + m) work, Omega(n) depth.
-        cost.round(g.n + 2 * g.m, g.n)
-    mem.stream(g.n, "order:sl")
-    mem.gather(2 * g.m, "order:sl")
+        run.cost.round(g.n + 2 * g.m, g.n)
+    run.mem.stream(g.n, "order:sl")
+    run.mem.gather(2 * g.m, "order:sl")
     ranks = np.empty(g.n, dtype=np.int64)
     ranks[peel.order] = np.arange(g.n, dtype=np.int64)
     # Levels: the removal position itself (a total order), 1-based.
     return Ordering(name="SL", ranks=ranks, levels=ranks + 1,
-                    num_levels=g.n, cost=cost, mem=mem)
+                    num_levels=g.n, cost=run.cost, mem=run.mem)

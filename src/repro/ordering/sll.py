@@ -13,15 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..machine.costmodel import CostModel
-from ..machine.memmodel import MemoryModel
-from .base import Ordering, random_tiebreak, total_order
+from ..runtime import ExecutionContext
+from .base import Ordering, ordering_context, random_tiebreak, total_order
 
 
-def sll_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
+def sll_ordering(g: CSRGraph, seed: int | None = 0,
+                 ctx: ExecutionContext | None = None) -> Ordering:
     """Batched peeling with threshold 2^r per round r."""
-    cost = CostModel()
-    mem = MemoryModel()
+    run = ordering_context(ctx)
+    cost, mem = run.cost, run.mem
     n = g.n
     deg = g.degrees.copy()
     active = np.ones(n, dtype=bool)
@@ -29,7 +29,7 @@ def sll_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
     round_no = 0
     threshold = 1
 
-    with cost.phase("order:sll"):
+    with run.phase("order:sll"):
         remaining = n
         while remaining:
             round_no += 1
@@ -52,8 +52,8 @@ def sll_ordering(g: CSRGraph, seed: int | None = 0) -> Ordering:
             mem.gather(nbrs.size, "order:sll")
             if live.size:
                 np.subtract.at(deg, live, 1)
-
-    # Later removal round = higher priority; random tie-break within rounds.
-    ranks = total_order(level, random_tiebreak(n, seed))
+        # Later removal round = higher priority; random tie-break
+        # within rounds.
+        ranks = total_order(level, random_tiebreak(n, seed))
     return Ordering(name="SLL", ranks=ranks, levels=level,
                     num_levels=round_no, cost=cost, mem=mem)

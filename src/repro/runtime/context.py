@@ -123,9 +123,10 @@ class ExecutionContext:
         :class:`~repro.obs.ledger.Ledger`, a JSONL path, ``True``
         (default ``results/ledger.jsonl``), ``False`` (off), or
         ``None`` to defer to ``$REPRO_LEDGER``.  Defaults to the
-        zero-overhead null ledger; when enabled, engine entry points
-        that *own* their context append one schema-versioned run
-        record on completion (:meth:`ledger_record`).  Run-wide,
+        zero-overhead null ledger; when enabled, the coloring driver
+        (:func:`repro.coloring.driver.drive`) appends one
+        schema-versioned run record per run whose context it owns
+        (:meth:`ledger_record`).  Run-wide,
         carried on the host context.
     resources:
         Resource telemetry (:mod:`repro.obs.resources`): ``True``
@@ -137,8 +138,9 @@ class ExecutionContext:
     The context is a context manager; :meth:`close` / ``__exit__``
     stops the resource sampler and flushes a path-bound tracer.
     :meth:`child` derives a context with fresh accounting books that
-    *shares* the tracer, ledger and sampler (used to account an
-    ordering phase separately from the coloring phase of one run).
+    *shares* the tracer, ledger, sampler and phase walls (used to
+    account an ordering separately from the coloring of one run, with
+    both steps' walls in one ``wall_by_phase``).
     """
 
     def __init__(self, backend: str | None = None, workers: int | None = None,
@@ -158,14 +160,17 @@ class ExecutionContext:
             self.workers = workers if workers is not None else default_workers()
         self.cost = cost if cost is not None else CostModel(crew=crew)
         self.mem = mem if mem is not None else MemoryModel()
-        self.wall_by_phase: dict[str, float] = {}
         self.tracer = resolve_tracer(trace)
         if self.tracer.enabled:
             self.tracer.meta.setdefault("backend", self.backend)
             self.tracer.meta.setdefault("workers", self.workers)
-        # Open-phase stack: one [child_wall_seconds] cell per open
-        # phase, for exclusive timing.
-        self._phase_stack: list[list[float]] = []
+        # Phase walls and the open-phase stack (one [child_wall_seconds]
+        # cell per open phase, for exclusive timing) are the host's, so
+        # an ordering's walls land beside the coloring's.
+        self.wall_by_phase: dict[str, float] = \
+            {} if self._host is self else self._host.wall_by_phase
+        self._phase_stack: list[list[float]] = \
+            [] if self._host is self else self._host._phase_stack
         if self._host is self:
             self._ledger = resolve_ledger(ledger)
             res_on = resolve_resources(resources)
@@ -190,21 +195,21 @@ class ExecutionContext:
         self.close()
 
     def ledger_record(self, result, graph=None, *, kind: str = "run",
-                      eps: float | None = None, valid: bool | None = None,
+                      valid: bool | None = None,
                       extra: dict | None = None):
         """Append one run record to the ledger; no-op (returning
         ``None``) when recording is off.
 
-        Called by engine entry points that *own* their context — the
+        Called by the coloring driver when it *owns* the context — the
         owner-append rule keeps exactly one record per run however many
-        engines and child contexts the run composes.
+        steps and child contexts the run composes.
         """
         host = self._host
         if not host._ledger.enabled:
             return None
         return host._ledger.append(run_record(result, graph=graph,
-                                              kind=kind, eps=eps,
-                                              valid=valid, extra=extra))
+                                              kind=kind, valid=valid,
+                                              extra=extra))
 
     def resource_record(self) -> dict | None:
         """The run's resource digest: the coordinator sampler's maxima.
@@ -225,7 +230,7 @@ class ExecutionContext:
     def child(self, cost: CostModel | None = None,
               mem: MemoryModel | None = None,
               crew: bool = False) -> "ExecutionContext":
-        """Same backend/workers/tracer/ledger, fresh books and timers."""
+        """Same backend/workers/tracer/ledger/phase walls, fresh books."""
         return ExecutionContext(backend=self.backend, workers=self.workers,
                                 cost=cost, mem=mem, crew=crew,
                                 trace=self.tracer, _host=self._host)

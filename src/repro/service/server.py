@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..coloring.incremental import INCREMENTAL_FAMILY, IncrementalColoring
-from ..coloring.registry import ALGORITHMS, BACKEND_AWARE, color
+from ..coloring.registry import ALGORITHMS, color
 from ..coloring.verify import is_valid_coloring
 from ..graphs.builders import from_edges
 from ..graphs.csr import CSRGraph
@@ -343,7 +343,7 @@ class ColoringService:
             self.executor, self._color, algorithm, g, kwargs)
         block = {
             "digest": digest, "algorithm": algorithm,
-            "eps": kwargs.get("eps", DEFAULT_EPS),
+            "eps": result.eps,
             "seed": kwargs.get("seed", 0),
             "n": g.n, "m": g.m,
             "colors": result.num_colors,
@@ -368,13 +368,11 @@ class ColoringService:
     def _color(self, algorithm: str, g: CSRGraph, kwargs: dict):
         """One engine call, on the calling (executor) thread.
 
-        A backend-aware engine runs under a fresh context on the
-        service's backend; ``ledger=False`` because the service writes
-        its own ledger rows, so the engine writes none and no
-        per-request resource sampler starts.
+        Every algorithm runs under a fresh context on the service's
+        backend; ``ledger=False`` because the service writes its own
+        ledger rows, so the driver writes none and no per-request
+        resource sampler starts.
         """
-        if algorithm not in BACKEND_AWARE:
-            return color(algorithm, g, **kwargs)
         with ExecutionContext(backend=self.backend,
                               workers=self.ctx_workers,
                               ledger=False) as ctx:

@@ -1,7 +1,7 @@
 """Backend parity: one engine, bit-identical results on every backend.
 
 The determinism contract of the ExecutionContext runtime: for every
-backend-aware algorithm, ``backend='threaded'`` must produce exactly
+algorithm, ``backend='threaded'`` must produce exactly
 the colors, waves/rounds, ordering ranks/levels,
 and cost/memory books of ``backend='serial'``, for any worker count.
 ``backend``/``workers`` are recorded configuration — every round runs
@@ -18,10 +18,11 @@ import pytest
 from repro.coloring.dec_adg import dec_adg, dec_adg_m
 from repro.coloring.dec_adg_itr import dec_adg_itr
 from repro.coloring.jp import jp_adg_fused, jp_by_name
-from repro.coloring.registry import BACKEND_AWARE, color
+from repro.cli import main
+from repro.coloring.registry import ALGORITHMS, color
 from repro.coloring.verify import assert_valid_coloring
-from repro.graphs.generators import chung_lu, gnm_random, grid_2d, kronecker
-from repro.obs import NULL_TRACER, Tracer
+from repro.graphs.generators import chung_lu, gnm_random, kronecker
+from repro.obs import NULL_TRACER, Tracer, read_ledger, validate_ledger_record
 from repro.runtime import ExecutionContext
 
 from repro.ordering.adg import adg_m_ordering, adg_ordering
@@ -222,6 +223,229 @@ GOLDEN = {
         "reorder": [5706, 30, "65bb6792b1a54a21", 5676, 3296]},
 }
 
+#: Fingerprints of the Class-1/2 baselines on the same two graphs,
+#: recorded while they still kept private books: colors, rounds,
+#: conflicts, the per-phase snapshot and round log, the memory books
+#: (totals and per-phase digest) and the ordering's books.
+GOLDEN_BASELINES = {
+    "chung|CR": {
+        "colors": "07a22d6e0a652ce1",
+        "rounds": 22,
+        "conflicts": 0,
+        "snapshot": "0c4bef0c1d3dc4c9",
+        "round_log": "10f19d9fe439fd8d",
+        "mem": [2577, 9200],
+        "mem_phases": "88ac63f201ad709d",
+        "reorder": None},
+    "chung|GM": {
+        "colors": "d17c08f560a5d944",
+        "rounds": 51,
+        "conflicts": 11,
+        "snapshot": "0ddaa7c1ba6ce1f9",
+        "round_log": "31608916e8257e09",
+        "mem": [8000, 0],
+        "mem_phases": "e43a7dd406c082db",
+        "reorder": None},
+    "chung|Greedy-FF": {
+        "colors": "d0ecff8afef4beb9",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "83ebf963b7a2bcc8",
+        "round_log": "a916f7faccd5f28c",
+        "mem": [4000, 400],
+        "mem_phases": "3239013f583fbe3e",
+        "reorder": [400, 1, "93aac580e11aa8ff", 0, 400]},
+    "chung|Greedy-ID": {
+        "colors": "67ad82a5d509a1da",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "83ebf963b7a2bcc8",
+        "round_log": "a916f7faccd5f28c",
+        "mem": [4000, 400],
+        "mem_phases": "3239013f583fbe3e",
+        "reorder": [4400, 400, "fdcd7b9e704387fe", 4000, 400]},
+    "chung|Greedy-LF": {
+        "colors": "ffd098ef8368d1eb",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "83ebf963b7a2bcc8",
+        "round_log": "a916f7faccd5f28c",
+        "mem": [4000, 400],
+        "mem_phases": "3239013f583fbe3e",
+        "reorder": [400, 1, "cd6869a163561790", 0, 400]},
+    "chung|Greedy-R": {
+        "colors": "401996a4026eb9ba",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "83ebf963b7a2bcc8",
+        "round_log": "a916f7faccd5f28c",
+        "mem": [4000, 400],
+        "mem_phases": "3239013f583fbe3e",
+        "reorder": [400, 1, "92570a09b807e110", 0, 400]},
+    "chung|Greedy-SD": {
+        "colors": "49597b4b45bc6c9e",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "4d30d68fa2fbce4a",
+        "round_log": "2934954b5bfb0a38",
+        "mem": [4000, 400],
+        "mem_phases": "70eb7cbb821d6517",
+        "reorder": None},
+    "chung|Greedy-SL": {
+        "colors": "1d5d656c72561696",
+        "rounds": 400,
+        "conflicts": 0,
+        "snapshot": "83ebf963b7a2bcc8",
+        "round_log": "a916f7faccd5f28c",
+        "mem": [4000, 400],
+        "mem_phases": "3239013f583fbe3e",
+        "reorder": [4400, 400, "8768c9fef1920b3b", 4000, 400]},
+    "chung|ITR": {
+        "colors": "715dc505b2226539",
+        "rounds": 10,
+        "conflicts": 910,
+        "snapshot": "01a2906e5aa5ecb9",
+        "round_log": "99511e6731d524d1",
+        "mem": [34658, 0],
+        "mem_phases": "20c7a7b6b2e632d5",
+        "reorder": None},
+    "chung|ITR-ASL": {
+        "colors": "cfc815b00dbf11c7",
+        "rounds": 8,
+        "conflicts": 1511,
+        "snapshot": "bd10e0eb8c7c4601",
+        "round_log": "1c086540a1283347",
+        "mem": [37942, 0],
+        "mem_phases": "69bae1950f29e02d",
+        "reorder": [17033, 506, "33becf8e85e03b45", 4000, 7544]},
+    "chung|ITRB": {
+        "colors": "ba3aacec87178972",
+        "rounds": 3,
+        "conflicts": 111,
+        "snapshot": "9d3f4757efd0ed47",
+        "round_log": "969925555b9eadb7",
+        "mem": [6578, 0],
+        "mem_phases": "db1f42b0e021430e",
+        "reorder": None},
+    "chung|Luby": {
+        "colors": "2e34d4cb1287d31a",
+        "rounds": 11,
+        "conflicts": 0,
+        "snapshot": "67a21270c22a9cab",
+        "round_log": "42bae8edc739f214",
+        "mem": [25375, 0],
+        "mem_phases": "993513005a590d12",
+        "reorder": None},
+    "kron|CR": {
+        "colors": "a048a31f6be6964e",
+        "rounds": 29,
+        "conflicts": 0,
+        "snapshot": "6991440f79fe5a7e",
+        "round_log": "839d954fc8ead386",
+        "mem": [3488, 15360],
+        "mem_phases": "e000ae3f02fdc416",
+        "reorder": None},
+    "kron|GM": {
+        "colors": "f018b3982bec6e73",
+        "rounds": 65,
+        "conflicts": 5,
+        "snapshot": "fe37f0356bdcb71b",
+        "round_log": "321fdf9bcd1e49aa",
+        "mem": [11352, 0],
+        "mem_phases": "8fa4ce1e91166e8e",
+        "reorder": None},
+    "kron|Greedy-FF": {
+        "colors": "be411c97a84348a2",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "494429507d42f530",
+        "round_log": "be2b8dd0862d2c26",
+        "mem": [5676, 512],
+        "mem_phases": "1a7f488ae4ccd291",
+        "reorder": [512, 1, "948afc6f68a5dcce", 0, 512]},
+    "kron|Greedy-ID": {
+        "colors": "dcf1d4dc58acec42",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "494429507d42f530",
+        "round_log": "be2b8dd0862d2c26",
+        "mem": [5676, 512],
+        "mem_phases": "1a7f488ae4ccd291",
+        "reorder": [6188, 512, "a3df801f0063a025", 5676, 512]},
+    "kron|Greedy-LF": {
+        "colors": "850a3ffce6d1c3db",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "494429507d42f530",
+        "round_log": "be2b8dd0862d2c26",
+        "mem": [5676, 512],
+        "mem_phases": "1a7f488ae4ccd291",
+        "reorder": [512, 1, "291ab99763b9cacf", 0, 512]},
+    "kron|Greedy-R": {
+        "colors": "6191c0af644ffe5d",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "494429507d42f530",
+        "round_log": "be2b8dd0862d2c26",
+        "mem": [5676, 512],
+        "mem_phases": "1a7f488ae4ccd291",
+        "reorder": [512, 1, "103c46686667eab5", 0, 512]},
+    "kron|Greedy-SD": {
+        "colors": "2c5adf79d719c5cf",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "4b6f17ab69d9cb7f",
+        "round_log": "7b3d154f4d311b23",
+        "mem": [5676, 512],
+        "mem_phases": "b6808227feed1ee2",
+        "reorder": None},
+    "kron|Greedy-SL": {
+        "colors": "4ebe73ee2d067980",
+        "rounds": 512,
+        "conflicts": 0,
+        "snapshot": "494429507d42f530",
+        "round_log": "be2b8dd0862d2c26",
+        "mem": [5676, 512],
+        "mem_phases": "1a7f488ae4ccd291",
+        "reorder": [6188, 512, "89f37268b1df2bfb", 5676, 512]},
+    "kron|ITR": {
+        "colors": "6191c0af644ffe5d",
+        "rounds": 19,
+        "conflicts": 1095,
+        "snapshot": "2ba4878100b7725b",
+        "round_log": "0bc965e90dabb979",
+        "mem": [81480, 0],
+        "mem_phases": "01b7434d0945cd98",
+        "reorder": None},
+    "kron|ITR-ASL": {
+        "colors": "8aae01a13904844d",
+        "rounds": 15,
+        "conflicts": 1438,
+        "snapshot": "0d99f75ddddf9754",
+        "round_log": "419a68d8fc2f134d",
+        "mem": [75596, 0],
+        "mem_phases": "c92d44c4e4975502",
+        "reorder": [16884, 551, "83c752b827a2cd40", 5676, 7066]},
+    "kron|ITRB": {
+        "colors": "e31dce52861da2be",
+        "rounds": 4,
+        "conflicts": 113,
+        "snapshot": "79aa278dbddcb5fc",
+        "round_log": "edbcd26160ba7f4e",
+        "mem": [10642, 0],
+        "mem_phases": "88b08dbe751a2490",
+        "reorder": None},
+    "kron|Luby": {
+        "colors": "8d281764fbe4fcdc",
+        "rounds": 20,
+        "conflicts": 0,
+        "snapshot": "95adb2672addf7d1",
+        "round_log": "4f9c8ba9c5398213",
+        "mem": [53065, 0],
+        "mem_phases": "735156c9a742d4af",
+        "reorder": None},
+}
+
 PIN_GRAPHS = {"kron": lambda: kronecker(scale=9, edge_factor=8, seed=3),
               "chung": lambda: chung_lu(400, 2000, seed=11)}
 PIN_ROWS = [("serial", 1), ("threaded", 2), ("threaded", 4)]
@@ -312,20 +536,65 @@ class TestDecParity:
         assert_valid_coloring(parity_graph, parallel.colors)
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
 class TestRegistryParity:
-    @pytest.mark.parametrize("name", sorted(BACKEND_AWARE))
+    """Every algorithm runs through the one driver: it records its
+    configuration, traces its phases and writes one ledger row."""
+
     def test_every_backend_aware_algorithm(self, name):
         g = gnm_random(150, 500, seed=5)
         serial = color(name, g, seed=0)
         threaded = color(name, g, seed=0, backend="threaded", workers=2)
         np.testing.assert_array_equal(threaded.colors, serial.colors)
         assert threaded.rounds == serial.rounds
+        assert threaded.cost.snapshot() == serial.cost.snapshot()
         assert threaded.backend == "threaded"
 
-    def test_serial_only_algorithm_ignores_backend(self):
-        g = grid_2d(10, 10)
-        res = color("Greedy-FF", g, seed=0, backend="threaded", workers=2)
-        assert res.backend == "serial"
+    @pytest.mark.parametrize("backend,workers",
+                             [("serial", 1), ("threaded", 3)])
+    def test_records_backend_and_workers(self, name, backend, workers):
+        res = color(name, gnm_random(60, 150, seed=2), seed=0,
+                    backend=backend, workers=workers)
+        assert (res.backend, res.workers) == (backend, workers)
+
+    def test_traced_run_has_phase_span(self, name):
+        tracer = Tracer()
+        res = color(name, gnm_random(60, 150, seed=2), seed=0,
+                    trace=tracer)
+        spans = [e for e in tracer.events if e.cat == "phase"]
+        assert spans
+        assert res.trace_summary["events_by_cat"]["phase"] == len(spans)
+        assert set(res.phase_walls) == {e.name for e in spans}
+
+    def test_cli_ledger_appends_one_row(self, name, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        assert main(["color", "--gen", "gnm:60,150", "--algorithm", name,
+                     "--json", "--ledger", str(path)]) == 0
+        (row,) = read_ledger(str(path))
+        validate_ledger_record(row)
+        assert row["algorithm"] == name and row["phase_walls"]
+
+
+class TestOrderingWalls:
+    """An ordering's wall is booked once, under its own phase, beside
+    the coloring's walls; its cost stays in the reorder books."""
+
+    @pytest.mark.parametrize("name,phase", [
+        ("JP-R", "order:random"), ("JP-ADG", "order:adg"),
+        ("DEC-ADG-M", "order:adg-m"), ("ITR-ASL", "order:asl"),
+        ("Greedy-SL", "order:sl"), ("Greedy-ID", "order:id")])
+    def test_ordering_phase_in_phase_walls(self, parity_graph, name, phase):
+        tracer = Tracer()
+        res = color(name, parity_graph, seed=0, trace=tracer)
+        assert len(tracer.spans(phase)) == 1
+        assert 0.0 <= res.phase_walls[phase] <= res.reorder_wall_seconds
+        assert phase in res.reorder_cost.phases
+        assert phase not in res.cost.phases
+
+    def test_no_ordering_step_no_reorder_wall(self, parity_graph):
+        res = color("ITR", parity_graph, seed=0)
+        assert res.reorder_wall_seconds == 0.0 and res.reorder_cost is None
+        assert set(res.phase_walls) == {"itr:rounds"}
 
 
 class TestTracingParity:
@@ -418,3 +687,29 @@ class TestPinnedBooks:
                               res.reorder_mem.sequential]
         assert got == GOLDEN[key]
         assert (res.backend, res.workers) == (backend, workers)
+
+
+class TestPinnedBaselineBooks:
+    """The Class-1/2 baselines reproduce the books they recorded on
+    their own private cost and memory models."""
+
+    @pytest.mark.parametrize("backend,workers", PIN_ROWS,
+                             ids=[f"{b}-{w}" for b, w in PIN_ROWS])
+    @pytest.mark.parametrize("key", sorted(GOLDEN_BASELINES))
+    def test_matches_recorded_books(self, key, backend, workers):
+        graph, name = key.split("|")
+        res = color(name, PIN_GRAPHS[graph](), seed=0, backend=backend,
+                    workers=workers)
+        got = {"colors": _digest(res.colors), "rounds": res.rounds,
+               "conflicts": res.conflicts_resolved,
+               "snapshot": _digest(res.cost.snapshot()),
+               "round_log": _digest(res.cost.round_log),
+               "mem": [res.mem.random, res.mem.sequential],
+               "mem_phases": _digest(sorted(res.mem.by_phase.items())),
+               "reorder": None}
+        if res.reorder_cost is not None:
+            got["reorder"] = [res.reorder_cost.work, res.reorder_cost.depth,
+                              _digest(res.reorder_cost.round_log),
+                              res.reorder_mem.random,
+                              res.reorder_mem.sequential]
+        assert got == GOLDEN_BASELINES[key]

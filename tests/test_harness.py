@@ -1,5 +1,6 @@
 """Tests for the experiment harness."""
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import RunRecord, SuiteResult, run_suite
@@ -79,3 +80,35 @@ def test_algorithm_kwargs_override():
     params = GraphParams(n=g.n, m=g.m, max_degree=g.max_degree,
                          degeneracy=degeneracy(g))
     assert r.quality_bound == quality_bound("JP-ADG", params, 2.0)
+
+
+def test_quality_bound_at_the_eps_the_run_used():
+    """A suite's bound reads the ε each run used: DEC-ADG runs at its
+    own ε = 6 when the suite gives none, so its bound is (2+6)d."""
+    from repro.analysis.bounds import GraphParams, quality_bound
+    from repro.graphs.generators import kronecker
+    from repro.graphs.properties import degeneracy
+    g = kronecker(scale=10, edge_factor=16, name="k")
+    d = degeneracy(g)
+    params = GraphParams(n=g.n, m=g.m, max_degree=g.max_degree,
+                         degeneracy=d)
+    out = run_suite({"k": g}, algorithms=["DEC-ADG", "JP-ADG", "JP-R"])
+    dec, jp, jpr = out.records
+    assert dec.quality_bound == quality_bound("DEC-ADG", params, 6.0) \
+        == int(np.ceil(8 * d))
+    assert dec.colors <= dec.quality_bound
+    assert jp.quality_bound == quality_bound("JP-ADG", params, 0.01)
+    assert jpr.quality_bound == g.max_degree + 1
+
+
+def test_suite_eps_goes_to_every_eps_algorithm():
+    g = gnm_random(80, 320, seed=2, name="g")
+    out = run_suite({"g": g}, algorithms=["JP-ADG", "DEC-ADG", "JP-R"],
+                    eps=5.0)
+    assert [r.algorithm for r in out.records] == ["JP-ADG", "DEC-ADG",
+                                                  "JP-R"]
+    jp, dec, jpr = out.records
+    from repro.coloring.registry import color
+    assert jp.colors == color("JP-ADG", g, seed=0, eps=5.0).num_colors
+    assert dec.colors == color("DEC-ADG", g, seed=0, eps=5.0).num_colors
+    assert jpr.colors == color("JP-R", g, seed=0).num_colors

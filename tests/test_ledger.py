@@ -82,13 +82,13 @@ class TestLedgerRoundTrip:
         path = str(tmp_path / "l.jsonl")
         with ExecutionContext(ledger=path) as ctx:
             res = jp_adg(small_graph, eps=0.01, seed=0, ctx=ctx)
-            rec = ctx.ledger_record(res, graph=small_graph, eps=0.01,
-                                    valid=True)
+            rec = ctx.ledger_record(res, graph=small_graph, valid=True)
         validate_ledger_record(rec, where="unit")
         assert validate_ledger(path) == 1
         (stored,) = read_ledger(path)
         assert stored["schema"] == LEDGER_SCHEMA
         assert stored["algorithm"] == "JP-ADG"
+        assert stored["eps"] == 0.01
         assert stored["graph"]["digest"] == graph_digest(small_graph)
         assert stored["cell"] == cell_key("small", "JP-ADG", "serial", 1)
         assert stored["colors"] == res.num_colors
@@ -102,6 +102,21 @@ class TestLedgerRoundTrip:
         assert res.resources is not None  # telemetry follows the ledger
         recs = read_ledger(path)
         assert len(recs) == 1 and recs[0]["kind"] == "run"
+
+    @pytest.mark.parametrize("name,eps", [("JP-ADG", 0.01),
+                                          ("JP-ADG-O", 0.01),
+                                          ("DEC-ADG", 6.0),
+                                          ("DEC-ADG-ITR", 0.01),
+                                          ("JP-ADG-M", None),
+                                          ("JP-R", None), ("ITR", None)])
+    def test_row_records_the_eps_the_run_used(self, tmp_path, small_graph,
+                                              monkeypatch, name, eps):
+        from repro.coloring.registry import color
+        path = str(tmp_path / "eps.jsonl")
+        monkeypatch.setenv("REPRO_LEDGER", path)
+        res = color(name, small_graph, seed=0)
+        (rec,) = read_ledger(path)
+        assert rec["eps"] == res.eps == eps
 
     def test_caller_owned_context_no_auto_append(self, tmp_path,
                                                  small_graph):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.coloring.registry import (
     ALGORITHMS,
+    EPS_ALGORITHMS,
     FIGURE1_SET,
     JP_CLASS,
     OUR_ALGORITHMS,
@@ -29,6 +30,18 @@ class TestEveryAlgorithm:
         res = color(name, small_random, seed=0)
         assert res.total_work > 0
         assert res.total_depth > 0
+
+
+    def test_records_its_eps(self, name, small_random):
+        """The ε algorithms record their own (default or given); the
+        rest have none and ignore a given one."""
+        res = color(name, small_random, seed=0)
+        given = color(name, small_random, seed=0, eps=5.0)
+        if name in EPS_ALGORITHMS:
+            assert res.eps is not None and given.eps == 5.0
+        else:
+            assert res.eps is None and given.eps is None
+            np.testing.assert_array_equal(given.colors, res.colors)
 
 
 class TestRegistryStructure:
