@@ -143,23 +143,22 @@ def _color_with_deltas(args: argparse.Namespace) -> int:
     g = load_graph(args)
     deltas = [parse_delta_spec(spec) for spec in args.delta]
     rows = []
-    eps = {} if args.eps is None else {"eps": args.eps}
-    with IncrementalColoring(g, args.algorithm, seed=args.seed,
-                             backend=args.backend, workers=args.workers,
-                             **eps) as inc:
+    with IncrementalColoring(g, args.algorithm, eps=args.eps,
+                             seed=args.seed, backend=args.backend,
+                             workers=args.workers) as inc:
         for i, delta in enumerate(deltas):
             report = inc.apply_delta(delta)
             rows.append({"delta": i, "spec": args.delta[i], **report})
         final = inc.verify()
         assert_valid_coloring(inc.graph, inc.colors)
-        summary = {"algorithm": args.algorithm, "graph": g.name,
-                   "deltas": len(deltas), **final, **inc.stats}
+        summary = {"algorithm": args.algorithm, "eps": inc.eps,
+                   "graph": g.name, "deltas": len(deltas), **final,
+                   **inc.stats}
         from .obs.ledger import resolve_ledger, service_record
         book = resolve_ledger(None)  # env seam: --ledger -> $REPRO_LEDGER
         if book.enabled:
             book.append(service_record("cli_delta", {
                 "graph": g.name, "digest": inc.graph.content_digest,
-                "algorithm": args.algorithm, "eps": inc.eps,
                 "n": inc.graph.n, "m": inc.graph.m, **summary}))
         if args.output:
             import numpy as np

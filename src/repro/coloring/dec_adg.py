@@ -32,6 +32,10 @@ from .driver import drive
 from .result import ColoringResult
 from .simcol import sim_col
 
+#: DEC-ADG's default ε: (2+ε)d colors, with the runtime bounds of
+#: 4 < ε (mu = ε/4 > 1).
+DEC_ADG_EPS = 6.0
+
 
 def _constraints(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
                  levels: np.ndarray, level: int, colors: np.ndarray):
@@ -126,7 +130,7 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
     return colors, rounds_total
 
 
-def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
+def dec_adg(g: CSRGraph, eps: float = DEC_ADG_EPS, seed: int | None = 0,
             variant: str = "avg", update: str = "push",
             max_rounds: int | None = None, **run) -> ColoringResult:
     """Run DEC-ADG (or DEC-ADG-M with ``variant='median'``).
@@ -149,7 +153,7 @@ def dec_adg(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
         eps=eps, **run)
 
 
-def dec_adg_m(g: CSRGraph, eps: float = 6.0, seed: int | None = 0,
+def dec_adg_m(g: CSRGraph, eps: float = DEC_ADG_EPS, seed: int | None = 0,
               max_rounds: int | None = None, **kwargs) -> ColoringResult:
     """DEC-ADG-M: the median-threshold variant ((4+eps)d quality)."""
     return dec_adg(g, eps=eps, seed=seed, variant="median",

@@ -76,9 +76,7 @@ def _gm_colors(g: CSRGraph, processors: int, seed: int | None,
     with ctx.phase("gm:cleanup"):
         if conflicts:
             colors[loser] = 0
-            sub_cost = CostModel()
-            colors = _recolor_subset(g, colors, loser, sub_cost)
-            cost.merge(sub_cost)
+            colors = _recolor_subset(g, colors, loser, cost)
     return colors, steps + 1, conflicts
 
 

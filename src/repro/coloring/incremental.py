@@ -44,6 +44,7 @@ from ..ordering.adg import adg_ordering
 from ..runtime import ExecutionContext, resolve_context
 from .dec_adg import color_partitions
 from .dec_adg_itr import itr_color_partitions
+from .registry import EPS_ALGORITHMS
 from .repair import deg_ge_array, repair_caps, repair_frontier
 from .verify import is_valid_coloring, num_colors
 
@@ -60,11 +61,12 @@ class IncrementalColoring:
     in_place=True)``) its ``graph``; callers that need the pre-delta
     graph must copy it first.  All per-vertex state — ``colors``,
     ``levels``, ``priority``, ``deg_ge`` — stays aligned with the
-    graph's (growing) vertex set.
+    graph's (growing) vertex set.  ``eps=None`` runs the engine at its
+    own default, as :func:`~repro.coloring.registry.color` does.
     """
 
     def __init__(self, g: CSRGraph, algorithm: str = "DEC-ADG-ITR",
-                 eps: float = 0.01, seed: int | None = 0,
+                 eps: float | None = None, seed: int | None = 0,
                  ctx: ExecutionContext | None = None,
                  backend: str | None = None,
                  workers: int | None = None) -> None:
@@ -72,6 +74,8 @@ class IncrementalColoring:
             raise ValueError(
                 f"incremental recoloring supports {INCREMENTAL_FAMILY}, "
                 f"got {algorithm!r}")
+        if eps is None:
+            eps = EPS_ALGORITHMS[algorithm]
         if not eps > 0:
             raise ValueError(f"eps must be > 0, got {eps}")
         self.graph = g

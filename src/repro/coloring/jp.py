@@ -40,6 +40,9 @@ from .driver import drive
 from .result import ColoringResult
 from .sweep import rank_sweep
 
+#: JP-ADG's default ε, ADG's slack: <= 2(1+ε)d + 1 colors.
+JP_ADG_EPS = 0.01
+
 
 def validate_ranks(g: CSRGraph, ranks: np.ndarray) -> np.ndarray:
     """``ranks`` as int64 if it has one entry per vertex of ``g``.
@@ -170,7 +173,7 @@ def jp_by_name(g: CSRGraph, ordering_name: str, seed: int | None = 0,
                  workers=workers, trace=trace)
 
 
-def jp_adg(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
+def jp_adg(g: CSRGraph, eps: float = JP_ADG_EPS, seed: int | None = 0,
            **kwargs) -> ColoringResult:
     """JP-ADG: the paper's contribution #2 (<= 2(1+eps)d + 1 colors)."""
     return jp_by_name(g, "ADG", seed=seed, eps=eps, **kwargs)
@@ -181,7 +184,7 @@ def jp_adg_m(g: CSRGraph, seed: int | None = 0, **kwargs) -> ColoringResult:
     return jp_by_name(g, "ADG-M", seed=seed, **kwargs)
 
 
-def jp_adg_fused(g: CSRGraph, eps: float = 0.01, seed: int | None = 0,
+def jp_adg_fused(g: CSRGraph, eps: float = JP_ADG_EPS, seed: int | None = 0,
                  ctx: ExecutionContext | None = None,
                  backend: str | None = None, workers: int | None = None,
                  trace=None, **adg_kwargs) -> ColoringResult:

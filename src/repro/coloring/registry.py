@@ -11,11 +11,11 @@ from functools import partial
 from typing import Callable
 
 from ..graphs.csr import CSRGraph
-from .dec_adg import dec_adg, dec_adg_m
-from .dec_adg_itr import dec_adg_itr
+from .dec_adg import DEC_ADG_EPS, dec_adg, dec_adg_m
+from .dec_adg_itr import DEC_ADG_ITR_EPS, dec_adg_itr
 from .gm import gm_coloring
 from .greedy import greedy_by_name
-from .jp import jp_adg, jp_adg_fused, jp_adg_m, jp_by_name
+from .jp import JP_ADG_EPS, jp_adg, jp_adg_fused, jp_adg_m, jp_by_name
 from .mis import luby_coloring
 from .reduction import color_reduction
 from .result import ColoringResult
@@ -58,10 +58,14 @@ ALGORITHMS: dict[str, ColoringFn] = {
     "Greedy-SD": partial(greedy_by_name, ordering_name="SD"),
 }
 
-#: The algorithms that take an ε: ADG's slack for the JP-ADG and
-#: DEC-ADG-ITR family, the (2+ε)d color range for DEC-ADG(-M).
-EPS_ALGORITHMS = frozenset({"JP-ADG", "JP-ADG-O", "DEC-ADG", "DEC-ADG-M",
-                            "DEC-ADG-ITR"})
+#: The algorithms that take an ε, each to its engine's default: ADG's
+#: slack for the JP-ADG and DEC-ADG-ITR family, the (2+ε)d color range
+#: for DEC-ADG(-M).
+EPS_ALGORITHMS: dict[str, float] = {
+    "JP-ADG": JP_ADG_EPS, "JP-ADG-O": JP_ADG_EPS,
+    "DEC-ADG": DEC_ADG_EPS, "DEC-ADG-M": DEC_ADG_EPS,
+    "DEC-ADG-ITR": DEC_ADG_ITR_EPS,
+}
 
 # The algorithm sets used by the paper's figures.
 JP_CLASS = ["JP-FF", "JP-R", "JP-LF", "JP-LLF", "JP-SL", "JP-SLL",

@@ -15,87 +15,21 @@ the DAG G_rho — and, per wave, the five numbers JP's cost books need:
 - ``collisions``: the largest number of this wave's vertices that
   notify one common successor (the CREW combining-tree width).
 
-The sweep is ~40 lines of C built through :mod:`repro.primitives.cbuild`
-(the mex counts with an epoch-stamped presence buffer, after Chen, Li &
-Yang, arXiv:1606.06025).  Without a C compiler the pure-Python sweep
-below computes the same outputs; it is also the C path's test oracle.
+The sweep is ~40 lines of C (``csrc/ranksweep.c``) in the library
+:mod:`repro.primitives.cbuild` builds (the mex counts with an
+epoch-stamped presence buffer, after Chen, Li & Yang,
+arXiv:1606.06025).  Without a C compiler the pure-Python sweep below
+computes the same outputs; it is also the C path's test oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
 from typing import NamedTuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..primitives.cbuild import CLibrary
-
-_C_SOURCE = r"""
-#include <stdint.h>
-
-/* One pass over the vertices in descending rank (order[]).  colors and
-   wave start at 0; seen (>= max degree + 1 slots), wseen, wcnt and the
-   five per-wave books (n + 1 slots, indexed by wave) start at 0.
-   Returns the number of waves. */
-long long repro_rank_sweep(long long n, const int64_t *indptr,
-                           const int64_t *indices, const int64_t *ranks,
-                           const int64_t *order, int64_t *colors,
-                           int64_t *wave, int64_t *seen, int64_t *wseen,
-                           int64_t *wcnt, int64_t *front, int64_t *nbrs,
-                           int64_t *succ, int64_t *maxdeg, int64_t *coll)
-{
-    long long i, waves = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t v = order[i], rv = ranks[v], epoch = i + 1;
-        const int64_t lo = indptr[v], hi = indptr[v + 1], deg = hi - lo;
-        int64_t j, c, w = 0, npred = 0;
-        for (j = lo; j < hi; j++) {
-            const int64_t u = indices[j];
-            int64_t wu;
-            if (ranks[u] <= rv)
-                continue;               /* a successor: colored later */
-            npred++;
-            c = colors[u];
-            if (c <= deg)               /* larger colors never block the mex */
-                seen[c] = epoch;
-            wu = wave[u];
-            if (wu > w)
-                w = wu;
-            if (wseen[wu] != epoch) {   /* v's predecessors in wave wu */
-                wseen[wu] = epoch;
-                wcnt[wu] = 0;
-            }
-            if (++wcnt[wu] > coll[wu])
-                coll[wu] = wcnt[wu];
-        }
-        for (c = 1; c <= deg && seen[c] == epoch; c++)
-            ;
-        colors[v] = c;
-        wave[v] = ++w;
-        if (w > waves)
-            waves = w;
-        front[w]++;
-        nbrs[w] += deg;
-        succ[w] += deg - npred;
-        if (deg > maxdeg[w])
-            maxdeg[w] = deg;
-    }
-    return waves;
-}
-"""
-
-
-def _bind(lib):
-    fn = lib.repro_rank_sweep
-    arr = np.ctypeslib.ndpointer(dtype=np.int64,
-                                 flags="C_CONTIGUOUS,ALIGNED")
-    fn.restype = ctypes.c_longlong
-    fn.argtypes = [ctypes.c_longlong] + [arr] * 14
-    return fn
-
-
-_CSWEEP = CLibrary("ranksweep", _C_SOURCE, _bind)
+from ..primitives import cbuild
 
 
 class Sweep(NamedTuple):
@@ -130,7 +64,7 @@ def rank_sweep(g: CSRGraph, ranks: np.ndarray) -> Sweep:
         raise ValueError("ranks length must equal n")
     indptr, indices = g.checked_arrays
     order = _descending(ranks)
-    fn = _CSWEEP.load()
+    fn = cbuild.entry("repro_rank_sweep")
     if fn is None:
         return _sweep_python(indptr, indices, ranks, order)
     return _sweep_c(fn, indptr, indices, ranks, order)

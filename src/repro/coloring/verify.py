@@ -1,11 +1,12 @@
 """Coloring validity and quality checks.
 
-Validity is certified by one neighbor scan, ~30 lines of C built
-through :mod:`repro.primitives.cbuild`: a single pass over the rows of
-the bounds-checked CSR counts the uncolored vertices (color <= 0) and
-the arcs (v, u), u > v, whose endpoints share a positive color -- the
-edge set :meth:`~repro.graphs.csr.CSRGraph.undirected_edges` yields, in
-the same order.  It runs for integer colors that cast to int64 without
+Validity is certified by one neighbor scan, ~30 lines of C
+(``csrc/verify.c``) in the library :mod:`repro.primitives.cbuild`
+builds: a single pass over the rows of the bounds-checked CSR counts
+the uncolored vertices (color <= 0) and the arcs (v, u), u > v, whose
+endpoints share a positive color -- the edge set
+:meth:`~repro.graphs.csr.CSRGraph.undirected_edges` yields, in the
+same order.  It runs for integer colors that cast to int64 without
 a value change; other colors, and a missing compiler, take the NumPy
 edge-list path below, which gives the same results and is the scan's
 test oracle.  Colors of any shape but ``(n,)`` take neither: they are
@@ -20,56 +21,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import degeneracy
-from ..primitives.cbuild import CLibrary
-
-_C_SOURCE = r"""
-#include <stdint.h>
-
-/* One pass over the rows of a bounds-checked CSR.  Sets *uncolored to
-   the number of vertices whose color is <= 0 and returns the number of
-   arcs (v, u) with u > v whose endpoints share a positive color; the
-   first cap of them are written to bu/bv in row order. */
-long long repro_verify(long long n, const int64_t *indptr,
-                       const int64_t *indices, const int64_t *colors,
-                       long long cap, int64_t *bu, int64_t *bv,
-                       long long *uncolored)
-{
-    long long v, bad = 0, none = 0;
-    for (v = 0; v < n; v++) {
-        const int64_t c = colors[v];
-        int64_t j;
-        if (c <= 0) {
-            none++;
-            continue;
-        }
-        for (j = indptr[v]; j < indptr[v + 1]; j++) {
-            const int64_t u = indices[j];
-            if (u > v && colors[u] == c) {
-                if (bad < cap) {
-                    bu[bad] = v;
-                    bv[bad] = u;
-                }
-                bad++;
-            }
-        }
-    }
-    *uncolored = none;
-    return bad;
-}
-"""
-
-
-def _bind(lib):
-    fn = lib.repro_verify
-    arr = np.ctypeslib.ndpointer(dtype=np.int64,
-                                 flags="C_CONTIGUOUS,ALIGNED")
-    fn.restype = ctypes.c_longlong
-    fn.argtypes = ([ctypes.c_longlong] + [arr] * 3 + [ctypes.c_longlong]
-                   + [arr] * 2 + [ctypes.POINTER(ctypes.c_longlong)])
-    return fn
-
-
-_CVERIFY = CLibrary("verify", _C_SOURCE, _bind)
+from ..primitives import cbuild
 
 
 class InvalidColoringError(AssertionError):
@@ -86,7 +38,7 @@ def _scan(g: CSRGraph, colors: np.ndarray, cap: int = 0):
     if colors.dtype.kind not in "iu" \
             or not np.can_cast(colors.dtype, np.int64):
         return None
-    fn = _CVERIFY.load()
+    fn = cbuild.entry("repro_verify")
     if fn is None:
         return None
     indptr, indices = g.checked_arrays

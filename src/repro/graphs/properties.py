@@ -5,80 +5,21 @@ The exact degeneracy / coreness computation is the Matula-Beck peeling
 as the oracle for the SL ordering and for verifying ADG's approximation
 guarantee in the tests.
 
-The peel is a Batagelj-Zaversnik bucket queue, ~30 lines of C built
-through :mod:`repro.primitives.cbuild`.  Without a C compiler the
-pure-Python loop below performs the same bucket swaps in the same
-order, so both return identical results; it is also the C path's test
-oracle.
+The peel is a Batagelj-Zaversnik bucket queue, ~30 lines of C
+(``csrc/peel.c``) in the one library :mod:`repro.primitives.cbuild`
+builds.  Without a C compiler the pure-Python loop below performs the
+same bucket swaps in the same order, so both return identical results;
+it is also the C path's test oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..primitives.cbuild import CLibrary
+from ..primitives import cbuild
 from .csr import CSRGraph
-
-_C_SOURCE = r"""
-#include <stdint.h>
-
-/* Batagelj-Zaversnik peel.  deg (n slots) holds the degrees and ends
-   holding the coreness; vert (n) ends holding the removal order; pos
-   (n) and bins (max degree + 1, zeroed) are scratch. */
-void repro_peel(long long n, long long maxdeg, const int64_t *indptr,
-                const int64_t *indices, int64_t *deg, int64_t *vert,
-                int64_t *pos, int64_t *bins)
-{
-    long long i, d, start = 0;
-    for (i = 0; i < n; i++)             /* bucket sizes ... */
-        bins[deg[i]]++;
-    for (d = 0; d <= maxdeg; d++) {     /* ... to bucket starts */
-        const int64_t size = bins[d];
-        bins[d] = start;
-        start += size;
-    }
-    for (i = 0; i < n; i++) {           /* vertices sorted by degree */
-        pos[i] = bins[deg[i]]++;
-        vert[pos[i]] = i;
-    }
-    for (d = maxdeg; d > 0; d--)        /* restore the bucket starts */
-        bins[d] = bins[d - 1];
-    bins[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t v = vert[i], dv = deg[v];
-        int64_t j;
-        for (j = indptr[v]; j < indptr[v + 1]; j++) {
-            const int64_t u = indices[j], du = deg[u];
-            if (du > dv) {              /* swap u to its bucket head */
-                const int64_t pu = pos[u], pw = bins[du], w = vert[pw];
-                if (u != w) {
-                    vert[pu] = w;
-                    vert[pw] = u;
-                    pos[u] = pw;
-                    pos[w] = pu;
-                }
-                bins[du]++;
-                deg[u] = du - 1;
-            }
-        }
-    }
-}
-"""
-
-
-def _bind(lib):
-    fn = lib.repro_peel
-    arr = np.ctypeslib.ndpointer(dtype=np.int64,
-                                 flags="C_CONTIGUOUS,ALIGNED")
-    fn.restype = None
-    fn.argtypes = [ctypes.c_longlong, ctypes.c_longlong] + [arr] * 6
-    return fn
-
-
-_CPEEL = CLibrary("peel", _C_SOURCE, _bind)
 
 
 @dataclass(frozen=True)
@@ -111,7 +52,7 @@ def peel_degeneracy(g: CSRGraph) -> PeelResult:
     never modified.
     """
     indptr, indices = g.checked_arrays
-    fn = _CPEEL.load()
+    fn = cbuild.entry("repro_peel")
     if fn is None:
         return _peel_python(g)
     deg = np.diff(indptr)  # a fresh array: g.degrees is never decremented

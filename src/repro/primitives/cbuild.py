@@ -1,47 +1,82 @@
-"""The one compiled-code mechanism: a C source built with the system
-compiler into a shared-object cache and loaded through ctypes.
+"""The one compiled library: the C sources in ``repro/csrc`` built with
+the system compiler into one shared object and bound through ctypes.
 
-A :class:`CLibrary` names a C source and a ``bind`` function that sets
-the ctypes signatures.  Its :meth:`~CLibrary.load` compiles the source
-at most once per process (guarded by a lock, so concurrent callers —
-service threads — agree on one outcome) and returns what
-``bind`` returned, or ``None`` when there is no C compiler or the
-build fails.  Callers keep a pure-Python path for ``None``; whether the
-compiled path runs is decided by the build alone, never by an option.
-The passes built this way: the ingest parser and CSR build
+The passes it holds: the ingest parser and CSR build
 (``graphs/ingest.py``), the JP/Greedy rank sweep
 (``coloring/sweep.py``), the degeneracy peel
 (``graphs/properties.py``), the ADG ordering (``ordering/adg.py``),
 DEC-ADG-ITR's level pass (``coloring/dec_adg_itr.py``) and the
 coloring-verify neighbor scan (``coloring/verify.py``).
 
-Built objects are cached under ``$REPRO_CC_CACHE`` (default: a
-per-user directory under the system temp dir), keyed by a sha256 of
-the source, so an edited source never loads a stale object.  Each
-build writes a private temp file and ``os.replace``-s it into place,
-so concurrent builders in separate processes agree on the result.
+:func:`load` compiles every ``csrc/*.c`` in one ``cc`` call, at most
+once per process (guarded by a lock, so concurrent callers -- service
+threads -- agree on one outcome), and binds the ten entry points of
+``csrc/repro.h`` by the one table :data:`SIGNATURES`.  It returns
+``None`` when there is no C compiler or the build fails; each caller
+asks :func:`entry` for its entry point and runs its pure-Python/NumPy
+path on ``None``.  So either every pass runs compiled or every pass
+runs its fallback, decided by the build alone, never by an option.
+
+The object is cached under ``$REPRO_CC_CACHE`` (default: a per-user
+directory under the system temp dir), keyed by a sha256 of the sources
+and the compiler flags, so an edited source never loads a stale
+object.  Each build writes a private temp file and ``os.replace``-s it
+into place, so concurrent builders in separate processes agree on the
+result.
 
 Compiled code indexes its arrays unchecked, so every CSR handed to it
-first passes :func:`checked_csr` — once per graph, through the
+first passes :func:`checked_csr` -- once per graph, through the
 ``CSRGraph.checked_arrays`` cache.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Any, Callable
 
 import numpy as np
 
+#: The directory of the library's C sources (package data).
+CSRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "csrc")
+#: The compiler flags; no LTO, so each pass compiles on its own.
+CFLAGS = ("-O3", "-fPIC", "-shared")
+
+_LL = ctypes.c_longlong
+_PTR = ctypes.c_void_p
+_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,ALIGNED")
+
+#: Every entry point of ``csrc/repro.h``: name -> (restype, argtypes).
+SIGNATURES = {
+    "repro_parse_edges": (_LL, [ctypes.c_char_p, _LL, ctypes.c_ubyte,
+                                ctypes.POINTER(_LL), ctypes.POINTER(_LL)]),
+    "repro_encode": (_LL, [_PTR, _LL, _PTR, _LL, _PTR, _LL, _PTR]),
+    "repro_canon_rows": (_LL, [_PTR, _LL, _PTR, _LL, _LL, _PTR, _PTR,
+                               _PTR]),
+    "repro_sort_rows": (_LL, [_PTR, _PTR, _LL, ctypes.c_int, _PTR, _PTR]),
+    "repro_symmetrize": (_LL, [_PTR, _LL, _PTR, _LL, _PTR, _PTR]),
+    "repro_peel": (None, [_LL, _LL] + [_I64] * 6),
+    "repro_rank_sweep": (_LL, [_LL] + [_I64] * 14),
+    "repro_itr_levels": (_LL, [_I64] * 5 + [_LL] * 3 + [_I64] * 11),
+    "repro_adg": (_LL, [_LL, _I64, _I64, ctypes.c_double, _LL]
+                  + [_I64] * 9),
+    "repro_verify": (_LL, [_LL] + [_I64] * 3 + [_LL] + [_I64] * 2
+                     + [ctypes.POINTER(_LL)]),
+}
+
+_LOCK = threading.Lock()
+_tried = False
+_bound: dict | None = None
+
 
 def cc_cache_dir() -> str:
-    """Directory holding the compiled objects (``$REPRO_CC_CACHE``)."""
+    """Directory holding the compiled object (``$REPRO_CC_CACHE``)."""
     env = os.environ.get("REPRO_CC_CACHE", "").strip()
     if env:
         return env
@@ -49,25 +84,29 @@ def cc_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-cc-{uid}")
 
 
-def build_shared(stem: str, source: str) -> ctypes.CDLL | None:
-    """Compile (or reuse) ``source`` as ``<stem>-<sha>.so``; load it.
+def build_shared() -> ctypes.CDLL | None:
+    """Compile (or reuse) every ``CSRC/*.c`` as one
+    ``repro-<sha>.so``; load it.
 
     Returns ``None`` when no C compiler is on ``PATH`` or the compiler
-    rejects the source.
+    rejects a source.
     """
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         return None
-    tag = hashlib.sha256(source.encode()).hexdigest()[:12]
+    sources = sorted(glob.glob(os.path.join(CSRC, "*.c")))
+    key = hashlib.sha256(" ".join(CFLAGS).encode())
+    for path in sorted(glob.glob(os.path.join(CSRC, "*.[ch]"))):
+        with open(path, "rb") as fh:
+            key.update(os.path.basename(path).encode() + b"\0"
+                       + fh.read() + b"\0")
+    tag = key.hexdigest()[:12]
     cdir = cc_cache_dir()
-    so_path = os.path.join(cdir, f"{stem}-{tag}.so")
+    so_path = os.path.join(cdir, f"repro-{tag}.so")
     if not os.path.exists(so_path):
         os.makedirs(cdir, exist_ok=True)
-        src = os.path.join(cdir, f"{stem}-{tag}.c")
-        tmp = os.path.join(cdir, f".{stem}-{tag}.{os.getpid()}.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        proc = subprocess.run([cc, "-O3", "-fPIC", "-shared", "-o", tmp, src],
+        tmp = os.path.join(cdir, f".repro-{tag}.{os.getpid()}.so")
+        proc = subprocess.run([cc, *CFLAGS, "-o", tmp, *sources],
                               capture_output=True, timeout=120)
         if proc.returncode != 0:
             return None
@@ -75,37 +114,34 @@ def build_shared(stem: str, source: str) -> ctypes.CDLL | None:
     return ctypes.CDLL(so_path)
 
 
-class CLibrary:
-    """A C source built and bound at most once per process.
+def load() -> dict | None:
+    """Every entry point, bound (name -> ctypes function), or ``None``
+    when the library does not build; built at most once per process."""
+    global _tried, _bound
+    with _LOCK:
+        if not _tried:
+            _tried = True
+            try:
+                lib = build_shared()
+                if lib is not None:
+                    bound = {}
+                    for name, (restype, argtypes) in SIGNATURES.items():
+                        fn = bound[name] = getattr(lib, name)
+                        fn.restype = restype
+                        fn.argtypes = argtypes
+                    _bound = bound
+            except (OSError, subprocess.SubprocessError, AttributeError):
+                # No usable object (unwritable cache, compiler timeout,
+                # missing entry point): callers run Python.
+                _bound = None
+        return _bound
 
-    ``bind(lib)`` receives the loaded :class:`ctypes.CDLL`, sets the
-    function signatures, and returns whatever the callers need (a
-    function, or a dict of them).
-    """
 
-    def __init__(self, stem: str, source: str,
-                 bind: Callable[[ctypes.CDLL], Any]) -> None:
-        self.stem = stem
-        self.source = source
-        self._bind = bind
-        self._lock = threading.Lock()
-        self._tried = False
-        self._bound: Any = None
-
-    def load(self) -> Any:
-        """The bound functions, or ``None`` when the build is unavailable."""
-        with self._lock:
-            if not self._tried:
-                self._tried = True
-                try:
-                    lib = build_shared(self.stem, self.source)
-                    self._bound = self._bind(lib) if lib is not None else None
-                except (OSError, subprocess.SubprocessError,
-                        AttributeError):
-                    # No usable object (unwritable cache, compiler
-                    # timeout, missing symbol): callers run Python.
-                    self._bound = None
-            return self._bound
+def entry(name: str):
+    """The bound entry point ``name``, or ``None`` when the library does
+    not build."""
+    bound = load()
+    return None if bound is None else bound[name]
 
 
 def checked_csr(indptr: np.ndarray, indices: np.ndarray,

@@ -16,9 +16,12 @@ from collections import OrderedDict
 from threading import Lock
 
 
-def cache_key(digest: str, algorithm: str, eps: float, seed) -> str:
-    """The replay-identity of a color request (see module docstring)."""
-    return f"{digest}|{algorithm}|eps={float(eps)!r}|seed={seed!r}"
+def cache_key(digest: str, algorithm: str, eps: float | None, seed) -> str:
+    """The replay-identity of a color request (see module docstring);
+    ``eps`` is the ε the run uses, ``None`` for an algorithm without
+    one."""
+    eps = None if eps is None else float(eps)
+    return f"{digest}|{algorithm}|eps={eps!r}|seed={seed!r}"
 
 
 class ResultCache:

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..coloring.incremental import INCREMENTAL_FAMILY, IncrementalColoring
-from ..coloring.registry import ALGORITHMS, color
+from ..coloring.registry import ALGORITHMS, EPS_ALGORITHMS, color
 from ..coloring.verify import is_valid_coloring
 from ..graphs.builders import from_edges
 from ..graphs.csr import CSRGraph
@@ -54,7 +54,6 @@ from ..runtime import (ExecutionContext, check_backend, check_workers,
 from .cache import ResultCache, cache_key
 
 DEFAULT_ALGORITHM = "DEC-ADG-ITR"
-DEFAULT_EPS = 0.01
 
 
 def colors_digest(colors: np.ndarray) -> str:
@@ -329,8 +328,11 @@ class ColoringService:
         kwargs = self._engine_kwargs(request)
         g = entry.graph
         digest = g.content_digest
-        key = cache_key(digest, algorithm, kwargs.get("eps", DEFAULT_EPS),
-                        kwargs.get("seed", 0))
+        # Keyed on the ε the run uses: the engine's default when the
+        # request names none, and none for an algorithm without one.
+        eps = kwargs.get("eps", EPS_ALGORITHMS[algorithm]) \
+            if algorithm in EPS_ALGORITHMS else None
+        key = cache_key(digest, algorithm, eps, kwargs.get("seed", 0))
         if not profile:
             hit = self.cache.get(key)
             if hit is not None:
@@ -386,9 +388,10 @@ class ColoringService:
                 raise ValueError(
                     f"incremental recoloring supports {INCREMENTAL_FAMILY}, "
                     f"got {algorithm!r}")
+            eps = request.get("eps")  # None: the engine's default
             entry.incremental = IncrementalColoring(
                 entry.graph, algorithm,
-                eps=float(request.get("eps", DEFAULT_EPS)),
+                eps=None if eps is None else float(eps),
                 seed=request.get("seed", 0),
                 backend=self.backend, workers=self.ctx_workers)
             self._bump("svc.incremental.created")

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,6 +41,7 @@ from repro.graphs import (
     ring,
     star,
 )
+from repro.primitives import cbuild
 
 
 # -- deterministic fixture graphs ---------------------------------------------
@@ -150,6 +157,110 @@ def warm_from_ingest_cache(g, tmp_path) -> tuple[CSRGraph, CSRGraph]:
     assert not warm.indices.flags.writeable
     assert warm.content_digest == cold.content_digest
     return cold, warm
+
+
+# -- the compiled library -----------------------------------------------------
+
+def require_c() -> None:
+    """Skip the calling test when the compiled library does not build."""
+    if cbuild.load() is None:
+        pytest.skip("no C compiler: the compiled library is unavailable")
+
+
+def _hide(mp: pytest.MonkeyPatch, names: tuple) -> None:
+    real = cbuild.entry
+    mp.setattr(cbuild, "entry", lambda name: None
+               if not names or name in names else real(name))
+
+
+@pytest.fixture
+def hide_c(monkeypatch):
+    """``hide_c(*names)``: the named entry points -- every one when none
+    is named -- read as unbuilt for the rest of the test, so their
+    callers run the Python/NumPy fallback."""
+    return lambda *names: _hide(monkeypatch, names)
+
+
+def both_paths(call, *names) -> list:
+    """``[call()]`` on the compiled library, then with the entry points
+    ``names`` (every one when none is named) hidden."""
+    require_c()
+    out = [call()]
+    with pytest.MonkeyPatch.context() as mp:
+        _hide(mp, names)
+        out.append(call())
+    return out
+
+
+@pytest.fixture
+def c_calls(monkeypatch) -> list:
+    """Every entry point stood in for by a recorder: the list of
+    ``(name, args)`` the compiled library would have been called with."""
+    calls: list = []
+    monkeypatch.setattr(cbuild, "entry", lambda name:
+                        lambda *args: calls.append((name, args)))
+    return calls
+
+
+@pytest.fixture
+def fresh_build(monkeypatch, tmp_path) -> list:
+    """The loader re-armed as in a new process, building from a copy of
+    the C sources (``tmp_path / "csrc"``, now ``cbuild.CSRC``) into an
+    empty ``$REPRO_CC_CACHE`` (``tmp_path / "cc"``).  Returns the list
+    each :func:`~repro.primitives.cbuild.build_shared` call appends to."""
+    shutil.copytree(cbuild.CSRC, tmp_path / "csrc")
+    monkeypatch.setattr(cbuild, "CSRC", str(tmp_path / "csrc"))
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cc"))
+    monkeypatch.setattr(cbuild, "_tried", False)
+    monkeypatch.setattr(cbuild, "_bound", None)
+    builds: list = []
+    real = cbuild.build_shared
+    monkeypatch.setattr(cbuild, "build_shared",
+                        lambda: builds.append(1) or real())
+    return builds
+
+
+#: The ways a fresh build can fail, for :func:`broken_build`.
+BUILD_FAILURES = ("no_compiler", "cc_fails", "bad_source")
+
+
+@pytest.fixture
+def broken_build(fresh_build, monkeypatch):
+    """``broken_build(how)``: the fresh build fails ``how`` -- no
+    compiler on ``PATH``, a compiler that exits 1, or a source that
+    does not compile."""
+    def breaks(how: str) -> None:
+        if how == "no_compiler":
+            monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
+        elif how == "cc_fails":
+            monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
+            monkeypatch.setattr(
+                cbuild.subprocess, "run",
+                lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))
+        else:
+            assert how == "bad_source", how
+            (Path(cbuild.CSRC) / "peel.c").write_text("this is not C;\n")
+    return breaks
+
+
+def concurrently(call, k: int = 8) -> list:
+    """``call()``'s results from ``k`` threads started together, with
+    the switch interval shrunk so they interleave."""
+    got: list = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(call()))
+                   for _ in range(k)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == k
+    return got
 
 
 # -- hypothesis strategy for arbitrary small graphs -----------------------------

@@ -11,9 +11,6 @@ books.
 
 from __future__ import annotations
 
-import subprocess
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -38,8 +35,8 @@ from repro.ordering.adg import adg_ordering
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import (graphs, misaligned,
-                       warm_from_ingest_cache)
+from .conftest import (both_paths, concurrently, graphs, misaligned,
+                       require_c, warm_from_ingest_cache)
 from .test_adg_sweep import GOLDEN, PIN_GRAPHS, fingerprint
 from .test_adg_sweep import VARIANTS as PIN_VARIANTS
 
@@ -71,30 +68,6 @@ for _update in ("push", "pull"):
                     cache_degree_sums=_cache, sort_method=_method)
 
 
-class _NoBuild:
-    """Stands in for the compiled library when it cannot be built."""
-
-    def load(self):
-        return None
-
-
-def _require_c():
-    if adg._CADG.load() is None:
-        pytest.skip("no C compiler: the compiled ADG pass is unavailable")
-
-
-def _both_paths(call) -> list:
-    """``[call()]`` on the compiled pass, then on the NumPy loop."""
-    _require_c()
-    out = [call()]
-    real, adg._CADG = adg._CADG, _NoBuild()
-    try:
-        out.append(call())
-    finally:
-        adg._CADG = real
-    return out
-
-
 def books(g, eps=0.1, **kwargs) -> dict:
     """Everything one traced ``adg_ordering`` returns and books."""
     with ExecutionContext(backend="serial", trace=Tracer()) as ctx:
@@ -117,7 +90,7 @@ class TestCAndNumpyAgree:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_fixed_graphs(self, graph, variant):
         g = GRAPHS[graph]()
-        compiled, oracle = _both_paths(
+        compiled, oracle = both_paths(
             lambda: books(g, **VARIANTS[variant]))
         assert compiled == oracle
 
@@ -127,7 +100,7 @@ class TestCAndNumpyAgree:
                                          "push|sort+ranks|radix"])
     def test_eps_values(self, eps, variant):
         g = kronecker(scale=10, edge_factor=8, seed=1)
-        compiled, oracle = _both_paths(
+        compiled, oracle = both_paths(
             lambda: books(g, eps=eps, **VARIANTS[variant]))
         assert compiled == oracle
 
@@ -135,7 +108,7 @@ class TestCAndNumpyAgree:
            st.sampled_from([0.0, 0.01, 0.5, 3.0]))
     @settings(max_examples=80, deadline=None)
     def test_random_graphs(self, g, variant, eps):
-        compiled, oracle = _both_paths(
+        compiled, oracle = both_paths(
             lambda: books(g, eps=eps, **VARIANTS[variant]))
         assert compiled == oracle
 
@@ -147,20 +120,13 @@ class TestCAndNumpyAgree:
                     jp_adg_fused(g, seed=3).colors.tolist(),
                     dec_adg_itr(g, seed=3).colors.tolist()]
 
-        compiled, oracle = _both_paths(run)
+        compiled, oracle = both_paths(run)
         assert compiled == oracle
 
-    def test_median_variant_never_reaches_c(self, monkeypatch):
-        calls = []
-
-        class Recorder:
-            def load(self):
-                return lambda *args: calls.append(args)
-
-        monkeypatch.setattr(adg, "_CADG", Recorder())
+    def test_median_variant_never_reaches_c(self, c_calls):
         order = adg_ordering(GRAPHS["kron"](), variant="median",
                              sort_batches=True, compute_ranks=True)
-        assert calls == []
+        assert c_calls == []
         assert order.name == "ADG-M-O"
 
 
@@ -170,11 +136,11 @@ class TestNoProgressInvariant:
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("cache", [True, False])
-    def test_raises(self, path, cache, monkeypatch):
+    def test_raises(self, path, cache, hide_c):
         if path == "numpy":
-            monkeypatch.setattr(adg, "_CADG", _NoBuild())
+            hide_c("repro_adg")
         else:
-            _require_c()
+            require_c()
         with pytest.raises(RuntimeError, match="no progress"):
             adg_ordering(empty_graph(5), eps=float("inf"),
                          cache_degree_sums=cache)
@@ -182,7 +148,7 @@ class TestNoProgressInvariant:
 
 class TestCBoundary:
     def _check(self, g, ref=None):
-        compiled, oracle = _both_paths(lambda: books(g, eps=0.01))
+        compiled, oracle = both_paths(lambda: books(g, eps=0.01))
         assert compiled == oracle
         if ref is not None:
             assert compiled == books(ref, eps=0.01)
@@ -208,14 +174,7 @@ class TestCBoundary:
         "short_indptr", "indptr_past_end", "falling_indptr",
         "nonzero_start", "vertex_out_of_range", "negative_vertex"])
     @pytest.mark.parametrize("variant", ["avg", "median"])
-    def test_malformed_csr_never_reaches_c(self, bad, variant, monkeypatch):
-        calls = []
-
-        class Recorder:
-            def load(self):
-                return lambda *args: calls.append(args)
-
-        monkeypatch.setattr(adg, "_CADG", Recorder())
+    def test_malformed_csr_never_reaches_c(self, bad, variant, c_calls):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         indices = np.array([1, 0], dtype=np.int64)
         if bad == "short_indptr":
@@ -233,10 +192,13 @@ class TestCBoundary:
         g = CSRGraph(indptr=indptr, indices=indices)
         with pytest.raises(ValueError):
             adg_ordering(g, variant=variant)
-        assert calls == []
+        assert c_calls == []
 
 
 class TestFallback:
+    """A failed build (each way ``test_cbuild`` covers) leaves ADG on the
+    NumPy loop, with the pinned books."""
+
     @pytest.fixture
     def numpy_calls(self, monkeypatch):
         calls = []
@@ -249,67 +211,37 @@ class TestFallback:
         monkeypatch.setattr(adg, "_adg_numpy", spy)
         return calls
 
-    def _fresh_library(self, monkeypatch, tmp_path, source):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(adg, "_CADG",
-                            cbuild.CLibrary("adg", source, adg._bind))
+    @staticmethod
+    def _order():
+        return adg_ordering(PIN_GRAPHS["kron"](), eps=0.1, seed=0,
+                            **PIN_VARIANTS["avg|push|sort+ranks"])
 
     def _check(self, numpy_calls):
-        key = "kron|avg|push|sort+ranks"
-        order = adg_ordering(PIN_GRAPHS["kron"](), eps=0.1, seed=0,
-                             **PIN_VARIANTS["avg|push|sort+ranks"])
-        assert fingerprint(order) == GOLDEN[key]
+        assert fingerprint(self._order()) == GOLDEN["kron|avg|push|sort+ranks"]
         assert numpy_calls == [1]
 
-    def test_no_compiler_on_path(self, monkeypatch, tmp_path, numpy_calls):
-        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
-        assert adg._CADG.load() is None
+    def test_no_compiler_on_path(self, broken_build, numpy_calls):
+        broken_build("no_compiler")
         self._check(numpy_calls)
 
-    def test_build_command_fails(self, monkeypatch, tmp_path, numpy_calls):
-        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
-        monkeypatch.setattr(
-            cbuild.subprocess, "run",
-            lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))
-        assert adg._CADG.load() is None
-        assert not list(tmp_path.glob("*.so"))
+    def test_build_command_fails(self, broken_build, numpy_calls):
+        broken_build("cc_fails")
         self._check(numpy_calls)
 
-    def test_source_that_does_not_compile(self, monkeypatch, tmp_path,
-                                          numpy_calls):
-        self._fresh_library(monkeypatch, tmp_path, "this is not C;\n")
-        assert adg._CADG.load() is None
+    def test_source_that_does_not_compile(self, broken_build, numpy_calls):
+        broken_build("bad_source")
         self._check(numpy_calls)
 
     def test_library_load_returns_none(self, monkeypatch, numpy_calls):
-        monkeypatch.setattr(cbuild.CLibrary, "load", lambda self: None)
+        monkeypatch.setattr(cbuild, "load", lambda: None)
         self._check(numpy_calls)
 
     def test_compiled_path_skips_the_numpy_loop(self, numpy_calls):
-        _require_c()
+        require_c()
         adg_ordering(GRAPHS["kron"]())
         assert numpy_calls == []
 
-    def test_concurrent_loaders_build_once(self, monkeypatch, tmp_path):
-        self._fresh_library(monkeypatch, tmp_path, adg._C_SOURCE)
-        builds, got = [], []
-        real = cbuild.build_shared
-        monkeypatch.setattr(cbuild, "build_shared",
-                            lambda *a: builds.append(1) or real(*a))
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: got.append(adg._CADG.load()))
-                for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert builds == [1]
-        assert len(got) == 8 and all(f is got[0] for f in got)
+    def test_concurrent_loaders_build_once(self, fresh_build):
+        got = concurrently(lambda: fingerprint(self._order()))
+        assert fresh_build == [1]
+        assert got == [GOLDEN["kron|avg|push|sort+ranks"]] * len(got)

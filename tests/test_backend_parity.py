@@ -241,8 +241,8 @@ GOLDEN_BASELINES = {
         "colors": "d17c08f560a5d944",
         "rounds": 51,
         "conflicts": 11,
-        "snapshot": "0ddaa7c1ba6ce1f9",
-        "round_log": "31608916e8257e09",
+        "snapshot": "e15761de20c5d4da",
+        "round_log": "20ce1c921f454202",
         "mem": [8000, 0],
         "mem_phases": "e43a7dd406c082db",
         "reorder": None},
@@ -349,8 +349,8 @@ GOLDEN_BASELINES = {
         "colors": "f018b3982bec6e73",
         "rounds": 65,
         "conflicts": 5,
-        "snapshot": "fe37f0356bdcb71b",
-        "round_log": "321fdf9bcd1e49aa",
+        "snapshot": "2577964315e72118",
+        "round_log": "9fb7055e6eb1b037",
         "mem": [11352, 0],
         "mem_phases": "8fa4ce1e91166e8e",
         "reorder": None},

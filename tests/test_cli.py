@@ -85,6 +85,22 @@ def _cli_color(*extra) -> dict:
     return json.loads(out.stdout)
 
 
+class TestColorDeltas:
+    @pytest.mark.parametrize("algorithm,eps", [("DEC-ADG", 6.0),
+                                               ("DEC-ADG-ITR", 0.01)])
+    def test_runs_at_the_engine_default_eps(self, algorithm, eps, capsys):
+        assert main(["color", "--gen", "gnm:300,1200", "--algorithm",
+                     algorithm, "--delta", "add:0-7;addv:2", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["eps"] == eps
+
+    def test_given_eps(self, capsys):
+        assert main(["color", "--gen", "gnm:300,1200", "--algorithm",
+                     "DEC-ADG", "--eps", "5.0", "--delta", "add:0-7",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["eps"] == 5.0
+
+
 class TestColorDeterminism:
     def test_color_json_reproducible(self):
         # Two processes give the same record apart from walls, and the

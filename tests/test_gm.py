@@ -63,6 +63,17 @@ class TestGM:
         assert "gm:speculate" in res.cost.phases
         assert "gm:detect" in res.cost.phases
 
+    def test_cleanup_cost_and_wall_share_one_row(self):
+        from repro.coloring.registry import color
+        from repro.graphs.generators import chung_lu
+        res = color("GM", chung_lu(400, 2000, seed=11))
+        assert res.conflicts_resolved == 11
+        assert "<toplevel>" not in res.cost.phases
+        cleanup = res.cost.phases["gm:cleanup"]
+        assert (cleanup.work, cleanup.depth, cleanup.rounds) == (164, 11, 1)
+        assert res.cost.round_log[-1] == ("gm:cleanup", 164, 11)
+        assert "gm:cleanup" in res.phase_walls
+
     def test_registry_entry(self, small_random):
         from repro.coloring.registry import color
         res = color("GM", small_random, seed=0)

@@ -30,7 +30,10 @@ from repro.graphs.ingest import (
 )
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.obs import Tracer
+from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
+
+from .conftest import require_c
 
 # repro.graphs re-exports the ingest() function under the module's name.
 ingest_mod = importlib.import_module("repro.graphs.ingest")
@@ -42,37 +45,25 @@ TIER_FNS = {"auto": parse_edge_bytes, "c": ingest_mod._parse_c,
             "python": ingest_mod._parse_python}
 
 
-class _NoBuild:
-    """Stands in for the edgeparse library when it cannot be built."""
-
-    def load(self):
-        return None
-
-
-def _require_c():
-    if ingest_mod._CPARSER.load() is None:
-        pytest.skip("no C compiler: the compiled build is unavailable")
-
-
 def _on_tier(tier, data):
     """One tier called directly: ``(u, v)`` lists, or None where the
     tier declines the chunk."""
     if tier == "c":
-        _require_c()
+        require_c()
     out = TIER_FNS[tier](data, "#")
     return None if out is None else (out[0].tolist(), out[1].tolist())
 
 
 @pytest.fixture
-def forced_tier(request, monkeypatch):
-    """Start ingest's tokenizer chain at one tier: a no-build library
+def forced_tier(request, hide_c):
+    """Start ingest's tokenizer chain at one tier: an unbuilt library
     skips C (and builds through ``from_edges``).  "auto" leaves the
     chain as built."""
     tier = request.param
     if tier == "c":
-        _require_c()
+        require_c()
     if tier == "python":
-        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
+        hide_c()
     return tier
 
 
@@ -150,13 +141,13 @@ class TestParseEdgeBytes:
         assert got["parser_used"] == want["parser_used"]
         assert "parser" not in got
 
-    def test_chain_order(self, monkeypatch):
+    def test_chain_order(self, hide_c):
         data = b"0 1\n1 2\n"
-        if ingest_mod._CPARSER.load() is not None:
+        if cbuild.load() is not None:
             assert ingest_mod._parse_block(data, "#")[2] == "c"
         # Signed ids: C declines, Python parses.
         assert ingest_mod._parse_block(b"-1 2\n", "#")[2] == "python"
-        monkeypatch.setattr(ingest_mod, "_CPARSER", _NoBuild())
+        hide_c()
         assert ingest_mod._parse_block(data, "#")[2] == "python"
 
 
@@ -587,7 +578,7 @@ def _assert_builds_agree(path, block=None):
     with mock.patch.object(ingest_mod, "BLOCK_BYTES",
                            block or ingest_mod.BLOCK_BYTES):
         got = _ingest(path)
-        with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()):
+        with mock.patch.object(cbuild, "entry", lambda name: None):
             ref = _ingest(path)
     assert got.content_digest == ref.content_digest
     np.testing.assert_array_equal(got.indptr, ref.indptr)
@@ -617,7 +608,7 @@ class TestCompiledBuild:
     ``from_edges`` oracle."""
 
     def test_row_lengths_both_sort_branches(self, tmp_path):
-        _require_c()
+        require_c()
         path = _write(tmp_path, _row_lengths_text(np.random.default_rng(3)))
         g = _assert_builds_agree(path)
         assert sorted(set(np.diff(g.indptr).tolist()) & {0, 1, 16, 17}) \
@@ -627,7 +618,7 @@ class TestCompiledBuild:
 
     def test_three_byte_ids(self, tmp_path):
         # n > 65536: the radix sort needs its third byte pass.
-        _require_c()
+        require_c()
         rng = np.random.default_rng(4)
         n = 70_000
         hub = rng.choice(np.arange(1, n), 3000, replace=False)
@@ -638,20 +629,20 @@ class TestCompiledBuild:
         assert g.n == n
 
     def test_duplicates_and_self_loop_lines(self, tmp_path):
-        _require_c()
+        require_c()
         text = "3 3\n3 3\n1 2\n2 1\n1 2\n9 9\n2 4\n4 2\n4 4\n"
         path = _write(tmp_path, text)
         g = _assert_builds_agree(path)
         assert (g.n, g.m) == (5, 2)
 
     def test_self_loops_only(self, tmp_path):
-        _require_c()
+        require_c()
         path = _write(tmp_path, "1 1\n2 2\n")
         g = _assert_builds_agree(path)
         assert (g.n, g.m) == (2, 0)
 
     def test_negative_ids_from_python_tier(self, tmp_path):
-        _require_c()
+        require_c()
         path = _write(tmp_path, "-5 3\n3 -5\n-7 -5\n-7 -7\n12 -5\n")
         got, rep = ingest_report(path, cache=False)
         assert rep["parser_used"] == "python"
@@ -659,7 +650,7 @@ class TestCompiledBuild:
         assert got.content_digest == read_edge_list(path).content_digest
 
     def test_small_chunks_threaded(self, tmp_path):
-        _require_c()
+        require_c()
         g0 = kronecker(scale=9, edge_factor=8, seed=6)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
@@ -674,7 +665,7 @@ class TestCompiledBuild:
     @settings(max_examples=40, deadline=None)
     def test_property_c_matches_numpy(self, tmp_path_factory, edges):
         # The oracle is from_edges, the NumPy build.
-        _require_c()
+        require_c()
         tmp = tmp_path_factory.mktemp("cbuild")
         path = _write(tmp, "".join(f"{a} {b}\n" for a, b in edges))
         _assert_builds_agree(path, block=4096)
@@ -693,7 +684,7 @@ class TestCompiledBuild:
                 return fn(*a, **kw)
             return wrapped
 
-        with mock.patch.object(ingest_mod, "_CPARSER", _NoBuild()), \
+        with mock.patch.object(cbuild, "entry", lambda name: None), \
                 mock.patch.object(ingest_mod, "BLOCK_BYTES", 4096), \
                 mock.patch.object(ingest_mod, "from_edges",
                                   spy("from_edges", ingest_mod.from_edges)), \
@@ -712,7 +703,7 @@ class TestCompiledBuild:
         # Once the distinct ids could pass the int32 code space, the
         # blocks coded so far are decoded and the file finishes through
         # from_edges, with the same CSR.
-        _require_c()
+        require_c()
         g0 = gnm_random(300, 1500, seed=12)
         path = str(tmp_path / "g.el")
         write_edge_list(g0, path)
@@ -734,8 +725,8 @@ class TestCompiledBuild:
         # One running id space: a repeated id keeps its first code
         # after the table and vocabulary have grown, and the ranks map
         # codes to np.unique's inverse.
-        _require_c()
-        enc = ingest_mod._Encoder(ingest_mod._cfunc("encode"))
+        require_c()
+        enc = ingest_mod._Encoder(cbuild.entry("repro_encode"))
         rng = np.random.default_rng(5)
         ids = rng.choice(10**12, 20_000, replace=False).astype(np.int64)
         first = enc.encode(ids[:10], ids[:3])
@@ -775,7 +766,7 @@ class TestCompiledBuildGuards:
     CSR."""
 
     def test_consistent_spill_builds(self):
-        _require_c()
+        require_c()
         # Ids 20, 10, 30 in first-seen order (codes 0, 1, 2; ranks 1,
         # 0, 2): edges 20-10 (listed both ways), 10-30 and 30-30 (a
         # self-loop), in two blocks.
@@ -787,14 +778,14 @@ class TestCompiledBuildGuards:
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_code_outside_chunk_vocab(self, bad):
-        _require_c()
+        require_c()
         blocks = _blocks([0, bad, 1, 0])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
             _build(blocks, [0, 1])
 
     def test_chunk_id_beyond_global_vocab(self):
         # A code whose rank names no vertex.
-        _require_c()
+        require_c()
         blocks = _blocks([0, 1])
         with pytest.raises(RuntimeError, match="outside its vocabulary"):
             _build(blocks, [0, 2])
@@ -802,14 +793,14 @@ class TestCompiledBuildGuards:
     def test_truncated_spill(self):
         # A block claiming five edges with one edge's codes never
         # reaches the C.
-        _require_c()
+        require_c()
         blocks = [(np.array([0, 1], np.int32), 5)]
         with pytest.raises(RuntimeError, match="truncated"):
             _build(blocks, [0, 1])
 
     def test_row_cursor_cannot_pass_its_end(self):
-        _require_c()
-        fn = ingest_mod._cfunc("canon_rows")
+        require_c()
+        fn = cbuild.entry("repro_canon_rows")
         rank = np.arange(3, dtype=np.int32)
         codes = np.array([0, 0, 1, 2], np.int32)  # edges 0-1, 0-2
         cursor = np.array([0, 1, 2], np.int64)
@@ -831,7 +822,7 @@ class TestCompiledBuildGuards:
         return mock.patch.object(ingest_mod, "_canon_rows_c", rows)
 
     def test_scatter_overflow_raises_from_ingest(self, tmp_path):
-        _require_c()
+        require_c()
         path = _write(tmp_path, "0 1\n1 2\n2 3\n3 4\n")
 
         def all_from_row0(codes, ne):
@@ -842,7 +833,7 @@ class TestCompiledBuildGuards:
             _ingest(path)
 
     def test_kept_totals_must_match(self, tmp_path):
-        _require_c()
+        require_c()
         path = _write(tmp_path, "0 1\n1 2\n2 3\n3 4\n")
 
         def self_loop(codes, ne):
@@ -855,8 +846,8 @@ class TestCompiledBuildGuards:
     @pytest.mark.parametrize("bad", ["not_above_row", "beyond_n",
                                      "counts_overrun"])
     def test_symmetrize_rejects_bad_rows(self, bad):
-        _require_c()
-        fn = ingest_mod._cfunc("symmetrize")
+        require_c()
+        fn = cbuild.entry("repro_symmetrize")
         up = np.array([1, 2, 2], np.int32)        # 0: {1, 2}, 1: {2}
         updeg = np.array([2, 1, 0], np.int64)
         if bad == "not_above_row":

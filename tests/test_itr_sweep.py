@@ -46,7 +46,7 @@ from repro.ordering.base import random_tiebreak
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import (graphs, misaligned,
+from .conftest import (both_paths, graphs, misaligned, require_c,
                        warm_from_ingest_cache)
 
 # The package re-exports the engine function under the module's name.
@@ -273,34 +273,10 @@ def itr_fingerprint(algorithm: str, graph: str) -> dict:
             "mem_phases": _digest(sorted(res.mem.by_phase.items()))}
 
 
-class _NoBuild:
-    """Stands in for the compiled library when it cannot be built."""
-
-    def load(self):
-        return None
-
-
 @pytest.fixture
-def numpy_path(monkeypatch):
+def numpy_path(hide_c):
     """Force the NumPy rounds for the duration of one test."""
-    monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
-
-
-def _require_c():
-    if itr_mod._CITR.load() is None:
-        pytest.skip("no C compiler: the compiled ITR pass is unavailable")
-
-
-def _both_paths(call) -> list:
-    """``[call()]`` on the compiled pass, then on the NumPy rounds."""
-    _require_c()
-    out = [call()]
-    real, itr_mod._CITR = itr_mod._CITR, _NoBuild()
-    try:
-        out.append(call())
-    finally:
-        itr_mod._CITR = real
-    return out
+    hide_c("repro_itr_levels")
 
 
 def interior(g, levels, num_levels, priority) -> tuple:
@@ -346,11 +322,11 @@ class TestPinnedITRBaselines:
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("algorithm", sorted(ITR_FNS))
-    def test_round_limit_names_itr(self, algorithm, path, monkeypatch):
+    def test_round_limit_names_itr(self, algorithm, path, hide_c):
         if path == "numpy":
-            monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
+            hide_c("repro_itr_levels")
         else:
-            _require_c()
+            require_c()
         with pytest.raises(RuntimeError, match="^ITR failed to converge$"):
             ITR_FNS[algorithm](complete_graph(16), seed=0, max_rounds=1)
 
@@ -364,7 +340,7 @@ class TestCAndNumpyAgree:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_engine_books(self, graph, eps, variant, backend):
         g = GRAPHS[graph]()
-        _assert_same_run(*_both_paths(lambda: run(g, eps, variant, backend)))
+        _assert_same_run(*both_paths(lambda: run(g, eps, variant, backend)))
 
     @given(graphs(max_n=40, max_m=160), st.integers(1, 4),
            st.randoms(use_true_random=False))
@@ -375,7 +351,7 @@ class TestCAndNumpyAgree:
                             dtype=np.int64)
         priority = np.asarray(rnd.sample(range(3 * g.n), g.n),
                               dtype=np.int64)
-        compiled, oracle = _both_paths(
+        compiled, oracle = both_paths(
             lambda: interior(g, levels, num_levels, priority))
         assert compiled == oracle
         assert is_valid_coloring(g, np.asarray(compiled[0], dtype=np.int64))
@@ -390,7 +366,7 @@ class TestCAndNumpyAgree:
                         ctx.cost.round_log, ctx.mem.total,
                         ctx.tracer.metrics.series("dec-itr.active"))
 
-        compiled, oracle = _both_paths(recompute)
+        compiled, oracle = both_paths(recompute)
         assert compiled == oracle
         np.testing.assert_array_equal(
             np.asarray(compiled[0]), dec_adg_itr(g, eps=0.1, seed=0).colors)
@@ -403,7 +379,7 @@ class TestPassEdges:
     def _agree(self, g, levels, num_levels, seed=0) -> tuple:
         levels = np.asarray(levels, dtype=np.int64)
         priority = random_tiebreak(g.n, seed)
-        compiled, oracle = _both_paths(lambda: interior(
+        compiled, oracle = both_paths(lambda: interior(
             g, levels, num_levels, priority))
         assert compiled == oracle
         assert is_valid_coloring(g, np.asarray(compiled[0], dtype=np.int64))
@@ -458,7 +434,7 @@ class TestCBoundary:
     def _check(self, g, ordered=None):
         order = adg_ordering(ordered or g, eps=0.01, seed=0)
         priority = random_tiebreak(g.n, 0)
-        compiled, oracle = _both_paths(lambda: interior(
+        compiled, oracle = both_paths(lambda: interior(
             g, order.levels, order.num_levels, priority))
         assert compiled == oracle
         return compiled
@@ -481,7 +457,7 @@ class TestCBoundary:
                        indices=misaligned(g.indices))
         order = adg_ordering(g, eps=0.01, seed=0)
         priority = random_tiebreak(g.n, 0)
-        compiled, oracle = _both_paths(lambda: interior(
+        compiled, oracle = both_paths(lambda: interior(
             odd, misaligned(order.levels), order.num_levels,
             misaligned(priority)))
         assert compiled == oracle
@@ -493,14 +469,7 @@ class TestCBoundary:
         "vertex_out_of_range", "negative_vertex", "short_levels",
         "int32_levels", "float_priority", "long_priority", "2d_levels",
         "level_zero", "level_above_num_levels"])
-    def test_malformed_inputs_never_reach_c(self, bad, monkeypatch):
-        calls = []
-
-        class Recorder:
-            def load(self):
-                return lambda *args: calls.append(args)
-
-        monkeypatch.setattr(itr_mod, "_CITR", Recorder())
+    def test_malformed_inputs_never_reach_c(self, bad, c_calls):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         indices = np.array([1, 0], dtype=np.int64)
         levels = np.array([1, 1], dtype=np.int64)
@@ -534,26 +503,26 @@ class TestCBoundary:
         with pytest.raises(ValueError):
             itr_color_partitions(g, levels, 1, priority,
                                  ExecutionContext(backend="serial"))
-        assert calls == []
+        assert c_calls == []
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("max_rounds", [0, 1, -3])
-    def test_round_limit_raises(self, path, max_rounds, monkeypatch):
+    def test_round_limit_raises(self, path, max_rounds, hide_c):
         if path == "numpy":
-            monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
+            hide_c("repro_itr_levels")
         else:
-            _require_c()
+            require_c()
         g = complete_graph(20)
         with pytest.raises(RuntimeError,
                            match="^DEC-ADG-ITR failed to converge$"):
             dec_adg_itr(g, seed=0, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_round_limit_that_suffices(self, path, monkeypatch):
+    def test_round_limit_that_suffices(self, path, hide_c):
         if path == "numpy":
-            monkeypatch.setattr(itr_mod, "_CITR", _NoBuild())
+            hide_c("repro_itr_levels")
         else:
-            _require_c()
+            require_c()
         g = GRAPHS["kron"]()
         assert dec_adg_itr(g, seed=0, max_rounds=25).rounds == \
             GOLDEN["kron|0.01|avg|serial"]["rounds"]
@@ -564,7 +533,7 @@ class TestCBoundary:
         ``limit(headroom)`` caps the address space at its current size
         plus ``headroom`` bytes; returns its stdout."""
         if path == "compiled":
-            _require_c()
+            require_c()
         script = textwrap.dedent(f"""
             import resource, sys
             import numpy as np
@@ -573,10 +542,13 @@ class TestCBoundary:
             from repro.coloring.verify import is_valid_coloring
             from repro.graphs.generators import star
             from repro.runtime import ExecutionContext
-            mod = sys.modules["repro.coloring.dec_adg_itr"]
+            from repro.primitives import cbuild
+            entry = cbuild.entry
             if {path!r} == "numpy":
-                mod._CITR.load = lambda: None
-            assert (mod._CITR.load() is None) == ({path!r} == "numpy")
+                cbuild.entry = lambda name: (None if name == "repro_itr_levels"
+                                             else entry(name))
+            itr_c = cbuild.entry("repro_itr_levels")
+            assert (itr_c is None) == ({path!r} == "numpy")
 
             def limit(headroom):
                 with open("/proc/self/statm") as fh:
@@ -633,17 +605,16 @@ class TestCBoundary:
         is larger than all the free heap space (under 1 MB after the
         imports), so it cannot come from there either."""
         out = self._limited("compiled", """
-            real = mod._CITR.load()
-
             def capped(*args):
                 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
                 limit(0)
                 try:
-                    return real(*args)
+                    return itr_c(*args)
                 finally:
                     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
-            mod._CITR.load = lambda: capped
+            cbuild.entry = lambda name: (capped if name == "repro_itr_levels"
+                                         else entry(name))
             g = star(500000)
             levels = np.ones(g.n, dtype=np.int64)
             priority = np.arange(g.n, dtype=np.int64)
@@ -661,6 +632,9 @@ class TestCBoundary:
 
 
 class TestFallback:
+    """A failed build (each way ``test_cbuild`` covers) leaves DEC-ADG-ITR
+    on the NumPy rounds, with the pinned books."""
+
     @pytest.fixture
     def numpy_calls(self, monkeypatch):
         calls = []
@@ -678,22 +652,14 @@ class TestFallback:
         assert fingerprint(GRAPHS["kron"]()) == GOLDEN[key]
         assert numpy_calls == [1]
 
-    def test_no_compiler_on_path(self, monkeypatch, tmp_path, numpy_calls):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(itr_mod, "_CITR", cbuild.CLibrary(
-            "itrlevels", itr_mod._C_SOURCE, itr_mod._bind))
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
-        assert itr_mod._CITR.load() is None
+    def test_no_compiler_on_path(self, broken_build, numpy_calls):
+        broken_build("no_compiler")
         self._check(numpy_calls)
 
     def test_library_load_returns_none(self, monkeypatch, numpy_calls):
-        monkeypatch.setattr(cbuild.CLibrary, "load", lambda self: None)
+        monkeypatch.setattr(cbuild, "load", lambda: None)
         self._check(numpy_calls)
 
-    def test_source_that_does_not_compile(self, monkeypatch, tmp_path,
-                                          numpy_calls):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(itr_mod, "_CITR", cbuild.CLibrary(
-            "itrlevels", "this is not C;\n", itr_mod._bind))
-        assert itr_mod._CITR.load() is None
+    def test_source_that_does_not_compile(self, broken_build, numpy_calls):
+        broken_build("bad_source")
         self._check(numpy_calls)

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -32,10 +29,9 @@ from repro.graphs.generators import (
     ring,
 )
 from repro.obs import Tracer
-from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
-from .conftest import (graphs, misaligned,
+from .conftest import (concurrently, graphs, misaligned, require_c,
                        warm_from_ingest_cache)
 
 GRAPHS = {
@@ -540,16 +536,11 @@ def _assert_same(a: sweep.Sweep, b: sweep.Sweep) -> None:
         assert x.dtype == np.int64, field
 
 
-def _require_c():
-    if sweep._CSWEEP.load() is None:
-        pytest.skip("no C compiler: the compiled sweep is unavailable")
-
-
 class TestCAndPythonAgree:
     @given(graphs(max_n=40, max_m=160), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_random_graphs_and_orders(self, g, rnd):
-        _require_c()
+        require_c()
         perm = list(range(g.n))
         rnd.shuffle(perm)
         # Ranks need only be distinct, not 0..n-1.
@@ -558,7 +549,7 @@ class TestCAndPythonAgree:
                      _python_sweep(g.indptr, g.indices, ranks))
 
     def test_kronecker_random_order(self):
-        _require_c()
+        require_c()
         g = kronecker(scale=11, edge_factor=8, seed=1)
         ranks = np.random.default_rng(4).permutation(g.n)
         _assert_same(sweep.rank_sweep(g, ranks),
@@ -576,7 +567,8 @@ class TestCAndPythonAgree:
 
 
 class TestFallback:
-    """The Python sweep runs whenever the compiled one cannot be built."""
+    """A failed build (each way ``test_cbuild`` covers) leaves JP on the
+    Python sweep, with the compiled sweep's colors and waves."""
 
     @pytest.fixture
     def python_calls(self, monkeypatch):
@@ -590,11 +582,6 @@ class TestFallback:
         monkeypatch.setattr(sweep, "_sweep_python", spy)
         return calls
 
-    def _fresh_library(self, monkeypatch, tmp_path, source):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(sweep, "_CSWEEP",
-                            cbuild.CLibrary("ranksweep", source, sweep._bind))
-
     def _check(self, python_calls):
         g = GRAPHS["kron"]()
         ranks = np.random.default_rng(1).permutation(g.n)
@@ -604,59 +591,31 @@ class TestFallback:
         np.testing.assert_array_equal(colors, ref.colors)
         assert waves == ref.waves
 
-    def test_no_compiler_on_path(self, monkeypatch, tmp_path, python_calls):
-        self._fresh_library(monkeypatch, tmp_path, sweep._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
-        assert sweep._CSWEEP.load() is None
+    def test_no_compiler_on_path(self, broken_build, python_calls):
+        broken_build("no_compiler")
         self._check(python_calls)
 
-    def test_build_command_fails(self, monkeypatch, tmp_path, python_calls):
-        self._fresh_library(monkeypatch, tmp_path, sweep._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
-        monkeypatch.setattr(
-            cbuild.subprocess, "run",
-            lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))
-        assert sweep._CSWEEP.load() is None
-        assert not list(tmp_path.glob("*.so"))
+    def test_build_command_fails(self, broken_build, python_calls):
+        broken_build("cc_fails")
         self._check(python_calls)
 
-    def test_source_that_does_not_compile(self, monkeypatch, tmp_path,
-                                          python_calls):
-        self._fresh_library(monkeypatch, tmp_path, "this is not C;\n")
-        assert sweep._CSWEEP.load() is None
+    def test_source_that_does_not_compile(self, broken_build, python_calls):
+        broken_build("bad_source")
         self._check(python_calls)
 
-    def test_loader_builds_once(self, monkeypatch, tmp_path):
-        self._fresh_library(monkeypatch, tmp_path, sweep._C_SOURCE)
-        builds = []
-        real = cbuild.build_shared
-        monkeypatch.setattr(cbuild, "build_shared",
-                            lambda *a: builds.append(1) or real(*a))
-        first = sweep._CSWEEP.load()
-        assert sweep._CSWEEP.load() is first
-        assert builds == [1]
+    def test_loader_builds_once(self, fresh_build):
+        g = GRAPHS["kron"]()
+        ranks = np.random.default_rng(1).permutation(g.n)
+        first = jp_color(g, ranks)[0]
+        np.testing.assert_array_equal(jp_color(g, ranks)[0], first)
+        assert fresh_build == [1]
 
-    def test_concurrent_loaders_build_once(self, monkeypatch, tmp_path):
-        self._fresh_library(monkeypatch, tmp_path, sweep._C_SOURCE)
-        builds, got = [], []
-        real = cbuild.build_shared
-        monkeypatch.setattr(cbuild, "build_shared",
-                            lambda *a: builds.append(1) or real(*a))
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: got.append(sweep._CSWEEP.load()))
-                for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert builds == [1]
-        assert len(got) == 8 and all(f is got[0] for f in got)
+    def test_concurrent_loaders_build_once(self, fresh_build):
+        g = GRAPHS["kron"]()
+        ranks = np.random.default_rng(1).permutation(g.n)
+        got = concurrently(lambda: jp_color(g, ranks)[0])
+        assert fresh_build == [1]
+        assert all(np.array_equal(c, got[0]) for c in got)
 
 
 class TestCBoundary:

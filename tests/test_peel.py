@@ -8,9 +8,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import subprocess
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -29,9 +26,8 @@ from repro.graphs.generators import (
     star,
 )
 from repro.ordering.sl import sl_ordering
-from repro.primitives import cbuild
 
-from .conftest import (graphs, misaligned,
+from .conftest import (concurrently, graphs, misaligned, require_c,
                        warm_from_ingest_cache)
 
 GRAPHS = {
@@ -57,29 +53,17 @@ def _assert_same(a: properties.PeelResult,
     assert type(a.degeneracy) is int
 
 
-def _require_c():
-    if properties._CPEEL.load() is None:
-        pytest.skip("no C compiler: the compiled peel is unavailable")
-
-
-class _NoBuild:
-    """Stands in for the compiled library when it cannot be built."""
-
-    def load(self):
-        return None
-
-
 class TestCAndPythonAgree:
     @given(graphs(max_n=40, max_m=160))
     @settings(max_examples=80, deadline=None)
     def test_random_graphs(self, g):
-        _require_c()
+        require_c()
         _assert_same(properties.peel_degeneracy(g),
                      properties._peel_python(g))
 
     @pytest.mark.parametrize("name", list(GRAPHS))
     def test_named_graphs(self, name):
-        _require_c()
+        require_c()
         g = GRAPHS[name]()
         _assert_same(properties.peel_degeneracy(g),
                      properties._peel_python(g))
@@ -124,14 +108,7 @@ class TestCBoundary:
     @pytest.mark.parametrize("bad", ["short_indptr", "indptr_past_end",
                                      "falling_indptr", "vertex_out_of_range",
                                      "negative_vertex"])
-    def test_malformed_csr_never_reaches_c(self, bad, monkeypatch):
-        calls = []
-
-        class Recorder:
-            def load(self):
-                return lambda *args: calls.append(args)
-
-        monkeypatch.setattr(properties, "_CPEEL", Recorder())
+    def test_malformed_csr_never_reaches_c(self, bad, c_calls):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         indices = np.array([1, 0], dtype=np.int64)
         if bad == "short_indptr":
@@ -147,11 +124,12 @@ class TestCBoundary:
         with pytest.raises(ValueError):
             properties.peel_degeneracy(CSRGraph(indptr=indptr,
                                                 indices=indices))
-        assert calls == []
+        assert c_calls == []
 
 
 class TestFallback:
-    """The Python peel runs whenever the compiled one cannot be built."""
+    """A failed build (each way ``test_cbuild`` covers) leaves the peel
+    on the Python loop, with the compiled peel's results."""
 
     @pytest.fixture
     def python_calls(self, monkeypatch):
@@ -165,71 +143,41 @@ class TestFallback:
         monkeypatch.setattr(properties, "_peel_python", spy)
         return calls
 
-    def _fresh_library(self, monkeypatch, tmp_path, source):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(properties, "_CPEEL",
-                            cbuild.CLibrary("peel", source, properties._bind))
-
     def _check(self, python_calls):
         g = GRAPHS["kron"]()
         got = properties.peel_degeneracy(g)
         assert python_calls == [1]
         _assert_same(got, properties._peel_python(g))
 
-    def test_no_compiler_on_path(self, monkeypatch, tmp_path, python_calls):
-        self._fresh_library(monkeypatch, tmp_path, properties._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
-        assert properties._CPEEL.load() is None
+    def test_no_compiler_on_path(self, broken_build, python_calls):
+        broken_build("no_compiler")
         self._check(python_calls)
 
-    def test_build_command_fails(self, monkeypatch, tmp_path, python_calls):
-        self._fresh_library(monkeypatch, tmp_path, properties._C_SOURCE)
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
-        monkeypatch.setattr(
-            cbuild.subprocess, "run",
-            lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))
-        assert properties._CPEEL.load() is None
-        assert not list(tmp_path.glob("*.so"))
+    def test_build_command_fails(self, broken_build, python_calls):
+        broken_build("cc_fails")
         self._check(python_calls)
 
-    def test_source_that_does_not_compile(self, monkeypatch, tmp_path,
-                                          python_calls):
-        self._fresh_library(monkeypatch, tmp_path, "this is not C;\n")
-        assert properties._CPEEL.load() is None
+    def test_source_that_does_not_compile(self, broken_build, python_calls):
+        broken_build("bad_source")
         self._check(python_calls)
 
-    def test_concurrent_loaders_build_once(self, monkeypatch, tmp_path):
-        self._fresh_library(monkeypatch, tmp_path, properties._C_SOURCE)
-        builds, got = [], []
-        real = cbuild.build_shared
-        monkeypatch.setattr(cbuild, "build_shared",
-                            lambda *a: builds.append(1) or real(*a))
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: got.append(properties._CPEEL.load()))
-                for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert builds == [1]
-        assert len(got) == 8 and all(f is got[0] for f in got)
+    def test_concurrent_loaders_build_once(self, fresh_build):
+        g = GRAPHS["kron"]()
+        got = concurrently(lambda: properties.peel_degeneracy(g))
+        assert fresh_build == [1]
+        for res in got:
+            _assert_same(res, got[0])
 
 
 class TestCallersUnchanged:
     """SL ranks and JP-SL colors are those the Python peel gives."""
 
     @pytest.mark.parametrize("name", ["kron", "gnm", "ba", "grid", "star"])
-    def test_sl_ordering(self, name, monkeypatch):
+    def test_sl_ordering(self, name, hide_c):
         g = GRAPHS[name]()
         ranks = sl_ordering(g).ranks
         colors = jp_by_name(g, "SL", seed=0).colors
-        monkeypatch.setattr(properties, "_CPEEL", _NoBuild())
+        hide_c("repro_peel")
         np.testing.assert_array_equal(ranks, sl_ordering(g).ranks)
         np.testing.assert_array_equal(colors,
                                       jp_by_name(g, "SL", seed=0).colors)

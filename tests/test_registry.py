@@ -38,7 +38,7 @@ class TestEveryAlgorithm:
         res = color(name, small_random, seed=0)
         given = color(name, small_random, seed=0, eps=5.0)
         if name in EPS_ALGORITHMS:
-            assert res.eps is not None and given.eps == 5.0
+            assert res.eps == EPS_ALGORITHMS[name] and given.eps == 5.0
         else:
             assert res.eps is None and given.eps is None
             np.testing.assert_array_equal(given.colors, res.colors)

@@ -245,13 +245,6 @@ class TestNestedPhases:
         assert ctx.wall_by_phase["p"] >= 0.01
 
 
-class _NoBuild:
-    """Stands in for a compiled library that cannot be built."""
-
-    def load(self):
-        return None
-
-
 class TestChunkErrors:
     """An error a round kernel raises is deterministic: it propagates on
     the first call, unwrapped and unretried.  ADG's Python round
@@ -264,8 +257,8 @@ class TestChunkErrors:
             raise ValueError("bad round")
         return boom
 
-    def test_serial_raises_original_error(self, monkeypatch):
-        monkeypatch.setattr(adg_mod, "_CADG", _NoBuild())
+    def test_serial_raises_original_error(self, monkeypatch, hide_c):
+        hide_c("repro_adg")
         monkeypatch.setattr(adg_mod, "_select", self._boom([]))
         with pytest.raises(ValueError, match="bad round") as ei:
             adg_ordering(gnm_random(50, 100, seed=1), backend="serial")
@@ -284,11 +277,11 @@ class TestChunkErrors:
         assert type(ei.value) is ValueError and ei.value.__cause__ is None
         assert len(calls) == 1
 
-    def test_threaded_raises_original_error(self, monkeypatch):
+    def test_threaded_raises_original_error(self, monkeypatch, hide_c):
         g = gnm_random(50, 100, seed=1)
+        hide_c("repro_adg")
         with ExecutionContext(backend="threaded", workers=4) as ctx:
             with monkeypatch.context() as m:
-                m.setattr(adg_mod, "_CADG", _NoBuild())
                 m.setattr(adg_mod, "_push", self._boom([]))
                 with pytest.raises(ValueError, match="bad round"):
                     adg_ordering(g, ctx=ctx)

@@ -124,6 +124,39 @@ class TestServiceBasics:
                 assert stats["cache"]["size"] == 3
         run(main())
 
+    def test_default_eps_and_its_value_share_a_cache_entry(self):
+        """DEC-ADG without ``eps`` runs at its default 6.0: the same
+        request with ``eps: 6.0`` replays it; an algorithm without an ε
+        keys on none, whatever ``eps`` a request carries."""
+        async def main():
+            async with ColoringService(workers=2,
+                                       backend="serial") as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                bare = await ask(svc, op="color", graph="g",
+                                 algorithm="DEC-ADG", seed=0)
+                given = await ask(svc, op="color", graph="g",
+                                  algorithm="DEC-ADG", eps=6.0, seed=0)
+                assert not bare["cached"] and given["cached"]
+                assert bare["result"]["eps"] == 6.0
+                assert given["result"] == bare["result"]
+                a = await ask(svc, op="color", graph="g",
+                              algorithm="ITR", seed=0)
+                b = await ask(svc, op="color", graph="g",
+                              algorithm="ITR", eps=0.5, seed=0)
+                assert not a["cached"] and b["cached"]
+                assert a["result"]["eps"] is None
+        run(main())
+
+    def test_incremental_runs_at_the_engine_default_eps(self):
+        async def main():
+            async with ColoringService(workers=2,
+                                       backend="serial") as svc:
+                await ask(svc, op="load", graph="g", gen=GNM)
+                await ask(svc, op="apply_delta", graph="g",
+                          algorithm="DEC-ADG", delta="add:0-100")
+                return svc.graphs["g"].incremental.eps
+        assert run(main()) == 6.0
+
     def test_delta_fifo_ordering_under_concurrency(self):
         """Many concurrent apply_delta submissions must apply in
         submission order — seq in the response proves the order."""

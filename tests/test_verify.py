@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring import verify
 from repro.coloring.verify import (
     InvalidColoringError,
     assert_valid_coloring,
@@ -29,7 +28,7 @@ from repro.graphs.builders import empty_graph, from_edges
 from repro.graphs.generators import complete_graph, kronecker, ring
 from repro.primitives import cbuild
 
-from .conftest import graphs
+from .conftest import graphs, require_c
 
 
 def triangle():
@@ -102,18 +101,6 @@ class TestMetrics:
 
 # -- the compiled scan against the NumPy oracle --------------------------------
 
-class _NoBuild:
-    """Stands in for the compiled scan when it cannot be built."""
-
-    def load(self):
-        return None
-
-
-def _require_c():
-    if verify._CVERIFY.load() is None:
-        pytest.skip("no C compiler: the compiled scan is unavailable")
-
-
 def _outcomes(g, colors) -> dict:
     """Everything the three checks report about ``colors``."""
     out = {allow: is_valid_coloring(g, colors, allow_uncolored=allow)
@@ -133,7 +120,7 @@ def _outcomes(g, colors) -> dict:
 
 def _on_numpy(g, colors) -> dict:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_CVERIFY", _NoBuild())
+        mp.setattr(cbuild, "entry", lambda name: None)
         return _outcomes(g, colors)
 
 
@@ -179,7 +166,7 @@ class TestScanAgreesWithNumPy:
     @given(colored_graphs())
     @settings(max_examples=300, deadline=None)
     def test_random_colorings(self, case):
-        _require_c()
+        require_c()
         (indptr, indices), colors = case
         # Fresh graphs: the compiled path swaps an int32 CSR for its
         # checked int64 copy.
@@ -188,7 +175,7 @@ class TestScanAgreesWithNumPy:
         assert got == ref
 
     def test_named_graph_messages(self):
-        _require_c()
+        require_c()
         g = kronecker(scale=9, edge_factor=8, seed=3)
         colors = np.arange(1, g.n + 1, dtype=np.int64)
         u, v = g.undirected_edges()
@@ -211,11 +198,11 @@ class TestWrongShape:
     """Colors of any shape but (n,) are rejected cleanly, on both paths."""
 
     @pytest.fixture(params=["compiled", "numpy"])
-    def path(self, request, monkeypatch):
+    def path(self, request, hide_c):
         if request.param == "numpy":
-            monkeypatch.setattr(verify, "_CVERIFY", _NoBuild())
+            hide_c("repro_verify")
         else:
-            _require_c()
+            require_c()
 
     @pytest.mark.parametrize("shape", WRONG_SHAPES, ids=SHAPE_IDS)
     def test_is_valid_returns_false(self, path, shape):
@@ -247,15 +234,12 @@ class TestScanDispatch:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        _require_c()
-        fn = verify._CVERIFY.load()
+        require_c()
+        fn, entry = cbuild.entry("repro_verify"), cbuild.entry
         seen = []
-
-        class Recorder:
-            def load(self):
-                return lambda *args: seen.append(args[4]) or fn(*args)
-
-        monkeypatch.setattr(verify, "_CVERIFY", Recorder())
+        monkeypatch.setattr(cbuild, "entry", lambda name: (
+            lambda *args: seen.append(args[4]) or fn(*args))
+            if name == "repro_verify" else entry(name))
         return seen
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8,
@@ -295,7 +279,7 @@ class TestScanDispatch:
         assert calls == []
 
     def test_valid_path_allocates_nothing(self):
-        _require_c()
+        require_c()
         g = kronecker(scale=12, edge_factor=8, seed=3)
         colors = np.arange(1, g.n + 1, dtype=np.int64)
         assert_valid_coloring(g, colors)  # builds, checks the CSR
@@ -310,14 +294,11 @@ class TestScanDispatch:
         # NumPy path takes several 2m-word arrays.
         assert peak < 4 * g.n, peak
 
-    def test_no_compiler_on_path(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
-        monkeypatch.setattr(verify, "_CVERIFY", cbuild.CLibrary(
-            "verify", verify._C_SOURCE, verify._bind))
-        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
-        assert verify._CVERIFY.load() is None
+    def test_no_compiler_on_path(self, broken_build, tmp_path):
+        broken_build("no_compiler")
         g = triangle()
         assert is_valid_coloring(g, np.array([1, 2, 3]))
         with pytest.raises(InvalidColoringError, match="conflicting"):
             assert_valid_coloring(g, np.array([1, 1, 2]))
-        assert not list(tmp_path.glob("*.so"))
+        assert cbuild.load() is None
+        assert not list(tmp_path.glob("cc/*.so"))
