@@ -28,7 +28,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..machine.costmodel import log2_ceil
-from ..ordering.asl import asl_ordering
+from ..ordering.adg import asl_ordering
 from ..ordering.base import random_tiebreak
 from ..primitives.kernels import grouped_mex, segment_any
 from ..runtime import ExecutionContext

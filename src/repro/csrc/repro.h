@@ -55,13 +55,14 @@ long long repro_itr_levels(const int64_t *indptr, const int64_t *indices,
                            int64_t *stamp, int64_t *active, int64_t *boff,
                            int64_t *pb, int64_t *rb);
 
-/* adg.c: every iteration of the ADG ordering, avg variant
-   (repro/ordering/adg.py). */
+/* adg.c: every iteration of the batched level peel behind the ADG,
+   ADG-M, ASL and SLL orderings (repro/ordering/adg.py). */
 long long repro_adg(long long n, const int64_t *indptr,
-                    const int64_t *indices, double eps, long long flags,
-                    const int64_t *tiebreak, int64_t *deg, int64_t *levels,
-                    int64_t *ranks, int64_t *pred, int64_t *live,
-                    int64_t *batch, int64_t *bucket, int64_t *books);
+                    const int64_t *indices, long long rule, double eps,
+                    long long flags, const int64_t *tiebreak, int64_t *deg,
+                    int64_t *levels, int64_t *ranks, int64_t *pred,
+                    int64_t *live, int64_t *batch, int64_t *bucket,
+                    int64_t *books);
 
 /* verify.c: the coloring-verify neighbor scan
    (repro/coloring/verify.py). */

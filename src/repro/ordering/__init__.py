@@ -1,7 +1,7 @@
 """Vertex ordering heuristics (paper Table II), including ADG."""
 
-from .adg import adg_m_ordering, adg_ordering, approximation_quality
-from .asl import asl_ordering
+from .adg import (adg_m_ordering, adg_ordering, approximation_quality,
+                  asl_ordering, sll_ordering)
 from .base import Ordering, random_tiebreak, total_order
 from .composed import adg_with_tiebreak, compose, convergence_gap
 from .incidence import id_ordering
@@ -9,7 +9,6 @@ from .registry import ORDERINGS, get_ordering
 from .saturation import SaturationResult, dsatur, sd_ordering
 from .simple import ff_ordering, lf_ordering, llf_ordering, random_ordering
 from .sl import sl_ordering
-from .sll import sll_ordering
 
 __all__ = [
     "Ordering", "random_tiebreak", "total_order",

@@ -1,4 +1,5 @@
-"""ADG: the parallel approximate degeneracy ordering (paper Alg. 1/2/6).
+"""ADG: the parallel approximate degeneracy ordering (paper Alg. 1/2/6),
+and the batched level peel it shares with ADG-M, ASL and SLL.
 
 The core idea of the paper: instead of peeling one minimum-degree vertex
 at a time (SL), remove *in parallel* every active vertex whose remaining
@@ -20,25 +21,32 @@ Variants implemented, selected by keyword:
 - ``cache_degree_sums`` — maintain the running degree sum instead of
   re-reducing each iteration (SS V-F).
 
-The avg variant runs as one compiled pass (~120 lines of C,
-``csrc/adg.c``, in the library :mod:`repro.primitives.cbuild` builds)
-whenever the library builds: a single call runs every iteration — the
-threshold in the same double arithmetic, the batch and its level, the
-in-batch stable counting sort and fused
-predecessor counts of ADG-O, the push or pull UPDATE — and then builds
-the ranks <rho_ADG, rho_R> by a counting sort over the random
-tie-break.  It returns six numbers per iteration (batch size, removed
-degree sum, neighbors touched, cut, remaining, the batch's largest
-degree), from which :func:`_replay` books ``cost``, ``mem`` and the
-``adg.*`` tracer series in the order the NumPy loop books them; the
-two paths give identical levels, ranks and books.  ADG-M
-(``variant='median'``) takes its k smallest in the tie order of
-:func:`~repro.primitives.sorting.argsort_by` and always runs the NumPy
-loop.  Without a C compiler every variant runs the NumPy loop, whose
-selection and UPDATE are plain calls of the pure kernels below over all
-vertices at once; it is also the compiled pass's test oracle.  The
-paper's parallelism lives in the work/depth books each iteration
-charges.
+Table II's other two level orderings are the same loop under another
+threshold rule (:data:`RULES`): ASL (:func:`asl_ordering`) removes every
+live vertex at the live minimum degree, SLL (:func:`sll_ordering`)
+every one at most 2^r, the threshold doubling (without counting a
+round) while it is below the live minimum.  Neither carries an
+approximation factor.
+
+Every rule runs as one compiled pass (``csrc/adg.c``, in the library
+:mod:`repro.primitives.cbuild` builds) whenever the library builds: a
+single call runs every iteration — the rule's threshold (avg in the
+same double arithmetic as the NumPy loop; ADG-M's k smallest degrees
+by a counting pass, ties in the id order of the stable
+:func:`~repro.primitives.sorting.argsort_by`), the batch and its level,
+the in-batch stable counting sort and fused predecessor counts of
+ADG-O, the push or pull UPDATE — and then builds the ranks <levels,
+rho_R> by a counting sort over the random tie-break.  It returns seven
+numbers per iteration (batch size, removed degree sum, neighbors
+touched, cut, remaining, the batch's largest degree, and SLL's
+doublings or ADG-M's largest live degree), from which :func:`_replay`
+books ``cost``, ``mem`` and ADG's ``adg.*`` tracer series in the order
+the NumPy loop books them; the two paths give identical levels, ranks
+and books.  Without a C compiler every rule runs the NumPy loop
+(:func:`_adg_numpy`), whose selection and UPDATE are plain calls of the
+pure kernels below over all vertices at once; it is also the compiled
+pass's test oracle.  The paper's parallelism lives in the work/depth
+books each iteration charges.
 """
 
 from __future__ import annotations
@@ -52,7 +60,11 @@ from ..primitives import cbuild
 from ..primitives.kernels import batch_neighbors
 from ..primitives.sorting import argsort_by, sort_books
 from ..runtime import ExecutionContext
-from .base import Ordering, random_tiebreak, total_order
+from .base import Ordering, ordering_context, random_tiebreak, total_order
+
+#: The threshold rules of the peel -> ``repro_adg``'s rule id: ADG's
+#: (1+eps) * average, ADG-M's median, ASL's minimum, SLL's doubling.
+RULES = {"avg": 0, "median": 1, "min": 2, "doubling": 3}
 
 
 # -- round kernels: pure ----------------------------------------------------
@@ -119,9 +131,9 @@ def adg_ordering(
     drawn once from ``seed``, is kept as the ordering's ``tiebreak``
     (``None`` with ``sort_batches``).
 
-    The avg variant runs the compiled pass when it builds, else the
-    NumPy loop (ADG-M always runs the NumPy loop); both give the same
-    ordering and books.  Both paths read ``g``'s bounds-checked arrays
+    Both variants run the compiled pass when it builds, else the NumPy
+    loop; both give the same ordering and books.  Both paths read
+    ``g``'s bounds-checked arrays
     (:attr:`~repro.graphs.csr.CSRGraph.checked_arrays`).
 
     The context (``ctx``, or one built from ``backend``/``workers``)
@@ -144,8 +156,6 @@ def adg_ordering(
         raise ValueError("compute_ranks requires sort_batches=True")
     if compute_ranks and update != "push":
         raise ValueError("compute_ranks is fused into the push UPDATE")
-    indptr, indices = g.checked_arrays
-    fn = cbuild.entry("repro_adg") if variant == "avg" else None
 
     if ctx is not None:
         run = ctx.child(crew=(update == "pull"))
@@ -154,22 +164,16 @@ def adg_ordering(
         run = ExecutionContext(backend=backend, workers=workers,
                                crew=(update == "pull"), trace=trace)
         owns = True
-    opts = dict(update=update, sort_batches=sort_batches,
-                sort_method=sort_method, compute_ranks=compute_ranks,
-                cache_degree_sums=cache_degree_sums)
     phase_name = "order:adg" if variant == "avg" else "order:adg-m"
     tiebreak = None if sort_batches else random_tiebreak(g.n, seed)
     try:
         with run.phase(phase_name):
             run.cost.reduce(g.n)  # initial degree sum
-            if fn is not None:
-                levels, ranks, pred_counts, iterations = _adg_c(
-                    fn, indptr, indices, g.max_degree, eps, tiebreak, run,
-                    phase_name, **opts)
-            else:
-                levels, ranks, pred_counts, iterations = _adg_numpy(
-                    indptr, indices, g.max_degree, eps, variant, tiebreak,
-                    run, phase_name, **opts)
+            levels, ranks, pred_counts, iterations = _peel(
+                g, variant, tiebreak, run, phase_name, eps=eps,
+                update=update, sort_batches=sort_batches,
+                sort_method=sort_method, compute_ranks=compute_ranks,
+                cache_degree_sums=cache_degree_sums)
     finally:
         if owns:
             run.close()
@@ -183,8 +187,58 @@ def adg_ordering(
                     pred_counts=pred_counts, tiebreak=tiebreak)
 
 
-def _adg_c(fn, indptr, indices, max_deg, eps, tiebreak, run, phase_name,
-           **opts):
+def adg_m_ordering(g: CSRGraph, **kwargs) -> Ordering:
+    """ADG-M: the median-degree variant (partial 4-approximate order)."""
+    kwargs.setdefault("variant", "median")
+    return adg_ordering(g, **kwargs)
+
+
+def asl_ordering(g: CSRGraph, seed: int | None = 0,
+                 ctx: ExecutionContext | None = None) -> Ordering:
+    """ASL (approximate smallest-degree-last, Patwary, Gebremedhin and
+    Pothen): each round removes every live vertex at the live minimum
+    degree.  The batch can cascade degrees far above the degeneracy, so
+    it carries no approximation factor (Table II)."""
+    return _baseline(g, "ASL", "min", seed, ctx)
+
+
+def sll_ordering(g: CSRGraph, seed: int | None = 0,
+                 ctx: ExecutionContext | None = None) -> Ordering:
+    """SLL (smallest-log-degree-last, Hasenplaugh et al.): round r
+    removes every live vertex of degree at most 2^r, approximating SL
+    in O(log Delta log n) depth, with no approximation factor."""
+    return _baseline(g, "SLL", "doubling", seed, ctx)
+
+
+def _baseline(g, name, rule, seed, ctx) -> Ordering:
+    """ASL or SLL: the ``rule`` peel under phase ``order:<name>``,
+    ranked <levels, rho_R> (later removal = higher rank)."""
+    run = ordering_context(ctx)
+    phase_name = f"order:{name.lower()}"
+    with run.phase(phase_name):
+        levels, ranks, _, rounds = _peel(
+            g, rule, random_tiebreak(g.n, seed), run, phase_name,
+            update="push", sort_batches=False, sort_method="counting",
+            compute_ranks=False, cache_degree_sums=True)
+    return Ordering(name=name, ranks=ranks, levels=levels,
+                    num_levels=rounds, cost=run.cost, mem=run.mem)
+
+
+def _peel(g, rule, tiebreak, run, phase_name, eps=0.0, **opts):
+    """The ``rule`` peel of ``g``: the compiled pass when it builds,
+    else the NumPy loop.  Returns ``(levels, ranks, pred_counts or
+    None, iterations)``."""
+    indptr, indices = g.checked_arrays
+    fn = cbuild.entry("repro_adg")
+    if fn is not None:
+        return _adg_c(fn, indptr, indices, g.max_degree, rule, eps,
+                      tiebreak, run, phase_name, **opts)
+    return _adg_numpy(indptr, indices, g.max_degree, eps, rule, tiebreak,
+                      run, phase_name, **opts)
+
+
+def _adg_c(fn, indptr, indices, max_deg, rule, eps, tiebreak, run,
+           phase_name, **opts):
     """The compiled pass, then its books replayed.  Returns ``(levels,
     ranks, pred_counts or None, iterations)``."""
     n = indptr.size - 1
@@ -194,39 +248,58 @@ def _adg_c(fn, indptr, indices, max_deg, eps, tiebreak, run, phase_name,
     levels = np.zeros(n, dtype=np.int64)
     ranks = np.empty(n, dtype=np.int64)
     pred = np.zeros(n if compute_ranks else 0, dtype=np.int64)
-    books = np.zeros((6, n), dtype=np.int64)
+    books = np.zeros((7, n), dtype=np.int64)
     flags = ((opts["update"] == "pull") | 2 * sort_batches
              | 4 * compute_ranks)
-    got = int(fn(n, indptr, indices, float(eps), flags, tiebreak,
-                 np.empty(n, dtype=np.int64), levels, ranks, pred,
+    got = int(fn(n, indptr, indices, RULES[rule], float(eps), flags,
+                 tiebreak, np.empty(n, dtype=np.int64), levels, ranks, pred,
                  np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
                  np.empty(max_deg + 1, dtype=np.int64), books))
     iterations = abs(got)
-    _replay(books[:, :iterations], n, max_deg, run, phase_name, **opts)
+    _replay(books[:, :iterations], n, max_deg, rule, run, phase_name,
+            **opts)
     return levels, ranks, pred if compute_ranks else None, iterations
 
 
-def _replay(books, n, max_deg, run, phase_name, *, update, sort_batches,
-            sort_method, compute_ranks, cache_degree_sums) -> None:
+def _replay(books, n, max_deg, rule, run, phase_name, *, update,
+            sort_batches, sort_method, compute_ranks,
+            cache_degree_sums) -> None:
     """Book each iteration of the compiled pass exactly as
     :func:`_adg_numpy` books it; raises where that loop raises."""
     cost, mem, tracer = run.cost, run.mem, run.tracer
     rows = zip(*(b.tolist() for b in books))
-    for it, (size, _removed, touched, cut, left, bmax) in enumerate(rows, 1):
+    for it, (size, _removed, touched, cut, left, bmax, extra) in \
+            enumerate(rows, 1):
         remaining = left + size
-        if cache_degree_sums:
-            cost.round(2, 1)
-        else:
-            cost.reduce(remaining)
+        if rule == "avg":
+            if cache_degree_sums:
+                cost.round(2, 1)
+            else:
+                cost.reduce(remaining)
+                cost.reduce(remaining)
+                mem.stream(remaining, phase_name)
+            cost.parallel_for(remaining)
+            mem.stream(n, phase_name)
+        elif rule == "median":
+            sort_books(sort_method, remaining, extra, cost)
+            mem.stream(remaining, phase_name)
+        elif rule == "min":
             cost.reduce(remaining)
             mem.stream(remaining, phase_name)
-        cost.parallel_for(remaining)
-        mem.stream(n, phase_name)
+            cost.parallel_for(remaining)
+        else:
+            for _ in range(extra + 1):  # each doubling, then the round
+                cost.parallel_for(remaining)
+                mem.stream(remaining, phase_name)
         if size == 0:
             raise RuntimeError("ADG made no progress; invariant broken")
         if sort_batches:
             sort_books(sort_method, size, bmax, cost)
             cost.parallel_for(size)
+        if rule in ("min", "doubling"):
+            cost.scatter_decrement(cut)
+            mem.gather(touched, phase_name)
+            continue
         cost.round(size, 1)
         if tracer.enabled:
             tracer.count("adg.batch", size, round=it)
@@ -240,7 +313,7 @@ def _replay(books, n, max_deg, run, phase_name, *, update, sort_batches,
             cost.round(touched + left, log2_ceil(max(max_deg, 1)))
 
 
-def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
+def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
                phase_name, *, update, sort_batches, sort_method,
                compute_ranks, cache_degree_sums):
     """The NumPy loop.  Returns ``(levels, ranks, pred_counts or None,
@@ -254,16 +327,20 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
     levels = np.zeros(n, dtype=np.int64)
     explicit = np.zeros(n, dtype=np.int64) if sort_batches else None
     pred_counts = np.zeros(n, dtype=np.int64) if compute_ranks else None
+    # ASL and SLL book as Table II's baselines always have: no batch
+    # round, no adg.* series, their scatter charged per live target.
+    adg_books = rule in ("avg", "median")
     counter = 0
     remaining = n
     sum_deg = int(D.sum()) if n else 0
+    power = 1  # SLL's threshold 2^r
     iteration = 0
 
     while remaining:
         iteration += 1
 
         # -- select the removal batch R ----------------------------------------
-        if variant == "avg":
+        if rule == "avg":
             if cache_degree_sums:
                 cost.round(2, 1)  # delta_hat from cached sum and count
             else:
@@ -277,17 +354,31 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
             batch = _select(D, active, threshold)
             cost.parallel_for(remaining)
             mem.stream(n, phase_name)
-            r_mask[:] = False
-            r_mask[batch] = True
-        else:
+        elif rule == "median":
             # ADG-M: the floor(|U|/2)+parity smallest-degree vertices.
             live = np.flatnonzero(active)
             order = argsort_by(D[live], sort_method, cost=cost)
             k = (remaining + 1) // 2
             batch = np.sort(live[order[:k]])
-            r_mask[:] = False
-            r_mask[batch] = True
             mem.stream(remaining, phase_name)
+        elif rule == "min":
+            cost.reduce(remaining)
+            mem.stream(remaining, phase_name)
+            batch = _select(D, active, D[active].min())
+            cost.parallel_for(remaining)
+        else:
+            # SLL: a threshold below every live degree selects nothing;
+            # it doubles and the round is not counted.
+            low = D[active].min()
+            while True:
+                cost.parallel_for(remaining)
+                mem.stream(remaining, phase_name)
+                if power >= low:
+                    break
+                power *= 2
+            batch = _select(D, active, power)
+        r_mask[:] = False
+        r_mask[batch] = True
 
         if batch.size == 0:
             # Cannot happen for valid inputs (the min degree is always
@@ -307,10 +398,12 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
 
         active[batch] = False
         remaining -= batch.size
-        cost.round(batch.size, 1)  # U = U \ R via bitmap overwrite
-        if tracer.enabled:
-            tracer.count("adg.batch", int(batch.size), round=iteration)
-            tracer.gauge("adg.remaining", int(remaining), round=iteration)
+        if adg_books:
+            cost.round(batch.size, 1)  # U = U \ R via bitmap overwrite
+            if tracer.enabled:
+                tracer.count("adg.batch", int(batch.size), round=iteration)
+                tracer.gauge("adg.remaining", int(remaining),
+                             round=iteration)
 
         # -- degree update ------------------------------------------------------
         if update == "push":
@@ -318,7 +411,8 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
                 batch, indptr, indices, active, r_mask,
                 explicit if compute_ranks else None)
             mem.gather(nbrs_total, phase_name)
-            cost.scatter_decrement(nbrs_total)
+            cost.scatter_decrement(nbrs_total if adg_books
+                                   else live_targets.size)
             if live_targets.size:
                 np.subtract.at(D, live_targets, 1)
             cut = live_targets.size
@@ -338,12 +432,6 @@ def _adg_numpy(indptr, indices, max_deg, eps, variant, tiebreak, run,
     ranks = (total_order(explicit) if sort_batches
              else total_order(levels, tiebreak))
     return levels, ranks, pred_counts, iteration
-
-
-def adg_m_ordering(g: CSRGraph, **kwargs) -> Ordering:
-    """ADG-M: the median-degree variant (partial 4-approximate order)."""
-    kwargs.setdefault("variant", "median")
-    return adg_ordering(g, **kwargs)
 
 
 def approximation_quality(g: CSRGraph, ordering: Ordering) -> int:

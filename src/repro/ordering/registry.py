@@ -6,14 +6,12 @@ from typing import Callable
 
 from ..graphs.csr import CSRGraph
 from ..runtime import ExecutionContext
-from .adg import adg_m_ordering, adg_ordering
-from .asl import asl_ordering
+from .adg import adg_m_ordering, adg_ordering, asl_ordering, sll_ordering
 from .base import Ordering
 from .incidence import id_ordering
 from .saturation import sd_ordering
 from .simple import ff_ordering, lf_ordering, llf_ordering, random_ordering
 from .sl import sl_ordering
-from .sll import sll_ordering
 
 OrderingFn = Callable[..., Ordering]
 

@@ -18,9 +18,12 @@ path on ``None``.  So either every pass runs compiled or every pass
 runs its fallback, decided by the build alone, never by an option.
 
 The object is cached under ``$REPRO_CC_CACHE`` (default: a per-user
-directory under the system temp dir), keyed by a sha256 of the sources
-and the compiler flags, so an edited source never loads a stale
-object.  Each build writes a private temp file and ``os.replace``-s it
+directory under the system temp dir), keyed by a sha256 of the sources,
+the compiler flags and the compiler itself (its resolved path and a
+digest of its file's bytes), so an edited source never loads a stale
+object, and a cache shared between two compilers -- a sanitizing
+wrapper script that ``exec``-s the same ``gcc`` included -- never loads
+the other's.  Each build writes a private temp file and ``os.replace``-s it
 into place, so concurrent builders in separate processes agree on the
 result.
 
@@ -64,7 +67,7 @@ SIGNATURES = {
     "repro_peel": (None, [_LL, _LL] + [_I64] * 6),
     "repro_rank_sweep": (_LL, [_LL] + [_I64] * 14),
     "repro_itr_levels": (_LL, [_I64] * 5 + [_LL] * 3 + [_I64] * 11),
-    "repro_adg": (_LL, [_LL, _I64, _I64, ctypes.c_double, _LL]
+    "repro_adg": (_LL, [_LL, _I64, _I64, _LL, ctypes.c_double, _LL]
                   + [_I64] * 9),
     "repro_verify": (_LL, [_LL] + [_I64] * 3 + [_LL] + [_I64] * 2
                      + [ctypes.POINTER(_LL)]),
@@ -96,6 +99,10 @@ def build_shared() -> ctypes.CDLL | None:
         return None
     sources = sorted(glob.glob(os.path.join(CSRC, "*.c")))
     key = hashlib.sha256(" ".join(CFLAGS).encode())
+    compiler = os.path.realpath(cc)
+    with open(compiler, "rb") as fh:
+        key.update(compiler.encode() + b"\0"
+                   + hashlib.sha256(fh.read()).digest())
     for path in sorted(glob.glob(os.path.join(CSRC, "*.[ch]"))):
         with open(path, "rb") as fh:
             key.update(os.path.basename(path).encode() + b"\0"

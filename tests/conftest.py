@@ -233,7 +233,9 @@ def broken_build(fresh_build, monkeypatch):
         if how == "no_compiler":
             monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
         elif how == "cc_fails":
-            monkeypatch.setattr(cbuild.shutil, "which", lambda name: "cc")
+            # Any existing file stands in: the build keys on its bytes.
+            monkeypatch.setattr(cbuild.shutil, "which",
+                                lambda name: sys.executable)
             monkeypatch.setattr(
                 cbuild.subprocess, "run",
                 lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1))

@@ -1,11 +1,12 @@
-"""ADG's compiled pass: C/NumPy agreement, C boundary, fallback.
+"""The compiled level peel: C/NumPy agreement, C boundary, fallback.
 
-The NumPy loop (``adg._adg_numpy``) is the oracle: for every variant
-the compiled pass covers (avg; push or pull; plain, sorted or sorted
-with fused ranks; cached or re-reduced degree sums; every sort method)
-it must give the same levels, ranks, fused predecessor counts, number
-of levels, cost snapshot, round log, memory books and ``adg.*`` tracer
-series.  ``tests/test_adg_sweep.py`` pins both paths to the recorded
+The NumPy loop (``adg._adg_numpy``) is the oracle: for every threshold
+rule (ADG's avg, ADG-M's median, ASL's min, SLL's doubling) and every
+variant the compiled pass covers (push or pull; plain, sorted or
+sorted with fused ranks; cached or re-reduced degree sums; every sort
+method) it must give the same levels, ranks, fused predecessor counts,
+number of levels, cost snapshot, round log, memory books and ``adg.*``
+tracer series.  ``tests/test_adg_sweep.py`` pins both paths to the recorded
 books.
 """
 
@@ -26,12 +27,14 @@ from repro.graphs.generators import (
     complete_graph,
     gnm_random,
     kronecker,
+    path_graph,
     ring,
     star,
 )
 from repro.obs import Tracer
 from repro.ordering import adg
-from repro.ordering.adg import adg_ordering
+from repro.ordering.adg import adg_ordering, asl_ordering, sll_ordering
+from repro.ordering.registry import get_ordering
 from repro.primitives import cbuild
 from repro.runtime import ExecutionContext
 
@@ -47,6 +50,8 @@ GRAPHS = {
     "isolated": lambda: from_edges([0, 3, 3], [3, 4, 7], n=12),
     "edgeless": lambda: empty_graph(9),
     "clique": lambda: complete_graph(12),
+    "k8": lambda: complete_graph(8),   # SLL doubles 1 -> 8 before round 1
+    "path": lambda: path_graph(20),    # ASL peels from both ends inward
     "star": lambda: star(40),
     "ring": lambda: ring(64),
 }
@@ -68,16 +73,36 @@ for _update in ("push", "pull"):
                     cache_degree_sums=_cache, sort_method=_method)
 
 
-def books(g, eps=0.1, **kwargs) -> dict:
-    """Everything one traced ``adg_ordering`` returns and books."""
+#: Each threshold rule -> the ordering it gives.
+PEELS = {"avg": "ADG", "median": "ADG-M", "min": "ASL", "doubling": "SLL"}
+
+#: The rules besides avg, each with the configurations it runs:
+#: ADG-M every variant (its degree sums are never cached or
+#: re-reduced), ASL and SLL their one.
+RULES = {f"median|{name}": dict(variant="median", **kw)
+         for name, kw in VARIANTS.items() if kw["cache_degree_sums"]}
+RULES.update(min={}, doubling={})
+
+
+def books(g, eps=0.1, rule="avg", **kwargs) -> dict:
+    """Everything one traced ``rule`` peel (``adg_ordering``, or
+    ``asl_ordering``/``sll_ordering`` for min/doubling) returns and
+    books."""
     with ExecutionContext(backend="serial", trace=Tracer()) as ctx:
-        order = adg_ordering(g, eps=eps, seed=0, ctx=ctx, **kwargs)
+        if rule == "min":
+            order = asl_ordering(g, seed=0, ctx=ctx)
+        elif rule == "doubling":
+            order = sll_ordering(g, seed=0, ctx=ctx)
+        else:
+            order = adg_ordering(g, eps=eps, seed=0, ctx=ctx, **kwargs)
         metrics = ctx.tracer.metrics
         series = {n: metrics.series(n) for n in SERIES if n in metrics}
     return {"levels": order.levels.tolist(), "ranks": order.ranks.tolist(),
             "pred_counts": None if order.pred_counts is None
             else order.pred_counts.tolist(),
             "num_levels": order.num_levels, "name": order.name,
+            "tiebreak": None if order.tiebreak is None
+            else order.tiebreak.tolist(),
             "snapshot": order.cost.snapshot(),
             "round_log": order.cost.round_log,
             "mem": [order.mem.random, order.mem.sequential,
@@ -93,6 +118,25 @@ class TestCAndNumpyAgree:
         compiled, oracle = both_paths(
             lambda: books(g, **VARIANTS[variant]))
         assert compiled == oracle
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_every_rule(self, graph, rule):
+        g = GRAPHS[graph]()
+        kwargs = RULES[rule]
+        compiled, oracle = both_paths(lambda: books(
+            g, rule=rule.split("|")[0], **kwargs))
+        assert compiled == oracle
+
+    def test_sll_doubles_past_the_minimum_degree(self):
+        # K8's live minimum is 7: the threshold doubles 1 -> 2 -> 4 -> 8,
+        # three uncounted rounds, then one round removes every vertex;
+        # each of the four scans all eight.
+        compiled, oracle = both_paths(
+            lambda: books(GRAPHS["k8"](), rule="doubling"))
+        assert compiled == oracle
+        assert compiled["num_levels"] == 1
+        assert compiled["round_log"] == [("order:sll", 8, 1)] * 4
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, 1.0, 7.5])
     @pytest.mark.parametrize("variant", ["push|plain|counting",
@@ -112,6 +156,13 @@ class TestCAndNumpyAgree:
             lambda: books(g, eps=eps, **VARIANTS[variant]))
         assert compiled == oracle
 
+    @given(graphs(max_n=40, max_m=160), st.sampled_from(sorted(RULES)))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_every_rule(self, g, rule):
+        compiled, oracle = both_paths(
+            lambda: books(g, rule=rule.split("|")[0], **RULES[rule]))
+        assert compiled == oracle
+
     def test_colorings_that_use_it(self):
         g = kronecker(scale=10, edge_factor=8, seed=2)
 
@@ -123,11 +174,15 @@ class TestCAndNumpyAgree:
         compiled, oracle = both_paths(run)
         assert compiled == oracle
 
-    def test_median_variant_never_reaches_c(self, c_calls):
-        order = adg_ordering(GRAPHS["kron"](), variant="median",
-                             sort_batches=True, compute_ranks=True)
-        assert c_calls == []
-        assert order.name == "ADG-M-O"
+    @pytest.mark.parametrize("rule", sorted(PEELS))
+    def test_every_rule_reaches_c(self, rule, c_calls):
+        # The recorder returns no iteration count, so the ordering stops
+        # right after the one call it records.
+        with pytest.raises(TypeError):
+            get_ordering(PEELS[rule], GRAPHS["kron"]())
+        [(entry, args)] = c_calls
+        assert entry == "repro_adg"
+        assert args[3] == adg.RULES[rule]
 
 
 class TestNoProgressInvariant:
@@ -173,8 +228,8 @@ class TestCBoundary:
     @pytest.mark.parametrize("bad", [
         "short_indptr", "indptr_past_end", "falling_indptr",
         "nonzero_start", "vertex_out_of_range", "negative_vertex"])
-    @pytest.mark.parametrize("variant", ["avg", "median"])
-    def test_malformed_csr_never_reaches_c(self, bad, variant, c_calls):
+    @pytest.mark.parametrize("rule", ["avg", "median", "min", "doubling"])
+    def test_malformed_csr_never_reaches_c(self, bad, rule, c_calls):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         indices = np.array([1, 0], dtype=np.int64)
         if bad == "short_indptr":
@@ -191,7 +246,7 @@ class TestCBoundary:
             indices = np.array([1, -1])
         g = CSRGraph(indptr=indptr, indices=indices)
         with pytest.raises(ValueError):
-            adg_ordering(g, variant=variant)
+            get_ordering(PEELS[rule], g)
         assert c_calls == []
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -113,6 +114,40 @@ class TestBuild:
         assert len(_objects(cache)) == 2 and first in _objects(cache)
         g = kronecker(scale=8, edge_factor=8, seed=1)
         assert peel_degeneracy(g).degeneracy > 0
+
+    def test_each_compiler_builds_its_own_object(self, fresh_build,
+                                                 tmp_path, monkeypatch):
+        """Two compiler scripts that ``exec`` the same compiler (as a
+        sanitizing wrapper does) build two objects in one cache; the
+        first, found on ``PATH`` again, reloads its object uncompiled."""
+        require_c()
+        real_cc = shutil.which("cc") or shutil.which("gcc") \
+            or shutil.which("clang")
+        bins = {}
+        for name in ("a", "b"):
+            bins[name] = tmp_path / f"bin-{name}"
+            bins[name].mkdir()
+            script = bins[name] / "cc"
+            script.write_text(f'#!/bin/sh\n# compiler {name}\n'
+                              f'exec "{real_cc}" "$@"\n')
+            script.chmod(0o755)
+        compiles = []
+        real_run = subprocess.run
+        monkeypatch.setattr(cbuild.subprocess, "run",
+                            lambda cmd, **kw: compiles.append(cmd[0])
+                            or real_run(cmd, **kw))
+        cache = tmp_path / "cc"
+        path = os.environ["PATH"]
+        counts = []
+        for name in ("a", "b", "a"):
+            monkeypatch.setenv("PATH", f"{bins[name]}{os.pathsep}{path}")
+            monkeypatch.setattr(cbuild, "_tried", False)
+            monkeypatch.setattr(cbuild, "_bound", None)
+            assert cbuild.load() is not None
+            counts.append(len(_objects(cache)))
+        # require_c's object (built by the real compiler), then a's and b's.
+        assert compiles == [str(bins["a"] / "cc"), str(bins["b"] / "cc")]
+        assert counts == [2, 3, 3]
 
     def test_every_pass_runs_from_one_object(self, tmp_path):
         """A fresh process running all six passes against an empty
