@@ -104,7 +104,7 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
                 g.indptr, g.indices, verts, levels, level, colors)
             cost.round(nbrs_total + verts.size,
                        log2_ceil(max(g.max_degree, 1)))
-            mem.gather(nbrs_total, "dec:color")
+            mem.gather(nbrs_total)
             width = int(np.ceil(
                 (1.0 + mu) * max(1, int(counts_ge.max())))) + 2
             forbidden = np.zeros((verts.size, width), dtype=bool)
@@ -114,7 +114,7 @@ def color_partitions(g: CSRGraph, levels: np.ndarray, num_levels: int,
             keep = (taken > 0) & (taken < width)
             forbidden[owners[keep], taken[keep]] = True
             cost.scatter_decrement(int(keep.sum()))
-            mem.gather(int(keep.sum()), "dec:color")
+            mem.gather(int(keep.sum()))
 
             if tracer.enabled:
                 tracer.gauge("dec.partition", int(verts.size),

@@ -231,7 +231,7 @@ def _book_levels(ctx: ExecutionContext, max_degree: int, pb: np.ndarray,
         if nv == 0:
             continue
         cost.round(degsum + nv, gather_depth)
-        mem.gather(degsum, "dec-itr")
+        mem.gather(degsum)
         cost.scatter_decrement(kept)
         if tracer.enabled:
             tracer.gauge("dec-itr.partition", nv, round=level)
@@ -240,9 +240,9 @@ def _book_levels(ctx: ExecutionContext, max_degree: int, pb: np.ndarray,
         for r in range(1, rounds + 1):
             act, nsum, md, lost, committed = next(books)
             cost.round(act * width, choose_depth)
-            mem.stream(act * width, "dec-itr")
+            mem.stream(act * width)
             cost.round(nsum + act, log2_ceil(max(md, 1)) + 1)
-            mem.gather(nsum, "dec-itr")
+            mem.gather(nsum)
             if tracer.enabled:
                 tracer.gauge("dec-itr.active", act, round=r)
                 tracer.count("dec-itr.conflicts", lost, round=r)

@@ -61,13 +61,13 @@ def _gm_colors(g: CSRGraph, processors: int, seed: int | None,
             md = int(np.bincount(seg, minlength=wave.size).max()) \
                 if nbrs.size else 0
             cost.round(nbrs.size + wave.size, log2_ceil(max(md, 1)) + 1)
-            mem.gather(nbrs.size, "gm")
+            mem.gather(nbrs.size)
 
     # Phase 2: detect conflicts (parallel reduce over the edges).
     with ctx.phase("gm:detect"):
         bu, bv = conflicting_edges(g, colors)
         cost.round(n + 2 * g.m, log2_ceil(max(g.max_degree, 1)))
-        mem.gather(2 * g.m, "gm")
+        mem.gather(2 * g.m)
         # the lower-permuted endpoint of each conflict is recolored
         loser = np.unique(np.where(perm[bu] < perm[bv], bu, bv))
 

@@ -131,8 +131,7 @@ class IncrementalColoring:
             else:  # DEC-ADG-ITR
                 self.colors, _, _ = itr_color_partitions(
                     g, self.levels, self.num_levels, self.priority, self.ctx)
-            self.deg_ge = deg_ge_array(g, self.levels, self.ctx,
-                                       label="inc")
+            self.deg_ge = deg_ge_array(g, self.levels, self.ctx)
         self._colors_ref = num_colors(self.colors)
         self._ref_valid = True
         self._d_exact = None

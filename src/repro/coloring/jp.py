@@ -71,8 +71,8 @@ def dag_pred_counts(g: CSRGraph, ranks: np.ndarray,
 def _book_dag(g: CSRGraph, ctx: ExecutionContext) -> None:
     """Part 1's books: one round over every vertex and edge."""
     ctx.cost.round(g.n + 2 * g.m, log2_ceil(max(g.max_degree, 1)))
-    ctx.mem.stream(g.n, "jp:dag")
-    ctx.mem.gather(2 * g.m, "jp:dag")
+    ctx.mem.stream(g.n)
+    ctx.mem.gather(2 * g.m)
 
 
 def jp_color(g: CSRGraph, ranks: np.ndarray,
@@ -121,7 +121,7 @@ def jp_color(g: CSRGraph, ranks: np.ndarray,
                         sweep.successors.tolist(), sweep.max_degree.tolist(),
                         sweep.collisions.tolist())
             for wave, (front, nbrs, succ, wdeg, coll) in enumerate(books, 1):
-                mem.gather(nbrs, "jp:color")
+                mem.gather(nbrs)
                 cost.round(nbrs + front, log2_ceil(max(wdeg, 1)) + 1)
                 if tracer.enabled:
                     tracer.gauge("jp.frontier", front, round=wave)

@@ -44,7 +44,7 @@ def luby_mis(g: CSRGraph, candidates: np.ndarray, rng: np.random.Generator,
         seg, nbrs = g.batch_neighbors(verts)
         nbr_live = live[nbrs]
         if mem is not None:
-            mem.gather(nbrs.size, "luby")
+            mem.gather(nbrs.size)
         # Strict comparison with an id tie-break keeps the winner set
         # independent even in the (measure-zero) event of equal draws.
         owner = verts[seg]
@@ -63,7 +63,7 @@ def luby_mis(g: CSRGraph, candidates: np.ndarray, rng: np.random.Generator,
         if cost is not None:
             cost.scatter_decrement(wnbrs.size)
         if mem is not None:
-            mem.gather(wnbrs.size, "luby")
+            mem.gather(wnbrs.size)
     return np.flatnonzero(in_mis).astype(np.int64)
 
 

@@ -54,7 +54,7 @@ def _reduce(g: CSRGraph, seed: int | None, initial: np.ndarray | None,
         while True:
             over = np.flatnonzero(colors > target).astype(np.int64)
             cost.parallel_for(n)
-            mem.stream(n, "cr")
+            mem.stream(n)
             if over.size == 0:
                 break
             rounds += 1
@@ -73,5 +73,5 @@ def _reduce(g: CSRGraph, seed: int | None, initial: np.ndarray | None,
             md = int(np.bincount(seg, minlength=batch.size).max()) \
                 if nbrs.size else 0
             cost.round(nbrs.size + batch.size, log2_ceil(max(md, 1)) + 1)
-            mem.gather(nbrs.size, "cr")
+            mem.gather(nbrs.size)
     return colors, rounds, 0

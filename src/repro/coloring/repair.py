@@ -35,14 +35,14 @@ from ..runtime import ExecutionContext
 SIMCOL_FAMILY = ("DEC-ADG", "DEC-ADG-M")
 
 
-def deg_ge_array(g: CSRGraph, levels: np.ndarray, ctx: ExecutionContext,
-                 label: str = "repair") -> np.ndarray:
+def deg_ge_array(g: CSRGraph, levels: np.ndarray,
+                 ctx: ExecutionContext) -> np.ndarray:
     """deg_l(v): neighbors of v in its own or higher levels — the
     run-global Lemma-4 quantity that caps every repair recolor."""
     src, dst = g.edge_array()
     ge = levels[dst] >= levels[src]
     ctx.cost.round(4 * g.m + g.n, 1)
-    ctx.mem.stream(4 * g.m, label)
+    ctx.mem.stream(4 * g.m)
     return np.bincount(src[ge], minlength=g.n).astype(np.int64)
 
 
@@ -113,7 +113,7 @@ def repair_frontier(g: CSRGraph, colors: np.ndarray, levels: np.ndarray,
 
         cost.round(2 * int(active.size) + 4 * int(nbrs.size),
                    log2_ceil(max(g.max_degree, 1)) + 1)
-        mem.gather(2 * int(nbrs.size), f"{metric}:repair")
+        mem.gather(2 * int(nbrs.size))
         if tracer.enabled:
             tracer.gauge(f"{metric}.repair_active", int(active.size),
                          round=rounds)

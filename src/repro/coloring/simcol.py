@@ -109,7 +109,7 @@ def sim_col(
             draw = rng.integers(1, cap[active] + 1, dtype=np.int64)
             colors[active] = draw
             cost.parallel_for(active.size)
-            mem.stream(active.size, "simcol")
+            mem.stream(active.size)
 
             # Part 2: reject on equality with an active neighbor or on B_v.
             still_active[:] = False
@@ -118,7 +118,7 @@ def sim_col(
                                           still_active, forbidden)
             nbrs_total = nbrs.size
             cost.round(nbrs_total + active.size, log2_ceil(max(md, 1)) + 1)
-            mem.gather(nbrs_total, "simcol")
+            mem.gather(nbrs_total)
             colors[active[clash]] = 0
             if tracer.enabled:
                 n_clash = int(clash.sum())
@@ -135,7 +135,7 @@ def sim_col(
             forbidden[active[seg[fixed_nbr]], colors[nbrs[fixed_nbr]]] = True
             fixed_total = int(fixed_nbr.sum())
             cost.scatter_decrement(fixed_total)
-            mem.gather(fixed_total, "simcol")
+            mem.gather(fixed_total)
 
             active = active[clash]
         return colors, rounds

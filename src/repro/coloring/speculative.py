@@ -49,10 +49,10 @@ def _itr_pass(g: CSRGraph, priority: np.ndarray, max_rounds: int | None,
             depth = log2_ceil(max(md, 1)) + 1
             # Gather the neighbors' colors, take the mex, then gather
             # them again to find the conflicts.
-            mem.gather(nsum, "itr")
+            mem.gather(nsum)
             cost.round(nsum + act, depth)
             cost.round(nsum + act, depth)
-            mem.gather(nsum, "itr")
+            mem.gather(nsum)
     return colors, rb.shape[1], int(rb[3].sum())
 
 
@@ -111,7 +111,7 @@ def _itrb_rounds(g: CSRGraph, priority: np.ndarray, blocks: int,
                 if part.size == 0:
                     continue
                 seg, nbrs = g.batch_neighbors(part)
-                mem.gather(nbrs.size, "itrb")
+                mem.gather(nbrs.size)
                 colors[part] = grouped_mex(seg, colors[nbrs], part.size)
                 md = int(np.bincount(seg, minlength=part.size).max()) \
                     if nbrs.size else 0

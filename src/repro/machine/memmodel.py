@@ -12,6 +12,7 @@ prefetcher, gathers do not.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -22,20 +23,34 @@ class MemoryModel:
     sequential: int = 0
     random: int = 0
     by_phase: dict[str, tuple[int, int]] = field(default_factory=dict)
+    _stack: list[str] = field(default_factory=list)
 
-    def stream(self, n: int, phase: str = "<toplevel>") -> None:
-        """Record ``n`` contiguous (prefetch-friendly) element touches."""
+    @contextmanager
+    def phase(self, name: str):
+        """Attribute all touches recorded inside the block to ``name``."""
+        self._stack.append(name)
+        try:
+            yield self
+        finally:
+            self._stack.pop()
+
+    def stream(self, n: int) -> None:
+        """Record ``n`` contiguous (prefetch-friendly) element touches
+        under the open phase."""
         if n <= 0:
             return
         self.sequential += int(n)
+        phase = self._stack[-1] if self._stack else "<toplevel>"
         s, r = self.by_phase.get(phase, (0, 0))
         self.by_phase[phase] = (s + int(n), r)
 
-    def gather(self, n: int, phase: str = "<toplevel>") -> None:
-        """Record ``n`` randomly indexed (cache-unfriendly) touches."""
+    def gather(self, n: int) -> None:
+        """Record ``n`` randomly indexed (cache-unfriendly) touches
+        under the open phase."""
         if n <= 0:
             return
         self.random += int(n)
+        phase = self._stack[-1] if self._stack else "<toplevel>"
         s, r = self.by_phase.get(phase, (0, 0))
         self.by_phase[phase] = (s, r + int(n))
 
@@ -61,10 +76,10 @@ class MemoryModel:
 class NullMemoryModel(MemoryModel):
     """Memory model that records nothing."""
 
-    def stream(self, n: int, phase: str = "<toplevel>") -> None:  # noqa: D102
+    def stream(self, n: int) -> None:  # noqa: D102
         pass
 
-    def gather(self, n: int, phase: str = "<toplevel>") -> None:  # noqa: D102
+    def gather(self, n: int) -> None:  # noqa: D102
         pass
 
 

@@ -170,7 +170,7 @@ def adg_ordering(
         with run.phase(phase_name):
             run.cost.reduce(g.n)  # initial degree sum
             levels, ranks, pred_counts, iterations = _peel(
-                g, variant, tiebreak, run, phase_name, eps=eps,
+                g, variant, tiebreak, run, eps=eps,
                 update=update, sort_batches=sort_batches,
                 sort_method=sort_method, compute_ranks=compute_ranks,
                 cache_degree_sums=cache_degree_sums)
@@ -214,17 +214,16 @@ def _baseline(g, name, rule, seed, ctx) -> Ordering:
     """ASL or SLL: the ``rule`` peel under phase ``order:<name>``,
     ranked <levels, rho_R> (later removal = higher rank)."""
     run = ordering_context(ctx)
-    phase_name = f"order:{name.lower()}"
-    with run.phase(phase_name):
+    with run.phase(f"order:{name.lower()}"):
         levels, ranks, _, rounds = _peel(
-            g, rule, random_tiebreak(g.n, seed), run, phase_name,
+            g, rule, random_tiebreak(g.n, seed), run,
             update="push", sort_batches=False, sort_method="counting",
             compute_ranks=False, cache_degree_sums=True)
     return Ordering(name=name, ranks=ranks, levels=levels,
                     num_levels=rounds, cost=run.cost, mem=run.mem)
 
 
-def _peel(g, rule, tiebreak, run, phase_name, eps=0.0, **opts):
+def _peel(g, rule, tiebreak, run, eps=0.0, **opts):
     """The ``rule`` peel of ``g``: the compiled pass when it builds,
     else the NumPy loop.  Returns ``(levels, ranks, pred_counts or
     None, iterations)``."""
@@ -232,13 +231,13 @@ def _peel(g, rule, tiebreak, run, phase_name, eps=0.0, **opts):
     fn = cbuild.entry("repro_adg")
     if fn is not None:
         return _adg_c(fn, indptr, indices, g.max_degree, rule, eps,
-                      tiebreak, run, phase_name, **opts)
+                      tiebreak, run, **opts)
     return _adg_numpy(indptr, indices, g.max_degree, eps, rule, tiebreak,
-                      run, phase_name, **opts)
+                      run, **opts)
 
 
 def _adg_c(fn, indptr, indices, max_deg, rule, eps, tiebreak, run,
-           phase_name, **opts):
+           **opts):
     """The compiled pass, then its books replayed.  Returns ``(levels,
     ranks, pred_counts or None, iterations)``."""
     n = indptr.size - 1
@@ -256,12 +255,12 @@ def _adg_c(fn, indptr, indices, max_deg, rule, eps, tiebreak, run,
                  np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
                  np.empty(max_deg + 1, dtype=np.int64), books))
     iterations = abs(got)
-    _replay(books[:, :iterations], n, max_deg, rule, run, phase_name,
+    _replay(books[:, :iterations], n, max_deg, rule, run,
             **opts)
     return levels, ranks, pred if compute_ranks else None, iterations
 
 
-def _replay(books, n, max_deg, rule, run, phase_name, *, update,
+def _replay(books, n, max_deg, rule, run, *, update,
             sort_batches, sort_method, compute_ranks,
             cache_degree_sums) -> None:
     """Book each iteration of the compiled pass exactly as
@@ -277,20 +276,20 @@ def _replay(books, n, max_deg, rule, run, phase_name, *, update,
             else:
                 cost.reduce(remaining)
                 cost.reduce(remaining)
-                mem.stream(remaining, phase_name)
+                mem.stream(remaining)
             cost.parallel_for(remaining)
-            mem.stream(n, phase_name)
+            mem.stream(n)
         elif rule == "median":
             sort_books(sort_method, remaining, extra, cost)
-            mem.stream(remaining, phase_name)
+            mem.stream(remaining)
         elif rule == "min":
             cost.reduce(remaining)
-            mem.stream(remaining, phase_name)
+            mem.stream(remaining)
             cost.parallel_for(remaining)
         else:
             for _ in range(extra + 1):  # each doubling, then the round
                 cost.parallel_for(remaining)
-                mem.stream(remaining, phase_name)
+                mem.stream(remaining)
         if size == 0:
             raise RuntimeError("ADG made no progress; invariant broken")
         if sort_batches:
@@ -298,13 +297,13 @@ def _replay(books, n, max_deg, rule, run, phase_name, *, update,
             cost.parallel_for(size)
         if rule in ("min", "doubling"):
             cost.scatter_decrement(cut)
-            mem.gather(touched, phase_name)
+            mem.gather(touched)
             continue
         cost.round(size, 1)
         if tracer.enabled:
             tracer.count("adg.batch", size, round=it)
             tracer.gauge("adg.remaining", left, round=it)
-        mem.gather(touched, phase_name)
+        mem.gather(touched)
         if update == "push":
             cost.scatter_decrement(touched)
             if compute_ranks:
@@ -314,7 +313,7 @@ def _replay(books, n, max_deg, rule, run, phase_name, *, update,
 
 
 def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
-               phase_name, *, update, sort_batches, sort_method,
+               *, update, sort_batches, sort_method,
                compute_ranks, cache_degree_sums):
     """The NumPy loop.  Returns ``(levels, ranks, pred_counts or None,
     iterations)``."""
@@ -348,22 +347,22 @@ def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
                 sum_deg = int(D[live].sum())
                 cost.reduce(remaining)
                 cost.reduce(remaining)
-                mem.stream(remaining, phase_name)
+                mem.stream(remaining)
             avg = sum_deg / remaining
             threshold = (1.0 + eps) * avg
             batch = _select(D, active, threshold)
             cost.parallel_for(remaining)
-            mem.stream(n, phase_name)
+            mem.stream(n)
         elif rule == "median":
             # ADG-M: the floor(|U|/2)+parity smallest-degree vertices.
             live = np.flatnonzero(active)
             order = argsort_by(D[live], sort_method, cost=cost)
             k = (remaining + 1) // 2
             batch = np.sort(live[order[:k]])
-            mem.stream(remaining, phase_name)
+            mem.stream(remaining)
         elif rule == "min":
             cost.reduce(remaining)
-            mem.stream(remaining, phase_name)
+            mem.stream(remaining)
             batch = _select(D, active, D[active].min())
             cost.parallel_for(remaining)
         else:
@@ -372,7 +371,7 @@ def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
             low = D[active].min()
             while True:
                 cost.parallel_for(remaining)
-                mem.stream(remaining, phase_name)
+                mem.stream(remaining)
                 if power >= low:
                     break
                 power *= 2
@@ -410,7 +409,7 @@ def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
             live_targets, nbrs_total, preds = _push(
                 batch, indptr, indices, active, r_mask,
                 explicit if compute_ranks else None)
-            mem.gather(nbrs_total, phase_name)
+            mem.gather(nbrs_total)
             cost.scatter_decrement(nbrs_total if adg_books
                                    else live_targets.size)
             if live_targets.size:
@@ -422,7 +421,7 @@ def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
         else:
             live = np.flatnonzero(active)
             dec, nbrs_total = _pull(live, indptr, indices, r_mask)
-            mem.gather(nbrs_total, phase_name)
+            mem.gather(nbrs_total)
             # Per-vertex Count(N_U(v) cap R): a Reduce over each row.
             cost.round(nbrs_total + remaining, log2_ceil(max(max_deg, 1)))
             D[live] -= dec

@@ -44,8 +44,8 @@ def id_ordering(g: CSRGraph, seed: int | None = None,
                     incidence[u] += 1
                     heapq.heappush(heap, (-int(incidence[u]), -int(deg[u]), int(u)))
         run.cost.round(2 * g.m + n, n)
-    run.mem.stream(n, "order:id")
-    run.mem.gather(2 * g.m, "order:id")
+        run.mem.stream(n)
+        run.mem.gather(2 * g.m)
 
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.asarray(order, dtype=np.int64)] = np.arange(n - 1, -1, -1)

@@ -67,8 +67,8 @@ def dsatur(g: CSRGraph, seed: int | None = None,
                         sat_set.add(c)
                         heapq.heappush(heap, (-len(sat_set), -int(deg[u]), int(u)))
         run.cost.round(2 * g.m + n, n)
-    run.mem.stream(n, "order:sd")
-    run.mem.gather(2 * g.m, "order:sd")
+        run.mem.stream(n)
+        run.mem.gather(2 * g.m)
 
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.asarray(order, dtype=np.int64)] = np.arange(n - 1, -1, -1)

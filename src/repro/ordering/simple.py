@@ -24,7 +24,7 @@ def ff_ordering(g: CSRGraph, seed: int | None = None,
     with run.phase("order:ff"):
         run.cost.parallel_for(g.n)
         ranks = np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    run.mem.stream(g.n, "order:ff")
+        run.mem.stream(g.n)
     return Ordering(name="FF", ranks=ranks, cost=run.cost, mem=run.mem)
 
 
@@ -35,7 +35,7 @@ def random_ordering(g: CSRGraph, seed: int | None = 0,
     with run.phase("order:random"):
         run.cost.parallel_for(g.n)
         ranks = random_tiebreak(g.n, seed)
-    run.mem.stream(g.n, "order:random")
+        run.mem.stream(g.n)
     return Ordering(name="R", ranks=ranks, cost=run.cost, mem=run.mem)
 
 
@@ -47,7 +47,7 @@ def lf_ordering(g: CSRGraph, seed: int | None = 0,
     with run.phase("order:lf"):
         run.cost.parallel_for(g.n)
         ranks = total_order(deg, random_tiebreak(g.n, seed))
-    run.mem.stream(g.n, "order:lf")
+        run.mem.stream(g.n)
     return Ordering(name="LF", ranks=ranks, levels=deg + 1,
                     num_levels=g.max_degree + 1, cost=run.cost, mem=run.mem)
 
@@ -64,7 +64,7 @@ def llf_ordering(g: CSRGraph, seed: int | None = 0,
         buckets[pos] = np.ceil(
             np.log2(np.maximum(deg[pos], 1) + 1)).astype(np.int64)
         ranks = total_order(buckets, random_tiebreak(g.n, seed))
-    run.mem.stream(g.n, "order:llf")
+        run.mem.stream(g.n)
     num_levels = int(buckets.max()) + 1 if g.n else 0
     return Ordering(name="LLF", ranks=ranks, levels=buckets + 1,
                     num_levels=num_levels, cost=run.cost, mem=run.mem)

@@ -26,8 +26,8 @@ def sl_ordering(g: CSRGraph, seed: int | None = None,
         # Sequential peeling: each of the n steps touches the removed
         # vertex's remaining neighbors -> O(n + m) work, Omega(n) depth.
         run.cost.round(g.n + 2 * g.m, g.n)
-    run.mem.stream(g.n, "order:sl")
-    run.mem.gather(2 * g.m, "order:sl")
+        run.mem.stream(g.n)
+        run.mem.gather(2 * g.m)
     ranks = np.empty(g.n, dtype=np.int64)
     ranks[peel.order] = np.arange(g.n, dtype=np.int64)
     # Levels: the removal position itself (a total order), 1-based.

@@ -250,7 +250,7 @@ class ExecutionContext:
         t0 = time.perf_counter()
         frame = [0.0]
         self._phase_stack.append(frame)
-        with self.cost.phase(name):
+        with self.cost.phase(name), self.mem.phase(name):
             try:
                 yield self
             finally:

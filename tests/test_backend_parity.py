@@ -235,7 +235,7 @@ GOLDEN_BASELINES = {
         "snapshot": "0c4bef0c1d3dc4c9",
         "round_log": "10f19d9fe439fd8d",
         "mem": [2577, 9200],
-        "mem_phases": "88ac63f201ad709d",
+        "mem_phases": "9e66f612a595bf57",
         "reorder": None},
     "chung|GM": {
         "colors": "d17c08f560a5d944",
@@ -244,7 +244,7 @@ GOLDEN_BASELINES = {
         "snapshot": "e15761de20c5d4da",
         "round_log": "20ce1c921f454202",
         "mem": [8000, 0],
-        "mem_phases": "e43a7dd406c082db",
+        "mem_phases": "67d213a63400981c",
         "reorder": None},
     "chung|Greedy-FF": {
         "colors": "d0ecff8afef4beb9",
@@ -253,7 +253,7 @@ GOLDEN_BASELINES = {
         "snapshot": "83ebf963b7a2bcc8",
         "round_log": "a916f7faccd5f28c",
         "mem": [4000, 400],
-        "mem_phases": "3239013f583fbe3e",
+        "mem_phases": "af170913da4bab6d",
         "reorder": [400, 1, "93aac580e11aa8ff", 0, 400]},
     "chung|Greedy-ID": {
         "colors": "67ad82a5d509a1da",
@@ -262,7 +262,7 @@ GOLDEN_BASELINES = {
         "snapshot": "83ebf963b7a2bcc8",
         "round_log": "a916f7faccd5f28c",
         "mem": [4000, 400],
-        "mem_phases": "3239013f583fbe3e",
+        "mem_phases": "af170913da4bab6d",
         "reorder": [4400, 400, "fdcd7b9e704387fe", 4000, 400]},
     "chung|Greedy-LF": {
         "colors": "ffd098ef8368d1eb",
@@ -271,7 +271,7 @@ GOLDEN_BASELINES = {
         "snapshot": "83ebf963b7a2bcc8",
         "round_log": "a916f7faccd5f28c",
         "mem": [4000, 400],
-        "mem_phases": "3239013f583fbe3e",
+        "mem_phases": "af170913da4bab6d",
         "reorder": [400, 1, "cd6869a163561790", 0, 400]},
     "chung|Greedy-R": {
         "colors": "401996a4026eb9ba",
@@ -280,7 +280,7 @@ GOLDEN_BASELINES = {
         "snapshot": "83ebf963b7a2bcc8",
         "round_log": "a916f7faccd5f28c",
         "mem": [4000, 400],
-        "mem_phases": "3239013f583fbe3e",
+        "mem_phases": "af170913da4bab6d",
         "reorder": [400, 1, "92570a09b807e110", 0, 400]},
     "chung|Greedy-SD": {
         "colors": "49597b4b45bc6c9e",
@@ -298,7 +298,7 @@ GOLDEN_BASELINES = {
         "snapshot": "83ebf963b7a2bcc8",
         "round_log": "a916f7faccd5f28c",
         "mem": [4000, 400],
-        "mem_phases": "3239013f583fbe3e",
+        "mem_phases": "af170913da4bab6d",
         "reorder": [4400, 400, "8768c9fef1920b3b", 4000, 400]},
     "chung|ITR": {
         "colors": "715dc505b2226539",
@@ -307,7 +307,7 @@ GOLDEN_BASELINES = {
         "snapshot": "01a2906e5aa5ecb9",
         "round_log": "99511e6731d524d1",
         "mem": [34658, 0],
-        "mem_phases": "20c7a7b6b2e632d5",
+        "mem_phases": "f778d39c7bbab9f7",
         "reorder": None},
     "chung|ITR-ASL": {
         "colors": "cfc815b00dbf11c7",
@@ -316,7 +316,7 @@ GOLDEN_BASELINES = {
         "snapshot": "bd10e0eb8c7c4601",
         "round_log": "1c086540a1283347",
         "mem": [37942, 0],
-        "mem_phases": "69bae1950f29e02d",
+        "mem_phases": "d41ad450077cecfe",
         "reorder": [17033, 506, "33becf8e85e03b45", 4000, 7544]},
     "chung|ITRB": {
         "colors": "ba3aacec87178972",
@@ -325,7 +325,7 @@ GOLDEN_BASELINES = {
         "snapshot": "9d3f4757efd0ed47",
         "round_log": "969925555b9eadb7",
         "mem": [6578, 0],
-        "mem_phases": "db1f42b0e021430e",
+        "mem_phases": "e154c7dd8cccce43",
         "reorder": None},
     "chung|Luby": {
         "colors": "2e34d4cb1287d31a",
@@ -334,7 +334,7 @@ GOLDEN_BASELINES = {
         "snapshot": "67a21270c22a9cab",
         "round_log": "42bae8edc739f214",
         "mem": [25375, 0],
-        "mem_phases": "993513005a590d12",
+        "mem_phases": "8505ed8a77d3bbd4",
         "reorder": None},
     "kron|CR": {
         "colors": "a048a31f6be6964e",
@@ -343,7 +343,7 @@ GOLDEN_BASELINES = {
         "snapshot": "6991440f79fe5a7e",
         "round_log": "839d954fc8ead386",
         "mem": [3488, 15360],
-        "mem_phases": "e000ae3f02fdc416",
+        "mem_phases": "82f58a88af1707fe",
         "reorder": None},
     "kron|GM": {
         "colors": "f018b3982bec6e73",
@@ -352,7 +352,7 @@ GOLDEN_BASELINES = {
         "snapshot": "2577964315e72118",
         "round_log": "9fb7055e6eb1b037",
         "mem": [11352, 0],
-        "mem_phases": "8fa4ce1e91166e8e",
+        "mem_phases": "2f7d8d3f79b54205",
         "reorder": None},
     "kron|Greedy-FF": {
         "colors": "be411c97a84348a2",
@@ -361,7 +361,7 @@ GOLDEN_BASELINES = {
         "snapshot": "494429507d42f530",
         "round_log": "be2b8dd0862d2c26",
         "mem": [5676, 512],
-        "mem_phases": "1a7f488ae4ccd291",
+        "mem_phases": "acae595aadb109b1",
         "reorder": [512, 1, "948afc6f68a5dcce", 0, 512]},
     "kron|Greedy-ID": {
         "colors": "dcf1d4dc58acec42",
@@ -370,7 +370,7 @@ GOLDEN_BASELINES = {
         "snapshot": "494429507d42f530",
         "round_log": "be2b8dd0862d2c26",
         "mem": [5676, 512],
-        "mem_phases": "1a7f488ae4ccd291",
+        "mem_phases": "acae595aadb109b1",
         "reorder": [6188, 512, "a3df801f0063a025", 5676, 512]},
     "kron|Greedy-LF": {
         "colors": "850a3ffce6d1c3db",
@@ -379,7 +379,7 @@ GOLDEN_BASELINES = {
         "snapshot": "494429507d42f530",
         "round_log": "be2b8dd0862d2c26",
         "mem": [5676, 512],
-        "mem_phases": "1a7f488ae4ccd291",
+        "mem_phases": "acae595aadb109b1",
         "reorder": [512, 1, "291ab99763b9cacf", 0, 512]},
     "kron|Greedy-R": {
         "colors": "6191c0af644ffe5d",
@@ -388,7 +388,7 @@ GOLDEN_BASELINES = {
         "snapshot": "494429507d42f530",
         "round_log": "be2b8dd0862d2c26",
         "mem": [5676, 512],
-        "mem_phases": "1a7f488ae4ccd291",
+        "mem_phases": "acae595aadb109b1",
         "reorder": [512, 1, "103c46686667eab5", 0, 512]},
     "kron|Greedy-SD": {
         "colors": "2c5adf79d719c5cf",
@@ -406,7 +406,7 @@ GOLDEN_BASELINES = {
         "snapshot": "494429507d42f530",
         "round_log": "be2b8dd0862d2c26",
         "mem": [5676, 512],
-        "mem_phases": "1a7f488ae4ccd291",
+        "mem_phases": "acae595aadb109b1",
         "reorder": [6188, 512, "89f37268b1df2bfb", 5676, 512]},
     "kron|ITR": {
         "colors": "6191c0af644ffe5d",
@@ -415,7 +415,7 @@ GOLDEN_BASELINES = {
         "snapshot": "2ba4878100b7725b",
         "round_log": "0bc965e90dabb979",
         "mem": [81480, 0],
-        "mem_phases": "01b7434d0945cd98",
+        "mem_phases": "b6ca9f45018e6c35",
         "reorder": None},
     "kron|ITR-ASL": {
         "colors": "8aae01a13904844d",
@@ -424,7 +424,7 @@ GOLDEN_BASELINES = {
         "snapshot": "0d99f75ddddf9754",
         "round_log": "419a68d8fc2f134d",
         "mem": [75596, 0],
-        "mem_phases": "c92d44c4e4975502",
+        "mem_phases": "146b2d98b0798145",
         "reorder": [16884, 551, "83c752b827a2cd40", 5676, 7066]},
     "kron|ITRB": {
         "colors": "e31dce52861da2be",
@@ -433,7 +433,7 @@ GOLDEN_BASELINES = {
         "snapshot": "79aa278dbddcb5fc",
         "round_log": "edbcd26160ba7f4e",
         "mem": [10642, 0],
-        "mem_phases": "88b08dbe751a2490",
+        "mem_phases": "389c5fae9b438662",
         "reorder": None},
     "kron|Luby": {
         "colors": "8d281764fbe4fcdc",
@@ -442,7 +442,7 @@ GOLDEN_BASELINES = {
         "snapshot": "95adb2672addf7d1",
         "round_log": "4f9c8ba9c5398213",
         "mem": [53065, 0],
-        "mem_phases": "735156c9a742d4af",
+        "mem_phases": "fd0cffaa4f113bfe",
         "reorder": None},
 }
 

@@ -110,32 +110,32 @@ GOLDEN = {
         colors="310333d165c03ebd", rounds=21, conflicts=120, work=22939,
         depth=240, round_log="884b47cc69a251b9",
         snapshot="801c12bda8eefc0a", mem=[7571, 11193],
-        mem_phases="574799dad84a9206", series="afc9865aaf6f251f"),
+        mem_phases="1467a26f4d28fc95", series="afc9865aaf6f251f"),
     "gnm|0.01|avg|serial": dict(
         colors="368d9d311dffe8ab", rounds=16, conflicts=125, work=12366,
         depth=151, round_log="1256908a4ed0f1fd",
         snapshot="fa9480229f891bb0", mem=[4504, 5132],
-        mem_phases="1f4bf0241aca2556", series="30ef10268c653914"),
+        mem_phases="d0f92ec09462643d", series="30ef10268c653914"),
     "ba|0.01|avg|serial": dict(
         colors="6f4b6ac3efc4e72c", rounds=10, conflicts=63, work=6731,
         depth=100, round_log="2c4c50433e0d2294",
         snapshot="0ccf3d0097bf44ff", mem=[2239, 2865],
-        mem_phases="a6616e97cd94cb8e", series="cd32e1cfda11029c"),
+        mem_phases="9a680da6910ca611", series="cd32e1cfda11029c"),
     "grid|0.01|avg|serial": dict(
         colors="163eb51c4daf051d", rounds=16, conflicts=46, work=4497,
         depth=114, round_log="d20c1da161762511",
         snapshot="52e164115a130d1e", mem=[1528, 1785],
-        mem_phases="426f727f143de3d0", series="35a6e501ba6347de"),
+        mem_phases="55fe38c1dabb319a", series="35a6e501ba6347de"),
     "clique|0.01|avg|serial": dict(
         colors="994bddf006a5c20f", rounds=12, conflicts=66, work=2238,
         depth=123, round_log="5301a08ebacb9af6",
         snapshot="62668309edc2860f", mem=[990, 1092],
-        mem_phases="47fddeb4d6026afd", series="54f2933fa48bf5ae"),
+        mem_phases="166cedba5a702775", series="54f2933fa48bf5ae"),
     "ring|0.01|avg|serial": dict(
         colors="acc6d786a010474e", rounds=3, conflicts=52, work=1193,
         depth=19, round_log="400c2d9f2b45e349",
         snapshot="347e13d2268eb13b", mem=[360, 580],
-        mem_phases="2d8f4ce3409a3176", series="9e68a41bd27fd6be"),
+        mem_phases="b4d53f24531016d4", series="9e68a41bd27fd6be"),
     "empty|0.01|avg|serial": dict(
         colors="e3b0c44298fc1c14", rounds=0, conflicts=0, work=0,
         depth=0, round_log="4f53cda18c2baa0c",
@@ -145,32 +145,32 @@ GOLDEN = {
         colors="e9c6255ab16843c4", rounds=3, conflicts=0, work=72,
         depth=19, round_log="92b37b6496dd9622",
         snapshot="5cfec4c151c40bed", mem=[6, 39],
-        mem_phases="90595d4b53d19f26", series="da69f003b685ef2e"),
+        mem_phases="e69039de188b2631", series="da69f003b685ef2e"),
     "kron|0.1|median|serial": dict(
         colors="c6aa383c16151f0c", rounds=25, conflicts=71, work=18374,
         depth=299, round_log="09564ac1f73939d1",
         snapshot="9a9198761efca96a", mem=[6644, 7793],
-        mem_phases="5e4daad47c24acdd", series="0fa7f557962ca001"),
+        mem_phases="ae0352fd58795c96", series="0fa7f557962ca001"),
     "kron|1.0|avg|serial": dict(
         colors="8ca21f8a0dba31cb", rounds=20, conflicts=392, work=57560,
         depth=285, round_log="f964c8a75c6ab709",
         snapshot="71ad6eca31ecdd80", mem=[18070, 35019],
-        mem_phases="8114bb7b94b7d847", series="277ea935d5a94128"),
+        mem_phases="293abfe7b1a48982", series="277ea935d5a94128"),
     "gnm|0.1|avg|serial": dict(
         colors="e9db087ebf46fbf3", rounds=15, conflicts=141, work=12766,
         depth=141, round_log="af973579bac73c1f",
         snapshot="ca8b813ce173879b", mem=[4657, 5358],
-        mem_phases="3510fdf36463b28e", series="36690a7a7739411f"),
+        mem_phases="08687405c4faf396", series="36690a7a7739411f"),
     "kron|0.01|avg|threaded": dict(
         colors="310333d165c03ebd", rounds=21, conflicts=120, work=22939,
         depth=240, round_log="884b47cc69a251b9",
         snapshot="801c12bda8eefc0a", mem=[7571, 11193],
-        mem_phases="574799dad84a9206", series="afc9865aaf6f251f"),
+        mem_phases="1467a26f4d28fc95", series="afc9865aaf6f251f"),
     "gnm|1.0|median|threaded": dict(
         colors="e826ec612b90631b", rounds=17, conflicts=87, work=11575,
         depth=165, round_log="4cf560e68e2486eb",
         snapshot="d8b8973168277875", mem=[4115, 4796],
-        mem_phases="4a70d54b6fb8490e", series="f4d99ec59eeac5fc"),
+        mem_phases="a8dc9302f3de447e", series="f4d99ec59eeac5fc"),
 }
 
 
@@ -181,32 +181,32 @@ GOLDEN_ITR = {
         colors="6191c0af644ffe5d", rounds=19, conflicts=1095, work=84694,
         depth=312, round_log="0bc965e90dabb979",
         snapshot="2ba4878100b7725b", mem=[81480, 0],
-        mem_phases="01b7434d0945cd98"),
+        mem_phases="b6ca9f45018e6c35"),
     "ITR|gnm": dict(
         colors="accaae10e59f4d54", rounds=8, conflicts=904, work=24590,
         depth=94, round_log="a0356883e258b93e",
         snapshot="0468290f629694c9", mem=[21982, 0],
-        mem_phases="566b07860bb8c087"),
+        mem_phases="9ebc8991ac475ecb"),
     "ITR|ba": dict(
         colors="8fa60b6eb2866533", rounds=7, conflicts=512, work=12730,
         depth=94, round_log="67b5354868468fec",
         snapshot="58012d5e7633e0ee", mem=[11106, 0],
-        mem_phases="7dbab5705ab176a5"),
+        mem_phases="5ad88470f1c56b86"),
     "ITR|grid": dict(
         colors="af18c4b7ecc3f667", rounds=4, conflicts=297, work=5278,
         depth=24, round_log="782ed3d2cc2b985f",
         snapshot="4b37505b7f3aff07", mem=[4174, 0],
-        mem_phases="edbbf4a7c43f437b"),
+        mem_phases="0a788200350adab8"),
     "ITR|clique": dict(
         colors="994bddf006a5c20f", rounds=12, conflicts=66, work=1872,
         depth=120, round_log="3436f306acf0725c",
         snapshot="9607b34fa238f370", mem=[1716, 0],
-        mem_phases="57787881c365681a"),
+        mem_phases="43eb75abf1324e56"),
     "ITR|ring": dict(
         colors="acc6d786a010474e", rounds=3, conflicts=52, work=696,
         depth=12, round_log="18cc70dd0ebba780",
         snapshot="5dd4b26e7427f296", mem=[464, 0],
-        mem_phases="101cc46e8b267520"),
+        mem_phases="b7514a014ef4107e"),
     "ITR|empty": dict(
         colors="e3b0c44298fc1c14", rounds=0, conflicts=0, work=0,
         depth=0, round_log="4f53cda18c2baa0c",
@@ -216,37 +216,37 @@ GOLDEN_ITR = {
         colors="1269a18cc92f8506", rounds=2, conflicts=2, work=48,
         depth=12, round_log="4addc048601c0daf",
         snapshot="84cbc295d1618fb2", mem=[20, 0],
-        mem_phases="fd6a5ed03cb0deeb"),
+        mem_phases="35fcff61b0f39a24"),
     "ITR-ASL|kron": dict(
         colors="8aae01a13904844d", rounds=15, conflicts=1438, work=79496,
         depth=238, round_log="419a68d8fc2f134d",
         snapshot="0d99f75ddddf9754", mem=[75596, 0],
-        mem_phases="c92d44c4e4975502"),
+        mem_phases="146b2d98b0798145"),
     "ITR-ASL|gnm": dict(
         colors="22b1e69d9afaf6b2", rounds=11, conflicts=1853, work=38788,
         depth=116, round_log="e1dba362d8cd167e",
         snapshot="677889d45e559a45", mem=[34282, 0],
-        mem_phases="b0a711009a9746c9"),
+        mem_phases="38acfae7f5080a61"),
     "ITR-ASL|ba": dict(
         colors="9c0201a790e5ad31", rounds=7, conflicts=946, work=15902,
         depth=84, round_log="2705b3ffc9d88856",
         snapshot="f5cd8069b69bee34", mem=[13410, 0],
-        mem_phases="b6b94a04086b2456"),
+        mem_phases="2f4536bcf8bd0b49"),
     "ITR-ASL|grid": dict(
         colors="167fcc599c69a8ad", rounds=9, conflicts=1080, work=12454,
         depth=52, round_log="710bd433b665c84a",
         snapshot="246b99bcb1753eee", mem=[9784, 0],
-        mem_phases="6cfae2c0d6d7a6b2"),
+        mem_phases="3b2839577230842b"),
     "ITR-ASL|clique": dict(
         colors="994bddf006a5c20f", rounds=12, conflicts=66, work=1872,
         depth=120, round_log="3436f306acf0725c",
         snapshot="9607b34fa238f370", mem=[1716, 0],
-        mem_phases="57787881c365681a"),
+        mem_phases="43eb75abf1324e56"),
     "ITR-ASL|ring": dict(
         colors="acc6d786a010474e", rounds=3, conflicts=52, work=696,
         depth=12, round_log="18cc70dd0ebba780",
         snapshot="5dd4b26e7427f296", mem=[464, 0],
-        mem_phases="101cc46e8b267520"),
+        mem_phases="b7514a014ef4107e"),
     "ITR-ASL|empty": dict(
         colors="e3b0c44298fc1c14", rounds=0, conflicts=0, work=0,
         depth=0, round_log="4f53cda18c2baa0c",
@@ -256,7 +256,7 @@ GOLDEN_ITR = {
         colors="e9c6255ab16843c4", rounds=2, conflicts=3, work=48,
         depth=10, round_log="eb4c487500f1d559",
         snapshot="a0d031e7e5c12f2d", mem=[18, 0],
-        mem_phases="defb226b3ff976b4"),
+        mem_phases="1deda3a9be8e335b"),
 }
 ITR_FNS = {"ITR": itr, "ITR-ASL": itr_asl}
 

@@ -26,17 +26,24 @@ class TestMemoryModel:
 
     def test_phases(self):
         m = MemoryModel()
-        m.stream(4, "a")
-        m.gather(6, "a")
-        m.stream(1, "b")
+        with m.phase("a"):
+            m.stream(4)
+            with m.phase("b"):
+                m.stream(1)
+            m.gather(6)
+        m.gather(2)
         assert m.by_phase["a"] == (4, 6)
         assert m.by_phase["b"] == (1, 0)
+        assert m.by_phase["<toplevel>"] == (0, 2)
 
     def test_merge(self):
         a, b = MemoryModel(), MemoryModel()
-        a.stream(5, "x")
-        b.gather(5, "x")
-        b.stream(2, "y")
+        with a.phase("x"):
+            a.stream(5)
+        with b.phase("x"):
+            b.gather(5)
+        with b.phase("y"):
+            b.stream(2)
         a.merge(b)
         assert a.by_phase["x"] == (5, 5)
         assert a.by_phase["y"] == (2, 0)

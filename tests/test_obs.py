@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench.harness import run_suite
 from repro.coloring import color
-from repro.graphs import gnm_random, grid_2d
+from repro.coloring.registry import ALGORITHMS
+from repro.graphs import gnm_random, grid_2d, kronecker
 from repro.obs import (
     CATEGORIES,
     NULL_TRACER,
@@ -321,6 +322,16 @@ class TestProfileBreakdowns:
         stages = {r["stage"] for r in rows}
         assert stages == {"reorder", "coloring"}
         assert all(r["wall_s"] >= 0 for r in rows)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_profile_rows_hold_every_memory_touch(self, name):
+        """Memory books under the open phase: every touch of a run lands
+        in a profile row, the coloring phase's and the ordering's."""
+        res = color(name, kronecker(scale=8, edge_factor=8, seed=1), seed=0)
+        rows = phase_breakdown(res)
+        books = [m for m in (res.mem, res.reorder_mem) if m is not None]
+        assert sum(r["mem_seq"] + r["mem_rand"] for r in rows) \
+            == sum(m.sequential + m.random for m in books) > 0
 
     def test_round_breakdown_pivots(self):
         res, t = self._run()
