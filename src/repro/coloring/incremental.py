@@ -131,7 +131,8 @@ class IncrementalColoring:
             else:  # DEC-ADG-ITR
                 self.colors, _, _ = itr_color_partitions(
                     g, self.levels, self.num_levels, self.priority, self.ctx)
-            self.deg_ge = deg_ge_array(g, self.levels, self.ctx)
+            with self.ctx.phase("inc"):
+                self.deg_ge = deg_ge_array(g, self.levels, self.ctx)
         self._colors_ref = num_colors(self.colors)
         self._ref_valid = True
         self._d_exact = None
@@ -210,9 +211,10 @@ class IncrementalColoring:
         if active.size:
             cap = repair_caps(self.deg_ge, self.algorithm, self.eps)
             try:
-                rounds, recolored = repair_frontier(
-                    g, self.colors, self.levels, self.priority, active,
-                    cap, self.ctx, metric="inc")
+                with self.ctx.phase("inc:repair"):
+                    rounds, recolored = repair_frontier(
+                        g, self.colors, self.levels, self.priority, active,
+                        cap, self.ctx, metric="inc")
             except RuntimeError:
                 full = True
         self.stats["repaired"] += recolored

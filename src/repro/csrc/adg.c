@@ -41,27 +41,20 @@ long long repro_adg(long long n, const int64_t *indptr,
         long long nb = 0, keep = 0;
         int64_t removed = 0, touched = 0, cut = 0, dmax = 0;
         it++;
+        /* Every rule takes each live vertex of degree below t, then
+           (ADG-M) the first quota of degree t in id order. */
+        int64_t t, quota = 0;
+        double below;
         if (rule == RULE_AVG) {
-            /* The NumPy loop's arithmetic: sum / remaining, then
-               (1+eps)*avg. */
-            const double avg = (double)sum / (double)nlive;
-            const double threshold = (1.0 + eps) * avg;
-            for (i = 0; i < nlive; i++) {   /* live stays in id order */
-                const int64_t v = live[i];
-                if ((double)deg[v] <= threshold) {
-                    batch[nb++] = v;
-                    levels[v] = it;
-                    removed += deg[v];
-                    if (deg[v] > dmax)
-                        dmax = deg[v];
-                } else {
-                    live[keep++] = v;
-                }
-            }
+            /* The NumPy loop's arithmetic, sum / remaining, then
+               (1+eps)*avg; an integer degree is at most that threshold
+               iff it is below its floor + 1 (none below 0 or NaN). */
+            const double threshold = (1.0 + eps) * ((double)sum
+                                                    / (double)nlive);
+            t = !(threshold >= 0.0) ? 0
+                : threshold < 0x1p62 ? (int64_t)threshold + 1 : INT64_MAX;
         } else {
-            /* An integer rule: every live vertex of degree below t,
-               then the first quota of degree t in id order. */
-            int64_t t, quota = 0, lo = deg[live[0]], hi = lo;
+            int64_t lo = deg[live[0]], hi = lo;
             for (i = 1; i < nlive; i++) {
                 const int64_t d = deg[live[i]];
                 if (d < lo)
@@ -91,22 +84,18 @@ long long repro_adg(long long n, const int64_t *indptr,
                     quota -= bucket[t];
                 b_rule[it - 1] = hi;
             }
-            for (i = 0; i < nlive; i++) {
-                const int64_t v = live[i], d = deg[v];
-                int take = d < t;
-                if (d == t && quota > 0) {
-                    take = 1;
-                    quota--;
-                }
-                if (take) {
-                    batch[nb++] = v;
-                    levels[v] = it;
-                    removed += d;
-                    if (d > dmax)
-                        dmax = d;
-                } else {
-                    live[keep++] = v;
-                }
+        }
+        below = (double)t;  /* gcc -O3 runs this compare faster as double */
+        for (i = 0; i < nlive; i++) {   /* live stays in id order */
+            const int64_t v = live[i], d = deg[v];
+            if ((double)d < below || (d == t && quota > 0 && quota--)) {
+                batch[nb++] = v;
+                levels[v] = it;
+                removed += d;
+                if (d > dmax)
+                    dmax = d;
+            } else {
+                live[keep++] = v;
             }
         }
         b_left[it - 1] = keep;

@@ -66,6 +66,11 @@ from .base import Ordering, ordering_context, random_tiebreak, total_order
 #: (1+eps) * average, ADG-M's median, ASL's minimum, SLL's doubling.
 RULES = {"avg": 0, "median": 1, "min": 2, "doubling": 3}
 
+#: The rules that book as Table II's baselines (ASL, SLL) always have:
+#: no batch round, no ``adg.*`` series, the scatter charged per live
+#: target.
+BASELINE_RULES = ("min", "doubling")
+
 
 # -- round kernels: pure ----------------------------------------------------
 
@@ -266,6 +271,7 @@ def _replay(books, n, max_deg, rule, run, *, update,
     """Book each iteration of the compiled pass exactly as
     :func:`_adg_numpy` books it; raises where that loop raises."""
     cost, mem, tracer = run.cost, run.mem, run.tracer
+    adg_books = rule not in BASELINE_RULES
     rows = zip(*(b.tolist() for b in books))
     for it, (size, _removed, touched, cut, left, bmax, extra) in \
             enumerate(rows, 1):
@@ -295,17 +301,14 @@ def _replay(books, n, max_deg, rule, run, *, update,
         if sort_batches:
             sort_books(sort_method, size, bmax, cost)
             cost.parallel_for(size)
-        if rule in ("min", "doubling"):
-            cost.scatter_decrement(cut)
-            mem.gather(touched)
-            continue
-        cost.round(size, 1)
-        if tracer.enabled:
-            tracer.count("adg.batch", size, round=it)
-            tracer.gauge("adg.remaining", left, round=it)
+        if adg_books:
+            cost.round(size, 1)
+            if tracer.enabled:
+                tracer.count("adg.batch", size, round=it)
+                tracer.gauge("adg.remaining", left, round=it)
         mem.gather(touched)
         if update == "push":
-            cost.scatter_decrement(touched)
+            cost.scatter_decrement(touched if adg_books else cut)
             if compute_ranks:
                 cost.round(touched, 1)
         else:
@@ -326,9 +329,7 @@ def _adg_numpy(indptr, indices, max_deg, eps, rule, tiebreak, run,
     levels = np.zeros(n, dtype=np.int64)
     explicit = np.zeros(n, dtype=np.int64) if sort_batches else None
     pred_counts = np.zeros(n, dtype=np.int64) if compute_ranks else None
-    # ASL and SLL book as Table II's baselines always have: no batch
-    # round, no adg.* series, their scatter charged per live target.
-    adg_books = rule in ("avg", "median")
+    adg_books = rule not in BASELINE_RULES
     counter = 0
     remaining = n
     sum_deg = int(D.sum()) if n else 0

@@ -185,6 +185,31 @@ def test_single_edge_delta_locality():
         inc.close()
 
 
+def test_repair_books_memory_under_its_phases():
+    """The deg_l array and each frontier repair book their memory
+    touches under the phases ``inc`` and ``inc:repair``, so a profile
+    tells them apart; nothing lands outside a phase."""
+    g = gnm_random(200, 800, seed=5)
+    inc = IncrementalColoring(g, "DEC-ADG-ITR", eps=0.01, seed=0,
+                              backend="serial")
+    try:
+        c = inc.colors
+        u, v = next((int(u), int(v)) for u in range(g.n)
+                    for v in range(u + 1, g.n)
+                    if c[u] == c[v] and not g.has_edge(u, v))
+        m = g.m
+        before = inc.ctx.mem.by_phase.get("inc:repair", (0, 0))
+        report = inc.apply_delta(
+            GraphDelta(add_edges=np.array([[u, v]], dtype=np.int64)))
+        assert report["repaired"] >= 1
+        by_phase = inc.ctx.mem.by_phase
+        assert by_phase["inc"] == (4 * m, 0)
+        assert sum(by_phase["inc:repair"]) > sum(before)
+        assert "<toplevel>" not in by_phase
+    finally:
+        inc.close()
+
+
 # -- guardrails ---------------------------------------------------------------
 
 def test_incremental_rejects_non_dec_algorithms():
